@@ -7,7 +7,7 @@ cases: residuals decay exponentially in n until they hit the 1e-14
 assembly floor, with the rate set by the gap between the outermost
 zero/pole sphere and the integration sphere.
 
-Usage: python scripts/convergence_study.py [--orders 12 24 48 96]
+Usage: python scripts/convergence_study.py [--orders 12 24 48 96 192 384 768]
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ CORPUS = ROOT / "corpus"
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--orders", type=int, nargs="+", default=[12, 24, 48, 96])
+    parser.add_argument("--orders", type=int, nargs="+", default=[12, 24, 48, 96, 192, 384, 768])
     parser.add_argument(
         "--manifest", nargs="+", default=["polynomials.json", "rationals.json"]
     )

@@ -1,22 +1,33 @@
-"""Surface quadrature on the 3-sphere of radius r in R^4, the sphere
+"""Quadrature on the 3-sphere of radius r in R^4, the sphere
 conjugation maps T_f and S_f, and the two boundary integral means of the
 Jensen formula.
 
-Parameterization: x = r (cos t1, sin t1 cos t2, sin t1 sin t2 cos p,
-sin t1 sin t2 sin p) with surface measure r^3 sin^2(t1) sin(t2)
-dt1 dt2 dp and total measure |bd B_r| = 2 pi^2 r^3.  Gauss-Legendre
-nodes in t1 and t2 (angular weights absorbed into the quadrature
-weights) and a uniform grid in p, which is spectrally exact for the
-periodic direction.
+Means path: a 1-D polar rule.  Every sphere S_x = alpha + S^2 beta with
+z = alpha + i beta = r e^{i theta} on the boundary carries measure
+4 pi (r sin theta)^2 r dtheta, and on it f(alpha + J beta) =
+F1(z) + J F2(z), so |f|^2 = A(z) + <b(z), J> with A = |F1|^2 + |F2|^2
+and b = 2 Im(F1 conj(F2)): affine in J.  By Archimedes' hat-box
+theorem <b, J> / |b| is uniform on [-1, 1] over S^2, so the S^2 mean
+of log|f| has a closed form in A and B = |b| (``sphere_mean_log_abs``).
+The pointwise identity log|N(f)| = log|f| + log|f o S_f| then gives the
+second mean as the polar mean of log|N(f)| minus the first.  Both need
+the stems only at the n Gauss-Legendre shadows z_k = r e^{i theta_k}
+(``polar_rule``).
 
-Circular integrands (constant on every sphere S_x) reduce to a single
-polar integral with weight 4 pi (r sin t)^2 r dt, used as the
-independent cross-check of the 3D product rule.
+Diagnostic oracle: a 3-D product rule.  Parameterization
+x = r (cos t1, sin t1 cos t2, sin t1 sin t2 cos p, sin t1 sin t2 sin p)
+with surface measure r^3 sin^2(t1) sin(t2) dt1 dt2 dp and total measure
+|bd B_r| = 2 pi^2 r^3; Gauss-Legendre nodes in t1 and t2 (angular
+weights absorbed into the quadrature weights) and a uniform grid in p,
+which is spectrally exact for the periodic direction.  It shares the
+polar angles t1 with the 1-D rule, evaluates f and S_f at every node
+(``boundary_identity_residual``) and is the independent check of the
+pointwise boundary identity and of the reduced means.  Its S^2 grid
+resolves high-degree stems slowly, so the 1-D means are the more
+accurate of the two.
 
-The boundary-mean pipeline is vectorized: each node needs only the
-stems F1(z), F2(z) at its complex shadow z, because f(x), the spherical
-derivative direction and f at the reflected point S_f(x) all live on
-the same sphere and reuse the same stem values.
+``circular_reduction`` applies the polar rule to a pointwise scalar
+integrand; the verify suite uses it to cross-check the product rule.
 """
 
 from __future__ import annotations
@@ -48,9 +59,12 @@ __all__ = [
     "T_map",
     "S_map",
     "s_inverse_map",
+    "polar_rule",
+    "sphere_mean_log_abs",
     "boundary_means",
     "BoundaryMeans",
     "boundary_identity_residual",
+    "ProductRuleCheck",
     "sf_roundtrip_errors",
     "log_normal_values",
 ]
@@ -76,21 +90,51 @@ class SphereQuadratureRule:
     def measure(self) -> float:
         return SPHERE_MEASURE * self.radius**3
 
+    @property
+    def z(self) -> np.ndarray:
+        """Complex shadows alpha + i beta of the nodes."""
+        return self.alpha + 1j * self.beta
+
     def __len__(self) -> int:
         return len(self.weights)
+
+
+def _polar_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre angles theta_k in (0, pi) and their weights on
+    [-1, 1] (the Jacobian pi/2 is left to the caller)."""
+    t, wt = np.polynomial.legendre.leggauss(n)
+    return 0.5 * math.pi * (t + 1.0), wt
+
+
+def _check_rule_parameters(r: float, n: int) -> None:
+    if r <= 0.0:
+        raise ValueError("radius must be positive")
+    if n < 4:
+        raise ValueError("need at least 4 nodes per angle")
+
+
+def polar_rule(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shadows z_k = r e^{i theta_k} and weights w_k, sum w_k = 1, such
+    that sum w_k g(z_k) is the mean over the 3-sphere of a circular
+    integrand g (constant on every sphere S_x).
+
+    The weight of theta_k is the measure 4 pi (r sin theta)^2 r dtheta
+    of its sphere over 2 pi^2 r^3; these are the t1 nodes and weights of
+    ``build_rule``.
+    """
+    _check_rule_parameters(r, n)
+    theta, wt = _polar_angles(n)
+    z = r * np.cos(theta) + 1j * (r * np.sin(theta))
+    return z, wt * np.sin(theta) ** 2
 
 
 def build_rule(r: float, n: int) -> SphereQuadratureRule:
     """Product rule with n Gauss-Legendre nodes in each polar angle and
     2n uniform nodes in the azimuth."""
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    if n < 4:
-        raise ValueError("need at least 4 nodes per angle")
-    t, wt = np.polynomial.legendre.leggauss(n)
-    theta1 = 0.5 * math.pi * (t + 1.0)
+    _check_rule_parameters(r, n)
+    theta1, wt = _polar_angles(n)
     w1 = 0.5 * math.pi * wt * np.sin(theta1) ** 2
-    theta2 = 0.5 * math.pi * (t + 1.0)
+    theta2 = theta1
     w2 = 0.5 * math.pi * wt * np.sin(theta2)
     nphi = 2 * n
     phi = 2.0 * math.pi * np.arange(nphi) / nphi
@@ -139,20 +183,18 @@ def integrate_values(rule: SphereQuadratureRule, values: np.ndarray) -> float:
 
 
 def circular_reduction(r: float, m: int, u: Callable[[Quaternion], float]) -> float:
-    """Integral over the sphere of a circular integrand via one polar
-    integral: spheres S_x of imaginary radius beta carry measure
-    4 pi beta^2, and the polar arc contributes r dtheta."""
-    t, wt = np.polynomial.legendre.leggauss(m)
-    theta = 0.5 * math.pi * (t + 1.0)
-    w = 0.5 * math.pi * wt
+    """Integral over the sphere of a circular integrand (constant on
+    every sphere S_x), by the polar rule of order m with u evaluated
+    pointwise."""
+    z, w = polar_rule(r, m)
     total = 0.0
-    for th, wk in zip(theta, w):
-        x = Quaternion(r * math.cos(th), r * math.sin(th), 0.0, 0.0)
+    for zk, wk in zip(z, w):
+        x = Quaternion(zk.real, zk.imag, 0.0, 0.0)
         val = u(x)
         if not math.isfinite(val):
-            raise NonFiniteIntegrandError(f"circular integrand not finite at theta={th}", node=x)
-        total += wk * val * 4.0 * math.pi * (r * math.sin(th)) ** 2 * r
-    return total
+            raise NonFiniteIntegrandError(f"circular integrand not finite at {x}", node=x)
+        total += wk * val
+    return SPHERE_MEASURE * r**3 * total
 
 
 # ---------------------------------------------------------------------------
@@ -224,59 +266,67 @@ class BoundaryMeans:
     mean_log_f: float
     mean_log_f_sf: float
 
+    @property
+    def mean_log_normal(self) -> float:
+        """(1/|bd B_r|) int log|N(f)|, by the pointwise boundary identity."""
+        return self.mean_log_f + self.mean_log_f_sf
 
-def _stem_node_values(f, rule: SphereQuadratureRule):
-    z = rule.alpha + 1j * rule.beta
+
+# below this u = B/A the closed form divides roundoff by u; the series
+# -sum_m u^{2m} / (m (2m + 1)), truncated after u^6, is off by < 3e-26
+SERIES_U = 1e-3
+# min |f|^2 = A - B on a node's sphere below this fraction of A is
+# rounding noise: f vanishes on that sphere as far as doubles can tell
+NODE_HIT_REL = 1e-14
+
+
+def sphere_mean_log_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean over J in S^2 of log|f| = (1/2) log(a + <b, J>) with |b| = b.
+
+    <b, J> / b is uniform on [-1, 1] (Archimedes), so the mean is
+    (1/4) int_{-1}^{1} log(a + b t) dt
+      = (1/4) [((a+b) log(a+b) - (a-b) log(a-b)) / b - 2],
+    evaluated as (1/2) log a + (1/4) g(b/a) with log1p, and by its
+    Taylor series for small b/a.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = b / a
+        u2 = u * u
+        series = -u2 * (1.0 / 3.0 + u2 * (1.0 / 10.0 + u2 / 21.0))
+        closed = ((1.0 + u) * np.log1p(u) - (1.0 - u) * np.log1p(-u)) / u - 2.0
+        g = np.where(u < SERIES_U, series, closed)
+        return 0.5 * np.log(a) + 0.25 * g
+
+
+def boundary_means(f, r: float, n: int) -> BoundaryMeans:
+    """The two normalized boundary means of the Jensen right-hand side,
+    by the polar rule of order n with exact S^2 averaging.
+
+    Requires f nonvanishing and pole-free on the sphere; a zero on the
+    sphere of a polar node, or a non-finite stem, raises
+    NonFiniteIntegrandError.
+    """
+    z, w = polar_rule(r, n)
     f1, f2 = f.stem_arrays(z)
-    junits = rule.junits
-    fx = f1 + qmul_array(junits, f2)
-    return f1, f2, fx
+    a = qnorm2_array(f1) + qnorm2_array(f2)
+    b = 2.0 * np.linalg.norm(qmul_array(f1, qconj_array(f2))[:, 1:], axis=1)
+    log_f = sphere_mean_log_abs(a, b)
+    log_n = log_normal_values(f, z)
+    bad = ~np.isfinite(log_f + log_n) | (a - b <= NODE_HIT_REL * a)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        node = Quaternion(z[k].real, z[k].imag, 0.0, 0.0)
+        raise NonFiniteIntegrandError(
+            f"integrand not finite on the sphere through polar node {k} = {node}; "
+            "a zero or pole sits on or near the integration sphere",
+            node=node,
+        )
+    mean_log_f = float(np.dot(w, log_f))
+    return BoundaryMeans(mean_log_f, float(np.dot(w, log_n)) - mean_log_f)
 
 
-def _sf_points(rule: SphereQuadratureRule, f1: np.ndarray, f2: np.ndarray, fx: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """S_f at every node, vectorized; degenerate nodes use conjugation.
-
-    A vanishing f at a node produces non-finite entries here; they are
-    reported downstream when the log integrand is checked.
-    """
-    xbar = qconj_array(rule.nodes)
-    n2 = qnorm2_array(f2)
-    degenerate = n2 <= (DEGENERATE_REL * (1.0 + scale)) ** 2
-    safe_f2 = np.where(degenerate[:, None], np.array([1.0, 0.0, 0.0, 0.0]), f2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = qmul_array(qinv_array(fx), qmul_array(xbar, fx))
-        y = qmul_array(safe_f2, qmul_array(w, qinv_array(safe_f2)))
-    return np.where(degenerate[:, None], xbar, y)
-
-
-def _node_scale(f, rule: SphereQuadratureRule) -> np.ndarray:
-    return np.full(len(rule), f.stem_scale(rule.radius))
-
-
-def boundary_means(f, rule: SphereQuadratureRule) -> BoundaryMeans:
-    """The two normalized boundary means of the Jensen right-hand side.
-
-    Requires f nonvanishing and pole-free on the sphere; a (near-)zero
-    at a node surfaces as NonFiniteIntegrandError.
-    """
-    f1, f2, fx = _stem_node_values(f, rule)
-    scale = _node_scale(f, rule)
-    y = _sf_points(rule, f1, f2, fx, scale)
-    beta = rule.beta
-    jy = np.zeros_like(y)
-    jy[:, 1:] = y[:, 1:] / beta[:, None]
-    fy = f1 + qmul_array(jy, f2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_fx = 0.5 * np.log(qnorm2_array(fx))
-        log_fy = 0.5 * np.log(qnorm2_array(fy))
-    m1 = integrate_values(rule, log_fx) / rule.measure
-    m2 = integrate_values(rule, log_fy) / rule.measure
-    return BoundaryMeans(m1, m2)
-
-
-def log_normal_values(f, rule: SphereQuadratureRule) -> np.ndarray:
-    """log|N(f)| at the rule nodes; N(f) is circular so only z matters."""
-    z = rule.alpha + 1j * rule.beta
+def log_normal_values(f, z: np.ndarray) -> np.ndarray:
+    """log|N(f)| at shadows z; N(f) is circular so only z matters."""
     if isinstance(f, SemiregularFunction):
         nnum = normal(f.num).real_coeffs()
         den = f.den.real_coeffs()
@@ -294,17 +344,55 @@ def _polyval_complex(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def boundary_identity_residual(f, rule: SphereQuadratureRule) -> float:
-    """max over nodes of |log|N(f)| - log|f| - log|f o S_f||."""
-    f1, f2, fx = _stem_node_values(f, rule)
-    scale = _node_scale(f, rule)
-    y = _sf_points(rule, f1, f2, fx, scale)
+def _sf_points(rule: SphereQuadratureRule, f2: np.ndarray, fx: np.ndarray, scale: float) -> np.ndarray:
+    """S_f at every node, vectorized; degenerate nodes use conjugation.
+
+    A vanishing f at a node produces non-finite entries here; they are
+    reported downstream when the log integrand is checked.
+    """
+    xbar = qconj_array(rule.nodes)
+    n2 = qnorm2_array(f2)
+    degenerate = n2 <= (DEGENERATE_REL * (1.0 + scale)) ** 2
+    safe_f2 = np.where(degenerate[:, None], np.array([1.0, 0.0, 0.0, 0.0]), f2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = qmul_array(qinv_array(fx), qmul_array(xbar, fx))
+        y = qmul_array(safe_f2, qmul_array(w, qinv_array(safe_f2)))
+    return np.where(degenerate[:, None], xbar, y)
+
+
+@dataclass(frozen=True)
+class ProductRuleCheck:
+    """The 3-D product-rule oracle: its own boundary means, and the
+    largest violation of log|N(f)| = log|f| + log|f o S_f| over its
+    nodes."""
+
+    means: BoundaryMeans
+    identity_max: float
+
+
+def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleCheck:
+    """Evaluate f and f o S_f at every node of the product rule.
+
+    Nodes sharing a polar angle share the shadow z, so the stems and
+    log|N(f)| are computed once per polar angle and broadcast.
+    """
+    per_angle = len(rule) // rule.orders[0]
+    z = rule.alpha[::per_angle] + 1j * rule.beta[::per_angle]
+    f1, f2 = (np.repeat(s, per_angle, axis=0) for s in f.stem_arrays(z))
+    log_n = np.repeat(log_normal_values(f, z), per_angle)
+    fx = f1 + qmul_array(rule.junits, f2)
+    y = _sf_points(rule, f2, fx, f.stem_scale(rule.radius))
     jy = np.zeros_like(y)
     jy[:, 1:] = y[:, 1:] / rule.beta[:, None]
     fy = f1 + qmul_array(jy, f2)
-    lhs = log_normal_values(f, rule)
-    rhs = 0.5 * np.log(qnorm2_array(fx)) + 0.5 * np.log(qnorm2_array(fy))
-    return float(np.max(np.abs(lhs - rhs)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_fx = 0.5 * np.log(qnorm2_array(fx))
+        log_fy = 0.5 * np.log(qnorm2_array(fy))
+    means = BoundaryMeans(
+        integrate_values(rule, log_fx) / rule.measure,
+        integrate_values(rule, log_fy) / rule.measure,
+    )
+    return ProductRuleCheck(means, float(np.max(np.abs(log_n - log_fx - log_fy))))
 
 
 def sf_roundtrip_errors(f, r: float, n_points: int, rng: np.random.Generator) -> np.ndarray:

@@ -370,7 +370,7 @@ def suite_quadrature(seed: int) -> SuiteResult:
     for idx in range(5):
         f = _product_poly(rng, 0.3, 0.6, max_factors=3)
         nf = normal(f)
-        full = integrate_values(rule, log_normal_values(f, rule)) / rule.measure
+        full = integrate_values(rule, log_normal_values(f, rule.z)) / rule.measure
         circ = circular_reduction(r, 2048, lambda x: log_abs(nf, x)) / rule.measure
         err = abs(full - circ)
         worst_cross = max(worst_cross, err)

@@ -469,7 +469,8 @@ class SemiregularFunction:
 
         dz = self.den.eval_complex(complex(alpha, beta))
         inv = 1.0 / dz
-        f1, f2 = self.num.stem_components(alpha, beta).F1, self.num.stem_components(alpha, beta).F2
+        stem = self.num.stem_components(alpha, beta)
+        f1, f2 = stem.F1, stem.F2
         return StemValue(f1 * inv.real - f2 * inv.imag, f1 * inv.imag + f2 * inv.real)
 
     def stem_arrays(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

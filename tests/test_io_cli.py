@@ -185,6 +185,21 @@ def test_cli_verify_ops_row_outputs(capsys):
     assert len(data["suites"][0]["rows"]) > 0
 
 
+def test_cli_verify_ops_all_json_matches_text(tmp_path):
+    # suite summaries hold numpy scalars; the json report must still parse
+    js, txt = tmp_path / "v.json", tmp_path / "v.txt"
+    code_json = main(["verify-ops", "--suite", "all", "--format", "json", "--out", str(js)])
+    code_text = main(["verify-ops", "--suite", "all", "--format", "text", "--out", str(txt)])
+    data = json.loads(js.read_text())
+    verdict = txt.read_text().splitlines()[-1]
+    assert verdict in ("PASS", "FAIL")
+    assert data["passed"] is (verdict == "PASS")
+    assert code_json == code_text
+    assert [s["passed"] for s in data["suites"]] == [
+        line.startswith("[PASS]") for line in txt.read_text().splitlines() if line.startswith("[")
+    ]
+
+
 def test_cli_determinism(tmp_path, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = [

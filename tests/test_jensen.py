@@ -238,12 +238,12 @@ def test_semiregular_consistency_uniform_poles():
 
     # item 2: |h| = |f| and log|N(h)| = log|N(f)| on the boundary
     rule = build_rule(r, 16)
-    mf = boundary_means(f, rule)
-    mh = boundary_means(h, rule)
-    assert mf.mean_log_f == pytest.approx(mh.mean_log_f, abs=1e-8)
-    ln_f = integrate_values(rule, log_normal_values(f, rule))
-    ln_h = integrate_values(rule, log_normal_values(h, rule))
-    assert ln_f == pytest.approx(ln_h, abs=1e-8)
+    mf = boundary_means(f, r, 16)
+    mh = boundary_means(h, r, 16)
+    assert mf.mean_log_f == pytest.approx(mh.mean_log_f, abs=1e-13)
+    ln_f = integrate_values(rule, log_normal_values(f, rule.z))
+    ln_h = integrate_values(rule, log_normal_values(h, rule.z))
+    assert ln_f == pytest.approx(ln_h, abs=1e-12)
 
     # item 3: Laplacian shift by the Blaschke product, with the pair
     # doubling carried by the orders (single real pole p: shift

@@ -1,9 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slicereg.errors import NonFiniteIntegrandError
+from slicereg.io import load_function
 from slicereg.quaternions import I, J, ONE, Quaternion, decompose
 from slicereg.quadrature import (
     S_map,
@@ -16,11 +19,21 @@ from slicereg.quadrature import (
     integrate,
     integrate_values,
     log_normal_values,
+    polar_rule,
     s_inverse_map,
     sf_roundtrip_errors,
+    sphere_mean_log_abs,
 )
 from slicereg.slicepoly import SlicePolynomial, log_abs, normal, slice_product
 from slicereg.zeros_poles import SemiregularFunction
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_CASES = [
+    entry
+    for manifest in ("polynomials.json", "rationals.json")
+    for entry in json.loads((CORPUS / manifest).read_text())["cases"]
+]
 
 
 def real_poly(*cs):
@@ -134,7 +147,7 @@ def test_quadrature_convergence_doubling():
         errors = []
         for n in (6, 12, 24):
             rule = build_rule(1.0, n)
-            errors.append(abs(integrate_values(rule, log_normal_values(f, rule)) - reference))
+            errors.append(abs(integrate_values(rule, log_normal_values(f, rule.z)) - reference))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= max(coarse / 4.0, floor)
 
@@ -229,32 +242,76 @@ def test_s_map_inverse_roundtrip():
 
 
 def test_boundary_means_slice_preserving_equal():
-    f = real_poly(2.0, 1.0)
-    rule = build_rule(1.0, 16)
-    m = boundary_means(f, rule)
-    assert m.mean_log_f == pytest.approx(m.mean_log_f_sf, abs=1e-14)
+    # slice-preserving f has B = 0 on every sphere, so |f o S_f| = |f|
+    rng = np.random.default_rng(11)
+    for f in [real_poly(2.0, 1.0)] + [real_poly(*rng.uniform(-1.0, 1.0, size=5)) for _ in range(5)]:
+        m = boundary_means(f, 1.0, 16)
+        assert m.mean_log_f == pytest.approx(m.mean_log_f_sf, abs=1e-14)
 
 
 def test_boundary_means_sum_is_log_normal_mean():
+    # oracle: log|N(f)| integrated by the 3-D product rule
     rng = np.random.default_rng(4)
     f = random_poly(rng, deg=3)
     rule = build_rule(1.2, 24)
-    m = boundary_means(f, rule)
-    mean_log_n = integrate_values(rule, log_normal_values(f, rule)) / rule.measure
-    assert m.mean_log_f + m.mean_log_f_sf == pytest.approx(mean_log_n, abs=1e-11)
+    m = boundary_means(f, 1.2, 24)
+    mean_log_n = integrate_values(rule, log_normal_values(f, rule.z)) / rule.measure
+    assert m.mean_log_normal == pytest.approx(mean_log_n, abs=1e-12)
 
 
 def test_boundary_means_rational():
+    # oracle: the 3-D product rule, which evaluates f and f o S_f at
+    # every node instead of averaging over each sphere in closed form
     den = real_poly(0.25, 0.0, 1.0)
     num = SlicePolynomial([J, ONE])
     f = SemiregularFunction(den, num)
-    rule = build_rule(1.3, 24)
-    m = boundary_means(f, rule)
-    # spot-check one node against pointwise evaluation
-    x = Quaternion.from_array(rule.nodes[1234])
-    val = f.eval(x)
-    assert math.isfinite(m.mean_log_f) and math.isfinite(m.mean_log_f_sf)
-    assert val.abs() > 0
+    # the rules share their polar angles, so the difference is the S^2
+    # error of the product rule alone (1.5e-11 at n = 48)
+    m = boundary_means(f, 1.3, 48)
+    oracle = boundary_identity_residual(f, build_rule(1.3, 48)).means
+    assert m.mean_log_f == pytest.approx(oracle.mean_log_f, abs=1e-10)
+    assert m.mean_log_f_sf == pytest.approx(oracle.mean_log_f_sf, abs=1e-10)
+
+
+# -- 1-D polar rule against its oracles ------------------------------------------
+
+
+@pytest.mark.parametrize("entry", CORPUS_CASES, ids=lambda e: e["name"])
+def test_polar_means_match_product_rule_oracle(entry):
+    # independent oracle: the 3-D product rule, which evaluates f and
+    # f o S_f at every node instead of averaging each sphere in closed form
+    f = load_function(CORPUS / entry["file"])
+    r = entry["r"]
+    m = boundary_means(f, r, 48)
+    oracle = boundary_identity_residual(f, build_rule(r, 48)).means
+    if entry["name"] == "deg8_all_kinds":
+        # the oracle's 48 x 96 grid on each S^2 under-resolves the degree-8
+        # stems; the polar rule is already converged at n = 48
+        fine = boundary_means(f, r, 192)
+        assert abs(m.mean_log_f - fine.mean_log_f) <= 1e-13
+        assert abs(m.mean_log_f_sf - fine.mean_log_f_sf) <= 1e-13
+        assert abs(oracle.mean_log_f - fine.mean_log_f) >= 1e-9
+        assert abs(oracle.mean_log_f_sf - fine.mean_log_f_sf) >= 1e-9
+        return
+    assert abs(m.mean_log_f - oracle.mean_log_f) <= 1e-12
+    assert abs(m.mean_log_f_sf - oracle.mean_log_f_sf) <= 1e-12
+
+
+def test_sphere_mean_closed_form_against_t_integral():
+    # oracle: Gauss-Legendre in t = <b, J>/|b| of (1/2) log(A + B t),
+    # on panels graded toward the near-singular end t = -1
+    x, wx = np.polynomial.legendre.leggauss(40)
+    edges = np.concatenate([[-1.0], -1.0 + 2.0 * 0.5 ** np.arange(60, -1, -1)])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    t = (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel()
+    wt = (0.5 * (hi - lo) * wx).ravel()
+    a = 2.5
+    for u in (1e-10, 1e-6, 1e-4, 9e-4, 1e-3, 1.1e-3, 1e-2, 0.1, 0.5, 0.9, 0.99, 0.999):
+        want = 0.5 * float(np.dot(wt, 0.5 * np.log(a + a * u * t)))
+        got = float(sphere_mean_log_abs(np.array([a]), np.array([a * u]))[0])
+        assert got == pytest.approx(want, abs=1e-13), u
+    # B = 0 is the series branch, exactly (1/2) log A
+    assert sphere_mean_log_abs(np.array([a]), np.array([0.0]))[0] == 0.5 * math.log(a)
 
 
 def test_boundary_identity_pointwise():
@@ -264,7 +321,7 @@ def test_boundary_identity_pointwise():
         rule = build_rule(1.1, 16)
         if normal(f).eval_complex(complex(0, 1.1)) == 0:
             continue
-        assert boundary_identity_residual(f, rule) <= 1e-9
+        assert boundary_identity_residual(f, rule).identity_max <= 1e-9
 
 
 def test_boundary_zero_detected():
@@ -276,12 +333,14 @@ def test_boundary_zero_detected():
     f = SlicePolynomial.linear(ONE)  # zero at 1 on the unit sphere
     with pytest.raises(ZeroOnBoundaryError):
         jensen_check(f, 1.0, 8)
-    # an exact node hit still surfaces as a non-finite integrand
-    rule = build_rule(1.0, 16)
-    x0 = Quaternion.from_array(rule.nodes[7])
+    # a zero on the sphere of a polar node surfaces as a non-finite
+    # integrand of the 1-D rule
+    z, _ = polar_rule(1.0, 16)
+    x0 = Quaternion(z[7].real, 0.0, z[7].imag * 0.6, z[7].imag * 0.8)
     g = SlicePolynomial.linear(x0)
-    with pytest.raises(NonFiniteIntegrandError):
-        boundary_means(g, rule)
+    with pytest.raises(NonFiniteIntegrandError) as err:
+        boundary_means(g, 1.0, 16)
+    assert err.value.node == Quaternion(z[7].real, z[7].imag, 0.0, 0.0)
 
 
 def test_sf_roundtrip_errors_small():
