@@ -30,7 +30,8 @@ from .io import (
     render_report_text,
     render_reports_csv,
 )
-from .jensen import boundary_gap, jensen_check
+from .jensen import boundary_gap, jensen_check, zeros_off_pole_spheres
+from .quadrature import MIN_ORDER
 from .verify import SUITE_ORDER, run_suite
 from .zeros_poles import SemiregularFunction, classify_zeros, pole_structure
 
@@ -109,6 +110,11 @@ def cmd_jensen(args: argparse.Namespace) -> int:
     if not cases:
         print("input error: no function files given (use --fn or --corpus)", file=sys.stderr)
         return EXIT_INPUT
+    for _, r, n, name in cases:
+        if not (math.isfinite(r) and r > 0.0) or n < MIN_ORDER or args.bijectivity_points < 1:
+            print(f"input error: {name}: need a finite r > 0, n >= {MIN_ORDER} and --bijectivity-points"
+                  f" >= 1 (got r={r}, n={n}, {args.bijectivity_points} points)", file=sys.stderr)
+            return EXIT_INPUT
 
     def run_one(case):
         path, r, n, name = case
@@ -188,18 +194,9 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         if isinstance(f, SemiregularFunction):
             zero_records = [] if f.num.degree <= 0 else classify_zeros(f.num)
             pole_records = pole_structure(f, args.r)
-            pole_keys = [(p.alpha, p.beta) for p in pole_records if p.beta > 0.0]
-            zeros = []
-            for rec in zero_records:
-                on_pole = any(
-                    math.hypot(rec.alpha - a, rec.beta - b) <= 1e-6 * (1.0 + rec.point_radius)
-                    for a, b in pole_keys
-                )
-                if not on_pole:
-                    zeros.append(rec.to_dict())
             payload = {
                 "file": str(args.fn),
-                "zeros": zeros,
+                "zeros": [rec.to_dict() for rec in zeros_off_pole_spheres(zero_records, pole_records)],
                 "poles": [p.to_dict() for p in pole_records],
             }
         else:

@@ -14,15 +14,11 @@ at h = 3e-2 (1 + |x|), optionally with one Richardson halving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .quaternions import I, J, K, ONE, Quaternion
 
 __all__ = [
-    "Stencil4D",
-    "default_step",
-    "bilaplacian_step",
     "fd_partial",
     "fd_crf",
     "fd_crf_conj",
@@ -37,14 +33,6 @@ QFunc = Callable[[Quaternion], "Quaternion | float"]
 
 _AXES = (ONE, I, J, K)
 _UNITS = (I, J, K)
-
-
-def default_step(x: Quaternion) -> float:
-    return 1e-3 * (1.0 + x.abs())
-
-
-def bilaplacian_step(x: Quaternion) -> float:
-    return 3e-2 * (1.0 + x.abs())
 
 
 def _as_quat(v) -> Quaternion:
@@ -121,40 +109,3 @@ def fd_bilaplace4_richardson(u: QFunc, x: Quaternion, h: float) -> Quaternion:
     coarse = fd_bilaplace4(u, x, h)
     fine = fd_bilaplace4(u, x, 0.5 * h)
     return (fine * 4.0 - coarse) / 3.0
-
-
-@dataclass(frozen=True)
-class Stencil4D:
-    """A function on R^4 with a fixed step and scheme order.
-
-    Central differences throughout: reversing an axis direction negates
-    every odd-order derivative estimate exactly.
-    """
-
-    func: QFunc
-    h: float
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order not in (2, 4):
-            raise ValueError("scheme order must be 2 or 4")
-
-    def partial(self, axis: int, x: Quaternion) -> Quaternion:
-        return fd_partial(self.func, axis, x, self.h, self.order)
-
-    def crf(self, x: Quaternion) -> Quaternion:
-        return fd_crf(self.func, x, self.h, self.order)
-
-    def crf_conj(self, x: Quaternion) -> Quaternion:
-        return fd_crf_conj(self.func, x, self.h, self.order)
-
-    def gamma(self, x: Quaternion) -> Quaternion:
-        return fd_gamma(self.func, x, self.h, self.order)
-
-    def laplace(self, x: Quaternion) -> Quaternion:
-        return fd_laplace4(self.func, x, self.h)
-
-    def bilaplace(self, x: Quaternion, richardson: bool = False) -> Quaternion:
-        if richardson:
-            return fd_bilaplace4_richardson(self.func, x, self.h)
-        return fd_bilaplace4(self.func, x, self.h)

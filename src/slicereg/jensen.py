@@ -58,6 +58,7 @@ __all__ = [
     "jensen_check",
     "as_semiregular",
     "boundary_gap",
+    "zeros_off_pole_spheres",
 ]
 
 ORIGIN_REL = 1e-12
@@ -232,6 +233,21 @@ def _hypothesis_checks(fs: SemiregularFunction, r: float) -> None:
                 raise PoleOnBoundaryError(f"pole sphere at radius {rad:.12g} on the boundary r={r}")
 
 
+def zeros_off_pole_spheres(zeros: list[ZeroRecord], poles: list[PoleRecord]) -> list[ZeroRecord]:
+    """The zeros that do not lie on a pole sphere.  A zero on a pole
+    sphere is accounted for by the isolated multiplicity of the
+    nonuniform pole record, so it must not enter the zero list too."""
+    keys = [(p.alpha, p.beta) for p in poles if p.beta > 0.0]
+    return [
+        rec
+        for rec in zeros
+        if not any(
+            math.hypot(rec.alpha - a, rec.beta - b) <= 1e-6 * (1.0 + rec.point_radius)
+            for a, b in keys
+        )
+    ]
+
+
 def _representative_spread(records: list[ZeroRecord | PoleRecord], r: float, rng) -> float:
     """Spread of the correction term across random choices of the sphere
     representative; must vanish since |a| and t(a) are constant on the
@@ -267,19 +283,11 @@ def jensen_check(
     _hypothesis_checks(fs, r)
 
     poles = pole_structure(fs, r)
-    pole_sphere_keys = [(p.alpha, p.beta) for p in poles if p.beta > 0.0]
-
     zrecords: list[ZeroRecord] = []
     if fs.num.degree > 0:
-        for rec in classify_zeros(fs.num):
-            if rec.point_radius >= r * (1.0 - BOUNDARY_REL):
-                continue  # outside the ball (on-boundary already rejected)
-            on_pole_sphere = any(
-                math.hypot(rec.alpha - a, rec.beta - b) <= 1e-6 * (1.0 + rec.point_radius)
-                for a, b in pole_sphere_keys
-            )
-            if not on_pole_sphere:
-                zrecords.append(rec)
+        # zeros outside the ball drop out (on-boundary already rejected)
+        inside = [z for z in classify_zeros(fs.num) if z.point_radius < r * (1.0 - BOUNDARY_REL)]
+        zrecords = zeros_off_pole_spheres(inside, poles)
 
     extra_a: list[ZeroRecord] = []
     nonuniform_detail: list[dict] = []

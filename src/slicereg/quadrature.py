@@ -26,6 +26,11 @@ pointwise boundary identity and of the reduced means.  Its S^2 grid
 resolves high-degree stems slowly, so the 1-D means are the more
 accurate of the two.
 
+One array S_f (``_sf_parts``, inverse ``_sf_inverse_parts``) serves the
+product-rule oracle and the bijectivity roundtrip ``sf_roundtrip_errors``;
+the scalar ``S_map``, ``s_inverse_map`` and ``T_map`` are only its
+pointwise reference in the tests.
+
 ``circular_reduction`` applies the polar rule to a pointwise scalar
 integrand; the verify suite uses it to cross-check the product rule.
 """
@@ -43,8 +48,8 @@ from .quaternions import (
     Quaternion,
     decompose,
     qconj_array,
-    qinv_array,
     qmul_array,
+    qmul_parts,
     qnorm2_array,
 )
 from .slicepoly import normal
@@ -106,11 +111,14 @@ def _polar_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * math.pi * (t + 1.0), wt
 
 
+MIN_ORDER = 4  # fewest Gauss-Legendre nodes per angle a rule accepts
+
+
 def _check_rule_parameters(r: float, n: int) -> None:
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    if n < 4:
-        raise ValueError("need at least 4 nodes per angle")
+    if n < MIN_ORDER:
+        raise ValueError(f"need at least {MIN_ORDER} nodes per angle")
 
 
 def polar_rule(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,6 +262,77 @@ def s_inverse_map(f, y: Quaternion) -> Quaternion:
 
 
 # ---------------------------------------------------------------------------
+# array S_f on quaternion parts, checked against the scalar maps above
+# ---------------------------------------------------------------------------
+
+
+def _qconj_parts(a):
+    return (a[0], -a[1], -a[2], -a[3])
+
+
+def _qnorm2_parts(a):
+    return a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
+
+
+def _qinv_parts(a):
+    n = _qnorm2_parts(a)
+    return (a[0] / n, -a[1] / n, -a[2] / n, -a[3] / n)
+
+
+def _conjugate_by(x, q):
+    """q^{-1} x q."""
+    return qmul_parts(_qinv_parts(q), qmul_parts(x, q))
+
+
+def _degenerate(q, scale: float) -> np.ndarray:
+    return _qnorm2_parts(q) <= (DEGENERATE_REL * (1.0 + scale)) ** 2
+
+
+def _split_parts(q):
+    """Shadows alpha + i beta and units J of nonreal points q."""
+    beta = np.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return q[0] + 1j * beta, (0.0, q[1] / beta, q[2] / beta, q[3] / beta)
+
+
+def _stem_parts(f, z):
+    """Stems F1, F2 at shadows z, each of shape z.shape."""
+    return (tuple(np.moveaxis(s, -1, 0)) for s in f.stem_arrays(z))
+
+
+def _slice_value(f1, f2, junit):
+    """F1 + J F2: the value at alpha + J beta of the function whose
+    stems at alpha + i beta are F1, F2."""
+    return tuple(a + b for a, b in zip(f1, qmul_parts(junit, f2)))
+
+
+def _sf_parts(x, junit, f1, f2, scale: float):
+    """S_f(x) = u^{-1} conj(x) u, u = f(x) F2^{-1} = F1 F2^{-1} + J, at
+    x = alpha + J beta with stems F1, F2 at alpha + i beta: ``S_map``
+    regrouped.  Conjugation where F2 is degenerate; not finite where f
+    vanishes."""
+    degenerate = _degenerate(f2, scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = qmul_parts(f1, _qinv_parts(f2))
+        u = tuple(np.where(degenerate, e, c + j) for e, c, j in zip((1.0, 0.0, 0.0, 0.0), g, junit))
+        return _conjugate_by(_qconj_parts(x), u)
+
+
+def _sf_inverse_parts(f, y, scale: float):
+    """S_f^{-1}(y) = T_f(w), w = conj(s^{-1} y s) with s = F2 at y, and
+    T_f(w) = fc^{-1} w fc with fc = conj(F1) + J conj(F2) at w, as in
+    ``s_inverse_map`` and ``T_map``: y and w are split anew."""
+    _, s = _stem_parts(f, _split_parts(y)[0])
+    if np.any(_degenerate(s, scale)):
+        raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
+    w = _qconj_parts(_conjugate_by(y, s))
+    z, junit = _split_parts(w)
+    fc = _slice_value(*map(_qconj_parts, _stem_parts(f, z)), junit)
+    if np.any(_degenerate(fc, scale)):
+        raise DegeneratePointError("f^c vanishes at the requested point")
+    return _conjugate_by(w, fc)
+
+
+# ---------------------------------------------------------------------------
 # boundary means
 # ---------------------------------------------------------------------------
 
@@ -344,22 +423,6 @@ def _polyval_complex(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _sf_points(rule: SphereQuadratureRule, f2: np.ndarray, fx: np.ndarray, scale: float) -> np.ndarray:
-    """S_f at every node, vectorized; degenerate nodes use conjugation.
-
-    A vanishing f at a node produces non-finite entries here; they are
-    reported downstream when the log integrand is checked.
-    """
-    xbar = qconj_array(rule.nodes)
-    n2 = qnorm2_array(f2)
-    degenerate = n2 <= (DEGENERATE_REL * (1.0 + scale)) ** 2
-    safe_f2 = np.where(degenerate[:, None], np.array([1.0, 0.0, 0.0, 0.0]), f2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = qmul_array(qinv_array(fx), qmul_array(xbar, fx))
-        y = qmul_array(safe_f2, qmul_array(w, qinv_array(safe_f2)))
-    return np.where(degenerate[:, None], xbar, y)
-
-
 @dataclass(frozen=True)
 class ProductRuleCheck:
     """The 3-D product-rule oracle: its own boundary means, and the
@@ -373,55 +436,64 @@ class ProductRuleCheck:
 def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleCheck:
     """Evaluate f and f o S_f at every node of the product rule.
 
-    Nodes sharing a polar angle share the shadow z, so the stems and
-    log|N(f)| are computed once per polar angle and broadcast.
+    Every polar angle carries the same 2n^2 units J
+    (``rule.junits[:2n^2]``), so the stems and log|N(f)| are evaluated
+    once per angle, shape (n, 1), and broadcast against the units.
     """
     per_angle = len(rule) // rule.orders[0]
-    z = rule.alpha[::per_angle] + 1j * rule.beta[::per_angle]
-    f1, f2 = (np.repeat(s, per_angle, axis=0) for s in f.stem_arrays(z))
-    log_n = np.repeat(log_normal_values(f, z), per_angle)
-    fx = f1 + qmul_array(rule.junits, f2)
-    y = _sf_points(rule, f2, fx, f.stem_scale(rule.radius))
-    jy = np.zeros_like(y)
-    jy[:, 1:] = y[:, 1:] / rule.beta[:, None]
-    fy = f1 + qmul_array(jy, f2)
+    alpha, beta = rule.alpha[::per_angle, None], rule.beta[::per_angle, None]
+    z = alpha + 1j * beta
+    f1, f2 = _stem_parts(f, z)
+    junit = (0.0, *np.ascontiguousarray(rule.junits[:per_angle, 1:].T))
+    x = (alpha, beta * junit[1], beta * junit[2], beta * junit[3])
+    y = _sf_parts(x, junit, f1, f2, f.stem_scale(rule.radius))
+    fx = _slice_value(f1, f2, junit)
+    fy = _slice_value(f1, f2, (0.0, y[1] / beta, y[2] / beta, y[3] / beta))
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_fx = 0.5 * np.log(qnorm2_array(fx))
-        log_fy = 0.5 * np.log(qnorm2_array(fy))
+        log_fx = 0.5 * np.log(_qnorm2_parts(fx))
+        log_fy = 0.5 * np.log(_qnorm2_parts(fy))
     means = BoundaryMeans(
-        integrate_values(rule, log_fx) / rule.measure,
-        integrate_values(rule, log_fy) / rule.measure,
+        integrate_values(rule, log_fx.ravel()) / rule.measure,
+        integrate_values(rule, log_fy.ravel()) / rule.measure,
     )
-    return ProductRuleCheck(means, float(np.max(np.abs(log_n - log_fx - log_fy))))
+    identity = np.abs(log_normal_values(f, z) - log_fx - log_fy)
+    return ProductRuleCheck(means, float(np.max(identity)))
+
+
+def _sf_domain_points(f, r: float, n_points: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of the first n_points boundary points x = r d / |d|, for
+    successive rng.normal(size=4) draws d taken in batches, that pass
+    the guards below; at most 40 n_points candidates are tried."""
+    scale = f.stem_scale(r)
+    kept, accepted = [], 0
+    for _ in range(40):
+        d = rng.normal(size=(n_points, 4))
+        x = r * d / np.linalg.norm(d, axis=1)[:, None]
+        z, junit = _split_parts(tuple(x.T))
+        f1, f2 = _stem_parts(f, z)
+        # conditioning guard: conjugating by a tiny spherical derivative
+        # amplifies its own rounding error
+        keep = (
+            (z.imag >= 1e-3 * r)
+            & (np.sqrt(_qnorm2_parts(f2)) > 1e-4 * (1.0 + scale))
+            & (np.sqrt(_qnorm2_parts(_slice_value(f1, f2, junit))) > 1e-9 * (1.0 + scale))
+        )
+        kept.append(x[keep])
+        accepted += len(kept[-1])
+        if accepted >= n_points:
+            return np.concatenate(kept)[:n_points]
+    raise DegeneratePointError("could not sample enough boundary points in the S_f domain")
 
 
 def sf_roundtrip_errors(f, r: float, n_points: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-roundtrip distances |x - S_f^{-1}(S_f(x))| at seeded
     boundary points, restricted to the domain of the diffeomorphism
     (away from the degenerate set and zeros of N(f))."""
-    errors = []
-    attempts = 0
-    while len(errors) < n_points and attempts < 40 * n_points:
-        attempts += 1
-        d = rng.normal(size=4)
-        x = Quaternion.from_array(r * d / np.linalg.norm(d))
-        p = decompose(x)
-        if p.beta < 1e-3 * r:
-            continue
-        stem = f.stem_components(p.alpha, p.beta)
-        scale = f.stem_scale(r)
-        # conditioning guard: conjugating by a tiny spherical derivative
-        # amplifies its own rounding error
-        if stem.F2.abs() <= 1e-4 * (1.0 + scale):
-            continue
-        v = stem.F1 + p.unit * stem.F2
-        if v.abs() <= 1e-9 * (1.0 + scale):
-            continue
-        y = S_map(f, x)
-        x_back = s_inverse_map(f, y)
-        errors.append((x_back - x).abs())
-    if len(errors) < n_points:
-        raise DegeneratePointError(
-            "could not sample enough boundary points in the S_f domain"
-        )
-    return np.array(errors)
+    if n_points < 1:
+        raise ValueError("need at least one sample point")
+    scale = f.stem_scale(r)
+    x = tuple(_sf_domain_points(f, r, n_points, rng).T)
+    z, junit = _split_parts(x)
+    y = _sf_parts(x, junit, *_stem_parts(f, z), scale)
+    back = _sf_inverse_parts(f, y, scale)
+    return np.sqrt(_qnorm2_parts(tuple(b - c for b, c in zip(back, x))))

@@ -34,6 +34,7 @@ __all__ = [
     "decompose",
     "SlicePoint",
     "qmul_array",
+    "qmul_parts",
     "qconj_array",
     "qinv_array",
     "qnorm2_array",
@@ -145,9 +146,6 @@ class Quaternion:
     def real(value: float) -> "Quaternion":
         return Quaternion(float(value), 0.0, 0.0, 0.0)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.abs_im() <= tol * (1.0 + self.abs())
-
     def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return (self - other).abs() <= tol * (1.0 + self.abs() + other.abs())
 
@@ -249,22 +247,25 @@ def decompose(x: Quaternion) -> SlicePoint:
     return SlicePoint(x.w, beta, Quaternion(0.0, x.x1 / beta, x.x2 / beta, x.x3 / beta))
 
 
-# -- vectorized counterparts on (n, 4) arrays ---------------------------
+# -- vectorized counterparts: (n, 4) rows, or "parts", 4-tuples of
+# broadcastable component arrays, which keep each component contiguous
+
+
+def qmul_parts(a, b):
+    """Hamilton product of quaternions given as parts."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
 
 
 def qmul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product row by row for (n, 4) arrays (broadcastable)."""
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        ],
-        axis=-1,
-    )
+    return np.stack(qmul_parts(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)), axis=-1)
 
 
 def qconj_array(a: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from .quaternions import ONE, ZERO, Quaternion, decompose
 __all__ = [
     "SlicePolynomial",
     "StemValue",
-    "FunctionClassFlags",
     "NormalNotRealError",
     "LogOfZeroError",
     "slice_product",
@@ -58,12 +57,6 @@ class StemValue:
     F2: Quaternion
 
 
-@dataclass(frozen=True, slots=True)
-class FunctionClassFlags:
-    is_slice_preserving: bool
-    is_circular: bool
-
-
 class SlicePolynomial:
     """f(x) = sum_m x^m a_m, coefficients on the right."""
 
@@ -87,11 +80,6 @@ class SlicePolynomial:
     @staticmethod
     def from_real(coeffs: Sequence[float]) -> "SlicePolynomial":
         return SlicePolynomial([Quaternion.real(c) for c in coeffs])
-
-    @staticmethod
-    def monomial(degree: int, coeff: Quaternion | float = 1.0) -> "SlicePolynomial":
-        c = coeff if isinstance(coeff, Quaternion) else Quaternion.real(coeff)
-        return SlicePolynomial([ZERO] * degree + [c])
 
     @staticmethod
     def linear(root: Quaternion) -> "SlicePolynomial":
@@ -118,11 +106,6 @@ class SlicePolynomial:
         scale = self.coefficient_scale()
         return all(c.abs_im() <= rel_tol * (1.0 + scale) for c in self.coeffs)
 
-    def flags(self) -> FunctionClassFlags:
-        # F2 == 0 identically forces all coefficients of positive index to
-        # vanish, so circular polynomials are exactly the constants.
-        return FunctionClassFlags(self.is_slice_preserving(), self.degree <= 0)
-
     def real_coeffs(self) -> np.ndarray:
         """Ascending real coefficient array; requires slice-preserving f."""
         if not self.is_slice_preserving(1e-10):
@@ -144,10 +127,6 @@ class SlicePolynomial:
 
     def scale(self, s: float) -> "SlicePolynomial":
         return SlicePolynomial([c * s for c in self.coeffs])
-
-    def scale_left(self, q: Quaternion) -> "SlicePolynomial":
-        """q * f in the slice-product sense: coefficients q*a_m."""
-        return SlicePolynomial([q * c for c in self.coeffs])
 
     def __mul__(self, other: "SlicePolynomial") -> "SlicePolynomial":
         return slice_product(self, other)

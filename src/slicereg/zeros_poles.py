@@ -613,14 +613,6 @@ def pole_structure(f: SemiregularFunction, region_radius: float) -> list[PoleRec
     return records
 
 
-def pole_counts(records: Sequence[PoleRecord]) -> tuple[float, float, float]:
-    """(s1, s2, s): half-sums of spherical orders over uniform and
-    nonuniform pole spheres."""
-    s1 = sum(0.5 * rec.spherical_order for rec in records if rec.kind == "spherical_uniform")
-    s2 = sum(0.5 * rec.spherical_order for rec in records if rec.kind == "spherical_nonuniform")
-    return s1, s2, s1 + s2
-
-
 # ---------------------------------------------------------------------------
 # Blaschke factors and regularization
 # ---------------------------------------------------------------------------

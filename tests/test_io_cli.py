@@ -130,6 +130,29 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["jensen", "--fn", str(fine), "--r", "1", "--n", "24", "--tol", "1e-18", "--no-diagnostics"]) == 1
 
 
+def _fine_case(tmp_path):
+    fine = tmp_path / "fine.json"
+    fine.write_text(json.dumps({"coeffs": [0.64, 0.0, 1.0]}))
+    return str(fine)
+
+
+def test_cli_rejects_zero_bijectivity_points(tmp_path, capsys):
+    assert main(["jensen", "--fn", _fine_case(tmp_path), "--bijectivity-points", "0"]) == 3
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_cli_rejects_too_few_nodes(tmp_path, capsys):
+    assert main(["jensen", "--fn", _fine_case(tmp_path), "--n", "2"]) == 3
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_cli_rejects_nonpositive_radius(tmp_path, capsys):
+    fn = _fine_case(tmp_path)
+    for r in ("-1", "0", "nan"):
+        assert main(["jensen", "--fn", fn, "--r", r]) == 3
+        assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_cli_escalates_near_boundary(tmp_path, capsys):
     fn = tmp_path / "near.json"
     fn.write_text(json.dumps({"coeffs": [0.9702989999999999, 0.0, 1.0]}))  # sphere at 0.985

@@ -5,10 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicereg.errors import NonFiniteIntegrandError
+from slicereg.errors import DegeneratePointError, NonFiniteIntegrandError
 from slicereg.io import load_function
-from slicereg.quaternions import I, J, ONE, Quaternion, decompose
+from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, decompose
 from slicereg.quadrature import (
+    _sf_domain_points,
+    _sf_inverse_parts,
+    _sf_parts,
+    _split_parts,
+    _stem_parts,
     S_map,
     SPHERE_MEASURE,
     T_map,
@@ -349,3 +354,151 @@ def test_sf_roundtrip_errors_small():
     errs = sf_roundtrip_errors(f, 1.0, 200, rng)
     assert len(errs) == 200
     assert float(np.max(errs)) <= 1e-9
+
+
+# -- array S_f against the scalar maps -------------------------------------------
+#
+# The scalar S_map / s_inverse_map / T_map are the oracle of the array S_f:
+# they evaluate one point at a time with Quaternion arithmetic and
+# ``stem_components``, sharing no code with the array path except the
+# formulas themselves.
+
+
+def _array_maps(f, pts, r):
+    """S_f and S_f^{-1} of the rows pts by the array path, as rows."""
+    scale = f.stem_scale(r)
+    x = tuple(pts.T)
+    z, junit = _split_parts(x)
+    y = _sf_parts(x, junit, *_stem_parts(f, z), scale)
+    back = _sf_inverse_parts(f, x, scale)
+    return np.stack(y, axis=-1), np.stack(back, axis=-1)
+
+
+def _sphere_points(rng, r, k):
+    d = rng.normal(size=(k, 4))
+    return r * d / np.linalg.norm(d, axis=1)[:, None]
+
+
+def _sf_cases():
+    rng = np.random.default_rng(21)
+    cases = [(f"quaternionic_deg{deg}", random_poly(rng, deg=deg), 1.0) for deg in (1, 3, 5)]
+    den = real_poly(0.25, 0.0, 1.0)  # pole sphere at radius 0.5
+    cases.append(("rational", SemiregularFunction(den, SlicePolynomial([J, ONE, I * 0.5])), 1.3))
+    return cases
+
+
+SF_CASES = _sf_cases()
+
+
+@pytest.mark.parametrize("name, f, r", SF_CASES, ids=[c[0] for c in SF_CASES])
+def test_array_sf_matches_scalar_maps(name, f, r):
+    """The array S_f and S_f^{-1} against their oracle, the scalar S_map
+    and s_inverse_map, point by point."""
+    pts = _sphere_points(np.random.default_rng(22), r, 200)
+    y, back = _array_maps(f, pts, r)
+    for row, y_row, back_row in zip(pts, y, back):
+        x = Quaternion.from_array(row)
+        tol = 1e-13 * (1.0 + x.abs())
+        assert (Quaternion.from_array(y_row) - S_map(f, x)).abs() <= tol
+        assert (Quaternion.from_array(back_row) - s_inverse_map(f, x)).abs() <= tol
+
+
+def test_array_sf_conjugation_branches():
+    """Where S_f is conjugation, against the scalar maps as the oracle."""
+    # slice-preserving f: F1, F2 and x share one slice, so S_f(x) = conj(x)
+    pts = _sphere_points(np.random.default_rng(23), 1.0, 50)
+    f = real_poly(2.0, -0.5, 0.3, 0.25)
+    y, back = _array_maps(f, pts, 1.0)
+    for row, y_row, back_row in zip(pts, y, back):
+        x = Quaternion.from_array(row)
+        assert (Quaternion.from_array(y_row) - x.conj()).abs() <= 1e-13
+        assert (Quaternion.from_array(y_row) - S_map(f, x)).abs() <= 1e-13
+        assert (Quaternion.from_array(back_row) - s_inverse_map(f, x)).abs() <= 1e-13
+    # degenerate set: F2 = Im(z^2) c = 0 on Re x = 0, where S_f falls back
+    # to conjugation and its inverse is undefined
+    g = SlicePolynomial([Quaternion(2.0, 0.5, 0.0, 0.0), ZERO, J])
+    pts[:, 0] = 0.0
+    x = tuple(pts.T)
+    z, junit = _split_parts(x)
+    y = _sf_parts(x, junit, *_stem_parts(g, z), g.stem_scale(1.0))
+    for row, y_row in zip(pts, np.stack(y, axis=-1)):
+        q = Quaternion.from_array(row)
+        assert Quaternion.from_array(y_row) == q.conj() == S_map(g, q)
+    with pytest.raises(DegeneratePointError):
+        s_inverse_map(g, Quaternion.from_array(pts[0]))
+    with pytest.raises(DegeneratePointError):
+        _sf_inverse_parts(g, x, g.stem_scale(1.0))
+
+
+def _scalar_domain_points(f, r, n_points, rng):
+    """The sampler of the former scalar roundtrip: one rng.normal(size=4)
+    draw per candidate and the same guards, kept as the reference."""
+    points = []
+    attempts = 0
+    while len(points) < n_points and attempts < 40 * n_points:
+        attempts += 1
+        d = rng.normal(size=4)
+        x = Quaternion.from_array(r * d / np.linalg.norm(d))
+        p = decompose(x)
+        if p.beta < 1e-3 * r:
+            continue
+        stem = f.stem_components(p.alpha, p.beta)
+        scale = f.stem_scale(r)
+        if stem.F2.abs() <= 1e-4 * (1.0 + scale):
+            continue
+        v = stem.F1 + p.unit * stem.F2
+        if v.abs() <= 1e-9 * (1.0 + scale):
+            continue
+        points.append(x)
+    return points
+
+
+def test_sf_roundtrip_samples_like_scalar_loop():
+    # |F2| = 2.3e-4 |Im x| for the last function, so the guard rejects the
+    # candidates with |Im x| < 0.87, about 40%, and several batches are drawn
+    guarded = SlicePolynomial([ONE, Quaternion(0.0, 0.6, 0.0, 0.8) * 2.3e-4])
+    for f, r in [(f, r) for _, f, r in SF_CASES] + [(guarded, 1.0)]:
+        want = _scalar_domain_points(f, r, 300, np.random.default_rng(24))
+        got = _sf_domain_points(f, r, 300, np.random.default_rng(24))
+        assert len(want) == len(got) == 300
+        for x, row in zip(want, got):
+            assert (x - Quaternion.from_array(row)).abs() <= 1e-15
+        # the distances are roundoff on these points, as with the scalar maps
+        errs = sf_roundtrip_errors(f, r, 300, np.random.default_rng(24))
+        assert len(errs) == 300 and np.max(errs) <= 1e-12
+
+
+def test_sf_roundtrip_guard_rejects_everything():
+    f = SlicePolynomial([ONE, Quaternion.real(1e-6)])  # |F2| <= 1e-6 everywhere on the unit sphere
+    with pytest.raises(DegeneratePointError):
+        sf_roundtrip_errors(f, 1.0, 50, np.random.default_rng(25))
+    with pytest.raises(ValueError):
+        sf_roundtrip_errors(f, 1.0, 0, np.random.default_rng(25))
+
+
+def _scalar_log_abs_stems(f, x):
+    p = decompose(x)
+    stem = f.stem_components(p.alpha, p.beta)
+    return math.log((stem.F1 + p.unit * stem.F2).abs())
+
+
+@pytest.mark.parametrize("name, f, r", SF_CASES, ids=[c[0] for c in SF_CASES])
+def test_boundary_identity_residual_matches_scalar_nodes(name, f, r):
+    """The product-rule oracle against every node of the n = 8 rule
+    evaluated on its own with integrate, S_map and stem_components."""
+    rule = build_rule(r, 8)
+    check = boundary_identity_residual(f, rule)
+    mean_f = integrate(rule, lambda x: _scalar_log_abs_stems(f, x)) / rule.measure
+    mean_fs = integrate(rule, lambda x: _scalar_log_abs_stems(f, S_map(f, x))) / rule.measure
+    if isinstance(f, SemiregularFunction):
+        num, den = normal(f.num), f.den
+        log_n = lambda x: log_abs(num, x) - 2.0 * log_abs(den, x)  # noqa: E731
+    else:
+        log_n = lambda x: log_abs(normal(f), x)  # noqa: E731
+    identity = max(
+        abs(log_n(x) - _scalar_log_abs_stems(f, x) - _scalar_log_abs_stems(f, S_map(f, x)))
+        for x in map(Quaternion.from_array, rule.nodes)
+    )
+    assert check.means.mean_log_f == pytest.approx(mean_f, abs=1e-13)
+    assert check.means.mean_log_f_sf == pytest.approx(mean_fs, abs=1e-13)
+    assert check.identity_max == pytest.approx(identity, abs=1e-13)

@@ -364,8 +364,6 @@ def test_degree_cap():
         SlicePolynomial([ONE] * 70)
 
 
-def test_flags():
-    assert SlicePolynomial.from_real([1, 2]).flags().is_slice_preserving
-    assert not SlicePolynomial([I, ONE]).flags().is_slice_preserving
-    assert SlicePolynomial.from_real([2.0]).flags().is_circular
-    assert not SlicePolynomial.from_real([0, 1]).flags().is_circular
+def test_is_slice_preserving():
+    assert SlicePolynomial.from_real([1, 2]).is_slice_preserving()
+    assert not SlicePolynomial([I, ONE]).is_slice_preserving()

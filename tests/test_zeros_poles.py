@@ -17,7 +17,6 @@ from slicereg.zeros_poles import (
     classify_zeros,
     divide_by_real,
     estimate_point_order,
-    pole_counts,
     pole_structure,
     regularize,
     root_spheres,
@@ -288,8 +287,8 @@ def test_pole_structure_uniform_and_counts():
     recs = pole_structure(f, 1.0)
     kinds = sorted(r.kind for r in recs)
     assert kinds == ["real", "spherical_uniform"]
-    s1, s2, s = pole_counts(recs)
-    assert (s1, s2, s) == (1.0, 0.0, 1.0)
+    (sphere,) = [r for r in recs if r.kind == "spherical_uniform"]
+    assert sphere.spherical_order == 2
 
 
 def test_pole_structure_nonuniform_higher_order():
