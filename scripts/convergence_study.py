@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from slicereg.io import load_function
-from slicereg.jensen import boundary_gap, jensen_check
+from slicereg.jensen import jensen_check
+from slicereg.zeros_poles import analyze
 
 CORPUS = ROOT / "corpus"
 
@@ -42,14 +43,13 @@ def main() -> None:
     for manifest_name in args.manifest:
         manifest = json.loads((CORPUS / manifest_name).read_text())
         for entry in manifest["cases"]:
-            f = load_function(CORPUS / entry["file"])
-            gap = boundary_gap(f, entry["r"])
+            analysis = analyze(load_function(CORPUS / entry["file"]), entry["r"])
             residuals = [
-                jensen_check(f, entry["r"], n, diagnostics=False).residual
+                jensen_check(analysis, entry["r"], n, diagnostics=False).residual
                 for n in args.orders
             ]
             cells = "".join(f"{abs(res):12.3e}" for res in residuals)
-            print(f"{entry['name']:28s} {entry['r']:4.1f} {gap:7.3f} {cells}")
+            print(f"{entry['name']:28s} {entry['r']:4.1f} {analysis.boundary_gap:7.3f} {cells}")
 
 
 if __name__ == "__main__":

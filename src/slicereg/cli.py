@@ -30,10 +30,10 @@ from .io import (
     render_report_text,
     render_reports_csv,
 )
-from .jensen import boundary_gap, jensen_check, zeros_off_pole_spheres
+from .jensen import ESCALATED_N, NEAR_BOUNDARY_GAP, jensen_check
 from .quadrature import MIN_ORDER
 from .verify import SUITE_ORDER, run_suite
-from .zeros_poles import SemiregularFunction, classify_zeros, pole_structure
+from .zeros_poles import analyze
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -41,8 +41,6 @@ EXIT_HYPOTHESIS = 2
 EXIT_INPUT = 3
 
 DEFAULT_N = 48
-ESCALATED_N = 128
-NEAR_BOUNDARY_GAP = 0.02
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -64,26 +62,17 @@ def _worker_count(n_items: int) -> int:
 
 
 def _jensen_case(path: Path, r: float, n: int, tol: float, seed: int, name: str, diagnostics: bool, points: int) -> dict:
-    f = load_function(path)
-    gap = boundary_gap(f, r)
-    n_used = n
-    escalated = False
-    if math.isfinite(gap) and gap < NEAR_BOUNDARY_GAP and n_used < ESCALATED_N:
-        n_used = ESCALATED_N
-        escalated = True
+    analysis = analyze(load_function(path), r)
+    # near the boundary the quadrature runs at least the escalated order
+    n_used = max(n, ESCALATED_N) if analysis.boundary_gap < NEAR_BOUNDARY_GAP else n
     report = jensen_check(
-        f, r, n_used, seed=seed, diagnostics=diagnostics, bijectivity_points=points
+        analysis, r, n_used, seed=seed, diagnostics=diagnostics, bijectivity_points=points
     )
     payload = report.to_dict()
     payload["name"] = name
     payload["file"] = str(path)
     payload["passed"] = bool(abs(report.residual) <= tol)
     payload["tolerance"] = tol
-    if escalated:
-        payload["warnings"] = payload["warnings"] + [
-            f"zero/pole sphere within {NEAR_BOUNDARY_GAP} r of the boundary: "
-            f"quadrature order escalated to n={ESCALATED_N}"
-        ]
     return payload
 
 
@@ -185,26 +174,21 @@ def cmd_jensen(args: argparse.Namespace) -> int:
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
+    if not args.r > 0.0:  # also rejects nan; +inf, the default, searches everywhere
+        print(f"input error: need --r > 0 (got r={args.r})", file=sys.stderr)
+        return EXIT_INPUT
     try:
         f = load_function(args.fn)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        if isinstance(f, SemiregularFunction):
-            zero_records = [] if f.num.degree <= 0 else classify_zeros(f.num)
-            pole_records = pole_structure(f, args.r)
-            payload = {
-                "file": str(args.fn),
-                "zeros": [rec.to_dict() for rec in zeros_off_pole_spheres(zero_records, pole_records)],
-                "poles": [p.to_dict() for p in pole_records],
-            }
-        else:
-            payload = {
-                "file": str(args.fn),
-                "zeros": [rec.to_dict() for rec in classify_zeros(f)] if f.degree > 0 else [],
-                "poles": [],
-            }
+        analysis = analyze(f, args.r)
+        payload = {
+            "file": str(args.fn),
+            "zeros": [rec.to_dict() for rec in analysis.free_zeros],
+            "poles": [p.to_dict() for p in analysis.poles],
+        }
     except SliceRegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -39,14 +39,14 @@ from .quadrature import (
     build_rule,
     sf_roundtrip_errors,
 )
-from .slicepoly import SlicePolynomial, normal
 from .zeros_poles import (
+    BOUNDARY_BAND,
+    FunctionAnalysis,
     PoleRecord,
-    SemiregularFunction,
     ZeroRecord,
-    classify_zeros,
-    pole_structure,
-    root_spheres,
+    analyze,
+    as_semiregular,
+    on_boundary,
 )
 
 __all__ = [
@@ -58,23 +58,19 @@ __all__ = [
     "jensen_check",
     "as_semiregular",
     "boundary_gap",
-    "zeros_off_pole_spheres",
 ]
 
 ORIGIN_REL = 1e-12
-BOUNDARY_REL = 1e-9
-NEAR_BOUNDARY_WARN = 0.02
+# the near-boundary policy: with a zero or pole sphere within
+# NEAR_BOUNDARY_GAP r of the boundary the CLI runs at least ESCALATED_N
+NEAR_BOUNDARY_GAP = 0.02
+ESCALATED_N = 128
 
 
-def as_semiregular(f) -> SemiregularFunction:
-    if isinstance(f, SemiregularFunction):
-        return f
-    if isinstance(f, SlicePolynomial):
-        return SemiregularFunction.from_polynomial(f)
-    raise TypeError(f"expected SlicePolynomial or SemiregularFunction, got {type(f)!r}")
-
-
-def _origin_derivatives(f) -> tuple[Quaternion, Quaternion, Quaternion]:
+def _origin_terms(f, r: float) -> tuple[tuple[float, float, float], float]:
+    """The three lhs terms at radius r and Delta_4 log|N(f)|(0), from one
+    evaluation of f(0), f'(0), f''(0); raises on a pole or a zero at the
+    origin."""
     fs = as_semiregular(f)
     d0 = fs.den.coefficient(0).w
     if abs(d0) <= ORIGIN_REL * (1.0 + fs.den.coefficient_scale()):
@@ -82,7 +78,11 @@ def _origin_derivatives(f) -> tuple[Quaternion, Quaternion, Quaternion]:
     f0, f1, f2 = fs.derivatives_at_origin()
     if f0.abs() <= ORIGIN_REL * (1.0 + fs.num.coefficient_scale()):
         raise ZeroAtOriginError("f(0) = 0; the formula needs log|f(0)|")
-    return f0, f1, f2
+    inv = f0.inverse()
+    a = f1 * inv
+    square, second = (a * a).re(), (inv * f2).re()
+    quarter = r * r / 4.0
+    return (math.log(f0.abs()), quarter * square, -quarter * second), -4.0 * second + 4.0 * square
 
 
 def delta4_logNf_at0(f) -> float:
@@ -95,22 +95,7 @@ def delta4_logNf_at0(f) -> float:
     to a = f'(0) f(0)^{-1} (up to conjugation, invisible under
     Re(a^2)); verified against the finite-difference Laplacian.
     """
-    f0, f1, f2 = _origin_derivatives(f)
-    inv = f0.inverse()
-    a = f1 * inv
-    return -4.0 * (inv * f2).re() + 4.0 * (a * a).re()
-
-
-def _lhs_terms(f, r: float) -> tuple[float, float, float]:
-    f0, f1, f2 = _origin_derivatives(f)
-    inv = f0.inverse()
-    a = f1 * inv
-    quarter = r * r / 4.0
-    return (
-        math.log(f0.abs()),
-        quarter * (a * a).re(),
-        -quarter * (inv * f2).re(),
-    )
+    return _origin_terms(f, 1.0)[1]
 
 
 def jensen_lhs(f, r: float) -> float:
@@ -118,7 +103,7 @@ def jensen_lhs(f, r: float) -> float:
     - (r^2/4) Re(f(0)^{-1} f''(0)); operand order as in
     delta4_logNf_at0, of which this is log|f(0)| + (r^2/16) times the
     value."""
-    t0, t1, t2 = _lhs_terms(f, r)
+    t0, t1, t2 = _origin_terms(f, r)[0]
     return t0 + t1 + t2
 
 
@@ -145,7 +130,7 @@ def _check_inside(radius: float, r: float, what: str) -> None:
         raise (ZeroAtOriginError if what == "zero" else PoleAtOriginError)(
             f"{what} at the origin"
         )
-    if radius >= r * (1.0 - BOUNDARY_REL):
+    if radius >= r * (1.0 - BOUNDARY_BAND):
         raise (ZeroOnBoundaryError if what == "zero" else PoleOnBoundaryError)(
             f"{what} at radius {radius:.12g} not strictly inside r={r}"
         )
@@ -178,19 +163,7 @@ def pole_sum(poles: list[PoleRecord], r: float) -> float:
 
 def boundary_gap(f, r: float) -> float:
     """min over zero and pole spheres of |sphere radius - r| / r."""
-    fs = as_semiregular(f)
-    gap = math.inf
-    for poly in (fs.num, fs.den):
-        if poly.degree <= 0:
-            continue
-        base = (
-            poly.real_coeffs()
-            if poly.is_slice_preserving(1e-10)
-            else normal(poly).real_coeffs()
-        )
-        for alpha, beta, _ in root_spheres(base):
-            gap = min(gap, abs(math.hypot(alpha, beta) - r) / r)
-    return gap
+    return analyze(f, r).boundary_gap
 
 
 @dataclass(frozen=True)
@@ -219,33 +192,14 @@ class JensenReport:
         }
 
 
-def _hypothesis_checks(fs: SemiregularFunction, r: float) -> None:
-    _origin_derivatives(fs)  # raises at origin problems
-    if fs.num.degree > 0:
-        for alpha, beta, _ in root_spheres(normal(fs.num).real_coeffs()):
-            rad = math.hypot(alpha, beta)
-            if abs(rad - r) <= BOUNDARY_REL * max(r, 1.0):
-                raise ZeroOnBoundaryError(f"zero sphere at radius {rad:.12g} on the boundary r={r}")
-    if fs.den.degree > 0:
-        for alpha, beta, _ in root_spheres(fs.den.real_coeffs()):
-            rad = math.hypot(alpha, beta)
-            if abs(rad - r) <= BOUNDARY_REL * max(r, 1.0):
-                raise PoleOnBoundaryError(f"pole sphere at radius {rad:.12g} on the boundary r={r}")
-
-
-def zeros_off_pole_spheres(zeros: list[ZeroRecord], poles: list[PoleRecord]) -> list[ZeroRecord]:
-    """The zeros that do not lie on a pole sphere.  A zero on a pole
-    sphere is accounted for by the isolated multiplicity of the
-    nonuniform pole record, so it must not enter the zero list too."""
-    keys = [(p.alpha, p.beta) for p in poles if p.beta > 0.0]
-    return [
-        rec
-        for rec in zeros
-        if not any(
-            math.hypot(rec.alpha - a, rec.beta - b) <= 1e-6 * (1.0 + rec.point_radius)
-            for a, b in keys
-        )
-    ]
+def _boundary_hypotheses(analysis: FunctionAnalysis, r: float) -> None:
+    for rec in analysis.zeros:
+        if on_boundary(rec.point_radius, r):
+            raise ZeroOnBoundaryError(f"zero sphere at radius {rec.point_radius:.12g} on the boundary r={r}")
+    for alpha, beta, _ in analysis.pole_spheres:
+        rad = math.hypot(alpha, beta)
+        if on_boundary(rad, r):
+            raise PoleOnBoundaryError(f"pole sphere at radius {rad:.12g} on the boundary r={r}")
 
 
 def _representative_spread(records: list[ZeroRecord | PoleRecord], r: float, rng) -> float:
@@ -273,21 +227,23 @@ def jensen_check(
     bijectivity_points: int = 1000,
     diagnostics: bool = True,
 ) -> JensenReport:
-    """Evaluate both sides of the Jensen formula and report the residual.
+    """Evaluate both sides of the Jensen formula at order n and report
+    the residual.  f is a function or its ``analyze(f, r)`` record.
 
     For rational inputs the zero list excludes points on pole spheres:
     those are accounted for through the isolated multiplicities of the
     nonuniform pole records, so each point enters the sums exactly once.
     """
     fs = as_semiregular(f)
-    _hypothesis_checks(fs, r)
+    (t0, t1, t2), d4 = _origin_terms(fs, r)  # origin hypotheses, before any root finding
+    analysis = f if isinstance(f, FunctionAnalysis) else analyze(fs, r)
+    if analysis.radius != r:
+        raise ValueError(f"analysis made for r={analysis.radius}, checked at r={r}")
+    _boundary_hypotheses(analysis, r)
 
-    poles = pole_structure(fs, r)
-    zrecords: list[ZeroRecord] = []
-    if fs.num.degree > 0:
-        # zeros outside the ball drop out (on-boundary already rejected)
-        inside = [z for z in classify_zeros(fs.num) if z.point_radius < r * (1.0 - BOUNDARY_REL)]
-        zrecords = zeros_off_pole_spheres(inside, poles)
+    poles = analysis.poles
+    # zeros outside the ball drop out (on-boundary already rejected)
+    zrecords = [z for z in analysis.free_zeros if z.point_radius < r * (1.0 - BOUNDARY_BAND)]
 
     extra_a: list[ZeroRecord] = []
     nonuniform_detail: list[dict] = []
@@ -315,7 +271,6 @@ def jensen_check(
     psum = pole_sum(poles, r)
 
     means = boundary_means(fs, r, n)
-    t0, t1, t2 = _lhs_terms(fs, r)
     lhs = t0 + t1 + t2
     rhs = 0.5 * (means.mean_log_f + means.mean_log_f_sf) - zsum + psum
     residual = lhs - rhs
@@ -331,13 +286,11 @@ def jensen_check(
             warnings.append(
                 f"negative real pole at {p.alpha:.12g}: using |p_k| in the log term"
             )
-    gap = boundary_gap(fs, r)
-    if gap < NEAR_BOUNDARY_WARN:
-        warnings.append(
-            f"zero/pole sphere within {gap:.3g} r of the boundary; quadrature may converge slowly"
-        )
+    gap = analysis.boundary_gap
+    if gap < NEAR_BOUNDARY_GAP:
+        order = f"order escalated to n={n}" if n >= ESCALATED_N else f"order n={n} may converge slowly"
+        warnings.append(f"zero/pole sphere within {gap:.3g} r of the boundary: quadrature {order}")
 
-    d4 = delta4_logNf_at0(fs)
     diag: dict = {
         "delta4_logNf_at0": d4,
         "lhs_cross_check": abs(lhs - (t0 + (r * r / 16.0) * d4)),

@@ -36,7 +36,6 @@ __all__ = [
     "qmul_array",
     "qmul_parts",
     "qconj_array",
-    "qinv_array",
     "qnorm2_array",
 ]
 
@@ -276,8 +275,3 @@ def qconj_array(a: np.ndarray) -> np.ndarray:
 
 def qnorm2_array(a: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", a, a)
-
-
-def qinv_array(a: np.ndarray) -> np.ndarray:
-    n = qnorm2_array(a)
-    return qconj_array(a) / n[..., None]

@@ -19,6 +19,13 @@ where the numerator vanishes, which carries an isolated multiplicity
 equal to its total multiplicity as a zero of the numerator.  Blaschke
 reciprocals with unit modulus on the boundary sphere absorb the poles;
 ``regularize`` multiplies them onto f and returns the pole-free product.
+
+``analyze(f, r)`` is the one zero and pole pass that the Jensen check,
+the CLI's near-boundary escalation and the ``zeros`` command share.  It
+runs the root finder once on N(num) and once on den and returns a
+frozen ``FunctionAnalysis``: a zero record for every zero sphere, every
+denominator sphere, the pole records inside the closed ball of radius
+r, and the boundary gap over all of those spheres.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .quaternions import Quaternion, decompose, validate_unit
 from .slicepoly import SlicePolynomial, normal, slice_product
 
 __all__ = [
+    "FunctionAnalysis",
     "ZeroRecord",
     "PoleRecord",
     "SemiregularFunction",
@@ -53,6 +61,9 @@ __all__ = [
     "blaschke_spherical",
     "regularize",
     "root_spheres",
+    "analyze",
+    "as_semiregular",
+    "on_boundary",
 ]
 
 EPS_CLASS = 1e-8
@@ -62,7 +73,16 @@ TOL_CLUSTER = 1e-7
 # under beta^(2m) for pole/zero spheres, or the vertex of an even factor
 # (x-alpha)^2 + beta^2 raised to a high power would pass for a real root.
 TOL_DIVIDE = 1e-9
+# relative width of the boundary sphere: spheres this close to r count as
+# on it (hypothesis checks, regularize) and as inside the closed ball
 BOUNDARY_BAND = 1e-9
+
+Sphere = tuple[float, float, int]  # (alpha, beta, mult) from root_spheres
+
+
+def on_boundary(radius: float, r: float) -> bool:
+    """Whether a sphere of the given radius sits on the boundary sphere of radius r."""
+    return abs(radius - r) <= BOUNDARY_BAND * max(r, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +201,7 @@ def _scatter_radius(mult: int, size: float) -> float:
     return 10.0 * (1e-16 ** (1.0 / max(mult, 1))) * (1.0 + size) + 1e-9
 
 
-def _all_distinct(spheres: list[tuple[float, float, int]]) -> bool:
+def _all_distinct(spheres: list[Sphere]) -> bool:
     """Reject clusterings where two validated spheres coincide.
 
     Fragments of one eigenvalue cloud can each Newton-converge to the
@@ -202,7 +222,7 @@ def _all_distinct(spheres: list[tuple[float, float, int]]) -> bool:
     return True
 
 
-def _validate_cluster(c: np.ndarray, pts: np.ndarray) -> tuple[float, float, int] | None:
+def _validate_cluster(c: np.ndarray, pts: np.ndarray) -> Sphere | None:
     k = len(pts)
     center = complex(np.mean(pts))
     hypotheses: list[str] = []
@@ -233,7 +253,7 @@ def _validate_cluster(c: np.ndarray, pts: np.ndarray) -> tuple[float, float, int
     return None
 
 
-def root_spheres(coeffs: Sequence[float]) -> list[tuple[float, float, int]]:
+def root_spheres(coeffs: Sequence[float]) -> list[Sphere]:
     """Roots of a real polynomial folded onto the closed upper half-plane.
 
     Returns (alpha, beta, mult) triples where mult counts a conjugate
@@ -253,7 +273,7 @@ def root_spheres(coeffs: Sequence[float]) -> list[tuple[float, float, int]]:
     # reaches ~1e-2 at m = 8; the ladder must extend past that
     for tol_mult in (1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
         clusters = _cluster_folded(roots, TOL_CLUSTER * tol_mult)
-        spheres: list[tuple[float, float, int]] = []
+        spheres: list[Sphere] = []
         for pts in clusters:
             res = _validate_cluster(c, pts)
             if res is None:
@@ -350,7 +370,7 @@ def characteristic_poly(y: Quaternion) -> SlicePolynomial:
     return SlicePolynomial.from_real([y.norm2(), -y.trace(), 1.0])
 
 
-def zero_spheres(f: SlicePolynomial) -> list[tuple[float, float, int]]:
+def zero_spheres(f: SlicePolynomial) -> list[Sphere]:
     """Spheres carrying zeros of f, with multiplicities counted in N(f)."""
     if f.is_zero:
         raise ZeroPolynomialError("zero set of the zero polynomial is everything")
@@ -365,16 +385,11 @@ def total_multiplicity(f: SlicePolynomial, y: Quaternion) -> int:
     if f.is_slice_preserving(1e-10):
         # N(f) = f^2, so the multiplicity in N is twice the one in f and
         # the doubling cancels against the Delta^s accounting.
-        target = f.real_coeffs()
-        spheres = root_spheres(target)
-        mult = _matching_mult(spheres, p.alpha, p.beta)
-        return mult
-    spheres = root_spheres(normal(f).real_coeffs())
-    mult = _matching_mult(spheres, p.alpha, p.beta)
-    return mult // 2
+        return _matching_mult(root_spheres(f.real_coeffs()), p.alpha, p.beta)
+    return _matching_mult(zero_spheres(f), p.alpha, p.beta) // 2
 
 
-def _matching_mult(spheres: list[tuple[float, float, int]], alpha: float, beta: float) -> int:
+def _matching_mult(spheres: list[Sphere], alpha: float, beta: float) -> int:
     for a, b, m in spheres:
         tol = 1e-6 * (1.0 + math.hypot(a, b))
         if math.hypot(a - alpha, b - beta) <= tol:
@@ -382,16 +397,17 @@ def _matching_mult(spheres: list[tuple[float, float, int]], alpha: float, beta: 
     return 0
 
 
-def classify_zeros(f: SlicePolynomial) -> list[ZeroRecord]:
+def classify_zeros(f: SlicePolynomial, spheres: list[Sphere] | None = None) -> list[ZeroRecord]:
     """Classified zero records for every sphere carrying zeros of f.
 
     Spherical zeros use the representative alpha + i*beta; isolated
     nonreal zeros are located from the stem by J* = -F1(z) F2(z)^{-1}.
+    ``spheres`` are the root spheres of N(f) when the caller has them.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot classify zeros of the zero polynomial")
     records: list[ZeroRecord] = []
-    for alpha, beta, mult in zero_spheres(f):
+    for alpha, beta, mult in zero_spheres(f) if spheres is None else spheres:
         tmult = mult // 2
         if beta == 0.0:
             records.append(ZeroRecord("real", Quaternion.real(alpha), alpha, 0.0, tmult))
@@ -556,7 +572,8 @@ class PoleRecord:
         return d
 
 
-def pole_structure(f: SemiregularFunction, region_radius: float) -> list[PoleRecord]:
+def pole_structure(f: SemiregularFunction, region_radius: float, spheres: list[Sphere] | None = None,
+                   nnum: SlicePolynomial | None = None) -> list[PoleRecord]:
     """Pole records of f inside the closed ball of the given radius.
 
     Real poles carry their order (denominator multiplicity after
@@ -564,18 +581,21 @@ def pole_structure(f: SemiregularFunction, region_radius: float) -> list[PoleRec
     of Delta_b left in den; when the numerator vanishes at one point of
     the sphere, that point has lesser order max(nu - m, 0) and isolated
     multiplicity m, its total multiplicity as a zero of the numerator.
+    ``spheres`` (the root spheres of den) and ``nnum`` (N(num)) skip
+    their recomputation when the caller has them.
     """
     if f.is_polynomial:
         return []
+    if spheres is None:
+        spheres = root_spheres(f.den.real_coeffs())
+    if nnum is None and f.num.degree > 0:
+        nnum = normal(f.num)
     records: list[PoleRecord] = []
-    nnum = normal(f.num) if not f.num.is_zero else None
-    for alpha, beta, mult in root_spheres(f.den.real_coeffs()):
+    for alpha, beta, mult in spheres:
         if math.hypot(alpha, beta) > region_radius * (1.0 + BOUNDARY_BAND):
             continue
         if beta == 0.0:
-            records.append(
-                PoleRecord("real", Quaternion.real(alpha), alpha, 0.0, order=mult)
-            )
+            records.append(PoleRecord("real", Quaternion.real(alpha), alpha, 0.0, order=mult))
             continue
         nu = mult // 2
         rep = Quaternion(alpha, beta, 0.0, 0.0)
@@ -585,9 +605,7 @@ def pole_structure(f: SemiregularFunction, region_radius: float) -> list[PoleRec
             # the number of times Delta_b divides N(num)
             m_exc = _division_multiplicity(nnum.real_coeffs(), alpha, beta)
         if m_exc == 0:
-            records.append(
-                PoleRecord("spherical_uniform", rep, alpha, beta, order=nu, spherical_order=2 * nu)
-            )
+            records.append(PoleRecord("spherical_uniform", rep, alpha, beta, order=nu, spherical_order=2 * nu))
             continue
         stem = f.num.stem_components(alpha, beta)
         scale = f.num.stem_scale(math.hypot(alpha, beta))
@@ -597,20 +615,68 @@ def pole_structure(f: SemiregularFunction, region_radius: float) -> list[PoleRec
             )
         jstar = validate_unit(-(stem.F1 * stem.F2.inverse()))
         zj = Quaternion(alpha, 0.0, 0.0, 0.0) + jstar * beta
-        records.append(
-            PoleRecord(
-                "spherical_nonuniform",
-                rep,
-                alpha,
-                beta,
-                order=nu,
-                spherical_order=2 * nu,
-                exceptional_point=zj,
-                exceptional_order=max(nu - m_exc, 0),
-                isolated_multiplicity=m_exc,
-            )
-        )
+        records.append(PoleRecord("spherical_nonuniform", rep, alpha, beta, order=nu, spherical_order=2 * nu,
+                                  exceptional_point=zj, exceptional_order=max(nu - m_exc, 0),
+                                  isolated_multiplicity=m_exc))
     return records
+
+
+# ---------------------------------------------------------------------------
+# one analysis per function and radius
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class FunctionAnalysis:
+    """The zeros and poles of one function at one radius r.
+
+    ``zeros`` has a record for every zero sphere of the numerator and
+    ``pole_spheres`` every root sphere of the denominator, whatever
+    their radius; ``poles`` has the pole records inside the closed ball.
+    """
+
+    function: SemiregularFunction
+    radius: float
+    zeros: tuple[ZeroRecord, ...]
+    pole_spheres: tuple[Sphere, ...]
+    poles: tuple[PoleRecord, ...]
+
+    @property
+    def free_zeros(self) -> list[ZeroRecord]:
+        """The zeros off the pole spheres in the ball.  A zero on a pole
+        sphere is accounted for by the isolated multiplicity of the
+        nonuniform pole record, so it must not enter a zero list too."""
+        keys = [(p.alpha, p.beta) for p in self.poles if p.beta > 0.0]
+        return [z for z in self.zeros
+                if not any(math.hypot(z.alpha - a, z.beta - b) <= 1e-6 * (1.0 + z.point_radius) for a, b in keys)]
+
+    @property
+    def boundary_gap(self) -> float:
+        """min over every zero and pole sphere of |sphere radius - r| / r."""
+        radii = [z.point_radius for z in self.zeros] + [math.hypot(a, b) for a, b, _ in self.pole_spheres]
+        return min((abs(rad - self.radius) / self.radius for rad in radii), default=math.inf)
+
+
+def as_semiregular(f) -> SemiregularFunction:
+    """f as den^{-1} * num: a polynomial gets den = 1, an analysis gives its function."""
+    if isinstance(f, FunctionAnalysis):
+        return f.function
+    if isinstance(f, SemiregularFunction):
+        return f
+    if isinstance(f, SlicePolynomial):
+        return SemiregularFunction.from_polynomial(f)
+    raise TypeError(f"expected SlicePolynomial, SemiregularFunction or FunctionAnalysis, got {type(f)!r}")
+
+
+def analyze(f, r: float) -> FunctionAnalysis:
+    """Zero and pole records of f at radius r from one root finding on
+    N(num) and one on den."""
+    fs = as_semiregular(f)
+    nnum = normal(fs.num) if fs.num.degree > 0 else None
+    zeros = [] if nnum is None else classify_zeros(fs.num, root_spheres(nnum.real_coeffs()))
+    pole_spheres = root_spheres(fs.den.real_coeffs()) if fs.den.degree > 0 else []
+    poles = pole_structure(fs, r, pole_spheres, nnum)
+    return FunctionAnalysis(fs, r, tuple(zeros), tuple(pole_spheres), tuple(poles))
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +721,10 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
     if f.is_polynomial:
         one = SemiregularFunction.from_polynomial(SlicePolynomial.from_real([1.0]))
         return one, f
-    for alpha, beta, _ in root_spheres(f.den.real_coeffs()):
-        rad = math.hypot(alpha, beta)
-        if abs(rad - r) <= 1e-9 * max(r, 1.0):
+    poles = pole_structure(f, math.inf)
+    for rec in poles:
+        rad = rec.point_radius
+        if on_boundary(rad, r):
             raise PoleOnBoundaryError(f"pole sphere at radius {rad:.12g} sits on the boundary r={r}")
         if rad > r:
             raise PoleOutsideRegionError(
@@ -665,7 +732,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
             )
     g_den = SlicePolynomial.from_real([1.0])
     g_num = SlicePolynomial.from_real([1.0])
-    for rec in pole_structure(f, r):
+    for rec in poles:
         if rec.kind == "real":
             fac = blaschke_real(rec.alpha, r)
             power = rec.order

@@ -1,8 +1,11 @@
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
+from slicereg import zeros_poles
 from slicereg.cli import main
 from slicereg.io import (
     InputFormatError,
@@ -14,11 +17,18 @@ from slicereg.io import (
     render_report_text,
     render_reports_csv,
 )
+from slicereg.jensen import jensen_check
 from slicereg.quaternions import I, ONE, Quaternion
 from slicereg.slicepoly import SlicePolynomial
-from slicereg.zeros_poles import SemiregularFunction
+from slicereg.zeros_poles import SemiregularFunction, as_semiregular
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CASE_RADIUS = {
+    entry["file"]: entry["r"]
+    for manifest in ("polynomials.json", "rationals.json")
+    for entry in json.loads((CORPUS / manifest).read_text())["cases"]
+}
+RATIONALS = sorted(name for name in CASE_RADIUS if name.startswith("rat_"))
 
 
 # -- parsing -----------------------------------------------------------------
@@ -161,7 +171,13 @@ def test_cli_escalates_near_boundary(tmp_path, capsys):
     data = json.loads(out)
     assert code == 0
     assert data["cases"][0]["config"]["n"] == 128
-    assert any("escalated" in w for w in data["cases"][0]["warnings"])
+    (warning,) = [w for w in data["cases"][0]["warnings"] if "boundary" in w]
+    assert "escalated" in warning and "n=128" in warning and "within 0.015 r" in warning
+    # called directly, jensen_check keeps its order and says so once
+    report = jensen_check(load_function(fn), 1.0, 48, diagnostics=False)
+    assert report.config["n"] == 48
+    (warning,) = [w for w in report.warnings if "boundary" in w]
+    assert "escalated" not in warning and "n=48" in warning
 
 
 def test_cli_zeros(capsys):
@@ -175,6 +191,65 @@ def test_cli_zeros(capsys):
     assert pole["order"] == 1
     assert pole["exceptional_order"] == 0
     assert pole["isolated_multiplicity"] == 1
+
+
+def test_cli_zeros_rejects_bad_radius(capsys):
+    fn = str(CORPUS / "rat_remark_nonuniform.json")
+    for r in ("-1", "0", "nan"):
+        assert main(["zeros", "--fn", fn, "--r", r]) == 3
+        assert capsys.readouterr().err.startswith("input error: ")
+    assert main(["zeros", "--fn", fn, "--r", "inf"]) == 0
+
+
+@pytest.mark.parametrize("name", RATIONALS)
+def test_cli_zeros_match_jensen_check(name, capsys):
+    """The zeros command and jensen_check read one analysis: jensen's zero
+    list is the listed zeros inside the ball plus the exceptional points of
+    the nonuniform pole spheres."""
+    path, r = CORPUS / name, CASE_RADIUS[name]
+    assert main(["zeros", "--fn", str(path), "--r", repr(r), "--format", "json"]) == 0
+    listed = json.loads(capsys.readouterr().out)
+    report = json.loads(render_json(jensen_check(load_function(path), r, 12, diagnostics=False).to_dict()))
+    assert listed["poles"] == report["poles"]
+    inside = [z for z in listed["zeros"] if math.hypot(*z["sphere"]) < r]
+    exceptional = [
+        {"kind": "isolated", "representative": p["exceptional_point"], "sphere": p["sphere"],
+         "total_multiplicity": p["isolated_multiplicity"]}
+        for p in listed["poles"] if p["kind"] == "spherical_nonuniform"
+    ]
+    assert inside + exceptional == report["zeros"]
+
+
+def _count_root_spheres(monkeypatch) -> list:
+    """Record every root_spheres call, through each slicereg namespace that binds it."""
+    calls = []
+    original = zeros_poles.root_spheres
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return original(coeffs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("slicereg") and getattr(module, "root_spheres", None) is original:
+            monkeypatch.setattr(module, "root_spheres", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["rat_nonuniform_with_real_zero.json", "poly_deg8_all_kinds.json"])
+def test_one_root_finding_per_polynomial(name, monkeypatch, capsys):
+    path, r = CORPUS / name, CASE_RADIUS[name]
+    f = load_function(path)
+    fs = as_semiregular(f)
+    positive = sum(p.degree > 0 for p in (fs.num, fs.den))
+    calls = _count_root_spheres(monkeypatch)
+    jensen_check(f, r, bijectivity_points=50)
+    assert len(calls) == positive
+    calls.clear()
+    load_function(path)  # a rational's common factors are cancelled at load
+    at_load = len(calls)
+    calls.clear()
+    assert main(["jensen", "--fn", str(path), "--r", repr(r), "--bijectivity-points", "50"]) == 0
+    assert len(calls) == at_load + positive
 
 
 def test_cli_zeros_polynomial(capsys):

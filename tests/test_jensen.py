@@ -25,6 +25,7 @@ from slicereg.zeros_poles import (
     PoleRecord,
     SemiregularFunction,
     ZeroRecord,
+    analyze,
     characteristic_poly,
     regularize,
 )
@@ -216,6 +217,21 @@ def test_boundary_gap():
     assert boundary_gap(f, 1.0) == pytest.approx(0.2, abs=1e-9)
     g = SemiregularFunction(real_poly(-0.5, 1.0), real_poly(-0.25, 1.0))
     assert boundary_gap(g, 1.0) == pytest.approx(0.5, abs=1e-9)
+    # spheres outside the ball count too: the pole at 3 is 0.5 r away
+    h = SemiregularFunction(real_poly(-3.0, 1.0), real_poly(-0.5, 1.0))
+    assert boundary_gap(h, 2.0) == pytest.approx(0.5, abs=1e-9)
+    assert analyze(h, 2.0).poles == ()
+
+
+def test_jensen_check_reads_an_analysis():
+    f = SemiregularFunction(real_poly(1.44, 0.0, 1.0), slice_product(real_poly(-0.5, 1.0), lin(0.3, 0.2, 0.1, 0.4)))
+    a = analyze(f, 1.5)
+    assert jensen_check(a, 1.5, 24, diagnostics=False) == jensen_check(f, 1.5, 24, diagnostics=False)
+    with pytest.raises(ValueError):
+        jensen_check(a, 1.0, 24, diagnostics=False)
+    # the origin hypotheses come first, also for an analysis
+    with pytest.raises(ZeroAtOriginError):
+        jensen_check(analyze(real_poly(0.0, 1.0), 1.0), 1.0)
 
 
 # -- semiregular consistency with the regularized product -----------------------
