@@ -50,15 +50,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _worker_count(n_items: int) -> int:
+def _thread_cap() -> int | None:
+    """JENSEN_THREADS as a positive integer; None when unset or empty."""
     cap = os.environ.get("JENSEN_THREADS")
-    workers = os.cpu_count() or 1
-    if cap:
-        try:
-            workers = max(1, int(cap))
-        except ValueError:
-            pass
-    return max(1, min(workers, n_items))
+    if not cap:
+        return None
+    if not cap.strip().isdecimal() or int(cap) < 1:
+        raise ValueError(f"JENSEN_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
+
+
+def _manifest_cases(path: Path, r: float, n: int) -> list[tuple[Path, float, int, str]]:
+    """(file, r, n, name) per case of a manifest {"cases": [{"file": ..., "r", "n", "name"}, ...]}."""
+    manifest = json.loads(path.read_text())
+    entries = manifest.get("cases", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries):
+        raise ValueError('expected {"cases": [{"file": <path>, ...}, ...]}')
+    return [(path.parent / e["file"], float(e.get("r", r)), int(e.get("n", n)), e.get("name", e["file"]))
+            for e in entries]
 
 
 def _jensen_case(path: Path, r: float, n: int, tol: float, seed: int, name: str, diagnostics: bool, points: int) -> dict:
@@ -77,23 +86,19 @@ def _jensen_case(path: Path, r: float, n: int, tol: float, seed: int, name: str,
 
 
 def cmd_jensen(args: argparse.Namespace) -> int:
+    try:
+        threads = _thread_cap()
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     cases: list[tuple[Path, float, int, str]] = []
     if args.corpus:
         manifest_path = Path(args.corpus)
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            cases = _manifest_cases(manifest_path, args.r, args.n)
+        except (OSError, ValueError, TypeError, OverflowError) as exc:
             print(f"input error: {manifest_path}: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        for entry in manifest.get("cases", []):
-            cases.append(
-                (
-                    manifest_path.parent / entry["file"],
-                    float(entry.get("r", args.r)),
-                    int(entry.get("n", args.n)),
-                    entry.get("name", entry["file"]),
-                )
-            )
     for fn in args.fn or []:
         cases.append((Path(fn), args.r, args.n, Path(fn).name))
     if not cases:
@@ -113,7 +118,7 @@ def cmd_jensen(args: argparse.Namespace) -> int:
 
     try:
         if len(cases) > 1:
-            with ThreadPoolExecutor(max_workers=_worker_count(len(cases))) as pool:
+            with ThreadPoolExecutor(max_workers=min(threads or os.cpu_count() or 1, len(cases))) as pool:
                 payloads = list(pool.map(run_one, cases))
         else:
             payloads = [run_one(cases[0])]

@@ -52,7 +52,7 @@ from .quaternions import (
     qmul_parts,
     qnorm2_array,
 )
-from .slicepoly import normal
+from .slicepoly import horner, normal
 from .zeros_poles import SemiregularFunction
 
 __all__ = [
@@ -409,18 +409,11 @@ def log_normal_values(f, z: np.ndarray) -> np.ndarray:
     if isinstance(f, SemiregularFunction):
         nnum = normal(f.num).real_coeffs()
         den = f.den.real_coeffs()
-        return np.log(np.abs(_polyval_complex(nnum, z))) - 2.0 * np.log(
-            np.abs(_polyval_complex(den, z))
+        return np.log(np.abs(horner(nnum, z))) - 2.0 * np.log(
+            np.abs(horner(den, z))
         )
     nf = normal(f).real_coeffs()
-    return np.log(np.abs(_polyval_complex(nf, z)))
-
-
-def _polyval_complex(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for coef in reversed(c):
-        acc = acc * z + coef
-    return acc
+    return np.log(np.abs(horner(nf, z)))
 
 
 @dataclass(frozen=True)

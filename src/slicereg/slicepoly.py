@@ -10,7 +10,8 @@ F2/beta; the spherical derivative extends to the real axis with the
 slice derivative (hard switch below BETA_SWITCH).
 
 Array-valued stem evaluation (``stem_arrays``) backs the quadrature
-pipeline; scalar evaluation backs everything pointwise.
+pipeline; scalar evaluation backs everything pointwise.  ``horner`` is
+the one evaluator of real coefficients at complex scalars or arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "spherical_value",
     "spherical_derivative",
     "log_abs",
+    "horner",
 ]
 
 DEGREE_CAP = 64
@@ -55,6 +57,14 @@ class StemValue:
 
     F1: Quaternion
     F2: Quaternion
+
+
+def horner(c, z):
+    """sum_m c[m] z^m for ascending real coefficients c at a complex scalar or array z."""
+    acc = np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
+    for coef in reversed(c):
+        acc = acc * z + coef
+    return acc
 
 
 class SlicePolynomial:
@@ -214,10 +224,7 @@ class SlicePolynomial:
         """Evaluate as a complex polynomial; requires slice-preserving f."""
         if not self.is_slice_preserving(1e-10):
             raise ValueError("complex evaluation requires a slice-preserving polynomial")
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c.w
-        return acc
+        return horner([c.w for c in self.coeffs], z)
 
     # -- calculus ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ separated from the zero set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -320,7 +321,7 @@ def suite_bilaplacian_logn(seed: int, n_cases: int = 20) -> SuiteResult:
         f = _product_poly(rng, 2.2, 3.0, max_factors=3)
         x = _random_point(rng, 0.3, 0.6, beta_min=0.15)
         cases.append((f, x))
-    return _bilaplacian_suite("bilaplace4(log|N(f)|)", cases, lambda f: (lambda y: log_abs(normal(f), y)), seed)
+    return _bilaplacian_suite("bilaplace4(log|N(f)|)", cases, lambda f: partial(log_abs, normal(f)), seed)
 
 
 def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:

@@ -11,6 +11,9 @@ the real factor (x - r) or Delta_y(x) = x^2 - t(y) x + n(y).  The
 division count is the authoritative multiplicity; when eigenvalue
 scatter of a multiple root splits a cluster, the cluster tolerance is
 escalated until the division counts account for the whole degree.
+One long division ``_divide``, on real coefficients or quaternion rows,
+does all division by real factors; a division counts when the largest
+remainder coefficient norm is at most TOL_DIVIDE times the dividend's.
 
 Rational (semiregular) functions are pairs f = den^{-1} * num with a
 slice-preserving denominator.  Poles sit on the spheres of den; on each
@@ -45,7 +48,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .quaternions import Quaternion, decompose, validate_unit
-from .slicepoly import SlicePolynomial, normal, slice_product
+from .slicepoly import SlicePolynomial, horner, normal, slice_product
 
 __all__ = [
     "FunctionAnalysis",
@@ -90,26 +93,20 @@ def on_boundary(radius: float, r: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _norms(c: np.ndarray) -> np.ndarray:
+    """Coefficient sizes: |c_m| for a real array, the quaternion norm for rows (m+1, 4)."""
+    return np.abs(c) if c.ndim == 1 else np.linalg.norm(c, axis=1)
+
+
 def _poly_trim(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
-    if c.size == 0:
-        return c
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return np.zeros(0)
-    keep = np.nonzero(np.abs(c) > 1e-13 * scale)[0]
-    return c[: keep[-1] + 1] if keep.size else np.zeros(0)
+    norms = _norms(c)
+    keep = np.nonzero(norms > 1e-13 * norms.max(initial=0.0))[0]
+    return c[: keep[-1] + 1] if keep.size else c[:0]
 
 
 def _poly_deriv(c: np.ndarray) -> np.ndarray:
     return c[1:] * np.arange(1, len(c))
-
-
-def _poly_eval(c: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for coef in reversed(c):
-        acc = acc * z + coef
-    return acc
 
 
 def _newton_on_derivative(c: np.ndarray, z0: complex, mult: int, real_root: bool) -> tuple[complex, bool]:
@@ -130,17 +127,17 @@ def _newton_on_derivative(c: np.ndarray, z0: complex, mult: int, real_root: bool
         return z0, False
     dp = _poly_deriv(d)
     z = complex(z0.real, 0.0) if real_root else z0
-    best, best_res = z, abs(_poly_eval(d, z))
+    best, best_res = z, abs(horner(d, z))
     converged = False
     for _ in range(60):
-        fp = _poly_eval(dp, z)
+        fp = horner(dp, z)
         if abs(fp) < 1e-300:
             break
-        step = _poly_eval(d, z) / fp
+        step = horner(d, z) / fp
         z = z - step
         if real_root:
             z = complex(z.real, 0.0)
-        res = abs(_poly_eval(d, z))
+        res = abs(horner(d, z))
         if res < best_res:
             best, best_res = z, res
         if abs(step) <= 1e-12 * (1.0 + abs(z)):
@@ -149,22 +146,38 @@ def _newton_on_derivative(c: np.ndarray, z0: complex, mult: int, real_root: bool
     return best, converged
 
 
+def _real_factor(alpha: float, beta: float) -> np.ndarray:
+    """Ascending coefficients of the monic real factor of the sphere (alpha, beta):
+    x - alpha for beta == 0, else x^2 - 2 alpha x + (alpha^2 + beta^2)."""
+    if beta == 0.0:
+        return np.array([-alpha, 1.0])
+    return np.array([alpha * alpha + beta * beta, -2.0 * alpha, 1.0])
+
+
+def _divide(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Long division of ascending coefficients c, real (m+1,) or quaternion
+    rows (m+1, 4), by an ascending monic real d; returns (quotient, remainder)."""
+    r = np.array(c[::-1], dtype=float)  # descending working copy
+    dd = d[::-1]
+    qlen = max(len(r) - len(dd) + 1, 0)
+    for k in range(qlen):
+        for j in range(1, len(dd)):
+            r[k + j] -= dd[j] * r[k]
+    return r[:qlen][::-1], r[qlen:][::-1]
+
+
 def _division_multiplicity(c: np.ndarray, alpha: float, beta: float, tol_rel: float = TOL_DIVIDE) -> int:
     """Largest s such that the real factor of (alpha, beta) divides c^s times.
 
-    The factor is (x - alpha) for beta == 0 and the characteristic
-    quadratic x^2 - 2 alpha x + (alpha^2 + beta^2) otherwise.
+    c holds ascending real coefficients (m+1,) or quaternion coefficient
+    rows (m+1, 4); the remainder test is relative, on coefficient norms.
     """
-    if beta == 0.0:
-        divisor = np.array([1.0, -alpha])
-    else:
-        divisor = np.array([1.0, -2.0 * alpha, alpha * alpha + beta * beta])
-    cur = _poly_trim(c)[::-1]  # descending for polydiv
+    d = _real_factor(alpha, beta)
+    cur = _poly_trim(c)
     s = 0
-    while len(cur) >= len(divisor):
-        scale = np.max(np.abs(cur))
-        q, rem = np.polydiv(cur, divisor)
-        if np.max(np.abs(rem), initial=0.0) > tol_rel * max(scale, 1e-300):
+    while len(cur) >= len(d):
+        q, rem = _divide(cur, d)
+        if _norms(rem).max(initial=0.0) > tol_rel * max(_norms(cur).max(), 1e-300):
             break
         s += 1
         cur = q
@@ -301,40 +314,13 @@ def divide_by_real(p: SlicePolynomial, divisor: Sequence[float]) -> tuple[SliceP
     d = np.asarray(divisor, dtype=float)
     if abs(d[-1] - 1.0) > 1e-12:
         raise ValueError("divisor must be monic")
-    if p.degree < len(d) - 1:
-        return SlicePolynomial([]), p
-    rem = list(reversed(p.coeffs))  # descending
-    ddesc = d[::-1]
-    qlen = len(rem) - len(ddesc) + 1
-    quot = []
-    for i in range(qlen):
-        lead = rem[i]
-        quot.append(lead)
-        for j in range(1, len(ddesc)):
-            rem[i + j] = rem[i + j] - lead * float(ddesc[j])
-    remainder = list(reversed(rem[qlen:]))
-    return SlicePolynomial(list(reversed(quot))), SlicePolynomial(remainder)
+    q, rem = _divide(_rows(p), d)
+    return SlicePolynomial(map(Quaternion.from_array, q)), SlicePolynomial(map(Quaternion.from_array, rem))
 
 
-def _real_factor(alpha: float, beta: float) -> np.ndarray:
-    if beta == 0.0:
-        return np.array([-alpha, 1.0])
-    return np.array([alpha * alpha + beta * beta, -2.0 * alpha, 1.0])
-
-
-def _divides_count(p: SlicePolynomial, alpha: float, beta: float, tol_rel: float = TOL_DIVIDE) -> tuple[int, SlicePolynomial]:
-    """How many times the real factor of (alpha, beta) divides p; also the
-    deflated quotient."""
-    divisor = _real_factor(alpha, beta)
-    cur = p
-    s = 0
-    while cur.degree >= len(divisor) - 1 and not cur.is_zero:
-        q, rem = divide_by_real(cur, divisor)
-        if rem.coefficient_scale() > tol_rel * max(cur.coefficient_scale(), 1e-300):
-            break
-        s += 1
-        cur = q
-    return s, cur
+def _rows(p: SlicePolynomial) -> np.ndarray:
+    """The coefficients of p as quaternion rows (deg + 1, 4)."""
+    return np.array([c.components() for c in p.coeffs], dtype=float).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +477,7 @@ class SemiregularFunction:
 
     def stem_arrays(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f1, f2 = self.num.stem_arrays(z)
-        dcoef = self.den.real_coeffs()
-        dz = np.zeros_like(z)
-        for coef in reversed(dcoef):
-            dz = dz * z + coef
-        inv = 1.0 / dz
+        inv = 1.0 / horner(self.den.real_coeffs(), z)
         u, v = inv.real[..., None], inv.imag[..., None]
         return f1 * u - f2 * v, f1 * v + f2 * u
 
@@ -522,8 +504,7 @@ class SemiregularFunction:
 def _reduce_pair(den: SlicePolynomial, num: SlicePolynomial) -> tuple[SlicePolynomial, SlicePolynomial]:
     for alpha, beta, mult in root_spheres(den.real_coeffs()):
         avail = mult if beta == 0.0 else mult // 2
-        cancel, _ = _divides_count(num, alpha, beta)
-        k = min(avail, cancel)
+        k = min(avail, _division_multiplicity(_rows(num), alpha, beta))
         if k == 0:
             continue
         factor = _real_factor(alpha, beta)

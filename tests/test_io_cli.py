@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from slicereg import zeros_poles
+from slicereg import cli, zeros_poles
 from slicereg.cli import main
 from slicereg.io import (
     InputFormatError,
@@ -144,6 +144,52 @@ def _fine_case(tmp_path):
     fine = tmp_path / "fine.json"
     fine.write_text(json.dumps({"coeffs": [0.64, 0.0, 1.0]}))
     return str(fine)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"cases": [{"name": "no file"}]},
+        [{"file": "fine.json"}],
+        {"cases": [{"file": "fine.json", "r": "abc"}]},
+    ],
+    ids=["case-without-file", "top-level-list", "non-numeric-r"],
+)
+def test_cli_jensen_rejects_malformed_manifest(tmp_path, capsys, manifest):
+    _fine_case(tmp_path)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["jensen", "--corpus", str(path), "--no-diagnostics"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_cli_jensen_rejects_bad_thread_cap(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("JENSEN_THREADS", value)
+    fine = _fine_case(tmp_path)
+    assert main(["jensen", "--fn", fine, "--fn", fine, "--n", "24", "--no-diagnostics"]) == 3
+    assert capsys.readouterr().err.startswith("input error: JENSEN_THREADS must be a positive integer")
+
+
+def test_cli_jensen_thread_cap_sizes_the_pool(tmp_path, monkeypatch):
+    seen = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"coeffs": [-0.5, 1.0]}))
+    args = ["jensen", "--fn", str(fn), "--fn", str(fn), "--fn", str(fn), "--n", "24", "--no-diagnostics"]
+    monkeypatch.setenv("JENSEN_THREADS", "2")
+    assert main(args) == 0
+    monkeypatch.delenv("JENSEN_THREADS")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert main(args) == 0
+    assert seen == [2, 3]
 
 
 def test_cli_rejects_zero_bijectivity_points(tmp_path, capsys):

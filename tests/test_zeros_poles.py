@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from slicereg.errors import (
@@ -11,6 +12,7 @@ from slicereg.quaternions import I, J, ONE, Quaternion
 from slicereg.slicepoly import SlicePolynomial, normal, slice_product
 from slicereg.zeros_poles import (
     SemiregularFunction,
+    _division_multiplicity,
     blaschke_real,
     blaschke_spherical,
     characteristic_poly,
@@ -93,6 +95,40 @@ def test_divide_by_real():
     q, rem = divide_by_real(f, [0.29, -0.4, 1.0])
     assert rem.coefficient_scale() <= 1e-12
     assert q.degree == 1
+    # quaternionic coefficients and a nonzero remainder: q * d + rem = g
+    g = SlicePolynomial([Quaternion(0.3, -0.2, 0.5, 0.1), Quaternion(-0.4, 0.7, 0.0, 0.2),
+                         Quaternion(0.1, 0.2, -0.3, 0.9), Quaternion(1.0, -0.5, 0.25, 0.0)])
+    d = real_poly(0.29, -0.4, 1.0)
+    q, rem = divide_by_real(g, [c.w for c in d.coeffs])
+    assert (q.degree, rem.degree) == (1, 1) and rem.coefficient_scale() > 0.1
+    back = slice_product(q, d) + rem
+    assert back.degree == g.degree
+    assert all(a.isclose(b, 1e-14) for a, b in zip(back.coeffs, g.coeffs))
+
+
+def test_division_multiplicity_remainder_test_is_relative():
+    # the remainder 5e-9 x of x^2 + 5e-9 x + 1 by x^2 + 1 is below an
+    # absolute 1e-8 but far above TOL_DIVIDE relative to the dividend
+    assert _division_multiplicity(np.array([1.0, 5e-9, 1.0]), 0.0, 1.0) == 0
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.4, 0.0), (-0.3, 0.5)], ids=["real-factor", "quadratic-factor"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_division_multiplicity_real_and_quaternion_rows_agree(alpha, beta, k):
+    factor = P.polypow([-alpha, 1.0] if beta == 0.0 else [alpha * alpha + beta * beta, -2.0 * alpha, 1.0], k)
+    c = P.polymul(factor, [0.7, -0.2, 1.0])
+
+    def as_rows(real):
+        return np.column_stack([real, np.zeros((len(real), 3))])
+
+    # the factor is real, hence central: factor^k * g is a componentwise product
+    g = np.array([[0.3, -0.2, 0.5, 0.1], [-0.4, 0.7, 0.0, 0.2], [0.1, 0.2, -0.3, 0.9]])
+    quat = np.column_stack([P.polymul(factor, g[:, i]) for i in range(4)])
+    for poly in (c, as_rows(c), quat):
+        assert _division_multiplicity(poly, alpha, beta) == k
+    off = c.copy()
+    off[0] += 1e-3  # a nonzero remainder
+    assert _division_multiplicity(off, alpha, beta) == _division_multiplicity(as_rows(off), alpha, beta) == 0
 
 
 # -- zero spheres and classification ----------------------------------------
