@@ -66,8 +66,14 @@ def _manifest_cases(path: Path, r: float, n: int) -> list[tuple[Path, float, int
     entries = manifest.get("cases", []) if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries):
         raise ValueError('expected {"cases": [{"file": <path>, ...}, ...]}')
-    return [(path.parent / e["file"], float(e.get("r", r)), int(e.get("n", n)), e.get("name", e["file"]))
-            for e in entries]
+    cases = []
+    for e in entries:
+        case_r, case_n = e.get("r", r), e.get("n", n)
+        # exact types: JSON true/false load as bool, an int subclass
+        if type(case_n) is not int or type(case_r) not in (int, float):
+            raise ValueError(f"{e['file']}: need a number r and an integer n, got r={case_r!r}, n={case_n!r}")
+        cases.append((path.parent / e["file"], float(case_r), case_n, e.get("name", e["file"])))
+    return cases
 
 
 def _jensen_case(path: Path, r: float, n: int, tol: float, seed: int, name: str, diagnostics: bool, points: int) -> dict:

@@ -231,25 +231,6 @@ class SlicePolynomial:
     def slice_derivative(self) -> "SlicePolynomial":
         return SlicePolynomial([self.coeffs[m] * float(m) for m in range(1, len(self.coeffs))])
 
-    def translate(self, a: float) -> "SlicePolynomial":
-        """f(x + a) for real a: shifts a real expansion point to 0.
-
-        Real shifts are central, so the binomial expansion applies
-        coefficientwise; corpus preprocessing uses this to restate a
-        check at a real center as one at the origin.
-        """
-        d = self.degree
-        out = [ZERO] * (d + 1)
-        binom = [1.0]
-        for m, c in enumerate(self.coeffs):
-            power = 1.0
-            for k in range(m, -1, -1):
-                out[k] = out[k] + c * (binom[k] * power)
-                power *= a
-            nxt = [1.0] + [binom[i] + binom[i + 1] for i in range(len(binom) - 1)] + [1.0]
-            binom = nxt
-        return SlicePolynomial(out)
-
     def conjugate(self) -> "SlicePolynomial":
         return SlicePolynomial([c.conj() for c in self.coeffs])
 

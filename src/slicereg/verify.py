@@ -19,7 +19,8 @@ separated from the zero set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -34,8 +35,8 @@ from .diffops import (
     fd_laplace4_richardson,
 )
 from .jensen import delta4_logNf_at0
-from .quadrature import build_rule, circular_reduction, integrate_values, log_normal_values
-from .quaternions import Quaternion
+from .quadrature import build_rule, integrate_values, log_normal_values, polar_rule
+from .quaternions import Quaternion, decompose, qmul_parts
 from .slicepoly import SlicePolynomial, log_abs, normal, spherical_derivative, spherical_value
 from .zeros_poles import characteristic_poly, classify_zeros, total_multiplicity
 
@@ -46,7 +47,9 @@ TOL_FIRST_ORDER = 1e-6
 TOL_BILAPLACIAN = 1e-3
 TOL_DELTA4_AT_0 = 1e-4
 TOL_MEASURE_REL = 1e-10
-TOL_CROSS_METHOD = 1e-8
+TOL_CROSS_METHOD = 1e-12
+# x -> ROTATION x is an isometry of R^4 that makes circular integrands non-circular
+ROTATION = Quaternion(1.0, 2.0, 3.0, 4.0) / math.sqrt(30.0)
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,7 @@ class ResidualRow:
     expected_order: int
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "case": self.case,
-            "point": self.point,
-            "h": self.h,
-            "residual": self.residual,
-            "expected_order": self.expected_order,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -110,17 +106,37 @@ def _random_point(rng: np.random.Generator, rmin: float = 0.4, rmax: float = 1.2
             return x
 
 
-def _product_poly(rng: np.random.Generator, rmin: float, rmax: float, max_factors: int = 4) -> SlicePolynomial:
-    """Product of linear factors with roots in an annulus: f(0) != 0 and
-    the zero locations are known by construction."""
-    f = SlicePolynomial([Quaternion.from_array(rng.uniform(-1, 1, 4))])
-    if f.coefficient(0).abs() < 0.3:
-        f = SlicePolynomial([f.coefficient(0) + Quaternion.real(0.5)])
+def _product_poly(rng: np.random.Generator, rmin: float, rmax: float, max_factors: int = 4):
+    """(f, c, [q_1, ..., q_k]) for f = c (x - q_1) * ... * (x - q_k) with q_k in
+    an annulus: f(0) != 0 and the zeros are known by construction."""
+    c = Quaternion.from_array(rng.uniform(-1, 1, 4))
+    if c.abs() < 0.3:
+        c = c + Quaternion.real(0.5)
+    f = SlicePolynomial([c])
+    roots = []
     for _ in range(int(rng.integers(1, max_factors + 1))):
         root = Quaternion.from_array(rng.normal(size=4))
-        root = root * (rng.uniform(rmin, rmax) / root.abs())
-        f = f * SlicePolynomial.linear(root)
-    return f
+        roots.append(root * (rng.uniform(rmin, rmax) / root.abs()))
+        f = f * SlicePolynomial.linear(roots[-1])
+    return f, c, roots
+
+
+def exact_mean_log_abs(lead: float, roots, r: float) -> float:
+    """Mean over the 3-sphere of radius r of log|p| for the real
+    polynomial p = lead prod_a (x - a), roots a closed under conjugation.
+
+    p is circular: this is the mean of log|p(r e^{i theta})| with weight
+    (2/pi) sin^2 theta on [0, pi].  Expand log|1 - a/z| (|a| < r) or
+    log|1 - z/a| (|a| > r) in powers of e^{i theta}: only cos(2 theta)
+    has a nonzero mean, -1/2, and sine terms cancel between conjugate
+    roots.  So a root adds log max(r, |a|) + Re((a/r)^2) / 4 inside and
+    log |a| + Re((r/a)^2) / 4 outside.
+    """
+    total = math.log(abs(lead))
+    for a in roots:
+        ratio = a / r if abs(a) < r else r / a
+        total += math.log(max(r, abs(a))) + 0.25 * (ratio * ratio).real
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +144,9 @@ def _product_poly(rng: np.random.Generator, rmin: float, rmax: float, max_factor
 # ---------------------------------------------------------------------------
 
 
-def _exact_sd(f: SlicePolynomial, x: Quaternion) -> Quaternion:
-    return spherical_derivative(f, x)
-
-
 def _exact_two_dx_sd(f: SlicePolynomial, x: Quaternion) -> Quaternion:
     """2 d/dx (f'_s) from exact stem partials of the circular stem
     G1 = F2/beta."""
-    from .quaternions import decompose
-
     p = decompose(x)
     stem = f.stem_components(p.alpha, p.beta)
     _, _, d2a, d2b = f.stem_partials(p.alpha, p.beta)
@@ -148,8 +158,6 @@ def _exact_two_dx_sd(f: SlicePolynomial, x: Quaternion) -> Quaternion:
 def _exact_two_dxc_vs(f: SlicePolynomial, x: Quaternion) -> Quaternion:
     """2 d/dx^c (v_s f) from exact stem partials of the circular stem
     G1 = F1."""
-    from .quaternions import decompose
-
     p = decompose(x)
     d1a, d1b, _, _ = f.stem_partials(p.alpha, p.beta)
     return d1a + p.unit * d1b
@@ -200,12 +208,12 @@ def suite_crf(seed: int, n_cases: int = 20) -> SuiteResult:
         (
             "dbar_crf(f) = -2 f'_s",
             lambda f, x, h: fd_crf(f.eval, x, h),
-            lambda f, x: _exact_sd(f, x) * (-2.0),
+            lambda f, x: spherical_derivative(f, x) * (-2.0),
         ),
         (
             "d_crf(f) - 2 df/dx = 2 f'_s",
             lambda f, x, h: fd_crf_conj(f.eval, x, h) - f.slice_derivative().eval(x) * 2.0,
-            lambda f, x: _exact_sd(f, x) * 2.0,
+            lambda f, x: spherical_derivative(f, x) * 2.0,
         ),
         (
             "2 d/dx f'_s = d_crf(f'_s)",
@@ -228,7 +236,7 @@ def suite_gamma(seed: int, n_cases: int = 20) -> SuiteResult:
         (
             "gamma(f) = 2 Im(x) f'_s",
             lambda f, x, h: fd_gamma(f.eval, x, h),
-            lambda f, x: (x.im() * _exact_sd(f, x)) * 2.0,
+            lambda f, x: (x.im() * spherical_derivative(f, x)) * 2.0,
         ),
     ]
     return _fd_pair_suite("gamma", cases, identities, seed)
@@ -318,7 +326,7 @@ def suite_bilaplacian_logn(seed: int, n_cases: int = 20) -> SuiteResult:
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n_cases):
-        f = _product_poly(rng, 2.2, 3.0, max_factors=3)
+        f, _, _ = _product_poly(rng, 2.2, 3.0, max_factors=3)
         x = _random_point(rng, 0.3, 0.6, beta_min=0.15)
         cases.append((f, x))
     return _bilaplacian_suite("bilaplace4(log|N(f)|)", cases, lambda f: partial(log_abs, normal(f)), seed)
@@ -332,7 +340,7 @@ def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
     worst = 0.0
     origin = Quaternion.real(0.0)
     for idx in range(n_cases):
-        f = _product_poly(rng, 0.8, 1.8)
+        f, _, _ = _product_poly(rng, 0.8, 1.8)
         closed = delta4_logNf_at0(f)
         nf = normal(f)
         fd = fd_laplace4_richardson(lambda y: log_abs(nf, y), origin, 3e-2).w
@@ -365,17 +373,25 @@ def suite_quadrature(seed: int) -> SuiteResult:
             rel = abs(float(np.sum(rule.weights)) - rule.measure) / rule.measure
             worst_measure = max(worst_measure, rel)
             rows.append(ResidualRow("sum(w) vs 2 pi^2 r^3", n, [r, 0.0, 0.0, 0.0], 0.0, rel, 0))
+    # mean log|N(f)| at n = 48 against its closed form: by the polar rule,
+    # and by the 3-D rule on x -> log|N(f)(u x)|, which has the same mean
     worst_cross = 0.0
-    r = 1.0
-    rule = build_rule(r, 48)
+    r, n = 1.0, 48
+    z, w = polar_rule(r, n)
+    rule = build_rule(r, n)
+    ux = qmul_parts(ROTATION.components(), tuple(rule.nodes.T))
+    z_rotated = ux[0] + 1j * np.sqrt(ux[1] * ux[1] + ux[2] * ux[2] + ux[3] * ux[3])
     for idx in range(5):
-        f = _product_poly(rng, 0.3, 0.6, max_factors=3)
-        nf = normal(f)
-        full = integrate_values(rule, log_normal_values(f, rule.z)) / rule.measure
-        circ = circular_reduction(r, 2048, lambda x: log_abs(nf, x)) / rule.measure
-        err = abs(full - circ)
-        worst_cross = max(worst_cross, err)
-        rows.append(ResidualRow("3D rule vs circular reduction (mean log|N|)", idx, [r, 0, 0, 0], 0.0, err, 0))
+        f, c, roots = _product_poly(rng, 0.3, 0.6, max_factors=3)
+        # N(f) = |c|^2 N(x - q_1) ... N(x - q_k), with roots Re q +- i |Im q|
+        shadows = [complex(q.re(), q.abs_im()) for q in roots]
+        exact = exact_mean_log_abs(c.norm2(), shadows + [s.conjugate() for s in shadows], r)
+        polar = float(np.dot(w, log_normal_values(f, z)))
+        full = integrate_values(rule, log_normal_values(f, z_rotated)) / rule.measure
+        for identity, mean in (("polar rule vs exact (mean log|N|)", polar), ("3D rule vs exact (mean log|N(u x)|)", full)):
+            err = abs(mean - exact)
+            worst_cross = max(worst_cross, err)
+            rows.append(ResidualRow(identity, idx, [r, 0, 0, 0], 0.0, err, 0))
     passed = worst_measure <= TOL_MEASURE_REL and worst_cross <= TOL_CROSS_METHOD
     summary = {
         "max_measure_rel_error": worst_measure,

@@ -155,7 +155,7 @@ def test_criterion_8_quadrature_validity():
         8,
         ok,
         f"measure error {res.summary['max_measure_rel_error']:.3e} <= 1e-10 rel; "
-        f"cross-method {res.summary['max_cross_method_error']:.3e} <= 1e-8",
+        f"distance to the exact mean {res.summary['max_cross_method_error']:.3e} <= 1e-12",
     )
 
 

@@ -152,8 +152,15 @@ def _fine_case(tmp_path):
         {"cases": [{"name": "no file"}]},
         [{"file": "fine.json"}],
         {"cases": [{"file": "fine.json", "r": "abc"}]},
+        {"cases": [{"file": "fine.json", "n": 4.7}]},
+        {"cases": [{"file": "fine.json", "n": 48.0}]},
+        {"cases": [{"file": "fine.json", "n": "48"}]},
+        {"cases": [{"file": "fine.json", "n": True}]},
+        {"cases": [{"file": "fine.json", "r": "1.0"}]},
+        {"cases": [{"file": "fine.json", "r": True}]},
     ],
-    ids=["case-without-file", "top-level-list", "non-numeric-r"],
+    ids=["case-without-file", "top-level-list", "non-numeric-r", "fractional-n", "float-n", "string-n",
+         "bool-n", "string-r", "bool-r"],
 )
 def test_cli_jensen_rejects_malformed_manifest(tmp_path, capsys, manifest):
     _fine_case(tmp_path)
@@ -162,6 +169,15 @@ def test_cli_jensen_rejects_malformed_manifest(tmp_path, capsys, manifest):
     assert main(["jensen", "--corpus", str(path), "--no-diagnostics"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {path}: ") and "Traceback" not in err
+
+
+def test_cli_jensen_manifest_takes_integer_r_and_n(tmp_path, capsys):
+    _fine_case(tmp_path)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"cases": [{"file": "fine.json", "r": 1, "n": 40}]}))
+    main(["jensen", "--corpus", str(path), "--no-diagnostics", "--format", "json"])
+    config = json.loads(capsys.readouterr().out)["cases"][0]["config"]
+    assert (config["r"], config["n"]) == (1.0, 40)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])

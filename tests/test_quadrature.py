@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,9 +10,11 @@ from slicereg.errors import DegeneratePointError, NonFiniteIntegrandError
 from slicereg.io import load_function
 from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, decompose
 from slicereg.quadrature import (
+    _polar_angles,
     _sf_domain_points,
     _sf_inverse_parts,
     _sf_parts,
+    _slice_value,
     _split_parts,
     _stem_parts,
     S_map,
@@ -30,6 +33,7 @@ from slicereg.quadrature import (
     sphere_mean_log_abs,
 )
 from slicereg.slicepoly import SlicePolynomial, log_abs, normal, slice_product
+from slicereg.verify import exact_mean_log_abs
 from slicereg.zeros_poles import SemiregularFunction
 
 
@@ -106,7 +110,22 @@ def test_integrate_nonfinite_reports_node():
     assert err.value.node is not None
 
 
-# -- circular reduction ------------------------------------------------------
+# -- circular reduction and its exact mean ----------------------------------
+
+
+def test_polar_angles_cached_read_only():
+    theta, wt = _polar_angles(48)
+    assert _polar_angles(48)[0] is theta
+    assert not theta.flags.writeable and not wt.flags.writeable
+    with pytest.raises(ValueError):
+        theta[0] = 0.0
+    # polar_rule is bitwise the uncached construction
+    t, w = np.polynomial.legendre.leggauss(48)
+    t = 0.5 * math.pi * (t + 1.0)
+    for _ in range(2):
+        z, wz = polar_rule(1.3, 48)
+        assert np.array_equal(z, 1.3 * np.cos(t) + 1j * (1.3 * np.sin(t)))
+        assert np.array_equal(wz, w * np.sin(t) ** 2)
 
 
 def test_circular_reduction_constant():
@@ -116,43 +135,66 @@ def test_circular_reduction_constant():
     )
 
 
+@pytest.mark.parametrize(
+    "lead, roots, r",
+    [
+        (2.5, [0.3, -0.7], 1.0),
+        (1.0, [2.0, -1.3], 1.0),
+        (0.7, [0.2 + 0.5j, 0.2 - 0.5j], 1.0),
+        (1.0, [1.5 + 2.0j, 1.5 - 2.0j], 1.2),
+        (3.0, [0.4, 0.1 + 0.6j, 0.1 - 0.6j, -2.5, 1.0 + 1.5j, 1.0 - 1.5j, 0.0], 1.7),
+    ],
+    ids=["real-inside", "real-outside", "complex-inside", "complex-outside", "mixed"],
+)
+def test_exact_mean_against_mpmath(lead, roots, r):
+    # 30-digit quadrature over theta of (2/pi) sin^2 theta log|p(r e^{i theta})|
+    with mpmath.workdps(30):
+        def integrand(t):
+            z = r * mpmath.expj(t)
+            value = mpmath.log(abs(lead)) + mpmath.fsum(mpmath.log(abs(z - a)) for a in roots)
+            return 2 / mpmath.pi * mpmath.sin(t) ** 2 * value
+
+        want = mpmath.quad(integrand, [0, mpmath.pi / 2, mpmath.pi])
+    assert abs(exact_mean_log_abs(lead, roots, r) - float(want)) <= 1e-14
+
+
 def test_circular_reduction_cross_method():
+    # N(x - 0.5) = (x - 0.5)^2, evaluated at the nodes of the 3-D rule
     nf = normal(real_poly(-0.5, 1.0))
     rule = build_rule(1.0, 24)
-    full = integrate(rule, lambda x: log_abs(nf, x))
-    circ = circular_reduction(1.0, 256, lambda x: log_abs(nf, x))
-    assert abs(full - circ) <= 1e-8
+    full = integrate(rule, lambda x: log_abs(nf, x)) / rule.measure
+    assert abs(full - exact_mean_log_abs(1.0, [0.5, 0.5], 1.0)) <= 1e-13
 
-    # (Re x)^2 is circular as well
-    full2 = integrate(rule, lambda x: x.re() ** 2)
-    circ2 = circular_reduction(1.0, 256, lambda x: x.re() ** 2)
-    assert abs(full2 - circ2) <= 1e-10
+    # (Re x)^2 is circular as well, with mean r^2 / 4
+    full2 = integrate(rule, lambda x: x.re() ** 2) / rule.measure
+    assert abs(full2 - 0.25) <= 1e-14
 
 
 def test_log_x_minus_2_cross_method():
     f = real_poly(-2.0, 1.0)
     nf = normal(f)
-    # log|x-2| = log|N|/2 is circular
+    # log|x-2| = log|N|/2 is circular, with mean log 2 + (1/4) (1/2)^2
+    exact = 0.5 * exact_mean_log_abs(1.0, [2.0, 2.0], 1.0)
+    assert exact == pytest.approx(math.log(2.0) + 1.0 / 16.0, abs=1e-15)
     rule = build_rule(1.0, 24)
-    full = integrate(rule, lambda x: 0.5 * log_abs(nf, x))
-    circ = circular_reduction(1.0, 512, lambda x: 0.5 * log_abs(nf, x))
-    assert abs(full - circ) <= 1e-8
+    full = integrate(rule, lambda x: 0.5 * log_abs(nf, x)) / rule.measure
+    assert abs(full - exact) <= 1e-13
 
 
 def test_quadrature_convergence_doubling():
+    # f and the roots of N(f), known from the factors
     cases = [
-        real_poly(-0.3, 1.0) * real_poly(0.25, 0.0, 1.0),
-        real_poly(0.36, 0.0, 1.0) * real_poly(0.45, 1.0),
-        slice_product(SlicePolynomial.linear(I * 0.5), real_poly(-0.4, 1.0)),
+        (real_poly(-0.3, 1.0) * real_poly(0.25, 0.0, 1.0), [0.3, 0.5j, -0.5j] * 2),
+        (real_poly(0.36, 0.0, 1.0) * real_poly(0.45, 1.0), [0.6j, -0.6j, -0.45] * 2),
+        (slice_product(SlicePolynomial.linear(I * 0.5), real_poly(-0.4, 1.0)), [0.5j, -0.5j, 0.4, 0.4]),
     ]
     floor = 1e-10
-    for f in cases:
-        nf = normal(f)
-        reference = circular_reduction(1.0, 2048, lambda x: log_abs(nf, x))
+    for f, roots in cases:
+        reference = exact_mean_log_abs(1.0, roots, 1.0)
         errors = []
         for n in (6, 12, 24):
             rule = build_rule(1.0, n)
-            errors.append(abs(integrate_values(rule, log_normal_values(f, rule.z)) - reference))
+            errors.append(abs(integrate_values(rule, log_normal_values(f, rule.z)) - rule.measure * reference))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= max(coarse / 4.0, floor)
 
@@ -474,6 +516,35 @@ def test_sf_roundtrip_guard_rejects_everything():
         sf_roundtrip_errors(f, 1.0, 50, np.random.default_rng(25))
     with pytest.raises(ValueError):
         sf_roundtrip_errors(f, 1.0, 0, np.random.default_rng(25))
+
+
+def test_sf_domain_points_skip_rows_near_the_real_axis():
+    class Batches:
+        """Stands in for the generator: hands out the given rows in turn."""
+
+        def __init__(self, *batches):
+            self.batches = list(batches)
+
+        def normal(self, size):
+            rows = self.batches.pop(0)
+            assert rows.shape == size
+            return rows
+
+    # beta <= 8e-5 r; for x^10 at r = 1, |F2| ~ 10 beta clears 1e-4 (1 + scale),
+    # so only the beta >= 1e-3 r guard stands between these rows and S_f
+    near = np.array([[1.0, 5e-5, 0.0, 0.0], [-1.0, 0.0, 5e-5, 0.0], [1.0, 3e-5, 3e-5, 3e-5], [-1.0, 0.0, 0.0, 8e-5]])
+    # beta = 2e-3 r sits just above the guard
+    spread = np.array([[0.3, 1.0, 0.0, 0.0], [0.5, 0.2, 0.7, 0.1], [1.0, 0.0, 2e-3, 0.0], [-0.2, -0.4, 0.3, 0.9]])
+    f = SlicePolynomial([ZERO] * 10 + [ONE])
+    scale = f.stem_scale(1.0)
+    z, junit = _split_parts(tuple(near.T / np.linalg.norm(near, axis=1)))
+    f1, f2 = _stem_parts(f, z)
+    assert np.all(z.imag < 1e-4)
+    assert np.all(np.sqrt(sum(c * c for c in f2)) > 1e-4 * (1.0 + scale))
+    assert np.all(np.sqrt(sum(c * c for c in _slice_value(f1, f2, junit))) > 1e-9 * (1.0 + scale))
+
+    got = _sf_domain_points(f, 1.0, 4, Batches(near, spread))
+    assert np.allclose(got, spread / np.linalg.norm(spread, axis=1)[:, None], rtol=0.0, atol=1e-15)
 
 
 def _scalar_log_abs_stems(f, x):

@@ -329,31 +329,6 @@ def test_log_abs_errors():
 # -- housekeeping -------------------------------------------------------------
 
 
-def test_translate_by_real_shift():
-    sq = SlicePolynomial.from_real([1.0, -2.0, 1.0])  # (x-1)^2
-    shifted = sq.translate(1.0)
-    assert [c.w for c in shifted.coeffs] == pytest.approx([0.0, 0.0, 1.0])
-
-    rng = np.random.default_rng(13)
-    f = SlicePolynomial([Quaternion.from_array(rng.normal(size=4)) for _ in range(6)])
-    a = 0.37
-    g = f.translate(a)
-    for _ in range(8):
-        x = Quaternion.from_array(rng.normal(size=4))
-        want = f.eval(x + Quaternion.real(a))
-        assert (g.eval(x) - want).abs() <= 1e-12 * (1.0 + want.abs())
-
-
-def test_translate_recenters_jensen_check():
-    # restate a check at the real center 2 as one at the origin
-    from slicereg.jensen import jensen_check
-
-    f = SlicePolynomial.from_real([-2.3, 1.0])  # zero at 2.3
-    g = f.translate(2.0)  # zero at 0.3 as seen from the new center
-    rep = jensen_check(g, 1.0, 24, diagnostics=False)
-    assert abs(rep.residual) <= 1e-8
-
-
 def test_trailing_zero_coefficients_stripped():
     f = SlicePolynomial([ONE, I, Quaternion(0, 0, 0, 0)])
     assert f.degree == 1
