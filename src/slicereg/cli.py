@@ -151,19 +151,9 @@ def cmd_jensen(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(render_json(result), args.out)
     elif args.format == "csv":
-        rows = [
-            {
-                "name": p["name"],
-                "file": p["file"],
-                "r": p["config"]["r"],
-                "n": p["config"]["n"],
-                "lhs": p["lhs"],
-                "rhs": p["rhs"],
-                "residual": p["residual"],
-                "passed": p["passed"],
-            }
-            for p in payloads
-        ]
+        # render_reports_csv sorts the columns
+        rows = [{k: p[k] for k in ("name", "file", "lhs", "rhs", "residual", "passed")}
+                | {k: p["config"][k] for k in ("r", "n")} for p in payloads]
         _emit(render_reports_csv(rows), args.out)
     else:
         lines = []

@@ -22,7 +22,7 @@ the report rather than silently normalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,17 +179,7 @@ class JensenReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "breakdown": self.breakdown,
-            "zeros": self.zeros,
-            "poles": self.poles,
-            "config": self.config,
-            "diagnostics": self.diagnostics,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
 def _boundary_hypotheses(analysis: FunctionAnalysis, r: float) -> None:

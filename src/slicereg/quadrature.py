@@ -17,14 +17,16 @@ the stems only at the n Gauss-Legendre shadows z_k = r e^{i theta_k}
 Diagnostic oracle: a 3-D product rule.  Parameterization
 x = r (cos t1, sin t1 cos t2, sin t1 sin t2 cos p, sin t1 sin t2 sin p)
 with surface measure r^3 sin^2(t1) sin(t2) dt1 dt2 dp and total measure
-|bd B_r| = 2 pi^2 r^3; Gauss-Legendre nodes in t1 and t2 (angular
-weights absorbed into the quadrature weights) and a uniform grid in p,
-which is spectrally exact for the periodic direction.  It shares the
-polar angles t1 with the 1-D rule, evaluates f and S_f at every node
-(``boundary_identity_residual``) and is the independent check of the
-pointwise boundary identity and of the reduced means.  Its S^2 grid
-resolves high-degree stems slowly, so the 1-D means are the more
-accurate of the two.
+|bd B_r| = 2 pi^2 r^3; Gauss-Legendre nodes in t1 and t2 and a uniform
+grid in p, spectrally exact for the periodic direction.  The rule is
+held as its two factors: the polar rule in t1 (r-dependent) and an S^2
+grid of 2n^2 units J (cached per n); its flat 2n^3-node arrays exist
+only on demand.  ``boundary_identity_residual`` evaluates f and S_f at
+every node, ``ORACLE_BLOCK`` polar angles at a time with S^2 means per
+angle, so its memory does not grow with n^3.  It is the independent
+check of the pointwise boundary identity and of the reduced means; its
+S^2 grid resolves high-degree stems slowly, so the 1-D means are the
+more accurate of the two.
 
 One array S_f (``_sf_parts``, inverse ``_sf_inverse_parts``) serves the
 product-rule oracle and the bijectivity roundtrip ``sf_roundtrip_errors``;
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -77,29 +79,53 @@ SPHERE_MEASURE = 2.0 * math.pi**2  # |bd B_1|
 # S_f falls back to the conjugation branch when the spherical derivative
 # is this small relative to the stem scale
 DEGENERATE_REL = 1e-12
+# polar angles the product-rule oracle takes through S_f at once
+ORACLE_BLOCK = 8
 
 
 @dataclass(frozen=True)
 class SphereQuadratureRule:
+    """The product rule as its two factors, each weight vector summing
+    to 1: polar shadows z_k = r e^{i t1_k} with weights w_k, and 2n^2
+    units J_j on S^2 with weights s_j.  Node (k, j) is Re z_k + J_j Im z_k
+    with weight |bd B_r| w_k s_j.  The flat arrays over all N = 2n^3
+    nodes (alpha, beta, junits, nodes, weights) are built on first use."""
+
     radius: float
     orders: tuple[int, int, int]
-    nodes: np.ndarray  # (N, 4)
-    weights: np.ndarray  # (N,)
-    alpha: np.ndarray  # (N,) real parts
-    beta: np.ndarray  # (N,) imaginary radii, > 0 at Gauss nodes
-    junits: np.ndarray  # (N, 4) imaginary units Im(x)/beta
+    polar_z: np.ndarray  # (n,), Im > 0
+    polar_weights: np.ndarray  # (n,)
+    s2_units: np.ndarray  # (2n^2, 4), shared by every polar angle
+    s2_weights: np.ndarray  # (2n^2,)
 
     @property
     def measure(self) -> float:
         return SPHERE_MEASURE * self.radius**3
 
-    @property
-    def z(self) -> np.ndarray:
-        """Complex shadows alpha + i beta of the nodes."""
-        return self.alpha + 1j * self.beta
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        return np.repeat(self.polar_z.real, len(self.s2_weights))
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return np.repeat(self.polar_z.imag, len(self.s2_weights))
+
+    @cached_property
+    def junits(self) -> np.ndarray:
+        return np.tile(self.s2_units, (len(self.polar_z), 1))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        nodes = self.beta[:, None] * self.junits
+        nodes[:, 0] = self.alpha
+        return nodes
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return (self.measure * np.outer(self.polar_weights, self.s2_weights)).ravel()
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.polar_z) * len(self.s2_weights)
 
 
 @lru_cache
@@ -112,14 +138,22 @@ def _polar_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, wt
 
 
+@lru_cache
+def _s2_factor(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product rule's S^2 grid: units J = (0, cos t2, sin t2 cos p,
+    sin t2 sin p) at the n Gauss-Legendre angles t2 and 2n uniform
+    azimuths p (p fastest), and their weights sin(t2) dt2 dp / 4 pi;
+    independent of r, cached, read-only."""
+    theta, wt = _polar_angles(n)
+    phi = 2.0 * math.pi * np.arange(2 * n) / (2 * n)
+    s, c = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    units = np.stack(np.broadcast_arrays(0.0, c, s * np.cos(phi), s * np.sin(phi)), -1).reshape(-1, 4)
+    weights = np.repeat(wt * np.sin(theta) * (math.pi / (8 * n)), 2 * n)
+    units.flags.writeable = weights.flags.writeable = False
+    return units, weights
+
+
 MIN_ORDER = 4  # fewest Gauss-Legendre nodes per angle a rule accepts
-
-
-def _check_rule_parameters(r: float, n: int) -> None:
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    if n < MIN_ORDER:
-        raise ValueError(f"need at least {MIN_ORDER} nodes per angle")
 
 
 def polar_rule(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,10 +162,13 @@ def polar_rule(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     integrand g (constant on every sphere S_x).
 
     The weight of theta_k is the measure 4 pi (r sin theta)^2 r dtheta
-    of its sphere over 2 pi^2 r^3; these are the t1 nodes and weights of
+    of its sphere over 2 pi^2 r^3; this is the polar factor of
     ``build_rule``.
     """
-    _check_rule_parameters(r, n)
+    if r <= 0.0:
+        raise ValueError("radius must be positive")
+    if n < MIN_ORDER:
+        raise ValueError(f"need at least {MIN_ORDER} nodes per angle")
     theta, wt = _polar_angles(n)
     z = r * np.cos(theta) + 1j * (r * np.sin(theta))
     return z, wt * np.sin(theta) ** 2
@@ -139,56 +176,32 @@ def polar_rule(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_rule(r: float, n: int) -> SphereQuadratureRule:
     """Product rule with n Gauss-Legendre nodes in each polar angle and
-    2n uniform nodes in the azimuth."""
-    _check_rule_parameters(r, n)
-    theta1, wt = _polar_angles(n)
-    w1 = 0.5 * math.pi * wt * np.sin(theta1) ** 2
-    theta2 = theta1
-    w2 = 0.5 * math.pi * wt * np.sin(theta2)
-    nphi = 2 * n
-    phi = 2.0 * math.pi * np.arange(nphi) / nphi
-    wphi = np.full(nphi, 2.0 * math.pi / nphi)
-
-    s1 = np.sin(theta1)[:, None, None]
-    c1 = np.cos(theta1)[:, None, None]
-    s2 = np.sin(theta2)[None, :, None]
-    c2 = np.cos(theta2)[None, :, None]
-    sp = np.sin(phi)[None, None, :]
-    cp = np.cos(phi)[None, None, :]
-
-    x0 = (r * c1) * np.ones_like(s2) * np.ones_like(sp)
-    x1 = r * s1 * c2 * np.ones_like(sp)
-    x2 = r * s1 * s2 * cp
-    x3 = r * s1 * s2 * sp
-    nodes = np.stack([x0, x1, x2, x3], axis=-1).reshape(-1, 4)
-
-    weights = (r**3 * w1[:, None, None] * w2[None, :, None] * wphi[None, None, :]).reshape(-1)
-    alpha = nodes[:, 0].copy()
-    beta = (r * s1 * np.ones_like(s2) * np.ones_like(sp)).reshape(-1)
-    junits = np.zeros_like(nodes)
-    junits[:, 1:] = nodes[:, 1:] / beta[:, None]
-    return SphereQuadratureRule(r, (n, n, nphi), nodes, weights, alpha, beta, junits)
+    2n uniform nodes in the azimuth: ``polar_rule`` times ``_s2_factor``."""
+    return SphereQuadratureRule(r, (n, n, 2 * n), *polar_rule(r, n), *_s2_factor(n))
 
 
 def integrate(rule: SphereQuadratureRule, u: Callable[[Quaternion], float]) -> float:
     """Sum w_i u(x_i) over the rule nodes for a pointwise integrand."""
-    values = np.fromiter(
-        (u(Quaternion.from_array(row)) for row in rule.nodes), dtype=float, count=len(rule)
-    )
+    values = np.fromiter((u(Quaternion.from_array(row)) for row in rule.nodes), float, len(rule))
     return integrate_values(rule, values)
 
 
 def integrate_values(rule: SphereQuadratureRule, values: np.ndarray) -> float:
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    """Sum w_i v_i for values v at the rule nodes, one factor at a time."""
+    s2_means = _s2_means(rule, values.reshape(len(rule.polar_z), -1), 0)
+    return rule.measure * float(np.dot(rule.polar_weights, s2_means))
+
+
+def _s2_means(rule: SphereQuadratureRule, values: np.ndarray, first: int) -> np.ndarray:
+    """S^2 means of values (b, 2n^2) at the polar angles first, first + 1,
+    ...; a non-finite value raises, naming its node."""
+    means = values @ rule.s2_weights
+    if not np.all(np.isfinite(means)) and not np.all(np.isfinite(values)):
+        k = first * values.shape[1] + int(np.argmax(~np.isfinite(values)))
         node = Quaternion.from_array(rule.nodes[k])
-        raise NonFiniteIntegrandError(
-            f"integrand not finite at node {k} = {node}; "
-            "a zero or pole sits on or near the integration sphere",
-            node=node,
-        )
-    return float(np.dot(rule.weights, values))
+        raise NonFiniteIntegrandError(f"integrand not finite at node {k} = {node}; a zero or pole "
+                                      "sits on or near the integration sphere", node=node)
+    return means
 
 
 def circular_reduction(r: float, m: int, u: Callable[[Quaternion], float]) -> float:
@@ -392,11 +405,8 @@ def boundary_means(f, r: float, n: int) -> BoundaryMeans:
     if np.any(bad):
         k = int(np.argmax(bad))
         node = Quaternion(z[k].real, z[k].imag, 0.0, 0.0)
-        raise NonFiniteIntegrandError(
-            f"integrand not finite on the sphere through polar node {k} = {node}; "
-            "a zero or pole sits on or near the integration sphere",
-            node=node,
-        )
+        raise NonFiniteIntegrandError(f"integrand not finite on the sphere through polar node {k} = {node}; "
+                                      "a zero or pole sits on or near the integration sphere", node=node)
     mean_log_f = float(np.dot(w, log_f))
     return BoundaryMeans(mean_log_f, float(np.dot(w, log_n)) - mean_log_f)
 
@@ -426,28 +436,33 @@ class ProductRuleCheck:
 def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleCheck:
     """Evaluate f and f o S_f at every node of the product rule.
 
-    Every polar angle carries the same 2n^2 units J
-    (``rule.junits[:2n^2]``), so the stems and log|N(f)| are evaluated
-    once per angle, shape (n, 1), and broadcast against the units.
+    The stems and log|N(f)| are evaluated once per polar angle and
+    broadcast against the 2n^2 units J.  ``ORACLE_BLOCK`` angles at a time
+    go through S_f and are reduced to S^2 means, so the working arrays hold
+    ``ORACLE_BLOCK`` * 2n^2 nodes at most; the polar weights are applied
+    once at the end.
     """
-    per_angle = len(rule) // rule.orders[0]
-    alpha, beta = rule.alpha[::per_angle, None], rule.beta[::per_angle, None]
-    z = alpha + 1j * beta
-    f1, f2 = _stem_parts(f, z)
-    junit = (0.0, *np.ascontiguousarray(rule.junits[:per_angle, 1:].T))
-    x = (alpha, beta * junit[1], beta * junit[2], beta * junit[3])
-    y = _sf_parts(x, junit, f1, f2, f.stem_scale(rule.radius))
-    fx = _slice_value(f1, f2, junit)
-    fy = _slice_value(f1, f2, (0.0, y[1] / beta, y[2] / beta, y[3] / beta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_fx = 0.5 * np.log(_qnorm2_parts(fx))
-        log_fy = 0.5 * np.log(_qnorm2_parts(fy))
-    means = BoundaryMeans(
-        integrate_values(rule, log_fx.ravel()) / rule.measure,
-        integrate_values(rule, log_fy.ravel()) / rule.measure,
-    )
-    identity = np.abs(log_normal_values(f, z) - log_fx - log_fy)
-    return ProductRuleCheck(means, float(np.max(identity)))
+    z = rule.polar_z[:, None]
+    junit = (0.0, *np.ascontiguousarray(rule.s2_units[:, 1:].T))
+    scale = f.stem_scale(rule.radius)
+    log_n = log_normal_values(f, z)
+    sphere_means = np.empty((2, len(z)))
+    identity = 0.0
+    for lo in range(0, len(z), ORACLE_BLOCK):
+        blk = slice(lo, lo + ORACLE_BLOCK)
+        alpha, beta = z[blk].real, z[blk].imag
+        b1, b2 = _stem_parts(f, z[blk])
+        x = (alpha, beta * junit[1], beta * junit[2], beta * junit[3])
+        y = _sf_parts(x, junit, b1, b2, scale)
+        fx = _slice_value(b1, b2, junit)
+        fy = _slice_value(b1, b2, (0.0, y[1] / beta, y[2] / beta, y[3] / beta))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_fx = 0.5 * np.log(_qnorm2_parts(fx))
+            log_fy = 0.5 * np.log(_qnorm2_parts(fy))
+        sphere_means[:, blk] = _s2_means(rule, log_fx, lo), _s2_means(rule, log_fy, lo)
+        identity = max(identity, float(np.max(np.abs(log_n[blk] - log_fx - log_fy))))
+    mean_fx, mean_fy = sphere_means @ rule.polar_weights
+    return ProductRuleCheck(BoundaryMeans(float(mean_fx), float(mean_fy)), identity)
 
 
 def _sf_domain_points(f, r: float, n_points: int, rng: np.random.Generator) -> np.ndarray:

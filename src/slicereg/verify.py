@@ -38,7 +38,7 @@ from .jensen import delta4_logNf_at0
 from .quadrature import build_rule, integrate_values, log_normal_values, polar_rule
 from .quaternions import Quaternion, decompose, qmul_parts
 from .slicepoly import SlicePolynomial, log_abs, normal, spherical_derivative, spherical_value
-from .zeros_poles import characteristic_poly, classify_zeros, total_multiplicity
+from .zeros_poles import characteristic_poly, classify_zeros, root_spheres, total_multiplicity
 
 __all__ = ["SuiteResult", "ResidualRow", "run_suite", "SUITES", "SUITE_ORDER"]
 
@@ -369,8 +369,8 @@ def suite_quadrature(seed: int) -> SuiteResult:
     worst_measure = 0.0
     for r in (0.8, 1.0, 1.5, 2.0):
         for n in (12, 24, 48):
-            rule = build_rule(r, n)
-            rel = abs(float(np.sum(rule.weights)) - rule.measure) / rule.measure
+            rule = build_rule(r, n)  # weights |bd B_r| w_k s_j, so sum each factor
+            rel = abs(float(np.sum(rule.polar_weights)) * float(np.sum(rule.s2_weights)) - 1.0)
             worst_measure = max(worst_measure, rel)
             rows.append(ResidualRow("sum(w) vs 2 pi^2 r^3", n, [r, 0.0, 0.0, 0.0], 0.0, rel, 0))
     # mean log|N(f)| at n = 48 against its closed form: by the polar rule,
@@ -423,10 +423,13 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
             else:
                 f = f * characteristic_poly(points[int(rng.integers(0, 2))])
         nf = normal(f)
+        # one root-finding pass per polynomial; N(f) has real coefficients
+        spheres_n = root_spheres(nf.real_coeffs())
+        spheres_f = root_spheres(f.real_coeffs()) if f.is_slice_preserving(1e-10) else spheres_n
         ok = True
-        for rec in classify_zeros(f):
-            m_f = total_multiplicity(f, rec.representative)
-            m_n = total_multiplicity(nf, rec.representative)
+        for rec in classify_zeros(f, spheres_n):
+            m_f = total_multiplicity(f, rec.representative, spheres_f)
+            m_n = total_multiplicity(nf, rec.representative, spheres_n)
             if m_f != rec.multiplicity or m_n != 2 * m_f:
                 ok = False
             rows.append(

@@ -363,16 +363,18 @@ def zero_spheres(f: SlicePolynomial) -> list[Sphere]:
     return root_spheres(normal(f).real_coeffs())
 
 
-def total_multiplicity(f: SlicePolynomial, y: Quaternion) -> int:
-    """Largest s with Delta_y^s dividing N(f); 0 when y is not a zero."""
+def total_multiplicity(f: SlicePolynomial, y: Quaternion, spheres: list[Sphere] | None = None) -> int:
+    """Largest s with Delta_y^s dividing N(f); 0 when y is not a zero.
+    ``spheres``: the root spheres it reads, when the caller has them (of
+    f for slice-preserving f, of N(f) otherwise)."""
     if f.is_zero:
         raise ZeroPolynomialError("total multiplicity undefined for the zero polynomial")
     p = decompose(y)
     if f.is_slice_preserving(1e-10):
         # N(f) = f^2, so the multiplicity in N is twice the one in f and
         # the doubling cancels against the Delta^s accounting.
-        return _matching_mult(root_spheres(f.real_coeffs()), p.alpha, p.beta)
-    return _matching_mult(zero_spheres(f), p.alpha, p.beta) // 2
+        return _matching_mult(root_spheres(f.real_coeffs()) if spheres is None else spheres, p.alpha, p.beta)
+    return _matching_mult(zero_spheres(f) if spheres is None else spheres, p.alpha, p.beta) // 2
 
 
 def _matching_mult(spheres: list[Sphere], alpha: float, beta: float) -> int:

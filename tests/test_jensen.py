@@ -257,8 +257,8 @@ def test_semiregular_consistency_uniform_poles():
     mf = boundary_means(f, r, 16)
     mh = boundary_means(h, r, 16)
     assert mf.mean_log_f == pytest.approx(mh.mean_log_f, abs=1e-13)
-    ln_f = integrate_values(rule, log_normal_values(f, rule.z))
-    ln_h = integrate_values(rule, log_normal_values(h, rule.z))
+    ln_f = integrate_values(rule, log_normal_values(f, rule.alpha + 1j * rule.beta))
+    ln_h = integrate_values(rule, log_normal_values(h, rule.alpha + 1j * rule.beta))
     assert ln_f == pytest.approx(ln_h, abs=1e-12)
 
     # item 3: Laplacian shift by the Blaschke product, with the pair
@@ -380,3 +380,23 @@ def test_random_generic_polynomial_jensen():
         if checked >= 25:
             break
     assert checked >= 20
+
+
+def test_escalated_diagnostic_run_memory_is_bounded():
+    """jensen_check at n = 128 with diagnostics, on a zero sphere at
+    0.99 r: the product-rule oracle's 4.2M nodes go through S_f a block of
+    polar angles at a time (a flat node grid peaked at ~1.1 GB)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=3)
+    u *= 0.99 * math.sin(3 * math.pi / 8) / np.linalg.norm(u)
+    f = characteristic_poly(Quaternion(0.99 * math.cos(3 * math.pi / 8), *u)) * lin(0.2, 0.3, -0.1, 0.25)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        report = jensen_check(f, 1.0, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["boundary_identity_max"] <= 1e-9
+    assert peak < 200 * 2**20

@@ -20,6 +20,7 @@ from slicereg.quadrature import (
     S_map,
     SPHERE_MEASURE,
     T_map,
+    ORACLE_BLOCK,
     boundary_identity_residual,
     boundary_means,
     build_rule,
@@ -34,7 +35,7 @@ from slicereg.quadrature import (
 )
 from slicereg.slicepoly import SlicePolynomial, log_abs, normal, slice_product
 from slicereg.verify import exact_mean_log_abs
-from slicereg.zeros_poles import SemiregularFunction
+from slicereg.zeros_poles import SemiregularFunction, as_semiregular
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -108,6 +109,48 @@ def test_integrate_nonfinite_reports_node():
     with pytest.raises(NonFiniteIntegrandError) as err:
         integrate(rule, lambda x: math.inf if x.re() > 0 else 0.0)
     assert err.value.node is not None
+
+
+def _materialised_rule(r, n):
+    """The product rule as a flat (2n^3, .) grid from the 3-D tensor
+    product of its angles: the reference for the lazy arrays."""
+    theta, wt = _polar_angles(n)
+    w1 = 0.5 * math.pi * wt * np.sin(theta) ** 2
+    w2 = 0.5 * math.pi * wt * np.sin(theta)
+    phi = 2.0 * math.pi * np.arange(2 * n) / (2 * n)
+    wphi = np.full(2 * n, math.pi / n)
+    s1, c1 = np.sin(theta)[:, None, None], np.cos(theta)[:, None, None]
+    s2, c2 = np.sin(theta)[None, :, None], np.cos(theta)[None, :, None]
+    sp, cp = np.sin(phi)[None, None, :], np.cos(phi)[None, None, :]
+    x0 = (r * c1) * np.ones_like(s2) * np.ones_like(sp)
+    x1 = r * s1 * c2 * np.ones_like(sp)
+    nodes = np.stack([x0, x1, r * s1 * s2 * cp, r * s1 * s2 * sp], axis=-1).reshape(-1, 4)
+    weights = (r**3 * w1[:, None, None] * w2[None, :, None] * wphi[None, None, :]).reshape(-1)
+    beta = (r * s1 * np.ones_like(s2) * np.ones_like(sp)).reshape(-1)
+    junits = np.zeros_like(nodes)
+    junits[:, 1:] = nodes[:, 1:] / beta[:, None]
+    return {"nodes": nodes, "weights": weights, "alpha": nodes[:, 0].copy(), "beta": beta, "junits": junits}
+
+
+@pytest.mark.parametrize("r, n", [(1.0, 8), (0.8, 35), (2.0, 48)])
+def test_lazy_rule_arrays_match_materialised_grid(r, n):
+    rule = build_rule(r, n)
+    assert len(rule) == 2 * n**3
+    assert not {"nodes", "weights", "alpha", "beta", "junits"} & set(vars(rule))
+    for name, want in _materialised_rule(r, n).items():
+        got = getattr(rule, name)
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
+    assert vars(rule)["nodes"] is rule.nodes  # built once
+
+
+def test_rule_factors_are_shared_and_read_only():
+    a, b = build_rule(1.0, 24), build_rule(2.5, 24)
+    assert a.s2_units is b.s2_units and a.s2_weights is b.s2_weights
+    assert not a.s2_units.flags.writeable and not a.s2_weights.flags.writeable
+    assert float(np.sum(a.s2_weights)) == pytest.approx(1.0, abs=1e-15)
+    z, w = polar_rule(2.5, 24)
+    assert np.array_equal(b.polar_z, z) and np.array_equal(b.polar_weights, w)
 
 
 # -- circular reduction and its exact mean ----------------------------------
@@ -194,7 +237,8 @@ def test_quadrature_convergence_doubling():
         errors = []
         for n in (6, 12, 24):
             rule = build_rule(1.0, n)
-            errors.append(abs(integrate_values(rule, log_normal_values(f, rule.z)) - rule.measure * reference))
+            values = log_normal_values(f, rule.alpha + 1j * rule.beta)
+            errors.append(abs(integrate_values(rule, values) - rule.measure * reference))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= max(coarse / 4.0, floor)
 
@@ -302,7 +346,7 @@ def test_boundary_means_sum_is_log_normal_mean():
     f = random_poly(rng, deg=3)
     rule = build_rule(1.2, 24)
     m = boundary_means(f, 1.2, 24)
-    mean_log_n = integrate_values(rule, log_normal_values(f, rule.z)) / rule.measure
+    mean_log_n = integrate_values(rule, log_normal_values(f, rule.alpha + 1j * rule.beta)) / rule.measure
     assert m.mean_log_normal == pytest.approx(mean_log_n, abs=1e-12)
 
 
@@ -573,3 +617,53 @@ def test_boundary_identity_residual_matches_scalar_nodes(name, f, r):
     assert check.means.mean_log_f == pytest.approx(mean_f, abs=1e-13)
     assert check.means.mean_log_f_sf == pytest.approx(mean_fs, abs=1e-13)
     assert check.identity_max == pytest.approx(identity, abs=1e-13)
+
+
+def _unblocked_oracle(f, rule):
+    """``boundary_identity_residual`` on the flat (n, 2n^2) node arrays
+    at once, integrated with the flat weights."""
+    per_angle = len(rule) // rule.orders[0]
+    alpha, beta = rule.alpha[::per_angle, None], rule.beta[::per_angle, None]
+    z = alpha + 1j * beta
+    f1, f2 = _stem_parts(f, z)
+    junit = (0.0, *np.ascontiguousarray(rule.junits[:per_angle, 1:].T))
+    x = (alpha, beta * junit[1], beta * junit[2], beta * junit[3])
+    y = _sf_parts(x, junit, f1, f2, f.stem_scale(rule.radius))
+    log_fx = 0.5 * np.log(sum(c * c for c in _slice_value(f1, f2, junit)))
+    fy = _slice_value(f1, f2, (0.0, y[1] / beta, y[2] / beta, y[3] / beta))
+    log_fy = 0.5 * np.log(sum(c * c for c in fy))
+    means = [float(np.dot(rule.weights, v.ravel())) / rule.measure for v in (log_fx, log_fy)]
+    return means, float(np.max(np.abs(log_normal_values(f, z) - log_fx - log_fy)))
+
+
+ODD_ORDER = 4 * ORACLE_BLOCK + 3  # the last block is short
+
+
+@pytest.mark.parametrize("n", [48, ODD_ORDER])
+def test_blocked_oracle_matches_unblocked_evaluation(n):
+    assert ODD_ORDER % ORACLE_BLOCK
+    for entry in CORPUS_CASES:
+        f = as_semiregular(load_function(CORPUS / entry["file"]))
+        rule = build_rule(entry["r"], n)
+        check = boundary_identity_residual(f, rule)
+        assert not {"nodes", "weights", "alpha", "beta", "junits"} & set(vars(rule))
+        (mean_fx, mean_fy), identity = _unblocked_oracle(f, rule)
+        assert abs(check.means.mean_log_f - mean_fx) <= 1e-14, entry["name"]
+        assert abs(check.means.mean_log_f_sf - mean_fy) <= 1e-14, entry["name"]
+        assert abs(check.identity_max - identity) <= 1e-14, entry["name"]
+
+
+def test_blocked_oracle_names_the_nonfinite_node():
+    # f(x) = x - x_k vanishes exactly at node k, so log|f| there is -inf;
+    # the nodes sit in the first block, mid-way through a later block and
+    # at the start of one
+    n = 2 * ORACLE_BLOCK + 3
+    rule = build_rule(1.0, n)
+    per_angle = 2 * n * n
+    for k in (5, (ORACLE_BLOCK + 1) * per_angle + 37, ORACLE_BLOCK * per_angle, len(rule) - 1):
+        node = Quaternion.from_array(rule.nodes[k])
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteIntegrandError) as err:
+            # log|N(f)| is -inf on the node's sphere
+            boundary_identity_residual(SlicePolynomial.linear(node), rule)
+        assert err.value.node == node
+        assert f"node {k} =" in str(err.value)

@@ -199,6 +199,31 @@ def test_total_multiplicity_examples():
     assert total_multiplicity(sq, Quaternion.real(1.0)) == 0
 
 
+def test_total_multiplicity_reads_given_spheres(monkeypatch):
+    # the caller's spheres give the same counts as a fresh root-finding pass
+    sq = slice_product(lin(0, 1, 0, 0), lin(0, 1, 0, 0))
+    cases = [(sq, zero_spheres(sq)), (real_poly(1, 0, 1), root_spheres(np.array([1.0, 0.0, 1.0])))]
+    want = [[total_multiplicity(f, y) for y in (I, J, ONE)] for f, _ in cases]
+
+    def no_root_finding(coeffs):
+        raise AssertionError("root_spheres called although spheres were given")
+
+    monkeypatch.setattr("slicereg.zeros_poles.root_spheres", no_root_finding)
+    assert [[total_multiplicity(f, y, spheres) for y in (I, J, ONE)] for f, spheres in cases] == want
+
+
+def test_multiplicity_suite_finds_roots_once_per_polynomial(monkeypatch):
+    import slicereg.verify as verify
+
+    calls = []
+    monkeypatch.setattr(verify, "root_spheres", lambda c: calls.append(1) or root_spheres(c))
+    monkeypatch.setattr("slicereg.zeros_poles.root_spheres",
+                        lambda c: pytest.fail("root-finding pass outside the suite's own"))
+    res = verify.suite_multiplicity(1, n_cases=10)
+    assert res.passed and len(res.rows) > 10
+    assert len(calls) <= 2 * 10  # f (when slice-preserving) and N(f), once each
+
+
 def test_total_multiplicity_division_oracle():
     # independent oracle: by definition the total multiplicity is the
     # number of exact divisions of N(f) by Delta_y
