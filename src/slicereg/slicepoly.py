@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quaternions import ONE, ZERO, Quaternion, decompose
+from .quaternions import ONE, ZERO, Quaternion, decompose, eps_zero, qmul_parts
 
 __all__ = [
     "SlicePolynomial",
@@ -161,12 +161,14 @@ class SlicePolynomial:
         return self.eval(x)
 
     def eval(self, x: Quaternion) -> Quaternion:
-        """Horner from the left: powers of x sit left of the coefficients."""
-        if not self.coeffs:
-            return ZERO
-        acc = self.coeffs[-1]
-        for m in range(len(self.coeffs) - 2, -1, -1):
-            acc = x * acc + self.coeffs[m]
+        return Quaternion(*self.eval_parts(x.components()))
+
+    def eval_parts(self, x: tuple) -> tuple:
+        """Horner from the left at points given as parts (component arrays,
+        or the floats of one point): powers of x sit left of the coefficients."""
+        acc = self.coeffs[-1].components() if self.coeffs else (0.0, 0.0, 0.0, 0.0)
+        for c in self.coeffs[-2::-1]:
+            acc = tuple(p + q for p, q in zip(qmul_parts(x, acc), c.components()))
         return acc
 
     def stem_components(self, alpha: float, beta: float) -> StemValue:
@@ -278,14 +280,23 @@ def spherical_derivative(f: SlicePolynomial, x: Quaternion) -> Quaternion:
     return f.stem_components(p.alpha, p.beta).F2 / p.beta
 
 
-def log_abs(f: SlicePolynomial, x: Quaternion) -> float:
-    """log|f(x)| for slice-preserving f (a circular function of x)."""
+def log_abs(f: SlicePolynomial, x: "Quaternion | tuple") -> "float | np.ndarray":
+    """log|f(x)| for slice-preserving f (a circular function of x) at one
+    Quaternion (a float) or at parts (an array).  x splits as in ``decompose``;
+    the complex Horner runs in real arithmetic, product for product as
+    CPython multiplies complex numbers, so it agrees with ``eval_complex``."""
     if not f.is_slice_preserving(1e-10):
         raise ValueError("log_abs requires a slice-preserving polynomial")
-    p = decompose(x)
-    v = f.eval_complex(p.z)
-    a2 = v.real * v.real + v.imag * v.imag
-    scale = f.stem_scale(abs(p.z))
-    if a2 <= (1e-13 * (1.0 + scale)) ** 2:
-        raise LogOfZeroError(f"|f(x)| ~ {math.sqrt(a2):.3e} at x with z = {p.z}")
-    return 0.5 * math.log(a2)
+    w, x1, x2, x3 = x.components() if isinstance(x, Quaternion) else x
+    beta = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    beta = beta * (beta > eps_zero(np.sqrt(w * w + x1 * x1 + x2 * x2 + x3 * x3)))  # 0 on the real axis
+    re = im = 0.0
+    for c in reversed(f.coeffs):
+        re, im = re * w - im * beta + c.w, re * beta + im * w
+    a2 = re * re + im * im
+    zero = a2 <= (1e-13 * (1.0 + f.stem_scale(np.hypot(w, beta)))) ** 2
+    if np.asarray(zero).any():
+        w_k, beta_k, a2_k = (float(np.ravel(v)[np.argmax(zero)]) for v in (w, beta, a2))
+        raise LogOfZeroError(f"|f(x)| ~ {math.sqrt(a2_k):.3e} at x with z = {complex(w_k, beta_k)}")
+    logs = [0.5 * math.log(v) for v in np.ravel(a2).tolist()]
+    return logs[0] if isinstance(x, Quaternion) else np.reshape(logs, np.shape(a2))
