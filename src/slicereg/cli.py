@@ -97,6 +97,10 @@ def cmd_jensen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if not (math.isfinite(args.tol) and args.tol > 0.0) or args.seed < 0:
+        print(f"input error: need a finite --tol > 0 and --seed >= 0 (got tol={args.tol}, seed={args.seed})",
+              file=sys.stderr)
+        return EXIT_INPUT
     cases: list[tuple[Path, float, int, str]] = []
     if args.corpus:
         manifest_path = Path(args.corpus)
@@ -201,6 +205,9 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_ops(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        print(f"input error: need --seed >= 0 (got seed={args.seed})", file=sys.stderr)
+        return EXIT_INPUT
     names = SUITE_ORDER if args.suite == "all" else [args.suite]
     results = []
     for name in names:

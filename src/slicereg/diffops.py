@@ -9,7 +9,9 @@ identity map equals -2" pins that convention.
 
 Stencils are batched: an integrand maps parts (four component arrays,
 the ``qmul_parts`` convention) to parts or to one real array, and each
-operator calls it once on all of its points.  A centre is one Quaternion
+operator calls it once on all of its points; ``eval_parts``, ``log_abs``
+and the spherical value and derivative (on the one stem kernel
+``stem_arrays``) are such integrands.  A centre is one Quaternion
 or parts, so a composed operator passes its points to the inner one as
 centres (``fd_bilaplace4``: one call on 81 points).  The values combine
 with the float operations of the pointwise formulas, in their order, so
@@ -32,20 +34,12 @@ import numpy as np
 from .quaternions import I, J, K, Quaternion, qmul_parts
 
 __all__ = ["fd_partial", "fd_crf", "fd_crf_conj", "fd_gamma", "fd_laplace4", "fd_laplace4_richardson",
-           "fd_bilaplace4", "fd_bilaplace4_richardson", "pointwise"]
+           "fd_bilaplace4", "fd_bilaplace4_richardson"]
 
 PartsFunc = Callable[[tuple], "tuple | np.ndarray"]
 
 _AXES = np.eye(4)  # the components of 1, i, j, k
 _UNITS = np.array([I.components(), J.components(), K.components()]).T[:, :, None]  # as parts
-
-
-def pointwise(g: Callable[[Quaternion], Quaternion]) -> PartsFunc:
-    """Lift a Quaternion function to a parts integrand, one point at a time."""
-    def u(x: tuple) -> tuple:
-        values = [g(Quaternion(*p)).components() for p in zip(*(c.tolist() for c in x))]
-        return tuple(np.array(c) for c in zip(*values))
-    return u
 
 
 def _centres(x) -> np.ndarray:

@@ -44,16 +44,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneratePointError, NonFiniteIntegrandError
-from .quaternions import (
-    Quaternion,
-    decompose,
-    qconj_array,
-    qmul_array,
-    qmul_parts,
-    qnorm2_array,
-)
+from .quaternions import Quaternion, _qconj_parts, _qinv_parts, _qnorm2_parts, decompose, qmul_parts
 from .slicepoly import horner, normal
-from .zeros_poles import SemiregularFunction
+from .zeros_poles import as_semiregular
 
 __all__ = [
     "SphereQuadratureRule",
@@ -276,19 +269,6 @@ def s_inverse_map(f, y: Quaternion) -> Quaternion:
 # ---------------------------------------------------------------------------
 
 
-def _qconj_parts(a):
-    return (a[0], -a[1], -a[2], -a[3])
-
-
-def _qnorm2_parts(a):
-    return a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
-
-
-def _qinv_parts(a):
-    n = _qnorm2_parts(a)
-    return (a[0] / n, -a[1] / n, -a[2] / n, -a[3] / n)
-
-
 def _conjugate_by(x, q):
     """q^{-1} x q."""
     return qmul_parts(_qinv_parts(q), qmul_parts(x, q))
@@ -302,11 +282,6 @@ def _split_parts(q):
     """Shadows alpha + i beta and units J of nonreal points q."""
     beta = np.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     return q[0] + 1j * beta, (0.0, q[1] / beta, q[2] / beta, q[3] / beta)
-
-
-def _stem_parts(f, z):
-    """Stems F1, F2 at shadows z, each of shape z.shape."""
-    return (tuple(np.moveaxis(s, -1, 0)) for s in f.stem_arrays(z))
 
 
 def _slice_value(f1, f2, junit):
@@ -331,12 +306,12 @@ def _sf_inverse_parts(f, y, scale: float):
     """S_f^{-1}(y) = T_f(w), w = conj(s^{-1} y s) with s = F2 at y, and
     T_f(w) = fc^{-1} w fc with fc = conj(F1) + J conj(F2) at w, as in
     ``s_inverse_map`` and ``T_map``: y and w are split anew."""
-    _, s = _stem_parts(f, _split_parts(y)[0])
+    _, s = f.stem_arrays(_split_parts(y)[0])
     if np.any(_degenerate(s, scale)):
         raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
     w = _qconj_parts(_conjugate_by(y, s))
     z, junit = _split_parts(w)
-    fc = _slice_value(*map(_qconj_parts, _stem_parts(f, z)), junit)
+    fc = _slice_value(*map(_qconj_parts, f.stem_arrays(z)), junit)
     if np.any(_degenerate(fc, scale)):
         raise DegeneratePointError("f^c vanishes at the requested point")
     return _conjugate_by(w, fc)
@@ -397,8 +372,9 @@ def boundary_means(f, r: float, n: int) -> BoundaryMeans:
     """
     z, w = polar_rule(r, n)
     f1, f2 = f.stem_arrays(z)
-    a = qnorm2_array(f1) + qnorm2_array(f2)
-    b = 2.0 * np.linalg.norm(qmul_array(f1, qconj_array(f2))[:, 1:], axis=1)
+    a = _qnorm2_parts(f1) + _qnorm2_parts(f2)
+    _, b1, b2, b3 = qmul_parts(f1, _qconj_parts(f2))
+    b = 2.0 * np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
     log_f = sphere_mean_log_abs(a, b)
     log_n = log_normal_values(f, z)
     bad = ~np.isfinite(log_f + log_n) | (a - b <= NODE_HIT_REL * a)
@@ -412,15 +388,11 @@ def boundary_means(f, r: float, n: int) -> BoundaryMeans:
 
 
 def log_normal_values(f, z: np.ndarray) -> np.ndarray:
-    """log|N(f)| at shadows z; N(f) is circular so only z matters."""
-    if isinstance(f, SemiregularFunction):
-        nnum = normal(f.num).real_coeffs()
-        den = f.den.real_coeffs()
-        return np.log(np.abs(horner(nnum, z))) - 2.0 * np.log(
-            np.abs(horner(den, z))
-        )
-    nf = normal(f).real_coeffs()
-    return np.log(np.abs(horner(nf, z)))
+    """log|N(f)| at shadows z; N(f) is circular so only z matters.  A
+    polynomial's den is 1, and log|1| = 0 leaves its values as they are."""
+    fs = as_semiregular(f)
+    nnum, den = normal(fs.num).real_coeffs(), fs.den.real_coeffs()
+    return np.log(np.abs(horner(nnum, z))) - 2.0 * np.log(np.abs(horner(den, z)))
 
 
 @dataclass(frozen=True)
@@ -446,12 +418,13 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleChec
     junit = (0.0, *np.ascontiguousarray(rule.s2_units[:, 1:].T))
     scale = f.stem_scale(rule.radius)
     log_n = log_normal_values(f, z)
+    stems = f.stem_arrays(z)
     sphere_means = np.empty((2, len(z)))
     identity = 0.0
     for lo in range(0, len(z), ORACLE_BLOCK):
         blk = slice(lo, lo + ORACLE_BLOCK)
         alpha, beta = z[blk].real, z[blk].imag
-        b1, b2 = _stem_parts(f, z[blk])
+        b1, b2 = (tuple(c[blk] for c in stem) for stem in stems)
         x = (alpha, beta * junit[1], beta * junit[2], beta * junit[3])
         y = _sf_parts(x, junit, b1, b2, scale)
         fx = _slice_value(b1, b2, junit)
@@ -475,7 +448,7 @@ def _sf_domain_points(f, r: float, n_points: int, rng: np.random.Generator) -> n
         d = rng.normal(size=(n_points, 4))
         x = r * d / np.linalg.norm(d, axis=1)[:, None]
         z, junit = _split_parts(tuple(x.T))
-        f1, f2 = _stem_parts(f, z)
+        f1, f2 = f.stem_arrays(z)
         # conditioning guard: conjugating by a tiny spherical derivative
         # amplifies its own rounding error
         keep = (
@@ -499,6 +472,6 @@ def sf_roundtrip_errors(f, r: float, n_points: int, rng: np.random.Generator) ->
     scale = f.stem_scale(r)
     x = tuple(_sf_domain_points(f, r, n_points, rng).T)
     z, junit = _split_parts(x)
-    y = _sf_parts(x, junit, *_stem_parts(f, z), scale)
+    y = _sf_parts(x, junit, *f.stem_arrays(z), scale)
     back = _sf_inverse_parts(f, y, scale)
     return np.sqrt(_qnorm2_parts(tuple(b - c for b, c in zip(back, x))))

@@ -6,9 +6,10 @@ Hamilton product, conjugation/norm/trace, and the embedding
 (alpha, beta, J) -> alpha + J*beta of complex half-plane points into
 the slice C_J, together with its inverse (`decompose`).
 
-A parallel set of array routines (``qmul_array`` etc.) operates on
-(n, 4) float arrays so that quadrature-scale workloads stay vectorized;
-they implement the same product and are cross-checked in the tests.
+Array code holds quaternions as "parts", 4-tuples of broadcastable
+component arrays (``qmul_parts`` and the conjugate, norm and inverse
+beside it), so that quadrature-scale workloads stay vectorized; they
+implement the same formulas and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ __all__ = [
     "SlicePoint",
     "qmul_array",
     "qmul_parts",
-    "qconj_array",
-    "qnorm2_array",
 ]
 
 # Renormalize near-unit imaginary parts instead of rejecting them;
@@ -132,9 +131,6 @@ class Quaternion:
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.w, self.x1, self.x2, self.x3)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.components(), dtype=float)
 
     @staticmethod
     def from_array(a) -> "Quaternion":
@@ -246,8 +242,8 @@ def decompose(x: Quaternion) -> SlicePoint:
     return SlicePoint(x.w, beta, Quaternion(0.0, x.x1 / beta, x.x2 / beta, x.x3 / beta))
 
 
-# -- vectorized counterparts: (n, 4) rows, or "parts", 4-tuples of
-# broadcastable component arrays, which keep each component contiguous
+# -- vectorized counterparts on "parts", 4-tuples of broadcastable
+# component arrays, which keep each component contiguous
 
 
 def qmul_parts(a, b):
@@ -262,16 +258,21 @@ def qmul_parts(a, b):
     )
 
 
+def _qconj_parts(a):
+    return (a[0], -a[1], -a[2], -a[3])
+
+
+def _qnorm2_parts(a):
+    return a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
+
+
+def _qinv_parts(a):
+    n = _qnorm2_parts(a)
+    return (a[0] / n, -a[1] / n, -a[2] / n, -a[3] / n)
+
+
 def qmul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product row by row for (n, 4) arrays (broadcastable)."""
+    """Hamilton product row by row for (n, 4) arrays (broadcastable).
+    Nothing in the package calls it; the benchmark's
+    ``perfbench/tracer.py`` patches it by name."""
     return np.stack(qmul_parts(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)), axis=-1)
-
-
-def qconj_array(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] *= -1.0
-    return out
-
-
-def qnorm2_array(a: np.ndarray) -> np.ndarray:
-    return np.einsum("...k,...k->...", a, a)

@@ -9,9 +9,12 @@ coefficients.  Spherical value/derivative come from the stem as F1 and
 F2/beta; the spherical derivative extends to the real axis with the
 slice derivative (hard switch below BETA_SWITCH).
 
-Array-valued stem evaluation (``stem_arrays``) backs the quadrature
-pipeline; scalar evaluation backs everything pointwise.  ``horner`` is
-the one evaluator of real coefficients at complex scalars or arrays.
+``stem_arrays`` is the one stem kernel: F1 and F2 as parts at a complex
+scalar or array z, and at one point bit for bit the scalar
+``stem_components``.  ``eval`` is ``eval_parts`` on one point; the
+spherical value and derivative and ``log_abs`` take a Quaternion or
+parts.  ``horner`` is the one evaluator of real coefficients at complex
+scalars or arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quaternions import ONE, ZERO, Quaternion, decompose, eps_zero, qmul_parts
+from .quaternions import ONE, ZERO, Quaternion, eps_zero, qmul_parts
 
 __all__ = [
     "SlicePolynomial",
@@ -173,32 +176,17 @@ class SlicePolynomial:
 
     def stem_components(self, alpha: float, beta: float) -> StemValue:
         """F1 = sum Re(z^m) a_m and F2 = sum Im(z^m) a_m at z = alpha+i*beta."""
-        z = complex(alpha, beta)
-        f1 = ZERO
-        f2 = ZERO
-        zm = complex(1.0, 0.0)
-        for c in self.coeffs:
-            f1 = f1 + c * zm.real
-            f2 = f2 + c * zm.imag
-            zm *= z
-        return StemValue(f1, f2)
+        f1, f2 = self.stem_arrays(complex(alpha, beta))
+        return StemValue(Quaternion(*f1), Quaternion(*f2))
 
     def stem_partials(self, alpha: float, beta: float) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         """Exact partials (dF1/da, dF1/db, dF2/da, dF2/db) at z = a+ib.
 
-        From d(z^m)/da = m z^{m-1} and d(z^m)/db = i m z^{m-1}.
+        From d(z^m)/da = m z^{m-1} and d(z^m)/db = i m z^{m-1}: with G the
+        stems of the slice derivative, they are (G1, -G2, G2, G1).
         """
-        z = complex(alpha, beta)
-        d1a = d1b = d2a = d2b = ZERO
-        zm = complex(1.0, 0.0)
-        for m in range(1, len(self.coeffs)):
-            c = self.coeffs[m] * float(m)
-            d1a = d1a + c * zm.real
-            d1b = d1b - c * zm.imag
-            d2a = d2a + c * zm.imag
-            d2b = d2b + c * zm.real
-            zm *= z
-        return d1a, d1b, d2a, d2b
+        g = self.slice_derivative().stem_components(alpha, beta)
+        return g.F1, -g.F2, g.F2, g.F1
 
     def stem_scale(self, radius: float) -> float:
         """sum |a_m| * radius^m, the natural evaluation scale at |z| = radius."""
@@ -209,24 +197,19 @@ class SlicePolynomial:
             rm *= radius
         return s
 
-    def stem_arrays(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized stems: returns (F1, F2) with shape z.shape + (4,)."""
-        shape = z.shape + (4,)
-        f1 = np.zeros(shape)
-        f2 = np.zeros(shape)
-        zm = np.ones_like(z)
+    def stem_arrays(self, z) -> tuple[tuple, tuple]:
+        """Stems (F1, F2) as parts at a complex scalar or array z.  z^m is
+        formed in real arithmetic, zr, zi = zr*x - zi*y, zr*y + zi*x, as
+        CPython multiplies complex numbers."""
+        x, y = np.real(z), np.imag(z)
+        zero = np.zeros(np.shape(z)) if isinstance(z, np.ndarray) else 0.0
+        f1 = f2 = (zero,) * 4
+        zr, zi = 1.0, 0.0
         for c in self.coeffs:
-            ca = c.to_array()
-            f1 += zm.real[..., None] * ca
-            f2 += zm.imag[..., None] * ca
-            zm = zm * z
+            f1 = tuple(s + a * zr for s, a in zip(f1, c.components()))
+            f2 = tuple(s + a * zi for s, a in zip(f2, c.components()))
+            zr, zi = zr * x - zi * y, zr * y + zi * x
         return f1, f2
-
-    def eval_complex(self, z: complex) -> complex:
-        """Evaluate as a complex polynomial; requires slice-preserving f."""
-        if not self.is_slice_preserving(1e-10):
-            raise ValueError("complex evaluation requires a slice-preserving polynomial")
-        return horner([c.w for c in self.coeffs], z)
 
     # -- calculus ----------------------------------------------------------
 
@@ -263,33 +246,47 @@ def normal(f: SlicePolynomial) -> SlicePolynomial:
     return SlicePolynomial([Quaternion.real(c.w) for c in nf.coeffs])
 
 
-def spherical_value(f: SlicePolynomial, x: Quaternion) -> Quaternion:
-    """v_s f(x) = (f(x) + f(conj x))/2 = F1(z); constant on each sphere."""
-    p = decompose(x)
-    return f.stem_components(p.alpha, p.beta).F1
+def _shadow(x) -> tuple:
+    """alpha = Re x and beta = |Im x| of a Quaternion or parts, split as in
+    ``decompose``: beta is 0 on the real axis."""
+    w, x1, x2, x3 = x.components() if isinstance(x, Quaternion) else x
+    beta = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    return w, beta * (beta > eps_zero(np.sqrt(w * w + x1 * x1 + x2 * x2 + x3 * x3)))
 
 
-def spherical_derivative(f: SlicePolynomial, x: Quaternion) -> Quaternion:
-    """f'_s(x) = Im(x)^{-1} (f(x) - f(conj x))/2 = F2(z)/beta.
+def _like(x, v: tuple):
+    """The parts v as a Quaternion when x is one, else as they are."""
+    return Quaternion(*map(float, v)) if isinstance(x, Quaternion) else v
+
+
+def spherical_value(f: SlicePolynomial, x):
+    """v_s f(x) = (f(x) + f(conj x))/2 = F1(z); constant on each sphere.
+    x is a Quaternion or parts, and so is the value."""
+    alpha, beta = _shadow(x)
+    return _like(x, f.stem_arrays(alpha + 1j * beta)[0])
+
+
+def spherical_derivative(f: SlicePolynomial, x):
+    """f'_s(x) = Im(x)^{-1} (f(x) - f(conj x))/2 = F2(z)/beta at a
+    Quaternion or parts x.
 
     Below BETA_SWITCH the slice-derivative extension takes over.
     """
-    p = decompose(x)
-    if p.beta < BETA_SWITCH:
-        return f.slice_derivative().eval(Quaternion.real(p.alpha))
-    return f.stem_components(p.alpha, p.beta).F2 / p.beta
+    alpha, beta = _shadow(x)
+    d = f.slice_derivative().eval_parts((alpha, 0.0, 0.0, 0.0))
+    f2 = f.stem_arrays(alpha + 1j * beta)[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _like(x, tuple(np.where(beta < BETA_SWITCH, a, b / beta) for a, b in zip(d, f2)))
 
 
 def log_abs(f: SlicePolynomial, x: "Quaternion | tuple") -> "float | np.ndarray":
     """log|f(x)| for slice-preserving f (a circular function of x) at one
-    Quaternion (a float) or at parts (an array).  x splits as in ``decompose``;
-    the complex Horner runs in real arithmetic, product for product as
-    CPython multiplies complex numbers, so it agrees with ``eval_complex``."""
+    Quaternion (a float) or at parts (an array).  The complex Horner runs
+    in real arithmetic, product for product as CPython multiplies complex
+    numbers, so it agrees with ``horner`` at the shadow of x."""
     if not f.is_slice_preserving(1e-10):
         raise ValueError("log_abs requires a slice-preserving polynomial")
-    w, x1, x2, x3 = x.components() if isinstance(x, Quaternion) else x
-    beta = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    beta = beta * (beta > eps_zero(np.sqrt(w * w + x1 * x1 + x2 * x2 + x3 * x3)))  # 0 on the real axis
+    w, beta = _shadow(x)
     re = im = 0.0
     for c in reversed(f.coeffs):
         re, im = re * w - im * beta + c.w, re * beta + im * w

@@ -8,8 +8,8 @@ a terminal residual threshold.  Bilaplacian identities run the raw
 composed stencil for the convergence pair and form one Richardson
 halving from that pair for the terminal value, which is how those
 operators are meant to be used.  The stencils are the batched ones of
-``diffops``; the stem-based integrands f'_s and v_s f are lifted to
-them pointwise.
+``diffops``; every integrand, the stem-based f'_s and v_s f included,
+takes all of a stencil's points at once as parts.
 
 The random corpora are shaped so the identities are exercised away from
 degenerate configurations: points keep |Im x| >= 0.25 (the angular
@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, fd_laplace4_richardson, pointwise
+from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, fd_laplace4_richardson
 from .jensen import delta4_logNf_at0
 from .quadrature import build_rule, integrate_values, log_normal_values, polar_rule
 from .quaternions import Quaternion, decompose, qmul_parts
@@ -211,12 +211,12 @@ def suite_crf(seed: int, n_cases: int = 20) -> SuiteResult:
         ),
         (
             "2 d/dx f'_s = d_crf(f'_s)",
-            lambda f, x, h: fd_crf_conj(pointwise(partial(spherical_derivative, f)), x, h),
+            lambda f, x, h: fd_crf_conj(partial(spherical_derivative, f), x, h),
             _exact_two_dx_sd,
         ),
         (
             "dbar_crf(v_s f) = 2 d/dx^c (v_s f)",
-            lambda f, x, h: fd_crf(pointwise(partial(spherical_value, f)), x, h),
+            lambda f, x, h: fd_crf(partial(spherical_value, f), x, h),
             _exact_two_dxc_vs,
         ),
     ]
@@ -244,7 +244,7 @@ def suite_harmonic(seed: int, n_cases: int = 20) -> SuiteResult:
     identities = [
         (
             "laplace4(f'_s) = 0",
-            lambda f, x, h: fd_laplace4(pointwise(partial(spherical_derivative, f)), x, h),
+            lambda f, x, h: fd_laplace4(partial(spherical_derivative, f), x, h),
             lambda f, x: Quaternion.real(0.0),
         ),
     ]

@@ -48,7 +48,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .quaternions import Quaternion, decompose, validate_unit
-from .slicepoly import SlicePolynomial, horner, normal, slice_product
+from .slicepoly import SlicePolynomial, StemValue, horner, normal, slice_product
 
 __all__ = [
     "FunctionAnalysis",
@@ -467,21 +467,16 @@ class SemiregularFunction:
 
     __call__ = eval
 
-    def stem_components(self, alpha: float, beta: float):
-        """Stems of den^{-1} * num: complex scalar 1/d(z) times the num stem."""
-        from .slicepoly import StemValue
+    def stem_components(self, alpha: float, beta: float) -> StemValue:
+        f1, f2 = self.stem_arrays(complex(alpha, beta))
+        return StemValue(Quaternion(*f1), Quaternion(*f2))
 
-        dz = self.den.eval_complex(complex(alpha, beta))
-        inv = 1.0 / dz
-        stem = self.num.stem_components(alpha, beta)
-        f1, f2 = stem.F1, stem.F2
-        return StemValue(f1 * inv.real - f2 * inv.imag, f1 * inv.imag + f2 * inv.real)
-
-    def stem_arrays(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def stem_arrays(self, z) -> tuple[tuple, tuple]:
+        """Stems of den^{-1} * num as parts: complex 1/d(z) times the num stems."""
         f1, f2 = self.num.stem_arrays(z)
         inv = 1.0 / horner(self.den.real_coeffs(), z)
-        u, v = inv.real[..., None], inv.imag[..., None]
-        return f1 * u - f2 * v, f1 * v + f2 * u
+        u, v = inv.real, inv.imag
+        return tuple(a * u - b * v for a, b in zip(f1, f2)), tuple(a * v + b * u for a, b in zip(f1, f2))
 
     def stem_scale(self, radius: float) -> float:
         return self.num.stem_scale(radius)

@@ -225,6 +225,21 @@ def test_cli_rejects_nonpositive_radius(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+def test_cli_jensen_rejects_bad_tolerance(tmp_path, capsys, tol):
+    assert main(["jensen", "--fn", _fine_case(tmp_path), f"--tol={tol}", "--no-diagnostics"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "tol" in err
+
+
+@pytest.mark.parametrize("command", ["jensen", "verify-ops"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, command):
+    args = ["jensen", "--fn", _fine_case(tmp_path)] if command == "jensen" else ["verify-ops", "--suite", "gamma"]
+    assert main([*args, "--seed=-3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "seed" in err
+
+
 def test_cli_escalates_near_boundary(tmp_path, capsys):
     fn = tmp_path / "near.json"
     fn.write_text(json.dumps({"coeffs": [0.9702989999999999, 0.0, 1.0]}))  # sphere at 0.985

@@ -12,12 +12,14 @@ from slicereg.quaternions import (
     ONE,
     InvalidUnitError,
     Quaternion,
+    _qconj_parts,
+    _qinv_parts,
+    _qnorm2_parts,
     decompose,
-    qconj_array,
     qinv,
     qmul,
     qmul_array,
-    qnorm2_array,
+    qmul_parts,
     slice_embed,
     unit_from_vector,
     validate_unit,
@@ -134,7 +136,14 @@ def test_array_ops_match_scalar():
     prod = qmul_array(a, b)
     for k in range(32):
         expect = qmul(Quaternion.from_array(a[k]), Quaternion.from_array(b[k]))
-        assert np.allclose(prod[k], expect.to_array(), atol=1e-12)
-    assert np.allclose(qnorm2_array(a), [Quaternion.from_array(r).norm2() for r in a])
-    assert np.allclose(qconj_array(a)[:, 0], a[:, 0])
-    assert np.allclose(qconj_array(a)[:, 1:], -a[:, 1:])
+        assert np.allclose(prod[k], expect.components(), atol=1e-12)
+    # the parts routines, bit for bit against the scalar methods
+    parts = tuple(a.T)
+    prod, n2 = np.stack(qmul_parts(parts, tuple(b.T)), -1), _qnorm2_parts(parts)
+    conj, inv = np.stack(_qconj_parts(parts), -1), np.stack(_qinv_parts(parts), -1)
+    for k in range(32):
+        q = Quaternion.from_array(a[k])
+        assert Quaternion.from_array(prod[k]) == q * Quaternion.from_array(b[k])
+        assert n2[k] == q.norm2()
+        assert Quaternion.from_array(conj[k]) == q.conj()
+        assert Quaternion.from_array(inv[k]) == q.inverse()

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicereg.quaternions import I, J, K, ONE, Quaternion, decompose
+from slicereg.quaternions import I, J, K, ONE, ZERO, Quaternion, decompose
 from slicereg.slicepoly import (
+    BETA_SWITCH,
     LogOfZeroError,
     NormalNotRealError,
     SlicePolynomial,
+    horner,
     log_abs,
     normal,
     slice_product,
     spherical_derivative,
     spherical_value,
 )
+from slicereg.zeros_poles import SemiregularFunction
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 coeffs = st.lists(st.builds(Quaternion, finite, finite, finite, finite), min_size=1, max_size=5)
@@ -86,8 +89,136 @@ def test_stem_arrays_match_scalar():
     f1, f2 = f.stem_arrays(z)
     for k in range(len(z)):
         s = f.stem_components(z[k].real, z[k].imag)
-        assert np.allclose(f1[k], s.F1.to_array(), atol=1e-12)
-        assert np.allclose(f2[k], s.F2.to_array(), atol=1e-12)
+        assert np.allclose([c[k] for c in f1], s.F1.components(), atol=1e-12)
+        assert np.allclose([c[k] for c in f2], s.F2.components(), atol=1e-12)
+
+
+# -- the one stem kernel against the scalar loops it replaced ----------------
+
+
+def _loop_stems(f, alpha, beta):
+    """The former ``stem_components``: Quaternion sums, CPython complex powers."""
+    z = complex(alpha, beta)
+    f1 = f2 = ZERO
+    zm = complex(1.0, 0.0)
+    for c in f.coeffs:
+        f1 = f1 + c * zm.real
+        f2 = f2 + c * zm.imag
+        zm *= z
+    return f1, f2
+
+
+def _loop_partials(f, alpha, beta):
+    """The former ``stem_partials`` loop."""
+    z = complex(alpha, beta)
+    d1a = d1b = d2a = d2b = ZERO
+    zm = complex(1.0, 0.0)
+    for m in range(1, len(f.coeffs)):
+        c = f.coeffs[m] * float(m)
+        d1a = d1a + c * zm.real
+        d1b = d1b - c * zm.imag
+        d2a = d2a + c * zm.imag
+        d2b = d2b + c * zm.real
+        zm *= z
+    return d1a, d1b, d2a, d2b
+
+
+def _loop_spherical_value(f, x):
+    p = decompose(x)
+    return _loop_stems(f, p.alpha, p.beta)[0]
+
+
+def _loop_spherical_derivative(f, x):
+    p = decompose(x)
+    if p.beta < BETA_SWITCH:
+        return f.slice_derivative().eval(Quaternion.real(p.alpha))
+    return _loop_stems(f, p.alpha, p.beta)[1] / p.beta
+
+
+# real points, a negative real part and beta below BETA_SWITCH among them
+SHADOWS = [(0.3, 0.7), (-1.2, 0.4), (0.9, 0.0), (-0.5, 0.0), (0.0, 1.3), (0.6, 1e-9), (-0.8, 1.1)]
+
+
+def _at(parts, *index):
+    """One point of parts as a Quaternion."""
+    return Quaternion(*(float(c[index]) for c in parts))
+
+
+def _kernel_case(deg):
+    rng = np.random.default_rng(30 + deg)
+    f = SlicePolynomial([Quaternion.from_array(rng.normal(size=4) * 0.7**m) for m in range(deg + 1)])
+    z = np.array([complex(a, b) for a, b in SHADOWS] + list(rng.uniform(-1.2, 1.2, 8) + 1j * rng.uniform(0, 1.2, 8)))
+    return f, z
+
+
+@pytest.mark.parametrize("deg", range(9))
+def test_stem_arrays_match_scalar_loop_bitwise(deg):
+    f, z = _kernel_case(deg)
+    f1, f2 = f.stem_arrays(z)
+    column = f.stem_arrays(z[:, None])  # the layout of the product-rule oracle
+    for k, zk in enumerate(z):
+        want = _loop_stems(f, zk.real, zk.imag)
+        s = f.stem_components(zk.real, zk.imag)
+        assert (s.F1, s.F2) == want
+        assert (_at(f1, k), _at(f2, k)) == want
+        assert (_at(column[0], k, 0), _at(column[1], k, 0)) == want
+    zero = SlicePolynomial([]).stem_arrays(z[:, None])
+    assert all(c.shape == (len(z), 1) and not c.any() for stem in zero for c in stem)
+
+
+@pytest.mark.parametrize("deg", range(9))
+def test_stem_partials_match_scalar_loop(deg):
+    f, z = _kernel_case(deg)
+    for zk in z:
+        assert f.stem_partials(zk.real, zk.imag) == _loop_partials(f, zk.real, zk.imag)
+
+
+def _stems(f, alpha, beta):
+    s = f.stem_components(alpha, beta)
+    return s.F1, s.F2
+
+
+def test_stem_partials_match_central_differences():
+    h = 1e-6
+    for deg in range(9):
+        f, z = _kernel_case(deg)
+        for zk in z:
+            a, b = zk.real, zk.imag
+            da = [(p - m) / (2.0 * h) for p, m in zip(_stems(f, a + h, b), _stems(f, a - h, b))]
+            db = [(p - m) / (2.0 * h) for p, m in zip(_stems(f, a, b + h), _stems(f, a, b - h))]
+            tol = 1e-7 * (1.0 + f.stem_scale(abs(zk) + h))
+            for exact, fd in zip(f.stem_partials(a, b), (da[0], db[0], da[1], db[1])):
+                assert (exact - fd).abs() <= tol, (deg, zk)
+
+
+def test_spherical_operators_on_parts_match_quaternion_points():
+    rng = np.random.default_rng(12)
+    f = SlicePolynomial([Quaternion.from_array(rng.normal(size=4) * 0.6**m) for m in range(7)])
+    points = nonreal_points(rng, 10) + [
+        Quaternion.real(0.6), Quaternion.real(-1.1), Quaternion(0.3, 1e-20, 0.0, 0.0),  # (numerically) real
+        Quaternion(0.6, 1e-9, 0.0, 0.0), Quaternion(-0.2, 0.0, -3e-9, 4e-9),  # beta < BETA_SWITCH
+    ]
+    parts = tuple(np.array(c) for c in zip(*(x.components() for x in points)))
+    for op, loop in ((spherical_value, _loop_spherical_value), (spherical_derivative, _loop_spherical_derivative)):
+        batched = op(f, parts)
+        for k, x in enumerate(points):
+            assert _at(batched, k) == op(f, x) == loop(f, x), (op.__name__, x)
+
+
+def test_semiregular_stems_are_the_one_point_case_of_its_arrays():
+    num = SlicePolynomial([Quaternion(0.3, -0.2, 0.5, 0.1), I, Quaternion(0.4, 0.0, 0.2, -0.7), ONE])
+    fs = SemiregularFunction(SlicePolynomial.from_real([2.0, -0.5, 1.0]), num)
+    _, z = _kernel_case(0)
+    f1, f2 = fs.stem_arrays(z)
+    for k, zk in enumerate(z):
+        # the former scalar stems: CPython complex 1/d(z) times the num stems
+        inv = 1.0 / horner([c.w for c in fs.den.coeffs], complex(zk))
+        n1, n2 = _loop_stems(fs.num, zk.real, zk.imag)
+        want = (n1 * inv.real - n2 * inv.imag, n1 * inv.imag + n2 * inv.real)
+        s = fs.stem_components(zk.real, zk.imag)
+        assert (s.F1, s.F2) == want
+        got = (_at(f1, k), _at(f2, k))
+        assert all((g - w).abs() <= 1e-15 * (1.0 + w.abs()) for g, w in zip(got, want))
 
 
 # -- slice product -------------------------------------------------------
