@@ -30,7 +30,7 @@ from .io import (
     render_report_text,
     render_reports_csv,
 )
-from .jensen import ESCALATED_N, NEAR_BOUNDARY_GAP, jensen_check
+from .jensen import jensen_check
 from .quadrature import MIN_ORDER
 from .verify import SUITE_ORDER, run_suite
 from .zeros_poles import analyze
@@ -76,21 +76,6 @@ def _manifest_cases(path: Path, r: float, n: int) -> list[tuple[Path, float, int
     return cases
 
 
-def _jensen_case(path: Path, r: float, n: int, tol: float, seed: int, name: str, diagnostics: bool, points: int) -> dict:
-    analysis = analyze(load_function(path), r)
-    # near the boundary the quadrature runs at least the escalated order
-    n_used = max(n, ESCALATED_N) if analysis.boundary_gap < NEAR_BOUNDARY_GAP else n
-    report = jensen_check(
-        analysis, r, n_used, seed=seed, diagnostics=diagnostics, bijectivity_points=points
-    )
-    payload = report.to_dict()
-    payload["name"] = name
-    payload["file"] = str(path)
-    payload["passed"] = bool(abs(report.residual) <= tol)
-    payload["tolerance"] = tol
-    return payload
-
-
 def cmd_jensen(args: argparse.Namespace) -> int:
     try:
         threads = _thread_cap()
@@ -122,9 +107,10 @@ def cmd_jensen(args: argparse.Namespace) -> int:
 
     def run_one(case):
         path, r, n, name = case
-        return _jensen_case(
-            path, r, n, args.tol, args.seed, name, not args.no_diagnostics, args.bijectivity_points
-        )
+        report = jensen_check(load_function(path), r, n, seed=args.seed, diagnostics=not args.no_diagnostics,
+                              bijectivity_points=args.bijectivity_points)
+        passed = bool(abs(report.residual) <= args.tol)
+        return report.to_dict() | {"name": name, "file": str(path), "passed": passed, "tolerance": args.tol}
 
     try:
         if len(cases) > 1:
@@ -249,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--fn", action="append", help="function file (repeatable)")
     pj.add_argument("--corpus", help="corpus manifest json")
     pj.add_argument("--r", type=float, default=1.0, help="ball radius (default 1)")
-    pj.add_argument("--n", type=int, default=DEFAULT_N, help="quadrature order per angle")
+    pj.add_argument("--n", type=int, default=DEFAULT_N,
+                    help="nodes per panel of the polar rule and per angle of the oracle")
     pj.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
     pj.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
     pj.add_argument("--bijectivity-points", type=int, default=1000)

@@ -61,10 +61,6 @@ __all__ = [
 ]
 
 ORIGIN_REL = 1e-12
-# the near-boundary policy: with a zero or pole sphere within
-# NEAR_BOUNDARY_GAP r of the boundary the CLI runs at least ESCALATED_N
-NEAR_BOUNDARY_GAP = 0.02
-ESCALATED_N = 128
 
 
 def _origin_terms(f, r: float) -> tuple[tuple[float, float, float], float]:
@@ -217,8 +213,8 @@ def jensen_check(
     bijectivity_points: int = 1000,
     diagnostics: bool = True,
 ) -> JensenReport:
-    """Evaluate both sides of the Jensen formula at order n and report
-    the residual.  f is a function or its ``analyze(f, r)`` record.
+    """Evaluate both sides of the Jensen formula with n nodes per panel
+    of the polar rule and per angle of the oracle; report the residual.
 
     For rational inputs the zero list excludes points on pole spheres:
     those are accounted for through the isolated multiplicities of the
@@ -226,9 +222,7 @@ def jensen_check(
     """
     fs = as_semiregular(f)
     (t0, t1, t2), d4 = _origin_terms(fs, r)  # origin hypotheses, before any root finding
-    analysis = f if isinstance(f, FunctionAnalysis) else analyze(fs, r)
-    if analysis.radius != r:
-        raise ValueError(f"analysis made for r={analysis.radius}, checked at r={r}")
+    analysis = analyze(fs, r)
     _boundary_hypotheses(analysis, r)
 
     poles = analysis.poles
@@ -260,7 +254,7 @@ def jensen_check(
     zsum = zero_sum(zrecords + extra_a, r)
     psum = pole_sum(poles, r)
 
-    means = boundary_means(fs, r, n)
+    means = boundary_means(fs, r, n, analysis.shadows)
     lhs = t0 + t1 + t2
     rhs = 0.5 * (means.mean_log_f + means.mean_log_f_sf) - zsum + psum
     residual = lhs - rhs
@@ -277,9 +271,6 @@ def jensen_check(
                 f"negative real pole at {p.alpha:.12g}: using |p_k| in the log term"
             )
     gap = analysis.boundary_gap
-    if gap < NEAR_BOUNDARY_GAP:
-        order = f"order escalated to n={n}" if n >= ESCALATED_N else f"order n={n} may converge slowly"
-        warnings.append(f"zero/pole sphere within {gap:.3g} r of the boundary: quadrature {order}")
 
     diag: dict = {
         "delta4_logNf_at0": d4,

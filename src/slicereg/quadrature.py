@@ -11,8 +11,8 @@ theorem <b, J> / |b| is uniform on [-1, 1] over S^2, so the S^2 mean
 of log|f| has a closed form in A and B = |b| (``sphere_mean_log_abs``).
 The pointwise identity log|N(f)| = log|f| + log|f o S_f| then gives the
 second mean as the polar mean of log|N(f)| minus the first.  Both need
-the stems only at the n Gauss-Legendre shadows z_k = r e^{i theta_k}
-(``polar_rule``).
+the stems only at the shadows z_k = r e^{i theta_k} of ``polar_rule``,
+graded toward the shadows of the zero and pole spheres.
 
 Diagnostic oracle: a 3-D product rule.  Parameterization
 x = r (cos t1, sin t1 cos t2, sin t1 sin t2 cos p, sin t1 sin t2 sin p)
@@ -149,20 +149,33 @@ def _s2_factor(n: int) -> tuple[np.ndarray, np.ndarray]:
 MIN_ORDER = 4  # fewest Gauss-Legendre nodes per angle a rule accepts
 
 
-def polar_rule(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def polar_rule(r: float, n: int, shadows=()) -> tuple[np.ndarray, np.ndarray]:
     """Shadows z_k = r e^{i theta_k} and weights w_k, sum w_k = 1, such
     that sum w_k g(z_k) is the mean over the 3-sphere of a circular
-    integrand g (constant on every sphere S_x).
+    integrand g (constant on every sphere S_x); the weight of theta_k is
+    the measure 4 pi (r sin theta)^2 r dtheta of its sphere over 2 pi^2 r^3.
 
-    The weight of theta_k is the measure 4 pi (r sin theta)^2 r dtheta
-    of its sphere over 2 pi^2 r^3; this is the polar factor of
-    ``build_rule``.
+    n Gauss-Legendre angles on each panel of (0, pi).  A zero or pole
+    sphere of g with shadow s = |s| e^{i phi} puts a log singularity
+    delta = ||s| - r| / r from the contour, where one panel converges like
+    (1 + delta)^{-2n}; the edges phi +- delta 2^k, while delta 2^k < pi,
+    make each panel about as wide as its distance to s.  With no shadows
+    this is the polar factor of ``build_rule``.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if n < MIN_ORDER:
         raise ValueError(f"need at least {MIN_ORDER} nodes per angle")
+    edges = [0.0, math.pi]
+    for s in shadows:
+        phi, step = math.atan2(s.imag, s.real), abs(abs(s) - r) / r
+        while 0.0 < step < math.pi:
+            edges += [phi - step, phi + step]
+            step *= 2.0
+    edges = np.array(sorted({min(max(e, 0.0), math.pi) for e in edges}))
     theta, wt = _polar_angles(n)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None] / math.pi
+    theta, wt = (lo + width * theta).ravel(), (width * wt).ravel()
     z = r * np.cos(theta) + 1j * (r * np.sin(theta))
     return z, wt * np.sin(theta) ** 2
 
@@ -339,45 +352,53 @@ class BoundaryMeans:
 # below this u = B/A the closed form divides roundoff by u; the series
 # -sum_m u^{2m} / (m (2m + 1)), truncated after u^6, is off by < 3e-26
 SERIES_U = 1e-3
-# min |f|^2 = A - B on a node's sphere below this fraction of A is
-# rounding noise: f vanishes on that sphere as far as doubles can tell
+# |N(num)(z)| below this fraction of its Horner scale sum |c_k| r^k is
+# rounding noise: num vanishes on that sphere as far as doubles can tell
 NODE_HIT_REL = 1e-14
 
 
-def sphere_mean_log_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mean over J in S^2 of log|f| = (1/2) log(a + <b, J>) with |b| = b.
+def sphere_mean_log_abs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Mean over J in S^2 of (1/2) log(a + <b, J>), |b| = b, given c = a - b.
 
     <b, J> / b is uniform on [-1, 1] (Archimedes), so the mean is
     (1/4) int_{-1}^{1} log(a + b t) dt
-      = (1/4) [((a+b) log(a+b) - (a-b) log(a-b)) / b - 2],
-    evaluated as (1/2) log a + (1/4) g(b/a) with log1p, and by its
-    Taylor series for small b/a.
+      = (1/4) [((a+b) log(a+b) - c log c) / b - 2],
+    evaluated as (1/2) log a + (1/4) g(b/a) with log1p, with c/a for
+    1 - b/a from b/a = 1/2 on, and by its Taylor series for small b/a.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         u = b / a
         u2 = u * u
         series = -u2 * (1.0 / 3.0 + u2 * (1.0 / 10.0 + u2 / 21.0))
-        closed = ((1.0 + u) * np.log1p(u) - (1.0 - u) * np.log1p(-u)) / u - 2.0
+        v = np.where(u < 0.5, 1.0 - u, c / a)
+        closed = ((1.0 + u) * np.log1p(u) - v * np.where(u < 0.5, np.log1p(-u), np.log(v))) / u - 2.0
         g = np.where(u < SERIES_U, series, closed)
         return 0.5 * np.log(a) + 0.25 * g
 
 
-def boundary_means(f, r: float, n: int) -> BoundaryMeans:
+def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     """The two normalized boundary means of the Jensen right-hand side,
-    by the polar rule of order n with exact S^2 averaging.
+    by ``polar_rule(r, n, shadows)`` with exact S^2 averaging.
+
+    N(f) has the stem (F1 + i F2)(conj F1 + i conj F2) = |F1|^2 - |F2|^2
+    + 2i Re(F1 conj F2); with |Im(F1 conj F2)|^2 = |F1|^2 |F2|^2 - Re(F1 conj F2)^2
+    that is |N(f)(z)|^2 = A^2 - B^2, so the least |f|^2 on the sphere is
+    A - B = |N(f)(z)|^2 / (A + B), free of the cancellation of A - B.
 
     Requires f nonvanishing and pole-free on the sphere; a zero on the
-    sphere of a polar node, or a non-finite stem, raises
-    NonFiniteIntegrandError.
+    sphere of a polar node (|N(num)(z)| within roundoff of its Horner
+    sum), or a non-finite stem, raises NonFiniteIntegrandError.
     """
-    z, w = polar_rule(r, n)
+    z, w = polar_rule(r, n, shadows)
     f1, f2 = f.stem_arrays(z)
     a = _qnorm2_parts(f1) + _qnorm2_parts(f2)
     _, b1, b2, b3 = qmul_parts(f1, _qconj_parts(f2))
     b = 2.0 * np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    log_f = sphere_mean_log_abs(a, b)
     log_n = log_normal_values(f, z)
-    bad = ~np.isfinite(log_f + log_n) | (a - b <= NODE_HIT_REL * a)
+    log_f = sphere_mean_log_abs(a, b, np.exp(2.0 * log_n) / (a + b))
+    nnum = normal(as_semiregular(f).num).real_coeffs()
+    hit = np.abs(horner(nnum, z)) <= NODE_HIT_REL * horner(np.abs(nnum), r).real
+    bad = ~np.isfinite(log_f + log_n) | hit
     if np.any(bad):
         k = int(np.argmax(bad))
         node = Quaternion(z[k].real, z[k].imag, 0.0, 0.0)
@@ -389,10 +410,10 @@ def boundary_means(f, r: float, n: int) -> BoundaryMeans:
 
 def log_normal_values(f, z: np.ndarray) -> np.ndarray:
     """log|N(f)| at shadows z; N(f) is circular so only z matters.  A
-    polynomial's den is 1, and log|1| = 0 leaves its values as they are."""
+    constant den is 1 (den is monic), so only a nonconstant one enters."""
     fs = as_semiregular(f)
-    nnum, den = normal(fs.num).real_coeffs(), fs.den.real_coeffs()
-    return np.log(np.abs(horner(nnum, z))) - 2.0 * np.log(np.abs(horner(den, z)))
+    log_n = np.log(np.abs(horner(normal(fs.num).real_coeffs(), z)))
+    return log_n - 2.0 * np.log(np.abs(horner(fs.den.real_coeffs(), z))) if fs.den.degree else log_n
 
 
 @dataclass(frozen=True)

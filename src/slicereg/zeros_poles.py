@@ -23,12 +23,12 @@ equal to its total multiplicity as a zero of the numerator.  Blaschke
 reciprocals with unit modulus on the boundary sphere absorb the poles;
 ``regularize`` multiplies them onto f and returns the pole-free product.
 
-``analyze(f, r)`` is the one zero and pole pass that the Jensen check,
-the CLI's near-boundary escalation and the ``zeros`` command share.  It
-runs the root finder once on N(num) and once on den and returns a
-frozen ``FunctionAnalysis``: a zero record for every zero sphere, every
-denominator sphere, the pole records inside the closed ball of radius
-r, and the boundary gap over all of those spheres.
+``analyze(f, r)`` is the one zero and pole pass that the Jensen check
+and the ``zeros`` command share.  It runs the root finder once on
+N(num) and once on den and returns a frozen ``FunctionAnalysis``: a
+zero record for every zero sphere, every denominator sphere, the pole
+records inside the closed ball of radius r, and the shadows of all of
+those spheres, which place the panels of the polar rule.
 """
 
 from __future__ import annotations
@@ -613,7 +613,6 @@ class FunctionAnalysis:
     their radius; ``poles`` has the pole records inside the closed ball.
     """
 
-    function: SemiregularFunction
     radius: float
     zeros: tuple[ZeroRecord, ...]
     pole_spheres: tuple[Sphere, ...]
@@ -629,21 +628,23 @@ class FunctionAnalysis:
                 if not any(math.hypot(z.alpha - a, z.beta - b) <= 1e-6 * (1.0 + z.point_radius) for a, b in keys)]
 
     @property
+    def shadows(self) -> list[complex]:
+        """alpha + i beta of every zero and pole sphere."""
+        return [complex(z.alpha, z.beta) for z in self.zeros] + [complex(a, b) for a, b, _ in self.pole_spheres]
+
+    @property
     def boundary_gap(self) -> float:
         """min over every zero and pole sphere of |sphere radius - r| / r."""
-        radii = [z.point_radius for z in self.zeros] + [math.hypot(a, b) for a, b, _ in self.pole_spheres]
-        return min((abs(rad - self.radius) / self.radius for rad in radii), default=math.inf)
+        return min((abs(abs(s) - self.radius) / self.radius for s in self.shadows), default=math.inf)
 
 
 def as_semiregular(f) -> SemiregularFunction:
-    """f as den^{-1} * num: a polynomial gets den = 1, an analysis gives its function."""
-    if isinstance(f, FunctionAnalysis):
-        return f.function
+    """f as den^{-1} * num: a polynomial gets den = 1."""
     if isinstance(f, SemiregularFunction):
         return f
     if isinstance(f, SlicePolynomial):
         return SemiregularFunction.from_polynomial(f)
-    raise TypeError(f"expected SlicePolynomial, SemiregularFunction or FunctionAnalysis, got {type(f)!r}")
+    raise TypeError(f"expected SlicePolynomial or SemiregularFunction, got {type(f)!r}")
 
 
 def analyze(f, r: float) -> FunctionAnalysis:
@@ -654,7 +655,7 @@ def analyze(f, r: float) -> FunctionAnalysis:
     zeros = [] if nnum is None else classify_zeros(fs.num, root_spheres(nnum.real_coeffs()))
     pole_spheres = root_spheres(fs.den.real_coeffs()) if fs.den.degree > 0 else []
     poles = pole_structure(fs, r, pole_spheres, nnum)
-    return FunctionAnalysis(fs, r, tuple(zeros), tuple(pole_spheres), tuple(poles))
+    return FunctionAnalysis(r, tuple(zeros), tuple(pole_spheres), tuple(poles))
 
 
 # ---------------------------------------------------------------------------

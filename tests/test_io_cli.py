@@ -240,21 +240,28 @@ def test_cli_rejects_negative_seed(tmp_path, capsys, command):
     assert err.startswith("input error: ") and "seed" in err
 
 
-def test_cli_escalates_near_boundary(tmp_path, capsys):
+def test_cli_near_boundary_keeps_the_given_order(tmp_path, capsys):
     fn = tmp_path / "near.json"
     fn.write_text(json.dumps({"coeffs": [0.9702989999999999, 0.0, 1.0]}))  # sphere at 0.985
-    code = main(["jensen", "--fn", str(fn), "--r", "1", "--format", "json", "--tol", "1e-1", "--no-diagnostics"])
-    out = capsys.readouterr().out
-    data = json.loads(out)
+    code = main(["jensen", "--fn", str(fn), "--r", "1", "--format", "json", "--tol", "1e-12", "--no-diagnostics"])
+    (case,) = json.loads(capsys.readouterr().out)["cases"]
     assert code == 0
-    assert data["cases"][0]["config"]["n"] == 128
-    (warning,) = [w for w in data["cases"][0]["warnings"] if "boundary" in w]
-    assert "escalated" in warning and "n=128" in warning and "within 0.015 r" in warning
-    # called directly, jensen_check keeps its order and says so once
-    report = jensen_check(load_function(fn), 1.0, 48, diagnostics=False)
-    assert report.config["n"] == 48
-    (warning,) = [w for w in report.warnings if "boundary" in w]
-    assert "escalated" not in warning and "n=48" in warning
+    assert case["config"]["n"] == 48
+    assert case["warnings"] == []
+    assert abs(case["residual"]) <= 1e-12
+
+
+def test_convergence_study_prints_a_row_per_corpus_case():
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    names = [c["name"] for m in ("polynomials.json", "rationals.json")
+             for c in json.loads((root / "corpus" / m).read_text())["cases"]]
+    out = subprocess.run([sys.executable, str(root / "scripts" / "convergence_study.py"), "--orders", "12", "24"],
+                         capture_output=True, text=True, check=True).stdout
+    rows = out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == names
+    assert all(len(row.split()) == 5 for row in rows)  # case, r, gap, two residuals
 
 
 def test_cli_zeros(capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from slicereg.errors import DegeneratePointError, NonFiniteIntegrandError
-from slicereg.io import load_function
+from slicereg.io import load_function, parse_function
 from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, decompose
 from slicereg.quadrature import (
     _polar_angles,
@@ -34,7 +35,10 @@ from slicereg.quadrature import (
 )
 from slicereg.slicepoly import SlicePolynomial, horner, log_abs, normal, slice_product
 from slicereg.verify import exact_mean_log_abs
-from slicereg.zeros_poles import SemiregularFunction, as_semiregular
+from slicereg.zeros_poles import SemiregularFunction, analyze, as_semiregular
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import near_boundary_functions  # noqa: E402
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -168,6 +172,25 @@ def test_polar_angles_cached_read_only():
         z, wz = polar_rule(1.3, 48)
         assert np.array_equal(z, 1.3 * np.cos(t) + 1j * (1.3 * np.sin(t)))
         assert np.array_equal(wz, w * np.sin(t) ** 2)
+
+
+@pytest.mark.parametrize("radius", [0.99, 0.9999, 1.0001, 1.01])
+def test_graded_polar_rule_resolves_a_near_shadow(radius):
+    # log|N| of a sphere at |s| = radius: the plain rule misses its
+    # exact mean by > 1e-3, the rule graded toward s holds it to roundoff
+    s = radius * complex(math.cos(1.0), math.sin(1.0))
+    want = exact_mean_log_abs(1.0, [s, s.conjugate()], 1.0)
+
+    def mean(z, w):
+        return float(np.dot(w, np.log(np.abs(z - s)) + np.log(np.abs(z - s.conjugate()))))
+
+    z, w = polar_rule(1.0, 16, [s])
+    assert len(z) % 16 == 0 and float(np.sum(w)) == pytest.approx(1.0, abs=1e-15)
+    assert abs(mean(z, w) - want) <= 1e-14
+    assert abs(mean(*polar_rule(1.0, 16)) - want) >= 1e-3
+    # a shadow on the contour or farther than pi r from it adds no panel
+    for far in (1.0j, 5.0):
+        assert np.array_equal(polar_rule(1.0, 16, [far])[0], polar_rule(1.0, 16)[0])
 
 
 def test_circular_reduction_constant():
@@ -398,10 +421,69 @@ def test_sphere_mean_closed_form_against_t_integral():
     a = 2.5
     for u in (1e-10, 1e-6, 1e-4, 9e-4, 1e-3, 1.1e-3, 1e-2, 0.1, 0.5, 0.9, 0.99, 0.999):
         want = 0.5 * float(np.dot(wt, 0.5 * np.log(a + a * u * t)))
-        got = float(sphere_mean_log_abs(np.array([a]), np.array([a * u]))[0])
+        got = float(sphere_mean_log_abs(np.array([a]), np.array([a * u]), np.array([a * (1.0 - u)]))[0])
         assert got == pytest.approx(want, abs=1e-13), u
     # B = 0 is the series branch, exactly (1/2) log A
-    assert sphere_mean_log_abs(np.array([a]), np.array([0.0]))[0] == 0.5 * math.log(a)
+    assert sphere_mean_log_abs(np.array([a]), np.array([0.0]), np.array([a]))[0] == 0.5 * math.log(a)
+    # B = A in doubles with the least |f|^2 = C far below their rounding: 1 - B/A
+    # comes from C, so the mean stays finite (A - B by subtraction would give 0 * log 0)
+    got = sphere_mean_log_abs(np.array([a]), np.array([a]), np.array([1e-20 * a]))[0]
+    assert got == pytest.approx(0.5 * math.log(a) + 0.5 * math.log(2.0) - 0.5, abs=1e-15)
+
+
+NEAR_BOUNDARY_CASES = [(f"nb{seed}_{name}", record) for seed in (1, 2, 3)
+                       for name, record in near_boundary_functions(seed).items()]
+NEAR_BOUNDARY_CASES.append(("near_boundary_sphere", json.loads((CORPUS / "poly_near_boundary_sphere.json").read_text())))
+
+
+def _mp_boundary_means(f, r: float, edges: list[float]) -> tuple[float, float]:
+    """Both boundary means by 30-digit mpmath quadrature over the panels:
+    the stems, |den|^2, the S^2 closed form and log|N(f)|, from the stem
+    |F1|^2 - |F2|^2 + 2i F1.F2 of N(num), all in mpmath."""
+    num = [[mpmath.mpf(x) for x in (c.w, c.x1, c.x2, c.x3)] for c in f.num.coeffs]
+    den = [mpmath.mpf(c) for c in f.den.real_coeffs()]
+    values = {}
+
+    def at(t):
+        if t not in values:
+            zm = [(r * mpmath.expj(t)) ** m for m in range(len(num))]
+            f1 = [mpmath.fsum(p.real * c[i] for p, c in zip(zm, num)) for i in range(4)]
+            f2 = [mpmath.fsum(p.imag * c[i] for p, c in zip(zm, num)) for i in range(4)]
+            d2 = abs(mpmath.fsum(p * c for p, c in zip(zm, den))) ** 2
+            n1, n2 = (mpmath.fsum(x * x for x in q) for q in (f1, f2))
+            dot = mpmath.fsum(x * y for x, y in zip(f1, f2))
+            (p0, *pv), (q0, *qv) = f1, f2
+            cross = [pv[1] * qv[2] - pv[2] * qv[1], pv[2] * qv[0] - pv[0] * qv[2], pv[0] * qv[1] - pv[1] * qv[0]]
+            im = [q0 * pv[i] - p0 * qv[i] - cross[i] for i in range(3)]  # Im(F1 conj F2)
+            a, b = (n1 + n2) / d2, 2 * mpmath.sqrt(mpmath.fsum(x * x for x in im)) / d2
+            log_f = mpmath.log(a) / 2 if b == 0 else (((a + b) * mpmath.log(a + b) - (a - b) * mpmath.log(a - b)) / b - 2) / 4
+            log_n = mpmath.log((n1 - n2) ** 2 + 4 * dot * dot) / 2 - mpmath.log(d2)
+            weight = 2 / mpmath.pi * mpmath.sin(t) ** 2
+            values[t] = weight * log_f, weight * log_n
+        return values[t]
+
+    with mpmath.workdps(30):
+        mean_f, err_f = mpmath.quad(lambda t: at(t)[0], edges, method="gauss-legendre", error=True)
+        mean_n, err_n = mpmath.quad(lambda t: at(t)[1], edges, method="gauss-legendre", error=True)
+        assert max(err_f, err_n) <= 1e-20
+        return float(mean_f), float(mean_n - mean_f)
+
+
+@pytest.mark.parametrize("name, record", NEAR_BOUNDARY_CASES, ids=[c[0] for c in NEAR_BOUNDARY_CASES])
+def test_graded_means_against_mpmath(name, record):
+    # the panel edges of polar_rule, recomputed from the shadows
+    f = as_semiregular(parse_function(record))
+    shadows = analyze(f, 1.0).shadows
+    edges = {0.0, math.pi}
+    for s in shadows:
+        phi, step = math.atan2(s.imag, s.real), abs(abs(s) - 1.0)
+        while step < math.pi:
+            edges |= {min(max(phi + sign * step, 0.0), math.pi) for sign in (-1, 1)}
+            step *= 2.0
+    want = _mp_boundary_means(f, 1.0, sorted(edges))
+    got = boundary_means(f, 1.0, 48, shadows)
+    assert abs(got.mean_log_f - want[0]) <= 1e-13
+    assert abs(got.mean_log_f_sf - want[1]) <= 1e-13
 
 
 def test_boundary_identity_pointwise():
