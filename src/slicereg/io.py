@@ -16,8 +16,6 @@ import io as _io
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .errors import SliceRegError
 from .quaternions import Quaternion
 from .slicepoly import SlicePolynomial
@@ -99,15 +97,8 @@ def function_to_dict(f: SlicePolynomial | SemiregularFunction) -> dict:
     return polynomial_to_dict(f)
 
 
-def _json_scalar(obj):
-    """numpy scalars (the bools in verify summaries) as Python values."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def render_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_scalar) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def render_reports_csv(rows: list[dict]) -> str:

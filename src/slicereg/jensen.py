@@ -216,9 +216,10 @@ def jensen_check(
     """Evaluate both sides of the Jensen formula with n nodes per panel
     of the polar rule and per angle of the oracle; report the residual.
 
-    For rational inputs the zero list excludes points on pole spheres:
-    those are accounted for through the isolated multiplicities of the
-    nonuniform pole records, so each point enters the sums exactly once.
+    Every zero record inside the ball enters the zero sum once, with its
+    total multiplicity; that includes the exceptional points of the
+    nonuniform pole spheres, whose isolated multiplicities are the
+    multiplicities of those records.
     """
     fs = as_semiregular(f)
     (t0, t1, t2), d4 = _origin_terms(fs, r)  # origin hypotheses, before any root finding
@@ -227,16 +228,13 @@ def jensen_check(
 
     poles = analysis.poles
     # zeros outside the ball drop out (on-boundary already rejected)
-    zrecords = [z for z in analysis.free_zeros if z.point_radius < r * (1.0 - BOUNDARY_BAND)]
+    zrecords = [z for z in analysis.zeros if z.point_radius < r * (1.0 - BOUNDARY_BAND)]
 
-    extra_a: list[ZeroRecord] = []
     nonuniform_detail: list[dict] = []
     for p in poles:
         if p.kind != "spherical_nonuniform":
             continue
         zj = p.exceptional_point
-        extra = ZeroRecord("isolated", zj, p.alpha, p.beta, p.isolated_multiplicity)
-        extra_a.append(extra)
         unit = point_term(p.representative.norm2(), p.representative.trace(), r)
         b_term = p.spherical_order * unit
         a_term = p.isolated_multiplicity * point_term(zj.norm2(), zj.trace(), r)
@@ -251,7 +249,7 @@ def jensen_check(
             }
         )
 
-    zsum = zero_sum(zrecords + extra_a, r)
+    zsum = zero_sum(zrecords, r)
     psum = pole_sum(poles, r)
 
     means = boundary_means(fs, r, n, analysis.shadows)
@@ -284,7 +282,7 @@ def jensen_check(
         diag["boundary_identity_max"] = oracle.identity_max
         diag["mean_sum_check"] = abs(oracle.means.mean_log_normal - means.mean_log_normal)
         diag["representative_spread"] = _representative_spread(
-            list(zrecords) + list(extra_a) + [p for p in poles if p.beta > 0.0], r, rng
+            zrecords + [p for p in poles if p.beta > 0.0], r, rng
         )
         if fs.num.degree > 0:
             errs = sf_roundtrip_errors(fs, r, bijectivity_points, rng)
@@ -306,7 +304,7 @@ def jensen_check(
             "zero_sum": zsum,
             "pole_sum": psum,
         },
-        zeros=[recd.to_dict() for recd in zrecords + extra_a],
+        zeros=[recd.to_dict() for recd in zrecords],
         poles=[p.to_dict() for p in poles],
         config={"r": r, "n": n, "seed": seed},
         diagnostics=diag,

@@ -394,10 +394,11 @@ def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     a = _qnorm2_parts(f1) + _qnorm2_parts(f2)
     _, b1, b2, b3 = qmul_parts(f1, _qconj_parts(f2))
     b = 2.0 * np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    log_n = log_normal_values(f, z)
-    log_f = sphere_mean_log_abs(a, b, np.exp(2.0 * log_n) / (a + b))
     nnum = normal(as_semiregular(f).num).real_coeffs()
-    hit = np.abs(horner(nnum, z)) <= NODE_HIT_REL * horner(np.abs(nnum), r).real
+    num_abs = np.abs(horner(nnum, z))
+    log_n = log_normal_values(f, z, num_abs)
+    log_f = sphere_mean_log_abs(a, b, np.exp(2.0 * log_n) / (a + b))
+    hit = num_abs <= NODE_HIT_REL * horner(np.abs(nnum), r).real
     bad = ~np.isfinite(log_f + log_n) | hit
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -408,11 +409,14 @@ def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     return BoundaryMeans(mean_log_f, float(np.dot(w, log_n)) - mean_log_f)
 
 
-def log_normal_values(f, z: np.ndarray) -> np.ndarray:
+def log_normal_values(f, z: np.ndarray, num_abs: np.ndarray | None = None) -> np.ndarray:
     """log|N(f)| at shadows z; N(f) is circular so only z matters.  A
-    constant den is 1 (den is monic), so only a nonconstant one enters."""
+    constant den is 1 (den is monic), so only a nonconstant one enters.
+    ``num_abs``: |N(num)| at z, when the caller has it."""
     fs = as_semiregular(f)
-    log_n = np.log(np.abs(horner(normal(fs.num).real_coeffs(), z)))
+    if num_abs is None:
+        num_abs = np.abs(horner(normal(fs.num).real_coeffs(), z))
+    log_n = np.log(num_abs)
     return log_n - 2.0 * np.log(np.abs(horner(fs.den.real_coeffs(), z))) if fs.den.degree else log_n
 
 

@@ -23,12 +23,15 @@ equal to its total multiplicity as a zero of the numerator.  Blaschke
 reciprocals with unit modulus on the boundary sphere absorb the poles;
 ``regularize`` multiplies them onto f and returns the pole-free product.
 
-``analyze(f, r)`` is the one zero and pole pass that the Jensen check
-and the ``zeros`` command share.  It runs the root finder once on
-N(num) and once on den and returns a frozen ``FunctionAnalysis``: a
-zero record for every zero sphere, every denominator sphere, the pole
+``analyze(f, r)`` is the one zero and pole pass that the Jensen check,
+the ``zeros`` command and ``regularize`` share.  It runs the root finder
+once on N(num) and once on den and returns a frozen ``FunctionAnalysis``:
+a zero record for every zero sphere, every denominator sphere, the pole
 records inside the closed ball of radius r, and the shadows of all of
-those spheres, which place the panels of the polar rule.
+those spheres, which place the panels of the polar rule.  The zero
+records are the only source of zeros: a zero record on a pole sphere is
+that sphere's exceptional point, and the pole record copies its
+representative and multiplicity.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def _divide(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r[:qlen][::-1], r[qlen:][::-1]
 
 
-def _division_multiplicity(c: np.ndarray, alpha: float, beta: float, tol_rel: float = TOL_DIVIDE) -> int:
+def _division_multiplicity(c: np.ndarray, alpha: float, beta: float) -> int:
     """Largest s such that the real factor of (alpha, beta) divides c^s times.
 
     c holds ascending real coefficients (m+1,) or quaternion coefficient
@@ -177,7 +180,7 @@ def _division_multiplicity(c: np.ndarray, alpha: float, beta: float, tol_rel: fl
     s = 0
     while len(cur) >= len(d):
         q, rem = _divide(cur, d)
-        if _norms(rem).max(initial=0.0) > tol_rel * max(_norms(cur).max(), 1e-300):
+        if _norms(rem).max(initial=0.0) > TOL_DIVIDE * max(_norms(cur).max(), 1e-300):
             break
         s += 1
         cur = q
@@ -377,12 +380,14 @@ def total_multiplicity(f: SlicePolynomial, y: Quaternion, spheres: list[Sphere] 
     return _matching_mult(zero_spheres(f) if spheres is None else spheres, p.alpha, p.beta) // 2
 
 
+def _same_sphere(a1: float, b1: float, a2: float, b2: float) -> bool:
+    """Whether the spheres (a1, b1) and (a2, b2) are one sphere: their
+    shadows lie within 1e-6 of each other, relative to the first radius."""
+    return math.hypot(a1 - a2, b1 - b2) <= 1e-6 * (1.0 + math.hypot(a1, b1))
+
+
 def _matching_mult(spheres: list[Sphere], alpha: float, beta: float) -> int:
-    for a, b, m in spheres:
-        tol = 1e-6 * (1.0 + math.hypot(a, b))
-        if math.hypot(a - alpha, b - beta) <= tol:
-            return m
-    return 0
+    return next((m for a, b, m in spheres if _same_sphere(a, b, alpha, beta)), 0)
 
 
 def classify_zeros(f: SlicePolynomial, spheres: list[Sphere] | None = None) -> list[ZeroRecord]:
@@ -550,24 +555,18 @@ class PoleRecord:
         return d
 
 
-def pole_structure(f: SemiregularFunction, region_radius: float, spheres: list[Sphere] | None = None,
-                   nnum: SlicePolynomial | None = None) -> list[PoleRecord]:
-    """Pole records of f inside the closed ball of the given radius.
+def pole_structure(spheres: list[Sphere], zeros: Sequence[ZeroRecord], region_radius: float) -> list[PoleRecord]:
+    """Pole records inside the closed ball of the given radius, from the
+    root spheres of den and the zero records of num.
 
     Real poles carry their order (denominator multiplicity after
     reduction).  Spherical poles have generic point order nu = the power
-    of Delta_b left in den; when the numerator vanishes at one point of
-    the sphere, that point has lesser order max(nu - m, 0) and isolated
-    multiplicity m, its total multiplicity as a zero of the numerator.
-    ``spheres`` (the root spheres of den) and ``nnum`` (N(num)) skip
-    their recomputation when the caller has them.
+    of Delta_b left in den.  A zero record on the same sphere is the one
+    point where the numerator vanishes: that point has lesser order
+    max(nu - m, 0) and isolated multiplicity m, the record's total
+    multiplicity, and the pole becomes nonuniform with the record's
+    representative as its exceptional point.
     """
-    if f.is_polynomial:
-        return []
-    if spheres is None:
-        spheres = root_spheres(f.den.real_coeffs())
-    if nnum is None and f.num.degree > 0:
-        nnum = normal(f.num)
     records: list[PoleRecord] = []
     for alpha, beta, mult in spheres:
         if math.hypot(alpha, beta) > region_radius * (1.0 + BOUNDARY_BAND):
@@ -577,25 +576,18 @@ def pole_structure(f: SemiregularFunction, region_radius: float, spheres: list[S
             continue
         nu = mult // 2
         rep = Quaternion(alpha, beta, 0.0, 0.0)
-        m_exc = 0
-        if nnum is not None:
-            # total multiplicity of the exceptional point as a zero of num:
-            # the number of times Delta_b divides N(num)
-            m_exc = _division_multiplicity(nnum.real_coeffs(), alpha, beta)
-        if m_exc == 0:
+        zero = next((z for z in zeros if _same_sphere(alpha, beta, z.alpha, z.beta)), None)
+        if zero is None:
             records.append(PoleRecord("spherical_uniform", rep, alpha, beta, order=nu, spherical_order=2 * nu))
             continue
-        stem = f.num.stem_components(alpha, beta)
-        scale = f.num.stem_scale(math.hypot(alpha, beta))
-        if stem.F2.abs() <= EPS_CLASS * scale:
+        if zero.kind == "spherical":
             raise ClassificationInconsistencyError(
                 "numerator vanishes on a whole pole sphere after reduction"
             )
-        jstar = validate_unit(-(stem.F1 * stem.F2.inverse()))
-        zj = Quaternion(alpha, 0.0, 0.0, 0.0) + jstar * beta
         records.append(PoleRecord("spherical_nonuniform", rep, alpha, beta, order=nu, spherical_order=2 * nu,
-                                  exceptional_point=zj, exceptional_order=max(nu - m_exc, 0),
-                                  isolated_multiplicity=m_exc))
+                                  exceptional_point=zero.representative,
+                                  exceptional_order=max(nu - zero.multiplicity, 0),
+                                  isolated_multiplicity=zero.multiplicity))
     return records
 
 
@@ -620,12 +612,10 @@ class FunctionAnalysis:
 
     @property
     def free_zeros(self) -> list[ZeroRecord]:
-        """The zeros off the pole spheres in the ball.  A zero on a pole
-        sphere is accounted for by the isolated multiplicity of the
-        nonuniform pole record, so it must not enter a zero list too."""
-        keys = [(p.alpha, p.beta) for p in self.poles if p.beta > 0.0]
-        return [z for z in self.zeros
-                if not any(math.hypot(z.alpha - a, z.beta - b) <= 1e-6 * (1.0 + z.point_radius) for a, b in keys)]
+        """The zeros that no pole record in the ball claimed as its
+        exceptional point; the claimed ones are listed with their pole."""
+        claimed = [p.exceptional_point for p in self.poles if p.kind == "spherical_nonuniform"]
+        return [z for z in self.zeros if z.representative not in claimed]
 
     @property
     def shadows(self) -> list[complex]:
@@ -651,10 +641,9 @@ def analyze(f, r: float) -> FunctionAnalysis:
     """Zero and pole records of f at radius r from one root finding on
     N(num) and one on den."""
     fs = as_semiregular(f)
-    nnum = normal(fs.num) if fs.num.degree > 0 else None
-    zeros = [] if nnum is None else classify_zeros(fs.num, root_spheres(nnum.real_coeffs()))
+    zeros = classify_zeros(fs.num, root_spheres(normal(fs.num).real_coeffs())) if fs.num.degree > 0 else []
     pole_spheres = root_spheres(fs.den.real_coeffs()) if fs.den.degree > 0 else []
-    poles = pole_structure(fs, r, pole_spheres, nnum)
+    poles = pole_structure(pole_spheres, zeros, r)
     return FunctionAnalysis(r, tuple(zeros), tuple(pole_spheres), tuple(poles))
 
 
@@ -700,7 +689,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
     if f.is_polynomial:
         one = SemiregularFunction.from_polynomial(SlicePolynomial.from_real([1.0]))
         return one, f
-    poles = pole_structure(f, math.inf)
+    poles = analyze(f, math.inf).poles
     for rec in poles:
         rad = rec.point_radius
         if on_boundary(rad, r):

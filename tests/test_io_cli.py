@@ -20,7 +20,7 @@ from slicereg.io import (
 from slicereg.jensen import jensen_check
 from slicereg.quaternions import I, ONE, Quaternion
 from slicereg.slicepoly import SlicePolynomial
-from slicereg.zeros_poles import SemiregularFunction, as_semiregular
+from slicereg.zeros_poles import SemiregularFunction, analyze, as_semiregular
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CASE_RADIUS = {
@@ -288,20 +288,20 @@ def test_cli_zeros_rejects_bad_radius(capsys):
 @pytest.mark.parametrize("name", RATIONALS)
 def test_cli_zeros_match_jensen_check(name, capsys):
     """The zeros command and jensen_check read one analysis: jensen's zero
-    list is the listed zeros inside the ball plus the exceptional points of
-    the nonuniform pole spheres."""
+    list is every zero record inside the ball, and the zeros command lists
+    the records that no nonuniform pole sphere claimed as its exceptional
+    point."""
     path, r = CORPUS / name, CASE_RADIUS[name]
     assert main(["zeros", "--fn", str(path), "--r", repr(r), "--format", "json"]) == 0
     listed = json.loads(capsys.readouterr().out)
-    report = json.loads(render_json(jensen_check(load_function(path), r, 12, diagnostics=False).to_dict()))
+    f = load_function(path)
+    report = json.loads(render_json(jensen_check(f, r, 12, diagnostics=False).to_dict()))
     assert listed["poles"] == report["poles"]
-    inside = [z for z in listed["zeros"] if math.hypot(*z["sphere"]) < r]
-    exceptional = [
-        {"kind": "isolated", "representative": p["exceptional_point"], "sphere": p["sphere"],
-         "total_multiplicity": p["isolated_multiplicity"]}
-        for p in listed["poles"] if p["kind"] == "spherical_nonuniform"
-    ]
-    assert inside + exceptional == report["zeros"]
+    records = json.loads(render_json([z.to_dict() for z in analyze(f, math.inf).zeros]))
+    assert report["zeros"] == [z for z in records if math.hypot(*z["sphere"]) < r]
+    exceptional = [p["exceptional_point"] for p in listed["poles"] if p["kind"] == "spherical_nonuniform"]
+    assert listed["zeros"] == [z for z in records if z["representative"] not in exceptional]
+    assert len(listed["zeros"]) + len(exceptional) == len(records)
 
 
 def _count_root_spheres(monkeypatch) -> list:
@@ -368,7 +368,6 @@ def test_cli_verify_ops_row_outputs(capsys):
 
 
 def test_cli_verify_ops_all_json_matches_text(tmp_path):
-    # suite summaries hold numpy scalars; the json report must still parse
     js, txt = tmp_path / "v.json", tmp_path / "v.txt"
     code_json = main(["verify-ops", "--suite", "all", "--format", "json", "--out", str(js)])
     code_text = main(["verify-ops", "--suite", "all", "--format", "text", "--out", str(txt)])

@@ -293,6 +293,20 @@ def test_jensen_matches_regularized_for_nonuniform():
     assert abs(rep_h.residual) <= 1e-8
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-8, 1e-7, 1e-6, 1e-5])
+def test_zero_near_a_pole_sphere_is_counted_once(eps):
+    # f = Delta_b^{-1} (x - q)(x - p) with b = 0.6 j and |q| = 0.6 (1 + eps):
+    # q sits on the pole sphere or just off it, and enters the zero sum once
+    # whether or not the pole record claims it as its exceptional point
+    q = Quaternion(0.0, 1.0, 0.0, 1.0) * (0.6 * (1.0 + eps) / math.sqrt(2.0))
+    num = slice_product(SlicePolynomial.linear(q), lin(0.3, 0.2, 0.0, -0.1))
+    f = SemiregularFunction(characteristic_poly(Quaternion(0.0, 0.0, 0.6, 0.0)), num)
+    rep = jensen_check(f, 1.0, 48, diagnostics=False)
+    assert abs(rep.residual) <= 1e-12
+    at_q = [z for z in rep.zeros if Quaternion(*z["representative"]).isclose(q, 1e-6)]
+    assert len(at_q) == 1 and at_q[0]["total_multiplicity"] == 1
+
+
 def test_jensen_pole_outside_ball_ignored():
     f = SemiregularFunction(real_poly(4.0, 0.0, 1.0), real_poly(-0.5, 1.0))
     rep = jensen_check(f, 1.0, 48, diagnostics=False)

@@ -3,6 +3,7 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 from slicereg.errors import (
+    ClassificationInconsistencyError,
     InvalidPoleError,
     PoleOnBoundaryError,
     PoleOutsideRegionError,
@@ -13,13 +14,13 @@ from slicereg.slicepoly import SlicePolynomial, normal, slice_product
 from slicereg.zeros_poles import (
     SemiregularFunction,
     _division_multiplicity,
+    analyze,
     blaschke_real,
     blaschke_spherical,
     characteristic_poly,
     classify_zeros,
     divide_by_real,
     estimate_point_order,
-    pole_structure,
     regularize,
     root_spheres,
     total_multiplicity,
@@ -324,7 +325,7 @@ def test_semiregular_eval_order():
 
 def test_pole_structure_remark_function():
     f = SemiregularFunction(real_poly(1, 0, 1), SlicePolynomial([I, ONE]))
-    recs = pole_structure(f, 2.0)
+    recs = analyze(f, 2.0).poles
     assert len(recs) == 1
     rec = recs[0]
     assert rec.kind == "spherical_nonuniform"
@@ -337,7 +338,7 @@ def test_pole_structure_remark_function():
 
 def test_pole_structure_real_pole():
     f = SemiregularFunction(real_poly(-0.5, 1.0), real_poly(1.0))
-    recs = pole_structure(f, 1.0)
+    recs = analyze(f, 1.0).poles
     assert len(recs) == 1 and recs[0].kind == "real"
     assert recs[0].order == 1
     assert recs[0].representative.re() == pytest.approx(0.5)
@@ -345,7 +346,7 @@ def test_pole_structure_real_pole():
 
 def test_pole_structure_uniform_and_counts():
     f = SemiregularFunction(real_poly(0.25, 0, 1.0) * real_poly(-0.5, 1.0), real_poly(1.0))
-    recs = pole_structure(f, 1.0)
+    recs = analyze(f, 1.0).poles
     kinds = sorted(r.kind for r in recs)
     assert kinds == ["real", "spherical_uniform"]
     (sphere,) = [r for r in recs if r.kind == "spherical_uniform"]
@@ -356,7 +357,7 @@ def test_pole_structure_nonuniform_higher_order():
     # den Delta^2, num vanishes once at 0.6i: generic order 2, exceptional 1
     delta = characteristic_poly(Quaternion(0, 0.6, 0, 0))
     f = SemiregularFunction(delta * delta, lin(0, 0.6, 0, 0))
-    recs = pole_structure(f, 1.0)
+    recs = analyze(f, 1.0).poles
     assert len(recs) == 1
     rec = recs[0]
     assert rec.kind == "spherical_nonuniform"
@@ -368,8 +369,25 @@ def test_pole_structure_nonuniform_higher_order():
 
 def test_pole_structure_region_filter():
     f = SemiregularFunction(real_poly(4.0, 0, 1.0), real_poly(-0.5, 1.0))
-    assert pole_structure(f, 1.0) == []
-    assert len(pole_structure(f, 3.0)) == 1
+    assert analyze(f, 1.0).poles == ()
+    assert len(analyze(f, 3.0).poles) == 1
+
+
+def test_pole_structure_takes_the_exceptional_point_from_the_zero_record():
+    f = SemiregularFunction(real_poly(1, 0, 1), SlicePolynomial([I, ONE]))
+    analysis = analyze(f, 2.0)
+    (zero,) = analysis.zeros
+    (pole,) = analysis.poles
+    assert pole.exceptional_point is zero.representative
+    assert pole.isolated_multiplicity == zero.multiplicity
+    assert analysis.free_zeros == []
+
+
+def test_numerator_vanishing_on_a_whole_pole_sphere_is_inconsistent():
+    delta = characteristic_poly(Quaternion(0, 0, 0.6, 0))
+    f = SemiregularFunction(delta, slice_product(delta, lin(0.3, 0.2, 0, -0.1)), reduce=False)
+    with pytest.raises(ClassificationInconsistencyError, match="whole pole sphere"):
+        analyze(f, 1.0)
 
 
 def test_pole_inequality_invariant():
@@ -380,7 +398,7 @@ def test_pole_inequality_invariant():
             characteristic_poly(Quaternion(0, 0.6, 0, 0)) ** 2, lin(0, 0.6, 0, 0)
         ),
     ):
-        for rec in pole_structure(f, 2.0):
+        for rec in analyze(f, 2.0).poles:
             if rec.kind == "spherical_nonuniform":
                 lower = rec.spherical_order / 2 - rec.exceptional_order
                 assert rec.isolated_multiplicity >= lower > 0
