@@ -30,7 +30,6 @@ from .quadrature import (
     boundary_means,
     build_rule,
     circular_reduction,
-    integrate,
 )
 from .jensen import JensenReport, delta4_logNf_at0, jensen_check, jensen_lhs, pole_sum, zero_sum
 
@@ -66,7 +65,6 @@ __all__ = [
     "regularize",
     "SphereQuadratureRule",
     "build_rule",
-    "integrate",
     "circular_reduction",
     "T_map",
     "S_map",

@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--corpus", help="corpus manifest json")
     pj.add_argument("--r", type=float, default=1.0, help="ball radius (default 1)")
     pj.add_argument("--n", type=int, default=DEFAULT_N,
-                    help="nodes per panel of the polar rule and per angle of the oracle")
+                    help="nodes per panel of the polar rule; the oracle takes ceil(n/3) per "
+                         "panel and an S^2 order of ceil(n/4), at least 4 each")
     pj.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
     pj.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
     pj.add_argument("--bijectivity-points", type=int, default=1000)

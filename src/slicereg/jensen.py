@@ -37,6 +37,7 @@ from .quadrature import (
     boundary_identity_residual,
     boundary_means,
     build_rule,
+    oracle_orders,
     sf_roundtrip_errors,
 )
 from .zeros_poles import (
@@ -214,7 +215,8 @@ def jensen_check(
     diagnostics: bool = True,
 ) -> JensenReport:
     """Evaluate both sides of the Jensen formula with n nodes per panel
-    of the polar rule and per angle of the oracle; report the residual.
+    of the polar rule (the oracle's orders follow from n by
+    ``oracle_orders``); report the residual.
 
     Every zero record inside the ball enters the zero sum once, with its
     total multiplicity; that includes the exceptional points of the
@@ -277,8 +279,13 @@ def jensen_check(
     }
     if diagnostics:
         rng = np.random.default_rng(seed)
-        # the 3-D product rule is the independent oracle of the polar rule
-        oracle = boundary_identity_residual(fs, build_rule(r, n))
+        # the 3-D product rule is the independent oracle of the polar rule:
+        # the same panels at orders of its own
+        p, q = oracle_orders(n)
+        rule = build_rule(r, p, analysis.shadows, q)
+        oracle = boundary_identity_residual(fs, rule)
+        diag["oracle_orders"] = [p, q]
+        diag["oracle_nodes"] = len(rule)
         diag["boundary_identity_max"] = oracle.identity_max
         diag["mean_sum_check"] = abs(oracle.means.mean_log_normal - means.mean_log_normal)
         diag["representative_spread"] = _representative_spread(

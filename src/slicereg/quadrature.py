@@ -19,14 +19,16 @@ x = r (cos t1, sin t1 cos t2, sin t1 sin t2 cos p, sin t1 sin t2 sin p)
 with surface measure r^3 sin^2(t1) sin(t2) dt1 dt2 dp and total measure
 |bd B_r| = 2 pi^2 r^3; Gauss-Legendre nodes in t1 and t2 and a uniform
 grid in p, spectrally exact for the periodic direction.  The rule is
-held as its two factors: the polar rule in t1 (r-dependent) and an S^2
-grid of 2n^2 units J (cached per n); its flat 2n^3-node arrays exist
-only on demand.  ``boundary_identity_residual`` evaluates f and S_f at
-every node, ``ORACLE_BLOCK`` polar angles at a time with S^2 means per
-angle, so its memory does not grow with n^3.  It is the independent
-check of the pointwise boundary identity and of the reduced means; its
-S^2 grid resolves high-degree stems slowly, so the 1-D means are the
-more accurate of the two.
+held as its two factors: the polar rule in t1 (r-dependent, graded like
+the means' rule) and an S^2 grid of 2q^2 units J (cached per q); its flat
+node arrays exist only on demand.  ``oracle_orders`` gives it orders of
+its own, below the means' n: it shares their panel edges, not their
+nodes.  ``boundary_identity_residual`` evaluates f and S_f at every
+node, ``ORACLE_BLOCK`` nodes at a time with S^2 means per angle, so its
+memory does not grow with the rule.  It is the independent check of the
+pointwise boundary identity and of the sum of the two means, which is
+circular, so the S^2 grid cancels from it; each mean alone carries the
+S^2 error (2.5e-4 on the degree-8 corpus case at n = 48).
 
 One array S_f (``_sf_parts``, inverse ``_sf_inverse_parts``) serves the
 product-rule oracle and the bijectivity roundtrip ``sf_roundtrip_errors``;
@@ -51,7 +53,7 @@ from .zeros_poles import as_semiregular
 __all__ = [
     "SphereQuadratureRule",
     "build_rule",
-    "integrate",
+    "oracle_orders",
     "integrate_values",
     "circular_reduction",
     "T_map",
@@ -72,24 +74,27 @@ SPHERE_MEASURE = 2.0 * math.pi**2  # |bd B_1|
 # S_f falls back to the conjugation branch when the spherical derivative
 # is this small relative to the stem scale
 DEGENERATE_REL = 1e-12
-# polar angles the product-rule oracle takes through S_f at once
-ORACLE_BLOCK = 8
+# nodes the product-rule oracle takes through S_f at once, in whole polar
+# angles (8 angles of the n = 48 S^2 grid): long numpy calls leave the
+# GIL free most of the time, so the CLI threads overlap, and the working
+# arrays stay a few MB
+ORACLE_BLOCK = 8 * 2 * 48**2
 
 
 @dataclass(frozen=True)
 class SphereQuadratureRule:
     """The product rule as its two factors, each weight vector summing
-    to 1: polar shadows z_k = r e^{i t1_k} with weights w_k, and 2n^2
+    to 1: polar shadows z_k = r e^{i t1_k} with weights w_k, and 2q^2
     units J_j on S^2 with weights s_j.  Node (k, j) is Re z_k + J_j Im z_k
-    with weight |bd B_r| w_k s_j.  The flat arrays over all N = 2n^3
-    nodes (alpha, beta, junits, nodes, weights) are built on first use."""
+    with weight |bd B_r| w_k s_j.  The flat arrays over all nodes (alpha,
+    beta, junits, nodes, weights) are built on first use."""
 
     radius: float
-    orders: tuple[int, int, int]
-    polar_z: np.ndarray  # (n,), Im > 0
-    polar_weights: np.ndarray  # (n,)
-    s2_units: np.ndarray  # (2n^2, 4), shared by every polar angle
-    s2_weights: np.ndarray  # (2n^2,)
+    orders: tuple[int, int, int]  # polar nodes per panel, S^2 angles, azimuths
+    polar_z: np.ndarray  # (K,), Im > 0
+    polar_weights: np.ndarray  # (K,)
+    s2_units: np.ndarray  # (2q^2, 4), shared by every polar angle
+    s2_weights: np.ndarray  # (2q^2,)
 
     @property
     def measure(self) -> float:
@@ -180,16 +185,22 @@ def polar_rule(r: float, n: int, shadows=()) -> tuple[np.ndarray, np.ndarray]:
     return z, wt * np.sin(theta) ** 2
 
 
-def build_rule(r: float, n: int) -> SphereQuadratureRule:
-    """Product rule with n Gauss-Legendre nodes in each polar angle and
-    2n uniform nodes in the azimuth: ``polar_rule`` times ``_s2_factor``."""
-    return SphereQuadratureRule(r, (n, n, 2 * n), *polar_rule(r, n), *_s2_factor(n))
+def build_rule(r: float, n: int, shadows=(), s2_order: int | None = None) -> SphereQuadratureRule:
+    """Product rule: ``polar_rule(r, n, shadows)`` times the S^2 grid of
+    q Gauss-Legendre angles and 2q uniform azimuths, q = s2_order or n."""
+    q = n if s2_order is None else s2_order
+    if q < MIN_ORDER:
+        raise ValueError(f"need at least {MIN_ORDER} nodes per angle")
+    return SphereQuadratureRule(r, (n, q, 2 * q), *polar_rule(r, n, shadows), *_s2_factor(q))
 
 
-def integrate(rule: SphereQuadratureRule, u: Callable[[Quaternion], float]) -> float:
-    """Sum w_i u(x_i) over the rule nodes for a pointwise integrand."""
-    values = np.fromiter((u(Quaternion.from_array(row)) for row in rule.nodes), float, len(rule))
-    return integrate_values(rule, values)
+def oracle_orders(n: int) -> tuple[int, int]:
+    """Polar nodes per panel and S^2 order of the product-rule oracle
+    beside means of order n: ceil(n/3) and ceil(n/4), at least MIN_ORDER.
+    On the graded panels the corpus and the near-boundary spheres reach
+    roundoff at (16, 12), the orders at n = 48, where no polar node of the
+    oracle is one of the means'."""
+    return max(MIN_ORDER, -(-n // 3)), max(MIN_ORDER, -(-n // 4))
 
 
 def integrate_values(rule: SphereQuadratureRule, values: np.ndarray) -> float:
@@ -199,7 +210,7 @@ def integrate_values(rule: SphereQuadratureRule, values: np.ndarray) -> float:
 
 
 def _s2_means(rule: SphereQuadratureRule, values: np.ndarray, first: int) -> np.ndarray:
-    """S^2 means of values (b, 2n^2) at the polar angles first, first + 1,
+    """S^2 means of values (b, 2q^2) at the polar angles first, first + 1,
     ...; a non-finite value raises, naming its node."""
     means = values @ rule.s2_weights
     if not np.all(np.isfinite(means)) and not np.all(np.isfinite(values)):
@@ -434,10 +445,9 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleChec
     """Evaluate f and f o S_f at every node of the product rule.
 
     The stems and log|N(f)| are evaluated once per polar angle and
-    broadcast against the 2n^2 units J.  ``ORACLE_BLOCK`` angles at a time
-    go through S_f and are reduced to S^2 means, so the working arrays hold
-    ``ORACLE_BLOCK`` * 2n^2 nodes at most; the polar weights are applied
-    once at the end.
+    broadcast against the 2q^2 units J.  Blocks of whole angles, about
+    ``ORACLE_BLOCK`` nodes each, go through S_f and are reduced to S^2
+    means; the polar weights are applied once at the end.
     """
     z = rule.polar_z[:, None]
     junit = (0.0, *np.ascontiguousarray(rule.s2_units[:, 1:].T))
@@ -446,8 +456,9 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleChec
     stems = f.stem_arrays(z)
     sphere_means = np.empty((2, len(z)))
     identity = 0.0
-    for lo in range(0, len(z), ORACLE_BLOCK):
-        blk = slice(lo, lo + ORACLE_BLOCK)
+    angles = max(1, ORACLE_BLOCK // len(rule.s2_weights))
+    for lo in range(0, len(z), angles):
+        blk = slice(lo, lo + angles)
         alpha, beta = z[blk].real, z[blk].imag
         b1, b2 = (tuple(c[blk] for c in stem) for stem in stems)
         x = (alpha, beta * junit[1], beta * junit[2], beta * junit[3])

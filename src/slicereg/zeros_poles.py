@@ -721,30 +721,3 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
         )
     h = SemiregularFunction(g_den, h_num, reduce=False)
     return g, h
-
-
-# ---------------------------------------------------------------------------
-# limit-growth test oracle for pole/zero orders
-# ---------------------------------------------------------------------------
-
-
-def estimate_point_order(f: SemiregularFunction, y: Quaternion, rng=None, n_rays: int = 8) -> float:
-    """Growth exponent of |f| into y: median slope of log|f| vs log(dist).
-
-    Positive values estimate pole orders, negative values zero orders;
-    used only as an independent oracle against the algebraic structure.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    slopes = []
-    ts = np.geomspace(1e-3, 1e-5, 7)
-    for _ in range(n_rays):
-        d = rng.normal(size=4)
-        d /= np.linalg.norm(d)
-        dq = Quaternion.from_array(d)
-        vals = []
-        for t in ts:
-            x = y + dq * float(t)
-            vals.append(math.log(max(f.eval(x).abs(), 1e-300)))
-        slope = np.polyfit(np.log(ts), vals, 1)[0]
-        slopes.append(-slope)
-    return float(np.median(slopes))

@@ -251,6 +251,21 @@ def test_cli_near_boundary_keeps_the_given_order(tmp_path, capsys):
     assert abs(case["residual"]) <= 1e-12
 
 
+def test_cli_reports_the_oracle_only_with_diagnostics(capsys):
+    fn = str(CORPUS / "poly_spherical.json")
+    reports = {}
+    for flags in ([], ["--no-diagnostics"]):
+        assert main(["jensen", "--fn", fn, "--r", "1", "--format", "json", "--bijectivity-points", "1", *flags]) == 0
+        (case,) = json.loads(capsys.readouterr().out)["cases"]
+        reports[bool(flags)] = case
+    diagnostics = reports[False]["diagnostics"]
+    assert diagnostics["oracle_orders"] == [16, 12]
+    assert diagnostics["oracle_nodes"] > 0 and diagnostics["oracle_nodes"] % (2 * 12 * 12) == 0
+    assert not {"oracle_orders", "oracle_nodes"} & set(reports[True]["diagnostics"])
+    for key in ("lhs", "rhs", "residual", "breakdown", "zeros", "poles"):
+        assert reports[False][key] == reports[True][key]
+
+
 def test_convergence_study_prints_a_row_per_corpus_case():
     import subprocess
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +20,16 @@ from slicereg.jensen import (
     pole_sum,
     zero_sum,
 )
+from slicereg.io import load_function
 from slicereg.quaternions import I, ONE, Quaternion
-from slicereg.quadrature import build_rule, boundary_means, integrate_values, log_normal_values
+from slicereg.quadrature import (
+    boundary_means,
+    build_rule,
+    integrate_values,
+    log_normal_values,
+    oracle_orders,
+    polar_rule,
+)
 from slicereg.slicepoly import SlicePolynomial, log_abs, normal, slice_product
 from slicereg.zeros_poles import (
     PoleRecord,
@@ -422,8 +432,9 @@ def test_high_multiplicity_zero_is_not_a_node_hit():
 
 def test_escalated_diagnostic_run_memory_is_bounded():
     """jensen_check at n = 128 with diagnostics, on a zero sphere at
-    0.99 r: the product-rule oracle's 4.2M nodes go through S_f a block of
-    polar angles at a time (a flat node grid peaked at ~1.1 GB)."""
+    0.99 r: the product-rule oracle's 1.8M nodes (orders (43, 32) on the
+    graded panels) go through S_f about ORACLE_BLOCK nodes at a time; the
+    run peaks at ~11 MB, where a flat node grid would take ~0.5 GB."""
     import tracemalloc
 
     rng = np.random.default_rng(3)
@@ -438,3 +449,65 @@ def test_escalated_diagnostic_run_memory_is_bounded():
         tracemalloc.stop()
     assert report.diagnostics["boundary_identity_max"] <= 1e-9
     assert peak < 200 * 2**20
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_CASES = [
+    (entry["name"], load_function(CORPUS / entry["file"]), entry["r"])
+    for manifest in ("polynomials.json", "rationals.json")
+    for entry in json.loads((CORPUS / manifest).read_text())["cases"]
+]
+
+
+def _near_boundary_functions(seed: int) -> dict:
+    """A zero sphere and a pole sphere at 0.99 r, polar angle 3 pi / 8,
+    each times two seeded linear factors with roots at radius 0.3-0.6,
+    drawn in the order of the benchmark's near-boundary workload."""
+    rng = np.random.default_rng(seed)
+
+    def inner_factor():
+        d = rng.normal(size=4)
+        return SlicePolynomial.linear(Quaternion.from_array(d * (rng.uniform(0.3, 0.6) / np.linalg.norm(d))))
+
+    def sphere():
+        u = rng.normal(size=3)
+        u *= math.sin(3 * math.pi / 8) * 0.99 / np.linalg.norm(u)
+        return characteristic_poly(Quaternion(0.99 * math.cos(3 * math.pi / 8), *u))
+
+    zero_sphere = sphere() * inner_factor() * inner_factor()
+    pole_sphere = SemiregularFunction(sphere(), inner_factor() * inner_factor())
+    return {"zero_sphere": zero_sphere, "pole_sphere": pole_sphere}
+
+
+ORACLE_CASES = CORPUS_CASES + [
+    (f"nb{seed}_{name}", f, 1.0) for seed in (1, 2, 3) for name, f in _near_boundary_functions(seed).items()
+]
+
+
+@pytest.mark.parametrize("name, f, r", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_product_rule_oracle_agrees_with_the_means(name, f, r):
+    # the oracle runs on the means' graded panels at its own orders, so
+    # its sum of the two means agrees with theirs to roundoff
+    d = jensen_check(f, r, 48, bijectivity_points=1).diagnostics
+    assert d["mean_sum_check"] <= 1e-12
+    assert d["boundary_identity_max"] <= 1e-9
+
+
+def test_oracle_orders_and_nodes_are_reported():
+    name, f, r = next(c for c in CORPUS_CASES if c[0] == "near_boundary_sphere")
+    d = jensen_check(f, r, 48, bijectivity_points=1).diagnostics
+    p, q = oracle_orders(48)
+    assert d["oracle_orders"] == [p, q] == [16, 12]
+    shadows = analyze(f, r).shadows
+    rule = build_rule(r, p, shadows, q)
+    assert d["oracle_nodes"] == len(rule) == len(rule.polar_z) * 2 * q * q
+    # the same panels, but no polar angle of the oracle is one of the means'
+    z, _ = polar_rule(r, 48, shadows)
+    assert len(rule.polar_z) * 3 == len(z)
+    assert not set(z.tolist()) & set(rule.polar_z.tolist())
+    assert not {"oracle_orders", "oracle_nodes"} & set(jensen_check(f, r, 48, diagnostics=False).diagnostics)
+
+
+@pytest.mark.parametrize("n, orders", [(4, (4, 4)), (13, (5, 4)), (48, (16, 12)), (128, (43, 32))])
+def test_oracle_orders_follow_n(n, orders):
+    assert oracle_orders(n) == orders

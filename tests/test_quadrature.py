@@ -25,7 +25,6 @@ from slicereg.quadrature import (
     boundary_means,
     build_rule,
     circular_reduction,
-    integrate,
     integrate_values,
     log_normal_values,
     polar_rule,
@@ -77,6 +76,16 @@ def test_rule_rejects_bad_parameters():
         build_rule(-1.0, 8)
     with pytest.raises(ValueError):
         build_rule(1.0, 2)
+    with pytest.raises(ValueError):
+        build_rule(1.0, 8, (), 3)
+
+
+def integrate(rule, u) -> float:
+    """Sum w_i u(x_i) over the product-rule nodes, one scalar call of u
+    per node: the pointwise oracle of the array paths and of
+    ``integrate_values``."""
+    values = np.fromiter((u(Quaternion.from_array(row)) for row in rule.nodes), float, len(rule))
+    return integrate_values(rule, values)
 
 
 def test_integrate_constant_and_moments():
@@ -154,6 +163,13 @@ def test_rule_factors_are_shared_and_read_only():
     assert float(np.sum(a.s2_weights)) == pytest.approx(1.0, abs=1e-15)
     z, w = polar_rule(2.5, 24)
     assert np.array_equal(b.polar_z, z) and np.array_equal(b.polar_weights, w)
+    # graded polar factor and an S^2 order of its own
+    shadows = [2.4 * complex(math.cos(1.0), math.sin(1.0))]
+    c = build_rule(2.5, 16, shadows, 24)
+    assert c.orders == (16, 24, 48) and c.s2_units is a.s2_units
+    z, w = polar_rule(2.5, 16, shadows)
+    assert np.array_equal(c.polar_z, z) and np.array_equal(c.polar_weights, w)
+    assert len(c) == len(z) * 2 * 24**2 and len(z) > 16
 
 
 # -- circular reduction and its exact mean ----------------------------------
@@ -701,9 +717,9 @@ def test_boundary_identity_residual_matches_scalar_nodes(name, f, r):
 
 
 def _unblocked_oracle(f, rule):
-    """``boundary_identity_residual`` on the flat (n, 2n^2) node arrays
+    """``boundary_identity_residual`` on the flat (K, 2q^2) node arrays
     at once, integrated with the flat weights."""
-    per_angle = len(rule) // rule.orders[0]
+    per_angle = len(rule) // len(rule.polar_z)
     alpha, beta = rule.alpha[::per_angle, None], rule.beta[::per_angle, None]
     z = alpha + 1j * beta
     f1, f2 = f.stem_arrays(z)
@@ -717,31 +733,51 @@ def _unblocked_oracle(f, rule):
     return means, float(np.max(np.abs(log_normal_values(f, z) - log_fx - log_fy)))
 
 
-ODD_ORDER = 4 * ORACLE_BLOCK + 3  # the last block is short
+def _block_angles(rule):
+    """Polar angles per oracle block: whole S^2 grids of at most
+    ORACLE_BLOCK nodes."""
+    return ORACLE_BLOCK // len(rule.s2_weights)
 
 
-@pytest.mark.parametrize("n", [48, ODD_ORDER])
-def test_blocked_oracle_matches_unblocked_evaluation(n):
-    assert ODD_ORDER % ORACLE_BLOCK
+def _assert_short_last_block(rule):
+    angles, per_block = len(rule.polar_z), _block_angles(rule)
+    assert angles > 2 * per_block and angles % per_block, (angles, per_block)
+
+
+def _block_edge_cases(kind):
+    """(name, f, rule) whose oracle runs in >= 3 blocks, the last one
+    short.  plain: every corpus case on one panel of 40 angles with the
+    q = 32 grid, 18 angles a block.  graded: near_boundary_sphere on its
+    own shadows' panels of 16 angles with the q = 24 grid, 32 a block."""
     for entry in CORPUS_CASES:
-        f = as_semiregular(load_function(CORPUS / entry["file"]))
-        rule = build_rule(entry["r"], n)
+        if kind == "plain" or entry["name"] == "near_boundary_sphere":
+            f, r = as_semiregular(load_function(CORPUS / entry["file"])), entry["r"]
+            rule = build_rule(r, 40, (), 32) if kind == "plain" else build_rule(r, 16, analyze(f, r).shadows, 24)
+            yield entry["name"], f, rule
+
+
+@pytest.mark.parametrize("kind", ["plain", "graded"])
+def test_blocked_oracle_matches_unblocked_evaluation(kind):
+    cases = list(_block_edge_cases(kind))
+    assert len(cases) == (len(CORPUS_CASES) if kind == "plain" else 1)
+    for name, f, rule in cases:
+        _assert_short_last_block(rule)
         check = boundary_identity_residual(f, rule)
         assert not {"nodes", "weights", "alpha", "beta", "junits"} & set(vars(rule))
         (mean_fx, mean_fy), identity = _unblocked_oracle(f, rule)
-        assert abs(check.means.mean_log_f - mean_fx) <= 1e-14, entry["name"]
-        assert abs(check.means.mean_log_f_sf - mean_fy) <= 1e-14, entry["name"]
-        assert abs(check.identity_max - identity) <= 1e-14, entry["name"]
+        assert abs(check.means.mean_log_f - mean_fx) <= 1e-14, name
+        assert abs(check.means.mean_log_f_sf - mean_fy) <= 1e-14, name
+        assert abs(check.identity_max - identity) <= 1e-14, name
 
 
 def test_blocked_oracle_names_the_nonfinite_node():
     # f(x) = x - x_k vanishes exactly at node k, so log|f| there is -inf;
-    # the nodes sit in the first block, mid-way through a later block and
-    # at the start of one
-    n = 2 * ORACLE_BLOCK + 3
-    rule = build_rule(1.0, n)
-    per_angle = 2 * n * n
-    for k in (5, (ORACLE_BLOCK + 1) * per_angle + 37, ORACLE_BLOCK * per_angle, len(rule) - 1):
+    # the nodes sit in the first block, mid-way through a later block, at
+    # the start of one and at the end of the short last block
+    rule = build_rule(1.0, 40, (), 32)
+    _assert_short_last_block(rule)
+    per_angle, per_block = len(rule.s2_weights), _block_angles(rule)
+    for k in (5, (per_block + 1) * per_angle + 37, per_block * per_angle, len(rule) - 1):
         node = Quaternion.from_array(rule.nodes[k])
         with np.errstate(divide="ignore"), pytest.raises(NonFiniteIntegrandError) as err:
             # log|N(f)| is -inf on the node's sphere

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
@@ -20,7 +22,6 @@ from slicereg.zeros_poles import (
     characteristic_poly,
     classify_zeros,
     divide_by_real,
-    estimate_point_order,
     regularize,
     root_spheres,
     total_multiplicity,
@@ -405,6 +406,21 @@ def test_pole_inequality_invariant():
 
 
 # -- order oracle -----------------------------------------------------------------
+
+
+def estimate_point_order(f: SemiregularFunction, y: Quaternion, rng, n_rays: int = 8) -> float:
+    """Growth exponent of |f| into y: median slope of log|f| against
+    log(dist) along seeded rays.  Positive values estimate pole orders,
+    negative values zero orders; the scalar oracle, from values of f
+    alone, that the algebraic orders are held to."""
+    slopes = []
+    ts = np.geomspace(1e-3, 1e-5, 7)
+    for _ in range(n_rays):
+        d = rng.normal(size=4)
+        dq = Quaternion.from_array(d / np.linalg.norm(d))
+        vals = [math.log(max(f.eval(y + dq * float(t)).abs(), 1e-300)) for t in ts]
+        slopes.append(-np.polyfit(np.log(ts), vals, 1)[0])
+    return float(np.median(slopes))
 
 
 def test_limit_growth_oracle_orders():
