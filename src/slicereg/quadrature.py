@@ -23,17 +23,22 @@ held as its two factors: the polar rule in t1 (r-dependent, graded like
 the means' rule) and an S^2 grid of 2q^2 units J (cached per q); its flat
 node arrays exist only on demand.  ``oracle_orders`` gives it orders of
 its own, below the means' n: it shares their panel edges, not their
-nodes.  ``boundary_identity_residual`` evaluates f and S_f at every
-node, ``ORACLE_BLOCK`` nodes at a time with S^2 means per angle, so its
-memory does not grow with the rule.  It is the independent check of the
-pointwise boundary identity and of the sum of the two means, which is
-circular, so the S^2 grid cancels from it; each mean alone carries the
-S^2 error (2.5e-4 on the degree-8 corpus case at n = 48).
+nodes.  On the sphere of a polar angle the stems are constants and S_f
+only moves the unit J, so ``_identity_map`` makes f(x) and f(S_f x)
+there ratios of affine maps of J, one small map per angle;
+``boundary_identity_residual`` applies it to ``ORACLE_BLOCK`` nodes at a
+time, with S^2 means per angle, so its memory does not grow with the
+rule.  It is the independent check of the pointwise boundary identity
+and of the sum of the two means, which is circular, so the S^2 grid
+cancels from it; each mean alone carries the S^2 error (2.5e-4 on the
+degree-8 corpus case at n = 48).
 
-One array S_f (``_sf_parts``, inverse ``_sf_inverse_parts``) serves the
-product-rule oracle and the bijectivity roundtrip ``sf_roundtrip_errors``;
-the scalar ``S_map``, ``s_inverse_map`` and ``T_map`` are only its
-pointwise reference in the tests.
+One array S_f: ``_sf_map``, the map of J per shadow, which the oracle
+applies per angle and ``_sf_parts`` point by point for the bijectivity
+roundtrip ``sf_roundtrip_errors``; its inverse ``_sf_inverse_parts``
+conjugates as ``s_inverse_map`` does.  The scalar ``S_map``,
+``s_inverse_map`` and ``T_map`` are only their pointwise reference in
+the tests.
 """
 
 from __future__ import annotations
@@ -74,10 +79,9 @@ SPHERE_MEASURE = 2.0 * math.pi**2  # |bd B_1|
 # S_f falls back to the conjugation branch when the spherical derivative
 # is this small relative to the stem scale
 DEGENERATE_REL = 1e-12
-# nodes the product-rule oracle takes through S_f at once, in whole polar
-# angles (8 angles of the n = 48 S^2 grid): long numpy calls leave the
-# GIL free most of the time, so the CLI threads overlap, and the working
-# arrays stay a few MB
+# nodes the product-rule oracle evaluates at once, in whole polar angles
+# (8 angles of the n = 48 S^2 grid): few numpy calls per case and working
+# arrays of a few MB; blocks of 9 216 to 147 456 nodes time the same
 ORACLE_BLOCK = 8 * 2 * 48**2
 
 
@@ -205,14 +209,14 @@ def oracle_orders(n: int) -> tuple[int, int]:
 
 def integrate_values(rule: SphereQuadratureRule, values: np.ndarray) -> float:
     """Sum w_i v_i for values v at the rule nodes, one factor at a time."""
-    s2_means = _s2_means(rule, values.reshape(len(rule.polar_z), -1), 0)
+    values = values.reshape(len(rule.polar_z), -1)
+    s2_means = _finite_means(rule, values, values @ rule.s2_weights, 0)
     return rule.measure * float(np.dot(rule.polar_weights, s2_means))
 
 
-def _s2_means(rule: SphereQuadratureRule, values: np.ndarray, first: int) -> np.ndarray:
-    """S^2 means of values (b, 2q^2) at the polar angles first, first + 1,
-    ...; a non-finite value raises, naming its node."""
-    means = values @ rule.s2_weights
+def _finite_means(rule: SphereQuadratureRule, values: np.ndarray, means: np.ndarray, first: int) -> np.ndarray:
+    """The S^2 means of values (b, 2q^2) at the polar angles first,
+    first + 1, ...; a non-finite value raises, naming its node."""
     if not np.all(np.isfinite(means)) and not np.all(np.isfinite(values)):
         k = first * values.shape[1] + int(np.argmax(~np.isfinite(values)))
         node = Quaternion.from_array(rule.nodes[k])
@@ -314,16 +318,45 @@ def _slice_value(f1, f2, junit):
     return tuple(a + b for a, b in zip(f1, qmul_parts(junit, f2)))
 
 
-def _sf_parts(x, junit, f1, f2, scale: float):
-    """S_f(x) = u^{-1} conj(x) u, u = f(x) F2^{-1} = F1 F2^{-1} + J, at
-    x = alpha + J beta with stems F1, F2 at alpha + i beta: ``S_map``
-    regrouped.  Conjugation where F2 is degenerate; not finite where f
-    vanishes."""
-    degenerate = _degenerate(f2, scale)
+# S_f on one sphere, whose stems F1, F2 are constants: with g = F1 F2^{-1}
+# and u = g + J, conj(u) J u = conj(g) J g + J + 2 Im g, so
+# S_f(alpha + J beta) = u^{-1} conj(x) u = alpha - beta t(J) / d(J) with
+# t(J) = conj(g) J g + J + 2 Im g and d(J) = |g + J|^2, both affine in J.
+# An affine map of J is held as quaternion parts whose entries carry a
+# last axis of 4 coefficients, one per coordinate of (1, J1, J2, J3); the
+# unit J is then the parts (0, e1, e2, e3) and the constant 1 is e0.
+_ONE, _E1, _E2, _E3 = np.eye(4)
+_J = (0.0, _E1, _E2, _E3)
+
+
+def _sf_ratio(f1, f2, degenerate):
+    """g = F1 F2^{-1}, and 0 where F2 is degenerate: there u = J and S_f is
+    conjugation."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = qmul_parts(f1, _qinv_parts(f2))
-        u = tuple(np.where(degenerate, e, c + j) for e, c, j in zip((1.0, 0.0, 0.0, 0.0), g, junit))
-        return _conjugate_by(_qconj_parts(x), u)
+        return tuple(np.where(degenerate, 0.0, c) for c in qmul_parts(f1, _qinv_parts(f2)))
+
+
+def _sf_map(g, junit, one):
+    """The three imaginary parts of t(J), and d(J), at units junit with
+    one = 1.0; at junit = _J and one = _ONE, their coefficients over
+    (1, J1, J2, J3)."""
+    _, *t = qmul_parts(_qconj_parts(g), qmul_parts(junit, g))
+    t = [a + j + 2.0 * b * one for a, j, b in zip(t, junit[1:], g[1:])]
+    d = (1.0 + _qnorm2_parts(g)) * one + 2.0 * (g[1] * junit[1] + g[2] * junit[2] + g[3] * junit[3])
+    return t, d
+
+
+def _sf_parts(x, junit, f1, f2, scale: float):
+    """S_f(x) = alpha - beta t(J) / d(J) at x = alpha + J beta with stems
+    F1, F2 at alpha + i beta, by ``_sf_map`` point by point: ``S_map``
+    regrouped.  Exactly conj(x) where F2 is degenerate; not finite where
+    f vanishes."""
+    degenerate = _degenerate(f2, scale)
+    t, d = _sf_map(_sf_ratio(f1, f2, degenerate), junit, 1.0)
+    beta = np.sqrt(x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -beta / d
+        return (x[0], *(np.where(degenerate, -c, step * a) for c, a in zip(x[1:], t)))
 
 
 def _sf_inverse_parts(f, y, scale: float):
@@ -441,34 +474,58 @@ class ProductRuleCheck:
     identity_max: float
 
 
+def _identity_map(f1, f2, scale: float) -> np.ndarray:
+    """Per polar angle with stems F1, F2, the C-contiguous (9, K, 4) map
+    of (1, J) whose rows are f(x) = F1 + J F2 (0-3), the numerator
+    F1 d - t F2 of f(S_f x) = F1 - t F2 / d (4-7) and d (8), with t
+    and d from ``_sf_map``."""
+    g = _sf_ratio(f1, f2, _degenerate(f2, scale))
+    t, d = _sf_map([c[..., None] for c in g], _J, _ONE)
+    f1, f2 = ([c[..., None] for c in q] for q in (f1, f2))
+    fx = _slice_value([a * _ONE for a in f1], f2, _J)
+    fy = tuple(a * d - b for a, b in zip(f1, qmul_parts((0.0, *t), f2)))
+    return np.stack(np.broadcast_arrays(*fx, *fy, d))
+
+
+def _homogeneous_units(rule: SphereQuadratureRule) -> np.ndarray:
+    """The S^2 units as C-contiguous columns (1, J1, J2, J3), (4, 2q^2)."""
+    units = rule.s2_units.T.copy()
+    units[0] = 1.0
+    return units
+
+
+def _log_abs_f_and_f_sf(maps: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log|f(x)| and log|f(S_f x)|, (b, 2q^2), at the units of b polar
+    angles with ``_identity_map`` rows maps (9, b, 4)."""
+    values = np.einsum("rkc,cm->rkm", maps, units)
+    fx2, fy2 = (np.einsum("rkm,rkm->km", v, v) for v in (values[:4], values[4:8]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * np.log(fx2), 0.5 * np.log(fy2 / values[8] ** 2)
+
+
 def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleCheck:
     """Evaluate f and f o S_f at every node of the product rule.
 
-    The stems and log|N(f)| are evaluated once per polar angle and
-    broadcast against the 2q^2 units J.  Blocks of whole angles, about
-    ``ORACLE_BLOCK`` nodes each, go through S_f and are reduced to S^2
-    means; the polar weights are applied once at the end.
+    The stems and log|N(f)| are evaluated once per polar angle, and so is
+    ``_identity_map``, which makes f(x) and f(S_f x) on the angle's sphere
+    ratios of affine maps of its unit J.  Blocks of whole angles, about
+    ``ORACLE_BLOCK`` nodes each, apply the map to the 2q^2 units by one
+    einsum and are reduced to S^2 means by einsum too: no BLAS, so no
+    node's or angle's arithmetic depends on the blocks.  The polar
+    weights are applied once at the end.
     """
-    z = rule.polar_z[:, None]
-    junit = (0.0, *np.ascontiguousarray(rule.s2_units[:, 1:].T))
-    scale = f.stem_scale(rule.radius)
-    log_n = log_normal_values(f, z)
-    stems = f.stem_arrays(z)
+    z = rule.polar_z
+    log_n = log_normal_values(f, z)[:, None]
+    maps = _identity_map(*f.stem_arrays(z), f.stem_scale(rule.radius))
+    units = _homogeneous_units(rule)
     sphere_means = np.empty((2, len(z)))
     identity = 0.0
     angles = max(1, ORACLE_BLOCK // len(rule.s2_weights))
     for lo in range(0, len(z), angles):
         blk = slice(lo, lo + angles)
-        alpha, beta = z[blk].real, z[blk].imag
-        b1, b2 = (tuple(c[blk] for c in stem) for stem in stems)
-        x = (alpha, beta * junit[1], beta * junit[2], beta * junit[3])
-        y = _sf_parts(x, junit, b1, b2, scale)
-        fx = _slice_value(b1, b2, junit)
-        fy = _slice_value(b1, b2, (0.0, y[1] / beta, y[2] / beta, y[3] / beta))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_fx = 0.5 * np.log(_qnorm2_parts(fx))
-            log_fy = 0.5 * np.log(_qnorm2_parts(fy))
-        sphere_means[:, blk] = _s2_means(rule, log_fx, lo), _s2_means(rule, log_fy, lo)
+        log_fx, log_fy = _log_abs_f_and_f_sf(np.ascontiguousarray(maps[:, blk]), units)
+        for row, values in zip(sphere_means, (log_fx, log_fy)):
+            row[blk] = _finite_means(rule, values, np.einsum("km,m->k", values, rule.s2_weights), lo)
         identity = max(identity, float(np.max(np.abs(log_n[blk] - log_fx - log_fy))))
     mean_fx, mean_fy = sphere_means @ rule.polar_weights
     return ProductRuleCheck(BoundaryMeans(float(mean_fx), float(mean_fy)), identity)

@@ -22,7 +22,7 @@ separated from the zero set.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -56,7 +56,8 @@ class ResidualRow:
     expected_order: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"identity": self.identity, "case": self.case, "point": self.point, "h": self.h,
+                "residual": self.residual, "expected_order": self.expected_order}
 
 
 @dataclass

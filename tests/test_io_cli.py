@@ -397,19 +397,14 @@ def test_cli_verify_ops_all_json_matches_text(tmp_path):
 
 
 def test_cli_determinism(tmp_path, monkeypatch):
+    """One thread and a pool of two write the same bytes, diagnostics
+    (the product-rule oracle) included, at the default n."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = [
-        "jensen",
-        "--corpus",
-        str(CORPUS / "rationals.json"),
-        "--format",
-        "json",
-        "--seed",
-        "3",
-        "--n",
-        "24",
-    ]
-    main(args + ["--out", str(a)])
-    monkeypatch.setenv("JENSEN_THREADS", "2")
-    main(args + ["--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+    for manifest in ("polynomials.json", "rationals.json"):
+        args = ["jensen", "--corpus", str(CORPUS / manifest), "--format", "json", "--seed", "3"]
+        monkeypatch.setenv("JENSEN_THREADS", "1")
+        main(args + ["--out", str(a)])
+        monkeypatch.setenv("JENSEN_THREADS", "2")
+        main(args + ["--out", str(b)])
+        assert "boundary_identity_max" in a.read_text()
+        assert a.read_bytes() == b.read_bytes(), manifest

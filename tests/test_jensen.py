@@ -433,8 +433,8 @@ def test_high_multiplicity_zero_is_not_a_node_hit():
 def test_escalated_diagnostic_run_memory_is_bounded():
     """jensen_check at n = 128 with diagnostics, on a zero sphere at
     0.99 r: the product-rule oracle's 1.8M nodes (orders (43, 32) on the
-    graded panels) go through S_f about ORACLE_BLOCK nodes at a time; the
-    run peaks at ~11 MB, where a flat node grid would take ~0.5 GB."""
+    graded panels) are evaluated about ORACLE_BLOCK nodes at a time; the
+    run peaks at ~6 MB, where a flat node grid would take ~0.5 GB."""
     import tracemalloc
 
     rng = np.random.default_rng(3)
