@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -50,16 +49,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _thread_cap() -> int | None:
-    """JENSEN_THREADS as a positive integer; None when unset or empty."""
-    cap = os.environ.get("JENSEN_THREADS")
-    if not cap:
-        return None
-    if not cap.strip().isdecimal() or int(cap) < 1:
-        raise ValueError(f"JENSEN_THREADS must be a positive integer, got {cap!r}")
-    return int(cap)
-
-
 def _manifest_cases(path: Path, r: float, n: int) -> list[tuple[Path, float, int, str]]:
     """(file, r, n, name) per case of a manifest {"cases": [{"file": ..., "r", "n", "name"}, ...]}."""
     manifest = json.loads(path.read_text())
@@ -77,11 +66,6 @@ def _manifest_cases(path: Path, r: float, n: int) -> list[tuple[Path, float, int
 
 
 def cmd_jensen(args: argparse.Namespace) -> int:
-    try:
-        threads = _thread_cap()
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     if not (math.isfinite(args.tol) and args.tol > 0.0) or args.seed < 0:
         print(f"input error: need a finite --tol > 0 and --seed >= 0 (got tol={args.tol}, seed={args.seed})",
               file=sys.stderr)
@@ -112,12 +96,19 @@ def cmd_jensen(args: argparse.Namespace) -> int:
         passed = bool(abs(report.residual) <= args.tol)
         return report.to_dict() | {"name": name, "file": str(path), "passed": passed, "tolerance": args.tol}
 
+    def run_all():
+        return [run_one(case) for case in cases]
+
     try:
-        if len(cases) > 1:
-            with ThreadPoolExecutor(max_workers=min(threads or os.cpu_count() or 1, len(cases))) as pool:
-                payloads = list(pool.map(run_one, cases))
+        if len(cases) == 1:
+            payloads = run_all()
         else:
-            payloads = [run_one(cases[0])]
+            # Same loop on one worker thread: the benchmark's span tracer
+            # (perfbench/tracer.py) files a case's spans under the case its
+            # thread last loaded only on a thread with no open span.  A single
+            # case stays here, which saves it the thread's start-up.
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                payloads = worker.submit(run_all).result()
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

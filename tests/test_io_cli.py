@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from slicereg import cli, zeros_poles
+from slicereg import zeros_poles
 from slicereg.cli import main
 from slicereg.io import (
     InputFormatError,
@@ -119,6 +119,8 @@ def test_cli_jensen_corpus_json(tmp_path):
     data = json.loads(out.read_text())
     assert data["summary"]["passed"] is True
     assert data["summary"]["count"] >= 6
+    manifest = json.loads((CORPUS / "rationals.json").read_text())["cases"]
+    assert [c["name"] for c in data["cases"]] == [e["name"] for e in manifest]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -134,10 +136,20 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["jensen", "--corpus", str(tmp_path / "missing.json")]) == 3
 
+    # the cases run in manifest order and the first failing one sets the code:
+    # the boundary zero (2) comes before the unreadable file (3), and no report is written
+    fine = _fine_case(tmp_path)
+    manifest, out = tmp_path / "manifest.json", tmp_path / "report.json"
+    for files, code in ((["fine.json", "boundary.json", "bad.json"], 2),
+                        (["fine.json", "bad.json", "boundary.json"], 3)):
+        manifest.write_text(json.dumps({"cases": [{"file": f, "r": 1.0} for f in files]}))
+        capsys.readouterr()
+        assert main(["jensen", "--corpus", str(manifest), "--no-diagnostics", "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("HypothesisViolation:" if code == 2 else "input error:")
+        assert not out.exists()
+
     # tolerance failure: demand an absurd tolerance
-    fine = tmp_path / "fine.json"
-    fine.write_text(json.dumps({"coeffs": [0.64, 0.0, 1.0]}))
-    assert main(["jensen", "--fn", str(fine), "--r", "1", "--n", "24", "--tol", "1e-18", "--no-diagnostics"]) == 1
+    assert main(["jensen", "--fn", fine, "--r", "1", "--n", "24", "--tol", "1e-18", "--no-diagnostics"]) == 1
 
 
 def _fine_case(tmp_path):
@@ -178,34 +190,6 @@ def test_cli_jensen_manifest_takes_integer_r_and_n(tmp_path, capsys):
     main(["jensen", "--corpus", str(path), "--no-diagnostics", "--format", "json"])
     config = json.loads(capsys.readouterr().out)["cases"][0]["config"]
     assert (config["r"], config["n"]) == (1.0, 40)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_cli_jensen_rejects_bad_thread_cap(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("JENSEN_THREADS", value)
-    fine = _fine_case(tmp_path)
-    assert main(["jensen", "--fn", fine, "--fn", fine, "--n", "24", "--no-diagnostics"]) == 3
-    assert capsys.readouterr().err.startswith("input error: JENSEN_THREADS must be a positive integer")
-
-
-def test_cli_jensen_thread_cap_sizes_the_pool(tmp_path, monkeypatch):
-    seen = []
-
-    class RecordingPool(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    fn = tmp_path / "f.json"
-    fn.write_text(json.dumps({"coeffs": [-0.5, 1.0]}))
-    args = ["jensen", "--fn", str(fn), "--fn", str(fn), "--fn", str(fn), "--n", "24", "--no-diagnostics"]
-    monkeypatch.setenv("JENSEN_THREADS", "2")
-    assert main(args) == 0
-    monkeypatch.delenv("JENSEN_THREADS")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    assert main(args) == 0
-    assert seen == [2, 3]
 
 
 def test_cli_rejects_zero_bijectivity_points(tmp_path, capsys):
@@ -396,15 +380,13 @@ def test_cli_verify_ops_all_json_matches_text(tmp_path):
     ]
 
 
-def test_cli_determinism(tmp_path, monkeypatch):
-    """One thread and a pool of two write the same bytes, diagnostics
-    (the product-rule oracle) included, at the default n."""
+def test_cli_determinism(tmp_path):
+    """Running a manifest twice in one process writes the same bytes,
+    diagnostics (the product-rule oracle) included, at the default n."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for manifest in ("polynomials.json", "rationals.json"):
         args = ["jensen", "--corpus", str(CORPUS / manifest), "--format", "json", "--seed", "3"]
-        monkeypatch.setenv("JENSEN_THREADS", "1")
         main(args + ["--out", str(a)])
-        monkeypatch.setenv("JENSEN_THREADS", "2")
         main(args + ["--out", str(b)])
         assert "boundary_identity_max" in a.read_text()
         assert a.read_bytes() == b.read_bytes(), manifest
