@@ -1,7 +1,7 @@
 """Slice-regular quaternionic function arithmetic and numerical
 verification of the four-dimensional Jensen formula."""
 
-from .quaternions import I, J, K, ONE, ZERO, Quaternion, decompose, qinv, qmul, slice_embed
+from .quaternions import I, J, K, ONE, ZERO, Quaternion, decompose, slice_embed
 from .slicepoly import (
     SlicePolynomial,
     log_abs,
@@ -42,8 +42,6 @@ __all__ = [
     "I",
     "J",
     "K",
-    "qmul",
-    "qinv",
     "slice_embed",
     "decompose",
     "SlicePolynomial",

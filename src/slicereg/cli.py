@@ -29,7 +29,7 @@ from .io import (
     render_report_text,
     render_reports_csv,
 )
-from .jensen import jensen_check
+from .jensen import DEFAULT_N, jensen_check
 from .quadrature import MIN_ORDER
 from .verify import SUITE_ORDER, run_suite
 from .zeros_poles import analyze
@@ -38,8 +38,6 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_INPUT = 3
-
-DEFAULT_N = 48
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -65,7 +65,7 @@ def parse_function(record: dict) -> SlicePolynomial | SemiregularFunction:
         if not ("num" in record and "den" in record):
             raise InputFormatError('rational record needs both "num" and "den"')
         den = parse_polynomial(record["den"])
-        if not den.is_slice_preserving(1e-10):
+        if not den.is_slice_preserving():
             raise InputFormatError("denominator coefficients must be real")
         return SemiregularFunction(den, parse_polynomial(record["num"]))
     return parse_polynomial(record)

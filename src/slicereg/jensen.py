@@ -3,8 +3,10 @@ semiregular versions.
 
 Left side: log|f(0)| plus two curvature terms built from the first and
 second slice derivatives at the origin; algebraically the same data as
-the closed-form Laplacian of log|N(f)| at 0, which is kept as an exact
-cross-check (lhs = log|f(0)| + r^2/16 * Delta_4 log|N(f)|(0)).
+the Laplacian of log|N(f)| at 0, lhs = log|f(0)| + r^2/16 * Delta_4
+log|N(f)|(0).  The diagnostic ``lhs_cross_check`` takes that Laplacian
+from the lowest coefficients of N(num) and den instead, so a wrong
+curvature term shows in it.
 
 Right side: the half-sum of the two boundary means of log|f| and
 log|f o S_f|, minus a correction per zero (real zeros with a radial
@@ -57,11 +59,11 @@ __all__ = [
     "zero_sum",
     "pole_sum",
     "jensen_check",
-    "as_semiregular",
     "boundary_gap",
 ]
 
 ORIGIN_REL = 1e-12
+DEFAULT_N = 48  # nodes per panel of the polar rule
 
 
 def _origin_terms(f, r: float) -> tuple[tuple[float, float, float], float]:
@@ -80,6 +82,16 @@ def _origin_terms(f, r: float) -> tuple[tuple[float, float, float], float]:
     square, second = (a * a).re(), (inv * f2).re()
     quarter = r * r / 4.0
     return (math.log(f0.abs()), quarter * square, -quarter * second), -4.0 * second + 4.0 * square
+
+
+def _delta4_logNf_from_coefficients(fs) -> float:
+    """Delta_4 log|N(f)|(0) = D(N(num)) - 2 D(den), where D(p) = 2 (c1/c0)^2
+    - 4 c2/c0 for the lowest coefficients c of a real p; shares no
+    arithmetic with ``_origin_terms``."""
+    a0, a1, a2 = (fs.num.coefficient(m) for m in range(3))
+    n_num = (a0.norm2(), 2.0 * (a0 * a1.conj()).re(), a1.norm2() + 2.0 * (a0 * a2.conj()).re())
+    d = [2.0 * (c1 / c0) ** 2 - 4.0 * c2 / c0 for c0, c1, c2 in (n_num, [fs.den.coefficient(m).w for m in range(3)])]
+    return d[0] - 2.0 * d[1]
 
 
 def delta4_logNf_at0(f) -> float:
@@ -208,7 +220,7 @@ def _representative_spread(records: list[ZeroRecord | PoleRecord], r: float, rng
 def jensen_check(
     f,
     r: float,
-    n: int = 48,
+    n: int = DEFAULT_N,
     *,
     seed: int = 0,
     bijectivity_points: int = 1000,
@@ -274,7 +286,7 @@ def jensen_check(
 
     diag: dict = {
         "delta4_logNf_at0": d4,
-        "lhs_cross_check": abs(lhs - (t0 + (r * r / 16.0) * d4)),
+        "lhs_cross_check": abs(lhs - (t0 + (r * r / 16.0) * _delta4_logNf_from_coefficients(fs))),
         "boundary_gap": gap if math.isfinite(gap) else None,
     }
     if diagnostics:

@@ -27,8 +27,6 @@ __all__ = [
     "J",
     "K",
     "InvalidUnitError",
-    "qmul",
-    "qinv",
     "unit_from_vector",
     "validate_unit",
     "slice_embed",
@@ -40,7 +38,6 @@ __all__ = [
 
 # Renormalize near-unit imaginary parts instead of rejecting them;
 # quadrature nodes are computed, not exact.
-EPS_UNIT = 1e-10
 UNIT_RENORM_BAND = 1e-6
 
 
@@ -106,8 +103,6 @@ class Quaternion:
     def abs(self) -> float:
         return math.sqrt(self.norm2())
 
-    __abs__ = abs
-
     def trace(self) -> float:
         """t(q) = q + conj(q) = 2 Re(q)."""
         return 2.0 * self.w
@@ -123,7 +118,7 @@ class Quaternion:
 
     def inverse(self) -> "Quaternion":
         n = self.norm2()
-        if n <= (1e-13 * (1.0 + self.abs())) ** 2:
+        if n <= eps_zero(self.abs()) ** 2:
             raise ZeroDivisionError("quaternion inverse of (near-)zero value")
         return Quaternion(self.w / n, -self.x1 / n, -self.x2 / n, -self.x3 / n)
 
@@ -161,16 +156,6 @@ J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product; n(p*q) = n(p) n(q)."""
-    return p * q
-
-
-def qinv(q: Quaternion) -> Quaternion:
-    """Two-sided inverse conj(q)/n(q); raises ZeroDivisionError near 0."""
-    return q.inverse()
-
-
 def eps_zero(scale: float) -> float:
     """Scale-aware zero threshold for inversion and decomposition tests."""
     return 1e-13 * (1.0 + abs(scale))
@@ -184,12 +169,7 @@ def validate_unit(j: Quaternion) -> Quaternion:
     raises InvalidUnitError.
     """
     n_im = j.abs_im()
-    off = max(abs(j.w), abs(n_im - 1.0))
-    if off <= EPS_UNIT:
-        if j.w == 0.0 and n_im == 1.0:
-            return j
-        return Quaternion(0.0, j.x1 / n_im, j.x2 / n_im, j.x3 / n_im)
-    if off <= UNIT_RENORM_BAND:
+    if max(abs(j.w), abs(n_im - 1.0)) <= UNIT_RENORM_BAND:
         return Quaternion(0.0, j.x1 / n_im, j.x2 / n_im, j.x3 / n_im)
     raise InvalidUnitError(f"not an imaginary unit (|Re|={abs(j.w):.3e}, ||Im|-1|={abs(n_im-1.0):.3e})")
 
@@ -203,23 +183,12 @@ def unit_from_vector(x1: float, x2: float, x3: float) -> Quaternion:
 
 @dataclass(frozen=True, slots=True)
 class SlicePoint:
-    """x = alpha + J*beta with complex shadow z = alpha + i*beta.
-
-    ``unit_defined`` is False at real points, where J is a documented
-    default (the basis unit i) that callers must not rely on.
-    """
+    """x = alpha + J*beta = ``slice_embed(alpha, beta, unit)`` with beta >= 0;
+    at real points (beta == 0) J is a placeholder, the basis unit i."""
 
     alpha: float
     beta: float
     unit: Quaternion
-    unit_defined: bool = True
-
-    @property
-    def z(self) -> complex:
-        return complex(self.alpha, self.beta)
-
-    def embed(self) -> Quaternion:
-        return slice_embed(self.alpha, self.beta, self.unit)
 
 
 def slice_embed(alpha: float, beta: float, unit: Quaternion) -> Quaternion:
@@ -233,12 +202,12 @@ def slice_embed(alpha: float, beta: float, unit: Quaternion) -> Quaternion:
 def decompose(x: Quaternion) -> SlicePoint:
     """Split x into (alpha, beta, J) with alpha = Re x, beta = |Im x| >= 0.
 
-    At (numerically) real points the unit is undefined; the default i is
-    returned with ``unit_defined=False``.
+    beta is set to 0.0 when |Im x| <= ``eps_zero(|x|)``; J is then the
+    placeholder i.
     """
     beta = x.abs_im()
     if beta <= eps_zero(x.abs()):
-        return SlicePoint(x.w, 0.0, I, unit_defined=False)
+        return SlicePoint(x.w, 0.0, I)
     return SlicePoint(x.w, beta, Quaternion(0.0, x.x1 / beta, x.x2 / beta, x.x3 / beta))
 
 

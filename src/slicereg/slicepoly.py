@@ -42,6 +42,8 @@ __all__ = [
 
 DEGREE_CAP = 64
 TRIM_REL = 1e-13
+# largest |Im a_m| / (1 + max |a_m|) of a slice-preserving polynomial
+SLICE_PRESERVING_REL = 1e-10
 # below this |Im x| the spherical derivative switches to the slice derivative
 BETA_SWITCH = 1e-8
 
@@ -115,13 +117,13 @@ class SlicePolynomial:
     def coefficient(self, m: int) -> Quaternion:
         return self.coeffs[m] if 0 <= m < len(self.coeffs) else ZERO
 
-    def is_slice_preserving(self, rel_tol: float = 1e-12) -> bool:
+    def is_slice_preserving(self, rel_tol: float = SLICE_PRESERVING_REL) -> bool:
         scale = self.coefficient_scale()
         return all(c.abs_im() <= rel_tol * (1.0 + scale) for c in self.coeffs)
 
     def real_coeffs(self) -> np.ndarray:
         """Ascending real coefficient array; requires slice-preserving f."""
-        if not self.is_slice_preserving(1e-10):
+        if not self.is_slice_preserving():
             raise ValueError("polynomial is not slice-preserving")
         return np.array([c.w for c in self.coeffs], dtype=float)
 
@@ -138,9 +140,6 @@ class SlicePolynomial:
     def __neg__(self) -> "SlicePolynomial":
         return SlicePolynomial([-c for c in self.coeffs])
 
-    def scale(self, s: float) -> "SlicePolynomial":
-        return SlicePolynomial([c * s for c in self.coeffs])
-
     def __mul__(self, other: "SlicePolynomial") -> "SlicePolynomial":
         return slice_product(self, other)
 
@@ -152,16 +151,12 @@ class SlicePolynomial:
         while n:
             if n & 1:
                 out = slice_product(out, base)
-            base_needed = n > 1
-            if base_needed:
+            if n > 1:
                 base = slice_product(base, base)
             n >>= 1
         return out
 
     # -- evaluation -------------------------------------------------------
-
-    def __call__(self, x: Quaternion) -> Quaternion:
-        return self.eval(x)
 
     def eval(self, x: Quaternion) -> Quaternion:
         return Quaternion(*self.eval_parts(x.components()))
@@ -237,12 +232,8 @@ def slice_product(f: SlicePolynomial, g: SlicePolynomial) -> SlicePolynomial:
 def normal(f: SlicePolynomial) -> SlicePolynomial:
     """N(f) = f * f^c; always slice-preserving."""
     nf = slice_product(f, f.conjugate())
-    scale = nf.coefficient_scale()
-    for c in nf.coeffs:
-        if c.abs_im() > 1e-10 * (1.0 + scale):
-            raise NormalNotRealError(
-                f"N(f) coefficient has imaginary part {c.abs_im():.3e} vs scale {scale:.3e}"
-            )
+    if not nf.is_slice_preserving():
+        raise NormalNotRealError(f"N(f) has imaginary parts above {SLICE_PRESERVING_REL:g} of its coefficient scale")
     return SlicePolynomial([Quaternion.real(c.w) for c in nf.coeffs])
 
 
@@ -283,15 +274,17 @@ def log_abs(f: SlicePolynomial, x: "Quaternion | tuple") -> "float | np.ndarray"
     """log|f(x)| for slice-preserving f (a circular function of x) at one
     Quaternion (a float) or at parts (an array).  The complex Horner runs
     in real arithmetic, product for product as CPython multiplies complex
-    numbers, so it agrees with ``horner`` at the shadow of x."""
-    if not f.is_slice_preserving(1e-10):
+    numbers: at one Quaternion it is bitwise the scalar ``horner`` at the
+    shadow of x, on parts it matches array ``horner`` only to rounding.
+    |f(x)| <= ``eps_zero(stem_scale(|x|))`` raises LogOfZeroError."""
+    if not f.is_slice_preserving():
         raise ValueError("log_abs requires a slice-preserving polynomial")
     w, beta = _shadow(x)
     re = im = 0.0
     for c in reversed(f.coeffs):
         re, im = re * w - im * beta + c.w, re * beta + im * w
     a2 = re * re + im * im
-    zero = a2 <= (1e-13 * (1.0 + f.stem_scale(np.hypot(w, beta)))) ** 2
+    zero = a2 <= eps_zero(f.stem_scale(np.hypot(w, beta))) ** 2
     if np.asarray(zero).any():
         w_k, beta_k, a2_k = (float(np.ravel(v)[np.argmax(zero)]) for v in (w, beta, a2))
         raise LogOfZeroError(f"|f(x)| ~ {math.sqrt(a2_k):.3e} at x with z = {complex(w_k, beta_k)}")

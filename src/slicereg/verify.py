@@ -405,7 +405,7 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
         nf = normal(f)
         # one root-finding pass per polynomial; N(f) has real coefficients
         spheres_n = root_spheres(nf.real_coeffs())
-        spheres_f = root_spheres(f.real_coeffs()) if f.is_slice_preserving(1e-10) else spheres_n
+        spheres_f = root_spheres(f.real_coeffs()) if f.is_slice_preserving() else spheres_n
         ok = True
         for rec in classify_zeros(f, spheres_n):
             m_f = total_multiplicity(f, rec.representative, spheres_f)

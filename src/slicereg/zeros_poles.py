@@ -29,9 +29,9 @@ once on N(num) and once on den and returns a frozen ``FunctionAnalysis``:
 a zero record for every zero sphere, every denominator sphere, the pole
 records inside the closed ball of radius r, and the shadows of all of
 those spheres, which place the panels of the polar rule.  The zero
-records are the only source of zeros: a zero record on a pole sphere is
-that sphere's exceptional point, and the pole record copies its
-representative and multiplicity.
+records are the only source of zeros: a zero record whose real factor
+divides den is the exceptional point of that pole sphere, and the pole
+record copies its representative and multiplicity.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .quaternions import Quaternion, decompose, validate_unit
-from .slicepoly import SlicePolynomial, StemValue, horner, normal, slice_product
+from .slicepoly import TRIM_REL, SlicePolynomial, StemValue, horner, normal, slice_product
 
 __all__ = [
     "FunctionAnalysis",
@@ -104,7 +104,7 @@ def _norms(c: np.ndarray) -> np.ndarray:
 def _poly_trim(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     norms = _norms(c)
-    keep = np.nonzero(norms > 1e-13 * norms.max(initial=0.0))[0]
+    keep = np.nonzero(norms > TRIM_REL * norms.max(initial=0.0))[0]
     return c[: keep[-1] + 1] if keep.size else c[:0]
 
 
@@ -373,7 +373,7 @@ def total_multiplicity(f: SlicePolynomial, y: Quaternion, spheres: list[Sphere] 
     if f.is_zero:
         raise ZeroPolynomialError("total multiplicity undefined for the zero polynomial")
     p = decompose(y)
-    if f.is_slice_preserving(1e-10):
+    if f.is_slice_preserving():
         # N(f) = f^2, so the multiplicity in N is twice the one in f and
         # the doubling cancels against the Delta^s accounting.
         return _matching_mult(root_spheres(f.real_coeffs()) if spheres is None else spheres, p.alpha, p.beta)
@@ -446,11 +446,12 @@ class SemiregularFunction:
     def __init__(self, den: SlicePolynomial, num: SlicePolynomial, *, reduce: bool = True):
         if den.is_zero:
             raise ZeroDenominatorError("denominator is identically zero")
-        if not den.is_slice_preserving(1e-10):
+        if not den.is_slice_preserving():
             raise ValueError("denominator must have real coefficients")
+        # divide, not scale by 1/lead: lead / lead is exactly 1.0
         lead = den.coeffs[-1].w
-        den = den.scale(1.0 / lead)
-        num = num.scale(1.0 / lead)
+        den = SlicePolynomial([c / lead for c in den.coeffs])
+        num = SlicePolynomial([c / lead for c in num.coeffs])
         if reduce and den.degree > 0 and not num.is_zero:
             den, num = _reduce_pair(den, num)
         object.__setattr__(self, "den", den)
@@ -463,14 +464,8 @@ class SemiregularFunction:
     def from_polynomial(p: SlicePolynomial) -> "SemiregularFunction":
         return SemiregularFunction(SlicePolynomial.from_real([1.0]), p, reduce=False)
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
     def eval(self, x: Quaternion) -> Quaternion:
         return self.den.eval(x).inverse() * self.num.eval(x)
-
-    __call__ = eval
 
     def stem_components(self, alpha: float, beta: float) -> StemValue:
         f1, f2 = self.stem_arrays(complex(alpha, beta))
@@ -504,6 +499,8 @@ class SemiregularFunction:
 
 
 def _reduce_pair(den: SlicePolynomial, num: SlicePolynomial) -> tuple[SlicePolynomial, SlicePolynomial]:
+    """Divide every real factor of the monic den that also divides num out
+    of both; den stays monic."""
     for alpha, beta, mult in root_spheres(den.real_coeffs()):
         avail = mult if beta == 0.0 else mult // 2
         k = min(avail, _division_multiplicity(_rows(num), alpha, beta))
@@ -513,8 +510,7 @@ def _reduce_pair(den: SlicePolynomial, num: SlicePolynomial) -> tuple[SlicePolyn
         for _ in range(k):
             den, _ = divide_by_real(den, factor)
             num, _ = divide_by_real(num, factor)
-    lead = den.coeffs[-1].w
-    return den.scale(1.0 / lead), num.scale(1.0 / lead)
+    return den, num
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +635,18 @@ def as_semiregular(f) -> SemiregularFunction:
 
 def analyze(f, r: float) -> FunctionAnalysis:
     """Zero and pole records of f at radius r from one root finding on
-    N(num) and one on den."""
+    N(num) and one on den.
+
+    Only a zero record whose real factor divides den (``_division_multiplicity``
+    at TOL_DIVIDE) can be a pole's exceptional point: a zero merely near a
+    pole sphere stays a free zero, and the pole stays uniform.
+    """
     fs = as_semiregular(f)
-    zeros = classify_zeros(fs.num, root_spheres(normal(fs.num).real_coeffs())) if fs.num.degree > 0 else []
-    pole_spheres = root_spheres(fs.den.real_coeffs()) if fs.den.degree > 0 else []
-    poles = pole_structure(pole_spheres, zeros, r)
+    zeros = classify_zeros(fs.num) if fs.num.degree > 0 else []
+    den = fs.den.real_coeffs()
+    pole_spheres = root_spheres(den) if fs.den.degree > 0 else []
+    on_pole_spheres = [z for z in zeros if _division_multiplicity(den, z.alpha, z.beta)]
+    poles = pole_structure(pole_spheres, on_pole_spheres, r)
     return FunctionAnalysis(r, tuple(zeros), tuple(pole_spheres), tuple(poles))
 
 
@@ -686,7 +689,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
     on the boundary raise PoleOnBoundaryError; poles outside the ball
     raise PoleOutsideRegionError instead of being silently ignored.
     """
-    if f.is_polynomial:
+    if f.den.degree == 0:
         one = SemiregularFunction.from_polynomial(SlicePolynomial.from_real([1.0]))
         return one, f
     poles = analyze(f, math.inf).poles
@@ -715,7 +718,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
     # construction, so divide it out explicitly rather than re-detecting.
     h_num_full = slice_product(g_num, f.num)
     h_num, rem = divide_by_real(h_num_full, f.den.real_coeffs())
-    if rem.coefficient_scale() > 1e-8 * max(h_num_full.coefficient_scale(), 1e-300):
+    if rem.coefficient_scale() > TOL_DIVIDE * max(h_num_full.coefficient_scale(), 1e-300):
         raise ClassificationInconsistencyError(
             "Blaschke numerator failed to cancel the denominator poles"
         )

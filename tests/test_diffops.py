@@ -109,10 +109,11 @@ def _scalar_horner(f, x):
 def _scalar_log_abs(f, x):
     """log|f(x)| by ``decompose``, the complex Horner and ``math.log``."""
     p = decompose(x)
-    v = horner([c.w for c in f.coeffs], p.z)
+    z = complex(p.alpha, p.beta)
+    v = horner([c.w for c in f.coeffs], z)
     a2 = v.real * v.real + v.imag * v.imag
-    if a2 <= (1e-13 * (1.0 + f.stem_scale(abs(p.z)))) ** 2:
-        raise LogOfZeroError(f"|f(x)| ~ {math.sqrt(a2):.3e} at x with z = {p.z}")
+    if a2 <= (1e-13 * (1.0 + f.stem_scale(abs(z)))) ** 2:
+        raise LogOfZeroError(f"|f(x)| ~ {math.sqrt(a2):.3e} at x with z = {z}")
     return 0.5 * math.log(a2)
 
 

@@ -263,6 +263,20 @@ def test_convergence_study_prints_a_row_per_corpus_case():
     assert all(len(row.split()) == 5 for row in rows)  # case, r, gap, two residuals
 
 
+def test_report_digests_prints_a_digest_per_reference_report():
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    functions = [p for p in (root / "corpus").glob("*.json") if p.name not in ("polynomials.json", "rationals.json")]
+    out = subprocess.run([sys.executable, str(root / "scripts" / "report_digests.py")],
+                         capture_output=True, text=True, check=True).stdout
+    rows = [row.split("  ") for row in out.splitlines()]
+    names = [name for _, name in rows]
+    assert len(names) == 9 + len(functions) + 2 and len(set(names)) == len(names)
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
+    assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
+
+
 def test_cli_zeros(capsys):
     code = main(["zeros", "--fn", str(CORPUS / "rat_remark_nonuniform.json"), "--format", "json"])
     out = capsys.readouterr().out

@@ -11,6 +11,7 @@ from slicereg.errors import (
     ZeroAtOriginError,
     ZeroOnBoundaryError,
 )
+import slicereg.jensen as jensen
 from slicereg.jensen import (
     boundary_gap,
     delta4_logNf_at0,
@@ -36,6 +37,7 @@ from slicereg.zeros_poles import (
     SemiregularFunction,
     ZeroRecord,
     analyze,
+    as_semiregular,
     characteristic_poly,
     regularize,
 )
@@ -97,6 +99,25 @@ def test_lhs_cross_check_identity():
         for r in (0.8, 1.3):
             want = math.log(f.coefficient(0).abs()) + (r * r / 16.0) * delta4_logNf_at0(f)
             assert abs(jensen_lhs(f, r) - want) <= 1e-12 * (1 + abs(want))
+
+
+def test_lhs_cross_check_sees_a_wrong_square_term(monkeypatch):
+    # a mutation that takes Re(a^2) as |a|^2, a = f'(0) f(0)^{-1}, moves the
+    # lhs and the Delta_4 of _origin_terms together; the cross-check's own
+    # Laplacian from the coefficients of N(num) and den must still see it
+    f = SemiregularFunction(real_poly(1.0, 0.5, 0.25), SlicePolynomial([ONE, Quaternion(0.3, 0.4, 0.2, 0.1)]))
+    right = jensen._origin_terms
+
+    def wrong_square(g, r):
+        (t0, t1, t2), d4 = right(g, r)
+        f0, f1, _ = as_semiregular(g).derivatives_at_origin()
+        a = f1 * f0.inverse()
+        err = a.norm2() - (a * a).re()
+        return (t0, t1 + r * r / 4.0 * err, t2), d4 + 4.0 * err
+
+    assert jensen_check(f, 1.0, diagnostics=False).diagnostics["lhs_cross_check"] <= 1e-14
+    monkeypatch.setattr(jensen, "_origin_terms", wrong_square)
+    assert jensen_check(f, 1.0, diagnostics=False).diagnostics["lhs_cross_check"] >= 0.01
 
 
 # -- zero and pole sums --------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicereg.io import InputFormatError, parse_function, parse_polynomial
 from slicereg.quaternions import I, J, K, ONE, ZERO, Quaternion, decompose
 from slicereg.slicepoly import (
     BETA_SWITCH,
@@ -473,3 +474,22 @@ def test_degree_cap():
 def test_is_slice_preserving():
     assert SlicePolynomial.from_real([1, 2]).is_slice_preserving()
     assert not SlicePolynomial([I, ONE]).is_slice_preserving()
+
+
+@pytest.mark.parametrize("rel, preserving", [(5e-11, True), (5e-10, False)])
+def test_every_slice_preserving_decision_reads_one_tolerance(rel, preserving):
+    # 2 - 3x + x^2 with an imaginary part rel * (1 + max|a_m|) on a_1
+    coeffs = [2.0, [-3.0, 4.0 * rel, 0.0, 0.0], 1.0]
+    den = parse_polynomial({"coeffs": coeffs})
+
+    def accepts(build) -> bool:
+        try:
+            build()
+        except (ValueError, InputFormatError):
+            return False
+        return True
+
+    assert den.is_slice_preserving() is preserving
+    assert accepts(den.real_coeffs) is preserving
+    assert accepts(lambda: SemiregularFunction(den, SlicePolynomial.from_real([1.0]))) is preserving
+    assert accepts(lambda: parse_function({"num": {"coeffs": [1.0]}, "den": {"coeffs": coeffs}})) is preserving

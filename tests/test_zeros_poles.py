@@ -384,6 +384,23 @@ def test_pole_structure_takes_the_exceptional_point_from_the_zero_record():
     assert analysis.free_zeros == []
 
 
+@pytest.mark.parametrize("eps, kind, free", [
+    (0.0, "spherical_nonuniform", 1),
+    (1e-7, "spherical_uniform", 2),
+    (1e-6, "spherical_uniform", 2),
+])
+def test_only_a_zero_whose_factor_divides_den_is_an_exceptional_point(eps, kind, free):
+    # f = Delta_b^{-1} (x - q)(x - p), b = 0.6 j, |q| = 0.6 (1 + eps): off the
+    # pole sphere, q is within the 1e-6 sphere match but Delta_q does not
+    # divide den, so q stays a free zero and the pole stays uniform
+    q = Quaternion(0.0, 0.6, 0.8, 0.0) * (0.6 * (1.0 + eps))
+    num = slice_product(SlicePolynomial.linear(q), lin(0.2, 0.1, 0.0, 0.3))
+    analysis = analyze(SemiregularFunction(characteristic_poly(Quaternion(0, 0, 0.6, 0)), num), 1.0)
+    (pole,) = analysis.poles
+    assert pole.kind == kind
+    assert len(analysis.free_zeros) == free
+
+
 def test_numerator_vanishing_on_a_whole_pole_sphere_is_inconsistent():
     delta = characteristic_poly(Quaternion(0, 0, 0.6, 0))
     f = SemiregularFunction(delta, slice_product(delta, lin(0.3, 0.2, 0, -0.1)), reduce=False)
