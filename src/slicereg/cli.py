@@ -31,7 +31,7 @@ from .io import (
 )
 from .jensen import DEFAULT_N, jensen_check
 from .quadrature import MIN_ORDER
-from .verify import SUITE_ORDER, run_suite
+from .verify import SUITE_ORDER, SUITES, run_suite
 from .zeros_poles import analyze
 
 EXIT_OK = 0
@@ -183,14 +183,12 @@ def cmd_verify_ops(args: argparse.Namespace) -> int:
     if args.seed < 0:
         print(f"input error: need --seed >= 0 (got seed={args.seed})", file=sys.stderr)
         return EXIT_INPUT
+    if args.suite != "all" and args.suite not in SUITES:
+        print(f"input error: unknown suite {args.suite!r}; choose from {', '.join(SUITE_ORDER)}",
+              file=sys.stderr)
+        return EXIT_INPUT
     names = SUITE_ORDER if args.suite == "all" else [args.suite]
-    results = []
-    for name in names:
-        try:
-            results.append(run_suite(name, args.seed))
-        except KeyError as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+    results = [run_suite(name, args.seed) for name in names]
     all_passed = all(r.passed for r in results)
     payload = {
         "seed": args.seed,

@@ -118,9 +118,9 @@ class SphereQuadratureRule:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        nodes = self.beta[:, None] * self.junits
-        nodes[:, 0] = self.alpha
-        return nodes
+        nodes = self.polar_z.imag[:, None, None] * self.s2_units
+        nodes[..., 0] = self.polar_z.real[:, None]
+        return nodes.reshape(-1, 4)
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -65,10 +65,20 @@ class StemValue:
 
 
 def horner(c, z):
-    """sum_m c[m] z^m for ascending real coefficients c at a complex scalar or array z."""
-    acc = np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0 + 0.0j
+    """sum_m c[m] z^m for ascending real coefficients c at a complex scalar or array z.
+
+    An array z updates one accumulator in place, acc *= z; acc += coef: the
+    two rounded operations of acc = acc * z + coef, in the dtype that
+    expression promotes to, without two temporaries the size of z."""
+    if not isinstance(z, np.ndarray):
+        acc = 0.0 + 0.0j
+        for coef in reversed(c):
+            acc = acc * z + coef
+        return acc
+    acc = np.zeros_like(z, dtype=np.result_type(z, *c))
     for coef in reversed(c):
-        acc = acc * z + coef
+        acc *= z
+        acc += coef
     return acc
 
 

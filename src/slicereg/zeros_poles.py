@@ -10,10 +10,12 @@ derivative of matching order, and validated by repeated division with
 the real factor (x - r) or Delta_y(x) = x^2 - t(y) x + n(y).  The
 division count is the authoritative multiplicity; when eigenvalue
 scatter of a multiple root splits a cluster, the cluster tolerance is
-escalated until the division counts account for the whole degree.
-One long division ``_divide``, on real coefficients or quaternion rows,
-does all division by real factors; a division counts when the largest
-remainder coefficient norm is at most TOL_DIVIDE times the dividend's.
+escalated until the division counts account for the whole degree;
+a cluster that a rung leaves unchanged keeps the verdict of the rung
+that formed it, so each cluster is validated once per call.  One long
+division ``_divide``, on real coefficients or quaternion rows, does all
+division by real factors; a division counts when the largest remainder
+coefficient norm is at most TOL_DIVIDE times the dividend's.
 
 Rational (semiregular) functions are pairs f = den^{-1} * num with a
 slice-preserving denominator.  Poles sit on the spheres of den; on each
@@ -130,17 +132,19 @@ def _newton_on_derivative(c: np.ndarray, z0: complex, mult: int, real_root: bool
         return z0, False
     dp = _poly_deriv(d)
     z = complex(z0.real, 0.0) if real_root else z0
-    best, best_res = z, abs(horner(d, z))
+    pz = horner(d, z)  # p(z) at the current z: the residual, then the next numerator
+    best, best_res = z, abs(pz)
     converged = False
     for _ in range(60):
         fp = horner(dp, z)
         if abs(fp) < 1e-300:
             break
-        step = horner(d, z) / fp
+        step = pz / fp
         z = z - step
         if real_root:
             z = complex(z.real, 0.0)
-        res = abs(horner(d, z))
+        pz = horner(d, z)
+        res = abs(pz)
         if res < best_res:
             best, best_res = z, res
         if abs(step) <= 1e-12 * (1.0 + abs(z)):
@@ -187,9 +191,9 @@ def _division_multiplicity(c: np.ndarray, alpha: float, beta: float) -> int:
     return s
 
 
-def _cluster_folded(roots: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single-linkage clusters of companion roots folded to Im >= 0."""
-    pts = np.array([complex(r.real, abs(r.imag)) for r in roots])
+def _cluster_folded(pts: np.ndarray, tol: float) -> list[tuple[int, ...]]:
+    """Single-linkage clusters of companion roots folded to Im >= 0, as
+    increasing tuples of indices into pts."""
     n = len(pts)
     parent = list(range(n))
 
@@ -206,10 +210,10 @@ def _cluster_folded(roots: np.ndarray, tol: float) -> list[np.ndarray]:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[rb] = ra
-    groups: dict[int, list[complex]] = {}
+    groups: dict[int, list[int]] = {}
     for idx in range(n):
-        groups.setdefault(find(idx), []).append(pts[idx])
-    return [np.array(g) for g in groups.values()]
+        groups.setdefault(find(idx), []).append(idx)
+    return [tuple(g) for g in groups.values()]
 
 
 def _scatter_radius(mult: int, size: float) -> float:
@@ -277,6 +281,8 @@ def root_spheres(coeffs: Sequence[float]) -> list[Sphere]:
     multiplicity for real roots.  The triples always account for the
     full degree; escalating cluster tolerances repair eigenvalue scatter
     of multiple roots, with repeated-division counts as the arbiter.
+    Each cluster is validated once per call: a rung that regroups the
+    same roots reuses the verdict of the rung that first formed it.
     """
     c = _poly_trim(np.asarray(coeffs, dtype=float))
     if c.size == 0:
@@ -284,14 +290,17 @@ def root_spheres(coeffs: Sequence[float]) -> list[Sphere]:
     deg = len(c) - 1
     if deg == 0:
         return []
-    roots = np.roots(c[::-1])
+    pts = np.array([complex(r.real, abs(r.imag)) for r in np.roots(c[::-1])])
+    # _validate_cluster depends only on (c, pts[members])
+    verdicts: dict[tuple[int, ...], Sphere | None] = {}
     # eigenvalue clouds of an m-fold root have radius ~eps^(1/m), which
     # reaches ~1e-2 at m = 8; the ladder must extend past that
     for tol_mult in (1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
-        clusters = _cluster_folded(roots, TOL_CLUSTER * tol_mult)
         spheres: list[Sphere] = []
-        for pts in clusters:
-            res = _validate_cluster(c, pts)
+        for members in _cluster_folded(pts, TOL_CLUSTER * tol_mult):
+            if members not in verdicts:
+                verdicts[members] = _validate_cluster(c, pts[list(members)])
+            res = verdicts[members]
             if res is None:
                 spheres = []
                 break

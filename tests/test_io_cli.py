@@ -277,6 +277,18 @@ def test_report_digests_prints_a_digest_per_reference_report():
     assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
 
 
+def test_suite_times_times_one_suite():
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "suite_times.py"
+    spec = importlib.util.spec_from_file_location("suite_times", path)
+    suite_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite_times)
+    times = suite_times.suite_seconds(["gamma"])
+    assert list(times) == ["gamma"] and 0.0 < times["gamma"] < 60.0
+    assert suite_times.REPEATS == 9 and suite_times.SEED == 1
+
+
 def test_cli_zeros(capsys):
     code = main(["zeros", "--fn", str(CORPUS / "rat_remark_nonuniform.json"), "--format", "json"])
     out = capsys.readouterr().out
@@ -367,6 +379,19 @@ def test_cli_verify_ops_single_suite(capsys):
 
 def test_cli_verify_ops_unknown_suite(capsys):
     assert main(["verify-ops", "--suite", "nope"]) == 3
+    assert capsys.readouterr().err.startswith("input error: unknown suite 'nope'; choose from crf, ")
+
+
+def test_cli_verify_ops_lets_a_key_error_inside_a_suite_propagate(monkeypatch):
+    import slicereg.verify as verify
+
+    def broken(seed):
+        raise KeyError("bug inside a suite")
+
+    monkeypatch.setitem(verify.SUITES, "gamma", broken)
+    for suite in ("gamma", "all"):
+        with pytest.raises(KeyError, match="bug inside a suite"):
+            main(["verify-ops", "--suite", suite])
 
 
 def test_cli_verify_ops_row_outputs(capsys):

@@ -160,6 +160,19 @@ def test_lazy_rule_arrays_match_materialised_grid(r, n):
     assert vars(rule)["nodes"] is rule.nodes  # built once
 
 
+@pytest.mark.parametrize("n, shadows", [(12, ()), (48, ()), (16, (0.95j, 0.4 + 0.85j))],
+                         ids=["n12", "n48", "graded"])
+def test_rule_nodes_from_the_factors_match_the_flat_construction(n, shadows):
+    rule = build_rule(1.0, n, shadows)
+    nodes = rule.nodes
+    assert not {"alpha", "beta", "junits"} & set(vars(rule))  # built from the two factors
+    # the former construction, from the repeated and tiled flat arrays
+    want = rule.beta[:, None] * rule.junits
+    want[:, 0] = rule.alpha
+    assert nodes.shape == want.shape and nodes.dtype == want.dtype
+    assert nodes.tobytes() == want.tobytes()
+
+
 def test_rule_factors_are_shared_and_read_only():
     a, b = build_rule(1.0, 24), build_rule(2.5, 24)
     assert a.s2_units is b.s2_units and a.s2_weights is b.s2_weights

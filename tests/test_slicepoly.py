@@ -222,6 +222,38 @@ def test_semiregular_stems_are_the_one_point_case_of_its_arrays():
         assert all((g - w).abs() <= 1e-15 * (1.0 + w.abs()) for g, w in zip(got, want))
 
 
+def _horner_with_temporaries(c, z):
+    """The former array ``horner``: a fresh accumulator per coefficient."""
+    acc = np.zeros_like(z)
+    for coef in reversed(c):
+        acc = acc * z + coef
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["complex", "float", "int"])
+def test_array_horner_in_place_matches_the_loop_with_temporaries(kind):
+    rng = np.random.default_rng(7)
+    z = {
+        "complex": rng.uniform(-1.5, 1.5, 64) + 1j * rng.uniform(-1.5, 1.5, 64),
+        "float": rng.uniform(-1.5, 1.5, 64),
+        "int": rng.integers(-3, 4, 64),
+    }[kind]
+    for c in (rng.normal(size=9), list(rng.normal(size=4)), [2, -1, 3], np.array([0.5]), []):
+        got, want = horner(c, z), _horner_with_temporaries(c, z)
+        assert got.dtype == want.dtype and got.shape == z.shape
+        assert got.tobytes() == want.tobytes()
+        # the scalar path at every point: bitwise on the real line; numpy's
+        # complex product may round differently from CPython's
+        scalar = np.array([horner(c, zk.item()) for zk in z])
+        if kind == "complex":
+            bound = 1e-15 * (len(c) + 1) * horner(np.abs(c), np.abs(z))
+            assert np.all(np.abs(got - scalar) <= bound)
+        else:
+            assert np.array_equal(got, scalar.real)
+    square = z.reshape(8, 8)  # any shape: the column layout of the oracle and beyond
+    assert horner([1.0, -2.0, 0.5], square).tobytes() == _horner_with_temporaries([1.0, -2.0, 0.5], square).tobytes()
+
+
 # -- slice product -------------------------------------------------------
 
 

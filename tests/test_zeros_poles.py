@@ -11,8 +11,9 @@ from slicereg.errors import (
     PoleOutsideRegionError,
     ZeroPolynomialError,
 )
+from slicereg import zeros_poles
 from slicereg.quaternions import I, J, ONE, Quaternion
-from slicereg.slicepoly import SlicePolynomial, normal, slice_product
+from slicereg.slicepoly import SlicePolynomial, horner, normal, slice_product
 from slicereg.zeros_poles import (
     SemiregularFunction,
     _division_multiplicity,
@@ -90,6 +91,139 @@ def test_root_spheres_high_multiplicity():
     assert by_beta[0][0] == pytest.approx(0.5, abs=1e-7)
     assert by_beta[1][2] == 8
     assert by_beta[1][1] == pytest.approx(1.0, abs=1e-7)
+
+
+# Oracles for the root finder's bitwise identity: the Newton loop that
+# evaluated p at every z twice, and the tolerance ladder that validated
+# every cluster of every rung afresh.
+
+
+def _newton_three_evaluations(c, z0, mult, real_root):
+    """The Newton polish that evaluates p(z) for the step and again for the
+    residual.  Returns (z, converged, evaluations), where evaluations counts
+    p and p' once per point they are taken at: one more than twice the steps."""
+    d = c
+    for _ in range(mult - 1):
+        d = zeros_poles._poly_deriv(d)
+    if len(d) <= 1:
+        return z0, False, 0
+    dp = zeros_poles._poly_deriv(d)
+    z = complex(z0.real, 0.0) if real_root else z0
+    best, best_res = z, abs(horner(d, z))
+    converged, evaluations = False, 1
+    for _ in range(60):
+        fp = horner(dp, z)
+        evaluations += 1
+        if abs(fp) < 1e-300:
+            break
+        step = horner(d, z) / fp  # p at the z of the last residual
+        z = z - step
+        if real_root:
+            z = complex(z.real, 0.0)
+        res = abs(horner(d, z))
+        evaluations += 1
+        if res < best_res:
+            best, best_res = z, res
+        if abs(step) <= 1e-12 * (1.0 + abs(z)):
+            converged = True
+            break
+    return best, converged, evaluations
+
+
+def _root_spheres_revalidating(coeffs):
+    """``root_spheres`` with every cluster of every rung validated afresh."""
+    c = zeros_poles._poly_trim(np.asarray(coeffs, dtype=float))
+    deg = len(c) - 1
+    roots = np.roots(c[::-1])
+    for tol_mult in (1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+        pts = np.array([complex(r.real, abs(r.imag)) for r in roots])
+        spheres = []
+        for members in zeros_poles._cluster_folded(pts, zeros_poles.TOL_CLUSTER * tol_mult):
+            res = zeros_poles._validate_cluster(c, np.array([pts[k] for k in members]))
+            if res is None:
+                spheres = []
+                break
+            spheres.append(res)
+        if spheres and sum(m for _, _, m in spheres) == deg and zeros_poles._all_distinct(spheres):
+            return sorted(spheres, key=lambda t: (round(t[0], 9), round(t[1], 9)))
+    raise ClassificationInconsistencyError("no rung reconciles the multiplicities")
+
+
+def _high_multiplicity_coeffs():
+    """Ascending coefficients of (x^2+1)^4 (x-0.5)^3."""
+    c = np.array([1.0])
+    for _ in range(4):
+        c = np.convolve(c, [1.0, 0.0, 1.0])
+    for _ in range(3):
+        c = np.convolve(c, [1.0, -0.5])
+    return c[::-1]
+
+
+def _multiplicity_suite_coeffs(monkeypatch, seed, n_cases=10):
+    """The real polynomials whose roots a seeded multiplicity suite finds."""
+    import slicereg.verify as verify
+
+    seen = []
+    monkeypatch.setattr(verify, "root_spheres", lambda c: seen.append(np.array(c)) or root_spheres(c))
+    verify.suite_multiplicity(seed, n_cases=n_cases)
+    monkeypatch.undo()
+    return seen
+
+
+def _newton_inputs(monkeypatch, polys):
+    """Every (c, z0, mult, real_root) that root finding on polys hands to Newton."""
+    calls = []
+    newton = zeros_poles._newton_on_derivative
+
+    def record(c, z0, mult, real_root):
+        calls.append((c, z0, mult, real_root))
+        return newton(c, z0, mult, real_root)
+
+    monkeypatch.setattr(zeros_poles, "_newton_on_derivative", record)
+    for c in polys:
+        root_spheres(c)
+    monkeypatch.undo()
+    return calls
+
+
+def test_newton_reuses_the_residual_bit_for_bit(monkeypatch):
+    polys = [_high_multiplicity_coeffs()]
+    for seed in (1, 2):
+        polys += _multiplicity_suite_coeffs(monkeypatch, seed)
+    calls = _newton_inputs(monkeypatch, polys)
+    assert len(calls) > 50 and {real for *_, real in calls} == {True, False}
+    counted, evaluations = [], []
+    monkeypatch.setattr(zeros_poles, "horner", lambda c, z: counted.append(1) or horner(c, z))
+    for c, z0, mult, real_root in calls:
+        want_z, want_converged, want_evaluations = _newton_three_evaluations(c, z0, mult, real_root)
+        counted.clear()
+        z, converged = zeros_poles._newton_on_derivative(c, z0, mult, real_root)
+        assert converged == want_converged
+        assert np.array(z).tobytes() == np.array(want_z).tobytes()
+        assert len(counted) == want_evaluations  # p once per z, p' once per step
+        evaluations.append(want_evaluations)
+    assert 1 + 2 * 60 in evaluations  # non-converging runs take the whole budget
+
+
+def test_root_spheres_validates_each_cluster_once(monkeypatch):
+    c = _high_multiplicity_coeffs()
+    validate = zeros_poles._validate_cluster
+    seen = []
+    monkeypatch.setattr(zeros_poles, "_validate_cluster",
+                        lambda c, pts: seen.append(tuple(pts)) or validate(c, pts))
+    want = _root_spheres_revalidating(c)
+    revalidations = len(seen)
+    seen.clear()
+    assert root_spheres(c) == want
+    assert len(seen) == len(set(seen)) < revalidations
+
+
+def test_root_spheres_matches_revalidating_ladder(monkeypatch):
+    polys = [_high_multiplicity_coeffs()]
+    for seed in (1, 2, 3):
+        polys += _multiplicity_suite_coeffs(monkeypatch, seed)
+    for c in polys:
+        assert root_spheres(c) == _root_spheres_revalidating(c)
 
 
 def test_divide_by_real():
