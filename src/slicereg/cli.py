@@ -7,9 +7,10 @@ Subcommands:
   verify-ops  run the seeded verification suites (differential
               identities, quadrature, multiplicities)
 
-Exit codes: 0 success, 1 tolerance failure, 2 hypothesis violation,
-3 input error.  Reports are deterministic for a fixed (config, seed):
-rerunning the same command yields byte-identical output.
+Exit codes, one mapping for every subcommand (set in ``main``): 0
+success, 1 tolerance failure, 2 hypothesis violation, 3 input error or
+any other library error.  Reports are deterministic for a fixed (config,
+seed): rerunning the same command yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -65,27 +66,22 @@ def _manifest_cases(path: Path, r: float, n: int) -> list[tuple[Path, float, int
 
 def cmd_jensen(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0) or args.seed < 0:
-        print(f"input error: need a finite --tol > 0 and --seed >= 0 (got tol={args.tol}, seed={args.seed})",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFormatError(f"need a finite --tol > 0 and --seed >= 0 (got tol={args.tol}, seed={args.seed})")
     cases: list[tuple[Path, float, int, str]] = []
     if args.corpus:
         manifest_path = Path(args.corpus)
         try:
             cases = _manifest_cases(manifest_path, args.r, args.n)
         except (OSError, ValueError, TypeError, OverflowError) as exc:
-            print(f"input error: {manifest_path}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputFormatError(f"{manifest_path}: {exc}") from exc
     for fn in args.fn or []:
         cases.append((Path(fn), args.r, args.n, Path(fn).name))
     if not cases:
-        print("input error: no function files given (use --fn or --corpus)", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFormatError("no function files given (use --fn or --corpus)")
     for _, r, n, name in cases:
         if not (math.isfinite(r) and r > 0.0) or n < MIN_ORDER or args.bijectivity_points < 1:
-            print(f"input error: {name}: need a finite r > 0, n >= {MIN_ORDER} and --bijectivity-points"
-                  f" >= 1 (got r={r}, n={n}, {args.bijectivity_points} points)", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputFormatError(f"{name}: need a finite r > 0, n >= {MIN_ORDER} and --bijectivity-points"
+                                   f" >= 1 (got r={r}, n={n}, {args.bijectivity_points} points)")
 
     def run_one(case):
         path, r, n, name = case
@@ -97,25 +93,15 @@ def cmd_jensen(args: argparse.Namespace) -> int:
     def run_all():
         return [run_one(case) for case in cases]
 
-    try:
-        if len(cases) == 1:
-            payloads = run_all()
-        else:
-            # Same loop on one worker thread: the benchmark's span tracer
-            # (perfbench/tracer.py) files a case's spans under the case its
-            # thread last loaded only on a thread with no open span.  A single
-            # case stays here, which saves it the thread's start-up.
-            with ThreadPoolExecutor(max_workers=1) as worker:
-                payloads = worker.submit(run_all).result()
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HypothesisViolationError as exc:
-        print(f"HypothesisViolation: {exc.hypothesis}: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except SliceRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if len(cases) == 1:
+        payloads = run_all()
+    else:
+        # Same loop on one worker thread: the benchmark's span tracer
+        # (perfbench/tracer.py) files a case's spans under the case its
+        # thread last loaded only on a thread with no open span.  A single
+        # case stays here, which saves it the thread's start-up.
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            payloads = worker.submit(run_all).result()
 
     all_passed = all(p["passed"] for p in payloads)
     result = {
@@ -155,23 +141,13 @@ def cmd_jensen(args: argparse.Namespace) -> int:
 
 def cmd_zeros(args: argparse.Namespace) -> int:
     if not args.r > 0.0:  # also rejects nan; +inf, the default, searches everywhere
-        print(f"input error: need --r > 0 (got r={args.r})", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        f = load_function(args.fn)
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        analysis = analyze(f, args.r)
-        payload = {
-            "file": str(args.fn),
-            "zeros": [rec.to_dict() for rec in analysis.free_zeros],
-            "poles": [p.to_dict() for p in analysis.poles],
-        }
-    except SliceRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFormatError(f"need --r > 0 (got r={args.r})")
+    analysis = analyze(load_function(args.fn), args.r)
+    payload = {
+        "file": str(args.fn),
+        "zeros": [rec.to_dict() for rec in analysis.free_zeros],
+        "poles": [p.to_dict() for p in analysis.poles],
+    }
     if args.format == "json":
         _emit(render_json(payload), args.out)
     else:
@@ -181,12 +157,9 @@ def cmd_zeros(args: argparse.Namespace) -> int:
 
 def cmd_verify_ops(args: argparse.Namespace) -> int:
     if args.seed < 0:
-        print(f"input error: need --seed >= 0 (got seed={args.seed})", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFormatError(f"need --seed >= 0 (got seed={args.seed})")
     if args.suite != "all" and args.suite not in SUITES:
-        print(f"input error: unknown suite {args.suite!r}; choose from {', '.join(SUITE_ORDER)}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFormatError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_ORDER)}")
     names = SUITE_ORDER if args.suite == "all" else [args.suite]
     results = [run_suite(name, args.seed) for name in names]
     all_passed = all(r.passed for r in results)
@@ -252,8 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place that maps an error to stderr and an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputFormatError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except HypothesisViolationError as exc:
+        print(f"HypothesisViolation: {exc.hypothesis}: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
+    except SliceRegError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ __all__ = [
 
 
 class InputFormatError(SliceRegError):
-    """Malformed function file."""
+    """Malformed input: a function file, a corpus manifest or a command-line value."""
 
 
 def _parse_coefficient(entry, index: int) -> Quaternion:

@@ -43,7 +43,6 @@ from .quadrature import (
     sf_roundtrip_errors,
 )
 from .zeros_poles import (
-    BOUNDARY_BAND,
     FunctionAnalysis,
     PoleRecord,
     ZeroRecord,
@@ -139,7 +138,7 @@ def _check_inside(radius: float, r: float, what: str) -> None:
         raise (ZeroAtOriginError if what == "zero" else PoleAtOriginError)(
             f"{what} at the origin"
         )
-    if radius >= r * (1.0 - BOUNDARY_BAND):
+    if radius >= r or on_boundary(radius, r):
         raise (ZeroOnBoundaryError if what == "zero" else PoleOnBoundaryError)(
             f"{what} at radius {radius:.12g} not strictly inside r={r}"
         )
@@ -242,7 +241,7 @@ def jensen_check(
 
     poles = analysis.poles
     # zeros outside the ball drop out (on-boundary already rejected)
-    zrecords = [z for z in analysis.zeros if z.point_radius < r * (1.0 - BOUNDARY_BAND)]
+    zrecords = [z for z in analysis.zeros if z.point_radius < r]
 
     nonuniform_detail: list[dict] = []
     for p in poles:

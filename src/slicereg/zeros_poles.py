@@ -81,8 +81,9 @@ TOL_CLUSTER = 1e-7
 # under beta^(2m) for pole/zero spheres, or the vertex of an even factor
 # (x-alpha)^2 + beta^2 raised to a high power would pass for a real root.
 TOL_DIVIDE = 1e-9
-# relative width of the boundary sphere: spheres this close to r count as
-# on it (hypothesis checks, regularize) and as inside the closed ball
+# width of the boundary sphere relative to max(r, 1), read only through
+# on_boundary: spheres this close to r count as on it (hypothesis checks,
+# regularize, the zero and pole sums) and as inside the closed ball
 BOUNDARY_BAND = 1e-9
 
 Sphere = tuple[float, float, int]  # (alpha, beta, mult) from root_spheres
@@ -452,7 +453,7 @@ class SemiregularFunction:
 
     __slots__ = ("den", "num")
 
-    def __init__(self, den: SlicePolynomial, num: SlicePolynomial, *, reduce: bool = True):
+    def __init__(self, den: SlicePolynomial, num: SlicePolynomial):
         if den.is_zero:
             raise ZeroDenominatorError("denominator is identically zero")
         if not den.is_slice_preserving():
@@ -461,7 +462,7 @@ class SemiregularFunction:
         lead = den.coeffs[-1].w
         den = SlicePolynomial([c / lead for c in den.coeffs])
         num = SlicePolynomial([c / lead for c in num.coeffs])
-        if reduce and den.degree > 0 and not num.is_zero:
+        if den.degree > 0 and not num.is_zero:
             den, num = _reduce_pair(den, num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
@@ -471,7 +472,7 @@ class SemiregularFunction:
 
     @staticmethod
     def from_polynomial(p: SlicePolynomial) -> "SemiregularFunction":
-        return SemiregularFunction(SlicePolynomial.from_real([1.0]), p, reduce=False)
+        return SemiregularFunction(SlicePolynomial.from_real([1.0]), p)
 
     def eval(self, x: Quaternion) -> Quaternion:
         return self.den.eval(x).inverse() * self.num.eval(x)
@@ -561,8 +562,9 @@ class PoleRecord:
 
 
 def pole_structure(spheres: list[Sphere], zeros: Sequence[ZeroRecord], region_radius: float) -> list[PoleRecord]:
-    """Pole records inside the closed ball of the given radius, from the
-    root spheres of den and the zero records of num.
+    """Pole records inside the closed ball of the given radius or on its
+    boundary band (``on_boundary``), from the root spheres of den and the
+    zero records of num.
 
     Real poles carry their order (denominator multiplicity after
     reduction).  Spherical poles have generic point order nu = the power
@@ -574,7 +576,8 @@ def pole_structure(spheres: list[Sphere], zeros: Sequence[ZeroRecord], region_ra
     """
     records: list[PoleRecord] = []
     for alpha, beta, mult in spheres:
-        if math.hypot(alpha, beta) > region_radius * (1.0 + BOUNDARY_BAND):
+        radius = math.hypot(alpha, beta)
+        if radius > region_radius and not on_boundary(radius, region_radius):
             continue
         if beta == 0.0:
             records.append(PoleRecord("real", Quaternion.real(alpha), alpha, 0.0, order=mult))
@@ -674,7 +677,7 @@ def blaschke_real(p: float, r: float) -> SemiregularFunction:
         raise InvalidPoleError(f"real Blaschke base point needs 0 < |p| < r, got p={p}, r={r}")
     den = SlicePolynomial.from_real([-r * r / p, 1.0])
     num = SlicePolynomial.from_real([r, -r / p])
-    return SemiregularFunction(den, num, reduce=False)
+    return SemiregularFunction(den, num)
 
 
 def blaschke_spherical(b: Quaternion, r: float) -> SemiregularFunction:
@@ -687,7 +690,7 @@ def blaschke_spherical(b: Quaternion, r: float) -> SemiregularFunction:
     tb = b.trace()
     den = SlicePolynomial.from_real([r**4 / nb, -r * r * tb / nb, 1.0])
     num = SlicePolynomial.from_real([r * r, -tb * r * r / nb, r * r / nb])
-    return SemiregularFunction(den, num, reduce=False)
+    return SemiregularFunction(den, num)
 
 
 def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, SemiregularFunction]:
@@ -722,7 +725,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
         for _ in range(power):
             g_den = slice_product(g_den, fac.den)
             g_num = slice_product(g_num, fac.num)
-    g = SemiregularFunction(g_den, g_num, reduce=False)
+    g = SemiregularFunction(g_den, g_num)
     # h = (g_den f_den)^{-1} (g_num f_num); f_den divides g_num f_num by
     # construction, so divide it out explicitly rather than re-detecting.
     h_num_full = slice_product(g_num, f.num)
@@ -731,5 +734,5 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
         raise ClassificationInconsistencyError(
             "Blaschke numerator failed to cancel the denominator poles"
         )
-    h = SemiregularFunction(g_den, h_num, reduce=False)
+    h = SemiregularFunction(g_den, h_num)
     return g, h

@@ -272,7 +272,8 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 9 + len(functions) + 2 and len(set(names)) == len(names)
+    assert len(names) == 9 + len(functions) + 2 + 10 and len(set(names)) == len(names)
+    assert [n for n in names if n.startswith("error-")] == names[-10:]  # failing calls come last
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
 
@@ -308,6 +309,12 @@ def test_cli_zeros_rejects_bad_radius(capsys):
         assert main(["zeros", "--fn", fn, "--r", r]) == 3
         assert capsys.readouterr().err.startswith("input error: ")
     assert main(["zeros", "--fn", fn, "--r", "inf"]) == 0
+
+
+def test_cli_zeros_rejects_a_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["zeros", "--fn", str(missing)]) == 3
+    assert capsys.readouterr().err == f"input error: no such file: {missing}\n"
 
 
 @pytest.mark.parametrize("name", RATIONALS)
@@ -392,6 +399,20 @@ def test_cli_verify_ops_lets_a_key_error_inside_a_suite_propagate(monkeypatch):
     for suite in ("gamma", "all"):
         with pytest.raises(KeyError, match="bug inside a suite"):
             main(["verify-ops", "--suite", suite])
+
+
+def test_cli_verify_ops_maps_a_library_error_inside_a_suite(monkeypatch, tmp_path, capsys):
+    import slicereg.verify as verify
+    from slicereg.errors import ClassificationInconsistencyError
+
+    def broken(seed):
+        raise ClassificationInconsistencyError("inconsistent inside a suite")
+
+    monkeypatch.setitem(verify.SUITES, "gamma", broken)
+    out = tmp_path / "report.json"
+    assert main(["verify-ops", "--suite", "gamma", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: inconsistent inside a suite\n"
+    assert not out.exists()
 
 
 def test_cli_verify_ops_row_outputs(capsys):

@@ -33,6 +33,7 @@ from slicereg.quadrature import (
 )
 from slicereg.slicepoly import SlicePolynomial, log_abs, normal, slice_product
 from slicereg.zeros_poles import (
+    BOUNDARY_BAND,
     PoleRecord,
     SemiregularFunction,
     ZeroRecord,
@@ -76,7 +77,7 @@ def test_delta4_fd_agreement_generic_coefficients():
 def test_delta4_errors():
     with pytest.raises(ZeroAtOriginError):
         delta4_logNf_at0(real_poly(0.0, 1.0))
-    f = SemiregularFunction(real_poly(0.0, 1.0), real_poly(1.0), reduce=False)
+    f = SemiregularFunction(real_poly(0.0, 1.0), real_poly(1.0))
     with pytest.raises(PoleAtOriginError):
         delta4_logNf_at0(f)
 
@@ -173,6 +174,29 @@ def test_pole_sum_errors():
         pole_sum([at0], 1.0)
 
 
+# One boundary band, |rho - r| <= BOUNDARY_BAND max(r, 1), for every check.
+# Below r = 1 that band is wider than r (1 +- BOUNDARY_BAND); at r = 2 they agree.
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_zero_sum_rejects_a_zero_in_the_boundary_band(r):
+    f = real_poly(-(r - 0.75 * BOUNDARY_BAND * max(r, 1.0)), 1.0)
+    with pytest.raises(ZeroOnBoundaryError):
+        jensen_check(f, r, 8)
+    with pytest.raises(ZeroOnBoundaryError):
+        zero_sum(list(analyze(f, r).zeros), r)
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_analyze_keeps_a_pole_in_the_boundary_band(r):
+    rho = r + 0.75 * BOUNDARY_BAND * max(r, 1.0)
+    f = SemiregularFunction(real_poly(-rho, 1.0), real_poly(4.0 * r, 1.0))
+    with pytest.raises(PoleOnBoundaryError):
+        jensen_check(f, r, 8)
+    (pole,) = analyze(f, r).poles
+    assert (pole.kind, pole.alpha) == ("real", pytest.approx(rho, rel=1e-15))
+    with pytest.raises(PoleOnBoundaryError):
+        pole_sum([pole], r)
+
+
 # -- full checks -----------------------------------------------------------------
 
 
@@ -224,7 +248,7 @@ def test_jensen_check_hypothesis_errors():
     pole_on = SemiregularFunction(real_poly(1.0, 0.0, 1.0), real_poly(1.0))
     with pytest.raises(PoleOnBoundaryError):
         jensen_check(pole_on, 1.0, 8)
-    pole_at0 = SemiregularFunction(real_poly(0.0, 1.0), real_poly(1.0), reduce=False)
+    pole_at0 = SemiregularFunction(real_poly(0.0, 1.0), real_poly(1.0))
     with pytest.raises(PoleAtOriginError):
         jensen_check(pole_at0, 1.0, 8)
 
