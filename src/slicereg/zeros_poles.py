@@ -470,6 +470,17 @@ class SemiregularFunction:
     def __setattr__(self, name, value):
         raise AttributeError("SemiregularFunction is immutable")
 
+    @classmethod
+    def _unreduced(cls, den: SlicePolynomial, num: SlicePolynomial) -> "SemiregularFunction":
+        """den^{-1} num as given, for a monic real den coprime to num by
+        construction.  The reduction tests coprimality at TOL_DIVIDE, which
+        at small r cancels a Blaschke factor whose base point is near the
+        boundary but outside its band."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "den", den)
+        object.__setattr__(f, "num", num)
+        return f
+
     @staticmethod
     def from_polynomial(p: SlicePolynomial) -> "SemiregularFunction":
         return SemiregularFunction(SlicePolynomial.from_real([1.0]), p)
@@ -677,7 +688,7 @@ def blaschke_real(p: float, r: float) -> SemiregularFunction:
         raise InvalidPoleError(f"real Blaschke base point needs 0 < |p| < r, got p={p}, r={r}")
     den = SlicePolynomial.from_real([-r * r / p, 1.0])
     num = SlicePolynomial.from_real([r, -r / p])
-    return SemiregularFunction(den, num)
+    return SemiregularFunction._unreduced(den, num)
 
 
 def blaschke_spherical(b: Quaternion, r: float) -> SemiregularFunction:
@@ -690,7 +701,7 @@ def blaschke_spherical(b: Quaternion, r: float) -> SemiregularFunction:
     tb = b.trace()
     den = SlicePolynomial.from_real([r**4 / nb, -r * r * tb / nb, 1.0])
     num = SlicePolynomial.from_real([r * r, -tb * r * r / nb, r * r / nb])
-    return SemiregularFunction(den, num)
+    return SemiregularFunction._unreduced(den, num)
 
 
 def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, SemiregularFunction]:
@@ -725,7 +736,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
         for _ in range(power):
             g_den = slice_product(g_den, fac.den)
             g_num = slice_product(g_num, fac.num)
-    g = SemiregularFunction(g_den, g_num)
+    g = SemiregularFunction._unreduced(g_den, g_num)
     # h = (g_den f_den)^{-1} (g_num f_num); f_den divides g_num f_num by
     # construction, so divide it out explicitly rather than re-detecting.
     h_num_full = slice_product(g_num, f.num)
@@ -734,5 +745,5 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
         raise ClassificationInconsistencyError(
             "Blaschke numerator failed to cancel the denominator poles"
         )
-    h = SemiregularFunction(g_den, h_num)
+    h = SemiregularFunction._unreduced(g_den, h_num)
     return g, h

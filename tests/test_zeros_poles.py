@@ -537,12 +537,10 @@ def test_only_a_zero_whose_factor_divides_den_is_an_exceptional_point(eps, kind,
 
 def test_numerator_vanishing_on_a_whole_pole_sphere_is_inconsistent():
     delta = characteristic_poly(Quaternion(0, 0, 0.6, 0))
-    # The constructor cancels delta, so set the unreduced pair directly: a
-    # numerator vanishing on a whole pole sphere is the state the
-    # pole_structure raise exists to detect.
-    f = object.__new__(SemiregularFunction)
-    object.__setattr__(f, "den", delta)
-    object.__setattr__(f, "num", slice_product(delta, lin(0.3, 0.2, 0, -0.1)))
+    # The constructor cancels delta, so keep the pair unreduced: a numerator
+    # vanishing on a whole pole sphere is the state the pole_structure raise
+    # exists to detect.
+    f = SemiregularFunction._unreduced(delta, slice_product(delta, lin(0.3, 0.2, 0, -0.1)))
     with pytest.raises(ClassificationInconsistencyError, match="whole pole sphere"):
         analyze(f, 1.0)
 
@@ -702,3 +700,20 @@ def test_regularize_errors():
     outside = SemiregularFunction(real_poly(4.0, 0, 1.0), real_poly(1.0))
     with pytest.raises(PoleOutsideRegionError):
         regularize(outside, 1.0)
+
+
+# At small r the division test's TOL_DIVIDE is absolute in r: Delta_b and its
+# reflection Delta_{r^2 b^-1} divide each other to within it although |b| is
+# well outside the boundary band.  The Blaschke pairs must stay unreduced.
+def test_blaschke_spherical_near_boundary_at_small_r_keeps_its_zero():
+    r = 1e-3
+    b = J * (r - 1e-7)
+    g = blaschke_spherical(b, r)
+    assert (g.den.degree, g.num.degree) == (2, 2)
+    assert g.eval(b).abs() <= 1e-9
+    f = SemiregularFunction(characteristic_poly(b), real_poly(1.0))
+    g, h = regularize(f, r)
+    assert (g.den.degree, g.num.degree) == (2, 2)
+    for x in (Quaternion.real(0.5 * r), Quaternion(0.1 * r, 0.3 * r, 0.0, -0.2 * r)):
+        gf = g.eval(x) * f.eval(x)
+        assert (h.eval(x) - gf).abs() <= 1e-9 * gf.abs()
