@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from pathlib import Path
 
 from .errors import SliceRegError
@@ -39,21 +40,23 @@ class InputFormatError(SliceRegError):
 
 
 def _parse_coefficient(entry, index: int) -> Quaternion:
-    if isinstance(entry, (int, float)):
-        return Quaternion.real(float(entry))
-    if isinstance(entry, (list, tuple)) and len(entry) == 4:
-        try:
-            return Quaternion.from_array(entry)
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"coefficient {index}: {exc}") from exc
-    raise InputFormatError(
-        f"coefficient {index} must be a real number or a 4-element array, got {entry!r}"
-    )
+    parts = [entry, 0.0, 0.0, 0.0] if isinstance(entry, (int, float)) else entry
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 4):
+        raise InputFormatError(
+            f"coefficient {index} must be a real number or a 4-element array, got {entry!r}"
+        )
+    try:
+        q = Quaternion.from_array(parts)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"coefficient {index}: {exc}") from exc
+    if not all(map(math.isfinite, q.components())):
+        raise InputFormatError(f"coefficient {index} must be finite, got {entry!r}")
+    return q
 
 
 def parse_polynomial(record: dict) -> SlicePolynomial:
     if not isinstance(record, dict) or "coeffs" not in record:
-        raise InputFormatError('polynomial record needs a "coeffs" key')
+        raise InputFormatError('polynomial record must be a JSON object with a "coeffs" key')
     coeffs = record["coeffs"]
     if not isinstance(coeffs, list):
         raise InputFormatError('"coeffs" must be a list')
@@ -61,7 +64,7 @@ def parse_polynomial(record: dict) -> SlicePolynomial:
 
 
 def parse_function(record: dict) -> SlicePolynomial | SemiregularFunction:
-    if "num" in record or "den" in record:
+    if isinstance(record, dict) and ("num" in record or "den" in record):
         if not ("num" in record and "den" in record):
             raise InputFormatError('rational record needs both "num" and "den"')
         den = parse_polynomial(record["den"])

@@ -32,7 +32,7 @@ from .jensen import delta4_logNf_at0
 from .quadrature import build_rule, integrate_values, log_normal_values, polar_rule
 from .quaternions import Quaternion, decompose, qmul_parts
 from .slicepoly import SlicePolynomial, log_abs, normal, spherical_derivative, spherical_value
-from .zeros_poles import characteristic_poly, classify_zeros, root_spheres, total_multiplicity
+from .zeros_poles import characteristic_poly, classify_zeros, halved, root_spheres, total_multiplicity
 
 __all__ = ["SuiteResult", "ResidualRow", "run_suite", "SUITES", "SUITE_ORDER"]
 
@@ -403,11 +403,11 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
             else:
                 f = f * characteristic_poly(points[int(rng.integers(0, 2))])
         nf = normal(f)
-        # one root-finding pass per polynomial; N(f) has real coefficients
+        # one root-finding pass per polynomial; spheres_f are f's zero_spheres
         spheres_n = root_spheres(nf.real_coeffs())
-        spheres_f = root_spheres(f.real_coeffs()) if f.is_slice_preserving() else spheres_n
+        spheres_f = root_spheres(f.real_coeffs()) if f.is_slice_preserving() else halved(spheres_n)
         ok = True
-        for rec in classify_zeros(f, spheres_n):
+        for rec in classify_zeros(f, spheres_f):
             m_f = total_multiplicity(f, rec.representative, spheres_f)
             m_n = total_multiplicity(nf, rec.representative, spheres_n)
             if m_f != rec.multiplicity or m_n != 2 * m_f:

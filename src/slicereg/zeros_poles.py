@@ -1,21 +1,21 @@
 """Zero classification, total multiplicities, pole structure and Blaschke
 regularization.
 
-Zeros of a slice polynomial f live on spheres S_x = alpha + beta*S: the
-real-coefficient normal function N(f) vanishes exactly on the union of
-those spheres, so zero location reduces to root finding for a real
-polynomial in one complex variable.  Roots come from the companion
-matrix, are clustered into spheres, re-centered by Newton iteration on a
-derivative of matching order, and validated by repeated division with
-the real factor (x - r) or Delta_y(x) = x^2 - t(y) x + n(y).  The
-division count is the authoritative multiplicity; when eigenvalue
-scatter of a multiple root splits a cluster, the cluster tolerance is
-escalated until the division counts account for the whole degree;
-a cluster that a rung leaves unchanged keeps the verdict of the rung
-that formed it, so each cluster is validated once per call.  One long
-division ``_divide``, on real coefficients or quaternion rows, does all
-division by real factors; a division counts when the largest remainder
-coefficient norm is at most TOL_DIVIDE times the dividend's.
+Zeros of a slice polynomial f live on the spheres S_x = alpha + beta*S
+where the real-coefficient normal function N(f) vanishes; ``zero_spheres``
+finds them as roots of one real polynomial: f itself when f is
+slice-preserving (N(f) = f^2 doubles every root), else N(f), halving its
+multiplicities.  Roots come from the companion matrix, are clustered into
+spheres, re-centered by Newton iteration on a derivative of matching order,
+and validated by repeated division with the real factor (x - r) or
+Delta_y(x) = x^2 - t(y) x + n(y).  The division count is the authoritative
+multiplicity; when eigenvalue scatter of a multiple root splits a cluster,
+the cluster tolerance is escalated until the division counts account for
+the whole degree; a cluster that a rung leaves unchanged keeps the verdict
+of the rung that formed it, so each cluster is validated once per call.
+One long division ``_divide`` does all division by real factors; a division
+counts when its largest remainder norm is at most TOL_DIVIDE times the
+dividend's.
 
 Rational (semiregular) functions are pairs f = den^{-1} * num with a
 slice-preserving denominator.  Poles sit on the spheres of den; on each
@@ -25,15 +25,15 @@ equal to its total multiplicity as a zero of the numerator.  Blaschke
 reciprocals with unit modulus on the boundary sphere absorb the poles;
 ``regularize`` multiplies them onto f and returns the pole-free product.
 
-``analyze(f, r)`` is the one zero and pole pass that the Jensen check,
-the ``zeros`` command and ``regularize`` share.  It runs the root finder
-once on N(num) and once on den and returns a frozen ``FunctionAnalysis``:
-a zero record for every zero sphere, every denominator sphere, the pole
-records inside the closed ball of radius r, and the shadows of all of
-those spheres, which place the panels of the polar rule.  The zero
-records are the only source of zeros: a zero record whose real factor
-divides den is the exceptional point of that pole sphere, and the pole
-record copies its representative and multiplicity.
+``analyze(f, r)`` is the one zero and pole pass that the Jensen check, the
+``zeros`` command and ``regularize`` share.  It runs ``zero_spheres`` on
+num and the root finder on den, once each, and returns a frozen
+``FunctionAnalysis``: a zero record for every zero sphere, every
+denominator sphere, the pole records inside the closed ball of radius r,
+and the shadows of all of those spheres, which place the panels of the
+polar rule.  The zero records are the only source of zeros: a zero record
+whose real factor divides den is the exceptional point of that pole
+sphere, and the pole record copies its representative and multiplicity.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ TOL_DIVIDE = 1e-9
 # regularize, the zero and pole sums) and as inside the closed ball
 BOUNDARY_BAND = 1e-9
 
-Sphere = tuple[float, float, int]  # (alpha, beta, mult) from root_spheres
+Sphere = tuple[float, float, int]  # (alpha, beta, mult) from root_spheres; total mult from zero_spheres
 
 
 def on_boundary(radius: float, r: float) -> bool:
@@ -246,6 +246,9 @@ def _all_distinct(spheres: list[Sphere]) -> bool:
 def _validate_cluster(c: np.ndarray, pts: np.ndarray) -> Sphere | None:
     k = len(pts)
     center = complex(np.mean(pts))
+    # wider than any eigenvalue scatter of one k-fold root: distinct roots
+    if np.abs(pts - center).max() > 100.0 * _scatter_radius(k, abs(center)):
+        return None
     hypotheses: list[str] = []
     if abs(center.imag) <= _scatter_radius(k, abs(center)):
         hypotheses = ["real", "complex"]
@@ -370,24 +373,29 @@ def characteristic_poly(y: Quaternion) -> SlicePolynomial:
 
 
 def zero_spheres(f: SlicePolynomial) -> list[Sphere]:
-    """Spheres carrying zeros of f, with multiplicities counted in N(f)."""
+    """Spheres carrying zeros of f, with total multiplicities: the roots of f
+    if slice-preserving (N(f) = f^2 doubles them), else of N(f), halved."""
     if f.is_zero:
         raise ZeroPolynomialError("zero set of the zero polynomial is everything")
-    return root_spheres(normal(f).real_coeffs())
+    if f.is_slice_preserving():
+        return root_spheres(f.real_coeffs())
+    return halved(root_spheres(normal(f).real_coeffs()))
+
+
+def halved(spheres: list[Sphere]) -> list[Sphere]:
+    """Total multiplicities from the root spheres of N(f), f not slice-preserving."""
+    return [(a, b, m // 2) for a, b, m in spheres]
 
 
 def total_multiplicity(f: SlicePolynomial, y: Quaternion, spheres: list[Sphere] | None = None) -> int:
     """Largest s with Delta_y^s dividing N(f); 0 when y is not a zero.
-    ``spheres``: the root spheres it reads, when the caller has them (of
-    f for slice-preserving f, of N(f) otherwise)."""
+    Read as the multiplicity of the sphere within ``_same_sphere`` of y's
+    among the ``zero_spheres`` of f (``spheres``, when the caller has them)."""
     if f.is_zero:
         raise ZeroPolynomialError("total multiplicity undefined for the zero polynomial")
     p = decompose(y)
-    if f.is_slice_preserving():
-        # N(f) = f^2, so the multiplicity in N is twice the one in f and
-        # the doubling cancels against the Delta^s accounting.
-        return _matching_mult(root_spheres(f.real_coeffs()) if spheres is None else spheres, p.alpha, p.beta)
-    return _matching_mult(zero_spheres(f) if spheres is None else spheres, p.alpha, p.beta) // 2
+    spheres = zero_spheres(f) if spheres is None else spheres
+    return next((m for a, b, m in spheres if _same_sphere(a, b, p.alpha, p.beta)), 0)
 
 
 def _same_sphere(a1: float, b1: float, a2: float, b2: float) -> bool:
@@ -396,35 +404,30 @@ def _same_sphere(a1: float, b1: float, a2: float, b2: float) -> bool:
     return math.hypot(a1 - a2, b1 - b2) <= 1e-6 * (1.0 + math.hypot(a1, b1))
 
 
-def _matching_mult(spheres: list[Sphere], alpha: float, beta: float) -> int:
-    return next((m for a, b, m in spheres if _same_sphere(a, b, alpha, beta)), 0)
-
-
 def classify_zeros(f: SlicePolynomial, spheres: list[Sphere] | None = None) -> list[ZeroRecord]:
     """Classified zero records for every sphere carrying zeros of f.
 
     Spherical zeros use the representative alpha + i*beta; isolated
     nonreal zeros are located from the stem by J* = -F1(z) F2(z)^{-1}.
-    ``spheres`` are the root spheres of N(f) when the caller has them.
+    ``spheres`` are the ``zero_spheres`` of f when the caller has them.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot classify zeros of the zero polynomial")
     records: list[ZeroRecord] = []
     for alpha, beta, mult in zero_spheres(f) if spheres is None else spheres:
-        tmult = mult // 2
         if beta == 0.0:
-            records.append(ZeroRecord("real", Quaternion.real(alpha), alpha, 0.0, tmult))
+            records.append(ZeroRecord("real", Quaternion.real(alpha), alpha, 0.0, mult))
             continue
         stem = f.stem_components(alpha, beta)
         scale = f.stem_scale(math.hypot(alpha, beta))
         f1, f2 = stem.F1, stem.F2
         if f1.abs() <= EPS_CLASS * scale and f2.abs() <= EPS_CLASS * scale:
             rep = Quaternion(alpha, beta, 0.0, 0.0)  # alpha + i*beta
-            records.append(ZeroRecord("spherical", rep, alpha, beta, tmult))
+            records.append(ZeroRecord("spherical", rep, alpha, beta, mult))
             continue
         if f2.abs() <= EPS_CLASS * scale:
             raise ClassificationInconsistencyError(
-                f"sphere ({alpha:.6g}, {beta:.6g}) reported by N(f) but F2 ~ 0 != F1"
+                f"sphere ({alpha:.6g}, {beta:.6g}) carries a root but F2 ~ 0 != F1"
             )
         jstar = validate_unit(-(f1 * f2.inverse()))
         rep = Quaternion(alpha, 0.0, 0.0, 0.0) + jstar * beta
@@ -432,7 +435,7 @@ def classify_zeros(f: SlicePolynomial, spheres: list[Sphere] | None = None) -> l
             raise ClassificationInconsistencyError(
                 f"candidate isolated zero at sphere ({alpha:.6g}, {beta:.6g}) does not annihilate f"
             )
-        records.append(ZeroRecord("isolated", rep, alpha, beta, tmult))
+        records.append(ZeroRecord("isolated", rep, alpha, beta, mult))
     return records
 
 
@@ -657,8 +660,8 @@ def as_semiregular(f) -> SemiregularFunction:
 
 
 def analyze(f, r: float) -> FunctionAnalysis:
-    """Zero and pole records of f at radius r from one root finding on
-    N(num) and one on den.
+    """Zero and pole records of f at radius r from one ``zero_spheres``
+    of num and one root finding on den.
 
     Only a zero record whose real factor divides den (``_division_multiplicity``
     at TOL_DIVIDE) can be a pole's exceptional point: a zero merely near a

@@ -202,6 +202,38 @@ def test_cli_rejects_too_few_nodes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+def _function_file_commands(tmp_path, text):
+    """jensen --fn, zeros --fn and a one-case manifest, each on a function file holding text."""
+    fn = tmp_path / "f.json"
+    fn.write_text(text)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"cases": [{"file": "f.json", "r": 1.0}]}))
+    return [["jensen", "--fn", str(fn)], ["zeros", "--fn", str(fn)], ["jensen", "--corpus", str(manifest)]]
+
+
+@pytest.mark.parametrize("text", ["5", "null", "3.5", "true", '"coeffs"', "[]"])
+def test_cli_rejects_function_file_that_is_not_an_object(tmp_path, capsys, text):
+    for argv in _function_file_commands(tmp_path, text):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "JSON object" in err, argv
+
+
+@pytest.mark.parametrize("text", ['{"coeffs": [1e400]}', '{"coeffs": [NaN, 1]}', '{"coeffs": [-Infinity, 1]}',
+                                  '{"coeffs": [[0.5, NaN, 0, 0], 1]}', '{"coeffs": [1, [0, 0, 1e999, 0]]}',
+                                  '{"num": {"coeffs": [1, 1]}, "den": {"coeffs": [NaN, 1]}}'])
+def test_cli_rejects_non_finite_coefficients(tmp_path, capsys, text):
+    for argv in _function_file_commands(tmp_path, text):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "must be finite" in err, argv
+
+
+def test_parse_coefficient_rejects_integer_beyond_float_range():
+    with pytest.raises(InputFormatError, match="too large"):
+        parse_polynomial({"coeffs": [10**400, 1]})
+
+
 def test_cli_rejects_nonpositive_radius(tmp_path, capsys):
     fn = _fine_case(tmp_path)
     for r in ("-1", "0", "nan"):
@@ -278,16 +310,31 @@ def test_report_digests_prints_a_digest_per_reference_report():
     assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
 
 
-def test_suite_times_times_one_suite():
+def _load_script(name):
     import importlib.util
 
-    path = Path(__file__).resolve().parent.parent / "scripts" / "suite_times.py"
-    spec = importlib.util.spec_from_file_location("suite_times", path)
-    suite_times = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(suite_times)
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_suite_times_times_one_suite():
+    suite_times = _load_script("suite_times")
     times = suite_times.suite_seconds(["gamma"])
     assert list(times) == ["gamma"] and 0.0 < times["gamma"] < 60.0
     assert suite_times.REPEATS == 9 and suite_times.SEED == 1
+
+
+def test_root_probe_sorts_each_draw_into_one_outcome():
+    root_probe = _load_script("root_probe")
+    assert (root_probe.R, root_probe.N, root_probe.DRAWS, root_probe.TOL) == (1.0, 48, 10, 1e-9)
+    assert root_probe.probe("real", 4, count=2) == {"pass": 2, "named_error": 0, "silent_wrong": 0}
+    assert root_probe.probe("quaternionic", 8, count=1) == {"pass": 1, "named_error": 0, "silent_wrong": 0}
+    (f,) = root_probe.draws("real", 6, count=1)
+    assert f.degree == 6 and f.is_slice_preserving(0.0)
+    assert root_probe.outcome(SlicePolynomial.from_real([0.0, 1.0])) == "named_error"  # zero at the origin
 
 
 def test_cli_zeros(capsys):
