@@ -13,6 +13,10 @@ After them it prints one line per failing call, a digest of
 ``f"{exit_code}\n{stderr}"``: bad jensen options, a zero on the
 sphere, a missing function file, a function file read as a manifest,
 a bad zeros ``--r``, an unknown suite and a negative verify-ops seed.
+Then ``jensen --fn`` and ``zeros --fn`` run on each of ``BAD_FUNCTIONS``,
+written to a temporary directory that stderr names as ``<tmp>``.  An
+exception that escapes ``cli.main`` is digested as
+``uncaught <Type>: <message>``.
 
 Paths are given relative to the checkout, so two checkouts print the
 same digest for the same report bytes, and ``diff`` of two outputs
@@ -26,7 +30,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
+import tempfile
 import sys
 from pathlib import Path
 
@@ -37,6 +43,17 @@ from slicereg.cli import main as cli_main
 
 MANIFESTS = ("polynomials", "rationals")
 SIMPLE = "corpus/poly_real_simple.json"  # its one zero lies at 0.5
+QUATERNIONIC_DEGREE_40 = [[1.0, 0.1, 0.0, 0.0]] + [0.0] * 39 + [0.5]  # N of it has degree 80
+BAD_FUNCTIONS = {
+    "bool-coeff": {"coeffs": [True, -1]},
+    "bool-component": {"coeffs": [[1, False, 0, 0], 1]},
+    "string-components": {"coeffs": [["0.5", "0", "0", "0"], 1]},
+    "degree-69": {"coeffs": [1.0] * 70},
+    "quaternionic-degree-40": {"coeffs": QUATERNIONIC_DEGREE_40},
+    "zero-coeff": {"coeffs": [0]},
+    "no-coeffs": {"coeffs": []},
+    "zero-numerator": {"num": {"coeffs": [0.0]}, "den": {"coeffs": [0.25, 1.0]}},
+}
 
 
 def reports() -> list[tuple[str, list[str]]]:
@@ -57,17 +74,23 @@ def reports() -> list[tuple[str, list[str]]]:
     return runs
 
 
-def failures() -> list[tuple[str, list[str]]]:
-    """(name, CLI arguments) of every failing call, in print order."""
+def failures(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of every failing call, in print order; writes
+    ``BAD_FUNCTIONS`` into the directory tmp."""
     bad_options = {"tol-nan": ["--tol", "nan"], "n2": ["--n", "2"], "no-points": ["--bijectivity-points", "0"],
                    "seed-1": ["--seed=-1"], "zero-on-sphere": ["--r", "0.5"]}
-    return [(f"error-jensen-{name}", ["jensen", "--fn", SIMPLE, *flags]) for name, flags in bad_options.items()] + [
+    runs = [(f"error-jensen-{name}", ["jensen", "--fn", SIMPLE, *flags]) for name, flags in bad_options.items()] + [
         ("error-jensen-missing-file", ["jensen", "--fn", "corpus/missing.json"]),
         ("error-jensen-function-as-manifest", ["jensen", "--corpus", SIMPLE]),
         ("error-zeros-r0", ["zeros", "--fn", SIMPLE, "--r", "0"]),
         ("error-verify-ops-unknown-suite", ["verify-ops", "--suite", "nope"]),
         ("error-verify-ops-seed-1", ["verify-ops", "--seed=-1"]),
     ]
+    for stem, record in BAD_FUNCTIONS.items():
+        path = tmp / f"{stem}.json"
+        path.write_text(json.dumps(record))
+        runs += [(f"error-{command}-{stem}", [command, "--fn", str(path)]) for command in ("jensen", "zeros")]
+    return runs
 
 
 def _digest(text: str) -> str:
@@ -81,12 +104,16 @@ def main() -> None:
         with contextlib.redirect_stdout(buf):
             cli_main(argv)
         print(f"{_digest(buf.getvalue())}  {name}")
-    for name, argv in failures():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(argv)
-        outcome = f"{code}\n{err.getvalue()}"
-        print(f"{_digest(outcome)}  {name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in failures(Path(tmp)):
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli_main(argv)
+                outcome = f"{code}\n{err.getvalue()}".replace(tmp, "<tmp>")
+            except Exception as exc:
+                outcome = f"uncaught {type(exc).__name__}: {exc}"
+            print(f"{_digest(outcome)}  {name}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """File formats and report rendering.
 
 Function files are JSON: a polynomial is {"coeffs": [c0, c1, ...]}
-where each entry is either a 4-element array [w, x1, x2, x3] or a bare
-real number (slice-preserving shorthand).  A rational function is
+where each entry is either a 4-element array [w, x1, x2, x3] of JSON
+numbers or a bare number (slice-preserving shorthand); true and false are
+not numbers.  A rational function is
 {"num": <polynomial>, "den": <polynomial with real coefficients>}.
 
 Reports render as json (sorted keys, so byte-identical for identical
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .errors import SliceRegError
 from .quaternions import Quaternion
-from .slicepoly import SlicePolynomial
+from .slicepoly import DEGREE_CAP, SlicePolynomial
 from .zeros_poles import SemiregularFunction
 
 __all__ = [
@@ -40,14 +41,15 @@ class InputFormatError(SliceRegError):
 
 
 def _parse_coefficient(entry, index: int) -> Quaternion:
-    parts = [entry, 0.0, 0.0, 0.0] if isinstance(entry, (int, float)) else entry
-    if not (isinstance(parts, (list, tuple)) and len(parts) == 4):
+    # exact types: JSON true/false load as bool, an int subclass
+    parts = [entry, 0.0, 0.0, 0.0] if type(entry) in (int, float) else entry
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 4 and all(type(v) in (int, float) for v in parts)):
         raise InputFormatError(
-            f"coefficient {index} must be a real number or a 4-element array, got {entry!r}"
+            f"coefficient {index} must be a real number or a 4-element array of numbers, got {entry!r}"
         )
     try:
         q = Quaternion.from_array(parts)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise InputFormatError(f"coefficient {index}: {exc}") from exc
     if not all(map(math.isfinite, q.components())):
         raise InputFormatError(f"coefficient {index} must be finite, got {entry!r}")
@@ -60,18 +62,29 @@ def parse_polynomial(record: dict) -> SlicePolynomial:
     coeffs = record["coeffs"]
     if not isinstance(coeffs, list):
         raise InputFormatError('"coeffs" must be a list')
-    return SlicePolynomial([_parse_coefficient(c, i) for i, c in enumerate(coeffs)])
+    try:
+        return SlicePolynomial([_parse_coefficient(c, i) for i, c in enumerate(coeffs)])
+    except ValueError as exc:  # the degree cap
+        raise InputFormatError(str(exc)) from exc
 
 
 def parse_function(record: dict) -> SlicePolynomial | SemiregularFunction:
+    """The function of a record; a numerator that is not slice-preserving
+    may have at most half the degree cap, which N(num) must keep."""
     if isinstance(record, dict) and ("num" in record or "den" in record):
         if not ("num" in record and "den" in record):
             raise InputFormatError('rational record needs both "num" and "den"')
         den = parse_polynomial(record["den"])
         if not den.is_slice_preserving():
             raise InputFormatError("denominator coefficients must be real")
-        return SemiregularFunction(den, parse_polynomial(record["num"]))
-    return parse_polynomial(record)
+        f = SemiregularFunction(den, parse_polynomial(record["num"]))
+        num = f.num
+    else:
+        f = num = parse_polynomial(record)
+    if num.degree > DEGREE_CAP // 2 and not num.is_slice_preserving():
+        raise InputFormatError(f"numerator is not slice-preserving and its degree {num.degree} exceeds"
+                               f" {DEGREE_CAP // 2}, so N(num) would exceed the cap {DEGREE_CAP}")
+    return f
 
 
 def load_function(path: str | Path) -> SlicePolynomial | SemiregularFunction:

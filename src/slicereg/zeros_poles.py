@@ -2,10 +2,12 @@
 regularization.
 
 Zeros of a slice polynomial f live on the spheres S_x = alpha + beta*S
-where the real-coefficient normal function N(f) vanishes; ``zero_spheres``
-finds them as roots of one real polynomial: f itself when f is
-slice-preserving (N(f) = f^2 doubles every root), else N(f), halving its
-multiplicities.  Roots come from the companion matrix, are clustered into
+where the real-coefficient normal function N(f) vanishes.  One real
+polynomial carries them, ``_zero_polynomial(f)``: f itself when f is
+slice-preserving (N(f) = f^2 doubles every root), else N(f), whose
+multiplicities are halved.  ``zero_spheres`` root-finds it, and
+``total_multiplicity`` counts divisions of it by the real factor of one
+point's sphere.  Roots come from the companion matrix, are clustered into
 spheres, re-centered by Newton iteration on a derivative of matching order,
 and validated by repeated division with the real factor (x - r) or
 Delta_y(x) = x^2 - t(y) x + n(y).  The division count is the authoritative
@@ -86,7 +88,9 @@ TOL_DIVIDE = 1e-9
 # regularize, the zero and pole sums) and as inside the closed ball
 BOUNDARY_BAND = 1e-9
 
-Sphere = tuple[float, float, int]  # (alpha, beta, mult) from root_spheres; total mult from zero_spheres
+# (alpha, beta, mult): mult counts roots in root_spheres (a conjugate pair
+# jointly) and is the total multiplicity in zero_spheres
+Sphere = tuple[float, float, int]
 
 
 def on_boundary(radius: float, r: float) -> bool:
@@ -372,30 +376,33 @@ def characteristic_poly(y: Quaternion) -> SlicePolynomial:
     return SlicePolynomial.from_real([y.norm2(), -y.trace(), 1.0])
 
 
-def zero_spheres(f: SlicePolynomial) -> list[Sphere]:
-    """Spheres carrying zeros of f, with total multiplicities: the roots of f
-    if slice-preserving (N(f) = f^2 doubles them), else of N(f), halved."""
+def _zero_polynomial(f: SlicePolynomial) -> tuple[np.ndarray, int]:
+    """The real polynomial whose roots carry the zeros of f, and the divisor
+    of its root multiplicities that gives total multiplicities: f itself
+    and 1 when slice-preserving (N(f) = f^2 doubles every root), else N(f)
+    and 2."""
     if f.is_zero:
         raise ZeroPolynomialError("zero set of the zero polynomial is everything")
     if f.is_slice_preserving():
-        return root_spheres(f.real_coeffs())
-    return halved(root_spheres(normal(f).real_coeffs()))
+        return f.real_coeffs(), 1
+    return normal(f).real_coeffs(), 2
 
 
-def halved(spheres: list[Sphere]) -> list[Sphere]:
-    """Total multiplicities from the root spheres of N(f), f not slice-preserving."""
-    return [(a, b, m // 2) for a, b, m in spheres]
+def zero_spheres(f: SlicePolynomial) -> list[Sphere]:
+    """Spheres carrying zeros of f, with total multiplicities: the root
+    spheres of ``_zero_polynomial(f)``."""
+    c, per_unit = _zero_polynomial(f)
+    return [(a, b, m // per_unit) for a, b, m in root_spheres(c)]
 
 
-def total_multiplicity(f: SlicePolynomial, y: Quaternion, spheres: list[Sphere] | None = None) -> int:
+def total_multiplicity(f: SlicePolynomial, y: Quaternion) -> int:
     """Largest s with Delta_y^s dividing N(f); 0 when y is not a zero.
-    Read as the multiplicity of the sphere within ``_same_sphere`` of y's
-    among the ``zero_spheres`` of f (``spheres``, when the caller has them)."""
-    if f.is_zero:
-        raise ZeroPolynomialError("total multiplicity undefined for the zero polynomial")
+    Counted by division of ``_zero_polynomial(f)`` by the real factor of
+    y's sphere, x - y for a real y, else Delta_y."""
+    c, per_unit = _zero_polynomial(f)
     p = decompose(y)
-    spheres = zero_spheres(f) if spheres is None else spheres
-    return next((m for a, b, m in spheres if _same_sphere(a, b, p.alpha, p.beta)), 0)
+    s = _division_multiplicity(c, p.alpha, p.beta)
+    return (s if p.beta == 0.0 else 2 * s) // per_unit
 
 
 def _same_sphere(a1: float, b1: float, a2: float, b2: float) -> bool:
@@ -404,17 +411,14 @@ def _same_sphere(a1: float, b1: float, a2: float, b2: float) -> bool:
     return math.hypot(a1 - a2, b1 - b2) <= 1e-6 * (1.0 + math.hypot(a1, b1))
 
 
-def classify_zeros(f: SlicePolynomial, spheres: list[Sphere] | None = None) -> list[ZeroRecord]:
-    """Classified zero records for every sphere carrying zeros of f.
+def classify_zeros(f: SlicePolynomial) -> list[ZeroRecord]:
+    """Classified zero records for every one of f's ``zero_spheres``.
 
     Spherical zeros use the representative alpha + i*beta; isolated
     nonreal zeros are located from the stem by J* = -F1(z) F2(z)^{-1}.
-    ``spheres`` are the ``zero_spheres`` of f when the caller has them.
     """
-    if f.is_zero:
-        raise ZeroPolynomialError("cannot classify zeros of the zero polynomial")
     records: list[ZeroRecord] = []
-    for alpha, beta, mult in zero_spheres(f) if spheres is None else spheres:
+    for alpha, beta, mult in zero_spheres(f):
         if beta == 0.0:
             records.append(ZeroRecord("real", Quaternion.real(alpha), alpha, 0.0, mult))
             continue
@@ -668,7 +672,7 @@ def analyze(f, r: float) -> FunctionAnalysis:
     pole sphere stays a free zero, and the pole stays uniform.
     """
     fs = as_semiregular(f)
-    zeros = classify_zeros(fs.num) if fs.num.degree > 0 else []
+    zeros = classify_zeros(fs.num)
     den = fs.den.real_coeffs()
     pole_spheres = root_spheres(den) if fs.den.degree > 0 else []
     on_pole_spheres = [z for z in zeros if _division_multiplicity(den, z.alpha, z.beta)]

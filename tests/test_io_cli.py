@@ -234,6 +234,40 @@ def test_parse_coefficient_rejects_integer_beyond_float_range():
         parse_polynomial({"coeffs": [10**400, 1]})
 
 
+@pytest.mark.parametrize("text", ['{"coeffs": [true, -1]}', '{"coeffs": [[1, false, 0, 0], 1]}',
+                                  '{"coeffs": [["0.5", "0", "0", "0"], 1]}'])
+def test_cli_rejects_coefficients_that_are_not_numbers(tmp_path, capsys, text):
+    # JSON true/false load as bool, an int subclass, yet are not JSON numbers
+    for argv in _function_file_commands(tmp_path, text):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "4-element array of numbers" in err, argv
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"coeffs": [1.0] * 70}, "degree 69 exceeds cap 64"),
+    ({"coeffs": [[1.0, 0.1, 0.0, 0.0]] + [0.0] * 39 + [0.5]}, "N(num) would exceed the cap 64"),
+    ({"num": {"coeffs": [[1.0, 0.1, 0.0, 0.0]] + [0.0] * 39 + [0.5]}, "den": {"coeffs": [0.25, 1.0]}},
+     "N(num) would exceed the cap 64"),
+])
+def test_cli_rejects_degree_beyond_the_cap(tmp_path, capsys, record, message):
+    # a quaternionic numerator of degree 40 parses, but its N(f) has degree 80
+    for argv in _function_file_commands(tmp_path, json.dumps(record)):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err, argv
+
+
+@pytest.mark.parametrize("record", [{"coeffs": [0]}, {"coeffs": []},
+                                    {"num": {"coeffs": [0.0]}, "den": {"coeffs": [0.25, 1.0]}}])
+def test_cli_zero_polynomial_has_no_zero_records(tmp_path, capsys, record):
+    jensen, zeros, _ = _function_file_commands(tmp_path, json.dumps(record))
+    assert main(zeros) == 3
+    assert capsys.readouterr().err == "error: zero set of the zero polynomial is everything\n"
+    assert main(jensen) == 2  # f(0) = 0 is checked before any root finding
+    assert capsys.readouterr().err.startswith("HypothesisViolation: zero at the origin")
+
+
 def test_cli_rejects_nonpositive_radius(tmp_path, capsys):
     fn = _fine_case(tmp_path)
     for r in ("-1", "0", "nan"):
@@ -304,8 +338,8 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 9 + len(functions) + 2 + 10 and len(set(names)) == len(names)
-    assert [n for n in names if n.startswith("error-")] == names[-10:]  # failing calls come last
+    assert len(names) == 9 + len(functions) + 2 + 26 and len(set(names)) == len(names)
+    assert [n for n in names if n.startswith("error-")] == names[-26:]  # failing calls come last
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
 

@@ -164,11 +164,19 @@ def _high_multiplicity_coeffs():
 
 
 def _multiplicity_suite_coeffs(monkeypatch, seed, n_cases=10):
-    """The real polynomials whose roots a seeded multiplicity suite finds."""
+    """The real polynomials of a seeded multiplicity suite's cases: N(f)
+    for each case, then f itself when f is slice-preserving."""
     import slicereg.verify as verify
 
     seen = []
-    monkeypatch.setattr(verify, "root_spheres", lambda c: seen.append(np.array(c)) or root_spheres(c))
+
+    def record(f):
+        seen.append(normal(f).real_coeffs())
+        if f.is_slice_preserving():
+            seen.append(f.real_coeffs())
+        return classify_zeros(f)
+
+    monkeypatch.setattr(verify, "classify_zeros", record)
     verify.suite_multiplicity(seed, n_cases=n_cases)
     monkeypatch.undo()
     return seen
@@ -339,29 +347,24 @@ def test_total_multiplicity_examples():
     assert total_multiplicity(sq, Quaternion.real(1.0)) == 0
 
 
-def test_total_multiplicity_reads_given_spheres(monkeypatch):
-    # the caller's spheres give the same counts as a fresh root-finding pass
-    sq = slice_product(lin(0, 1, 0, 0), lin(0, 1, 0, 0))
-    cases = [(sq, zero_spheres(sq)), (real_poly(1, 0, 1), root_spheres(np.array([1.0, 0.0, 1.0])))]
-    want = [[total_multiplicity(f, y) for y in (I, J, ONE)] for f, _ in cases]
-
-    def no_root_finding(coeffs):
-        raise AssertionError("root_spheres called although spheres were given")
-
-    monkeypatch.setattr("slicereg.zeros_poles.root_spheres", no_root_finding)
-    assert [[total_multiplicity(f, y, spheres) for y in (I, J, ONE)] for f, spheres in cases] == want
+def test_total_multiplicity_is_zero_just_off_a_zero_sphere():
+    # Delta_y divides N(f) only when y is on a zero sphere, so y = q (1 + eps)
+    # is no zero once the remainder passes TOL_DIVIDE, even within 1e-6 of q
+    q, p = Quaternion(0.3, 0.4, 0.0, 0.5), Quaternion(0.2, 0.1, 0.0, 0.3)
+    f = slice_product(SlicePolynomial.linear(q), SlicePolynomial.linear(p))
+    for y in (q, p):
+        assert [total_multiplicity(f, y * (1.0 + eps)) for eps in (0.0, 1e-12)] == [1, 1]
+        assert [total_multiplicity(f, y * (1.0 + eps)) for eps in (1e-8, 1e-7, 1e-6)] == [0, 0, 0]
 
 
 def test_multiplicity_suite_finds_roots_once_per_polynomial(monkeypatch):
     import slicereg.verify as verify
 
     calls = []
-    monkeypatch.setattr(verify, "root_spheres", lambda c: calls.append(1) or root_spheres(c))
-    monkeypatch.setattr("slicereg.zeros_poles.root_spheres",
-                        lambda c: pytest.fail("root-finding pass outside the suite's own"))
+    monkeypatch.setattr("slicereg.zeros_poles.root_spheres", lambda c: calls.append(1) or root_spheres(c))
     res = verify.suite_multiplicity(1, n_cases=10)
     assert res.passed and len(res.rows) > 10
-    assert len(calls) <= 2 * 10  # f (when slice-preserving) and N(f), once each
+    assert len(calls) == 10  # f's zero polynomial; N(f)'s counts come by division
 
 
 def test_total_multiplicity_division_oracle():
