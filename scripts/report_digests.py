@@ -44,12 +44,14 @@ from slicereg.cli import main as cli_main
 MANIFESTS = ("polynomials", "rationals")
 SIMPLE = "corpus/poly_real_simple.json"  # its one zero lies at 0.5
 QUATERNIONIC_DEGREE_40 = [[1.0, 0.1, 0.0, 0.0]] + [0.0] * 39 + [0.5]  # N of it has degree 80
+REAL_DEGREE_40 = [1.0] + [0.0] * 39 + [0.5]  # slice-preserving, so N of it (degree 80) is not capped
 BAD_FUNCTIONS = {
     "bool-coeff": {"coeffs": [True, -1]},
     "bool-component": {"coeffs": [[1, False, 0, 0], 1]},
     "string-components": {"coeffs": [["0.5", "0", "0", "0"], 1]},
     "degree-69": {"coeffs": [1.0] * 70},
     "quaternionic-degree-40": {"coeffs": QUATERNIONIC_DEGREE_40},
+    "real-degree-40": {"coeffs": REAL_DEGREE_40},
     "zero-coeff": {"coeffs": [0]},
     "no-coeffs": {"coeffs": []},
     "zero-numerator": {"num": {"coeffs": [0.0]}, "den": {"coeffs": [0.25, 1.0]}},

@@ -216,15 +216,8 @@ def _representative_spread(records: list[ZeroRecord | PoleRecord], r: float, rng
     return worst
 
 
-def jensen_check(
-    f,
-    r: float,
-    n: int = DEFAULT_N,
-    *,
-    seed: int = 0,
-    bijectivity_points: int = 1000,
-    diagnostics: bool = True,
-) -> JensenReport:
+def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_points: int = 1000,
+                 diagnostics: bool = True) -> JensenReport:
     """Evaluate both sides of the Jensen formula with n nodes per panel
     of the polar rule (the oracle's orders follow from n by
     ``oracle_orders``); report the residual.
@@ -265,22 +258,15 @@ def jensen_check(
     zsum = zero_sum(zrecords, r)
     psum = pole_sum(poles, r)
 
-    means = boundary_means(fs, r, n, analysis.shadows)
+    means = boundary_means(fs, r, n, analysis.shadows, analysis.normal_num)
     lhs = t0 + t1 + t2
     rhs = 0.5 * (means.mean_log_f + means.mean_log_f_sf) - zsum + psum
     residual = lhs - rhs
 
-    warnings: list[str] = []
-    for rec in zrecords:
-        if rec.kind == "real" and rec.alpha < 0.0:
-            warnings.append(
-                f"negative real zero at {rec.alpha:.12g}: using |r_k| in the log term"
-            )
-    for p in poles:
-        if p.kind == "real" and p.alpha < 0.0:
-            warnings.append(
-                f"negative real pole at {p.alpha:.12g}: using |p_k| in the log term"
-            )
+    warnings = [f"negative real zero at {z.alpha:.12g}: using |r_k| in the log term"
+                for z in zrecords if z.kind == "real" and z.alpha < 0.0]
+    warnings += [f"negative real pole at {p.alpha:.12g}: using |p_k| in the log term"
+                 for p in poles if p.kind == "real" and p.alpha < 0.0]
     gap = analysis.boundary_gap
 
     diag: dict = {
@@ -294,14 +280,12 @@ def jensen_check(
         # the same panels at orders of its own
         p, q = oracle_orders(n)
         rule = build_rule(r, p, analysis.shadows, q)
-        oracle = boundary_identity_residual(fs, rule)
+        oracle = boundary_identity_residual(fs, rule, analysis.normal_num)
         diag["oracle_orders"] = [p, q]
         diag["oracle_nodes"] = len(rule)
         diag["boundary_identity_max"] = oracle.identity_max
         diag["mean_sum_check"] = abs(oracle.means.mean_log_normal - means.mean_log_normal)
-        diag["representative_spread"] = _representative_spread(
-            zrecords + [p for p in poles if p.beta > 0.0], r, rng
-        )
+        diag["representative_spread"] = _representative_spread(zrecords + [p for p in poles if p.beta > 0.0], r, rng)
         if fs.num.degree > 0:
             errs = sf_roundtrip_errors(fs, r, bijectivity_points, rng)
             diag["sf_roundtrip_max"] = float(np.max(errs))

@@ -12,7 +12,9 @@ of log|f| has a closed form in A and B = |b| (``sphere_mean_log_abs``).
 The pointwise identity log|N(f)| = log|f| + log|f o S_f| then gives the
 second mean as the polar mean of log|N(f)| minus the first.  Both need
 the stems only at the shadows z_k = r e^{i theta_k} of ``polar_rule``,
-graded toward the shadows of the zero and pole spheres.
+graded toward the shadows of the zero and pole spheres.  Every
+Gauss-Legendre rule here, the means' and the oracle's, comes from
+``_gauss_legendre``: Newton on the Legendre recurrence, no LAPACK call.
 
 Diagnostic oracle: a 3-D product rule.  Parameterization
 x = r (cos t1, sin t1 cos t2, sin t1 sin t2 cos p, sin t1 sin t2 sin p)
@@ -52,8 +54,8 @@ import numpy as np
 
 from .errors import DegeneratePointError, NonFiniteIntegrandError
 from .quaternions import Quaternion, _qconj_parts, _qinv_parts, _qnorm2_parts, decompose, qmul_parts
-from .slicepoly import horner, normal
-from .zeros_poles import as_semiregular
+from .slicepoly import horner
+from .zeros_poles import as_semiregular, normal_coeffs
 
 __all__ = [
     "SphereQuadratureRule",
@@ -130,11 +132,33 @@ class SphereQuadratureRule:
         return len(self.polar_z) * len(self.s2_weights)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [-1, 1], ascending, and weights in O(n^2)
+    elementwise work: Newton on the recurrence for P_n and P'_n = n (P_{n-1}
+    - x P_n) / (1 - x^2) from Tricomi's guesses for the nodes >= 0, then
+    w = 2 / ((1 - x^2) P'_n^2); the nodes < 0 mirror them exactly."""
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    x[n // 2:] = 0.0  # empty unless n is odd
+    step = np.ones_like(x)
+    for _ in range(10):  # 3 or 4 steps reach roundoff
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        dp = n * (p_prev - x * p) / (1.0 - x * x)
+        if np.max(np.abs(step)) <= 1e-12:
+            break
+        step = p / dp
+        x -= step
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+
+
 @lru_cache
 def _polar_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre angles theta_k in (0, pi) and their weights on
+    """Angles theta_k in (0, pi) of ``_gauss_legendre`` and its weights on
     [-1, 1] (Jacobian pi/2 left to the caller); cached, read-only."""
-    t, wt = np.polynomial.legendre.leggauss(n)
+    t, wt = _gauss_legendre(n)
     theta = 0.5 * math.pi * (t + 1.0)
     theta.flags.writeable = wt.flags.writeable = False
     return theta, wt
@@ -420,9 +444,10 @@ def sphere_mean_log_abs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarr
         return 0.5 * np.log(a) + 0.25 * g
 
 
-def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
+def boundary_means(f, r: float, n: int, shadows=(), nnum: np.ndarray | None = None) -> BoundaryMeans:
     """The two normalized boundary means of the Jensen right-hand side,
-    by ``polar_rule(r, n, shadows)`` with exact S^2 averaging.
+    by ``polar_rule(r, n, shadows)`` with exact S^2 averaging; nnum holds
+    N(num)'s coefficients (``normal_coeffs``) when the caller has them.
 
     N(f) has the stem (F1 + i F2)(conj F1 + i conj F2) = |F1|^2 - |F2|^2
     + 2i Re(F1 conj F2); with |Im(F1 conj F2)|^2 = |F1|^2 |F2|^2 - Re(F1 conj F2)^2
@@ -438,7 +463,8 @@ def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     a = _qnorm2_parts(f1) + _qnorm2_parts(f2)
     _, b1, b2, b3 = qmul_parts(f1, _qconj_parts(f2))
     b = 2.0 * np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    nnum = normal(as_semiregular(f).num).real_coeffs()
+    if nnum is None:
+        nnum = normal_coeffs(as_semiregular(f).num)
     num_abs = np.abs(horner(nnum, z))
     log_n = log_normal_values(f, z, num_abs)
     log_f = sphere_mean_log_abs(a, b, np.exp(2.0 * log_n) / (a + b))
@@ -459,7 +485,7 @@ def log_normal_values(f, z: np.ndarray, num_abs: np.ndarray | None = None) -> np
     ``num_abs``: |N(num)| at z, when the caller has it."""
     fs = as_semiregular(f)
     if num_abs is None:
-        num_abs = np.abs(horner(normal(fs.num).real_coeffs(), z))
+        num_abs = np.abs(horner(normal_coeffs(fs.num), z))
     log_n = np.log(num_abs)
     return log_n - 2.0 * np.log(np.abs(horner(fs.den.real_coeffs(), z))) if fs.den.degree else log_n
 
@@ -503,8 +529,9 @@ def _log_abs_f_and_f_sf(maps: np.ndarray, units: np.ndarray) -> tuple[np.ndarray
         return 0.5 * np.log(fx2), 0.5 * np.log(fy2 / values[8] ** 2)
 
 
-def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleCheck:
-    """Evaluate f and f o S_f at every node of the product rule.
+def boundary_identity_residual(f, rule: SphereQuadratureRule, nnum: np.ndarray | None = None) -> ProductRuleCheck:
+    """Evaluate f and f o S_f at every node of the product rule; nnum as
+    in ``boundary_means``.
 
     The stems and log|N(f)| are evaluated once per polar angle, and so is
     ``_identity_map``, which makes f(x) and f(S_f x) on the angle's sphere
@@ -515,7 +542,7 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleChec
     weights are applied once at the end.
     """
     z = rule.polar_z
-    log_n = log_normal_values(f, z)[:, None]
+    log_n = log_normal_values(f, z, None if nnum is None else np.abs(horner(nnum, z)))[:, None]
     maps = _identity_map(*f.stem_arrays(z), f.stem_scale(rule.radius))
     units = _homogeneous_units(rule)
     sphere_means = np.empty((2, len(z)))

@@ -32,16 +32,17 @@ reciprocals with unit modulus on the boundary sphere absorb the poles;
 num and the root finder on den, once each, and returns a frozen
 ``FunctionAnalysis``: a zero record for every zero sphere, every
 denominator sphere, the pole records inside the closed ball of radius r,
-and the shadows of all of those spheres, which place the panels of the
-polar rule.  The zero records are the only source of zeros: a zero record
-whose real factor divides den is the exceptional point of that pole
-sphere, and the pole record copies its representative and multiplicity.
+the shadows of all of those spheres, which place the panels of the
+polar rule, and N(num)'s coefficients for the boundary means.  The zero
+records are the only source of zeros: a zero record whose real factor
+divides a pole sphere's is its exceptional point, and the pole record
+copies its representative and multiplicity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ __all__ = [
     "zero_spheres",
     "classify_zeros",
     "total_multiplicity",
+    "normal_coeffs",
     "pole_structure",
     "blaschke_real",
     "blaschke_spherical",
@@ -388,10 +390,17 @@ def _zero_polynomial(f: SlicePolynomial) -> tuple[np.ndarray, int]:
     return normal(f).real_coeffs(), 2
 
 
-def zero_spheres(f: SlicePolynomial) -> list[Sphere]:
+def normal_coeffs(f: SlicePolynomial, zpoly: tuple[np.ndarray, int] | None = None) -> np.ndarray:
+    """N(f)'s real coefficients from zpoly = ``_zero_polynomial(f)``: for a
+    slice-preserving f its own convolved, N(f) = f^2 past the degree cap."""
+    c, per_unit = _zero_polynomial(f) if zpoly is None else zpoly
+    return np.convolve(c, c) if per_unit == 1 else c
+
+
+def zero_spheres(f: SlicePolynomial, zpoly: tuple[np.ndarray, int] | None = None) -> list[Sphere]:
     """Spheres carrying zeros of f, with total multiplicities: the root
-    spheres of ``_zero_polynomial(f)``."""
-    c, per_unit = _zero_polynomial(f)
+    spheres of zpoly = ``_zero_polynomial(f)``, formed when not given."""
+    c, per_unit = _zero_polynomial(f) if zpoly is None else zpoly
     return [(a, b, m // per_unit) for a, b, m in root_spheres(c)]
 
 
@@ -405,20 +414,14 @@ def total_multiplicity(f: SlicePolynomial, y: Quaternion) -> int:
     return (s if p.beta == 0.0 else 2 * s) // per_unit
 
 
-def _same_sphere(a1: float, b1: float, a2: float, b2: float) -> bool:
-    """Whether the spheres (a1, b1) and (a2, b2) are one sphere: their
-    shadows lie within 1e-6 of each other, relative to the first radius."""
-    return math.hypot(a1 - a2, b1 - b2) <= 1e-6 * (1.0 + math.hypot(a1, b1))
-
-
-def classify_zeros(f: SlicePolynomial) -> list[ZeroRecord]:
-    """Classified zero records for every one of f's ``zero_spheres``.
+def classify_zeros(f: SlicePolynomial, zpoly: tuple[np.ndarray, int] | None = None) -> list[ZeroRecord]:
+    """Classified zero records for every one of f's ``zero_spheres(f, zpoly)``.
 
     Spherical zeros use the representative alpha + i*beta; isolated
     nonreal zeros are located from the stem by J* = -F1(z) F2(z)^{-1}.
     """
     records: list[ZeroRecord] = []
-    for alpha, beta, mult in zero_spheres(f):
+    for alpha, beta, mult in zero_spheres(f, zpoly):
         if beta == 0.0:
             records.append(ZeroRecord("real", Quaternion.real(alpha), alpha, 0.0, mult))
             continue
@@ -590,7 +593,8 @@ def pole_structure(spheres: list[Sphere], zeros: Sequence[ZeroRecord], region_ra
     point where the numerator vanishes: that point has lesser order
     max(nu - m, 0) and isolated multiplicity m, the record's total
     multiplicity, and the pole becomes nonuniform with the record's
-    representative as its exceptional point.
+    representative as its exceptional point.  A record is on a sphere
+    when its real factor divides the sphere's at TOL_DIVIDE.
     """
     records: list[PoleRecord] = []
     for alpha, beta, mult in spheres:
@@ -602,7 +606,7 @@ def pole_structure(spheres: list[Sphere], zeros: Sequence[ZeroRecord], region_ra
             continue
         nu = mult // 2
         rep = Quaternion(alpha, beta, 0.0, 0.0)
-        zero = next((z for z in zeros if _same_sphere(alpha, beta, z.alpha, z.beta)), None)
+        zero = next((z for z in zeros if _division_multiplicity(_real_factor(alpha, beta), z.alpha, z.beta)), None)
         if zero is None:
             records.append(PoleRecord("spherical_uniform", rep, alpha, beta, order=nu, spherical_order=2 * nu))
             continue
@@ -629,12 +633,14 @@ class FunctionAnalysis:
     ``zeros`` has a record for every zero sphere of the numerator and
     ``pole_spheres`` every root sphere of the denominator, whatever
     their radius; ``poles`` has the pole records inside the closed ball.
+    ``normal_num`` holds N(num)'s coefficients (``normal_coeffs``).
     """
 
     radius: float
     zeros: tuple[ZeroRecord, ...]
     pole_spheres: tuple[Sphere, ...]
     poles: tuple[PoleRecord, ...]
+    normal_num: np.ndarray = field(repr=False, compare=False)
 
     @property
     def free_zeros(self) -> list[ZeroRecord]:
@@ -667,17 +673,16 @@ def analyze(f, r: float) -> FunctionAnalysis:
     """Zero and pole records of f at radius r from one ``zero_spheres``
     of num and one root finding on den.
 
-    Only a zero record whose real factor divides den (``_division_multiplicity``
-    at TOL_DIVIDE) can be a pole's exceptional point: a zero merely near a
+    Only a zero record whose real factor divides a pole sphere's
+    (``pole_structure``) can be its exceptional point: a zero merely near a
     pole sphere stays a free zero, and the pole stays uniform.
     """
     fs = as_semiregular(f)
-    zeros = classify_zeros(fs.num)
-    den = fs.den.real_coeffs()
-    pole_spheres = root_spheres(den) if fs.den.degree > 0 else []
-    on_pole_spheres = [z for z in zeros if _division_multiplicity(den, z.alpha, z.beta)]
-    poles = pole_structure(pole_spheres, on_pole_spheres, r)
-    return FunctionAnalysis(r, tuple(zeros), tuple(pole_spheres), tuple(poles))
+    zpoly = _zero_polynomial(fs.num)
+    zeros = classify_zeros(fs.num, zpoly)
+    pole_spheres = root_spheres(fs.den.real_coeffs()) if fs.den.degree > 0 else []
+    poles = pole_structure(pole_spheres, zeros, r)
+    return FunctionAnalysis(r, tuple(zeros), tuple(pole_spheres), tuple(poles), normal_coeffs(fs.num, zpoly))
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,21 @@ def test_cli_rejects_degree_beyond_the_cap(tmp_path, capsys, record, message):
         assert err.startswith("input error: ") and message in err, argv
 
 
+def test_cli_jensen_takes_a_slice_preserving_numerator_past_half_the_cap(tmp_path, capsys):
+    # degree 40: N(num) = num^2 has degree 80, past the cap, and is never
+    # formed as a SlicePolynomial
+    jensen, zeros, corpus = _function_file_commands(tmp_path, json.dumps({"coeffs": [1.0] + [0.0] * 39 + [0.5]}))
+    assert main(zeros) == 0
+    assert main(corpus) == 0 and "PASS" in capsys.readouterr().out  # r = 1, with diagnostics
+    assert main([*jensen, "--r", "0.5", "--no-diagnostics", "--format", "json"]) == 0
+    (case,) = json.loads(capsys.readouterr().out)["cases"]
+    assert abs(case["residual"]) <= 1e-12
+    # at r = 0.5 |f'_s| < 1e-10 on the whole sphere: the S_f roundtrip has no
+    # point to sample, a named error
+    assert main([*jensen, "--r", "0.5"]) == 3
+    assert capsys.readouterr().err == "error: could not sample enough boundary points in the S_f domain\n"
+
+
 @pytest.mark.parametrize("record", [{"coeffs": [0]}, {"coeffs": []},
                                     {"num": {"coeffs": [0.0]}, "den": {"coeffs": [0.25, 1.0]}}])
 def test_cli_zero_polynomial_has_no_zero_records(tmp_path, capsys, record):
@@ -316,6 +331,23 @@ def test_cli_reports_the_oracle_only_with_diagnostics(capsys):
         assert reports[False][key] == reports[True][key]
 
 
+def test_cli_never_imports_numpy_polynomial():
+    # the Gauss-Legendre rules are built in house: a CLI run leaves numpy's
+    # lazily loaded polynomial package unimported
+    import os
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from slicereg.cli import main\n"
+            "main(['jensen', '--fn', 'corpus/poly_deg8_all_kinds.json', '--no-diagnostics'])\n"
+            "main(['verify-ops', '--suite', 'quadrature'])\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_convergence_study_prints_a_row_per_corpus_case():
     import subprocess
 
@@ -338,8 +370,8 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 9 + len(functions) + 2 + 26 and len(set(names)) == len(names)
-    assert [n for n in names if n.startswith("error-")] == names[-26:]  # failing calls come last
+    assert len(names) == 9 + len(functions) + 2 + 28 and len(set(names)) == len(names)
+    assert [n for n in names if n.startswith("error-")] == names[-28:]  # failing calls come last
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
 
@@ -359,6 +391,16 @@ def test_suite_times_times_one_suite():
     times = suite_times.suite_seconds(["gamma"])
     assert list(times) == ["gamma"] and 0.0 < times["gamma"] < 60.0
     assert suite_times.REPEATS == 9 and suite_times.SEED == 1
+
+
+def test_gauss_legendre_probe_times_and_checks_both_rules():
+    probe = _load_script("gauss_legendre_probe")
+    assert probe.ORDERS == (4, 12, 16, 24, 48, 128, 256, 1024) and probe.MAX_REFERENCE_ORDER == 256
+    for method in probe.METHODS:
+        errors = probe.errors(method, 12)
+        assert errors["node_abs_error"] <= 2.3e-16 and errors["weight_rel_error"] <= 1e-13, method
+        seconds = probe.call_seconds(method, 12)
+        assert 0.0 < seconds["warm_s"] < 1.0 and 0.0 < seconds["cold_s"] < 1.0, method
 
 
 def test_root_probe_sorts_each_draw_into_one_outcome():

@@ -289,6 +289,21 @@ def test_origin_hypotheses_come_before_root_finding(monkeypatch):
         jensen_check(real_poly(0.0, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("name, r, normals", [("poly_real_triple.json", 0.8, 0), ("poly_isolated_pair.json", 1.0, 1),
+                                               ("rat_remark_nonuniform.json", 2.0, 1)])
+def test_one_normal_per_case(name, r, normals, monkeypatch):
+    # the analysis forms N(num) once, for a non-slice-preserving num only, and
+    # hands its coefficients to the means and the oracle
+    from slicereg import zeros_poles
+
+    f = load_function(CORPUS / name)
+    calls = []
+    monkeypatch.setattr(zeros_poles, "normal", lambda g: calls.append(g) or normal(g))
+    report = jensen_check(f, r)
+    assert len(calls) == normals == (not as_semiregular(f).num.is_slice_preserving())
+    assert abs(report.residual) <= 1e-12
+
+
 # -- semiregular consistency with the regularized product -----------------------
 
 

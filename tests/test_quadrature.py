@@ -11,6 +11,7 @@ from slicereg.errors import DegeneratePointError, NonFiniteIntegrandError
 from slicereg.io import load_function, parse_function
 from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, decompose
 from slicereg.quadrature import (
+    _gauss_legendre,
     _homogeneous_units,
     _identity_map,
     _log_abs_f_and_f_sf,
@@ -199,12 +200,43 @@ def test_polar_angles_cached_read_only():
     with pytest.raises(ValueError):
         theta[0] = 0.0
     # polar_rule is bitwise the uncached construction
-    t, w = np.polynomial.legendre.leggauss(48)
+    t, w = _gauss_legendre(48)
     t = 0.5 * math.pi * (t + 1.0)
     for _ in range(2):
         z, wz = polar_rule(1.3, 48)
         assert np.array_equal(z, 1.3 * np.cos(t) + 1j * (1.3 * np.sin(t)))
         assert np.array_equal(wz, w * np.sin(t) ** 2)
+
+
+def _mp_gauss_legendre(n: int, x0: float) -> tuple:
+    """The Gauss-Legendre node next to x0 and its weight, by Newton on the
+    recurrence in 40-digit mpmath, as floats."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for _ in range(3):  # from a double's 1e-16, past 40 digits
+            p_prev, p = mpmath.mpf(1), x
+            for j in range(1, n):
+                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+            dp = n * (p_prev - x * p) / (1 - x * x)
+            x -= p / dp
+        return float(x), float(2 / ((1 - x * x) * dp * dp))
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 16, 24, 48, 128, 256])
+def test_gauss_legendre_against_mpmath(n):
+    x, w = _gauss_legendre(n)
+    assert len(x) == len(w) == n and np.all(np.diff(x) > 0.0)
+    want = np.array([_mp_gauss_legendre(n, xk) for xk in x[n // 2:]])
+    assert np.all(np.abs(x[n // 2:] - want[:, 0]) <= 2 * np.spacing(want[:, 0]))
+    assert np.max(np.abs(w[n // 2:] / want[:, 1] - 1.0)) <= (1e-13 if n <= 48 else 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 47, 48, 128])
+def test_gauss_legendre_exact_on_even_monomials_and_symmetric(n):
+    x, w = _gauss_legendre(n)
+    for m in range(n):  # 2m <= 2n - 1
+        assert abs(float(np.dot(w, x ** (2 * m))) - 2.0 / (2 * m + 1)) <= 1e-14, m
+    assert x.tobytes() == (-x[::-1] + 0.0).tobytes() and w.tobytes() == w[::-1].tobytes()
 
 
 @pytest.mark.parametrize("radius", [0.99, 0.9999, 1.0001, 1.01])

@@ -20,6 +20,7 @@ from slicereg.quaternions import I, J, ONE, Quaternion
 from slicereg.slicepoly import SlicePolynomial, horner, normal, slice_product
 from slicereg.zeros_poles import (
     SemiregularFunction,
+    ZeroRecord,
     _division_multiplicity,
     analyze,
     blaschke_real,
@@ -27,6 +28,7 @@ from slicereg.zeros_poles import (
     characteristic_poly,
     classify_zeros,
     divide_by_real,
+    pole_structure,
     regularize,
     root_spheres,
     total_multiplicity,
@@ -593,14 +595,38 @@ def test_pole_structure_takes_the_exceptional_point_from_the_zero_record():
 ])
 def test_only_a_zero_whose_factor_divides_den_is_an_exceptional_point(eps, kind, free):
     # f = Delta_b^{-1} (x - q)(x - p), b = 0.6 j, |q| = 0.6 (1 + eps): off the
-    # pole sphere, q is within the 1e-6 sphere match but Delta_q does not
-    # divide den, so q stays a free zero and the pole stays uniform
+    # pole sphere, Delta_q divides neither den nor Delta_b, so q stays a free
+    # zero and the pole stays uniform
     q = Quaternion(0.0, 0.6, 0.8, 0.0) * (0.6 * (1.0 + eps))
     num = slice_product(SlicePolynomial.linear(q), lin(0.2, 0.1, 0.0, 0.3))
     analysis = analyze(SemiregularFunction(characteristic_poly(Quaternion(0, 0, 0.6, 0)), num), 1.0)
     (pole,) = analysis.poles
     assert pole.kind == kind
     assert len(analysis.free_zeros) == free
+
+
+def test_normal_coeffs_match_normal_and_pass_the_cap():
+    quaternionic = slice_product(lin(0.2, 0.1, 0.0, 0.3), lin(0.5, 0.0, -0.4, 0.1))
+    assert np.array_equal(zeros_poles.normal_coeffs(quaternionic), normal(quaternionic).real_coeffs())
+    real = real_poly(-0.3, 0.2, 1.5, -0.7)
+    assert np.allclose(zeros_poles.normal_coeffs(real), normal(real).real_coeffs(), rtol=0.0, atol=1e-15)
+    # a slice-preserving f of degree 40: N(f) = f^2 has degree 80
+    c = np.zeros(41)
+    c[[0, 40]] = 1.0, 0.5
+    want = np.zeros(81)
+    want[[0, 40, 80]] = 1.0, 1.0, 0.25
+    assert np.array_equal(zeros_poles.normal_coeffs(SlicePolynomial.from_real(c)), want)
+
+
+@pytest.mark.parametrize("eps, kind", [(0.0, "spherical_nonuniform"), (1e-7, "spherical_uniform")])
+def test_pole_structure_matches_a_zero_to_its_sphere_by_division(eps, kind):
+    # the zero record's real factor must divide the pole sphere's at
+    # TOL_DIVIDE: a record 1e-7 off the sphere is not its exceptional point
+    rep = Quaternion(0.0, 0.0, 0.6 * (1.0 + eps), 0.0)
+    zero = ZeroRecord("isolated", rep, 0.0, 0.6 * (1.0 + eps), 1)
+    (pole,) = pole_structure([(0.0, 0.6, 2)], [zero], 1.0)
+    assert pole.kind == kind and pole.spherical_order == 2
+    assert pole.exceptional_point is (rep if eps == 0.0 else None)
 
 
 def test_numerator_vanishing_on_a_whole_pole_sphere_is_inconsistent():
