@@ -11,11 +11,16 @@ Stencils are batched: an integrand maps parts (four component arrays,
 the ``qmul_parts`` convention) to parts or to one real array, and each
 operator calls it once on all of its points; ``eval_parts``, ``log_abs``
 and the spherical value and derivative (on the one stem kernel
-``stem_arrays``) are such integrands.  A centre is one Quaternion
-or parts, so a composed operator passes its points to the inner one as
-centres (``fd_bilaplace4``: one call on 81 points).  The values combine
-with the float operations of the pointwise formulas, in their order, so
-results are bitwise the pointwise ones: the composed stencil amplifies
+``stem_arrays``) are such integrands.  The centres are one Quaternion
+or parts of shape s, and the points of k offsets come as parts of shape
+(k, *s), so a composed operator passes its points to the inner one as
+centres (``fd_bilaplace4``: one call on 9 x 9 points a centre).  The
+last axis runs over the centres at every depth: a step h is a float or
+an array with one step per centre, and a ``SliceStack`` integrand gives
+each centre a polynomial of its own, so one call serves the cases of a
+whole suite.  The values combine with the float operations of the
+pointwise formulas, in their order, so results are bitwise the
+pointwise ones, centre by centre: the composed stencil amplifies
 roundoff like h^-4, and one ulp moves a bilaplacian residual by ~1e-10.
 
 Default steps: h = 1e-3 (1 + |x|) for first and second order operators;
@@ -39,7 +44,7 @@ __all__ = ["fd_partial", "fd_crf", "fd_crf_conj", "fd_gamma", "fd_laplace4", "fd
 PartsFunc = Callable[[tuple], "tuple | np.ndarray"]
 
 _AXES = np.eye(4)  # the components of 1, i, j, k
-_UNITS = np.array([I.components(), J.components(), K.components()]).T[:, :, None]  # as parts
+_UNITS = np.array([I.components(), J.components(), K.components()]).T  # as parts
 
 
 def _centres(x) -> np.ndarray:
@@ -52,25 +57,31 @@ def _like(x, v: np.ndarray):
 
 
 def _values(u: PartsFunc, x, offsets: np.ndarray) -> np.ndarray:
-    """u at x + o for every row o of offsets, from one call: (k, 4, m) for
-    k offsets and m centres.  A real value v is the quaternion (v, 0, 0, 0)."""
+    """u at x + o for every offset o, from one call on points of shape
+    (k, *s): (k, 4, *s) for k offsets (k, 4, 1 or m) and centres of shape
+    s = (..., m).  A real value v is the quaternion (v, 0, 0, 0)."""
     c = _centres(x)
-    k, m = len(offsets), c.shape[1]
-    v = u(tuple((ci + oi[:, None]).ravel() for ci, oi in zip(c, offsets.T)))
-    out = np.zeros((4, k * m))
+    k, shape = len(offsets), c.shape[1:]
+    o = offsets.reshape(k, 4, *(1,) * (len(shape) - 1), -1)
+    v = u(tuple(ci + o[:, i] for i, ci in enumerate(c)))
+    out = np.zeros((4, k, *shape))
     for row, p in zip(out, v if isinstance(v, tuple) else (v,)):
         row[...] = p
-    return out.reshape(4, k, m).transpose(1, 0, 2)
+    return out.swapaxes(0, 1)
 
 
 def _offsets(axes, steps) -> np.ndarray:
-    """Rows e_a * s, axis by axis; e * (-h) is bitwise -(e * h)."""
-    return (_AXES[list(axes), None, :] * np.array(steps)[:, None]).reshape(-1, 4)
+    """Rows e_a * s, axis by axis, (len(axes) * len(steps), 4, m) for steps
+    of m values, one per centre (m = 1 for floats); e * (-h) is bitwise
+    -(e * h)."""
+    s = np.array(steps, dtype=float).reshape(len(steps), 1, -1)
+    return (_AXES[list(axes), None, :, None] * s).reshape(-1, 4, s.shape[-1])
 
 
 def _units_times(q: np.ndarray) -> np.ndarray:
-    """i q[0], j q[1], k q[2] for q of shape (3, 4, m), in one product."""
-    return np.array(qmul_parts(_UNITS, q.transpose(1, 0, 2))).transpose(1, 0, 2)
+    """i q[0], j q[1], k q[2] for q of shape (3, 4, *s), in one product."""
+    units = _UNITS.reshape(4, 3, *(1,) * (q.ndim - 2))
+    return np.array(qmul_parts(units, q.swapaxes(0, 1))).swapaxes(0, 1)
 
 
 def _partials(u: PartsFunc, x, h: float, order: int, axes) -> np.ndarray:
@@ -78,7 +89,8 @@ def _partials(u: PartsFunc, x, h: float, order: int, axes) -> np.ndarray:
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
     steps = (h, -h) if order == 2 else (2.0 * h, h, -h, -(2.0 * h))
-    v = _values(u, x, _offsets(axes, steps)).reshape(len(axes), len(steps), 4, -1)
+    v = _values(u, x, _offsets(axes, steps))
+    v = v.reshape(len(axes), len(steps), *v.shape[1:])
     if order == 2:
         return (v[:, 0] - v[:, 1]) / (2.0 * h)
     return (-v[:, 0] + v[:, 1] * 8.0 - v[:, 2] * 8.0 + v[:, 3]) / (12.0 * h)
@@ -120,7 +132,8 @@ def fd_gamma(f: PartsFunc, x, h: float, order: int = 2):
 def fd_laplace4(u: PartsFunc, x, h: float):
     """9-point second-order Laplacian of R^4."""
     # x + (-0.0) is bitwise x, signed zeros included
-    v = _values(u, x, np.vstack([np.full(4, -0.0), _offsets(range(4), (h, -h))]))
+    offsets = _offsets(range(4), (h, -h))
+    v = _values(u, x, np.concatenate([np.full_like(offsets[:1], -0.0), offsets]))
     return _like(x, reduce(operator.add, v[1:], v[0] * (-8.0)) / (h * h))
 
 

@@ -288,8 +288,11 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
         diag["representative_spread"] = _representative_spread(zrecords + [p for p in poles if p.beta > 0.0], r, rng)
         if fs.num.degree > 0:
             errs = sf_roundtrip_errors(fs, r, bijectivity_points, rng)
-            diag["sf_roundtrip_max"] = float(np.max(errs))
-            diag["sf_roundtrip_points"] = int(len(errs))
+            diag["sf_roundtrip_max"] = float(np.max(errs)) if len(errs) else None
+            diag["sf_roundtrip_points"] = len(errs)
+            if len(errs) < bijectivity_points:
+                warnings.append(f"S_f roundtrip checked on {len(errs)} of {bijectivity_points} points: too few"
+                                " sampled boundary points lie in the S_f domain")
     if nonuniform_detail:
         diag["nonuniform_poles"] = nonuniform_detail
 

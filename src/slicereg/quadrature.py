@@ -561,7 +561,8 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule, nnum: np.ndarray |
 def _sf_domain_points(f, r: float, n_points: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of the first n_points boundary points x = r d / |d|, for
     successive rng.normal(size=4) draws d taken in batches, that pass
-    the guards below; at most 40 n_points candidates are tried."""
+    the guards below; at most 40 n_points candidates are tried, so fewer
+    rows, or none, come back where the guards reject most of the sphere."""
     scale = f.stem_scale(r)
     kept, accepted = [], 0
     for _ in range(40):
@@ -579,14 +580,15 @@ def _sf_domain_points(f, r: float, n_points: int, rng: np.random.Generator) -> n
         kept.append(x[keep])
         accepted += len(kept[-1])
         if accepted >= n_points:
-            return np.concatenate(kept)[:n_points]
-    raise DegeneratePointError("could not sample enough boundary points in the S_f domain")
+            break
+    return np.concatenate(kept)[:n_points]
 
 
 def sf_roundtrip_errors(f, r: float, n_points: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-roundtrip distances |x - S_f^{-1}(S_f(x))| at seeded
     boundary points, restricted to the domain of the diffeomorphism
-    (away from the degenerate set and zeros of N(f))."""
+    (away from the degenerate set and zeros of N(f)): at most n_points
+    of them, and none where no sampled point is in that domain."""
     if n_points < 1:
         raise ValueError("need at least one sample point")
     scale = f.stem_scale(r)

@@ -15,6 +15,12 @@ scalar or array z, and at one point bit for bit the scalar
 spherical value and derivative and ``log_abs`` take a Quaternion or
 parts.  ``horner`` is the one evaluator of real coefficients at complex
 scalars or arrays.
+
+A ``SliceStack`` holds m polynomials side by side, one per centre of a
+batched stencil: its coefficients are (m,) arrays, and it runs the same
+Horner, stem and scale loops as ``SlicePolynomial`` on points whose last
+axis has length m, so centre j takes polynomial j.  The spherical value
+and derivative and ``log_abs`` accept it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .quaternions import ONE, ZERO, Quaternion, eps_zero, qmul_parts
 
 __all__ = [
     "SlicePolynomial",
+    "SliceStack",
     "StemValue",
     "NormalNotRealError",
     "LogOfZeroError",
@@ -82,7 +89,48 @@ def horner(c, z):
     return acc
 
 
-class SlicePolynomial:
+class _Loops:
+    """The Horner, stem and scale loops, over ``_parts()`` and ``_moduli()``:
+    the ascending coefficients as parts and their moduli, floats for a
+    ``SlicePolynomial`` and (m,) arrays, one entry per centre, for a
+    ``SliceStack``."""
+
+    __slots__ = ()
+
+    def eval_parts(self, x: tuple) -> tuple:
+        """Horner from the left at points given as parts (component arrays,
+        or the floats of one point): powers of x sit left of the coefficients."""
+        cs = self._parts()
+        acc = cs[-1] if cs else (0.0, 0.0, 0.0, 0.0)
+        for c in cs[-2::-1]:
+            acc = tuple(p + q for p, q in zip(qmul_parts(x, acc), c))
+        return acc
+
+    def stem_arrays(self, z) -> tuple[tuple, tuple]:
+        """Stems (F1, F2) as parts at a complex scalar or array z.  z^m is
+        formed in real arithmetic, zr, zi = zr*x - zi*y, zr*y + zi*x, as
+        CPython multiplies complex numbers."""
+        x, y = np.real(z), np.imag(z)
+        zero = np.zeros(np.shape(z)) if isinstance(z, np.ndarray) else 0.0
+        f1 = f2 = (zero,) * 4
+        zr, zi = 1.0, 0.0
+        for c in self._parts():
+            f1 = tuple(s + a * zr for s, a in zip(f1, c))
+            f2 = tuple(s + a * zi for s, a in zip(f2, c))
+            zr, zi = zr * x - zi * y, zr * y + zi * x
+        return f1, f2
+
+    def stem_scale(self, radius):
+        """sum |a_m| * radius^m, the natural evaluation scale at |z| = radius."""
+        s = 0.0
+        rm = 1.0
+        for c in self._moduli():
+            s = s + c * rm
+            rm = rm * radius
+        return s
+
+
+class SlicePolynomial(_Loops):
     """f(x) = sum_m x^m a_m, coefficients on the right."""
 
     __slots__ = ("coeffs",)
@@ -171,13 +219,11 @@ class SlicePolynomial:
     def eval(self, x: Quaternion) -> Quaternion:
         return Quaternion(*self.eval_parts(x.components()))
 
-    def eval_parts(self, x: tuple) -> tuple:
-        """Horner from the left at points given as parts (component arrays,
-        or the floats of one point): powers of x sit left of the coefficients."""
-        acc = self.coeffs[-1].components() if self.coeffs else (0.0, 0.0, 0.0, 0.0)
-        for c in self.coeffs[-2::-1]:
-            acc = tuple(p + q for p, q in zip(qmul_parts(x, acc), c.components()))
-        return acc
+    def _parts(self) -> list[tuple]:
+        return [c.components() for c in self.coeffs]
+
+    def _moduli(self) -> list[float]:
+        return [c.abs() for c in self.coeffs]
 
     def stem_components(self, alpha: float, beta: float) -> StemValue:
         """F1 = sum Re(z^m) a_m and F2 = sum Im(z^m) a_m at z = alpha+i*beta."""
@@ -193,29 +239,6 @@ class SlicePolynomial:
         g = self.slice_derivative().stem_components(alpha, beta)
         return g.F1, -g.F2, g.F2, g.F1
 
-    def stem_scale(self, radius: float) -> float:
-        """sum |a_m| * radius^m, the natural evaluation scale at |z| = radius."""
-        s = 0.0
-        rm = 1.0
-        for c in self.coeffs:
-            s += c.abs() * rm
-            rm *= radius
-        return s
-
-    def stem_arrays(self, z) -> tuple[tuple, tuple]:
-        """Stems (F1, F2) as parts at a complex scalar or array z.  z^m is
-        formed in real arithmetic, zr, zi = zr*x - zi*y, zr*y + zi*x, as
-        CPython multiplies complex numbers."""
-        x, y = np.real(z), np.imag(z)
-        zero = np.zeros(np.shape(z)) if isinstance(z, np.ndarray) else 0.0
-        f1 = f2 = (zero,) * 4
-        zr, zi = 1.0, 0.0
-        for c in self.coeffs:
-            f1 = tuple(s + a * zr for s, a in zip(f1, c.components()))
-            f2 = tuple(s + a * zi for s, a in zip(f2, c.components()))
-            zr, zi = zr * x - zi * y, zr * y + zi * x
-        return f1, f2
-
     # -- calculus ----------------------------------------------------------
 
     def slice_derivative(self) -> "SlicePolynomial":
@@ -226,6 +249,38 @@ class SlicePolynomial:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SlicePolynomial({list(self.coeffs)!r})"
+
+
+class SliceStack(_Loops):
+    """m slice polynomials side by side, polynomial j at centre j of a
+    batched stencil: ``coeffs`` has shape (deg+1, 4, m), the lower degrees
+    padded with zero leading coefficients, which leave every loop's values
+    as they are.  Points are parts whose last axis has length m."""
+
+    __slots__ = ("polys", "coeffs", "_derivative")
+
+    def __init__(self, polys: Iterable[SlicePolynomial]):
+        self.polys = tuple(polys)
+        self._derivative = None
+        n = max(len(f.coeffs) for f in self.polys)
+        rows = [[f.coefficient(k).components() for f in self.polys] for k in range(n)]
+        self.coeffs = np.array(rows, dtype=float).reshape(n, len(self.polys), 4).transpose(0, 2, 1).copy()
+
+    def _parts(self) -> list[tuple]:
+        return [tuple(c) for c in self.coeffs]
+
+    def _moduli(self) -> list[np.ndarray]:
+        """|a_m| of each polynomial, by ``Quaternion.abs``."""
+        return [np.array([f.coefficient(k).abs() for f in self.polys]) for k in range(len(self.coeffs))]
+
+    def slice_derivative(self) -> "SliceStack":
+        """The stack of the slice derivatives, built once."""
+        if self._derivative is None:
+            self._derivative = SliceStack(f.slice_derivative() for f in self.polys)
+        return self._derivative
+
+    def is_slice_preserving(self) -> bool:
+        return all(f.is_slice_preserving() for f in self.polys)
 
 
 def slice_product(f: SlicePolynomial, g: SlicePolynomial) -> SlicePolynomial:
@@ -260,14 +315,14 @@ def _like(x, v: tuple):
     return Quaternion(*map(float, v)) if isinstance(x, Quaternion) else v
 
 
-def spherical_value(f: SlicePolynomial, x):
+def spherical_value(f: "SlicePolynomial | SliceStack", x):
     """v_s f(x) = (f(x) + f(conj x))/2 = F1(z); constant on each sphere.
     x is a Quaternion or parts, and so is the value."""
     alpha, beta = _shadow(x)
     return _like(x, f.stem_arrays(alpha + 1j * beta)[0])
 
 
-def spherical_derivative(f: SlicePolynomial, x):
+def spherical_derivative(f: "SlicePolynomial | SliceStack", x):
     """f'_s(x) = Im(x)^{-1} (f(x) - f(conj x))/2 = F2(z)/beta at a
     Quaternion or parts x.
 
@@ -280,7 +335,7 @@ def spherical_derivative(f: SlicePolynomial, x):
         return _like(x, tuple(np.where(beta < BETA_SWITCH, a, b / beta) for a, b in zip(d, f2)))
 
 
-def log_abs(f: SlicePolynomial, x: "Quaternion | tuple") -> "float | np.ndarray":
+def log_abs(f: "SlicePolynomial | SliceStack", x: "Quaternion | tuple") -> "float | np.ndarray":
     """log|f(x)| for slice-preserving f (a circular function of x) at one
     Quaternion (a float) or at parts (an array).  The complex Horner runs
     in real arithmetic, product for product as CPython multiplies complex
@@ -291,8 +346,8 @@ def log_abs(f: SlicePolynomial, x: "Quaternion | tuple") -> "float | np.ndarray"
         raise ValueError("log_abs requires a slice-preserving polynomial")
     w, beta = _shadow(x)
     re = im = 0.0
-    for c in reversed(f.coeffs):
-        re, im = re * w - im * beta + c.w, re * beta + im * w
+    for c in reversed(f._parts()):
+        re, im = re * w - im * beta + c[0], re * beta + im * w
     a2 = re * re + im * im
     zero = a2 <= eps_zero(f.stem_scale(np.hypot(w, beta))) ** 2
     if np.asarray(zero).any():

@@ -8,8 +8,10 @@ a terminal residual threshold.  Bilaplacian identities run the raw
 composed stencil for the convergence pair and form one Richardson
 halving from that pair for the terminal value, which is how those
 operators are meant to be used.  The stencils are the batched ones of
-``diffops``; every integrand, the stem-based f'_s and v_s f included,
-takes all of a stencil's points at once as parts.
+``diffops``, and each suite makes one stencil call per identity and
+step: its cases are the centres, with a step each, and a ``SliceStack``
+gives each centre its own polynomial.  The exact sides stay one case
+at a time.
 
 The random corpora are shaped so the identities are exercised away from
 degenerate configurations: points keep |Im x| >= 0.25 (the angular
@@ -31,7 +33,7 @@ from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, 
 from .jensen import delta4_logNf_at0
 from .quadrature import build_rule, integrate_values, log_normal_values, polar_rule
 from .quaternions import Quaternion, decompose, qmul_parts
-from .slicepoly import SlicePolynomial, log_abs, normal, spherical_derivative, spherical_value
+from .slicepoly import SlicePolynomial, SliceStack, log_abs, normal, spherical_derivative, spherical_value
 from .zeros_poles import characteristic_poly, classify_zeros, total_multiplicity
 
 __all__ = ["SuiteResult", "ResidualRow", "run_suite", "SUITES", "SUITE_ORDER"]
@@ -174,19 +176,35 @@ def _pair_result(name: str, rows, res_h, res_h2, worst: float, tail: dict) -> Su
     return SuiteResult(name, passed, summary, rows)
 
 
+def _centres(cases) -> tuple[tuple, np.ndarray]:
+    """The points of the cases as parts, one centre per case, and 1 + |x| of each."""
+    points = [x for _, x in cases]
+    return tuple(np.array(c) for c in zip(*(x.components() for x in points))), 1.0 + np.array([x.abs() for x in points])
+
+
+def _case(v: tuple, idx: int) -> Quaternion:
+    """Centre idx of parts v."""
+    return Quaternion(*(float(p[idx]) for p in v))
+
+
 def _fd_pair_suite(name: str, cases, identities) -> SuiteResult:
-    """Generic first-order suite: run each identity at h and h/2."""
+    """Generic first-order suite: run each identity at h and h/2.  An
+    identity's FD side maps (SliceStack, centres, steps) to parts, one
+    centre per case; its exact side maps (f, x) to a Quaternion."""
+    stack = SliceStack(f for f, _ in cases)
+    centres, scale = _centres(cases)
+    steps = (1e-3 * scale, 0.5 * (1e-3 * scale))
+    fd = [[fd_side(stack, centres, step) for step in steps] for _, fd_side, _ in identities]
     rows: list[ResidualRow] = []
     res_h: list[float] = []
     res_h2: list[float] = []
     for idx, (f, x) in enumerate(cases):
-        h = 1e-3 * (1.0 + x.abs())
-        for ident, fd_side, exact_side in identities:
+        for (ident, _, exact_side), values in zip(identities, fd):
             exact = exact_side(f, x)
-            for step, sink in ((h, res_h), (0.5 * h, res_h2)):
-                r = (fd_side(f, x, step) - exact).abs()
+            for step, v, sink in zip(steps, values, (res_h, res_h2)):
+                r = (_case(v, idx) - exact).abs()
                 sink.append(r)
-                rows.append(ResidualRow(ident, idx, list(x.components()), step, r, 2))
+                rows.append(ResidualRow(ident, idx, list(x.components()), float(step[idx]), r, 2))
     worst = float(np.max(res_h))
     tail = {"max_residual_at_h": worst, "max_residual_at_h_half": float(np.max(res_h2)), "tolerance": TOL_FIRST_ORDER}
     return _pair_result(name, rows, res_h, res_h2, worst, tail)
@@ -202,22 +220,23 @@ def suite_crf(seed: int, n_cases: int = 20) -> SuiteResult:
     identities = [
         (
             "dbar_crf(f) = -2 f'_s",
-            lambda f, x, h: fd_crf(f.eval_parts, x, h),
+            lambda fs, xs, h: fd_crf(fs.eval_parts, xs, h),
             lambda f, x: spherical_derivative(f, x) * (-2.0),
         ),
         (
             "d_crf(f) - 2 df/dx = 2 f'_s",
-            lambda f, x, h: fd_crf_conj(f.eval_parts, x, h) - f.slice_derivative().eval(x) * 2.0,
+            lambda fs, xs, h: tuple(a - b * 2.0 for a, b in zip(fd_crf_conj(fs.eval_parts, xs, h),
+                                                                fs.slice_derivative().eval_parts(xs))),
             lambda f, x: spherical_derivative(f, x) * 2.0,
         ),
         (
             "2 d/dx f'_s = d_crf(f'_s)",
-            lambda f, x, h: fd_crf_conj(partial(spherical_derivative, f), x, h),
+            lambda fs, xs, h: fd_crf_conj(partial(spherical_derivative, fs), xs, h),
             _exact_two_dx_sd,
         ),
         (
             "dbar_crf(v_s f) = 2 d/dx^c (v_s f)",
-            lambda f, x, h: fd_crf(partial(spherical_value, f), x, h),
+            lambda fs, xs, h: fd_crf(partial(spherical_value, fs), xs, h),
             _exact_two_dxc_vs,
         ),
     ]
@@ -230,7 +249,7 @@ def suite_gamma(seed: int, n_cases: int = 20) -> SuiteResult:
     identities = [
         (
             "gamma(f) = 2 Im(x) f'_s",
-            lambda f, x, h: fd_gamma(f.eval_parts, x, h),
+            lambda fs, xs, h: fd_gamma(fs.eval_parts, xs, h),
             lambda f, x: (x.im() * spherical_derivative(f, x)) * 2.0,
         ),
     ]
@@ -245,22 +264,25 @@ def suite_harmonic(seed: int, n_cases: int = 20) -> SuiteResult:
     identities = [
         (
             "laplace4(f'_s) = 0",
-            lambda f, x, h: fd_laplace4(partial(spherical_derivative, f), x, h),
+            lambda fs, xs, h: fd_laplace4(partial(spherical_derivative, fs), xs, h),
             lambda f, x: Quaternion.real(0.0),
         ),
     ]
     return _fd_pair_suite("harmonic", cases, identities)
 
 
-def _bilaplacian_suite(name: str, cases, make_u) -> SuiteResult:
+def _bilaplacian_suite(name: str, cases, u) -> SuiteResult:
+    """u is the integrand of all cases at once, case idx at centre idx."""
     rows: list[ResidualRow] = []
     res_h: list[float] = []
     res_h2: list[float] = []
     res_term: list[float] = []
-    for idx, (f, x) in enumerate(cases):
-        u = make_u(f)
-        h = 3e-2 * (1.0 + x.abs())
-        coarse, fine = (fd_bilaplace4(u, x, step) for step in (h, 0.5 * h))
+    centres, scale = _centres(cases)
+    steps = (3e-2 * scale, 0.5 * (3e-2 * scale))
+    coarse_all, fine_all = (fd_bilaplace4(u, centres, step) for step in steps)
+    for idx, (_, x) in enumerate(cases):
+        h, h2 = (float(step[idx]) for step in steps)
+        coarse, fine = _case(coarse_all, idx), _case(fine_all, idx)
         raw_h, raw_h2 = coarse.abs(), fine.abs()
         rich = ((fine * 4.0 - coarse) / 3.0).abs()  # fd_bilaplace4_richardson, without recomputing
         res_h.append(raw_h)
@@ -268,7 +290,7 @@ def _bilaplacian_suite(name: str, cases, make_u) -> SuiteResult:
         res_term.append(rich)
         pt = list(x.components())
         rows.append(ResidualRow(name + " raw", idx, pt, h, raw_h, 2))
-        rows.append(ResidualRow(name + " raw", idx, pt, 0.5 * h, raw_h2, 2))
+        rows.append(ResidualRow(name + " raw", idx, pt, h2, raw_h2, 2))
         rows.append(ResidualRow(name + " richardson", idx, pt, h, rich, 4))
     worst = float(np.max(res_term))
     tail = {"max_richardson_residual": worst, "tolerance": TOL_BILAPLACIAN}
@@ -280,15 +302,19 @@ def suite_biharmonic(seed: int, n_cases: int = 20) -> SuiteResult:
     finite-difference laplacian vanishes."""
     rng = np.random.default_rng(seed)
     cases = [(_random_poly(rng, 6, 8, decay=0.45), _random_point(rng, 0.3, 0.8)) for _ in range(n_cases)]
-    result = _bilaplacian_suite("bilaplace4(f)", cases, lambda f: f.eval_parts)
+    stack = SliceStack(f for f, _ in cases)
+    result = _bilaplacian_suite("bilaplace4(f)", cases, stack.eval_parts)
 
     # dbar_crf of the FD laplacian, composed at matching steps; one
     # Richardson halving for the terminal value, as for the bilaplacian
     rows = []
     res = []
-    for idx, (f, x) in enumerate(cases):
-        h = 3e-2 * (1.0 + x.abs())
-        raw_h, raw_h2 = (fd_crf(lambda y, s=s: fd_laplace4(f.eval_parts, y, s), x, s) for s in (h, 0.5 * h))
+    centres, scale = _centres(cases)
+    steps = (3e-2 * scale, 0.5 * (3e-2 * scale))
+    raw = [fd_crf(lambda y, s=s: fd_laplace4(stack.eval_parts, y, s), centres, s) for s in steps]
+    for idx, (_, x) in enumerate(cases):
+        h = float(steps[0][idx])
+        raw_h, raw_h2 = (_case(v, idx) for v in raw)
         rich = ((raw_h2 * 4.0 - raw_h) / 3.0).abs()
         res.append(rich)
         pt = list(x.components())
@@ -309,7 +335,7 @@ def suite_bilaplacian_logn(seed: int, n_cases: int = 20) -> SuiteResult:
         f, _, _ = _product_poly(rng, 2.2, 3.0, max_factors=3)
         x = _random_point(rng, 0.3, 0.6, beta_min=0.15)
         cases.append((f, x))
-    return _bilaplacian_suite("bilaplace4(log|N(f)|)", cases, lambda f: partial(log_abs, normal(f)))
+    return _bilaplacian_suite("bilaplace4(log|N(f)|)", cases, partial(log_abs, SliceStack(normal(f) for f, _ in cases)))
 
 
 def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
@@ -318,13 +344,11 @@ def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
     rng = np.random.default_rng(seed)
     rows: list[ResidualRow] = []
     worst = 0.0
-    origin = Quaternion.real(0.0)
-    for idx in range(n_cases):
-        f, _, _ = _product_poly(rng, 0.8, 1.8)
-        closed = delta4_logNf_at0(f)
-        nf = normal(f)
-        fd = fd_laplace4_richardson(partial(log_abs, nf), origin, 3e-2).w
-        err = abs(closed - fd)
+    polys = [_product_poly(rng, 0.8, 1.8)[0] for _ in range(n_cases)]
+    origin = (np.zeros(n_cases),) * 4  # one centre per case
+    fd = fd_laplace4_richardson(partial(log_abs, SliceStack(normal(f) for f in polys)), origin, 3e-2)[0]
+    for idx, f in enumerate(polys):
+        err = abs(delta4_logNf_at0(f) - float(fd[idx]))
         worst = max(worst, err)
         rows.append(ResidualRow("delta4 log|N| at 0: closed vs FD", idx, [0.0, 0.0, 0.0, 0.0], 3e-2, err, 4))
     anchor = abs(delta4_logNf_at0(SlicePolynomial.from_real([1.0, 1.0])) - 4.0)

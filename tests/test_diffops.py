@@ -15,7 +15,16 @@ from slicereg.diffops import (
     fd_partial,
 )
 from slicereg.quaternions import I, J, K, ONE, Quaternion, decompose
-from slicereg.slicepoly import LogOfZeroError, SlicePolynomial, horner, log_abs, normal, spherical_derivative
+from slicereg.slicepoly import (
+    LogOfZeroError,
+    SlicePolynomial,
+    SliceStack,
+    horner,
+    log_abs,
+    normal,
+    spherical_derivative,
+    spherical_value,
+)
 from slicereg.verify import _product_poly, _random_point, _random_poly
 
 
@@ -326,7 +335,7 @@ def test_composed_stencils_make_one_integrand_call():
     sizes = []
 
     def u(x):
-        sizes.append(len(x[0]))
+        sizes.append(np.size(x[0]))
         return f.eval_parts(x)
 
     x = Quaternion(0.3, 0.4, -0.2, 0.1)
@@ -370,3 +379,97 @@ def test_batched_log_abs_matches_scalar_and_raises_on_zero_sphere():
         mixed = tuple(np.append(c, v) for c, v in zip(off, x.components()))
         with pytest.raises(LogOfZeroError):
             log_abs(nf, mixed)
+
+
+# ---------------------------------------------------------------------------
+# many centres in one call: per-centre steps and per-centre polynomials
+# ---------------------------------------------------------------------------
+
+
+def _per_centre_integrands(seed, m=6):
+    """(name, integrand of all m centres, scalar integrand of each centre)
+    and the m points: polynomials of degree 2..8 mixed in one SliceStack,
+    log|N| of products whose zeros lie 2.2-3 from the origin, and the
+    spherical derivative and value, which take parts and Quaternions alike."""
+    rng = np.random.default_rng(seed)
+    polys = [_random_poly(rng, 2 + j, 3 + j, decay=0.45) for j in range(m)]
+    normals = [normal(_product_poly(rng, 2.2, 3.0, max_factors=3)[0]) for _ in range(m)]
+    points = [_random_point(rng, 0.3, 0.6, beta_min=0.15) for _ in range(m)]
+    stack = SliceStack(polys)
+    assert len({f.degree for f in polys}) > 2 and stack.coeffs.shape == (max(f.degree for f in polys) + 1, 4, m)
+    integrands = [
+        ("f", stack.eval_parts, [partial(_scalar_horner, f) for f in polys]),
+        ("log|N(f)|", partial(log_abs, SliceStack(normals)), [partial(_scalar_log_abs, g) for g in normals]),
+        ("f'_s", partial(spherical_derivative, stack), [partial(spherical_derivative, f) for f in polys]),
+        ("v_s f", partial(spherical_value, stack), [partial(spherical_value, f) for f in polys]),
+    ]
+    return integrands, points
+
+
+def _centre(v, j):
+    return Quaternion(*(float(p[j]) for p in v))
+
+
+def _check_per_centre(batched, scalar, step, seed):
+    """batched on all centres at once, per-centre steps, equals scalar at
+    each centre on its own, bit for bit."""
+    integrands, points = _per_centre_integrands(seed)
+    centres = tuple(np.array(c) for c in zip(*(x.components() for x in points)))
+    h = step * (1.0 + np.array([x.abs() for x in points]))
+    for label, u, u_scalar in integrands:
+        for steps in (h, 0.5 * h):
+            got = batched(u, centres, steps)
+            for j, x in enumerate(points):
+                assert _centre(got, j) == scalar(u_scalar[j], x, float(steps[j])), (label, j)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("name, batched, scalar", FIRST_ORDER, ids=[c[0] for c in FIRST_ORDER])
+def test_first_order_operators_on_many_centres_match_scalar_reference_bitwise(name, batched, scalar, order):
+    _check_per_centre(lambda u, x, h: batched(u, x, h, order), lambda u, x, h: scalar(u, x, h, order), 1e-3, 4)
+
+
+@pytest.mark.parametrize("name, batched, scalar, step", SECOND_ORDER, ids=[c[0] for c in SECOND_ORDER])
+def test_laplacians_on_many_centres_match_scalar_reference_bitwise(name, batched, scalar, step):
+    _check_per_centre(batched, scalar, step, 5)
+
+
+def test_composed_crf_of_laplacian_on_many_centres_matches_scalar_reference_bitwise():
+    _check_per_centre(lambda u, x, h: fd_crf(lambda y: fd_laplace4(u, y, h), x, h),
+                      lambda u, x, h: ScalarReference.crf(lambda y: ScalarReference.laplace4(u, y, h), x, h), 3e-2, 6)
+
+
+def test_one_step_for_all_centres_matches_scalar_reference_bitwise():
+    # a float step serves every centre, as in the delta4-at-0 suite
+    integrands, points = _per_centre_integrands(7)
+    centres = tuple(np.array(c) for c in zip(*(x.components() for x in points)))
+    for label, u, u_scalar in integrands:
+        got = fd_laplace4_richardson(u, centres, 3e-2)
+        for j, x in enumerate(points):
+            assert _centre(got, j) == ScalarReference.laplace4_richardson(u_scalar[j], x, 3e-2), (label, j)
+
+
+@pytest.mark.parametrize("suite, calls", [
+    ("crf", 8),  # 4 identities x 2 steps
+    ("gamma", 2),
+    ("harmonic", 2),
+    ("biharmonic", 8),  # bilaplacian and dbar of the laplacian, 2 nested calls each, x 2 steps
+    ("bilaplacian-logN", 4),
+    ("delta4-at-0", 2),  # one Richardson pair
+])
+def test_fd_suites_make_one_stencil_call_per_identity_and_step(monkeypatch, suite, calls):
+    import slicereg.diffops as diffops
+    from slicereg.verify import SUITES
+
+    values, seen = diffops._values, []
+
+    def counted(*args):
+        seen.append(np.size(args[1][0]))
+        return values(*args)
+
+    monkeypatch.setattr(diffops, "_values", counted)
+    for n_cases in (2, 5):
+        seen.clear()
+        SUITES[suite](1, n_cases=n_cases)
+        assert len(seen) == calls, n_cases
+        assert all(size % n_cases == 0 for size in seen)  # every call takes all the cases

@@ -268,9 +268,17 @@ def test_cli_jensen_takes_a_slice_preserving_numerator_past_half_the_cap(tmp_pat
     (case,) = json.loads(capsys.readouterr().out)["cases"]
     assert abs(case["residual"]) <= 1e-12
     # at r = 0.5 |f'_s| < 1e-10 on the whole sphere: the S_f roundtrip has no
-    # point to sample, a named error
-    assert main([*jensen, "--r", "0.5"]) == 3
-    assert capsys.readouterr().err == "error: could not sample enough boundary points in the S_f domain\n"
+    # point to sample, which the report says, and the rest of it stands
+    assert main([*jensen, "--r", "0.5", "--format", "json"]) == 0
+    (with_diagnostics,) = json.loads(capsys.readouterr().out)["cases"]
+    assert with_diagnostics["residual"] == case["residual"]
+    diag = with_diagnostics["diagnostics"]
+    assert diag["sf_roundtrip_points"] == 0 and diag["sf_roundtrip_max"] is None
+    assert diag["boundary_identity_max"] <= 1e-12
+    assert with_diagnostics["warnings"] == ["S_f roundtrip checked on 0 of 1000 points: too few sampled boundary"
+                                            " points lie in the S_f domain"]
+    assert main([*jensen, "--r", "0.5"]) == 0
+    assert "warning: S_f roundtrip checked on 0 of 1000 points" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("record", [{"coeffs": [0]}, {"coeffs": []},
@@ -346,6 +354,34 @@ def test_cli_never_imports_numpy_polynomial():
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_jensen_and_the_parser_never_import_the_verification_suites():
+    # only verify-ops needs slicereg.verify and the finite-difference stencils
+    import os
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from slicereg.cli import main\n"
+            "try:\n"
+            "    main(['verify-ops', '--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "main(['jensen', '--fn', 'corpus/poly_deg8_all_kinds.json'])\n"
+            "main(['zeros', '--fn', 'corpus/rat_remark_nonuniform.json'])\n"
+            "print(sorted(m for m in ('slicereg.verify', 'slicereg.diffops') if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    assert "crf, gamma, harmonic, biharmonic" in " ".join(out.stdout.split())  # the --help text
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_help_lists_the_suites_of_verify():
+    import slicereg.cli as cli
+    from slicereg.verify import SUITE_ORDER
+
+    assert list(cli.VERIFY_SUITES) == SUITE_ORDER
 
 
 def test_convergence_study_prints_a_row_per_corpus_case():

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -702,8 +703,9 @@ def test_sf_roundtrip_samples_like_scalar_loop():
 
 def test_sf_roundtrip_guard_rejects_everything():
     f = SlicePolynomial([ONE, Quaternion.real(1e-6)])  # |F2| <= 1e-6 everywhere on the unit sphere
-    with pytest.raises(DegeneratePointError):
-        sf_roundtrip_errors(f, 1.0, 50, np.random.default_rng(25))
+    # no point is in the domain: no distances, for the report to say so
+    assert _sf_domain_points(f, 1.0, 50, np.random.default_rng(25)).shape == (0, 4)
+    assert sf_roundtrip_errors(f, 1.0, 50, np.random.default_rng(25)).shape == (0,)
     with pytest.raises(ValueError):
         sf_roundtrip_errors(f, 1.0, 0, np.random.default_rng(25))
 
@@ -735,6 +737,18 @@ def test_sf_domain_points_skip_rows_near_the_real_axis():
 
     got = _sf_domain_points(f, 1.0, 4, Batches(near, spread))
     assert np.allclose(got, spread / np.linalg.norm(spread, axis=1)[:, None], rtol=0.0, atol=1e-15)
+
+
+def test_sf_domain_points_return_what_they_accepted():
+    # two rows of the first batch pass the guards, and the 39 batches after
+    # it lie at the real axis: the two come back after 40 batches
+    near = np.array([[1.0, 5e-5, 0.0, 0.0], [-1.0, 0.0, 5e-5, 0.0], [1.0, 3e-5, 3e-5, 3e-5], [-1.0, 0.0, 0.0, 8e-5]])
+    first = np.vstack([[0.3, 1.0, 0.0, 0.0], near[:2], [0.5, 0.2, 0.7, 0.1]])
+    batches = [first] + [near] * 39
+    rng = SimpleNamespace(normal=lambda size: batches.pop(0))
+    got = _sf_domain_points(SlicePolynomial([ZERO] * 10 + [ONE]), 1.0, 4, rng)
+    assert batches == []
+    assert np.array_equal(got, first[[0, 3]] / np.linalg.norm(first[[0, 3]], axis=1)[:, None])
 
 
 def _scalar_log_abs_stems(f, x):

@@ -12,6 +12,7 @@ from slicereg.slicepoly import (
     LogOfZeroError,
     NormalNotRealError,
     SlicePolynomial,
+    SliceStack,
     horner,
     log_abs,
     normal,
@@ -204,6 +205,38 @@ def test_spherical_operators_on_parts_match_quaternion_points():
         batched = op(f, parts)
         for k, x in enumerate(points):
             assert _at(batched, k) == op(f, x) == loop(f, x), (op.__name__, x)
+
+
+def test_slice_stack_runs_each_polynomial_at_its_centre_bitwise():
+    # degrees 0..5 and the zero polynomial side by side; a (rows, centres) grid
+    # of points, column j at polynomial j, as a stencil hands them out
+    rng = np.random.default_rng(13)
+    polys = [SlicePolynomial([Quaternion.from_array(rng.normal(size=4) * 0.6**k) for k in range(d + 1)])
+             for d in (3, 0, 5, 1)] + [SlicePolynomial([])]
+    stack = SliceStack(polys)
+    assert stack.coeffs.shape == (6, 4, 5) and not stack.coeffs[4:, :, 0].any()
+    grid = [nonreal_points(rng, 3) + [Quaternion.real(0.4), Quaternion(0.6, 1e-9, 0.0, 0.0)] for _ in polys]
+    parts = tuple(np.array([[x.components()[c] for x in col] for col in grid]).T for c in range(4))
+    z = np.array([[complex(x.w, x.abs_im()) for x in col] for col in grid]).T
+    f1, f2 = stack.stem_arrays(z)
+    values, derivative = stack.eval_parts(parts), stack.slice_derivative().eval_parts(parts)
+    radius = np.abs(z)
+    scale = stack.stem_scale(radius)
+    sv, sd = spherical_value(stack, parts), spherical_derivative(stack, parts)
+    for j, (f, col) in enumerate(zip(polys, grid)):
+        for i, x in enumerate(col):
+            assert _at(values, i, j) == f.eval(x)
+            assert _at(derivative, i, j) == f.slice_derivative().eval(x)
+            assert (_at(f1, i, j), _at(f2, i, j)) == tuple(Quaternion(*p) for p in f.stem_arrays(z[i, j]))
+            assert scale[i, j] == f.stem_scale(float(radius[i, j]))
+            assert _at(sv, i, j) == spherical_value(f, x)
+            assert _at(sd, i, j) == spherical_derivative(f, x)
+    normals = SliceStack(normal(f) for f in polys[:4])
+    logs = log_abs(normals, tuple(c[:, :4] for c in parts))
+    assert [[logs[i, j] for i in range(5)] for j in range(4)] == [[log_abs(g, x) for x in col]
+                                                                  for g, col in zip(normals.polys, grid)]
+    with pytest.raises(ValueError):
+        log_abs(stack, parts)  # not slice-preserving
 
 
 def test_semiregular_stems_are_the_one_point_case_of_its_arrays():
