@@ -14,8 +14,10 @@ After them it prints one line per failing call, a digest of
 sphere, a missing function file, a function file read as a manifest,
 a bad zeros ``--r``, an unknown suite and a negative verify-ops seed.
 Then ``jensen --fn`` and ``zeros --fn`` run on each of ``BAD_FUNCTIONS``,
-written to a temporary directory that stderr names as ``<tmp>``.  An
-exception that escapes ``cli.main`` is digested as
+written to a temporary directory that stderr names as ``<tmp>``.  Last
+come three unreadable or unwritable paths: a directory as ``--fn``, a
+function file that is not UTF-8, and an ``--out`` under a missing
+directory.  An exception that escapes ``cli.main`` is digested as
 ``uncaught <Type>: <message>``.
 
 Paths are given relative to the checkout, so two checkouts print the
@@ -92,7 +94,13 @@ def failures(tmp: Path) -> list[tuple[str, list[str]]]:
         path = tmp / f"{stem}.json"
         path.write_text(json.dumps(record))
         runs += [(f"error-{command}-{stem}", [command, "--fn", str(path)]) for command in ("jensen", "zeros")]
-    return runs
+    not_utf8 = tmp / "not-utf8.json"
+    not_utf8.write_bytes(b'\xff{"coeffs": [1.0]}')
+    return runs + [
+        ("error-jensen-directory", ["jensen", "--fn", "corpus"]),
+        ("error-jensen-not-utf8", ["jensen", "--fn", str(not_utf8)]),
+        ("error-jensen-out-missing-dir", ["jensen", "--fn", SIMPLE, "--out", str(tmp / "missing" / "r.json")]),
+    ]
 
 
 def _digest(text: str) -> str:

@@ -1,7 +1,7 @@
 """Slice-regular quaternionic function arithmetic and numerical
 verification of the four-dimensional Jensen formula."""
 
-from .quaternions import I, J, K, ONE, ZERO, Quaternion, decompose, slice_embed
+from .quaternions import I, J, K, ONE, ZERO, Quaternion, decompose
 from .slicepoly import (
     SlicePolynomial,
     log_abs,
@@ -14,24 +14,19 @@ from .zeros_poles import (
     PoleRecord,
     SemiregularFunction,
     ZeroRecord,
-    blaschke_real,
-    blaschke_spherical,
     characteristic_poly,
     classify_zeros,
     pole_structure,
-    regularize,
     total_multiplicity,
     zero_spheres,
 )
 from .quadrature import (
     SphereQuadratureRule,
-    S_map,
-    T_map,
     boundary_means,
     build_rule,
     circular_reduction,
 )
-from .jensen import JensenReport, delta4_logNf_at0, jensen_check, jensen_lhs, pole_sum, zero_sum
+from .jensen import JensenReport, delta4_logNf_at0, jensen_check, pole_sum, zero_sum
 
 __version__ = "0.1.0"
 
@@ -42,7 +37,6 @@ __all__ = [
     "I",
     "J",
     "K",
-    "slice_embed",
     "decompose",
     "SlicePolynomial",
     "slice_product",
@@ -58,18 +52,12 @@ __all__ = [
     "classify_zeros",
     "total_multiplicity",
     "pole_structure",
-    "blaschke_real",
-    "blaschke_spherical",
-    "regularize",
     "SphereQuadratureRule",
     "build_rule",
     "circular_reduction",
-    "T_map",
-    "S_map",
     "boundary_means",
     "JensenReport",
     "delta4_logNf_at0",
-    "jensen_lhs",
     "zero_sum",
     "pole_sum",
     "jensen_check",

@@ -45,10 +45,13 @@ VERIFY_SUITES = ("crf", "gamma", "harmonic", "biharmonic", "bilaplacian-logN", "
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:  # a missing directory, no permission, ...
+        raise InputFormatError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _manifest_cases(path: Path, r: float, n: int) -> list[tuple[Path, float, int, str]]:

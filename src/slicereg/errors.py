@@ -24,10 +24,6 @@ class ZeroDenominatorError(SliceRegError):
     """Semiregular function with identically-zero denominator."""
 
 
-class InvalidPoleError(SliceRegError):
-    """Blaschke factor requested for a pole outside its admissible range."""
-
-
 class DegeneratePointError(SliceRegError):
     """Conjugation map evaluated where its defining factor vanishes."""
 
@@ -60,7 +56,3 @@ class ZeroAtOriginError(HypothesisViolationError):
 
 class PoleAtOriginError(HypothesisViolationError):
     hypothesis = "pole at the origin"
-
-
-class PoleOutsideRegionError(SliceRegError):
-    """Regularization requires every pole inside the ball."""

@@ -90,9 +90,13 @@ def parse_function(record: dict) -> SlicePolynomial | SemiregularFunction:
 def load_function(path: str | Path) -> SlicePolynomial | SemiregularFunction:
     p = Path(path)
     try:
-        record = json.loads(p.read_text())
+        record = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InputFormatError(f"no such file: {p}") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise InputFormatError(f"cannot read {p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{p}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     try:

@@ -54,7 +54,6 @@ from .zeros_poles import (
 __all__ = [
     "JensenReport",
     "delta4_logNf_at0",
-    "jensen_lhs",
     "zero_sum",
     "pole_sum",
     "jensen_check",
@@ -106,15 +105,6 @@ def delta4_logNf_at0(f) -> float:
     return _origin_terms(f, 1.0)[1]
 
 
-def jensen_lhs(f, r: float) -> float:
-    """log|f(0)| + (r^2/4) Re((f'(0) f(0)^{-1})^2)
-    - (r^2/4) Re(f(0)^{-1} f''(0)); operand order as in
-    delta4_logNf_at0, of which this is log|f(0)| + (r^2/16) times the
-    value."""
-    t0, t1, t2 = _origin_terms(f, r)[0]
-    return t0 + t1 + t2
-
-
 def point_term(norm2: float, trace: float, r: float) -> float:
     """Correction contributed by one unit of multiplicity at a point y
     with n(y) = norm2 and t(y) = trace:
@@ -157,15 +147,15 @@ def zero_sum(zeros: list[ZeroRecord], r: float) -> float:
 
 def pole_sum(poles: list[PoleRecord], r: float) -> float:
     """Total pole correction (added on the right side): real poles
-    weighted by their order, pole spheres by their spherical order."""
+    weighted by their order, pole spheres by their spherical order.  A
+    real pole's representative is alpha itself, so its norm and trace
+    are alpha^2 and 2 alpha."""
     total = 0.0
     for rec in poles:
         _check_inside(rec.point_radius, r, "pole")
-        if rec.kind == "real":
-            total += rec.order * point_term(rec.alpha * rec.alpha, 2.0 * rec.alpha, r)
-        else:
-            b = rec.representative
-            total += rec.spherical_order * point_term(b.norm2(), b.trace(), r)
+        weight = rec.order if rec.kind == "real" else rec.spherical_order
+        rep = rec.representative
+        total += weight * point_term(rep.norm2(), rep.trace(), r)
     return total
 
 

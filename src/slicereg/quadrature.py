@@ -1,6 +1,6 @@
 """Quadrature on the 3-sphere of radius r in R^4, the sphere
-conjugation maps T_f and S_f, and the two boundary integral means of the
-Jensen formula.
+conjugation map S_f, and the two boundary integral means of the Jensen
+formula.
 
 Means path: a 1-D polar rule.  Every sphere S_x = alpha + S^2 beta with
 z = alpha + i beta = r e^{i theta} on the boundary carries measure
@@ -38,9 +38,9 @@ degree-8 corpus case at n = 48).
 One array S_f: ``_sf_map``, the map of J per shadow, which the oracle
 applies per angle and ``_sf_parts`` point by point for the bijectivity
 roundtrip ``sf_roundtrip_errors``; its inverse ``_sf_inverse_parts``
-conjugates as ``s_inverse_map`` does.  The scalar ``S_map``,
-``s_inverse_map`` and ``T_map`` are only their pointwise reference in
-the tests.
+conjugates by f'_s and then by f^c = conj(F1) + J conj(F2) (the map
+T_f).  Their pointwise oracle, the scalar S_f, T_f and S_f^{-1} on one
+quaternion at a time, lives in ``tests/test_quadrature.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneratePointError, NonFiniteIntegrandError
-from .quaternions import Quaternion, _qconj_parts, _qinv_parts, _qnorm2_parts, decompose, qmul_parts
+from .quaternions import Quaternion, _qconj_parts, _qinv_parts, _qnorm2_parts, qmul_parts
 from .slicepoly import horner
 from .zeros_poles import as_semiregular, normal_coeffs
 
@@ -63,9 +63,6 @@ __all__ = [
     "oracle_orders",
     "integrate_values",
     "circular_reduction",
-    "T_map",
-    "S_map",
-    "s_inverse_map",
     "polar_rule",
     "sphere_mean_log_abs",
     "boundary_means",
@@ -261,63 +258,7 @@ def circular_reduction(r: float, m: int, u: Callable[[Quaternion], float]) -> fl
 
 
 # ---------------------------------------------------------------------------
-# sphere conjugation maps
-# ---------------------------------------------------------------------------
-
-
-def _eval_conjugate(f, x: Quaternion) -> Quaternion:
-    """f^c(x) from the stems: conj(F1)(z) + J conj(F2)(z)."""
-    p = decompose(x)
-    stem = f.stem_components(p.alpha, p.beta)
-    if p.beta == 0.0:
-        return stem.F1.conj()
-    return stem.F1.conj() + p.unit * stem.F2.conj()
-
-
-def T_map(f, x: Quaternion) -> Quaternion:
-    """T_f(x) = f^c(x)^{-1} x f^c(x); maps each sphere S_x onto itself."""
-    fc = _eval_conjugate(f, x)
-    scale = f.stem_scale(x.abs())
-    if fc.abs() <= DEGENERATE_REL * (1.0 + scale):
-        raise DegeneratePointError("f^c vanishes at the requested point")
-    return fc.inverse() * x * fc
-
-
-def S_map(f, x: Quaternion) -> Quaternion:
-    """S_f(x): conjugate of x within its sphere by f'_s and f.
-
-    On the closure of the degenerate set (vanishing spherical
-    derivative) the map is plain quaternionic conjugation.
-    """
-    p = decompose(x)
-    if p.beta == 0.0:
-        return x.conj()
-    stem = f.stem_components(p.alpha, p.beta)
-    scale = f.stem_scale(x.abs())
-    if stem.F2.abs() <= DEGENERATE_REL * (1.0 + scale):
-        return x.conj()
-    v = stem.F1 + p.unit * stem.F2
-    if v.abs() <= DEGENERATE_REL * (1.0 + scale):
-        raise DegeneratePointError("S_f undefined where f vanishes")
-    # f'_s = F2 / beta; the positive scalar 1/beta cancels in the conjugation
-    s = stem.F2
-    return s * (v.inverse() * x.conj() * v) * s.inverse()
-
-
-def s_inverse_map(f, y: Quaternion) -> Quaternion:
-    """Inverse of S_f: y -> T_f(conj(f'_s(y)^{-1} y f'_s(y)))."""
-    p = decompose(y)
-    stem = f.stem_components(p.alpha, p.beta)
-    s = stem.F2  # f'_s direction; scalar factor cancels
-    scale = f.stem_scale(y.abs())
-    if s.abs() <= DEGENERATE_REL * (1.0 + scale):
-        raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
-    w = (s.inverse() * y * s).conj()
-    return T_map(f, w)
-
-
-# ---------------------------------------------------------------------------
-# array S_f on quaternion parts, checked against the scalar maps above
+# sphere conjugation map S_f on quaternion parts
 # ---------------------------------------------------------------------------
 
 
@@ -372,7 +313,8 @@ def _sf_map(g, junit, one):
 
 def _sf_parts(x, junit, f1, f2, scale: float):
     """S_f(x) = alpha - beta t(J) / d(J) at x = alpha + J beta with stems
-    F1, F2 at alpha + i beta, by ``_sf_map`` point by point: ``S_map``
+    F1, F2 at alpha + i beta, by ``_sf_map`` point by point: the
+    conjugation s (u^{-1} conj(x) u) s^{-1} with u = F1 + J F2 and s = F2,
     regrouped.  Exactly conj(x) where F2 is degenerate; not finite where
     f vanishes."""
     degenerate = _degenerate(f2, scale)
@@ -385,8 +327,8 @@ def _sf_parts(x, junit, f1, f2, scale: float):
 
 def _sf_inverse_parts(f, y, scale: float):
     """S_f^{-1}(y) = T_f(w), w = conj(s^{-1} y s) with s = F2 at y, and
-    T_f(w) = fc^{-1} w fc with fc = conj(F1) + J conj(F2) at w, as in
-    ``s_inverse_map`` and ``T_map``: y and w are split anew."""
+    T_f(w) = fc^{-1} w fc with fc = conj(F1) + J conj(F2) at w: y and
+    w are split anew."""
     _, s = f.stem_arrays(_split_parts(y)[0])
     if np.any(_degenerate(s, scale)):
         raise DegeneratePointError("inverse of S_f undefined on the degenerate set")

@@ -2,9 +2,9 @@
 
 Scalar ground type for the whole package: immutable quaternions
 q = w + x1*i + x2*j + x3*k with double-precision components, the
-Hamilton product, conjugation/norm/trace, and the embedding
-(alpha, beta, J) -> alpha + J*beta of complex half-plane points into
-the slice C_J, together with its inverse (`decompose`).
+Hamilton product, conjugation/norm/trace, and the split
+x = alpha + J*beta of a quaternion into a point alpha + i*beta of the
+closed upper half-plane and a unit J of its slice C_J (`decompose`).
 
 Array code holds quaternions as "parts", 4-tuples of broadcastable
 component arrays (``qmul_parts`` and the conjugate, norm and inverse
@@ -29,7 +29,6 @@ __all__ = [
     "InvalidUnitError",
     "unit_from_vector",
     "validate_unit",
-    "slice_embed",
     "decompose",
     "SlicePoint",
     "qmul_array",
@@ -183,20 +182,12 @@ def unit_from_vector(x1: float, x2: float, x3: float) -> Quaternion:
 
 @dataclass(frozen=True, slots=True)
 class SlicePoint:
-    """x = alpha + J*beta = ``slice_embed(alpha, beta, unit)`` with beta >= 0;
-    at real points (beta == 0) J is a placeholder, the basis unit i."""
+    """x = alpha + J*beta with beta >= 0 and J = unit; at real points
+    (beta == 0) J is a placeholder, the basis unit i."""
 
     alpha: float
     beta: float
     unit: Quaternion
-
-
-def slice_embed(alpha: float, beta: float, unit: Quaternion) -> Quaternion:
-    """Phi_J(alpha + i*beta) = alpha + J*beta."""
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
-    u = validate_unit(unit)
-    return Quaternion(alpha, u.x1 * beta, u.x2 * beta, u.x3 * beta)
 
 
 def decompose(x: Quaternion) -> SlicePoint:

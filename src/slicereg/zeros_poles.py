@@ -1,5 +1,4 @@
-"""Zero classification, total multiplicities, pole structure and Blaschke
-regularization.
+"""Zero classification, total multiplicities and pole structure.
 
 Zeros of a slice polynomial f live on the spheres S_x = alpha + beta*S
 where the real-coefficient normal function N(f) vanishes.  One real
@@ -23,17 +22,15 @@ Rational (semiregular) functions are pairs f = den^{-1} * num with a
 slice-preserving denominator.  Poles sit on the spheres of den; on each
 pole sphere the point orders are constant except possibly at one point
 where the numerator vanishes, which carries an isolated multiplicity
-equal to its total multiplicity as a zero of the numerator.  Blaschke
-reciprocals with unit modulus on the boundary sphere absorb the poles;
-``regularize`` multiplies them onto f and returns the pole-free product.
+equal to its total multiplicity as a zero of the numerator.
 
-``analyze(f, r)`` is the one zero and pole pass that the Jensen check, the
-``zeros`` command and ``regularize`` share.  It runs ``zero_spheres`` on
-num and the root finder on den, once each, and returns a frozen
-``FunctionAnalysis``: a zero record for every zero sphere, every
-denominator sphere, the pole records inside the closed ball of radius r,
-the shadows of all of those spheres, which place the panels of the
-polar rule, and N(num)'s coefficients for the boundary means.  The zero
+``analyze(f, r)`` is the one zero and pole pass that the Jensen check and
+the ``zeros`` command share.  It runs ``zero_spheres`` on num and the root
+finder on den, once each, and returns a frozen ``FunctionAnalysis``: a
+zero record for every zero sphere, every denominator sphere, the pole
+records inside the closed ball of radius r, the shadows of all of those
+spheres, which place the panels of the polar rule, and N(num)'s
+coefficients for the boundary means.  The zero
 records are the only source of zeros: a zero record whose real factor
 divides a pole sphere's is its exceptional point, and the pole record
 copies its representative and multiplicity.
@@ -49,14 +46,11 @@ import numpy as np
 
 from .errors import (
     ClassificationInconsistencyError,
-    InvalidPoleError,
-    PoleOnBoundaryError,
-    PoleOutsideRegionError,
     ZeroDenominatorError,
     ZeroPolynomialError,
 )
 from .quaternions import Quaternion, decompose, validate_unit
-from .slicepoly import TRIM_REL, SlicePolynomial, StemValue, horner, normal, slice_product
+from .slicepoly import TRIM_REL, SlicePolynomial, StemValue, horner, normal
 
 __all__ = [
     "FunctionAnalysis",
@@ -69,9 +63,6 @@ __all__ = [
     "total_multiplicity",
     "normal_coeffs",
     "pole_structure",
-    "blaschke_real",
-    "blaschke_spherical",
-    "regularize",
     "root_spheres",
     "analyze",
     "as_semiregular",
@@ -87,7 +78,7 @@ TOL_CLUSTER = 1e-7
 TOL_DIVIDE = 1e-9
 # width of the boundary sphere relative to max(r, 1), read only through
 # on_boundary: spheres this close to r count as on it (hypothesis checks,
-# regularize, the zero and pole sums) and as inside the closed ball
+# the zero and pole sums) and as inside the closed ball
 BOUNDARY_BAND = 1e-9
 
 # (alpha, beta, mult): mult counts roots in root_spheres (a conjugate pair
@@ -480,17 +471,6 @@ class SemiregularFunction:
     def __setattr__(self, name, value):
         raise AttributeError("SemiregularFunction is immutable")
 
-    @classmethod
-    def _unreduced(cls, den: SlicePolynomial, num: SlicePolynomial) -> "SemiregularFunction":
-        """den^{-1} num as given, for a monic real den coprime to num by
-        construction.  The reduction tests coprimality at TOL_DIVIDE, which
-        at small r cancels a Blaschke factor whose base point is near the
-        boundary but outside its band."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "den", den)
-        object.__setattr__(f, "num", num)
-        return f
-
     @staticmethod
     def from_polynomial(p: SlicePolynomial) -> "SemiregularFunction":
         return SemiregularFunction(SlicePolynomial.from_real([1.0]), p)
@@ -683,79 +663,3 @@ def analyze(f, r: float) -> FunctionAnalysis:
     pole_spheres = root_spheres(fs.den.real_coeffs()) if fs.den.degree > 0 else []
     poles = pole_structure(pole_spheres, zeros, r)
     return FunctionAnalysis(r, tuple(zeros), tuple(pole_spheres), tuple(poles), normal_coeffs(fs.num, zpoly))
-
-
-# ---------------------------------------------------------------------------
-# Blaschke factors and regularization
-# ---------------------------------------------------------------------------
-
-
-def blaschke_real(p: float, r: float) -> SemiregularFunction:
-    """Reciprocal r-Blaschke factor -(x - r^2/p)^{-1} (x - p) r/p.
-
-    Slice-preserving, modulus 1 on the boundary sphere of radius r,
-    vanishing at p, with its pole at r^2/p outside the closed ball.
-    """
-    if not 0.0 < abs(p) < r:
-        raise InvalidPoleError(f"real Blaschke base point needs 0 < |p| < r, got p={p}, r={r}")
-    den = SlicePolynomial.from_real([-r * r / p, 1.0])
-    num = SlicePolynomial.from_real([r, -r / p])
-    return SemiregularFunction._unreduced(den, num)
-
-
-def blaschke_spherical(b: Quaternion, r: float) -> SemiregularFunction:
-    """Reciprocal normal Blaschke factor Delta_{r^2 b^{-1}}^{-1} Delta_b r^2/|b|^2."""
-    nb = b.norm2()
-    if not 0.0 < math.sqrt(nb) < r:
-        raise InvalidPoleError(f"spherical Blaschke base point needs 0 < |b| < r, got |b|={math.sqrt(nb)}, r={r}")
-    if decompose(b).beta == 0.0:
-        raise InvalidPoleError("spherical Blaschke base point must be nonreal")
-    tb = b.trace()
-    den = SlicePolynomial.from_real([r**4 / nb, -r * r * tb / nb, 1.0])
-    num = SlicePolynomial.from_real([r * r, -tb * r * r / nb, r * r / nb])
-    return SemiregularFunction._unreduced(den, num)
-
-
-def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, SemiregularFunction]:
-    """Blaschke product g matching every pole of f, and h = g * f.
-
-    h has no poles on a neighbourhood of the closed ball (its remaining
-    denominator roots are the Blaschke reflections outside).  Poles of f
-    on the boundary raise PoleOnBoundaryError; poles outside the ball
-    raise PoleOutsideRegionError instead of being silently ignored.
-    """
-    if f.den.degree == 0:
-        one = SemiregularFunction.from_polynomial(SlicePolynomial.from_real([1.0]))
-        return one, f
-    poles = analyze(f, math.inf).poles
-    for rec in poles:
-        rad = rec.point_radius
-        if on_boundary(rad, r):
-            raise PoleOnBoundaryError(f"pole sphere at radius {rad:.12g} sits on the boundary r={r}")
-        if rad > r:
-            raise PoleOutsideRegionError(
-                f"pole sphere at radius {rad:.12g} lies outside the ball r={r}; shrink r"
-            )
-    g_den = SlicePolynomial.from_real([1.0])
-    g_num = SlicePolynomial.from_real([1.0])
-    for rec in poles:
-        if rec.kind == "real":
-            fac = blaschke_real(rec.alpha, r)
-            power = rec.order
-        else:
-            fac = blaschke_spherical(rec.representative, r)
-            power = rec.spherical_order // 2
-        for _ in range(power):
-            g_den = slice_product(g_den, fac.den)
-            g_num = slice_product(g_num, fac.num)
-    g = SemiregularFunction._unreduced(g_den, g_num)
-    # h = (g_den f_den)^{-1} (g_num f_num); f_den divides g_num f_num by
-    # construction, so divide it out explicitly rather than re-detecting.
-    h_num_full = slice_product(g_num, f.num)
-    h_num, rem = divide_by_real(h_num_full, f.den.real_coeffs())
-    if rem.coefficient_scale() > TOL_DIVIDE * max(h_num_full.coefficient_scale(), 1e-300):
-        raise ClassificationInconsistencyError(
-            "Blaschke numerator failed to cancel the denominator poles"
-        )
-    h = SemiregularFunction._unreduced(g_den, h_num)
-    return g, h

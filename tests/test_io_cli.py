@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import slicereg
 from slicereg import zeros_poles
 from slicereg.cli import main
 from slicereg.io import (
@@ -29,6 +31,7 @@ CASE_RADIUS = {
     for entry in json.loads((CORPUS / manifest).read_text())["cases"]
 }
 RATIONALS = sorted(name for name in CASE_RADIUS if name.startswith("rat_"))
+SIMPLE = str(CORPUS / "poly_real_simple.json")  # its one zero lies at 0.5
 
 
 # -- parsing -----------------------------------------------------------------
@@ -229,6 +232,28 @@ def test_cli_rejects_non_finite_coefficients(tmp_path, capsys, text):
         assert err.startswith("input error: ") and "must be finite" in err, argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["jensen", "--fn", "{tmp}"], "cannot read {tmp}: Is a directory"),
+    (["zeros", "--fn", "{tmp}"], "cannot read {tmp}: Is a directory"),
+    (["jensen", "--fn", "{tmp}/latin1.json"], "{tmp}/latin1.json: not UTF-8 text"),
+    (["zeros", "--fn", "{tmp}/latin1.json"], "{tmp}/latin1.json: not UTF-8 text"),
+    (["jensen", "--corpus", "{tmp}/names-a-directory.json"], "cannot read {tmp}/sub: Is a directory"),
+    (["jensen", "--fn", SIMPLE, "--out", "{tmp}/missing/r.json"], "cannot write {tmp}/missing/r.json"),
+    (["zeros", "--fn", SIMPLE, "--out", "{tmp}/missing/r.json"], "cannot write {tmp}/missing/r.json"),
+    (["verify-ops", "--suite", "gamma", "--out", "{tmp}/missing/r.json"], "cannot write {tmp}/missing/r.json"),
+], ids=["jensen-directory", "zeros-directory", "jensen-not-utf8", "zeros-not-utf8", "manifest-directory",
+        "jensen-out", "zeros-out", "verify-ops-out"])
+def test_cli_unreadable_input_or_unwritable_out_is_an_input_error(tmp_path, capsys, argv, message):
+    (tmp_path / "latin1.json").write_bytes(b'{"coeffs": [1.0, "\xe9"]}')
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "names-a-directory.json").write_text(json.dumps({"cases": [{"file": "sub"}]}))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {message.format(tmp=tmp_path)}")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_parse_coefficient_rejects_integer_beyond_float_range():
     with pytest.raises(InputFormatError, match="too large"):
         parse_polynomial({"coeffs": [10**400, 1]})
@@ -311,6 +336,18 @@ def test_cli_rejects_negative_seed(tmp_path, capsys, command):
     assert main([*args, "--seed=-3"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "seed" in err
+
+
+PACKAGE_MODULES = ["slicereg"] + sorted(f"slicereg.{p.stem}" for p in Path(slicereg.__file__).parent.glob("*.py")
+                                         if p.stem not in ("__init__", "__main__"))
+
+
+@pytest.mark.parametrize("name", PACKAGE_MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []
 
 
 def test_cli_near_boundary_keeps_the_given_order(tmp_path, capsys):
@@ -406,8 +443,8 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 9 + len(functions) + 2 + 28 and len(set(names)) == len(names)
-    assert [n for n in names if n.startswith("error-")] == names[-28:]  # failing calls come last
+    assert len(names) == 9 + len(functions) + 2 + 31 and len(set(names)) == len(names)
+    assert [n for n in names if n.startswith("error-")] == names[-31:]  # failing calls come last
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
 

@@ -23,9 +23,7 @@ from slicereg.quadrature import (
     _slice_value,
     _split_parts,
     DEGENERATE_REL,
-    S_map,
     SPHERE_MEASURE,
-    T_map,
     ORACLE_BLOCK,
     boundary_identity_residual,
     boundary_means,
@@ -34,7 +32,6 @@ from slicereg.quadrature import (
     integrate_values,
     log_normal_values,
     polar_rule,
-    s_inverse_map,
     sf_roundtrip_errors,
     sphere_mean_log_abs,
 )
@@ -332,6 +329,64 @@ def test_quadrature_convergence_doubling():
 
 
 # -- conjugation maps ---------------------------------------------------------
+#
+# The scalar T_map, S_map and s_inverse_map below are the pointwise oracle
+# of the array S_f (``quadrature._sf_parts`` and ``_sf_inverse_parts``):
+# they evaluate one point at a time with Quaternion arithmetic and
+# ``stem_components``, sharing no code with the array path except the
+# formulas themselves.  No command runs them.
+
+
+def _eval_conjugate(f, x: Quaternion) -> Quaternion:
+    """Oracle: f^c(x) from the stems, conj(F1)(z) + J conj(F2)(z)."""
+    p = decompose(x)
+    stem = f.stem_components(p.alpha, p.beta)
+    if p.beta == 0.0:
+        return stem.F1.conj()
+    return stem.F1.conj() + p.unit * stem.F2.conj()
+
+
+def T_map(f, x: Quaternion) -> Quaternion:
+    """Oracle: T_f(x) = f^c(x)^{-1} x f^c(x); maps each sphere S_x onto itself."""
+    fc = _eval_conjugate(f, x)
+    scale = f.stem_scale(x.abs())
+    if fc.abs() <= DEGENERATE_REL * (1.0 + scale):
+        raise DegeneratePointError("f^c vanishes at the requested point")
+    return fc.inverse() * x * fc
+
+
+def S_map(f, x: Quaternion) -> Quaternion:
+    """Oracle of the array S_f: S_f(x), the conjugate of x within its
+    sphere by f'_s and f.
+
+    On the closure of the degenerate set (vanishing spherical
+    derivative) the map is plain quaternionic conjugation.
+    """
+    p = decompose(x)
+    if p.beta == 0.0:
+        return x.conj()
+    stem = f.stem_components(p.alpha, p.beta)
+    scale = f.stem_scale(x.abs())
+    if stem.F2.abs() <= DEGENERATE_REL * (1.0 + scale):
+        return x.conj()
+    v = stem.F1 + p.unit * stem.F2
+    if v.abs() <= DEGENERATE_REL * (1.0 + scale):
+        raise DegeneratePointError("S_f undefined where f vanishes")
+    # f'_s = F2 / beta; the positive scalar 1/beta cancels in the conjugation
+    s = stem.F2
+    return s * (v.inverse() * x.conj() * v) * s.inverse()
+
+
+def s_inverse_map(f, y: Quaternion) -> Quaternion:
+    """Oracle of the array S_f^{-1}: y -> T_f(conj(f'_s(y)^{-1} y f'_s(y)))."""
+    p = decompose(y)
+    stem = f.stem_components(p.alpha, p.beta)
+    s = stem.F2  # f'_s direction; scalar factor cancels
+    scale = f.stem_scale(y.abs())
+    if s.abs() <= DEGENERATE_REL * (1.0 + scale):
+        raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
+    w = (s.inverse() * y * s).conj()
+    return T_map(f, w)
 
 
 def test_t_map_slice_preserving_fixed_points():
@@ -376,8 +431,6 @@ def test_s_map_example():
 
 
 def test_conjugation_maps_degenerate_points():
-    from slicereg.errors import DegeneratePointError
-
     f = SlicePolynomial.linear(I)  # f^c = x + i vanishes at -i
     with pytest.raises(DegeneratePointError):
         T_map(f, -I)
@@ -591,10 +644,8 @@ def test_sf_roundtrip_errors_small():
 
 # -- array S_f against the scalar maps -------------------------------------------
 #
-# The scalar S_map / s_inverse_map / T_map are the oracle of the array S_f:
-# they evaluate one point at a time with Quaternion arithmetic and
-# ``stem_components``, sharing no code with the array path except the
-# formulas themselves.
+# The scalar S_map / s_inverse_map / T_map of the conjugation-maps section
+# are the oracle of the array S_f.
 
 
 def _array_maps(f, pts, r):
