@@ -44,12 +44,15 @@ VERIFY_SUITES = ("crf", "gamma", "harmonic", "biharmonic", "bilaplacian-logN", "
                  "multiplicity")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | None, out: str | None) -> None:
     if not out:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        if text is None:  # only check that the directory exists
+            Path(out).parent.stat()
+        else:
+            Path(out).write_text(text)
     except OSError as exc:  # a missing directory, no permission, ...
         raise InputFormatError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
@@ -236,6 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the only place that maps an error to stderr and an exit code."""
     args = build_parser().parse_args(argv)
     try:
+        if args.out:  # a missing --out directory fails before any work
+            _emit(None, args.out)
         return args.func(args)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

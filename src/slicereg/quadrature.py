@@ -22,18 +22,18 @@ with surface measure r^3 sin^2(t1) sin(t2) dt1 dt2 dp and total measure
 |bd B_r| = 2 pi^2 r^3; Gauss-Legendre nodes in t1 and t2 and a uniform
 grid in p, spectrally exact for the periodic direction.  The rule is
 held as its two factors: the polar rule in t1 (r-dependent, graded like
-the means' rule) and an S^2 grid of 2q^2 units J (cached per q); its flat
-node arrays exist only on demand.  ``oracle_orders`` gives it orders of
-its own, below the means' n: it shares their panel edges, not their
-nodes.  On the sphere of a polar angle the stems are constants and S_f
-only moves the unit J, so ``_identity_map`` makes f(x) and f(S_f x)
-there ratios of affine maps of J, one small map per angle;
-``boundary_identity_residual`` applies it to ``ORACLE_BLOCK`` nodes at a
-time, with S^2 means per angle, so its memory does not grow with the
-rule.  It is the independent check of the pointwise boundary identity
-and of the sum of the two means, which is circular, so the S^2 grid
-cancels from it; each mean alone carries the S^2 error (2.5e-4 on the
-degree-8 corpus case at n = 48).
+the means' rule) and an S^2 grid of 2q^2 units J (cached per q).  Every
+pass over it walks ``SphereQuadratureRule.blocks``, whole polar angles of
+at most ``ORACLE_BLOCK`` nodes, with S^2 means per angle, so its memory
+does not grow with the rule.  ``oracle_orders`` gives it orders of its
+own, below the means' n: it shares their panel edges, not their nodes.
+On a polar angle's sphere the stems are constants and S_f only moves the
+unit J, so ``_identity_map`` makes f(x) and f(S_f x) there ratios of
+affine maps of J, one per angle, which ``boundary_identity_residual``
+applies block by block.  It is the independent check of the pointwise
+boundary identity and of the sum of the two means, which is circular, so
+the S^2 grid cancels from it; each mean alone carries the S^2 error
+(2.5e-4 on the degree-8 corpus case at n = 48).
 
 One array S_f: ``_sf_map``, the map of J per shadow, which the oracle
 applies per angle and ``_sf_parts`` point by point for the bijectivity
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -62,6 +62,7 @@ __all__ = [
     "build_rule",
     "oracle_orders",
     "integrate_values",
+    "s2_means",
     "circular_reduction",
     "polar_rule",
     "sphere_mean_log_abs",
@@ -90,7 +91,7 @@ class SphereQuadratureRule:
     to 1: polar shadows z_k = r e^{i t1_k} with weights w_k, and 2q^2
     units J_j on S^2 with weights s_j.  Node (k, j) is Re z_k + J_j Im z_k
     with weight |bd B_r| w_k s_j.  The flat arrays over all nodes (alpha,
-    beta, junits, nodes, weights) are built on first use."""
+    beta, junits, nodes, weights) are built on first use; no command reads them."""
 
     radius: float
     orders: tuple[int, int, int]  # polar nodes per panel, S^2 angles, azimuths
@@ -117,9 +118,7 @@ class SphereQuadratureRule:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        nodes = self.polar_z.imag[:, None, None] * self.s2_units
-        nodes[..., 0] = self.polar_z.real[:, None]
-        return nodes.reshape(-1, 4)
+        return self.block_nodes(slice(None)).reshape(-1, 4)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -127,6 +126,17 @@ class SphereQuadratureRule:
 
     def __len__(self) -> int:
         return len(self.polar_z) * len(self.s2_weights)
+
+    def blocks(self) -> Iterator[slice]:
+        """Slices of whole polar angles, at most ``ORACLE_BLOCK`` nodes (one angle at least)."""
+        angles = max(1, ORACLE_BLOCK // len(self.s2_weights))
+        return (slice(lo, lo + angles) for lo in range(0, len(self.polar_z), angles))
+
+    def block_nodes(self, blk: slice) -> np.ndarray:
+        """The (b, 2q^2, 4) nodes of the polar angles blk, rows of ``nodes``."""
+        nodes = self.polar_z[blk].imag[:, None, None] * self.s2_units
+        nodes[..., 0] = self.polar_z[blk].real[:, None]
+        return nodes
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,17 +240,18 @@ def oracle_orders(n: int) -> tuple[int, int]:
 
 def integrate_values(rule: SphereQuadratureRule, values: np.ndarray) -> float:
     """Sum w_i v_i for values v at the rule nodes, one factor at a time."""
-    values = values.reshape(len(rule.polar_z), -1)
-    s2_means = _finite_means(rule, values, values @ rule.s2_weights, 0)
-    return rule.measure * float(np.dot(rule.polar_weights, s2_means))
+    return rule.measure * float(np.dot(rule.polar_weights, s2_means(rule, values)))
 
 
-def _finite_means(rule: SphereQuadratureRule, values: np.ndarray, means: np.ndarray, first: int) -> np.ndarray:
-    """The S^2 means of values (b, 2q^2) at the polar angles first,
-    first + 1, ...; a non-finite value raises, naming its node."""
+def s2_means(rule: SphereQuadratureRule, values: np.ndarray, first: int = 0, means: np.ndarray | None = None) -> np.ndarray:
+    """S^2 means (``values @ s2_weights`` unless given) of values at the nodes
+    of the polar angles first, first + 1, ...; a non-finite value raises, naming its node."""
+    values = values.reshape(-1, len(rule.s2_weights))
+    means = values @ rule.s2_weights if means is None else means
     if not np.all(np.isfinite(means)) and not np.all(np.isfinite(values)):
         k = first * values.shape[1] + int(np.argmax(~np.isfinite(values)))
-        node = Quaternion.from_array(rule.nodes[k])
+        angle, unit = divmod(k, values.shape[1])
+        node = Quaternion.from_array(rule.block_nodes(slice(angle, angle + 1))[0, unit])
         raise NonFiniteIntegrandError(f"integrand not finite at node {k} = {node}; a zero or pole "
                                       "sits on or near the integration sphere", node=node)
     return means
@@ -489,12 +500,10 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule, nnum: np.ndarray |
     units = _homogeneous_units(rule)
     sphere_means = np.empty((2, len(z)))
     identity = 0.0
-    angles = max(1, ORACLE_BLOCK // len(rule.s2_weights))
-    for lo in range(0, len(z), angles):
-        blk = slice(lo, lo + angles)
+    for blk in rule.blocks():
         log_fx, log_fy = _log_abs_f_and_f_sf(np.ascontiguousarray(maps[:, blk]), units)
         for row, values in zip(sphere_means, (log_fx, log_fy)):
-            row[blk] = _finite_means(rule, values, np.einsum("km,m->k", values, rule.s2_weights), lo)
+            row[blk] = s2_means(rule, values, blk.start, np.einsum("km,m->k", values, rule.s2_weights))
         identity = max(identity, float(np.max(np.abs(log_n[blk] - log_fx - log_fy))))
     mean_fx, mean_fy = sphere_means @ rule.polar_weights
     return ProductRuleCheck(BoundaryMeans(float(mean_fx), float(mean_fy)), identity)

@@ -254,6 +254,37 @@ def test_cli_unreadable_input_or_unwritable_out_is_an_input_error(tmp_path, caps
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["jensen", "--fn", SIMPLE],
+    ["jensen", "--corpus", str(CORPUS / "polynomials.json"), "--format", "json"],
+    ["zeros", "--fn", SIMPLE],
+    ["verify-ops"],
+    ["verify-ops", "--suite", "quadrature", "--format", "csv"],
+], ids=["jensen-fn", "jensen-corpus", "zeros", "verify-ops-all", "verify-ops-quadrature"])
+def test_cli_missing_out_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    import slicereg.cli
+    import slicereg.verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("work done before --out was checked")
+
+    for module, name in ((slicereg.cli, "jensen_check"), (slicereg.cli, "analyze"), (slicereg.cli, "load_function"),
+                         (slicereg.verify, "run_suite")):
+        monkeypatch.setattr(module, name, never)
+    out = tmp_path / "missing" / "r.json"
+    assert main([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: cannot write {out}: No such file or directory\n" and captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_out_that_cannot_be_written_fails_at_write_time(tmp_path, capsys):
+    # the directory exists, so the early check passes; writing still fails
+    assert main(["verify-ops", "--suite", "gamma", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: cannot write {tmp_path}: Is a directory\n" and captured.out == ""
+
+
 def test_parse_coefficient_rejects_integer_beyond_float_range():
     with pytest.raises(InputFormatError, match="too large"):
         parse_polynomial({"coeffs": [10**400, 1]})
@@ -461,8 +492,11 @@ def _load_script(name):
 
 def test_suite_times_times_one_suite():
     suite_times = _load_script("suite_times")
-    times = suite_times.suite_seconds(["gamma"])
-    assert list(times) == ["gamma"] and 0.0 < times["gamma"] < 60.0
+    costs = suite_times.suite_costs(["gamma", "quadrature"])
+    assert list(costs) == ["s", "peak_rss_mb"] and all(list(c) == ["gamma", "quadrature"] for c in costs.values())
+    assert all(0.0 < t < 60.0 for t in costs["s"].values())
+    rss = costs["peak_rss_mb"]
+    assert 1.0 < rss["gamma"] <= rss["quadrature"] < 4096.0  # the process's peak so far, in MB
     assert suite_times.REPEATS == 9 and suite_times.SEED == 1
 
 

@@ -908,3 +908,80 @@ def test_blocked_oracle_names_the_nonfinite_node():
             boundary_identity_residual(SlicePolynomial.linear(node), rule)
         assert err.value.node == node
         assert f"node {k} =" in str(err.value)
+
+
+@pytest.mark.parametrize("k", [0, 37, 2 * 2 * 12**2 + 5, 2 * 12**3 - 1])
+def test_nonfinite_integrand_names_its_node_without_the_flat_arrays(k):
+    rule = build_rule(1.0, 12)
+    values = np.zeros(len(rule))
+    values[k] = math.nan
+    with pytest.raises(NonFiniteIntegrandError) as err:
+        integrate_values(rule, values)
+    assert not {"nodes", "weights", "alpha", "beta", "junits"} & set(vars(rule))
+    node = Quaternion.from_array(rule.nodes[k])  # the flat array as the oracle
+    assert err.value.node == node
+    assert str(err.value) == (f"integrand not finite at node {k} = {node}; a zero or pole sits on or near "
+                              "the integration sphere")
+
+
+def test_rule_blocks_walk_whole_angles_in_order():
+    for rule in (build_rule(1.0, 48), build_rule(1.0, 40, (), 32), build_rule(1.0, 16, (0.95j,), 24),
+                 build_rule(1.0, 4, (), 128)):
+        blocks = list(rule.blocks())
+        angles = [range(len(rule.polar_z))[blk] for blk in blocks]
+        assert [a for r in angles for a in r] == list(range(len(rule.polar_z)))
+        assert all(len(r) == max(1, _block_angles(rule)) for r in angles[:-1])
+        nodes = np.concatenate([rule.block_nodes(blk).reshape(-1, 4) for blk in blocks])
+        assert nodes.tobytes() == rule.nodes.tobytes()
+
+
+# -- the quadrature suite's 3-D cross-check, walked by blocks ----------------
+
+
+def test_quadrature_suite_never_builds_flat_rule_arrays(monkeypatch):
+    from slicereg.quadrature import SphereQuadratureRule
+    from slicereg.verify import suite_quadrature
+
+    def flat(self):
+        raise AssertionError("flat product-rule array built")
+
+    for name in ("nodes", "weights", "alpha", "beta", "junits"):
+        monkeypatch.setattr(SphereQuadratureRule, name, property(flat))
+    for seed in (1, 7):
+        assert suite_quadrature(seed).passed
+
+
+def test_quadrature_suite_memory_does_not_grow_with_the_rule():
+    """The n = 48 product rule has 221 184 nodes; as flat arrays with
+    their rotation and shadows the suite peaked at 23 MB."""
+    import tracemalloc
+
+    from slicereg.verify import run_suite
+
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        result = run_suite("quadrature", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed and peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_quadrature_suite_blocked_means_match_unblocked_rule(seed):
+    from slicereg.quaternions import qmul_parts
+    from slicereg.verify import ROTATION, _product_poly, suite_quadrature
+
+    rows = [row for row in suite_quadrature(seed).rows if row.identity.startswith("3D rule")]
+    rng = np.random.default_rng(seed)  # the suite's draws, in its order
+    rule = build_rule(1.0, 48)
+    ux = qmul_parts(ROTATION.components(), tuple(rule.nodes.T))
+    z_rotated = ux[0] + 1j * np.sqrt(ux[1] * ux[1] + ux[2] * ux[2] + ux[3] * ux[3])
+    assert len(rows) == 5
+    for row in rows:
+        f, c, roots = _product_poly(rng, 0.3, 0.6, max_factors=3)
+        shadows = [complex(q.re(), q.abs_im()) for q in roots]
+        exact = exact_mean_log_abs(c.norm2(), shadows + [s.conjugate() for s in shadows], 1.0)
+        # the unblocked route over the flat rule, as the oracle
+        full = integrate_values(rule, log_normal_values(f, z_rotated)) / rule.measure
+        assert abs(row.residual - abs(full - exact)) <= 1e-15, row.case
