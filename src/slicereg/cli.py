@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="nodes per panel of the polar rule; the oracle takes ceil(n/3) per "
                          "panel and an S^2 order of ceil(n/4), at least 4 each")
     pj.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
-    pj.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
+    pj.add_argument("--seed", type=int, default=0, help="seed of the diagnostics' sample points on S^3")
     pj.add_argument("--bijectivity-points", type=int, default=1000)
     pj.add_argument("--no-diagnostics", action="store_true", help="skip sampled diagnostics")
     pj.add_argument("--format", choices=("json", "csv", "text"), default="text")

@@ -40,6 +40,7 @@ from .quadrature import (
     boundary_means,
     build_rule,
     oracle_orders,
+    s3_points,
     sf_roundtrip_errors,
 )
 from .zeros_poles import (
@@ -190,17 +191,18 @@ def _boundary_hypotheses(analysis: FunctionAnalysis, r: float) -> None:
             raise PoleOnBoundaryError(f"pole sphere at radius {rad:.12g} on the boundary r={r}")
 
 
-def _representative_spread(records: list[ZeroRecord | PoleRecord], r: float, rng) -> float:
-    """Spread of the correction term across random choices of the sphere
-    representative; must vanish since |a| and t(a) are constant on the
+def _representative_spread(records: list[ZeroRecord | PoleRecord], r: float, seed: int) -> float:
+    """Spread of the correction term across five seeded choices of the
+    sphere representative, the units of the imaginary parts of the first
+    ``s3_points``; must vanish since |a| and t(a) are constant on the
     sphere."""
+    units = [unit_from_vector(*row) for row in s3_points(0, 5, seed)[:, 1:].tolist()]
     worst = 0.0
     for rec in records:
         if rec.beta == 0.0:
             continue
         base = point_term(rec.representative.norm2(), rec.representative.trace(), r)
-        for _ in range(5):
-            u = unit_from_vector(*rng.normal(size=3))
+        for u in units:
             a = Quaternion.real(rec.alpha) + u * rec.beta
             worst = max(worst, abs(point_term(a.norm2(), a.trace(), r) - base))
     return worst
@@ -265,7 +267,6 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
         "boundary_gap": gap if math.isfinite(gap) else None,
     }
     if diagnostics:
-        rng = np.random.default_rng(seed)
         # the 3-D product rule is the independent oracle of the polar rule:
         # the same panels at orders of its own
         p, q = oracle_orders(n)
@@ -275,9 +276,9 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
         diag["oracle_nodes"] = len(rule)
         diag["boundary_identity_max"] = oracle.identity_max
         diag["mean_sum_check"] = abs(oracle.means.mean_log_normal - means.mean_log_normal)
-        diag["representative_spread"] = _representative_spread(zrecords + [p for p in poles if p.beta > 0.0], r, rng)
+        diag["representative_spread"] = _representative_spread(zrecords + [p for p in poles if p.beta > 0.0], r, seed)
         if fs.num.degree > 0:
-            errs = sf_roundtrip_errors(fs, r, bijectivity_points, rng)
+            errs = sf_roundtrip_errors(fs, r, bijectivity_points, seed)
             diag["sf_roundtrip_max"] = float(np.max(errs)) if len(errs) else None
             diag["sf_roundtrip_points"] = len(errs)
             if len(errs) < bijectivity_points:

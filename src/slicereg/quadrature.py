@@ -23,9 +23,9 @@ with surface measure r^3 sin^2(t1) sin(t2) dt1 dt2 dp and total measure
 grid in p, spectrally exact for the periodic direction.  The rule is
 held as its two factors: the polar rule in t1 (r-dependent, graded like
 the means' rule) and an S^2 grid of 2q^2 units J (cached per q).  Every
-pass over it walks ``SphereQuadratureRule.blocks``, whole polar angles of
-at most ``ORACLE_BLOCK`` nodes, with S^2 means per angle, so its memory
-does not grow with the rule.  ``oracle_orders`` gives it orders of its
+pass over it walks ``SphereQuadratureRule.blocks``, whole polar angles
+under a node bound of its own (the oracle's is ``ORACLE_BLOCK``), with
+S^2 means per angle, so its memory does not grow with the rule.  ``oracle_orders`` gives it orders of its
 own, below the means' n: it shares their panel edges, not their nodes.
 On a polar angle's sphere the stems are constants and S_f only moves the
 unit J, so ``_identity_map`` makes f(x) and f(S_f x) there ratios of
@@ -41,6 +41,9 @@ roundtrip ``sf_roundtrip_errors``; its inverse ``_sf_inverse_parts``
 conjugates by f'_s and then by f^c = conj(F1) + J conj(F2) (the map
 T_f).  Their pointwise oracle, the scalar S_f, T_f and S_f^{-1} on one
 quaternion at a time, lives in ``tests/test_quadrature.py``.
+
+Sampled diagnostics draw from ``s3_points``, a seeded low-discrepancy
+sequence on S^3, so no ``jensen`` run imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
     "SphereQuadratureRule",
     "build_rule",
     "oracle_orders",
-    "integrate_values",
     "s2_means",
     "circular_reduction",
     "polar_rule",
@@ -71,6 +73,7 @@ __all__ = [
     "boundary_identity_residual",
     "ProductRuleCheck",
     "sf_roundtrip_errors",
+    "s3_points",
     "log_normal_values",
 ]
 
@@ -80,9 +83,9 @@ SPHERE_MEASURE = 2.0 * math.pi**2  # |bd B_1|
 # is this small relative to the stem scale
 DEGENERATE_REL = 1e-12
 # nodes the product-rule oracle evaluates at once, in whole polar angles
-# (8 angles of the n = 48 S^2 grid): few numpy calls per case and working
-# arrays of a few MB; blocks of 9 216 to 147 456 nodes time the same
-ORACLE_BLOCK = 8 * 2 * 48**2
+# (32 angles of its S^2 grid at n = 48, q = 12): working arrays under 1 MB;
+# blocks of 9 216 to 147 456 nodes time the same at n = 48
+ORACLE_BLOCK = 32 * 2 * 12**2
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,9 @@ class SphereQuadratureRule:
     def __len__(self) -> int:
         return len(self.polar_z) * len(self.s2_weights)
 
-    def blocks(self) -> Iterator[slice]:
-        """Slices of whole polar angles, at most ``ORACLE_BLOCK`` nodes (one angle at least)."""
-        angles = max(1, ORACLE_BLOCK // len(self.s2_weights))
+    def blocks(self, max_nodes: int) -> Iterator[slice]:
+        """Slices of whole polar angles, at most max_nodes nodes (one angle at least)."""
+        angles = max(1, max_nodes // len(self.s2_weights))
         return (slice(lo, lo + angles) for lo in range(0, len(self.polar_z), angles))
 
     def block_nodes(self, blk: slice) -> np.ndarray:
@@ -236,11 +239,6 @@ def oracle_orders(n: int) -> tuple[int, int]:
     roundoff at (16, 12), the orders at n = 48, where no polar node of the
     oracle is one of the means'."""
     return max(MIN_ORDER, -(-n // 3)), max(MIN_ORDER, -(-n // 4))
-
-
-def integrate_values(rule: SphereQuadratureRule, values: np.ndarray) -> float:
-    """Sum w_i v_i for values v at the rule nodes, one factor at a time."""
-    return rule.measure * float(np.dot(rule.polar_weights, s2_means(rule, values)))
 
 
 def s2_means(rule: SphereQuadratureRule, values: np.ndarray, first: int = 0, means: np.ndarray | None = None) -> np.ndarray:
@@ -500,7 +498,7 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule, nnum: np.ndarray |
     units = _homogeneous_units(rule)
     sphere_means = np.empty((2, len(z)))
     identity = 0.0
-    for blk in rule.blocks():
+    for blk in rule.blocks(ORACLE_BLOCK):
         log_fx, log_fy = _log_abs_f_and_f_sf(np.ascontiguousarray(maps[:, blk]), units)
         for row, values in zip(sphere_means, (log_fx, log_fy)):
             row[blk] = s2_means(rule, values, blk.start, np.einsum("km,m->k", values, rule.s2_weights))
@@ -509,17 +507,37 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule, nnum: np.ndarray |
     return ProductRuleCheck(BoundaryMeans(float(mean_fx), float(mean_fy)), identity)
 
 
-def _sf_domain_points(f, r: float, n_points: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of the first n_points boundary points x = r d / |d|, for
-    successive rng.normal(size=4) draws d taken in batches, that pass
-    the guards below; at most 40 n_points candidates are tried, so fewer
-    rows, or none, come back where the guards reject most of the sphere."""
+# the steps (phi^-1, phi^-2, phi^-3), phi the positive root of x^4 = x + 1,
+# of a Kronecker sequence of low discrepancy in [0, 1)^3
+KRONECKER_STEPS = 1.2207440846057596 ** -np.arange(1.0, 4.0)
+# frac(sqrt(p)), p = 2, 3, 5, in 64-bit fixed point: a seed's shift is
+# frac(seed sqrt(p)), exact for any integer seed
+_SEED_STEPS = (0x6A09E667F3BCC908, 0xBB67AE8584CAA73B, 0x3C6EF372FE94F82B)
+
+
+def s3_points(start: int, count: int, seed: int) -> np.ndarray:
+    """Rows k = start, ..., start + count - 1 of one seeded sequence of unit
+    quaternions: u_k = frac(1/2 + k KRONECKER_STEPS + shift(seed)) through
+    Shoemake's measure-preserving map (sqrt(1 - u1) sin 2 pi u2, sqrt(1 - u1)
+    cos 2 pi u2, sqrt(u1) sin 2 pi u3, sqrt(u1) cos 2 pi u3).  A shifted
+    Kronecker sequence is one again, so every seed covers S^3 as evenly."""
+    shift = np.array([seed * c % 2**64 / 2**64 for c in _SEED_STEPS])
+    u = (0.5 + np.arange(start, start + count, dtype=float)[:, None] * KRONECKER_STEPS + shift) % 1.0
+    a, b, t2, t3 = np.sqrt(1.0 - u[:, 0]), np.sqrt(u[:, 0]), 2.0 * math.pi * u[:, 1], 2.0 * math.pi * u[:, 2]
+    return np.stack([a * np.sin(t2), a * np.cos(t2), b * np.sin(t3), b * np.cos(t3)], axis=-1)
+
+
+def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int], np.ndarray]):
+    """The first n_points boundary points x = r c, for the unit rows c of
+    candidates(start, n_points) at start = 0, n_points, 2 n_points, ...,
+    that pass the guards below, as parts, with their units J and stems
+    F1, F2; at most 40 n_points candidates are tried, so fewer points, or
+    none, come back where the guards reject most of the sphere."""
     scale = f.stem_scale(r)
     kept, accepted = [], 0
-    for _ in range(40):
-        d = rng.normal(size=(n_points, 4))
-        x = r * d / np.linalg.norm(d, axis=1)[:, None]
-        z, junit = _split_parts(tuple(x.T))
+    for start in range(0, 40 * n_points, n_points):
+        x = tuple(r * candidates(start, n_points).T)
+        z, junit = _split_parts(x)
         f1, f2 = f.stem_arrays(z)
         # conditioning guard: conjugating by a tiny spherical derivative
         # amplifies its own rounding error
@@ -528,23 +546,22 @@ def _sf_domain_points(f, r: float, n_points: int, rng: np.random.Generator) -> n
             & (np.sqrt(_qnorm2_parts(f2)) > 1e-4 * (1.0 + scale))
             & (np.sqrt(_qnorm2_parts(_slice_value(f1, f2, junit))) > 1e-9 * (1.0 + scale))
         )
-        kept.append(x[keep])
-        accepted += len(kept[-1])
+        kept.append([np.broadcast_to(c, keep.shape)[keep] for c in (*x, *junit, *f1, *f2)])
+        accepted += len(kept[-1][0])
         if accepted >= n_points:
             break
-    return np.concatenate(kept)[:n_points]
+    cols = [np.concatenate(c)[:n_points] for c in zip(*kept)]
+    return tuple(cols[:4]), tuple(cols[4:8]), tuple(cols[8:12]), tuple(cols[12:])
 
 
-def sf_roundtrip_errors(f, r: float, n_points: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-roundtrip distances |x - S_f^{-1}(S_f(x))| at seeded
-    boundary points, restricted to the domain of the diffeomorphism
-    (away from the degenerate set and zeros of N(f)): at most n_points
-    of them, and none where no sampled point is in that domain."""
+def sf_roundtrip_errors(f, r: float, n_points: int, seed: int) -> np.ndarray:
+    """Inverse-roundtrip distances |x - S_f^{-1}(S_f(x))| at boundary points
+    r ``s3_points``(., ., seed), restricted to the domain of the
+    diffeomorphism (away from the degenerate set and zeros of N(f)): at
+    most n_points of them, and none where no sampled point is in that domain."""
     if n_points < 1:
         raise ValueError("need at least one sample point")
     scale = f.stem_scale(r)
-    x = tuple(_sf_domain_points(f, r, n_points, rng).T)
-    z, junit = _split_parts(x)
-    y = _sf_parts(x, junit, *f.stem_arrays(z), scale)
-    back = _sf_inverse_parts(f, y, scale)
+    x, junit, f1, f2 = _sf_domain_points(f, r, n_points, lambda start, count: s3_points(start, count, seed))
+    back = _sf_inverse_parts(f, _sf_parts(x, junit, f1, f2, scale), scale)
     return np.sqrt(_qnorm2_parts(tuple(b - c for b, c in zip(back, x))))

@@ -424,6 +424,23 @@ def test_cli_never_imports_numpy_polynomial():
     assert out.stdout.splitlines()[-1] == "False"
 
 
+def test_jensen_diagnostics_never_import_numpy_random():
+    # the sampled diagnostics draw from the seeded sequence of
+    # quadrature.s3_points, so no jensen run loads numpy's random package
+    import os
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = ("import os, sys\n"
+            "from slicereg.cli import main\n"
+            "for manifest in ('polynomials', 'rationals'):\n"
+            "    main(['jensen', '--corpus', f'corpus/{manifest}.json', '--seed', '3', '--out', os.devnull])\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_jensen_and_the_parser_never_import_the_verification_suites():
     # only verify-ops needs slicereg.verify and the finite-difference stencils
     import os
@@ -498,6 +515,17 @@ def test_suite_times_times_one_suite():
     rss = costs["peak_rss_mb"]
     assert 1.0 < rss["gamma"] <= rss["quadrature"] < 4096.0  # the process's peak so far, in MB
     assert suite_times.REPEATS == 9 and suite_times.SEED == 1
+
+
+def test_cold_start_times_one_command_in_a_fresh_process():
+    cold_start = _load_script("cold_start")
+    trees = cold_start.parse_trees([])
+    assert list(trees) == ["checkout"] and (trees["checkout"] / "src" / "slicereg").is_dir()
+    result = cold_start.measure(trees, ["jensen --fn deg8 --no-diagnostics"], 1)
+    timing = result["jensen --fn deg8 --no-diagnostics"]["checkout"]
+    assert 0.0 < timing["median_s"] < 60.0 and timing["iqr_s"] == 0.0 and len(timing["samples_s"]) == 1
+    assert cold_start.parse_trees(["parent=/tmp/a", "/tmp/b"]) == {"parent": Path("/tmp/a"), "b": Path("/tmp/b")}
+    assert {"python -c pass", "import numpy", "verify-ops"} <= set(cold_start.COMMANDS)
 
 
 def test_gauss_legendre_probe_times_and_checks_both_rules():

@@ -25,7 +25,6 @@ from slicereg.quaternions import I, ONE, Quaternion
 from slicereg.quadrature import (
     boundary_means,
     build_rule,
-    integrate_values,
     log_normal_values,
     oracle_orders,
     polar_rule,
@@ -43,6 +42,7 @@ from slicereg.zeros_poles import (
 from slicereg.diffops import fd_laplace4_richardson
 
 from blaschke_oracle import regularize
+from test_quadrature import integrate_values
 
 
 def real_poly(*cs):
@@ -496,8 +496,8 @@ def test_high_multiplicity_zero_is_not_a_node_hit():
 def test_escalated_diagnostic_run_memory_is_bounded():
     """jensen_check at n = 128 with diagnostics, on a zero sphere at
     0.99 r: the product-rule oracle's 1.8M nodes (orders (43, 32) on the
-    graded panels) are evaluated about ORACLE_BLOCK nodes at a time; the
-    run peaks at ~6 MB, where a flat node grid would take ~0.5 GB."""
+    graded panels) are evaluated at most ORACLE_BLOCK nodes at a time; the
+    run peaks at ~1.4 MB, where a flat node grid would take ~0.5 GB."""
     import tracemalloc
 
     rng = np.random.default_rng(3)

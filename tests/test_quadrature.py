@@ -2,7 +2,6 @@ import json
 import math
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -24,14 +23,18 @@ from slicereg.quadrature import (
     _split_parts,
     DEGENERATE_REL,
     SPHERE_MEASURE,
+    KRONECKER_STEPS,
     ORACLE_BLOCK,
+    SphereQuadratureRule,
     boundary_identity_residual,
     boundary_means,
     build_rule,
     circular_reduction,
-    integrate_values,
     log_normal_values,
+    oracle_orders,
     polar_rule,
+    s2_means,
+    s3_points,
     sf_roundtrip_errors,
     sphere_mean_log_abs,
 )
@@ -81,6 +84,12 @@ def test_rule_rejects_bad_parameters():
         build_rule(1.0, 2)
     with pytest.raises(ValueError):
         build_rule(1.0, 8, (), 3)
+
+
+def integrate_values(rule: SphereQuadratureRule, values: np.ndarray) -> float:
+    """Sum w_i v_i for values v at the rule nodes, one factor at a time:
+    the unblocked oracle of the walks over ``SphereQuadratureRule.blocks``."""
+    return rule.measure * float(np.dot(rule.polar_weights, s2_means(rule, values)))
 
 
 def integrate(rule, u) -> float:
@@ -635,9 +644,8 @@ def test_boundary_zero_detected():
 
 
 def test_sf_roundtrip_errors_small():
-    rng = np.random.default_rng(6)
     f = slice_product(SlicePolynomial.linear(I * 0.5), SlicePolynomial.linear(J * 0.5))
-    errs = sf_roundtrip_errors(f, 1.0, 200, rng)
+    errs = sf_roundtrip_errors(f, 1.0, 200, 6)
     assert len(errs) == 200
     assert float(np.max(errs)) <= 1e-9
 
@@ -714,15 +722,14 @@ def test_array_sf_conjugation_branches():
         _sf_inverse_parts(g, x, g.stem_scale(1.0))
 
 
-def _scalar_domain_points(f, r, n_points, rng):
-    """The sampler of the former scalar roundtrip: one rng.normal(size=4)
-    draw per candidate and the same guards, kept as the reference."""
+def _scalar_domain_points(f, r, n_points, seed):
+    """The sampler of the former scalar roundtrip: one ``s3_points`` row per
+    candidate, in sequence order, and the same guards, kept as the reference."""
     points = []
     attempts = 0
     while len(points) < n_points and attempts < 40 * n_points:
+        x = Quaternion.from_array(r * s3_points(attempts, 1, seed)[0])
         attempts += 1
-        d = rng.normal(size=4)
-        x = Quaternion.from_array(r * d / np.linalg.norm(d))
         p = decompose(x)
         if p.beta < 1e-3 * r:
             continue
@@ -737,42 +744,54 @@ def _scalar_domain_points(f, r, n_points, rng):
     return points
 
 
+def _seeded(seed):
+    return lambda start, count: s3_points(start, count, seed)
+
+
 def test_sf_roundtrip_samples_like_scalar_loop():
     # |F2| = 2.3e-4 |Im x| for the last function, so the guard rejects the
-    # candidates with |Im x| < 0.87, about 40%, and several batches are drawn
+    # candidates with |Im x| < 0.87, about 40%, and several chunks are walked
     guarded = SlicePolynomial([ONE, Quaternion(0.0, 0.6, 0.0, 0.8) * 2.3e-4])
     for f, r in [(f, r) for _, f, r in SF_CASES] + [(guarded, 1.0)]:
-        want = _scalar_domain_points(f, r, 300, np.random.default_rng(24))
-        got = _sf_domain_points(f, r, 300, np.random.default_rng(24))
-        assert len(want) == len(got) == 300
-        for x, row in zip(want, got):
-            assert (x - Quaternion.from_array(row)).abs() <= 1e-15
+        want = _scalar_domain_points(f, r, 300, 24)
+        x, junit, f1, f2 = _sf_domain_points(f, r, 300, _seeded(24))
+        assert len(want) == len(x[0]) == 300
+        for q, row in zip(want, np.stack(x, axis=-1)):
+            assert (q - Quaternion.from_array(row)).abs() <= 1e-15
+        # the units and stems that come back are those of the points
+        z, units = _split_parts(x)
+        for got, recomputed in zip((*junit[1:], *f1, *f2), (*units[1:], *sum(f.stem_arrays(z), ()))):
+            assert np.array_equal(got, recomputed)
         # the distances are roundoff on these points, as with the scalar maps
-        errs = sf_roundtrip_errors(f, r, 300, np.random.default_rng(24))
+        errs = sf_roundtrip_errors(f, r, 300, 24)
         assert len(errs) == 300 and np.max(errs) <= 1e-12
 
 
 def test_sf_roundtrip_guard_rejects_everything():
     f = SlicePolynomial([ONE, Quaternion.real(1e-6)])  # |F2| <= 1e-6 everywhere on the unit sphere
     # no point is in the domain: no distances, for the report to say so
-    assert _sf_domain_points(f, 1.0, 50, np.random.default_rng(25)).shape == (0, 4)
-    assert sf_roundtrip_errors(f, 1.0, 50, np.random.default_rng(25)).shape == (0,)
+    x, junit, f1, f2 = _sf_domain_points(f, 1.0, 50, _seeded(25))
+    assert all(c.shape == (0,) for c in (*x, *junit, *f1, *f2))
+    assert sf_roundtrip_errors(f, 1.0, 50, 25).shape == (0,)
     with pytest.raises(ValueError):
-        sf_roundtrip_errors(f, 1.0, 0, np.random.default_rng(25))
+        sf_roundtrip_errors(f, 1.0, 0, 25)
+
+
+class Chunks:
+    """Stands in for the seeded sequence: hands out the given rows, scaled
+    to unit length, one chunk per call, and records where each starts."""
+
+    def __init__(self, *chunks):
+        self.chunks, self.starts = list(chunks), []
+
+    def __call__(self, start, count):
+        rows = self.chunks.pop(0)
+        assert rows.shape == (count, 4)
+        self.starts.append(start)
+        return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
 def test_sf_domain_points_skip_rows_near_the_real_axis():
-    class Batches:
-        """Stands in for the generator: hands out the given rows in turn."""
-
-        def __init__(self, *batches):
-            self.batches = list(batches)
-
-        def normal(self, size):
-            rows = self.batches.pop(0)
-            assert rows.shape == size
-            return rows
-
     # beta <= 8e-5 r; for x^10 at r = 1, |F2| ~ 10 beta clears 1e-4 (1 + scale),
     # so only the beta >= 1e-3 r guard stands between these rows and S_f
     near = np.array([[1.0, 5e-5, 0.0, 0.0], [-1.0, 0.0, 5e-5, 0.0], [1.0, 3e-5, 3e-5, 3e-5], [-1.0, 0.0, 0.0, 8e-5]])
@@ -786,20 +805,61 @@ def test_sf_domain_points_skip_rows_near_the_real_axis():
     assert np.all(np.sqrt(sum(c * c for c in f2)) > 1e-4 * (1.0 + scale))
     assert np.all(np.sqrt(sum(c * c for c in _slice_value(f1, f2, junit))) > 1e-9 * (1.0 + scale))
 
-    got = _sf_domain_points(f, 1.0, 4, Batches(near, spread))
+    candidates = Chunks(near, spread)
+    got = np.stack(_sf_domain_points(f, 1.0, 4, candidates)[0], axis=-1)
+    assert candidates.starts == [0, 4]
     assert np.allclose(got, spread / np.linalg.norm(spread, axis=1)[:, None], rtol=0.0, atol=1e-15)
 
 
 def test_sf_domain_points_return_what_they_accepted():
-    # two rows of the first batch pass the guards, and the 39 batches after
-    # it lie at the real axis: the two come back after 40 batches
+    # two rows of the first chunk pass the guards, and the 39 chunks after
+    # it lie at the real axis: the two come back after 40 chunks
     near = np.array([[1.0, 5e-5, 0.0, 0.0], [-1.0, 0.0, 5e-5, 0.0], [1.0, 3e-5, 3e-5, 3e-5], [-1.0, 0.0, 0.0, 8e-5]])
     first = np.vstack([[0.3, 1.0, 0.0, 0.0], near[:2], [0.5, 0.2, 0.7, 0.1]])
-    batches = [first] + [near] * 39
-    rng = SimpleNamespace(normal=lambda size: batches.pop(0))
-    got = _sf_domain_points(SlicePolynomial([ZERO] * 10 + [ONE]), 1.0, 4, rng)
-    assert batches == []
+    candidates = Chunks(first, *[near] * 39)
+    got = np.stack(_sf_domain_points(SlicePolynomial([ZERO] * 10 + [ONE]), 1.0, 4, candidates)[0], axis=-1)
+    assert candidates.chunks == [] and candidates.starts == list(range(0, 160, 4))
     assert np.array_equal(got, first[[0, 3]] / np.linalg.norm(first[[0, 3]], axis=1)[:, None])
+
+
+# -- the seeded sample set on S^3 --------------------------------------------
+
+
+def test_kronecker_steps_are_powers_of_the_root_of_x4_eq_x_plus_1():
+    phi = mpmath.findroot(lambda x: x**4 - x - 1, 1.22)
+    assert list(KRONECKER_STEPS) == pytest.approx([float(phi**-k) for k in (1, 2, 3)], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 2**70])
+def test_s3_points_are_unit_and_reproducible(seed):
+    rows = s3_points(0, 4000, seed)
+    assert rows.shape == (4000, 4)
+    assert np.max(np.abs(np.sqrt(np.sum(rows * rows, axis=1)) - 1.0)) <= 1e-15
+    assert np.array_equal(rows, s3_points(0, 4000, seed))
+    # a chunk of a long call is the same rows as a call of its own
+    for start, count in ((0, 1), (7, 13), (1000, 1000), (3999, 1), (1234, 2049)):
+        assert np.array_equal(rows[start:start + count], s3_points(start, count, seed))
+
+
+def test_s3_points_differ_between_seeds():
+    rows = [s3_points(0, 100, seed) for seed in (0, 1, 2, 3)]
+    for a in range(4):
+        for b in range(a):
+            assert np.min(np.linalg.norm(rows[a] - rows[b], axis=1)) > 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_s3_points_cover_the_sphere_more_evenly_than_random_draws(seed):
+    """The first and second moments of the uniform measure on S^3 are 0 and
+    I/4; over 1000 rows the sequence is closer to both than 1000 seeded
+    normal draws scaled to unit length."""
+    def moment_errors(rows):
+        return np.max(np.abs(rows.mean(axis=0))), np.linalg.norm(rows.T @ rows / len(rows) - np.eye(4) / 4)
+
+    d = np.random.default_rng(seed).normal(size=(1000, 4))
+    drawn = moment_errors(d / np.linalg.norm(d, axis=1)[:, None])
+    sequence = moment_errors(s3_points(0, 1000, seed))
+    assert sequence[0] < drawn[0] and sequence[1] < drawn[1], (sequence, drawn)
 
 
 def _scalar_log_abs_stems(f, x):
@@ -872,12 +932,12 @@ def _assert_short_last_block(rule):
 def _block_edge_cases(kind):
     """(name, f, rule) whose oracle runs in >= 3 blocks, the last one
     short.  plain: every corpus case on one panel of 40 angles with the
-    q = 32 grid, 18 angles a block.  graded: near_boundary_sphere on its
-    own shadows' panels of 16 angles with the q = 24 grid, 32 a block."""
+    q = 20 grid, 11 angles a block.  graded: near_boundary_sphere on its
+    own shadows' 7 panels of 16 angles with the same grid."""
     for entry in CORPUS_CASES:
         if kind == "plain" or entry["name"] == "near_boundary_sphere":
             f, r = as_semiregular(load_function(CORPUS / entry["file"])), entry["r"]
-            rule = build_rule(r, 40, (), 32) if kind == "plain" else build_rule(r, 16, analyze(f, r).shadows, 24)
+            rule = build_rule(r, 40, (), 20) if kind == "plain" else build_rule(r, 16, analyze(f, r).shadows, 20)
             yield entry["name"], f, rule
 
 
@@ -898,7 +958,7 @@ def test_blocked_oracle_names_the_nonfinite_node():
     # f(x) = x - x_k vanishes exactly at node k, so log|f| there is -inf;
     # the nodes sit in the first block, mid-way through a later block, at
     # the start of one and at the end of the short last block
-    rule = build_rule(1.0, 40, (), 32)
+    rule = build_rule(1.0, 40, (), 20)
     _assert_short_last_block(rule)
     per_angle, per_block = len(rule.s2_weights), _block_angles(rule)
     for k in (5, (per_block + 1) * per_angle + 37, per_block * per_angle, len(rule) - 1):
@@ -925,14 +985,55 @@ def test_nonfinite_integrand_names_its_node_without_the_flat_arrays(k):
 
 
 def test_rule_blocks_walk_whole_angles_in_order():
-    for rule in (build_rule(1.0, 48), build_rule(1.0, 40, (), 32), build_rule(1.0, 16, (0.95j,), 24),
-                 build_rule(1.0, 4, (), 128)):
-        blocks = list(rule.blocks())
+    from slicereg.verify import QUADRATURE_BLOCK
+
+    rules = (build_rule(1.0, 48), build_rule(1.0, 40, (), 32), build_rule(1.0, 16, (0.95j,), 24),
+             build_rule(1.0, 4, (), 128), build_rule(1.0, 16, (0.95j,), 12))
+    for rule, max_nodes in ((rule, m) for rule in rules for m in (1, ORACLE_BLOCK, QUADRATURE_BLOCK)):
+        blocks = list(rule.blocks(max_nodes))
         angles = [range(len(rule.polar_z))[blk] for blk in blocks]
         assert [a for r in angles for a in r] == list(range(len(rule.polar_z)))
-        assert all(len(r) == max(1, _block_angles(rule)) for r in angles[:-1])
+        assert all(len(r) == max(1, max_nodes // len(rule.s2_weights)) for r in angles[:-1])
         nodes = np.concatenate([rule.block_nodes(blk).reshape(-1, 4) for blk in blocks])
         assert nodes.tobytes() == rule.nodes.tobytes()
+
+
+def _oracle_rule(name):
+    """f of the corpus case name and the rule of its oracle at n = 48."""
+    entry = next(e for e in CORPUS_CASES if e["name"] == name)
+    f, r = as_semiregular(load_function(CORPUS / entry["file"])), entry["r"]
+    p, q = oracle_orders(48)
+    return f, build_rule(r, p, analyze(f, r).shadows, q)
+
+
+@pytest.mark.parametrize("name", ["deg8_all_kinds", "remark_nonuniform"])
+def test_oracle_does_not_depend_on_its_block(name, monkeypatch):
+    """One angle per block, the oracle's own block and the whole rule in
+    one block give equal checks: no node's arithmetic depends on the walk."""
+    import slicereg.quadrature as quadrature
+
+    f, rule = _oracle_rule(name)
+    own = boundary_identity_residual(f, rule)
+    assert len(list(rule.blocks(ORACLE_BLOCK))) > 2
+    for max_nodes in (1, len(rule)):
+        monkeypatch.setattr(quadrature, "ORACLE_BLOCK", max_nodes)
+        assert boundary_identity_residual(f, rule) == own, max_nodes
+
+
+def test_oracle_memory_stays_under_2_mb():
+    """The n = 48 oracle on deg8_all_kinds: 432 polar angles of 288 units.
+    In blocks of 36 864 nodes its arrays peaked at 4.7 MB."""
+    import tracemalloc
+
+    f, rule = _oracle_rule("deg8_all_kinds")
+    boundary_identity_residual(f, rule)  # caches the S^2 grid and the Gauss-Legendre angles
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        boundary_identity_residual(f, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # -- the quadrature suite's 3-D cross-check, walked by blocks ----------------
