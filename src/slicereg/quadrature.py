@@ -23,10 +23,11 @@ with surface measure r^3 sin^2(t1) sin(t2) dt1 dt2 dp and total measure
 grid in p, spectrally exact for the periodic direction.  The rule is
 held as its two factors: the polar rule in t1 (r-dependent, graded like
 the means' rule) and an S^2 grid of 2q^2 units J (cached per q).  Every
-pass over it walks ``SphereQuadratureRule.blocks``, whole polar angles
-under a node bound of its own (the oracle's is ``ORACLE_BLOCK``), with
-S^2 means per angle, so its memory does not grow with the rule.  ``oracle_orders`` gives it orders of its
-own, below the means' n: it shares their panel edges, not their nodes.
+pass over it, the oracle's and the quadrature suite's 3-D cross-check,
+walks ``SphereQuadratureRule.blocks``: whole polar angles, at most
+``ORACLE_BLOCK`` nodes, with einsum S^2 means per angle, so its memory
+does not grow with the rule.  ``oracle_orders`` gives the oracle orders of
+its own, below the means' n: it shares their panel edges, not their nodes.
 On a polar angle's sphere the stems are constants and S_f only moves the
 unit J, so ``_identity_map`` makes f(x) and f(S_f x) there ratios of
 affine maps of J, one per angle, which ``boundary_identity_residual``
@@ -43,7 +44,7 @@ T_f).  Their pointwise oracle, the scalar S_f, T_f and S_f^{-1} on one
 quaternion at a time, lives in ``tests/test_quadrature.py``.
 
 Sampled diagnostics draw from ``s3_points``, a seeded low-discrepancy
-sequence on S^3, so no ``jensen`` run imports ``numpy.random``.
+sequence on S^3 mapped by ``shoemake``, so no command imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ SPHERE_MEASURE = 2.0 * math.pi**2  # |bd B_1|
 # S_f falls back to the conjugation branch when the spherical derivative
 # is this small relative to the stem scale
 DEGENERATE_REL = 1e-12
-# nodes the product-rule oracle evaluates at once, in whole polar angles
-# (32 angles of its S^2 grid at n = 48, q = 12): working arrays under 1 MB;
-# blocks of 9 216 to 147 456 nodes time the same at n = 48
+# nodes every walk over a product rule evaluates at once, in whole polar angles:
+# 32 of the oracle's S^2 grid at n = 48 (q = 12), 2 of the quadrature suite's
+# (q = 48); working arrays about 1 MB; oracle blocks up to 147 456 nodes time the same
 ORACLE_BLOCK = 32 * 2 * 12**2
 
 
@@ -121,7 +122,9 @@ class SphereQuadratureRule:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return self.block_nodes(slice(None)).reshape(-1, 4)
+        nodes = self.polar_z.imag[:, None, None] * self.s2_units
+        nodes[..., 0] = self.polar_z.real[:, None]
+        return nodes.reshape(-1, 4)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -134,12 +137,6 @@ class SphereQuadratureRule:
         """Slices of whole polar angles, at most max_nodes nodes (one angle at least)."""
         angles = max(1, max_nodes // len(self.s2_weights))
         return (slice(lo, lo + angles) for lo in range(0, len(self.polar_z), angles))
-
-    def block_nodes(self, blk: slice) -> np.ndarray:
-        """The (b, 2q^2, 4) nodes of the polar angles blk, rows of ``nodes``."""
-        nodes = self.polar_z[blk].imag[:, None, None] * self.s2_units
-        nodes[..., 0] = self.polar_z[blk].real[:, None]
-        return nodes
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,15 +238,16 @@ def oracle_orders(n: int) -> tuple[int, int]:
     return max(MIN_ORDER, -(-n // 3)), max(MIN_ORDER, -(-n // 4))
 
 
-def s2_means(rule: SphereQuadratureRule, values: np.ndarray, first: int = 0, means: np.ndarray | None = None) -> np.ndarray:
-    """S^2 means (``values @ s2_weights`` unless given) of values at the nodes
-    of the polar angles first, first + 1, ...; a non-finite value raises, naming its node."""
+def s2_means(rule: SphereQuadratureRule, values: np.ndarray, first: int = 0) -> np.ndarray:
+    """S^2 means of values at the nodes of the polar angles first, first + 1, ...,
+    by einsum: a row's mean does not depend on the rows beside it.  A non-finite value raises, naming its node."""
     values = values.reshape(-1, len(rule.s2_weights))
-    means = values @ rule.s2_weights if means is None else means
+    means = np.einsum("km,m->k", values, rule.s2_weights)
     if not np.all(np.isfinite(means)) and not np.all(np.isfinite(values)):
         k = first * values.shape[1] + int(np.argmax(~np.isfinite(values)))
         angle, unit = divmod(k, values.shape[1])
-        node = Quaternion.from_array(rule.block_nodes(slice(angle, angle + 1))[0, unit])
+        z = rule.polar_z[angle]
+        node = Quaternion.from_array(np.append(z.real, z.imag * rule.s2_units[unit, 1:]))
         raise NonFiniteIntegrandError(f"integrand not finite at node {k} = {node}; a zero or pole "
                                       "sits on or near the integration sphere", node=node)
     return means
@@ -501,7 +499,7 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule, nnum: np.ndarray |
     for blk in rule.blocks(ORACLE_BLOCK):
         log_fx, log_fy = _log_abs_f_and_f_sf(np.ascontiguousarray(maps[:, blk]), units)
         for row, values in zip(sphere_means, (log_fx, log_fy)):
-            row[blk] = s2_means(rule, values, blk.start, np.einsum("km,m->k", values, rule.s2_weights))
+            row[blk] = s2_means(rule, values, blk.start)
         identity = max(identity, float(np.max(np.abs(log_n[blk] - log_fx - log_fy))))
     mean_fx, mean_fy = sphere_means @ rule.polar_weights
     return ProductRuleCheck(BoundaryMeans(float(mean_fx), float(mean_fy)), identity)
@@ -515,16 +513,21 @@ KRONECKER_STEPS = 1.2207440846057596 ** -np.arange(1.0, 4.0)
 _SEED_STEPS = (0x6A09E667F3BCC908, 0xBB67AE8584CAA73B, 0x3C6EF372FE94F82B)
 
 
+def shoemake(u1, u2, u3) -> tuple:
+    """Shoemake's measure-preserving map of [0, 1)^3 onto the unit quaternions, as parts:
+    (sqrt(1 - u1) sin 2 pi u2, sqrt(1 - u1) cos 2 pi u2, sqrt(u1) sin 2 pi u3, sqrt(u1) cos 2 pi u3)."""
+    a, b, t2, t3 = np.sqrt(1.0 - u1), np.sqrt(u1), 2.0 * math.pi * u2, 2.0 * math.pi * u3
+    return a * np.sin(t2), a * np.cos(t2), b * np.sin(t3), b * np.cos(t3)
+
+
 def s3_points(start: int, count: int, seed: int) -> np.ndarray:
     """Rows k = start, ..., start + count - 1 of one seeded sequence of unit
     quaternions: u_k = frac(1/2 + k KRONECKER_STEPS + shift(seed)) through
-    Shoemake's measure-preserving map (sqrt(1 - u1) sin 2 pi u2, sqrt(1 - u1)
-    cos 2 pi u2, sqrt(u1) sin 2 pi u3, sqrt(u1) cos 2 pi u3).  A shifted
-    Kronecker sequence is one again, so every seed covers S^3 as evenly."""
+    ``shoemake``.  A shifted Kronecker sequence is one again, so every seed
+    covers S^3 as evenly."""
     shift = np.array([seed * c % 2**64 / 2**64 for c in _SEED_STEPS])
     u = (0.5 + np.arange(start, start + count, dtype=float)[:, None] * KRONECKER_STEPS + shift) % 1.0
-    a, b, t2, t3 = np.sqrt(1.0 - u[:, 0]), np.sqrt(u[:, 0]), 2.0 * math.pi * u[:, 1], 2.0 * math.pi * u[:, 2]
-    return np.stack([a * np.sin(t2), a * np.cos(t2), b * np.sin(t3), b * np.cos(t3)], axis=-1)
+    return np.stack(shoemake(*u.T), axis=-1)
 
 
 def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int], np.ndarray]):

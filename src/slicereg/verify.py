@@ -13,17 +13,20 @@ step: its cases are the centres, with a step each, and a ``SliceStack``
 gives each centre its own polynomial.  The exact sides stay one case
 at a time.
 
-The random corpora are shaped so the identities are exercised away from
-degenerate configurations: points keep |Im x| >= 0.25 (the angular
-operators lose meaning on the real axis), bilaplacian polynomials have
-degree >= 6 (lower degrees are annihilated exactly by the stencils and
-leave nothing to converge), and log|N(f)| is probed at points well
-separated from the zero set.
+The corpora come from ``Stream`` (standard-library Mersenne Twister draws,
+so no suite imports ``numpy.random``), shaped so the identities are
+exercised away from degenerate configurations: points keep |Im x| >= 0.25
+(the angular operators lose meaning on the real axis), bilaplacian
+polynomials have degree >= 6 (lower degrees are annihilated exactly by the
+stencils and leave nothing to converge), and log|N(f)| is probed at points
+well separated from the zero set.  The quadrature suite forms each N(f)
+once and walks the product rule in blocks of ``ORACLE_BLOCK`` nodes.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -31,10 +34,10 @@ import numpy as np
 
 from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, fd_laplace4_richardson
 from .jensen import delta4_logNf_at0
-from .quadrature import build_rule, log_normal_values, s2_means
+from .quadrature import ORACLE_BLOCK, build_rule, s2_means, shoemake
 from .quaternions import Quaternion, decompose, qmul_parts
-from .slicepoly import SlicePolynomial, SliceStack, log_abs, normal, spherical_derivative, spherical_value
-from .zeros_poles import characteristic_poly, classify_zeros, total_multiplicity
+from .slicepoly import SlicePolynomial, SliceStack, horner, log_abs, normal, spherical_derivative, spherical_value
+from .zeros_poles import characteristic_poly, classify_zeros, normal_coeffs, total_multiplicity
 
 __all__ = ["SuiteResult", "ResidualRow", "run_suite", "SUITES", "SUITE_ORDER"]
 
@@ -46,8 +49,6 @@ TOL_MEASURE_REL = 1e-10
 TOL_CROSS_METHOD = 1e-12
 # x -> ROTATION x is an isometry of R^4 that makes circular integrands non-circular
 ROTATION = Quaternion(1.0, 2.0, 3.0, 4.0) / math.sqrt(30.0)
-# nodes the 3-D cross-check rotates at once: 8 angles of the q = 48 grid (5 Horner passes a block)
-QUADRATURE_BLOCK = 8 * 2 * 48**2
 
 
 @dataclass(frozen=True)
@@ -85,37 +86,56 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_poly(rng: np.random.Generator, lo: int, hi: int, decay: float = 0.5) -> SlicePolynomial:
-    deg = int(rng.integers(lo, hi + 1))
-    coeffs = []
-    for m in range(deg + 1):
-        coeffs.append(Quaternion.from_array(rng.uniform(-1.0, 1.0, 4) * decay**m))
+class Stream:
+    """Seeded draws from ``random.Random(seed).random()``, the one sequence
+    CPython keeps across versions for an integer seed: lo + (hi - lo) u for a
+    uniform, lo + floor((hi - lo) u) for an integer in [lo, hi), and a unit
+    quaternion, uniform on S^3, from three u through ``shoemake``."""
+
+    def __init__(self, seed: int):
+        self._next = random.Random(seed).random
+
+    def uniform(self, lo: float, hi: float, size: int | None = None):
+        if size is None:
+            return lo + (hi - lo) * self._next()
+        return np.array([self.uniform(lo, hi) for _ in range(size)])
+
+    def integer(self, lo: int, hi: int) -> int:
+        return lo + int((hi - lo) * self._next())
+
+    def choice(self, items):
+        return items[self.integer(0, len(items))]
+
+    def unit(self) -> Quaternion:
+        return Quaternion(*map(float, shoemake(self._next(), self._next(), self._next())))
+
+
+def _random_poly(stream: Stream, lo: int, hi: int, decay: float = 0.5) -> SlicePolynomial:
+    deg = stream.integer(lo, hi + 1)
+    coeffs = [Quaternion.from_array(stream.uniform(-1.0, 1.0, 4) * decay**m) for m in range(deg + 1)]
     lead = coeffs[-1]
     if lead.abs() < 0.25 * decay**deg:
         coeffs[-1] = lead + Quaternion.real(0.5 * decay**deg)
     return SlicePolynomial(coeffs)
 
 
-def _random_point(rng: np.random.Generator, rmin: float = 0.4, rmax: float = 1.2, beta_min: float = 0.25) -> Quaternion:
+def _random_point(stream: Stream, rmin: float = 0.4, rmax: float = 1.2, beta_min: float = 0.25) -> Quaternion:
     while True:
-        v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        x = Quaternion.from_array(v * rng.uniform(rmin, rmax))
+        x = stream.unit() * stream.uniform(rmin, rmax)
         if x.abs_im() >= beta_min:
             return x
 
 
-def _product_poly(rng: np.random.Generator, rmin: float, rmax: float, max_factors: int = 4):
+def _product_poly(stream: Stream, rmin: float, rmax: float, max_factors: int = 4):
     """(f, c, [q_1, ..., q_k]) for f = c (x - q_1) * ... * (x - q_k) with q_k in
     an annulus: f(0) != 0 and the zeros are known by construction."""
-    c = Quaternion.from_array(rng.uniform(-1, 1, 4))
+    c = Quaternion.from_array(stream.uniform(-1.0, 1.0, 4))
     if c.abs() < 0.3:
         c = c + Quaternion.real(0.5)
     f = SlicePolynomial([c])
     roots = []
-    for _ in range(int(rng.integers(1, max_factors + 1))):
-        root = Quaternion.from_array(rng.normal(size=4))
-        roots.append(root * (rng.uniform(rmin, rmax) / root.abs()))
+    for _ in range(stream.integer(1, max_factors + 1)):
+        roots.append(stream.unit() * stream.uniform(rmin, rmax))
         f = f * SlicePolynomial.linear(roots[-1])
     return f, c, roots
 
@@ -216,8 +236,8 @@ def suite_crf(seed: int, n_cases: int = 20) -> SuiteResult:
     """Cauchy-Riemann-Fueter identities, including the conjugated
     operator and the circular-function variant with a nonvanishing
     d/dx^c side."""
-    rng = np.random.default_rng(seed)
-    cases = [(_random_poly(rng, 2, 4, decay=0.25), _random_point(rng, 0.4, 0.85)) for _ in range(n_cases)]
+    stream = Stream(seed)
+    cases = [(_random_poly(stream, 2, 4, decay=0.25), _random_point(stream, 0.4, 0.85)) for _ in range(n_cases)]
 
     identities = [
         (
@@ -246,8 +266,8 @@ def suite_crf(seed: int, n_cases: int = 20) -> SuiteResult:
 
 
 def suite_gamma(seed: int, n_cases: int = 20) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    cases = [(_random_poly(rng, 2, 4, decay=0.25), _random_point(rng, 0.4, 0.85)) for _ in range(n_cases)]
+    stream = Stream(seed)
+    cases = [(_random_poly(stream, 2, 4, decay=0.25), _random_point(stream, 0.4, 0.85)) for _ in range(n_cases)]
     identities = [
         (
             "gamma(f) = 2 Im(x) f'_s",
@@ -261,8 +281,8 @@ def suite_gamma(seed: int, n_cases: int = 20) -> SuiteResult:
 def suite_harmonic(seed: int, n_cases: int = 20) -> SuiteResult:
     """Harmonicity of the spherical derivative; degree >= 6 so the
     stencil is not exact on the integrand."""
-    rng = np.random.default_rng(seed)
-    cases = [(_random_poly(rng, 6, 7, decay=0.3), _random_point(rng, 0.4, 0.9)) for _ in range(n_cases)]
+    stream = Stream(seed)
+    cases = [(_random_poly(stream, 6, 7, decay=0.3), _random_point(stream, 0.4, 0.9)) for _ in range(n_cases)]
     identities = [
         (
             "laplace4(f'_s) = 0",
@@ -302,8 +322,8 @@ def _bilaplacian_suite(name: str, cases, u) -> SuiteResult:
 def suite_biharmonic(seed: int, n_cases: int = 20) -> SuiteResult:
     """Slice-regular functions are biharmonic; also dbar of the
     finite-difference laplacian vanishes."""
-    rng = np.random.default_rng(seed)
-    cases = [(_random_poly(rng, 6, 8, decay=0.45), _random_point(rng, 0.3, 0.8)) for _ in range(n_cases)]
+    stream = Stream(seed)
+    cases = [(_random_poly(stream, 6, 8, decay=0.45), _random_point(stream, 0.3, 0.8)) for _ in range(n_cases)]
     stack = SliceStack(f for f, _ in cases)
     result = _bilaplacian_suite("bilaplace4(f)", cases, stack.eval_parts)
 
@@ -331,22 +351,19 @@ def suite_biharmonic(seed: int, n_cases: int = 20) -> SuiteResult:
 def suite_bilaplacian_logn(seed: int, n_cases: int = 20) -> SuiteResult:
     """log|N(f)| is biharmonic away from the zero set; zeros are placed
     outside an annulus around the evaluation points."""
-    rng = np.random.default_rng(seed)
-    cases = []
-    for _ in range(n_cases):
-        f, _, _ = _product_poly(rng, 2.2, 3.0, max_factors=3)
-        x = _random_point(rng, 0.3, 0.6, beta_min=0.15)
-        cases.append((f, x))
+    stream = Stream(seed)
+    cases = [(_product_poly(stream, 2.2, 3.0, max_factors=3)[0], _random_point(stream, 0.3, 0.6, beta_min=0.15))
+             for _ in range(n_cases)]
     return _bilaplacian_suite("bilaplace4(log|N(f)|)", cases, partial(log_abs, SliceStack(normal(f) for f, _ in cases)))
 
 
 def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
     """Closed-form Laplacian of log|N(f)| at 0 against Richardson FD,
     plus the analytic anchor at f = x + 1 (exact value 4)."""
-    rng = np.random.default_rng(seed)
+    stream = Stream(seed)
     rows: list[ResidualRow] = []
     worst = 0.0
-    polys = [_product_poly(rng, 0.8, 1.8)[0] for _ in range(n_cases)]
+    polys = [_product_poly(stream, 0.8, 1.8)[0] for _ in range(n_cases)]
     origin = (np.zeros(n_cases),) * 4  # one centre per case
     fd = fd_laplace4_richardson(partial(log_abs, SliceStack(normal(f) for f in polys)), origin, 3e-2)[0]
     for idx, f in enumerate(polys):
@@ -370,7 +387,7 @@ def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
 
 
 def suite_quadrature(seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+    stream = Stream(seed)
     rows: list[ResidualRow] = []
     worst_measure = 0.0
     for r in (0.8, 1.0, 1.5, 2.0):
@@ -379,22 +396,25 @@ def suite_quadrature(seed: int) -> SuiteResult:
             rel = abs(float(np.sum(rule.polar_weights)) * float(np.sum(rule.s2_weights)) - 1.0)
             worst_measure = max(worst_measure, rel)
             rows.append(ResidualRow("sum(w) vs 2 pi^2 r^3", n, [r, 0.0, 0.0, 0.0], 0.0, rel, 0))
-    # mean log|N(f)| at n = 48 against its closed form: by the polar rule, and by
-    # the 3-D rule, walked by blocks, on x -> log|N(f)(u x)|, which has the same mean
+    # mean log|N(f)| at n = 48 against its closed form: by the polar rule, and by the 3-D rule, walked by
+    # blocks, on x -> log|N(f)(u x)|, which has the same mean; u (alpha_k + J beta_k) = alpha_k u + beta_k (u J)
     worst_cross = 0.0
     r, n = 1.0, 48
     rule = build_rule(r, n)
-    cases = [_product_poly(rng, 0.3, 0.6, max_factors=3) for _ in range(5)]
+    cases = [_product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
+    nnums = [normal_coeffs(f) for f, _, _ in cases]  # f is a polynomial: log|N(f)| = log|horner(nnum)|
+    u, uj = ROTATION.components(), qmul_parts(ROTATION.components(), tuple(rule.s2_units.T))
     sphere_means = np.empty((len(cases), len(rule.polar_z)))
-    for blk in rule.blocks(QUADRATURE_BLOCK):
-        ux = qmul_parts(ROTATION.components(), tuple(rule.block_nodes(blk).reshape(-1, 4).T))
+    for blk in rule.blocks(ORACLE_BLOCK):
+        alpha, beta = rule.polar_z[blk].real[:, None], rule.polar_z[blk].imag[:, None]
+        ux = [alpha * a + beta * b for a, b in zip(u, uj)]
         z_rotated = ux[0] + 1j * np.sqrt(ux[1] * ux[1] + ux[2] * ux[2] + ux[3] * ux[3])
-        sphere_means[:, blk] = [s2_means(rule, log_normal_values(f, z_rotated), blk.start) for f, _, _ in cases]
-    for idx, ((f, c, roots), means) in enumerate(zip(cases, sphere_means)):
+        sphere_means[:, blk] = [s2_means(rule, np.log(np.abs(horner(nnum, z_rotated))), blk.start) for nnum in nnums]
+    for idx, ((f, c, roots), nnum, means) in enumerate(zip(cases, nnums, sphere_means)):
         # N(f) = |c|^2 N(x - q_1) ... N(x - q_k), with roots Re q +- i |Im q|
         shadows = [complex(q.re(), q.abs_im()) for q in roots]
         exact = exact_mean_log_abs(c.norm2(), shadows + [s.conjugate() for s in shadows], r)
-        polar = float(np.dot(rule.polar_weights, log_normal_values(f, rule.polar_z)))
+        polar = float(np.dot(rule.polar_weights, np.log(np.abs(horner(nnum, rule.polar_z)))))
         full = rule.measure * float(np.dot(rule.polar_weights, means)) / rule.measure  # the integral / |bd B_r|
         for identity, mean in (("polar rule vs exact (mean log|N|)", polar), ("3D rule vs exact (mean log|N(u x)|)", full)):
             rows.append(ResidualRow(identity, idx, [r, 0, 0, 0], 0.0, abs(mean - exact), 0))
@@ -415,7 +435,7 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
     deliberate repetitions.  f's multiplicities come from its one
     ``classify_zeros`` pass; N(f)'s are counted by division at each
     zero's representative, so each case root-finds one polynomial."""
-    rng = np.random.default_rng(seed)
+    stream = Stream(seed)
     rows: list[ResidualRow] = []
     failures = 0
     for idx in range(n_cases):
@@ -423,17 +443,18 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
         reals = [0.5, -0.6]
         points = [Quaternion(0.3, 0.7, 0.0, 0.0), Quaternion(-0.4, 0.0, 0.5, 0.0)]
         f = SlicePolynomial.from_real([1.0])
-        for _ in range(int(rng.integers(2, 5))):
-            kind = rng.integers(0, 3)
+        for _ in range(stream.integer(2, 5)):
+            kind = stream.integer(0, 3)
             if kind == 0:
-                f = f * SlicePolynomial.from_real([-rng.choice(reals), 1.0])
+                f = f * SlicePolynomial.from_real([-stream.choice(reals), 1.0])
             elif kind == 1:
-                f = f * SlicePolynomial.linear(points[int(rng.integers(0, 2))])
+                f = f * SlicePolynomial.linear(stream.choice(points))
             else:
-                f = f * characteristic_poly(points[int(rng.integers(0, 2))])
+                f = f * characteristic_poly(stream.choice(points))
         nf = normal(f)
+        zpoly = (f.real_coeffs(), 1) if f.is_slice_preserving() else (nf.real_coeffs(), 2)  # _zero_polynomial(f)
         gaps = []
-        for rec in classify_zeros(f):
+        for rec in classify_zeros(f, zpoly):
             gaps.append(abs(total_multiplicity(nf, rec.representative) - 2 * rec.multiplicity))
             rows.append(ResidualRow(f"m_N = 2 m_f at ({rec.alpha:.3g},{rec.beta:.3g})", idx,
                                     list(rec.representative.components()), 0.0, gaps[-1], 0))

@@ -25,7 +25,7 @@ from slicereg.slicepoly import (
     spherical_derivative,
     spherical_value,
 )
-from slicereg.verify import _product_poly, _random_point, _random_poly
+from slicereg.verify import Stream, _product_poly, _random_point, _random_poly
 
 
 def _norm2(x):
@@ -273,15 +273,15 @@ def _integrands(seed):
     zeros of f well away from the point, and the spherical derivative,
     which takes parts and Quaternions alike (its Quaternion case is held
     to the former scalar code in tests/test_slicepoly.py)."""
-    rng = np.random.default_rng(seed)
-    f = _random_poly(rng, 6, 8, decay=0.45)
-    g, _, _ = _product_poly(rng, 2.2, 3.0, max_factors=3)
+    stream = Stream(seed)
+    f = _random_poly(stream, 6, 8, decay=0.45)
+    g, _, _ = _product_poly(stream, 2.2, 3.0, max_factors=3)
     ng = normal(g)
     sd = partial(spherical_derivative, f)
     return [
-        ("f", f.eval_parts, partial(_scalar_horner, f), _random_point(rng, 0.3, 0.8)),
-        ("log|N(f)|", partial(log_abs, ng), partial(_scalar_log_abs, ng), _random_point(rng, 0.3, 0.6, beta_min=0.15)),
-        ("f'_s", sd, sd, _random_point(rng, 0.4, 0.9)),
+        ("f", f.eval_parts, partial(_scalar_horner, f), _random_point(stream, 0.3, 0.8)),
+        ("log|N(f)|", partial(log_abs, ng), partial(_scalar_log_abs, ng), _random_point(stream, 0.3, 0.6, beta_min=0.15)),
+        ("f'_s", sd, sd, _random_point(stream, 0.4, 0.9)),
     ]
 
 
@@ -331,7 +331,7 @@ def test_composed_crf_of_laplacian_matches_scalar_reference_bitwise():
 
 
 def test_composed_stencils_make_one_integrand_call():
-    f = _random_poly(np.random.default_rng(4), 6, 8)
+    f = _random_poly(Stream(4), 6, 8)
     sizes = []
 
     def u(x):
@@ -346,10 +346,10 @@ def test_composed_stencils_make_one_integrand_call():
 
 
 def test_parts_horner_matches_scalar_loop_bitwise():
-    rng = np.random.default_rng(11)
-    polys = [_random_poly(rng, lo, lo + 2) for lo in (0, 3, 6)]
+    stream = Stream(11)
+    polys = [_random_poly(stream, lo, lo + 2) for lo in (0, 3, 6)]
     polys += [SlicePolynomial([]), SlicePolynomial([Quaternion(1, 2, 0, 0), ONE]), normal(polys[-1])]
-    points = [_random_point(rng, 0.1, 1.5, beta_min=0.0) for _ in range(12)] + [Quaternion.real(0.7)]
+    points = [_random_point(stream, 0.1, 1.5, beta_min=0.0) for _ in range(12)] + [Quaternion.real(0.7)]
     parts = tuple(np.array(c) for c in zip(*(x.components() for x in points)))
     for f in polys:
         batched = f.eval_parts(parts)
@@ -365,8 +365,7 @@ def test_batched_log_abs_matches_scalar_and_raises_on_zero_sphere():
     nf = normal(SlicePolynomial.linear(q) * SlicePolynomial.from_real([0.5, 1.0]))
     beta = q.abs_im()
     on_sphere = [q, Quaternion(q.w, beta, 0.0, 0.0), Quaternion(q.w, 0.0, 0.0, -beta)]
-    rng = np.random.default_rng(5)
-    off_sphere = [_random_point(rng, 0.2, 1.4, beta_min=0.0) for _ in range(20)]
+    off_sphere = [_random_point(Stream(5), 0.2, 1.4, beta_min=0.0) for _ in range(20)]
     off_sphere += [Quaternion.real(0.3), Quaternion(0.3, 1e-20, 0.0, 0.0)]  # real and numerically real
     off = tuple(np.array(c) for c in zip(*(x.components() for x in off_sphere)))
     assert log_abs(nf, off).tolist() == [_scalar_log_abs(nf, x) for x in off_sphere]
@@ -391,10 +390,10 @@ def _per_centre_integrands(seed, m=6):
     and the m points: polynomials of degree 2..8 mixed in one SliceStack,
     log|N| of products whose zeros lie 2.2-3 from the origin, and the
     spherical derivative and value, which take parts and Quaternions alike."""
-    rng = np.random.default_rng(seed)
-    polys = [_random_poly(rng, 2 + j, 3 + j, decay=0.45) for j in range(m)]
-    normals = [normal(_product_poly(rng, 2.2, 3.0, max_factors=3)[0]) for _ in range(m)]
-    points = [_random_point(rng, 0.3, 0.6, beta_min=0.15) for _ in range(m)]
+    stream = Stream(seed)
+    polys = [_random_poly(stream, 2 + j, 3 + j, decay=0.45) for j in range(m)]
+    normals = [normal(_product_poly(stream, 2.2, 3.0, max_factors=3)[0]) for _ in range(m)]
+    points = [_random_point(stream, 0.3, 0.6, beta_min=0.15) for _ in range(m)]
     stack = SliceStack(polys)
     assert len({f.degree for f in polys}) > 2 and stack.coeffs.shape == (max(f.degree for f in polys) + 1, 4, m)
     integrands = [
@@ -473,3 +472,86 @@ def test_fd_suites_make_one_stencil_call_per_identity_and_step(monkeypatch, suit
         SUITES[suite](1, n_cases=n_cases)
         assert len(seen) == calls, n_cases
         assert all(size % n_cases == 0 for size in seen)  # every call takes all the cases
+
+
+# ---------------------------------------------------------------------------
+# the seeded stream the suites draw their corpora from
+# ---------------------------------------------------------------------------
+
+
+def _corpus(stream):
+    """One draw of each kind the suites make, as components."""
+    f = _random_poly(stream, 2, 8)
+    g, c, roots = _product_poly(stream, 0.3, 0.6)
+    quaternions = (*f.coeffs, *g.coeffs, c, *roots, _random_point(stream), stream.unit())
+    return [q.components() for q in quaternions] + [stream.integer(2, 5), stream.choice([0.5, -0.6, 2.0])]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_stream_gives_one_corpus_per_seed(seed):
+    assert _corpus(Stream(seed)) == _corpus(Stream(seed))
+
+
+def test_stream_corpora_differ_between_seeds():
+    corpora = [_corpus(Stream(seed)) for seed in range(4)]
+    units = [np.array(Stream(seed).unit().components()) for seed in range(4)]
+    for a in range(4):
+        for b in range(a):
+            assert corpora[a] != corpora[b]
+            assert np.linalg.norm(units[a] - units[b]) > 1e-3
+
+
+def test_stream_units_are_unit_and_uniform():
+    """Unit to 1e-15, with the first and second moments of the uniform
+    measure on S^3, 0 and I/4, within 5 standard deviations over 4000 draws."""
+    stream = Stream(3)
+    units = np.array([stream.unit().components() for _ in range(4000)])
+    assert np.max(np.abs(np.linalg.norm(units, axis=1) - 1.0)) <= 1e-15
+    assert np.max(np.abs(units.mean(axis=0))) < 5 * 0.5 / math.sqrt(4000)
+    assert np.max(np.abs(units.T @ units / len(units) - np.eye(4) / 4)) < 5 * 0.25 / math.sqrt(4000)
+
+
+def test_stream_draws_are_the_documented_maps_of_the_random_sequence():
+    import random
+
+    from slicereg.quadrature import shoemake
+
+    u, stream = random.Random(5).random, Stream(5)
+    v = u()
+    assert stream.uniform(-2.0, 3.0) == -2.0 + 5.0 * v
+    v = [u() for _ in range(4)]
+    assert stream.uniform(-1.0, 1.0, 4).tolist() == [-1.0 + 2.0 * w for w in v]
+    v = u()
+    assert stream.integer(2, 5) == 2 + math.floor(3 * v)
+    v = u()
+    assert stream.choice("abc") == "abc"[math.floor(3 * v)]
+    u1, u2, u3 = u(), u(), u()
+    unit = stream.unit().components()
+    assert unit == tuple(float(c) for c in shoemake(u1, u2, u3))
+    a, b = math.sqrt(1.0 - u1), math.sqrt(u1)
+    written_out = (a * math.sin(2 * math.pi * u2), a * math.cos(2 * math.pi * u2),
+                   b * math.sin(2 * math.pi * u3), b * math.cos(2 * math.pi * u3))
+    assert max(abs(p - q) for p, q in zip(unit, written_out)) <= 1e-15
+    assert stream.uniform(0.0, 1.0) == u()  # and the sequence goes on in step
+    assert {stream.integer(2, 5) for _ in range(200)} == {2, 3, 4}
+
+
+def test_multiplicity_suite_forms_each_normal_once(monkeypatch):
+    """classify_zeros takes the suite's zero polynomial, so N(f) is formed
+    once per case; the rows are those of classify_zeros forming it again."""
+    import slicereg.verify as verify
+    import slicereg.zeros_poles as zeros_poles
+
+    own = verify.suite_multiplicity(1)
+    formed = []
+
+    def counted(f):
+        formed.append(f)
+        return normal(f)
+
+    monkeypatch.setattr(verify, "normal", counted)
+    monkeypatch.setattr(zeros_poles, "normal", counted)
+    assert verify.suite_multiplicity(1).rows == own.rows
+    assert len(formed) == 50 and not all(f.is_slice_preserving() for f in formed)
+    monkeypatch.setattr(verify, "classify_zeros", lambda f, zpoly: zeros_poles.classify_zeros(f))
+    assert verify.suite_multiplicity(1).rows == own.rows

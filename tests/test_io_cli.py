@@ -441,6 +441,22 @@ def test_jensen_diagnostics_never_import_numpy_random():
     assert out.stdout.splitlines()[-1] == "False"
 
 
+def test_verify_ops_never_imports_numpy_random():
+    # the suites draw their corpora from verify.Stream, over the standard
+    # library's random module, so verify-ops does not load numpy's
+    import os
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = ("import os, sys\n"
+            "from slicereg.cli import main\n"
+            "main(['verify-ops', '--suite', 'all', '--seed', '7', '--out', os.devnull])\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_jensen_and_the_parser_never_import_the_verification_suites():
     # only verify-ops needs slicereg.verify and the finite-difference stencils
     import os

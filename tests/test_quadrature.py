@@ -985,17 +985,13 @@ def test_nonfinite_integrand_names_its_node_without_the_flat_arrays(k):
 
 
 def test_rule_blocks_walk_whole_angles_in_order():
-    from slicereg.verify import QUADRATURE_BLOCK
-
     rules = (build_rule(1.0, 48), build_rule(1.0, 40, (), 32), build_rule(1.0, 16, (0.95j,), 24),
              build_rule(1.0, 4, (), 128), build_rule(1.0, 16, (0.95j,), 12))
-    for rule, max_nodes in ((rule, m) for rule in rules for m in (1, ORACLE_BLOCK, QUADRATURE_BLOCK)):
+    for rule, max_nodes in ((rule, m) for rule in rules for m in (1, ORACLE_BLOCK, 8 * 2 * 48**2)):
         blocks = list(rule.blocks(max_nodes))
         angles = [range(len(rule.polar_z))[blk] for blk in blocks]
         assert [a for r in angles for a in r] == list(range(len(rule.polar_z)))
         assert all(len(r) == max(1, max_nodes // len(rule.s2_weights)) for r in angles[:-1])
-        nodes = np.concatenate([rule.block_nodes(blk).reshape(-1, 4) for blk in blocks])
-        assert nodes.tobytes() == rule.nodes.tobytes()
 
 
 def _oracle_rule(name):
@@ -1054,7 +1050,8 @@ def test_quadrature_suite_never_builds_flat_rule_arrays(monkeypatch):
 
 def test_quadrature_suite_memory_does_not_grow_with_the_rule():
     """The n = 48 product rule has 221 184 nodes; as flat arrays with
-    their rotation and shadows the suite peaked at 23 MB."""
+    their rotation and shadows the suite peaked at 23 MB, and in blocks of
+    36 864 nodes at 4.4 MB."""
     import tracemalloc
 
     from slicereg.verify import run_suite
@@ -1065,24 +1062,53 @@ def test_quadrature_suite_memory_does_not_grow_with_the_rule():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.passed and peak < 8 * 2**20
+    assert result.passed and peak < 1.5 * 2**20
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_quadrature_suite_blocked_means_match_unblocked_rule(seed):
+def test_quadrature_suite_blocked_means_match_unblocked_rule(seed, monkeypatch):
+    """The suite's 3-D rows against the flat rule, bit for bit: it draws the
+    polynomials of its seed's stream, and rotating every node at once by
+    alpha u + beta (u J), log|N(f)| by ``log_normal_values`` and einsum S^2
+    means give its residuals."""
+    import slicereg.verify as verify
     from slicereg.quaternions import qmul_parts
-    from slicereg.verify import ROTATION, _product_poly, suite_quadrature
+    from slicereg.zeros_poles import normal_coeffs
 
-    rows = [row for row in suite_quadrature(seed).rows if row.identity.startswith("3D rule")]
-    rng = np.random.default_rng(seed)  # the suite's draws, in its order
+    product_poly, drawn = verify._product_poly, []
+
+    def recorded(*args, **kwargs):
+        drawn.append(product_poly(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "_product_poly", recorded)
+    rows = [row for row in verify.suite_quadrature(seed).rows if row.identity.startswith("3D rule")]
+    stream = verify.Stream(seed)  # the suite's draws, in its order
+    cases = [product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
+    assert [(f.coeffs, c, roots) for f, c, roots in drawn] == [(f.coeffs, c, roots) for f, c, roots in cases]
     rule = build_rule(1.0, 48)
-    ux = qmul_parts(ROTATION.components(), tuple(rule.nodes.T))
+    u = verify.ROTATION.components()
+    ux = [rule.alpha * a + rule.beta * b for a, b in zip(u, qmul_parts(u, tuple(rule.junits.T)))]
+    direct = qmul_parts(u, tuple(rule.nodes.T))  # u x by one product per node: equal to roundoff
+    assert max(float(np.max(np.abs(a - b))) for a, b in zip(ux, direct)) <= 1e-15
     z_rotated = ux[0] + 1j * np.sqrt(ux[1] * ux[1] + ux[2] * ux[2] + ux[3] * ux[3])
     assert len(rows) == 5
-    for row in rows:
-        f, c, roots = _product_poly(rng, 0.3, 0.6, max_factors=3)
+    for row, (f, c, roots) in zip(rows, cases):
         shadows = [complex(q.re(), q.abs_im()) for q in roots]
         exact = exact_mean_log_abs(c.norm2(), shadows + [s.conjugate() for s in shadows], 1.0)
-        # the unblocked route over the flat rule, as the oracle
-        full = integrate_values(rule, log_normal_values(f, z_rotated)) / rule.measure
-        assert abs(row.residual - abs(full - exact)) <= 1e-15, row.case
+        values = log_normal_values(f, z_rotated)
+        assert np.array_equal(values, np.log(np.abs(horner(normal_coeffs(f), z_rotated))))  # the suite's hoisted N(f)
+        full = integrate_values(rule, values) / rule.measure
+        assert row.residual == abs(full - exact), row.case
+
+
+def test_quadrature_suite_rows_do_not_depend_on_the_block(monkeypatch):
+    """One polar angle per block, ``ORACLE_BLOCK`` (2 angles of q = 48) and
+    the whole rule in one block give equal rows."""
+    import slicereg.verify as verify
+
+    own = verify.suite_quadrature(1)
+    assert len(list(build_rule(1.0, 48).blocks(ORACLE_BLOCK))) > 2
+    for max_nodes in (1, len(build_rule(1.0, 48))):
+        monkeypatch.setattr(verify, "ORACLE_BLOCK", max_nodes)
+        assert verify.suite_quadrature(1).rows == own.rows, max_nodes

@@ -176,11 +176,11 @@ def _multiplicity_suite_coeffs(monkeypatch, seed, n_cases=10):
 
     seen = []
 
-    def record(f):
+    def record(f, zpoly):
         seen.append(normal(f).real_coeffs())
         if f.is_slice_preserving():
             seen.append(f.real_coeffs())
-        return classify_zeros(f)
+        return classify_zeros(f, zpoly)
 
     monkeypatch.setattr(verify, "classify_zeros", record)
     verify.suite_multiplicity(seed, n_cases=n_cases)
