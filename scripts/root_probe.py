@@ -2,13 +2,19 @@
 """Seeded root-finding probes: how often the Jensen check passes, raises
 a named error, or returns a wrong residual without one.
 
-Two families of slice polynomials f = prod (x - a_k), each factor drawn
-in turn from ``numpy.random.default_rng(deg)`` (one generator per family
-and degree, ``DRAWS`` draws in a row from it):
+Three families of slice polynomials f = prod (x - a_k), k = 0 .. deg - 1.
+The first two draw every factor from ``numpy.random.default_rng(deg)``
+(one generator per family and degree, ``DRAWS`` draws in a row from it):
 
 - real: a = uniform(0.2, 0.9) * choice([-1, 1]), degrees 4-16;
 - quaternionic: q = d/|d| * 1.3 u^(1/4) with d = normal(size=4), then
   u = uniform(), degrees 8-16.
+
+The third draws each polynomial from its own ``verify.Stream(seed)``,
+seed = 0 .. DRAWS - 1, where root finding fails at high degree:
+
+- annuli: |q| = uniform(0.2, 0.8) for even k and uniform(1.3, 2.0) for odd
+  k, then q = unit() * |q|, degrees 12-32.
 
 Each draw runs ``jensen_check(f, R, N, diagnostics=False)``.  It passes
 when |residual| <= TOL, counts as a named error when it raises a
@@ -35,6 +41,7 @@ from slicereg.errors import SliceRegError
 from slicereg.jensen import jensen_check
 from slicereg.quaternions import Quaternion
 from slicereg.slicepoly import SlicePolynomial
+from slicereg.verify import Stream
 
 R = 1.0
 N = 48
@@ -42,16 +49,25 @@ DRAWS = 10
 TOL = 1e-9
 
 
-def real_root(rng) -> Quaternion:
+ANNULI = ((0.2, 0.8), (1.3, 2.0))
+
+
+def real_root(rng, k: int) -> Quaternion:
     return Quaternion.real(rng.uniform(0.2, 0.9) * rng.choice([-1, 1]))
 
 
-def quaternionic_root(rng) -> Quaternion:
+def quaternionic_root(rng, k: int) -> Quaternion:
     d = rng.normal(size=4)
     return Quaternion.from_array(d / np.linalg.norm(d) * 1.3 * rng.uniform() ** 0.25)
 
 
-FAMILIES = {"real": (real_root, (4, 6, 8, 10, 12, 16)), "quaternionic": (quaternionic_root, (8, 12, 16))}
+def annulus_root(stream: Stream, k: int) -> Quaternion:
+    radius = stream.uniform(*ANNULI[k % 2])
+    return stream.unit() * radius
+
+
+FAMILIES = {"real": (real_root, (4, 6, 8, 10, 12, 16)), "quaternionic": (quaternionic_root, (8, 12, 16)),
+            "annuli": (annulus_root, (12, 16, 20, 24, 32))}
 
 
 def draws(family: str, deg: int, count: int = DRAWS) -> list[SlicePolynomial]:
@@ -59,10 +75,11 @@ def draws(family: str, deg: int, count: int = DRAWS) -> list[SlicePolynomial]:
     root = FAMILIES[family][0]
     rng = np.random.default_rng(deg)
     out = []
-    for _ in range(count):
+    for seed in range(count):
+        source = Stream(seed) if family == "annuli" else rng
         f = SlicePolynomial.from_real([1.0])
-        for _ in range(deg):
-            f = f * SlicePolynomial.linear(root(rng))
+        for k in range(deg):
+            f = f * SlicePolynomial.linear(root(source, k))
         out.append(f)
     return out
 

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from pathlib import Path
 
 from .errors import HypothesisViolationError, SliceRegError
@@ -99,18 +99,29 @@ def cmd_jensen(args: argparse.Namespace) -> int:
         passed = bool(abs(report.residual) <= args.tol)
         return report.to_dict() | {"name": name, "file": str(path), "passed": passed, "tolerance": args.tol}
 
+    outcome = []
+
     def run_all():
-        return [run_one(case) for case in cases]
+        try:
+            outcome.append([run_one(case) for case in cases])
+        except BaseException as exc:  # raised below, in the calling thread, where main maps it to an exit code
+            outcome.append(exc)
 
     if len(cases) == 1:
-        payloads = run_all()
+        run_all()
     else:
         # Same loop on one worker thread: the benchmark's span tracer
         # (perfbench/tracer.py) files a case's spans under the case its
-        # thread last loaded only on a thread with no open span.  A single
-        # case stays here, which saves it the thread's start-up.
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            payloads = worker.submit(run_all).result()
+        # thread last loaded only on a thread with no open span.  One case
+        # stays on this thread, which saves a thread start and the thread's
+        # own malloc arena; the benchmark has both sides, near-boundary runs
+        # one case and corpus-diag a corpus.
+        worker = threading.Thread(target=run_all)
+        worker.start()
+        worker.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    payloads = outcome[0]
 
     all_passed = all(p["passed"] for p in payloads)
     result = {

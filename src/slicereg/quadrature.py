@@ -57,7 +57,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DegeneratePointError, NonFiniteIntegrandError
-from .quaternions import Quaternion, _qconj_parts, _qinv_parts, _qnorm2_parts, qmul_parts
+from .quaternions import Quaternion, _qconj_parts, _qinv_parts, _qnorm2_parts, qmul_parts, split
 from .slicepoly import horner
 from .zeros_poles import as_semiregular, normal_coeffs
 
@@ -278,12 +278,6 @@ def _degenerate(q, scale: float) -> np.ndarray:
     return _qnorm2_parts(q) <= (DEGENERATE_REL * (1.0 + scale)) ** 2
 
 
-def _split_parts(q):
-    """Shadows alpha + i beta and units J of nonreal points q."""
-    beta = np.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    return q[0] + 1j * beta, (0.0, q[1] / beta, q[2] / beta, q[3] / beta)
-
-
 def _slice_value(f1, f2, junit):
     """F1 + J F2: the value at alpha + J beta of the function whose
     stems at alpha + i beta are F1, F2."""
@@ -336,12 +330,13 @@ def _sf_inverse_parts(f, y, scale: float):
     """S_f^{-1}(y) = T_f(w), w = conj(s^{-1} y s) with s = F2 at y, and
     T_f(w) = fc^{-1} w fc with fc = conj(F1) + J conj(F2) at w: y and
     w are split anew."""
-    _, s = f.stem_arrays(_split_parts(y)[0])
+    alpha, beta, _ = split(y)
+    _, s = f.stem_arrays(alpha + 1j * beta)
     if np.any(_degenerate(s, scale)):
         raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
     w = _qconj_parts(_conjugate_by(y, s))
-    z, junit = _split_parts(w)
-    fc = _slice_value(*map(_qconj_parts, f.stem_arrays(z)), junit)
+    alpha, beta, junit = split(w)
+    fc = _slice_value(*map(_qconj_parts, f.stem_arrays(alpha + 1j * beta)), junit)
     if np.any(_degenerate(fc, scale)):
         raise DegeneratePointError("f^c vanishes at the requested point")
     return _conjugate_by(w, fc)
@@ -540,12 +535,12 @@ def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int
     kept, accepted = [], 0
     for start in range(0, 40 * n_points, n_points):
         x = tuple(r * candidates(start, n_points).T)
-        z, junit = _split_parts(x)
-        f1, f2 = f.stem_arrays(z)
+        alpha, beta, junit = split(x)
+        f1, f2 = f.stem_arrays(alpha + 1j * beta)
         # conditioning guard: conjugating by a tiny spherical derivative
         # amplifies its own rounding error
         keep = (
-            (z.imag >= 1e-3 * r)
+            (beta >= 1e-3 * r)
             & (np.sqrt(_qnorm2_parts(f2)) > 1e-4 * (1.0 + scale))
             & (np.sqrt(_qnorm2_parts(_slice_value(f1, f2, junit))) > 1e-9 * (1.0 + scale))
         )

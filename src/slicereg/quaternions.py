@@ -4,7 +4,8 @@ Scalar ground type for the whole package: immutable quaternions
 q = w + x1*i + x2*j + x3*k with double-precision components, the
 Hamilton product, conjugation/norm/trace, and the split
 x = alpha + J*beta of a quaternion into a point alpha + i*beta of the
-closed upper half-plane and a unit J of its slice C_J (`decompose`).
+closed upper half-plane and a unit J of its slice C_J (`split`, and
+`decompose` for one Quaternion).
 
 Array code holds quaternions as "parts", 4-tuples of broadcastable
 component arrays (``qmul_parts`` and the conjugate, norm and inverse
@@ -29,6 +30,7 @@ __all__ = [
     "InvalidUnitError",
     "unit_from_vector",
     "validate_unit",
+    "split",
     "decompose",
     "SlicePoint",
     "qmul_array",
@@ -190,16 +192,24 @@ class SlicePoint:
     unit: Quaternion
 
 
-def decompose(x: Quaternion) -> SlicePoint:
-    """Split x into (alpha, beta, J) with alpha = Re x, beta = |Im x| >= 0.
+def split(x):
+    """alpha = Re x, beta = |Im x| >= 0 and the unit J of x = alpha + J beta
+    at a Quaternion or at parts; J comes back as parts.
 
-    beta is set to 0.0 when |Im x| <= ``eps_zero(|x|)``; J is then the
+    beta is 0 where |Im x| <= ``eps_zero(|x|)``, and J is there the
     placeholder i.
     """
-    beta = x.abs_im()
-    if beta <= eps_zero(x.abs()):
-        return SlicePoint(x.w, 0.0, I)
-    return SlicePoint(x.w, beta, Quaternion(0.0, x.x1 / beta, x.x2 / beta, x.x3 / beta))
+    w, x1, x2, x3 = x.components() if isinstance(x, Quaternion) else x
+    beta = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    off = beta > eps_zero(np.sqrt(w * w + x1 * x1 + x2 * x2 + x3 * x3))
+    d = np.where(off, beta, 1.0)
+    return w, beta * off, (0.0, np.where(off, x1 / d, 1.0), np.where(off, x2 / d, 0.0), np.where(off, x3 / d, 0.0))
+
+
+def decompose(x: Quaternion) -> SlicePoint:
+    """``split`` of one Quaternion, as floats and a unit Quaternion."""
+    alpha, beta, unit = split(x)
+    return SlicePoint(alpha, float(beta), Quaternion(*map(float, unit)))
 
 
 # -- vectorized counterparts on "parts", 4-tuples of broadcastable

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quaternions import ONE, ZERO, Quaternion, eps_zero, qmul_parts
+from .quaternions import ONE, ZERO, Quaternion, eps_zero, qmul_parts, split
 
 __all__ = [
     "SlicePolynomial",
@@ -302,14 +302,6 @@ def normal(f: SlicePolynomial) -> SlicePolynomial:
     return SlicePolynomial([Quaternion.real(c.w) for c in nf.coeffs])
 
 
-def _shadow(x) -> tuple:
-    """alpha = Re x and beta = |Im x| of a Quaternion or parts, split as in
-    ``decompose``: beta is 0 on the real axis."""
-    w, x1, x2, x3 = x.components() if isinstance(x, Quaternion) else x
-    beta = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    return w, beta * (beta > eps_zero(np.sqrt(w * w + x1 * x1 + x2 * x2 + x3 * x3)))
-
-
 def _like(x, v: tuple):
     """The parts v as a Quaternion when x is one, else as they are."""
     return Quaternion(*map(float, v)) if isinstance(x, Quaternion) else v
@@ -318,7 +310,7 @@ def _like(x, v: tuple):
 def spherical_value(f: "SlicePolynomial | SliceStack", x):
     """v_s f(x) = (f(x) + f(conj x))/2 = F1(z); constant on each sphere.
     x is a Quaternion or parts, and so is the value."""
-    alpha, beta = _shadow(x)
+    alpha, beta, _ = split(x)
     return _like(x, f.stem_arrays(alpha + 1j * beta)[0])
 
 
@@ -328,7 +320,7 @@ def spherical_derivative(f: "SlicePolynomial | SliceStack", x):
 
     Below BETA_SWITCH the slice-derivative extension takes over.
     """
-    alpha, beta = _shadow(x)
+    alpha, beta, _ = split(x)
     d = f.slice_derivative().eval_parts((alpha, 0.0, 0.0, 0.0))
     f2 = f.stem_arrays(alpha + 1j * beta)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -344,7 +336,7 @@ def log_abs(f: "SlicePolynomial | SliceStack", x: "Quaternion | tuple") -> "floa
     |f(x)| <= ``eps_zero(stem_scale(|x|))`` raises LogOfZeroError."""
     if not f.is_slice_preserving():
         raise ValueError("log_abs requires a slice-preserving polynomial")
-    w, beta = _shadow(x)
+    w, beta, _ = split(x)
     re = im = 0.0
     for c in reversed(f._parts()):
         re, im = re * w - im * beta + c[0], re * beta + im * w

@@ -430,34 +430,39 @@ def suite_quadrature(seed: int) -> SuiteResult:
 
 
 def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
-    """Doubling law: total multiplicity in N(f) is twice the one in f,
-    exactly, over random products of linear and quadratic factors with
-    deliberate repetitions.  f's multiplicities come from its one
-    ``classify_zeros`` pass; N(f)'s are counted by division at each
-    zero's representative, so each case root-finds one polynomial."""
+    """Doubling law against the built multiplicities, over random products
+    of x - q and Delta_q, q from small pools, with deliberate repetitions:
+    each factor's zeros fill q's sphere with multiplicity its degree, so f's
+    are known before any root is found.  Each record of f's one
+    ``classify_zeros`` pass goes to its nearest built sphere (the pools'
+    spheres lie >= 0.538 apart).  Per built sphere the matched records'
+    multiplicities must sum to the built one, and N(f)'s, counted by
+    division at q, must be twice it."""
     stream = Stream(seed)
     rows: list[ResidualRow] = []
     failures = 0
+    # small pools so repeated factors (multiplicity > 1) are common
+    reals = [Quaternion.real(0.5), Quaternion.real(-0.6)]
+    points = [Quaternion(0.3, 0.7, 0.0, 0.0), Quaternion(-0.4, 0.0, 0.5, 0.0)]
     for idx in range(n_cases):
-        # small pools so repeated factors (multiplicity > 1) are common
-        reals = [0.5, -0.6]
-        points = [Quaternion(0.3, 0.7, 0.0, 0.0), Quaternion(-0.4, 0.0, 0.5, 0.0)]
         f = SlicePolynomial.from_real([1.0])
+        built: dict[Quaternion, int] = {}
         for _ in range(stream.integer(2, 5)):
             kind = stream.integer(0, 3)
-            if kind == 0:
-                f = f * SlicePolynomial.from_real([-stream.choice(reals), 1.0])
-            elif kind == 1:
-                f = f * SlicePolynomial.linear(stream.choice(points))
-            else:
-                f = f * characteristic_poly(stream.choice(points))
+            q = stream.choice(reals if kind == 0 else points)
+            factor = characteristic_poly(q) if kind == 2 else SlicePolynomial.linear(q)
+            f = f * factor
+            built[q] = built.get(q, 0) + factor.degree
         nf = normal(f)
         zpoly = (f.real_coeffs(), 1) if f.is_slice_preserving() else (nf.real_coeffs(), 2)  # _zero_polynomial(f)
-        gaps = []
+        found = dict.fromkeys(built, 0)
         for rec in classify_zeros(f, zpoly):
-            gaps.append(abs(total_multiplicity(nf, rec.representative) - 2 * rec.multiplicity))
-            rows.append(ResidualRow(f"m_N = 2 m_f at ({rec.alpha:.3g},{rec.beta:.3g})", idx,
-                                    list(rec.representative.components()), 0.0, gaps[-1], 0))
+            found[min(built, key=lambda q: math.hypot(rec.alpha - q.w, rec.beta - q.abs_im()))] += rec.multiplicity
+        gaps = []
+        for q, m in built.items():
+            gaps.append(abs(found[q] - m) + abs(total_multiplicity(nf, q) - 2 * m))
+            rows.append(ResidualRow(f"m_N = 2 m_f = {2 * m} at ({q.w:.3g},{q.abs_im():.3g})", idx,
+                                    list(q.components()), 0.0, gaps[-1], 0))
         failures += any(gaps)
     summary = {"cases": n_cases, "failures": failures}
     return SuiteResult("multiplicity", failures == 0, summary, rows)

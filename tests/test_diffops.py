@@ -536,6 +536,20 @@ def test_stream_draws_are_the_documented_maps_of_the_random_sequence():
     assert {stream.integer(2, 5) for _ in range(200)} == {2, 3, 4}
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_multiplicity_suite_checks_the_factors_it_multiplies(monkeypatch, seed):
+    """A Delta_q that leaves its pool point's sphere fails the suite: the
+    records still double in N(f), but no longer where f was built to vanish."""
+    import slicereg.verify as verify
+    from slicereg.zeros_poles import characteristic_poly
+
+    assert verify.suite_multiplicity(seed).passed
+    shifted = SlicePolynomial.from_real([0.2])
+    monkeypatch.setattr(verify, "characteristic_poly", lambda y: characteristic_poly(y) + shifted)
+    result = verify.suite_multiplicity(seed)
+    assert not result.passed and result.summary["failures"] > 0
+
+
 def test_multiplicity_suite_forms_each_normal_once(monkeypatch):
     """classify_zeros takes the suite's zero polynomial, so N(f) is formed
     once per case; the rows are those of classify_zeros forming it again."""

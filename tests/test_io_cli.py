@@ -424,9 +424,15 @@ def test_cli_never_imports_numpy_polynomial():
     assert out.stdout.splitlines()[-1] == "False"
 
 
+# modules no command needs: the sampled diagnostics and the verify corpora
+# draw without numpy's random package, and a corpus runs on one plain thread
+UNUSED_MODULES = "('numpy.random', 'concurrent.futures', 'logging')"
+
+
 def test_jensen_diagnostics_never_import_numpy_random():
     # the sampled diagnostics draw from the seeded sequence of
-    # quadrature.s3_points, so no jensen run loads numpy's random package
+    # quadrature.s3_points, so no jensen run loads numpy's random package;
+    # neither a corpus, run on a worker thread, nor zeros loads an executor
     import os
     import subprocess
 
@@ -435,10 +441,12 @@ def test_jensen_diagnostics_never_import_numpy_random():
             "from slicereg.cli import main\n"
             "for manifest in ('polynomials', 'rationals'):\n"
             "    main(['jensen', '--corpus', f'corpus/{manifest}.json', '--seed', '3', '--out', os.devnull])\n"
-            "print('numpy.random' in sys.modules)\n")
+            "main(['jensen', '--fn', 'corpus/poly_deg8_all_kinds.json', '--out', os.devnull])\n"
+            "main(['zeros', '--fn', 'corpus/rat_remark_nonuniform.json', '--out', os.devnull])\n"
+            f"print([m for m in {UNUSED_MODULES} if m in sys.modules])\n")
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_ops_never_imports_numpy_random():
@@ -451,10 +459,24 @@ def test_verify_ops_never_imports_numpy_random():
     code = ("import os, sys\n"
             "from slicereg.cli import main\n"
             "main(['verify-ops', '--suite', 'all', '--seed', '7', '--out', os.devnull])\n"
-            "print('numpy.random' in sys.modules)\n")
+            f"print([m for m in {UNUSED_MODULES} if m in sys.modules])\n")
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_the_package_root_loads_no_submodule():
+    # the library is used through its submodules; the root holds the version
+    import os
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys, slicereg\n"
+            "print(slicereg.__version__)\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('slicereg.')))\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [slicereg.__version__, "[]"]
 
 
 def test_jensen_and_the_parser_never_import_the_verification_suites():
@@ -559,6 +581,8 @@ def test_root_probe_sorts_each_draw_into_one_outcome():
     assert (root_probe.R, root_probe.N, root_probe.DRAWS, root_probe.TOL) == (1.0, 48, 10, 1e-9)
     assert root_probe.probe("real", 4, count=2) == {"pass": 2, "named_error": 0, "silent_wrong": 0}
     assert root_probe.probe("quaternionic", 8, count=1) == {"pass": 1, "named_error": 0, "silent_wrong": 0}
+    assert root_probe.probe("annuli", 12, count=1) == {"pass": 1, "named_error": 0, "silent_wrong": 0}
+    assert root_probe.FAMILIES["annuli"][1] == (12, 16, 20, 24, 32)
     (f,) = root_probe.draws("real", 6, count=1)
     assert f.degree == 6 and f.is_slice_preserving(0.0)
     assert root_probe.outcome(SlicePolynomial.from_real([0.0, 1.0])) == "named_error"  # zero at the origin

@@ -9,7 +9,7 @@ import pytest
 
 from slicereg.errors import DegeneratePointError, NonFiniteIntegrandError
 from slicereg.io import load_function, parse_function
-from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, decompose
+from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, decompose, split
 from slicereg.quadrature import (
     _gauss_legendre,
     _homogeneous_units,
@@ -20,7 +20,6 @@ from slicereg.quadrature import (
     _sf_inverse_parts,
     _sf_parts,
     _slice_value,
-    _split_parts,
     DEGENERATE_REL,
     SPHERE_MEASURE,
     KRONECKER_STEPS,
@@ -660,8 +659,8 @@ def _array_maps(f, pts, r):
     """S_f and S_f^{-1} of the rows pts by the array path, as rows."""
     scale = f.stem_scale(r)
     x = tuple(pts.T)
-    z, junit = _split_parts(x)
-    y = _sf_parts(x, junit, *f.stem_arrays(z), scale)
+    alpha, beta, junit = split(x)
+    y = _sf_parts(x, junit, *f.stem_arrays(alpha + 1j * beta), scale)
     back = _sf_inverse_parts(f, x, scale)
     return np.stack(y, axis=-1), np.stack(back, axis=-1)
 
@@ -711,8 +710,8 @@ def test_array_sf_conjugation_branches():
     g = SlicePolynomial([Quaternion(2.0, 0.5, 0.0, 0.0), ZERO, J])
     pts[:, 0] = 0.0
     x = tuple(pts.T)
-    z, junit = _split_parts(x)
-    y = _sf_parts(x, junit, *g.stem_arrays(z), g.stem_scale(1.0))
+    alpha, beta, junit = split(x)
+    y = _sf_parts(x, junit, *g.stem_arrays(alpha + 1j * beta), g.stem_scale(1.0))
     for row, y_row in zip(pts, np.stack(y, axis=-1)):
         q = Quaternion.from_array(row)
         assert Quaternion.from_array(y_row) == q.conj() == S_map(g, q)
@@ -759,8 +758,8 @@ def test_sf_roundtrip_samples_like_scalar_loop():
         for q, row in zip(want, np.stack(x, axis=-1)):
             assert (q - Quaternion.from_array(row)).abs() <= 1e-15
         # the units and stems that come back are those of the points
-        z, units = _split_parts(x)
-        for got, recomputed in zip((*junit[1:], *f1, *f2), (*units[1:], *sum(f.stem_arrays(z), ()))):
+        alpha, beta, units = split(x)
+        for got, recomputed in zip((*junit[1:], *f1, *f2), (*units[1:], *sum(f.stem_arrays(alpha + 1j * beta), ()))):
             assert np.array_equal(got, recomputed)
         # the distances are roundoff on these points, as with the scalar maps
         errs = sf_roundtrip_errors(f, r, 300, 24)
@@ -799,9 +798,9 @@ def test_sf_domain_points_skip_rows_near_the_real_axis():
     spread = np.array([[0.3, 1.0, 0.0, 0.0], [0.5, 0.2, 0.7, 0.1], [1.0, 0.0, 2e-3, 0.0], [-0.2, -0.4, 0.3, 0.9]])
     f = SlicePolynomial([ZERO] * 10 + [ONE])
     scale = f.stem_scale(1.0)
-    z, junit = _split_parts(tuple(near.T / np.linalg.norm(near, axis=1)))
-    f1, f2 = f.stem_arrays(z)
-    assert np.all(z.imag < 1e-4)
+    alpha, beta, junit = split(tuple(near.T / np.linalg.norm(near, axis=1)))
+    f1, f2 = f.stem_arrays(alpha + 1j * beta)
+    assert np.all(beta < 1e-4)
     assert np.all(np.sqrt(sum(c * c for c in f2)) > 1e-4 * (1.0 + scale))
     assert np.all(np.sqrt(sum(c * c for c in _slice_value(f1, f2, junit))) > 1e-9 * (1.0 + scale))
 

@@ -16,8 +16,10 @@ from slicereg.quaternions import (
     _qinv_parts,
     _qnorm2_parts,
     decompose,
+    eps_zero,
     qmul_array,
     qmul_parts,
+    split,
     unit_from_vector,
     validate_unit,
 )
@@ -113,6 +115,35 @@ def test_decompose_examples():
     assert p3.alpha == pytest.approx(1.0)
     assert p3.beta == pytest.approx(math.sqrt(3.0))
     assert slice_embed(p3.alpha, p3.beta, p3.unit).isclose(Quaternion(1, 1, 1, 1))
+
+
+def _scalar_split(x: Quaternion) -> tuple:
+    """Oracle: x = alpha + J beta in Python floats, one quaternion at a time,
+    with beta = 0 and J = i within ``eps_zero(|x|)`` of the real axis."""
+    beta = x.abs_im()
+    if beta <= eps_zero(x.abs()):
+        return x.w, 0.0, (0.0, 1.0, 0.0, 0.0)
+    return x.w, beta, (0.0, x.x1 / beta, x.x2 / beta, x.x3 / beta)
+
+
+def test_split_matches_the_scalar_split_bit_for_bit():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(40, 4))
+    # imaginary parts just below, at and above the real-axis threshold, and none
+    near = rng.normal(size=(12, 4))
+    im = near[:, 1:] / np.linalg.norm(near[:, 1:], axis=1, keepdims=True)
+    scale = eps_zero(np.abs(near[:, 0]))  # |x| = |Re x| to rounding
+    near[:, 1:] = im * (scale * np.repeat([0.0, 0.5, 1.0, 2.0], 3))[:, None]
+    rows = np.vstack([rows, near])
+    want = [_scalar_split(Quaternion.from_array(row)) for row in rows]
+    assert sum(w[1] == 0.0 for w in want) >= 6  # the real-axis rule is taken
+    alpha, beta, unit = split(tuple(rows.T))
+    assert np.array_equal(alpha, [w[0] for w in want]) and np.array_equal(beta, [w[1] for w in want])
+    assert unit[0] == 0.0 and all(np.array_equal(unit[k], [w[2][k] for w in want]) for k in (1, 2, 3))
+    for row, (a, b, u) in zip(rows, want):
+        p = decompose(Quaternion.from_array(row))
+        assert (p.alpha, p.beta, p.unit.components()) == (a, b, u)
+        assert type(p.beta) is float and type(p.unit.x1) is float
 
 
 def test_slice_embed_examples():
