@@ -6,17 +6,15 @@ polynomial carries them, ``_zero_polynomial(f)``: f itself when f is
 slice-preserving (N(f) = f^2 doubles every root), else N(f), whose
 multiplicities are halved.  ``zero_spheres`` root-finds it, and
 ``total_multiplicity`` counts divisions of it by the real factor of one
-point's sphere.  Roots come from the companion matrix, are clustered into
-spheres, re-centered by Newton iteration on a derivative of matching order,
-and validated by repeated division with the real factor (x - r) or
-Delta_y(x) = x^2 - t(y) x + n(y).  The division count is the authoritative
-multiplicity; when eigenvalue scatter of a multiple root splits a cluster,
-the cluster tolerance is escalated until the division counts account for
-the whole degree; a cluster that a rung leaves unchanged keeps the verdict
-of the rung that formed it, so each cluster is validated once per call.
-One long division ``_divide`` does all division by real factors; a division
-counts when its largest remainder norm is at most TOL_DIVIDE times the
-dividend's.
+point's sphere.  Roots come from the companion matrix.  Each group of
+nearby eigenvalues becomes one sphere once Pellet's test certifies that
+a disc about its centroid, holding no other eigenvalue, holds exactly as
+many roots as the group has members; that count is the multiplicity, and
+Newton iteration on a derivative of matching order, which must converge
+inside the disc, places the sphere.  One long division ``_divide`` does
+all division by real factors, x - r or Delta_y(x) = x^2 - t(y) x + n(y);
+a division counts when its largest remainder norm is at most TOL_DIVIDE
+times the dividend's.
 
 Rational (semiregular) functions are pairs f = den^{-1} * num with a
 slice-preserving denominator.  Poles sit on the spheres of den; on each
@@ -38,6 +36,7 @@ copies its representative and multiplicity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
@@ -70,7 +69,10 @@ __all__ = [
 ]
 
 EPS_CLASS = 1e-8
-TOL_CLUSTER = 1e-7
+EPS = float(np.finfo(float).eps)
+# radii per Pellet test, geometric from a cluster's spread to its nearest
+# outside eigenvalue
+PELLET_GRID = 31
 # Division centers are Newton-polished to ~1e-12 relative, so genuine
 # factors leave remainders far below this.  The tolerance must stay well
 # under beta^(2m) for pole/zero spheres, or the vertex of an even factor
@@ -117,11 +119,10 @@ def _newton_on_derivative(c: np.ndarray, z0: complex, mult: int, real_root: bool
     derivative, where the root should be simple.
 
     Also reports whether the step size reached 1e-12 relative within the
-    iteration budget.  When the hypothesized multiplicity is too low the
-    iteration contracts only linearly inside the noise basin of the true
-    root; slow stalls fail this flag outright, and faster ones land on
-    off-center points that the division-count match and the distinctness
-    check in ``root_spheres`` reject.
+    60-step budget.  Each step reuses the residual p(z) of the last.  When
+    `mult` is lower than the root's multiplicity the iteration contracts
+    only linearly and usually runs out of steps; ``_certified_cluster``
+    hands it the multiplicity Pellet's test certified.
     """
     d = c
     for _ in range(mult - 1):
@@ -189,89 +190,96 @@ def _division_multiplicity(c: np.ndarray, alpha: float, beta: float) -> int:
     return s
 
 
-def _cluster_folded(pts: np.ndarray, tol: float) -> list[tuple[int, ...]]:
-    """Single-linkage clusters of companion roots folded to Im >= 0, as
-    increasing tuples of indices into pts."""
-    n = len(pts)
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            lim = tol * (1.0 + 0.5 * (abs(pts[a]) + abs(pts[b])))
-            if abs(pts[a] - pts[b]) <= lim:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for idx in range(n):
-        groups.setdefault(find(idx), []).append(idx)
-    return [tuple(g) for g in groups.values()]
-
-
-def _scatter_radius(mult: int, size: float) -> float:
-    # companion eigenvalues of an m-fold root scatter like eps**(1/m)
-    return 10.0 * (1e-16 ** (1.0 / max(mult, 1))) * (1.0 + size) + 1e-9
-
-
 def _all_distinct(spheres: list[Sphere]) -> bool:
-    """Reject clusterings where two validated spheres coincide.
+    """Whether no two spheres lie within 1e-3 (1 + radius) of each other.
 
-    Fragments of one eigenvalue cloud can each Newton-converge to the
-    same nearby multiple root and pass the division test at slightly
-    offset centers (offsets up to ~1e-4, set by the division tolerance).
-    Genuine duplicate locations therefore mean the clustering split a
-    root and a coarser tolerance is needed.  Inputs with distinct
-    spheres closer than ~1e-3 apart are rejected loudly rather than
-    folded together.
+    Each certified disc holds no eigenvalue of another group, but two
+    discs may overlap, and Newton from both centres can land on one
+    multiple root counted twice.  Distinct spheres that close are
+    rejected loudly rather than kept as two records.
     """
-    for i in range(len(spheres)):
-        for j in range(i + 1, len(spheres)):
-            a1, b1, _ = spheres[i]
-            a2, b2, _ = spheres[j]
-            lim = 1e-3 * (1.0 + max(math.hypot(a1, b1), math.hypot(a2, b2)))
-            if math.hypot(a1 - a2, b1 - b2) <= lim:
-                return False
-    return True
+    return all(math.hypot(a1 - a2, b1 - b2) > 1e-3 * (1.0 + max(math.hypot(a1, b1), math.hypot(a2, b2)))
+               for (a1, b1, _), (a2, b2, _) in itertools.combinations(spheres, 2))
 
 
-def _validate_cluster(c: np.ndarray, pts: np.ndarray) -> Sphere | None:
-    k = len(pts)
-    center = complex(np.mean(pts))
-    # wider than any eigenvalue scatter of one k-fold root: distinct roots
-    if np.abs(pts - center).max() > 100.0 * _scatter_radius(k, abs(center)):
+def _taylor(c: list[float], s: complex) -> tuple[list[complex], list[float]]:
+    """Taylor coefficients T_k = p^(k)(s) / k! of p = sum c_k x^k, by repeated
+    synthetic division by x - s, and bounds on their rounding errors:
+    2 (d + 2) eps times the same recurrence run on |c_k| and |s|."""
+    d = len(c) - 1
+    b = [complex(x) for x in reversed(c)]  # descending; each pass leaves the quotient in front
+    a = [abs(x) for x in reversed(c)]
+    size = abs(s)
+    t, bound = [], []
+    for n in range(d, -1, -1):
+        for j in range(1, n + 1):
+            b[j] += b[j - 1] * s
+            a[j] += a[j - 1] * size
+        t.append(b[n])
+        bound.append(2.0 * (d + 2) * EPS * a[n])
+    return t, bound
+
+
+def _pellet_radius(c: list[float], s: complex, m: int, lo: float, hi: float) -> float | None:
+    """The least radius rho of PELLET_GRID geometric steps from lo towards
+    hi at which Pellet's test |T_m| rho^m > sum_{k != m} |T_k| rho^k holds
+    with every |T_k| widened, and |T_m| narrowed, by its rounding bound:
+    the closed disc of radius rho about s then holds exactly m roots of p."""
+    if not lo < hi:
         return None
-    hypotheses: list[str] = []
-    if abs(center.imag) <= _scatter_radius(k, abs(center)):
-        hypotheses = ["real", "complex"]
-    else:
-        hypotheses = ["complex", "real"]
-    for hyp in hypotheses:
-        if hyp == "real":
-            z, converged = _newton_on_derivative(c, center, k, real_root=True)
-            if not converged:
-                continue
-            s = _division_multiplicity(c, z.real, 0.0)
-            if s == k:
-                return (z.real, 0.0, k)
-        else:
-            if k % 2:
-                continue
-            z, converged = _newton_on_derivative(c, center, k // 2, real_root=False)
-            if not converged:
-                continue
-            beta = abs(z.imag)
-            if beta <= _scatter_radius(k // 2, abs(z)):
-                continue
-            s = _division_multiplicity(c, z.real, beta)
-            if s == k // 2:
-                return (z.real, beta, k)
+    t, bound = _taylor(c, s)
+    head = abs(t[m]) - bound[m]
+    if head <= 0.0:
+        return None
+    rest = [abs(tk) + ek for tk, ek in zip(t, bound)]
+    rest[m] = 0.0
+    for j in range(PELLET_GRID):
+        rho = lo * (hi / lo) ** (j / PELLET_GRID)
+        acc = 0.0
+        for w in reversed(rest):
+            acc = acc * rho + w
+        if head * rho**m > acc:
+            return rho
     return None
+
+
+def _certified_cluster(c: np.ndarray, pts: list[complex], free: list[int]) -> tuple[Sphere, list[int]]:
+    """The sphere of the first unassigned eigenvalue, pts[free[0]], and the
+    indices of the eigenvalues it accounts for.
+
+    Its group is its m nearest unassigned eigenvalues for the least m at
+    which a disc about their centroid s holds no other eigenvalue, misses
+    the real axis unless the group is closed under conjugation, and passes
+    ``_pellet_radius``.  Newton on the (m-1)-th derivative from s must
+    converge inside that disc; the result is a real m-fold root, or an
+    m-fold nonreal one whose sphere also takes the mirror group."""
+    coef = c.tolist()  # Python floats: the Taylor shifts run on scalars
+    seed = pts[free[0]]
+    near = sorted(free, key=lambda i: abs(pts[i] - seed))
+    for m in range(1, len(near) + 1):
+        group = sorted(near[:m])
+        members = [pts[i] for i in group]
+        closed = sorted((z.real, z.imag) for z in members) == sorted((z.real, -z.imag) for z in members)
+        s = sum(members) / m
+        s = complex(s.real, 0.0) if closed else s
+        lo = max(max(abs(z - s) for z in members), EPS * (1.0 + abs(s)))
+        hi = min((abs(z - s) for i, z in enumerate(pts) if i not in group), default=None)
+        if hi is None:  # every eigenvalue: Cauchy's bound puts all m roots in this disc
+            rho = abs(s) + 1.0 + max(map(abs, coef[:-1])) / abs(coef[-1])
+        else:
+            if not closed:  # p is real: the mirror disc about conj(s) has the same certificate
+                hi = min(hi, abs(s.imag))
+                group += [i for i in free if abs(pts[i].conjugate() - s) <= lo and i not in group]
+                s = complex(s.real, abs(s.imag))
+            rho = _pellet_radius(coef, s, m, lo, hi)
+            if rho is None:
+                continue
+        w, converged = _newton_on_derivative(c, s, m, real_root=closed)
+        if not converged or abs(w - s) > rho:
+            raise ClassificationInconsistencyError(f"Newton from the certified {m}-root cluster at {s:.6g} "
+                                                   f"does not converge inside radius {rho:.3g}")
+        return ((w.real, 0.0, m) if closed else (w.real, abs(w.imag), 2 * m)), group
+    raise ClassificationInconsistencyError(f"no cluster about the eigenvalue {seed:.6g} passes Pellet's test")
 
 
 def root_spheres(coeffs: Sequence[float]) -> list[Sphere]:
@@ -279,38 +287,26 @@ def root_spheres(coeffs: Sequence[float]) -> list[Sphere]:
 
     Returns (alpha, beta, mult) triples where mult counts a conjugate
     pair jointly for beta > 0 (so mult is even there) and is the plain
-    multiplicity for real roots.  The triples always account for the
-    full degree; escalating cluster tolerances repair eigenvalue scatter
-    of multiple roots, with repeated-division counts as the arbiter.
-    Each cluster is validated once per call: a rung that regroups the
-    same roots reuses the verdict of the rung that first formed it.
+    multiplicity for real roots.  Every companion eigenvalue belongs to
+    one ``_certified_cluster``, so the triples account for the full
+    degree; a cluster that cannot be certified, a Newton polish that
+    leaves its disc, or two spheres that are not ``_all_distinct`` raise
+    ``ClassificationInconsistencyError``.
     """
     c = _poly_trim(np.asarray(coeffs, dtype=float))
     if c.size == 0:
         raise ZeroPolynomialError("root finding on the zero polynomial")
     deg = len(c) - 1
-    if deg == 0:
-        return []
-    pts = np.array([complex(r.real, abs(r.imag)) for r in np.roots(c[::-1])])
-    # _validate_cluster depends only on (c, pts[members])
-    verdicts: dict[tuple[int, ...], Sphere | None] = {}
-    # eigenvalue clouds of an m-fold root have radius ~eps^(1/m), which
-    # reaches ~1e-2 at m = 8; the ladder must extend past that
-    for tol_mult in (1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
-        spheres: list[Sphere] = []
-        for members in _cluster_folded(pts, TOL_CLUSTER * tol_mult):
-            if members not in verdicts:
-                verdicts[members] = _validate_cluster(c, pts[list(members)])
-            res = verdicts[members]
-            if res is None:
-                spheres = []
-                break
-            spheres.append(res)
-        if spheres and sum(m for _, _, m in spheres) == deg and _all_distinct(spheres):
-            return sorted(spheres, key=lambda t: (round(t[0], 9), round(t[1], 9)))
-    raise ClassificationInconsistencyError(
-        f"could not reconcile root multiplicities for degree-{deg} polynomial"
-    )
+    pts = [complex(z) for z in np.roots(c[::-1])]
+    free = list(range(deg))
+    spheres: list[Sphere] = []
+    while free:
+        sphere, taken = _certified_cluster(c, pts, free)
+        spheres.append(sphere)
+        free = [i for i in free if i not in taken]
+    if not _all_distinct(spheres):
+        raise ClassificationInconsistencyError(f"could not reconcile root multiplicities for degree-{deg} polynomial")
+    return sorted(spheres, key=lambda t: (round(t[0], 9), round(t[1], 9)))
 
 
 # ---------------------------------------------------------------------------
