@@ -2,7 +2,7 @@
 """Seeded root-finding probes: how often the Jensen check passes, raises
 a named error, or returns a wrong residual without one.
 
-Three families of slice polynomials f = prod (x - a_k), k = 0 .. deg - 1.
+Four families of slice polynomials f = prod (x - a_k), k = 0 .. deg - 1.
 The first two draw every factor from ``numpy.random.default_rng(deg)``
 (one generator per family and degree, ``DRAWS`` draws in a row from it):
 
@@ -15,6 +15,13 @@ seed = 0 .. DRAWS - 1, where root finding fails at high degree:
 
 - annuli: |q| = uniform(0.2, 0.8) for even k and uniform(1.3, 2.0) for odd
   k, then q = unit() * |q|, degrees 12-32.
+
+The fourth, near-pair, also draws from ``verify.Stream(seed)``, seed = 0 ..
+NEAR_PAIR_DRAWS - 1, zeros q and q2 within eps of conj(q): q =
+unit() * uniform(0.3, 0.9), eps = 10^-uniform(2, 9), q2 = conj(q) +
+eps * unit(), then integer(0, 3) more factors at unit() * uniform(0.2,
+1.6), counted per degree, 2-4.  q and q2 lie within eps of one sphere, where
+the stems that form J* = -F1 F2^-1 are nearly zero.
 
 Each draw runs ``jensen_check(f, R, N, diagnostics=False)``.  It passes
 when |residual| <= TOL, counts as a named error when it raises a
@@ -46,6 +53,7 @@ from slicereg.verify import Stream
 R = 1.0
 N = 48
 DRAWS = 10
+NEAR_PAIR_DRAWS = 100
 TOL = 1e-9
 
 
@@ -64,6 +72,18 @@ def quaternionic_root(rng, k: int) -> Quaternion:
 def annulus_root(stream: Stream, k: int) -> Quaternion:
     radius = stream.uniform(*ANNULI[k % 2])
     return stream.unit() * radius
+
+
+def near_pair(seed: int) -> SlicePolynomial:
+    """(x - q)(x - q2) with q2 = conj(q) + eps u, times 0-2 more factors."""
+    s = Stream(seed)
+    q = s.unit() * s.uniform(0.3, 0.9)
+    eps = 10.0 ** -s.uniform(2, 9)
+    q2 = q.conj() + s.unit() * eps
+    f = SlicePolynomial.linear(q) * SlicePolynomial.linear(q2)
+    for _ in range(s.integer(0, 3)):
+        f = f * SlicePolynomial.linear(s.unit() * s.uniform(0.2, 1.6))
+    return f
 
 
 FAMILIES = {"real": (real_root, (4, 6, 8, 10, 12, 16)), "quaternionic": (quaternionic_root, (8, 12, 16)),
@@ -100,10 +120,20 @@ def probe(family: str, deg: int, count: int = DRAWS) -> dict[str, int]:
     return counts
 
 
+def probe_near_pair(count: int = NEAR_PAIR_DRAWS) -> dict[str, dict[str, int]]:
+    counts: dict[str, dict[str, int]] = {}
+    for seed in range(count):
+        f = near_pair(seed)
+        cell = counts.setdefault(str(f.degree), {"pass": 0, "named_error": 0, "silent_wrong": 0})
+        cell[outcome(f)] += 1
+    return dict(sorted(counts.items()))
+
+
 def main() -> None:
     out = {"r": R, "n": N, "draws": DRAWS, "tol": TOL,
            **{family: {str(deg): probe(family, deg) for deg in degrees}
-              for family, (_, degrees) in FAMILIES.items()}}
+              for family, (_, degrees) in FAMILIES.items()},
+           "near_pair": probe_near_pair()}
     print(json.dumps(out, indent=2))
 
 

@@ -23,9 +23,9 @@ pointwise formulas, in their order, so results are bitwise the
 pointwise ones, centre by centre: the composed stencil amplifies
 roundoff like h^-4, and one ulp moves a bilaplacian residual by ~1e-10.
 
-Default steps: h = 1e-3 (1 + |x|) for first and second order operators;
-the composed bilaplacian stencil runs at h = 3e-2 (1 + |x|), optionally
-with one Richardson halving.
+Every stencil is the second-order central one, and one Richardson halving
+of a Laplacian is the only higher order.  Default steps: h = 1e-3 (1 + |x|)
+for first and second order operators, and h = 3e-2 (1 + |x|) for the bilaplacian.
 """
 
 from __future__ import annotations
@@ -84,45 +84,40 @@ def _units_times(q: np.ndarray) -> np.ndarray:
     return np.array(qmul_parts(units, q.swapaxes(0, 1))).swapaxes(0, 1)
 
 
-def _partials(u: PartsFunc, x, h: float, order: int, axes) -> np.ndarray:
+def _partials(u: PartsFunc, x, h: float, axes) -> np.ndarray:
     """Central differences along each of the axes, (len(axes), 4, m), from one call."""
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    steps = (h, -h) if order == 2 else (2.0 * h, h, -h, -(2.0 * h))
-    v = _values(u, x, _offsets(axes, steps))
-    v = v.reshape(len(axes), len(steps), *v.shape[1:])
-    if order == 2:
-        return (v[:, 0] - v[:, 1]) / (2.0 * h)
-    return (-v[:, 0] + v[:, 1] * 8.0 - v[:, 2] * 8.0 + v[:, 3]) / (12.0 * h)
+    v = _values(u, x, _offsets(axes, (h, -h)))
+    v = v.reshape(len(axes), 2, *v.shape[1:])
+    return (v[:, 0] - v[:, 1]) / (2.0 * h)
 
 
-def fd_partial(u: PartsFunc, axis: int, x, h: float, order: int = 2):
+def fd_partial(u: PartsFunc, axis: int, x, h: float):
     """Central difference along a coordinate axis (0..3)."""
-    return _like(x, _partials(u, x, h, order, (axis,))[0])
+    return _like(x, _partials(u, x, h, (axis,))[0])
 
 
-def _crf(f: PartsFunc, x, h: float, order: int, combine):
-    d = _partials(f, x, h, order, range(4))
+def _crf(f: PartsFunc, x, h: float, combine):
+    d = _partials(f, x, h, range(4))
     return _like(x, reduce(combine, _units_times(d[1:]), d[0]))
 
 
-def fd_crf(f: PartsFunc, x, h: float, order: int = 2):
+def fd_crf(f: PartsFunc, x, h: float):
     """dbar_CRF f = d0 f + i d1 f + j d2 f + k d3 f (units on the left)."""
-    return _crf(f, x, h, order, operator.add)
+    return _crf(f, x, h, operator.add)
 
 
-def fd_crf_conj(f: PartsFunc, x, h: float, order: int = 2):
+def fd_crf_conj(f: PartsFunc, x, h: float):
     """d_CRF f = d0 f - i d1 f - j d2 f - k d3 f (units on the left)."""
-    return _crf(f, x, h, order, operator.sub)
+    return _crf(f, x, h, operator.sub)
 
 
-def fd_gamma(f: PartsFunc, x, h: float, order: int = 2):
+def fd_gamma(f: PartsFunc, x, h: float):
     """Gamma f = -i L23 f + j L13 f - k L12 f with L_ab = x_a d_b - x_b d_a.
 
     Tangential to the spheres S_x; callers should stay away from the
     real axis where the coefficients all vanish.
     """
-    d1, d2, d3 = _partials(f, x, h, order, (1, 2, 3))
+    d1, d2, d3 = _partials(f, x, h, (1, 2, 3))
     _, x1, x2, x3 = _centres(x)
     l23, l13, l12 = d3 * x2 - d2 * x3, d3 * x1 - d1 * x3, d2 * x1 - d1 * x2
     i_l23, j_l13, k_l12 = _units_times(np.array([l23, l13, l12]))

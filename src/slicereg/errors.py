@@ -2,7 +2,9 @@
 
 Hypothesis violations (zeros/poles sitting where the Jensen formula's
 hypotheses forbid them) form their own hierarchy so the CLI can map
-them to a dedicated exit code.
+them to a dedicated exit code.  ``InvalidUnitError``, ``LogOfZeroError``
+and ``NormalNotRealError``, defined where they are raised, derive from
+``SliceRegError`` too: the CLI maps every named failure to one exit code.
 """
 
 from __future__ import annotations

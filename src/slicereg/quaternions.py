@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SliceRegError
+
 __all__ = [
     "Quaternion",
     "ZERO",
@@ -42,7 +44,7 @@ __all__ = [
 UNIT_RENORM_BAND = 1e-6
 
 
-class InvalidUnitError(ValueError):
+class InvalidUnitError(SliceRegError, ValueError):
     """Quaternion does not satisfy Re(J) = 0, |J| = 1 within tolerance."""
 
 

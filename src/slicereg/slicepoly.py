@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import SliceRegError
 from .quaternions import ONE, ZERO, Quaternion, eps_zero, qmul_parts, split
 
 __all__ = [
@@ -49,17 +50,17 @@ __all__ = [
 
 DEGREE_CAP = 64
 TRIM_REL = 1e-13
-# largest |Im a_m| / (1 + max |a_m|) of a slice-preserving polynomial
+# largest |Im a_m| / max |a_m| of a slice-preserving polynomial
 SLICE_PRESERVING_REL = 1e-10
 # below this |Im x| the spherical derivative switches to the slice derivative
 BETA_SWITCH = 1e-8
 
 
-class NormalNotRealError(RuntimeError):
+class NormalNotRealError(SliceRegError, RuntimeError):
     """N(f) came out with non-real coefficients: arithmetic bug upstream."""
 
 
-class LogOfZeroError(ZeroDivisionError):
+class LogOfZeroError(SliceRegError, ZeroDivisionError):
     """log|f(x)| requested at a (near-)zero of f."""
 
 
@@ -177,7 +178,7 @@ class SlicePolynomial(_Loops):
 
     def is_slice_preserving(self, rel_tol: float = SLICE_PRESERVING_REL) -> bool:
         scale = self.coefficient_scale()
-        return all(c.abs_im() <= rel_tol * (1.0 + scale) for c in self.coeffs)
+        return all(c.abs_im() <= rel_tol * scale for c in self.coeffs)
 
     def real_coeffs(self) -> np.ndarray:
         """Ascending real coefficient array; requires slice-preserving f."""

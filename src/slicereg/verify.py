@@ -415,7 +415,7 @@ def suite_quadrature(seed: int) -> SuiteResult:
         shadows = [complex(q.re(), q.abs_im()) for q in roots]
         exact = exact_mean_log_abs(c.norm2(), shadows + [s.conjugate() for s in shadows], r)
         polar = float(np.dot(rule.polar_weights, np.log(np.abs(horner(nnum, rule.polar_z)))))
-        full = rule.measure * float(np.dot(rule.polar_weights, means)) / rule.measure  # the integral / |bd B_r|
+        full = float(np.dot(rule.polar_weights, means))
         for identity, mean in (("polar rule vs exact (mean log|N|)", polar), ("3D rule vs exact (mean log|N(u x)|)", full)):
             rows.append(ResidualRow(identity, idx, [r, 0, 0, 0], 0.0, abs(mean - exact), 0))
             worst_cross = max(worst_cross, rows[-1].residual)

@@ -23,15 +23,15 @@ where the numerator vanishes, which carries an isolated multiplicity
 equal to its total multiplicity as a zero of the numerator.
 
 ``analyze(f, r)`` is the one zero and pole pass that the Jensen check and
-the ``zeros`` command share.  It runs ``zero_spheres`` on num and the root
-finder on den, once each, and returns a frozen ``FunctionAnalysis``: a
-zero record for every zero sphere, every denominator sphere, the pole
-records inside the closed ball of radius r, the shadows of all of those
-spheres, which place the panels of the polar rule, and N(num)'s
-coefficients for the boundary means.  The zero
-records are the only source of zeros: a zero record whose real factor
-divides a pole sphere's is its exceptional point, and the pole record
-copies its representative and multiplicity.
+the ``zeros`` command share.  It runs ``zero_spheres`` on num, takes den's
+spheres from the one root finding at construction, and returns a frozen
+``FunctionAnalysis``: a zero record for every zero sphere, every
+denominator sphere, the pole records inside the closed ball of radius r,
+the shadows of all of those spheres, which place the panels of the polar
+rule, and N(num)'s coefficients for the boundary means.  The zero records
+are the only source of zeros: a zero record whose real factor divides a
+pole sphere's is its exceptional point, and the pole record copies its
+representative and multiplicity.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import (
     ZeroDenominatorError,
     ZeroPolynomialError,
 )
-from .quaternions import Quaternion, decompose, validate_unit
+from .quaternions import InvalidUnitError, Quaternion, decompose, validate_unit
 from .slicepoly import TRIM_REL, SlicePolynomial, StemValue, horner, normal
 
 __all__ = [
@@ -235,10 +235,7 @@ def _pellet_radius(c: list[float], s: complex, m: int, lo: float, hi: float) -> 
     rest[m] = 0.0
     for j in range(PELLET_GRID):
         rho = lo * (hi / lo) ** (j / PELLET_GRID)
-        acc = 0.0
-        for w in reversed(rest):
-            acc = acc * rho + w
-        if head * rho**m > acc:
+        if head * rho**m > horner(rest, rho).real:
             return rho
     return None
 
@@ -405,7 +402,8 @@ def classify_zeros(f: SlicePolynomial, zpoly: tuple[np.ndarray, int] | None = No
     """Classified zero records for every one of f's ``zero_spheres(f, zpoly)``.
 
     Spherical zeros use the representative alpha + i*beta; isolated
-    nonreal zeros are located from the stem by J* = -F1(z) F2(z)^{-1}.
+    nonreal zeros are located from the stem by J* = -F1(z) F2(z)^{-1}, and
+    a J* that cannot be formed or is no unit raises ``ClassificationInconsistencyError``.
     """
     records: list[ZeroRecord] = []
     for alpha, beta, mult in zero_spheres(f, zpoly):
@@ -423,7 +421,10 @@ def classify_zeros(f: SlicePolynomial, zpoly: tuple[np.ndarray, int] | None = No
             raise ClassificationInconsistencyError(
                 f"sphere ({alpha:.6g}, {beta:.6g}) carries a root but F2 ~ 0 != F1"
             )
-        jstar = validate_unit(-(f1 * f2.inverse()))
+        try:
+            jstar = validate_unit(-(f1 * f2.inverse()))
+        except (ZeroDivisionError, InvalidUnitError) as exc:
+            raise ClassificationInconsistencyError(f"sphere ({alpha:.6g}, {beta:.6g}) has no unit J*: {exc}") from exc
         rep = Quaternion(alpha, 0.0, 0.0, 0.0) + jstar * beta
         if f.eval(rep).abs() > EPS_CLASS * scale:
             raise ClassificationInconsistencyError(
@@ -445,10 +446,10 @@ class SemiregularFunction:
     real-linear factors present in both, and full characteristic
     quadratics Delta_b dividing both.  Partial vanishing of num on a
     pole sphere (a single point) is deliberately kept: it is pole
-    structure, not a common factor.
+    structure, not a common factor.  ``den_spheres`` are the reduced den's root spheres.
     """
 
-    __slots__ = ("den", "num")
+    __slots__ = ("den", "num", "den_spheres")
 
     def __init__(self, den: SlicePolynomial, num: SlicePolynomial):
         if den.is_zero:
@@ -459,17 +460,15 @@ class SemiregularFunction:
         lead = den.coeffs[-1].w
         den = SlicePolynomial([c / lead for c in den.coeffs])
         num = SlicePolynomial([c / lead for c in num.coeffs])
-        if den.degree > 0 and not num.is_zero:
-            den, num = _reduce_pair(den, num)
+        spheres = root_spheres(den.real_coeffs()) if den.degree > 0 else []
+        if not num.is_zero:
+            den, num, spheres = _reduce_pair(den, num, spheres)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den_spheres", tuple(spheres))
 
     def __setattr__(self, name, value):
         raise AttributeError("SemiregularFunction is immutable")
-
-    @staticmethod
-    def from_polynomial(p: SlicePolynomial) -> "SemiregularFunction":
-        return SemiregularFunction(SlicePolynomial.from_real([1.0]), p)
 
     def eval(self, x: Quaternion) -> Quaternion:
         return self.den.eval(x).inverse() * self.num.eval(x)
@@ -505,19 +504,20 @@ class SemiregularFunction:
         return f"SemiregularFunction(den={self.den!r}, num={self.num!r})"
 
 
-def _reduce_pair(den: SlicePolynomial, num: SlicePolynomial) -> tuple[SlicePolynomial, SlicePolynomial]:
+def _reduce_pair(den: SlicePolynomial, num: SlicePolynomial, spheres: list[Sphere]) -> tuple:
     """Divide every real factor of the monic den that also divides num out
-    of both; den stays monic."""
-    for alpha, beta, mult in root_spheres(den.real_coeffs()):
-        avail = mult if beta == 0.0 else mult // 2
-        k = min(avail, _division_multiplicity(_rows(num), alpha, beta))
-        if k == 0:
-            continue
+    of both; den stays monic, and its root spheres lose what is divided out."""
+    kept = []
+    for alpha, beta, mult in spheres:
+        per = 1 if beta == 0.0 else 2
+        k = min(mult // per, _division_multiplicity(_rows(num), alpha, beta))
         factor = _real_factor(alpha, beta)
         for _ in range(k):
             den, _ = divide_by_real(den, factor)
             num, _ = divide_by_real(num, factor)
-    return den, num
+        if mult > per * k:
+            kept.append((alpha, beta, mult - per * k))
+    return den, num, kept
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +558,7 @@ class PoleRecord:
         return d
 
 
-def pole_structure(spheres: list[Sphere], zeros: Sequence[ZeroRecord], region_radius: float) -> list[PoleRecord]:
+def pole_structure(spheres: Sequence[Sphere], zeros: Sequence[ZeroRecord], region_radius: float) -> list[PoleRecord]:
     """Pole records inside the closed ball of the given radius or on its
     boundary band (``on_boundary``), from the root spheres of den and the
     zero records of num.
@@ -641,13 +641,13 @@ def as_semiregular(f) -> SemiregularFunction:
     if isinstance(f, SemiregularFunction):
         return f
     if isinstance(f, SlicePolynomial):
-        return SemiregularFunction.from_polynomial(f)
+        return SemiregularFunction(SlicePolynomial.from_real([1.0]), f)
     raise TypeError(f"expected SlicePolynomial or SemiregularFunction, got {type(f)!r}")
 
 
 def analyze(f, r: float) -> FunctionAnalysis:
     """Zero and pole records of f at radius r from one ``zero_spheres``
-    of num and one root finding on den.
+    of num and the ``den_spheres`` found at construction.
 
     Only a zero record whose real factor divides a pole sphere's
     (``pole_structure``) can be its exceptional point: a zero merely near a
@@ -656,6 +656,5 @@ def analyze(f, r: float) -> FunctionAnalysis:
     fs = as_semiregular(f)
     zpoly = _zero_polynomial(fs.num)
     zeros = classify_zeros(fs.num, zpoly)
-    pole_spheres = root_spheres(fs.den.real_coeffs()) if fs.den.degree > 0 else []
-    poles = pole_structure(pole_spheres, zeros, r)
-    return FunctionAnalysis(r, tuple(zeros), tuple(pole_spheres), tuple(poles), normal_coeffs(fs.num, zpoly))
+    poles = pole_structure(fs.den_spheres, zeros, r)
+    return FunctionAnalysis(r, tuple(zeros), fs.den_spheres, tuple(poles), normal_coeffs(fs.num, zpoly))

@@ -18,7 +18,8 @@ import math
 from slicereg.errors import ClassificationInconsistencyError, PoleOnBoundaryError, SliceRegError
 from slicereg.quaternions import Quaternion, decompose
 from slicereg.slicepoly import SlicePolynomial, slice_product
-from slicereg.zeros_poles import TOL_DIVIDE, SemiregularFunction, analyze, divide_by_real, on_boundary
+from slicereg.zeros_poles import (TOL_DIVIDE, SemiregularFunction, analyze, as_semiregular, divide_by_real, on_boundary,
+                                  root_spheres)
 
 
 class InvalidPoleError(SliceRegError):
@@ -31,12 +32,13 @@ class PoleOutsideRegionError(SliceRegError):
 
 def unreduced(den: SlicePolynomial, num: SlicePolynomial) -> SemiregularFunction:
     """den^{-1} num as given, for a monic real den coprime to num by
-    construction.  The constructor's reduction tests coprimality at
-    TOL_DIVIDE, which at small r cancels a Blaschke factor whose base
-    point is near the boundary but outside its band."""
+    construction, with den's root spheres.  The constructor's reduction
+    tests coprimality at TOL_DIVIDE, which at small r cancels a Blaschke
+    factor whose base point is near the boundary but outside its band."""
     f = object.__new__(SemiregularFunction)
     object.__setattr__(f, "den", den)
     object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den_spheres", tuple(root_spheres(den.real_coeffs())))
     return f
 
 
@@ -76,7 +78,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
     raise PoleOutsideRegionError instead of being silently ignored.
     """
     if f.den.degree == 0:
-        one = SemiregularFunction.from_polynomial(SlicePolynomial.from_real([1.0]))
+        one = as_semiregular(SlicePolynomial.from_real([1.0]))
         return one, f
     poles = analyze(f, math.inf).poles
     for rec in poles:

@@ -55,31 +55,27 @@ class ScalarReference:
         return v if isinstance(v, Quaternion) else Quaternion.real(float(v))
 
     @classmethod
-    def partial(cls, u, axis, x, h, order=2):
+    def partial(cls, u, axis, x, h):
         q, e = cls.as_quat, cls.AXES[axis]
-        if order == 2:
-            return (q(u(x + e * h)) - q(u(x - e * h))) / (2.0 * h)
-        up2, up1 = q(u(x + e * (2.0 * h))), q(u(x + e * h))
-        um1, um2 = q(u(x - e * h)), q(u(x - e * (2.0 * h)))
-        return (-up2 + up1 * 8.0 - um1 * 8.0 + um2) / (12.0 * h)
+        return (q(u(x + e * h)) - q(u(x - e * h))) / (2.0 * h)
 
     @classmethod
-    def crf(cls, f, x, h, order=2):
-        out = cls.partial(f, 0, x, h, order)
+    def crf(cls, f, x, h):
+        out = cls.partial(f, 0, x, h)
         for axis, unit in enumerate(cls.UNITS, start=1):
-            out = out + unit * cls.partial(f, axis, x, h, order)
+            out = out + unit * cls.partial(f, axis, x, h)
         return out
 
     @classmethod
-    def crf_conj(cls, f, x, h, order=2):
-        out = cls.partial(f, 0, x, h, order)
+    def crf_conj(cls, f, x, h):
+        out = cls.partial(f, 0, x, h)
         for axis, unit in enumerate(cls.UNITS, start=1):
-            out = out - unit * cls.partial(f, axis, x, h, order)
+            out = out - unit * cls.partial(f, axis, x, h)
         return out
 
     @classmethod
-    def gamma(cls, f, x, h, order=2):
-        d1, d2, d3 = (cls.partial(f, a, x, h, order) for a in (1, 2, 3))
+    def gamma(cls, f, x, h):
+        d1, d2, d3 = (cls.partial(f, a, x, h) for a in (1, 2, 3))
         l23 = d3 * x.x2 - d2 * x.x3
         l13 = d3 * x.x1 - d1 * x.x3
         l12 = d2 * x.x1 - d1 * x.x2
@@ -137,14 +133,6 @@ def test_fd_partial_examples():
     bil = lambda x: x[0] * x[1]
     d1 = fd_partial(bil, 1, Quaternion(2, 3, 0, 0), 1e-3)
     assert d1.re() == pytest.approx(2.0, abs=1e-9)
-
-
-def test_fd_partial_order4():
-    u = lambda x: np.sin(x[2])
-    d = fd_partial(u, 2, Quaternion(0, 0, 0.3, 0), 1e-2, order=4)
-    assert d.re() == pytest.approx(math.cos(0.3), abs=1e-9)
-    with pytest.raises(ValueError):
-        fd_partial(u, 2, Quaternion.real(0.0), 1e-2, order=3)
 
 
 def test_crf_convention_smoke_test():
@@ -247,10 +235,9 @@ def test_stencil_direction_flip_negates_odd_derivatives():
     flipped = lambda x: f.eval_parts((x[0], -x[1], x[2], x[3]))  # noqa: E731
     x = Quaternion(0.3, 0.5, -0.2, 0.1)
     x_flip = Quaternion(0.3, -0.5, -0.2, 0.1)
-    for order in (2, 4):
-        d = fd_partial(f.eval_parts, 1, x, 1e-3, order)
-        d_flip = fd_partial(flipped, 1, x_flip, 1e-3, order)
-        assert (d + d_flip).abs() <= 1e-12 * (1.0 + d.abs())
+    d = fd_partial(f.eval_parts, 1, x, 1e-3)
+    d_flip = fd_partial(flipped, 1, x_flip, 1e-3)
+    assert (d + d_flip).abs() <= 1e-12 * (1.0 + d.abs())
 
 
 def test_convergence_order_two():
@@ -290,8 +277,8 @@ FIRST_ORDER = [
     ("fd_crf_conj", fd_crf_conj, ScalarReference.crf_conj),
     ("fd_gamma", fd_gamma, ScalarReference.gamma),
 ] + [
-    (f"fd_partial_{a}", lambda u, x, h, o, a=a: fd_partial(u, a, x, h, o),
-     lambda u, x, h, o, a=a: ScalarReference.partial(u, a, x, h, o))
+    (f"fd_partial_{a}", lambda u, x, h, a=a: fd_partial(u, a, x, h),
+     lambda u, x, h, a=a: ScalarReference.partial(u, a, x, h))
     for a in range(4)
 ]
 SECOND_ORDER = [
@@ -303,13 +290,12 @@ SECOND_ORDER = [
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("name, batched, scalar", FIRST_ORDER, ids=[c[0] for c in FIRST_ORDER])
-def test_first_order_operators_match_scalar_reference_bitwise(name, batched, scalar, order, seed):
+def test_first_order_operators_match_scalar_reference_bitwise(name, batched, scalar, seed):
     for label, u, u_scalar, x in _integrands(seed):
         h = 1e-3 * (1.0 + x.abs())
         for step in (h, 0.5 * h):
-            assert batched(u, x, step, order) == scalar(u_scalar, x, step, order), (label, step)
+            assert batched(u, x, step) == scalar(u_scalar, x, step), (label, step)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -341,8 +327,8 @@ def test_composed_stencils_make_one_integrand_call():
     x = Quaternion(0.3, 0.4, -0.2, 0.1)
     fd_bilaplace4(u, x, 3e-2)
     fd_crf(lambda y: fd_laplace4(u, y, 3e-2), x, 3e-2)
-    fd_gamma(u, x, 1e-3, order=4)
-    assert sizes == [81, 72, 12]
+    fd_gamma(u, x, 1e-3)
+    assert sizes == [81, 72, 6]
 
 
 def test_parts_horner_matches_scalar_loop_bitwise():
@@ -422,10 +408,9 @@ def _check_per_centre(batched, scalar, step, seed):
                 assert _centre(got, j) == scalar(u_scalar[j], x, float(steps[j])), (label, j)
 
 
-@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("name, batched, scalar", FIRST_ORDER, ids=[c[0] for c in FIRST_ORDER])
-def test_first_order_operators_on_many_centres_match_scalar_reference_bitwise(name, batched, scalar, order):
-    _check_per_centre(lambda u, x, h: batched(u, x, h, order), lambda u, x, h: scalar(u, x, h, order), 1e-3, 4)
+def test_first_order_operators_on_many_centres_match_scalar_reference_bitwise(name, batched, scalar):
+    _check_per_centre(batched, scalar, 1e-3, 4)
 
 
 @pytest.mark.parametrize("name, batched, scalar, step", SECOND_ORDER, ids=[c[0] for c in SECOND_ORDER])

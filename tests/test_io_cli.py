@@ -20,8 +20,8 @@ from slicereg.io import (
     render_reports_csv,
 )
 from slicereg.jensen import jensen_check
-from slicereg.quaternions import I, ONE, Quaternion
-from slicereg.slicepoly import SlicePolynomial
+from slicereg.quaternions import I, ONE, InvalidUnitError, Quaternion
+from slicereg.slicepoly import LogOfZeroError, NormalNotRealError, SlicePolynomial
 from slicereg.zeros_poles import SemiregularFunction, analyze, as_semiregular
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -657,13 +657,10 @@ def test_one_root_finding_per_polynomial(name, monkeypatch, capsys):
     positive = sum(p.degree > 0 for p in (fs.num, fs.den))
     calls = _count_root_spheres(monkeypatch)
     jensen_check(f, r, bijectivity_points=50)
-    assert len(calls) == positive
-    calls.clear()
-    load_function(path)  # a rational's common factors are cancelled at load
-    at_load = len(calls)
+    assert len(calls) == (fs.num.degree > 0)  # den's spheres come with f, from its load
     calls.clear()
     assert main(["jensen", "--fn", str(path), "--r", repr(r), "--bijectivity-points", "50"]) == 0
-    assert len(calls) == at_load + positive
+    assert len(calls) == positive  # load included
 
 
 def test_cli_zeros_polynomial(capsys):
@@ -685,6 +682,20 @@ def test_cli_verify_ops_single_suite(capsys):
 def test_cli_verify_ops_unknown_suite(capsys):
     assert main(["verify-ops", "--suite", "nope"]) == 3
     assert capsys.readouterr().err.startswith("input error: unknown suite 'nope'; choose from crf, ")
+
+
+@pytest.mark.parametrize("error, base", [(InvalidUnitError, ValueError), (LogOfZeroError, ZeroDivisionError),
+                                         (NormalNotRealError, RuntimeError)])
+def test_cli_verify_ops_maps_a_named_error_inside_a_suite_to_exit_3(error, base, monkeypatch, capsys):
+    import slicereg.verify as verify
+
+    def broken(seed):
+        raise error("named failure inside a suite")
+
+    assert issubclass(error, base)
+    monkeypatch.setitem(verify.SUITES, "gamma", broken)
+    assert main(["verify-ops", "--suite", "gamma"]) == 3
+    assert capsys.readouterr().err == "error: named failure inside a suite\n"
 
 
 def test_cli_verify_ops_lets_a_key_error_inside_a_suite_propagate(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from slicereg.zeros_poles import (
     ZeroRecord,
     _division_multiplicity,
     analyze,
+    as_semiregular,
     characteristic_poly,
     classify_zeros,
     divide_by_real,
@@ -539,6 +541,64 @@ def test_high_degree_annuli_draws_find_every_sphere(seed):
     assert abs(jensen_check(f, 1.0, 48, diagnostics=False).residual) <= 1e-11
 
 
+# -- the near-pair family of scripts/root_probe.py ---------------------------------
+
+
+def _near_pair(seed):
+    """(x - q)(x - q2) with q2 = conj(q) + eps u, eps = 10^-uniform(2, 9), times
+    0-2 more factors, from Stream(seed): q and q2 lie within eps of one sphere."""
+    s = Stream(seed)
+    q = s.unit() * s.uniform(0.3, 0.9)
+    eps = 10.0 ** -s.uniform(2, 9)
+    f = SlicePolynomial.linear(q) * SlicePolynomial.linear(q.conj() + s.unit() * eps)
+    for _ in range(s.integer(0, 3)):
+        f = f * SlicePolynomial.linear(s.unit() * s.uniform(0.2, 1.6))
+    return f
+
+
+def test_near_pair_draws_pass_or_raise_a_named_error():
+    # 13 of these draws let InvalidUnitError, no SliceRegError, escape
+    # classify_zeros: J* = -F1 F2^-1 is no unit on the pair's sphere
+    outcomes = {"pass": 0, "named": 0}
+    for seed in range(100):
+        try:
+            residual = jensen_check(_near_pair(seed), 1.0, 48, diagnostics=False).residual
+        except SliceRegError:
+            outcomes["named"] += 1
+            continue
+        assert abs(residual) <= 1e-9, seed
+        outcomes["pass"] += 1
+    assert outcomes == {"pass": 36, "named": 64}
+
+
+def test_near_pair_seed_5_exits_3_with_a_named_error(tmp_path, capsys):
+    from slicereg.cli import main
+    from slicereg.io import function_to_dict
+
+    f = _near_pair(5)
+    assert f.degree == 4
+    with pytest.raises(ClassificationInconsistencyError, match=r"has no unit J\*"):
+        classify_zeros(f)
+    path = tmp_path / "near_pair.json"
+    path.write_text(json.dumps(function_to_dict(f)))
+    for command in ("jensen", "zeros"):
+        assert main([command, "--fn", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: sphere (")
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e6, 1e-6, 1e-9, 1e-10, 1e-11, 3e-12])
+def test_scaling_keeps_a_quaternionic_polynomial_quaternionic(scale):
+    # (1 + scale) once floored the slice-preserving test: at scale <= 1e-10
+    # the imaginary parts were dropped and the check raised InvalidUnitError
+    base = lin(-0.2, -0.5, -0.3, -0.1) * lin(0.4, -0.1, 0.6, -0.2)  # zeros 0.2+0.5i+0.3j+0.1k, -0.4+0.1i-0.6j+0.2k
+    f = SlicePolynomial([c * scale for c in base.coeffs])
+    assert not f.is_slice_preserving()
+    want, got = classify_zeros(base), classify_zeros(f)
+    assert [(r.kind, r.multiplicity) for r in got] == [("isolated", 1)] * 2
+    assert all(r.representative.isclose(w.representative, 1e-14) for r, w in zip(got, want))
+    assert abs(jensen_check(f, 1.0, 48, diagnostics=False).residual) <= 1e-13
+
+
 # -- semiregular construction --------------------------------------------------
 
 
@@ -565,6 +625,18 @@ def test_semiregular_keeps_partial_vanishing():
     num = SlicePolynomial([I, ONE])  # x + i, vanishes only at -i
     f = SemiregularFunction(den, num)
     assert f.den.degree == 2
+
+
+def test_den_spheres_lose_the_cancelled_multiplicity():
+    delta = characteristic_poly(Quaternion(0, 0.7, 0, 0))
+    den = real_poly(-0.5, 1.0) ** 2 * real_poly(0.3, 1.0) * delta ** 2
+    f = SemiregularFunction(den, real_poly(-0.5, 1.0) * delta * lin(0.1, 0.2, 0, 0))
+    assert f.den.degree == 4
+    assert [(round(a, 9), round(b, 9), m) for a, b, m in f.den_spheres] == [(-0.3, 0.0, 1), (0.0, 0.7, 2), (0.5, 0.0, 1)]
+    assert np.array(f.den_spheres) == pytest.approx(np.array(root_spheres(f.den.real_coeffs())), abs=1e-9)
+    # a zero numerator cancels nothing; den's spheres are still found
+    assert len(SemiregularFunction(den, SlicePolynomial([])).den_spheres) == 3
+    assert as_semiregular(lin(0.1, 0.2, 0, 0)).den_spheres == ()
 
 
 def test_semiregular_eval_order():
@@ -804,7 +876,7 @@ def test_regularize_remark_function():
 
 
 def test_regularize_polynomial_passthrough():
-    p = SemiregularFunction.from_polynomial(real_poly(-0.5, 1.0))
+    p = as_semiregular(real_poly(-0.5, 1.0))
     g, h = regularize(p, 1.0)
     assert g.num.degree == 0 and g.den.degree == 0
     assert h.num.degree == 1
