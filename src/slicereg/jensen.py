@@ -250,7 +250,7 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
     zsum = zero_sum(zrecords, r)
     psum = pole_sum(poles, r)
 
-    means = boundary_means(fs, r, n, analysis.shadows, analysis.normal_num)
+    means = boundary_means(fs, r, n, analysis.shadows)
     lhs = t0 + t1 + t2
     rhs = 0.5 * (means.mean_log_f + means.mean_log_f_sf) - zsum + psum
     residual = lhs - rhs
@@ -271,7 +271,7 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
         # the same panels at orders of its own
         p, q = oracle_orders(n)
         rule = build_rule(r, p, analysis.shadows, q)
-        oracle = boundary_identity_residual(fs, rule, analysis.normal_num)
+        oracle = boundary_identity_residual(fs, rule)
         diag["oracle_orders"] = [p, q]
         diag["oracle_nodes"] = len(rule)
         diag["boundary_identity_max"] = oracle.identity_max

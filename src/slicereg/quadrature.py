@@ -59,7 +59,7 @@ import numpy as np
 from .errors import DegeneratePointError, NonFiniteIntegrandError
 from .quaternions import Quaternion, _qconj_parts, _qinv_parts, _qnorm2_parts, qmul_parts, split
 from .slicepoly import horner
-from .zeros_poles import as_semiregular, normal_coeffs
+from .zeros_poles import as_semiregular
 
 __all__ = [
     "SphereQuadratureRule",
@@ -388,10 +388,10 @@ def sphere_mean_log_abs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarr
         return 0.5 * np.log(a) + 0.25 * g
 
 
-def boundary_means(f, r: float, n: int, shadows=(), nnum: np.ndarray | None = None) -> BoundaryMeans:
+def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     """The two normalized boundary means of the Jensen right-hand side,
-    by ``polar_rule(r, n, shadows)`` with exact S^2 averaging; nnum holds
-    N(num)'s coefficients (``normal_coeffs``) when the caller has them.
+    by ``polar_rule(r, n, shadows)`` with exact S^2 averaging; N(num) is
+    the function's ``num_normal``, evaluated once.
 
     N(f) has the stem (F1 + i F2)(conj F1 + i conj F2) = |F1|^2 - |F2|^2
     + 2i Re(F1 conj F2); with |Im(F1 conj F2)|^2 = |F1|^2 |F2|^2 - Re(F1 conj F2)^2
@@ -402,17 +402,16 @@ def boundary_means(f, r: float, n: int, shadows=(), nnum: np.ndarray | None = No
     sphere of a polar node (|N(num)(z)| within roundoff of its Horner
     sum), or a non-finite stem, raises NonFiniteIntegrandError.
     """
+    fs = as_semiregular(f)
     z, w = polar_rule(r, n, shadows)
     f1, f2 = f.stem_arrays(z)
     a = _qnorm2_parts(f1) + _qnorm2_parts(f2)
     _, b1, b2, b3 = qmul_parts(f1, _qconj_parts(f2))
     b = 2.0 * np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    if nnum is None:
-        nnum = normal_coeffs(as_semiregular(f).num)
-    num_abs = np.abs(horner(nnum, z))
-    log_n = log_normal_values(f, z, num_abs)
+    num_abs = np.abs(horner(fs.num_normal, z))
+    log_n = _log_normal(fs, z, num_abs)
     log_f = sphere_mean_log_abs(a, b, np.exp(2.0 * log_n) / (a + b))
-    hit = num_abs <= NODE_HIT_REL * horner(np.abs(nnum), r).real
+    hit = num_abs <= NODE_HIT_REL * horner(np.abs(fs.num_normal), r).real
     bad = ~np.isfinite(log_f + log_n) | hit
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -423,13 +422,14 @@ def boundary_means(f, r: float, n: int, shadows=(), nnum: np.ndarray | None = No
     return BoundaryMeans(mean_log_f, float(np.dot(w, log_n)) - mean_log_f)
 
 
-def log_normal_values(f, z: np.ndarray, num_abs: np.ndarray | None = None) -> np.ndarray:
-    """log|N(f)| at shadows z; N(f) is circular so only z matters.  A
-    constant den is 1 (den is monic), so only a nonconstant one enters.
-    ``num_abs``: |N(num)| at z, when the caller has it."""
+def log_normal_values(f, z: np.ndarray) -> np.ndarray:
+    """log|N(f)| at shadows z; N(f) is circular so only z matters."""
     fs = as_semiregular(f)
-    if num_abs is None:
-        num_abs = np.abs(horner(normal_coeffs(fs.num), z))
+    return _log_normal(fs, z, np.abs(horner(fs.num_normal, z)))
+
+
+def _log_normal(fs, z: np.ndarray, num_abs: np.ndarray) -> np.ndarray:
+    """log|N(num)| - 2 log|den| at z from num_abs = |N(num)(z)|; a constant den is 1 (den is monic)."""
     log_n = np.log(num_abs)
     return log_n - 2.0 * np.log(np.abs(horner(fs.den.real_coeffs(), z))) if fs.den.degree else log_n
 
@@ -473,11 +473,11 @@ def _log_abs_f_and_f_sf(maps: np.ndarray, units: np.ndarray) -> tuple[np.ndarray
         return 0.5 * np.log(fx2), 0.5 * np.log(fy2 / values[8] ** 2)
 
 
-def boundary_identity_residual(f, rule: SphereQuadratureRule, nnum: np.ndarray | None = None) -> ProductRuleCheck:
-    """Evaluate f and f o S_f at every node of the product rule; nnum as
-    in ``boundary_means``.
+def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleCheck:
+    """Evaluate f and f o S_f at every node of the product rule.
 
-    The stems and log|N(f)| are evaluated once per polar angle, and so is
+    The stems and log|N(f)|, from the function's ``num_normal`` like the
+    means', are evaluated once per polar angle, and so is
     ``_identity_map``, which makes f(x) and f(S_f x) on the angle's sphere
     ratios of affine maps of its unit J.  Blocks of whole angles, about
     ``ORACLE_BLOCK`` nodes each, apply the map to the 2q^2 units by one
@@ -486,7 +486,7 @@ def boundary_identity_residual(f, rule: SphereQuadratureRule, nnum: np.ndarray |
     weights are applied once at the end.
     """
     z = rule.polar_z
-    log_n = log_normal_values(f, z, None if nnum is None else np.abs(horner(nnum, z)))[:, None]
+    log_n = log_normal_values(f, z)[:, None]
     maps = _identity_map(*f.stem_arrays(z), f.stem_scale(rule.radius))
     units = _homogeneous_units(rule)
     sphere_means = np.empty((2, len(z)))

@@ -231,15 +231,6 @@ class SlicePolynomial(_Loops):
         f1, f2 = self.stem_arrays(complex(alpha, beta))
         return StemValue(Quaternion(*f1), Quaternion(*f2))
 
-    def stem_partials(self, alpha: float, beta: float) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
-        """Exact partials (dF1/da, dF1/db, dF2/da, dF2/db) at z = a+ib.
-
-        From d(z^m)/da = m z^{m-1} and d(z^m)/db = i m z^{m-1}: with G the
-        stems of the slice derivative, they are (G1, -G2, G2, G1).
-        """
-        g = self.slice_derivative().stem_components(alpha, beta)
-        return g.F1, -g.F2, g.F2, g.F1
-
     # -- calculus ----------------------------------------------------------
 
     def slice_derivative(self) -> "SlicePolynomial":

@@ -10,8 +10,8 @@ halving from that pair for the terminal value, which is how those
 operators are meant to be used.  The stencils are the batched ones of
 ``diffops``, and each suite makes one stencil call per identity and
 step: its cases are the centres, with a step each, and a ``SliceStack``
-gives each centre its own polynomial.  The exact sides stay one case
-at a time.
+gives each centre its own polynomial.  The exact sides take the same
+stack and centres, and read f' from its one ``slice_derivative``.
 
 The corpora come from ``Stream`` (standard-library Mersenne Twister draws,
 so no suite imports ``numpy.random``), shaped so the identities are
@@ -19,8 +19,9 @@ exercised away from degenerate configurations: points keep |Im x| >= 0.25
 (the angular operators lose meaning on the real axis), bilaplacian
 polynomials have degree >= 6 (lower degrees are annihilated exactly by the
 stencils and leave nothing to converge), and log|N(f)| is probed at points
-well separated from the zero set.  The quadrature suite forms each N(f)
-once and walks the product rule in blocks of ``ORACLE_BLOCK`` nodes.
+well separated from the zero set.  The quadrature suite reads N(f) off
+each function and walks the product rule in blocks of ``ORACLE_BLOCK``
+nodes.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import numpy as np
 from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, fd_laplace4_richardson
 from .jensen import delta4_logNf_at0
 from .quadrature import ORACLE_BLOCK, build_rule, s2_means, shoemake
-from .quaternions import Quaternion, decompose, qmul_parts
+from .quaternions import Quaternion, qmul_parts, split
 from .slicepoly import SlicePolynomial, SliceStack, horner, log_abs, normal, spherical_derivative, spherical_value
-from .zeros_poles import characteristic_poly, classify_zeros, normal_coeffs, total_multiplicity
+from .zeros_poles import as_semiregular, characteristic_poly, classify_zeros, total_multiplicity
 
 __all__ = ["SuiteResult", "ResidualRow", "run_suite", "SUITES", "SUITE_ORDER"]
 
@@ -163,23 +164,23 @@ def exact_mean_log_abs(lead: float, roots, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exact_two_dx_sd(f: SlicePolynomial, x: Quaternion) -> Quaternion:
-    """2 d/dx (f'_s) from exact stem partials of the circular stem
-    G1 = F2/beta."""
-    p = decompose(x)
-    stem = f.stem_components(p.alpha, p.beta)
-    _, _, d2a, d2b = f.stem_partials(p.alpha, p.beta)
-    g1a = d2a / p.beta
-    g1b = d2b / p.beta - stem.F2 / (p.beta * p.beta)
-    return g1a - p.unit * g1b
+def _exact_two_dx_sd(fs: SliceStack, xs: tuple) -> tuple:
+    """2 d/dx (f'_s) at the centres xs from the stems G of f': the circular
+    stem F2/beta of f'_s has partials G2/beta in alpha and G1/beta -
+    F2/beta^2 in beta."""
+    alpha, beta, unit = split(xs)
+    z = alpha + 1j * beta
+    g1, g2 = fs.slice_derivative().stem_arrays(z)
+    db = tuple(a / beta - b / (beta * beta) for a, b in zip(g1, fs.stem_arrays(z)[1]))
+    return tuple(a / beta - b for a, b in zip(g2, qmul_parts(unit, db)))
 
 
-def _exact_two_dxc_vs(f: SlicePolynomial, x: Quaternion) -> Quaternion:
-    """2 d/dx^c (v_s f) from exact stem partials of the circular stem
-    G1 = F1."""
-    p = decompose(x)
-    d1a, d1b, _, _ = f.stem_partials(p.alpha, p.beta)
-    return d1a + p.unit * d1b
+def _exact_two_dxc_vs(fs: SliceStack, xs: tuple) -> tuple:
+    """2 d/dx^c (v_s f) at the centres xs from the stems G of f': the
+    circular stem F1 of v_s f has partials G1 in alpha and -G2 in beta."""
+    alpha, beta, unit = split(xs)
+    g1, g2 = fs.slice_derivative().stem_arrays(alpha + 1j * beta)
+    return tuple(a + b for a, b in zip(g1, qmul_parts(unit, tuple(-c for c in g2))))
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +211,20 @@ def _case(v: tuple, idx: int) -> Quaternion:
 
 
 def _fd_pair_suite(name: str, cases, identities) -> SuiteResult:
-    """Generic first-order suite: run each identity at h and h/2.  An
-    identity's FD side maps (SliceStack, centres, steps) to parts, one
-    centre per case; its exact side maps (f, x) to a Quaternion."""
+    """Generic first-order suite: run each identity at h and h/2.  Both
+    sides of an identity take the ``SliceStack`` of the cases and their
+    centres, one per case, and return parts; the FD side also takes the steps."""
     stack = SliceStack(f for f, _ in cases)
     centres, scale = _centres(cases)
     steps = (1e-3 * scale, 0.5 * (1e-3 * scale))
-    fd = [[fd_side(stack, centres, step) for step in steps] for _, fd_side, _ in identities]
+    sides = [([fd(stack, centres, step) for step in steps], exact(stack, centres)) for _, fd, exact in identities]
     rows: list[ResidualRow] = []
     res_h: list[float] = []
     res_h2: list[float] = []
-    for idx, (f, x) in enumerate(cases):
-        for (ident, _, exact_side), values in zip(identities, fd):
-            exact = exact_side(f, x)
+    for idx, (_, x) in enumerate(cases):
+        for (ident, _, _), (values, exact) in zip(identities, sides):
             for step, v, sink in zip(steps, values, (res_h, res_h2)):
-                r = (_case(v, idx) - exact).abs()
+                r = (_case(v, idx) - _case(exact, idx)).abs()
                 sink.append(r)
                 rows.append(ResidualRow(ident, idx, list(x.components()), float(step[idx]), r, 2))
     worst = float(np.max(res_h))
@@ -243,13 +243,13 @@ def suite_crf(seed: int, n_cases: int = 20) -> SuiteResult:
         (
             "dbar_crf(f) = -2 f'_s",
             lambda fs, xs, h: fd_crf(fs.eval_parts, xs, h),
-            lambda f, x: spherical_derivative(f, x) * (-2.0),
+            lambda fs, xs: tuple(v * (-2.0) for v in spherical_derivative(fs, xs)),
         ),
         (
             "d_crf(f) - 2 df/dx = 2 f'_s",
             lambda fs, xs, h: tuple(a - b * 2.0 for a, b in zip(fd_crf_conj(fs.eval_parts, xs, h),
                                                                 fs.slice_derivative().eval_parts(xs))),
-            lambda f, x: spherical_derivative(f, x) * 2.0,
+            lambda fs, xs: tuple(v * 2.0 for v in spherical_derivative(fs, xs)),
         ),
         (
             "2 d/dx f'_s = d_crf(f'_s)",
@@ -272,7 +272,7 @@ def suite_gamma(seed: int, n_cases: int = 20) -> SuiteResult:
         (
             "gamma(f) = 2 Im(x) f'_s",
             lambda fs, xs, h: fd_gamma(fs.eval_parts, xs, h),
-            lambda f, x: (x.im() * spherical_derivative(f, x)) * 2.0,
+            lambda fs, xs: tuple(v * 2.0 for v in qmul_parts((0.0, *xs[1:]), spherical_derivative(fs, xs))),
         ),
     ]
     return _fd_pair_suite("gamma", cases, identities)
@@ -287,7 +287,7 @@ def suite_harmonic(seed: int, n_cases: int = 20) -> SuiteResult:
         (
             "laplace4(f'_s) = 0",
             lambda fs, xs, h: fd_laplace4(partial(spherical_derivative, fs), xs, h),
-            lambda f, x: Quaternion.real(0.0),
+            lambda fs, xs: (np.zeros_like(xs[0]),) * 4,
         ),
     ]
     return _fd_pair_suite("harmonic", cases, identities)
@@ -402,19 +402,19 @@ def suite_quadrature(seed: int) -> SuiteResult:
     r, n = 1.0, 48
     rule = build_rule(r, n)
     cases = [_product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
-    nnums = [normal_coeffs(f) for f, _, _ in cases]  # f is a polynomial: log|N(f)| = log|horner(nnum)|
+    normals = [as_semiregular(f).num_normal for f, _, _ in cases]  # f is a polynomial: log|N(f)| = log|horner(N(f))|
     u, uj = ROTATION.components(), qmul_parts(ROTATION.components(), tuple(rule.s2_units.T))
     sphere_means = np.empty((len(cases), len(rule.polar_z)))
     for blk in rule.blocks(ORACLE_BLOCK):
         alpha, beta = rule.polar_z[blk].real[:, None], rule.polar_z[blk].imag[:, None]
         ux = [alpha * a + beta * b for a, b in zip(u, uj)]
         z_rotated = ux[0] + 1j * np.sqrt(ux[1] * ux[1] + ux[2] * ux[2] + ux[3] * ux[3])
-        sphere_means[:, blk] = [s2_means(rule, np.log(np.abs(horner(nnum, z_rotated))), blk.start) for nnum in nnums]
-    for idx, ((f, c, roots), nnum, means) in enumerate(zip(cases, nnums, sphere_means)):
+        sphere_means[:, blk] = [s2_means(rule, np.log(np.abs(horner(nf, z_rotated))), blk.start) for nf in normals]
+    for idx, ((f, c, roots), nf, means) in enumerate(zip(cases, normals, sphere_means)):
         # N(f) = |c|^2 N(x - q_1) ... N(x - q_k), with roots Re q +- i |Im q|
         shadows = [complex(q.re(), q.abs_im()) for q in roots]
         exact = exact_mean_log_abs(c.norm2(), shadows + [s.conjugate() for s in shadows], r)
-        polar = float(np.dot(rule.polar_weights, np.log(np.abs(horner(nnum, rule.polar_z)))))
+        polar = float(np.dot(rule.polar_weights, np.log(np.abs(horner(nf, rule.polar_z)))))
         full = float(np.dot(rule.polar_weights, means))
         for identity, mean in (("polar rule vs exact (mean log|N|)", polar), ("3D rule vs exact (mean log|N(u x)|)", full)):
             rows.append(ResidualRow(identity, idx, [r, 0, 0, 0], 0.0, abs(mean - exact), 0))
@@ -453,11 +453,11 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
             factor = characteristic_poly(q) if kind == 2 else SlicePolynomial.linear(q)
             f = f * factor
             built[q] = built.get(q, 0) + factor.degree
-        nf = normal(f)
-        zpoly = (f.real_coeffs(), 1) if f.is_slice_preserving() else (nf.real_coeffs(), 2)  # _zero_polynomial(f)
+        fs = as_semiregular(f)
         found = dict.fromkeys(built, 0)
-        for rec in classify_zeros(f, zpoly):
+        for rec in classify_zeros(fs):
             found[min(built, key=lambda q: math.hypot(rec.alpha - q.w, rec.beta - q.abs_im()))] += rec.multiplicity
+        nf = as_semiregular(SlicePolynomial.from_real(fs.num_normal))  # held: every q reads its zero polynomial
         gaps = []
         for q, m in built.items():
             gaps.append(abs(found[q] - m) + abs(total_multiplicity(nf, q) - 2 * m))

@@ -2,19 +2,20 @@
 
 Zeros of a slice polynomial f live on the spheres S_x = alpha + beta*S
 where the real-coefficient normal function N(f) vanishes.  One real
-polynomial carries them, ``_zero_polynomial(f)``: f itself when f is
-slice-preserving (N(f) = f^2 doubles every root), else N(f), whose
-multiplicities are halved.  ``zero_spheres`` root-finds it, and
+polynomial carries them, f itself when f is slice-preserving (N(f) = f^2
+doubles every root), else N(f), whose multiplicities are halved: the
+``zero_polynomial`` that a ``SemiregularFunction`` forms for its numerator
+once, with N(num) beside it.  ``classify_zeros`` root-finds it, and
 ``total_multiplicity`` counts divisions of it by the real factor of one
-point's sphere.  Roots come from the companion matrix.  Each group of
-nearby eigenvalues becomes one sphere once Pellet's test certifies that
-a disc about its centroid, holding no other eigenvalue, holds exactly as
-many roots as the group has members; that count is the multiplicity, and
-Newton iteration on a derivative of matching order, which must converge
-inside the disc, places the sphere.  One long division ``_divide`` does
-all division by real factors, x - r or Delta_y(x) = x^2 - t(y) x + n(y);
-a division counts when its largest remainder norm is at most TOL_DIVIDE
-times the dividend's.
+point's sphere.  Roots come from the companion matrix.  Each group of nearby eigenvalues becomes one
+sphere once Pellet's test certifies that a disc about its centroid,
+holding no other eigenvalue, holds exactly as many roots as the group
+has members; that count is the multiplicity, and Newton iteration on a
+derivative of matching order, which must converge inside the disc,
+places the sphere.  One long division ``_divide`` does all division by
+real factors, x - r or Delta_y(x) = x^2 - t(y) x + n(y); a division
+counts when its largest remainder norm is at most TOL_DIVIDE times the
+dividend's.
 
 Rational (semiregular) functions are pairs f = den^{-1} * num with a
 slice-preserving denominator.  Poles sit on the spheres of den; on each
@@ -23,22 +24,22 @@ where the numerator vanishes, which carries an isolated multiplicity
 equal to its total multiplicity as a zero of the numerator.
 
 ``analyze(f, r)`` is the one zero and pole pass that the Jensen check and
-the ``zeros`` command share.  It runs ``zero_spheres`` on num, takes den's
-spheres from the one root finding at construction, and returns a frozen
-``FunctionAnalysis``: a zero record for every zero sphere, every
-denominator sphere, the pole records inside the closed ball of radius r,
-the shadows of all of those spheres, which place the panels of the polar
-rule, and N(num)'s coefficients for the boundary means.  The zero records
-are the only source of zeros: a zero record whose real factor divides a
-pole sphere's is its exceptional point, and the pole record copies its
-representative and multiplicity.
+the ``zeros`` command share.  It runs ``classify_zeros`` on the function,
+takes den's spheres from the one root finding at construction, and
+returns a frozen ``FunctionAnalysis``: a zero record for every zero
+sphere, every denominator sphere, the pole records inside the closed
+ball of radius r, and the shadows of all of those spheres, which place
+the panels of the polar rule.  The zero records are the only source of
+zeros: a zero record whose real factor divides a pole sphere's is its
+exceptional point, and the pole record copies its representative and
+multiplicity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -57,10 +58,8 @@ __all__ = [
     "PoleRecord",
     "SemiregularFunction",
     "characteristic_poly",
-    "zero_spheres",
     "classify_zeros",
     "total_multiplicity",
-    "normal_coeffs",
     "pole_structure",
     "root_spheres",
     "analyze",
@@ -83,8 +82,7 @@ TOL_DIVIDE = 1e-9
 # the zero and pole sums) and as inside the closed ball
 BOUNDARY_BAND = 1e-9
 
-# (alpha, beta, mult): mult counts roots in root_spheres (a conjugate pair
-# jointly) and is the total multiplicity in zero_spheres
+# (alpha, beta, mult): mult counts roots, a conjugate pair jointly
 Sphere = tuple[float, float, int]
 
 
@@ -362,56 +360,35 @@ def characteristic_poly(y: Quaternion) -> SlicePolynomial:
     return SlicePolynomial.from_real([y.norm2(), -y.trace(), 1.0])
 
 
-def _zero_polynomial(f: SlicePolynomial) -> tuple[np.ndarray, int]:
-    """The real polynomial whose roots carry the zeros of f, and the divisor
-    of its root multiplicities that gives total multiplicities: f itself
-    and 1 when slice-preserving (N(f) = f^2 doubles every root), else N(f)
-    and 2."""
-    if f.is_zero:
-        raise ZeroPolynomialError("zero set of the zero polynomial is everything")
-    if f.is_slice_preserving():
-        return f.real_coeffs(), 1
-    return normal(f).real_coeffs(), 2
-
-
-def normal_coeffs(f: SlicePolynomial, zpoly: tuple[np.ndarray, int] | None = None) -> np.ndarray:
-    """N(f)'s real coefficients from zpoly = ``_zero_polynomial(f)``: for a
-    slice-preserving f its own convolved, N(f) = f^2 past the degree cap."""
-    c, per_unit = _zero_polynomial(f) if zpoly is None else zpoly
-    return np.convolve(c, c) if per_unit == 1 else c
-
-
-def zero_spheres(f: SlicePolynomial, zpoly: tuple[np.ndarray, int] | None = None) -> list[Sphere]:
-    """Spheres carrying zeros of f, with total multiplicities: the root
-    spheres of zpoly = ``_zero_polynomial(f)``, formed when not given."""
-    c, per_unit = _zero_polynomial(f) if zpoly is None else zpoly
-    return [(a, b, m // per_unit) for a, b, m in root_spheres(c)]
-
-
-def total_multiplicity(f: SlicePolynomial, y: Quaternion) -> int:
-    """Largest s with Delta_y^s dividing N(f); 0 when y is not a zero.
-    Counted by division of ``_zero_polynomial(f)`` by the real factor of
-    y's sphere, x - y for a real y, else Delta_y."""
-    c, per_unit = _zero_polynomial(f)
+def total_multiplicity(f, y: Quaternion) -> int:
+    """Largest s with Delta_y^s dividing N(num); 0 when y is not a zero.
+    Counted by division of the function's ``zero_polynomial`` by the real
+    factor of y's sphere, x - y for a real y, else Delta_y."""
+    c, per_unit = as_semiregular(f).zero_polynomial
     p = decompose(y)
     s = _division_multiplicity(c, p.alpha, p.beta)
     return (s if p.beta == 0.0 else 2 * s) // per_unit
 
 
-def classify_zeros(f: SlicePolynomial, zpoly: tuple[np.ndarray, int] | None = None) -> list[ZeroRecord]:
-    """Classified zero records for every one of f's ``zero_spheres(f, zpoly)``.
+def classify_zeros(f) -> list[ZeroRecord]:
+    """Classified zero records of the numerator of f, a polynomial or a
+    ``SemiregularFunction``: one per root sphere of the function's
+    ``zero_polynomial``.
 
     Spherical zeros use the representative alpha + i*beta; isolated
     nonreal zeros are located from the stem by J* = -F1(z) F2(z)^{-1}, and
     a J* that cannot be formed or is no unit raises ``ClassificationInconsistencyError``.
     """
+    fs = as_semiregular(f)
+    (c, per_unit), num = fs.zero_polynomial, fs.num
     records: list[ZeroRecord] = []
-    for alpha, beta, mult in zero_spheres(f, zpoly):
+    for alpha, beta, roots in root_spheres(c):
+        mult = roots // per_unit
         if beta == 0.0:
             records.append(ZeroRecord("real", Quaternion.real(alpha), alpha, 0.0, mult))
             continue
-        stem = f.stem_components(alpha, beta)
-        scale = f.stem_scale(math.hypot(alpha, beta))
+        stem = num.stem_components(alpha, beta)
+        scale = num.stem_scale(math.hypot(alpha, beta))
         f1, f2 = stem.F1, stem.F2
         if f1.abs() <= EPS_CLASS * scale and f2.abs() <= EPS_CLASS * scale:
             rep = Quaternion(alpha, beta, 0.0, 0.0)  # alpha + i*beta
@@ -426,7 +403,7 @@ def classify_zeros(f: SlicePolynomial, zpoly: tuple[np.ndarray, int] | None = No
         except (ZeroDivisionError, InvalidUnitError) as exc:
             raise ClassificationInconsistencyError(f"sphere ({alpha:.6g}, {beta:.6g}) has no unit J*: {exc}") from exc
         rep = Quaternion(alpha, 0.0, 0.0, 0.0) + jstar * beta
-        if f.eval(rep).abs() > EPS_CLASS * scale:
+        if num.eval(rep).abs() > EPS_CLASS * scale:
             raise ClassificationInconsistencyError(
                 f"candidate isolated zero at sphere ({alpha:.6g}, {beta:.6g}) does not annihilate f"
             )
@@ -446,10 +423,12 @@ class SemiregularFunction:
     real-linear factors present in both, and full characteristic
     quadratics Delta_b dividing both.  Partial vanishing of num on a
     pole sphere (a single point) is deliberately kept: it is pole
-    structure, not a common factor.  ``den_spheres`` are the reduced den's root spheres.
+    structure, not a common factor.  ``den_spheres`` are the reduced den's
+    root spheres.  ``zero_polynomial`` and ``num_normal`` are formed once,
+    where first read; the zero pass and the boundary means read them here.
     """
 
-    __slots__ = ("den", "num", "den_spheres")
+    __slots__ = ("den", "num", "den_spheres", "_normal")
 
     def __init__(self, den: SlicePolynomial, num: SlicePolynomial):
         if den.is_zero:
@@ -466,9 +445,30 @@ class SemiregularFunction:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den_spheres", tuple(spheres))
+        object.__setattr__(self, "_normal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SemiregularFunction is immutable")
+
+    def _normals(self) -> tuple[tuple[np.ndarray, int], np.ndarray]:
+        if self._normal is None:
+            num = self.num
+            if num.is_zero:
+                raise ZeroPolynomialError("zero set of the zero polynomial is everything")
+            c, per_unit = (num.real_coeffs(), 1) if num.is_slice_preserving() else (normal(num).real_coeffs(), 2)
+            object.__setattr__(self, "_normal", ((c, per_unit), np.convolve(c, c) if per_unit == 1 else c))
+        return self._normal
+
+    @property
+    def zero_polynomial(self) -> tuple[np.ndarray, int]:
+        """The real coefficients whose roots carry num's zeros and the divisor
+        of their multiplicities: num and 1 when slice-preserving, else N(num) and 2."""
+        return self._normals()[0]
+
+    @property
+    def num_normal(self) -> np.ndarray:
+        """N(num)'s real coefficients; for a slice-preserving num, num^2 past the degree cap."""
+        return self._normals()[1]
 
     def eval(self, x: Quaternion) -> Quaternion:
         return self.den.eval(x).inverse() * self.num.eval(x)
@@ -485,7 +485,8 @@ class SemiregularFunction:
         return tuple(a * u - b * v for a, b in zip(f1, f2)), tuple(a * v + b * u for a, b in zip(f1, f2))
 
     def stem_scale(self, radius: float) -> float:
-        return self.num.stem_scale(radius)
+        """num's scale over den's: the stems are num's divided by den(z)."""
+        return self.num.stem_scale(radius) / self.den.stem_scale(radius)
 
     def derivatives_at_origin(self) -> tuple[Quaternion, Quaternion, Quaternion]:
         """(f(0), f'(0), f''(0)) by the quotient rule; den is scalar on R."""
@@ -609,14 +610,12 @@ class FunctionAnalysis:
     ``zeros`` has a record for every zero sphere of the numerator and
     ``pole_spheres`` every root sphere of the denominator, whatever
     their radius; ``poles`` has the pole records inside the closed ball.
-    ``normal_num`` holds N(num)'s coefficients (``normal_coeffs``).
     """
 
     radius: float
     zeros: tuple[ZeroRecord, ...]
     pole_spheres: tuple[Sphere, ...]
     poles: tuple[PoleRecord, ...]
-    normal_num: np.ndarray = field(repr=False, compare=False)
 
     @property
     def free_zeros(self) -> list[ZeroRecord]:
@@ -646,15 +645,13 @@ def as_semiregular(f) -> SemiregularFunction:
 
 
 def analyze(f, r: float) -> FunctionAnalysis:
-    """Zero and pole records of f at radius r from one ``zero_spheres``
-    of num and the ``den_spheres`` found at construction.
+    """Zero and pole records of f at radius r from one ``classify_zeros``
+    of the function and the ``den_spheres`` found at construction.
 
     Only a zero record whose real factor divides a pole sphere's
     (``pole_structure``) can be its exceptional point: a zero merely near a
     pole sphere stays a free zero, and the pole stays uniform.
     """
     fs = as_semiregular(f)
-    zpoly = _zero_polynomial(fs.num)
-    zeros = classify_zeros(fs.num, zpoly)
-    poles = pole_structure(fs.den_spheres, zeros, r)
-    return FunctionAnalysis(r, tuple(zeros), fs.den_spheres, tuple(poles), normal_coeffs(fs.num, zpoly))
+    zeros = classify_zeros(fs)
+    return FunctionAnalysis(r, tuple(zeros), fs.den_spheres, tuple(pole_structure(fs.den_spheres, zeros, r)))

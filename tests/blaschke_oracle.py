@@ -39,6 +39,7 @@ def unreduced(den: SlicePolynomial, num: SlicePolynomial) -> SemiregularFunction
     object.__setattr__(f, "den", den)
     object.__setattr__(f, "num", num)
     object.__setattr__(f, "den_spheres", tuple(root_spheres(den.real_coeffs())))
+    object.__setattr__(f, "_normal", None)  # N(num), formed on first use
     return f
 
 

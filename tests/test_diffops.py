@@ -521,6 +521,18 @@ def test_stream_draws_are_the_documented_maps_of_the_random_sequence():
     assert {stream.integer(2, 5) for _ in range(200)} == {2, 3, 4}
 
 
+def test_crf_suite_builds_each_derivative_once(monkeypatch):
+    """Both sides of every crf identity read f' from the suite's one
+    ``SliceStack``: one slice derivative per case, 20 in all."""
+    import slicereg.verify as verify
+
+    built = []
+    derivative = SlicePolynomial.slice_derivative
+    monkeypatch.setattr(SlicePolynomial, "slice_derivative", lambda f: built.append(f) or derivative(f))
+    assert verify.run_suite("crf", 1).passed
+    assert len(built) == 20
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_multiplicity_suite_checks_the_factors_it_multiplies(monkeypatch, seed):
     """A Delta_q that leaves its pool point's sphere fails the suite: the
@@ -536,13 +548,15 @@ def test_multiplicity_suite_checks_the_factors_it_multiplies(monkeypatch, seed):
 
 
 def test_multiplicity_suite_forms_each_normal_once(monkeypatch):
-    """classify_zeros takes the suite's zero polynomial, so N(f) is formed
-    once per case; the rows are those of classify_zeros forming it again."""
+    """classify_zeros and the N(f) count read the zero polynomial of one
+    ``SemiregularFunction`` per case, so N(f) is formed at most once per
+    case, and only for an f that is not slice-preserving; the rows are
+    those of classify_zeros on a function of its own, forming it again."""
     import slicereg.verify as verify
     import slicereg.zeros_poles as zeros_poles
 
     own = verify.suite_multiplicity(1)
-    formed = []
+    formed, functions = [], []
 
     def counted(f):
         formed.append(f)
@@ -550,7 +564,10 @@ def test_multiplicity_suite_forms_each_normal_once(monkeypatch):
 
     monkeypatch.setattr(verify, "normal", counted)
     monkeypatch.setattr(zeros_poles, "normal", counted)
+    monkeypatch.setattr(verify, "classify_zeros", lambda fs: functions.append(fs) or zeros_poles.classify_zeros(fs))
     assert verify.suite_multiplicity(1).rows == own.rows
-    assert len(formed) == 50 and not all(f.is_slice_preserving() for f in formed)
-    monkeypatch.setattr(verify, "classify_zeros", lambda f, zpoly: zeros_poles.classify_zeros(f))
+    quaternionic = [fs.num for fs in functions if not fs.num.is_slice_preserving()]
+    assert len(functions) == 50 and 0 < len(quaternionic) < 50
+    assert formed == quaternionic  # by identity: each such num once, in case order
+    monkeypatch.setattr(verify, "classify_zeros", lambda fs: zeros_poles.classify_zeros(fs.num))
     assert verify.suite_multiplicity(1).rows == own.rows

@@ -23,6 +23,7 @@ from slicereg.jensen import (
 from slicereg.io import load_function
 from slicereg.quaternions import I, ONE, Quaternion
 from slicereg.quadrature import (
+    boundary_identity_residual,
     boundary_means,
     build_rule,
     log_normal_values,
@@ -294,10 +295,12 @@ def test_origin_hypotheses_come_before_root_finding(monkeypatch):
 
 @pytest.mark.parametrize("name, r, normals", [("poly_real_triple.json", 0.8, 0), ("poly_isolated_pair.json", 1.0, 1),
                                                ("rat_remark_nonuniform.json", 2.0, 1)])
-def test_one_normal_per_case(name, r, normals, monkeypatch):
-    # the analysis forms N(num) once, for a non-slice-preserving num only, and
-    # hands its coefficients to the means and the oracle
+def test_one_normal_per_case(name, r, normals, monkeypatch, capsys):
+    # a function forms N(num) once, for a non-slice-preserving num only, and
+    # every pass reads it there: the Jensen check, the zeros command, and
+    # analyze, the means and the oracle on one held function
     from slicereg import zeros_poles
+    from slicereg.cli import main
 
     f = load_function(CORPUS / name)
     calls = []
@@ -305,6 +308,44 @@ def test_one_normal_per_case(name, r, normals, monkeypatch):
     report = jensen_check(f, r)
     assert len(calls) == normals == (not as_semiregular(f).num.is_slice_preserving())
     assert abs(report.residual) <= 1e-12
+    calls.clear()
+    assert main(["zeros", "--fn", str(CORPUS / name), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["zeros"] + payload["poles"] and len(calls) == normals
+    calls.clear()
+    fs = as_semiregular(load_function(CORPUS / name))
+    analysis = analyze(fs, r)
+    boundary_means(fs, r, 16, analysis.shadows)
+    boundary_identity_residual(fs, build_rule(r, 8, analysis.shadows, 6))
+    assert len(calls) == normals
+
+
+def test_lhs_cross_check_forms_its_own_normal(monkeypatch):
+    # the lhs oracle takes N(num)'s lowest coefficients from num itself, not
+    # from the function: an N(num) scaled by 1.5 before its first use moves
+    # the residual by -log(1.5)/2 and leaves the cross-check at roundoff
+    from slicereg import zeros_poles
+
+    path = CORPUS / "poly_isolated_pair.json"
+    own = jensen_check(load_function(path), 1.0)
+    monkeypatch.setattr(zeros_poles, "normal", lambda g: SlicePolynomial.from_real(1.5 * normal(g).real_coeffs()))
+    moved = jensen_check(load_function(path), 1.0)
+    assert moved.lhs == own.lhs
+    assert moved.residual - own.residual == pytest.approx(-0.5 * math.log(1.5), abs=1e-9)
+    assert max(own.diagnostics["lhs_cross_check"], moved.diagnostics["lhs_cross_check"]) <= 1e-12
+
+
+def test_rational_stem_scale_divides_by_the_denominator():
+    # the stems of den^{-1} num are num's over den(z), so the S_f guards see
+    # the rational (x^2 + 1e4)^{-1} num on the scale of the polynomial num / 1e4
+    num = lin(0.2, 0.5, 0.3, 0.1) * lin(-0.4, 0.1, -0.6, 0.2)
+    f = SemiregularFunction(real_poly(1e4, 0.0, 1.0), num)
+    for g in (f, SlicePolynomial([c / 1e4 for c in num.coeffs])):
+        report = jensen_check(g, 1.0)
+        assert report.diagnostics["sf_roundtrip_points"] == 1000 and not report.warnings
+        assert report.diagnostics["sf_roundtrip_max"] <= 1e-12
+    assert f.stem_scale(1.0) == num.stem_scale(1.0) / 10001.0
+    assert as_semiregular(num).stem_scale(1.0) == num.stem_scale(1.0)  # den = 1: unchanged bit for bit
 
 
 # -- semiregular consistency with the regularized product -----------------------

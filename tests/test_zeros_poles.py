@@ -30,7 +30,6 @@ from slicereg.zeros_poles import (
     pole_structure,
     root_spheres,
     total_multiplicity,
-    zero_spheres,
 )
 
 from blaschke_oracle import (
@@ -159,11 +158,11 @@ def _multiplicity_suite_coeffs(monkeypatch, seed, n_cases=10):
 
     seen = []
 
-    def record(f, zpoly):
-        seen.append(normal(f).real_coeffs())
-        if f.is_slice_preserving():
-            seen.append(f.real_coeffs())
-        return classify_zeros(f, zpoly)
+    def record(f):
+        seen.append(normal(f.num).real_coeffs())
+        if f.num.is_slice_preserving():
+            seen.append(f.num.real_coeffs())
+        return classify_zeros(f)
 
     monkeypatch.setattr(verify, "classify_zeros", record)
     verify.suite_multiplicity(seed, n_cases=n_cases)
@@ -219,7 +218,7 @@ def _corpus_zero_polynomials():
     for manifest in ("polynomials", "rationals"):
         for entry in json.loads((corpus / f"{manifest}.json").read_text())["cases"]:
             f = zeros_poles.as_semiregular(load_function(corpus / entry["file"]))
-            polys.append(zeros_poles._zero_polynomial(f.num)[0])
+            polys.append(f.zero_polynomial[0])
             if f.den.degree > 0:
                 polys.append(f.den.real_coeffs())
     return polys
@@ -297,6 +296,11 @@ def test_division_multiplicity_real_and_quaternion_rows_agree(alpha, beta, k):
 
 
 # -- zero spheres and classification ----------------------------------------
+
+
+def zero_spheres(f):
+    """(alpha, beta, total multiplicity) of each zero record of f."""
+    return [(z.alpha, z.beta, z.multiplicity) for z in classify_zeros(f)]
 
 
 def test_zero_spheres_examples():
@@ -730,15 +734,15 @@ def test_only_a_zero_whose_factor_divides_den_is_an_exceptional_point(eps, kind,
 
 def test_normal_coeffs_match_normal_and_pass_the_cap():
     quaternionic = slice_product(lin(0.2, 0.1, 0.0, 0.3), lin(0.5, 0.0, -0.4, 0.1))
-    assert np.array_equal(zeros_poles.normal_coeffs(quaternionic), normal(quaternionic).real_coeffs())
+    assert np.array_equal(as_semiregular(quaternionic).num_normal, normal(quaternionic).real_coeffs())
     real = real_poly(-0.3, 0.2, 1.5, -0.7)
-    assert np.allclose(zeros_poles.normal_coeffs(real), normal(real).real_coeffs(), rtol=0.0, atol=1e-15)
+    assert np.allclose(as_semiregular(real).num_normal, normal(real).real_coeffs(), rtol=0.0, atol=1e-15)
     # a slice-preserving f of degree 40: N(f) = f^2 has degree 80
     c = np.zeros(41)
     c[[0, 40]] = 1.0, 0.5
     want = np.zeros(81)
     want[[0, 40, 80]] = 1.0, 1.0, 0.25
-    assert np.array_equal(zeros_poles.normal_coeffs(SlicePolynomial.from_real(c)), want)
+    assert np.array_equal(as_semiregular(SlicePolynomial.from_real(c)).num_normal, want)
 
 
 @pytest.mark.parametrize("eps, kind", [(0.0, "spherical_nonuniform"), (1e-7, "spherical_uniform")])
