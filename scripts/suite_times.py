@@ -11,7 +11,16 @@ JSON object: the median seconds of each suite over the repeats, the
 median of the per-repeat totals, to 0.1 ms, and the median peak RSS
 after each suite, in MB to 0.01.
 
+With ``--against OTHER``, OTHER a second checkout, the repeats alternate
+between the trees, this one first (ABAB...), each interpreter started
+from its own tree's ``suite_times.py --once``, so both follow the host's
+load alike.  Both trees' ``src`` are byte-compiled first, so neither
+compiles its modules in every interpreter.  It prints each tree's
+medians as above and, per suite and for the total, in how many of the
+pairs this tree was faster.
+
 Usage: python scripts/suite_times.py > times.json
+       python scripts/suite_times.py --against ../parent > pairs.json
 """
 
 from __future__ import annotations
@@ -45,19 +54,45 @@ def suite_costs(names, seed: int = SEED) -> dict[str, dict[str, float]]:
     return out
 
 
-def main() -> None:
-    if sys.argv[1:] == ["--once"]:
-        print(json.dumps(suite_costs(SUITE_ORDER)))
-        return
-    runs = [json.loads(subprocess.run([sys.executable, __file__, "--once"], capture_output=True,
-                                      text=True, check=True).stdout) for _ in range(REPEATS)]
+def once(root: Path) -> dict:
+    """``suite_costs`` of every suite in a fresh interpreter of the tree at root."""
+    return json.loads(subprocess.run([sys.executable, str(root / "scripts" / "suite_times.py"), "--once"],
+                                     capture_output=True, text=True, check=True).stdout)
 
-    def medians(key, digits):
+
+def medians(runs: list[dict]) -> dict:
+    """The medians over runs of each suite's seconds, the total and each suite's peak RSS."""
+
+    def per_suite(key, digits):
         return {name: round(statistics.median(run[key][name] for run in runs), digits) for name in SUITE_ORDER}
 
     total = round(statistics.median(sum(run["s"].values()) for run in runs), 4)
-    print(json.dumps({"seed": SEED, "repeats": REPEATS, "suites_s": medians("s", 4), "total_s": total,
-                      "peak_rss_mb": medians("peak_rss_mb", 2)}, indent=2))
+    return {"suites_s": per_suite("s", 4), "total_s": total, "peak_rss_mb": per_suite("peak_rss_mb", 2)}
+
+
+def main() -> None:
+    args = sys.argv[1:]
+    if args == ["--once"]:
+        print(json.dumps(suite_costs(SUITE_ORDER)))
+        return
+    if not args:
+        print(json.dumps({"seed": SEED, "repeats": REPEATS, **medians([once(ROOT) for _ in range(REPEATS)])},
+                         indent=2))
+        return
+    if len(args) != 2 or args[0] != "--against":
+        sys.exit("usage: suite_times.py [--against OTHER_CHECKOUT]")
+    import compileall  # here, so that the timed ``--once`` interpreters do not load it
+
+    other = Path(args[1]).resolve()
+    for root in (ROOT, other):
+        compileall.compile_dir(root / "src", quiet=1)
+    pairs = [(once(ROOT), once(other)) for _ in range(REPEATS)]
+    faster = {name: sum(a["s"][name] < b["s"][name] for a, b in pairs) for name in SUITE_ORDER}
+    faster["total"] = sum(sum(a["s"].values()) < sum(b["s"].values()) for a, b in pairs)
+    print(json.dumps({"seed": SEED, "pairs": REPEATS,
+                      "this": {"tree": str(ROOT), **medians([a for a, _ in pairs])},
+                      "other": {"tree": str(other), **medians([b for _, b in pairs])},
+                      "pairs_this_faster": faster}, indent=2))
 
 
 if __name__ == "__main__":

@@ -44,11 +44,11 @@ __all__ = ["fd_partial", "fd_crf", "fd_crf_conj", "fd_gamma", "fd_laplace4", "fd
 PartsFunc = Callable[[tuple], "tuple | np.ndarray"]
 
 _AXES = np.eye(4)  # the components of 1, i, j, k
-_UNITS = np.array([I.components(), J.components(), K.components()]).T  # as parts
+_UNITS = np.array([I, J, K]).T  # as parts
 
 
 def _centres(x) -> np.ndarray:
-    return np.array(x.components(), dtype=float)[:, None] if isinstance(x, Quaternion) else np.asarray(x)
+    return np.array(x, dtype=float)[:, None] if isinstance(x, Quaternion) else np.asarray(x)
 
 
 def _like(x, v: np.ndarray):

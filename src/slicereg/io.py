@@ -51,7 +51,7 @@ def _parse_coefficient(entry, index: int) -> Quaternion:
         q = Quaternion.from_array(parts)
     except OverflowError as exc:
         raise InputFormatError(f"coefficient {index}: {exc}") from exc
-    if not all(map(math.isfinite, q.components())):
+    if not all(map(math.isfinite, q)):
         raise InputFormatError(f"coefficient {index} must be finite, got {entry!r}")
     return q
 
@@ -108,7 +108,7 @@ def load_function(path: str | Path) -> SlicePolynomial | SemiregularFunction:
 def polynomial_to_dict(p: SlicePolynomial) -> dict:
     if p.is_slice_preserving(0.0):
         return {"coeffs": [c.w for c in p.coeffs]}
-    return {"coeffs": [list(c.components()) for c in p.coeffs]}
+    return {"coeffs": [list(c) for c in p.coeffs]}
 
 
 def function_to_dict(f: SlicePolynomial | SemiregularFunction) -> dict:

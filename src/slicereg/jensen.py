@@ -24,7 +24,7 @@ the report rather than silently normalized.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -178,7 +178,8 @@ class JensenReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; the dicts and lists are the report's own, not copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _boundary_hypotheses(analysis: FunctionAnalysis, r: float) -> None:

@@ -40,7 +40,8 @@ One array S_f: ``_sf_map``, the map of J per shadow, which the oracle
 applies per angle and ``_sf_parts`` point by point for the bijectivity
 roundtrip ``sf_roundtrip_errors``; its inverse ``_sf_inverse_parts``
 conjugates by f'_s and then by f^c = conj(F1) + J conj(F2) (the map
-T_f).  Their pointwise oracle, the scalar S_f, T_f and S_f^{-1} on one
+T_f), on the stems of the point's sphere, which every step keeps.
+Their pointwise oracle, the scalar S_f, T_f and S_f^{-1} on one
 quaternion at a time, lives in ``tests/test_quadrature.py``.
 
 Sampled diagnostics draw from ``s3_points``, a seeded low-discrepancy
@@ -326,17 +327,16 @@ def _sf_parts(x, junit, f1, f2, scale: float):
         return (x[0], *(np.where(degenerate, -c, step * a) for c, a in zip(x[1:], t)))
 
 
-def _sf_inverse_parts(f, y, scale: float):
-    """S_f^{-1}(y) = T_f(w), w = conj(s^{-1} y s) with s = F2 at y, and
-    T_f(w) = fc^{-1} w fc with fc = conj(F1) + J conj(F2) at w: y and
-    w are split anew."""
-    alpha, beta, _ = split(y)
-    _, s = f.stem_arrays(alpha + 1j * beta)
-    if np.any(_degenerate(s, scale)):
+def _sf_inverse_parts(y, f1, f2, scale: float):
+    """S_f^{-1}(y) = T_f(w), w = conj(s^{-1} y s) with s = F2, and
+    T_f(w) = fc^{-1} w fc with fc = conj(F1) + J conj(F2), J the unit of w.
+    S_f, both conjugations and T_f map each sphere alpha + S beta onto
+    itself, so F1, F2 are the stems of y's sphere, as ``_sf_parts`` takes them."""
+    if np.any(_degenerate(f2, scale)):
         raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
-    w = _qconj_parts(_conjugate_by(y, s))
-    alpha, beta, junit = split(w)
-    fc = _slice_value(*map(_qconj_parts, f.stem_arrays(alpha + 1j * beta)), junit)
+    w = _qconj_parts(_conjugate_by(y, f2))
+    _, _, junit = split(w)
+    fc = _slice_value(_qconj_parts(f1), _qconj_parts(f2), junit)
     if np.any(_degenerate(fc, scale)):
         raise DegeneratePointError("f^c vanishes at the requested point")
     return _conjugate_by(w, fc)
@@ -561,5 +561,5 @@ def sf_roundtrip_errors(f, r: float, n_points: int, seed: int) -> np.ndarray:
         raise ValueError("need at least one sample point")
     scale = f.stem_scale(r)
     x, junit, f1, f2 = _sf_domain_points(f, r, n_points, lambda start, count: s3_points(start, count, seed))
-    back = _sf_inverse_parts(f, _sf_parts(x, junit, f1, f2, scale), scale)
+    back = _sf_inverse_parts(_sf_parts(x, junit, f1, f2, scale), f1, f2, scale)
     return np.sqrt(_qnorm2_parts(tuple(b - c for b, c in zip(back, x))))

@@ -1,22 +1,25 @@
 """Quaternion arithmetic and the slice decomposition of H.
 
-Scalar ground type for the whole package: immutable quaternions
-q = w + x1*i + x2*j + x3*k with double-precision components, the
-Hamilton product, conjugation/norm/trace, and the split
-x = alpha + J*beta of a quaternion into a point alpha + i*beta of the
-closed upper half-plane and a unit J of its slice C_J (`split`, and
-`decompose` for one Quaternion).
+One point format for the whole package: "parts", the four components
+(w, x1, x2, x3) of q = w + x1*i + x2*j + x3*k, each a float or a
+broadcastable array.  ``Quaternion`` is the named tuple of one point's
+float components, so it is parts as it is: every parts kernel
+(``qmul_parts`` and the conjugate, norm and inverse beside it, ``split``,
+and the polynomial and stencil loops) takes it without conversion.
+Array code keeps each component contiguous, so quadrature-scale
+workloads stay vectorized.
 
-Array code holds quaternions as "parts", 4-tuples of broadcastable
-component arrays (``qmul_parts`` and the conjugate, norm and inverse
-beside it), so that quadrature-scale workloads stay vectorized; they
-implement the same formulas and are cross-checked in the tests.
+The Quaternion methods (Hamilton product, conjugation, norm, trace,
+inverse) are the scalar reference: the tests check the parts kernels
+against them bit for bit.  ``split`` is the one split x = alpha + J*beta
+of a point into alpha + i*beta in the closed upper half-plane and a unit
+J of its slice C_J.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +36,6 @@ __all__ = [
     "unit_from_vector",
     "validate_unit",
     "split",
-    "decompose",
-    "SlicePoint",
     "qmul_array",
     "qmul_parts",
 ]
@@ -48,14 +49,19 @@ class InvalidUnitError(SliceRegError, ValueError):
     """Quaternion does not satisfy Re(J) = 0, |J| = 1 within tolerance."""
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
-    """q = w + x1*i + x2*j + x3*k."""
+class Quaternion(NamedTuple):
+    """q = w + x1*i + x2*j + x3*k: the parts of one point, as floats.
+
+    NumPy operands defer to the reflected operators below
+    (``__array_ufunc__ = None``), so np.float64(2.0) * q is a Quaternion,
+    not an array of its components."""
 
     w: float = 0.0
     x1: float = 0.0
     x2: float = 0.0
     x3: float = 0.0
+
+    __array_ufunc__ = None
 
     # -- algebra -------------------------------------------------------
 
@@ -87,9 +93,7 @@ class Quaternion:
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
         )
 
-    def __rmul__(self, other: float) -> "Quaternion":
-        # scalar * q with a real scalar; quaternion * quaternion goes through __mul__
-        return Quaternion(self.w * other, self.x1 * other, self.x2 * other, self.x3 * other)
+    __rmul__ = __mul__  # real scalar * q; a real scalar commutes with q
 
     def __truediv__(self, other: float) -> "Quaternion":
         return Quaternion(self.w / other, self.x1 / other, self.x2 / other, self.x3 / other)
@@ -184,34 +188,18 @@ def unit_from_vector(x1: float, x2: float, x3: float) -> Quaternion:
     return Quaternion(0.0, x1 / n, x2 / n, x3 / n)
 
 
-@dataclass(frozen=True, slots=True)
-class SlicePoint:
-    """x = alpha + J*beta with beta >= 0 and J = unit; at real points
-    (beta == 0) J is a placeholder, the basis unit i."""
-
-    alpha: float
-    beta: float
-    unit: Quaternion
-
-
 def split(x):
     """alpha = Re x, beta = |Im x| >= 0 and the unit J of x = alpha + J beta
-    at a Quaternion or at parts; J comes back as parts.
+    at parts, one Quaternion or component arrays; J comes back as parts.
 
     beta is 0 where |Im x| <= ``eps_zero(|x|)``, and J is there the
     placeholder i.
     """
-    w, x1, x2, x3 = x.components() if isinstance(x, Quaternion) else x
+    w, x1, x2, x3 = x
     beta = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
     off = beta > eps_zero(np.sqrt(w * w + x1 * x1 + x2 * x2 + x3 * x3))
     d = np.where(off, beta, 1.0)
     return w, beta * off, (0.0, np.where(off, x1 / d, 1.0), np.where(off, x2 / d, 0.0), np.where(off, x3 / d, 0.0))
-
-
-def decompose(x: Quaternion) -> SlicePoint:
-    """``split`` of one Quaternion, as floats and a unit Quaternion."""
-    alpha, beta, unit = split(x)
-    return SlicePoint(alpha, float(beta), Quaternion(*map(float, unit)))
 
 
 # -- vectorized counterparts on "parts", 4-tuples of broadcastable

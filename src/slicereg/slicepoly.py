@@ -10,8 +10,8 @@ F2/beta; the spherical derivative extends to the real axis with the
 slice derivative (hard switch below BETA_SWITCH).
 
 ``stem_arrays`` is the one stem kernel: F1 and F2 as parts at a complex
-scalar or array z, and at one point bit for bit the scalar
-``stem_components``.  ``eval`` is ``eval_parts`` on one point; the
+scalar or array z; ``stem_components`` is the pair of Quaternions at one
+point, bit for bit.  ``eval`` is ``eval_parts`` on one point; the
 spherical value and derivative and ``log_abs`` take a Quaternion or
 parts.  ``horner`` is the one evaluator of real coefficients at complex
 scalars or arrays.
@@ -26,7 +26,6 @@ and derivative and ``log_abs`` accept it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +36,6 @@ from .quaternions import ONE, ZERO, Quaternion, eps_zero, qmul_parts, split
 __all__ = [
     "SlicePolynomial",
     "SliceStack",
-    "StemValue",
     "NormalNotRealError",
     "LogOfZeroError",
     "slice_product",
@@ -64,14 +62,6 @@ class LogOfZeroError(SliceRegError, ZeroDivisionError):
     """log|f(x)| requested at a (near-)zero of f."""
 
 
-@dataclass(frozen=True, slots=True)
-class StemValue:
-    """Components of F(z) = F1 + iota*F2 at one z."""
-
-    F1: Quaternion
-    F2: Quaternion
-
-
 def horner(c, z):
     """sum_m c[m] z^m for ascending real coefficients c at a complex scalar or array z.
 
@@ -91,18 +81,18 @@ def horner(c, z):
 
 
 class _Loops:
-    """The Horner, stem and scale loops, over ``_parts()`` and ``_moduli()``:
-    the ascending coefficients as parts and their moduli, floats for a
-    ``SlicePolynomial`` and (m,) arrays, one entry per centre, for a
-    ``SliceStack``."""
+    """The Horner, stem and scale loops, over ``coeffs`` and ``_moduli()``:
+    the ascending coefficients as parts and their moduli, Quaternions and
+    floats for a ``SlicePolynomial``, and (4, m) and (m,) arrays, one entry
+    per centre, for a ``SliceStack``."""
 
     __slots__ = ()
 
     def eval_parts(self, x: tuple) -> tuple:
         """Horner from the left at points given as parts (component arrays,
         or the floats of one point): powers of x sit left of the coefficients."""
-        cs = self._parts()
-        acc = cs[-1] if cs else (0.0, 0.0, 0.0, 0.0)
+        cs = self.coeffs
+        acc = tuple(cs[-1]) if len(cs) else (0.0, 0.0, 0.0, 0.0)
         for c in cs[-2::-1]:
             acc = tuple(p + q for p, q in zip(qmul_parts(x, acc), c))
         return acc
@@ -115,7 +105,7 @@ class _Loops:
         zero = np.zeros(np.shape(z)) if isinstance(z, np.ndarray) else 0.0
         f1 = f2 = (zero,) * 4
         zr, zi = 1.0, 0.0
-        for c in self._parts():
+        for c in self.coeffs:
             f1 = tuple(s + a * zr for s, a in zip(f1, c))
             f2 = tuple(s + a * zi for s, a in zip(f2, c))
             zr, zi = zr * x - zi * y, zr * y + zi * x
@@ -218,18 +208,15 @@ class SlicePolynomial(_Loops):
     # -- evaluation -------------------------------------------------------
 
     def eval(self, x: Quaternion) -> Quaternion:
-        return Quaternion(*self.eval_parts(x.components()))
-
-    def _parts(self) -> list[tuple]:
-        return [c.components() for c in self.coeffs]
+        return Quaternion(*self.eval_parts(x))
 
     def _moduli(self) -> list[float]:
         return [c.abs() for c in self.coeffs]
 
-    def stem_components(self, alpha: float, beta: float) -> StemValue:
-        """F1 = sum Re(z^m) a_m and F2 = sum Im(z^m) a_m at z = alpha+i*beta."""
+    def stem_components(self, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
+        """(F1, F2) with F1 = sum Re(z^m) a_m and F2 = sum Im(z^m) a_m at z = alpha+i*beta."""
         f1, f2 = self.stem_arrays(complex(alpha, beta))
-        return StemValue(Quaternion(*f1), Quaternion(*f2))
+        return Quaternion(*f1), Quaternion(*f2)
 
     # -- calculus ----------------------------------------------------------
 
@@ -255,11 +242,8 @@ class SliceStack(_Loops):
         self.polys = tuple(polys)
         self._derivative = None
         n = max(len(f.coeffs) for f in self.polys)
-        rows = [[f.coefficient(k).components() for f in self.polys] for k in range(n)]
+        rows = [[f.coefficient(k) for f in self.polys] for k in range(n)]
         self.coeffs = np.array(rows, dtype=float).reshape(n, len(self.polys), 4).transpose(0, 2, 1).copy()
-
-    def _parts(self) -> list[tuple]:
-        return [tuple(c) for c in self.coeffs]
 
     def _moduli(self) -> list[np.ndarray]:
         """|a_m| of each polynomial, by ``Quaternion.abs``."""
@@ -330,7 +314,7 @@ def log_abs(f: "SlicePolynomial | SliceStack", x: "Quaternion | tuple") -> "floa
         raise ValueError("log_abs requires a slice-preserving polynomial")
     w, beta, _ = split(x)
     re = im = 0.0
-    for c in reversed(f._parts()):
+    for c in f.coeffs[::-1]:
         re, im = re * w - im * beta + c[0], re * beta + im * w
     a2 = re * re + im * im
     zero = a2 <= eps_zero(f.stem_scale(np.hypot(w, beta))) ** 2

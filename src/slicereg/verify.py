@@ -202,7 +202,7 @@ def _pair_result(name: str, rows, res_h, res_h2, worst: float, tail: dict) -> Su
 def _centres(cases) -> tuple[tuple, np.ndarray]:
     """The points of the cases as parts, one centre per case, and 1 + |x| of each."""
     points = [x for _, x in cases]
-    return tuple(np.array(c) for c in zip(*(x.components() for x in points))), 1.0 + np.array([x.abs() for x in points])
+    return tuple(np.array(c) for c in zip(*points)), 1.0 + np.array([x.abs() for x in points])
 
 
 def _case(v: tuple, idx: int) -> Quaternion:
@@ -226,7 +226,7 @@ def _fd_pair_suite(name: str, cases, identities) -> SuiteResult:
             for step, v, sink in zip(steps, values, (res_h, res_h2)):
                 r = (_case(v, idx) - _case(exact, idx)).abs()
                 sink.append(r)
-                rows.append(ResidualRow(ident, idx, list(x.components()), float(step[idx]), r, 2))
+                rows.append(ResidualRow(ident, idx, list(x), float(step[idx]), r, 2))
     worst = float(np.max(res_h))
     tail = {"max_residual_at_h": worst, "max_residual_at_h_half": float(np.max(res_h2)), "tolerance": TOL_FIRST_ORDER}
     return _pair_result(name, rows, res_h, res_h2, worst, tail)
@@ -310,7 +310,7 @@ def _bilaplacian_suite(name: str, cases, u) -> SuiteResult:
         res_h.append(raw_h)
         res_h2.append(raw_h2)
         res_term.append(rich)
-        pt = list(x.components())
+        pt = list(x)
         rows.append(ResidualRow(name + " raw", idx, pt, h, raw_h, 2))
         rows.append(ResidualRow(name + " raw", idx, pt, h2, raw_h2, 2))
         rows.append(ResidualRow(name + " richardson", idx, pt, h, rich, 4))
@@ -339,7 +339,7 @@ def suite_biharmonic(seed: int, n_cases: int = 20) -> SuiteResult:
         raw_h, raw_h2 = (_case(v, idx) for v in raw)
         rich = ((raw_h2 * 4.0 - raw_h) / 3.0).abs()
         res.append(rich)
-        pt = list(x.components())
+        pt = list(x)
         rows.append(ResidualRow("dbar_crf(laplace4 f) raw", idx, pt, h, raw_h.abs(), 2))
         rows.append(ResidualRow("dbar_crf(laplace4 f) richardson", idx, pt, h, rich, 4))
     result.rows.extend(rows)
@@ -403,7 +403,7 @@ def suite_quadrature(seed: int) -> SuiteResult:
     rule = build_rule(r, n)
     cases = [_product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
     normals = [as_semiregular(f).num_normal for f, _, _ in cases]  # f is a polynomial: log|N(f)| = log|horner(N(f))|
-    u, uj = ROTATION.components(), qmul_parts(ROTATION.components(), tuple(rule.s2_units.T))
+    u, uj = ROTATION, qmul_parts(ROTATION, tuple(rule.s2_units.T))
     sphere_means = np.empty((len(cases), len(rule.polar_z)))
     for blk in rule.blocks(ORACLE_BLOCK):
         alpha, beta = rule.polar_z[blk].real[:, None], rule.polar_z[blk].imag[:, None]
@@ -462,7 +462,7 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
         for q, m in built.items():
             gaps.append(abs(found[q] - m) + abs(total_multiplicity(nf, q) - 2 * m))
             rows.append(ResidualRow(f"m_N = 2 m_f = {2 * m} at ({q.w:.3g},{q.abs_im():.3g})", idx,
-                                    list(q.components()), 0.0, gaps[-1], 0))
+                                    list(q), 0.0, gaps[-1], 0))
         failures += any(gaps)
     summary = {"cases": n_cases, "failures": failures}
     return SuiteResult("multiplicity", failures == 0, summary, rows)

@@ -28,11 +28,11 @@ the ``zeros`` command share.  It runs ``classify_zeros`` on the function,
 takes den's spheres from the one root finding at construction, and
 returns a frozen ``FunctionAnalysis``: a zero record for every zero
 sphere, every denominator sphere, the pole records inside the closed
-ball of radius r, and the shadows of all of those spheres, which place
-the panels of the polar rule.  The zero records are the only source of
-zeros: a zero record whose real factor divides a pole sphere's is its
-exceptional point, and the pole record copies its representative and
-multiplicity.
+ball of radius r, and the shadows of all of those spheres, one per
+sphere, which place the panels of the polar rule.  The zero records are
+the only source of zeros: a zero record whose real factor divides a pole
+sphere's is its exceptional point, and the pole record copies its
+representative and multiplicity.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from .errors import (
     ZeroDenominatorError,
     ZeroPolynomialError,
 )
-from .quaternions import InvalidUnitError, Quaternion, decompose, validate_unit
-from .slicepoly import TRIM_REL, SlicePolynomial, StemValue, horner, normal
+from .quaternions import InvalidUnitError, Quaternion, split, validate_unit
+from .slicepoly import TRIM_REL, SlicePolynomial, horner, normal
 
 __all__ = [
     "FunctionAnalysis",
@@ -324,7 +324,7 @@ def divide_by_real(p: SlicePolynomial, divisor: Sequence[float]) -> tuple[SliceP
 
 def _rows(p: SlicePolynomial) -> np.ndarray:
     """The coefficients of p as quaternion rows (deg + 1, 4)."""
-    return np.array([c.components() for c in p.coeffs], dtype=float).reshape(-1, 4)
+    return np.array(p.coeffs, dtype=float).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ class ZeroRecord:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "representative": list(self.representative.components()),
+            "representative": list(self.representative),
             "sphere": [self.alpha, self.beta],
             "total_multiplicity": self.multiplicity,
         }
@@ -365,9 +365,9 @@ def total_multiplicity(f, y: Quaternion) -> int:
     Counted by division of the function's ``zero_polynomial`` by the real
     factor of y's sphere, x - y for a real y, else Delta_y."""
     c, per_unit = as_semiregular(f).zero_polynomial
-    p = decompose(y)
-    s = _division_multiplicity(c, p.alpha, p.beta)
-    return (s if p.beta == 0.0 else 2 * s) // per_unit
+    alpha, beta, _ = split(y)
+    s = _division_multiplicity(c, alpha, beta)
+    return (s if beta == 0.0 else 2 * s) // per_unit
 
 
 def classify_zeros(f) -> list[ZeroRecord]:
@@ -387,9 +387,8 @@ def classify_zeros(f) -> list[ZeroRecord]:
         if beta == 0.0:
             records.append(ZeroRecord("real", Quaternion.real(alpha), alpha, 0.0, mult))
             continue
-        stem = num.stem_components(alpha, beta)
+        f1, f2 = num.stem_components(alpha, beta)
         scale = num.stem_scale(math.hypot(alpha, beta))
-        f1, f2 = stem.F1, stem.F2
         if f1.abs() <= EPS_CLASS * scale and f2.abs() <= EPS_CLASS * scale:
             rep = Quaternion(alpha, beta, 0.0, 0.0)  # alpha + i*beta
             records.append(ZeroRecord("spherical", rep, alpha, beta, mult))
@@ -473,9 +472,9 @@ class SemiregularFunction:
     def eval(self, x: Quaternion) -> Quaternion:
         return self.den.eval(x).inverse() * self.num.eval(x)
 
-    def stem_components(self, alpha: float, beta: float) -> StemValue:
+    def stem_components(self, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
         f1, f2 = self.stem_arrays(complex(alpha, beta))
-        return StemValue(Quaternion(*f1), Quaternion(*f2))
+        return Quaternion(*f1), Quaternion(*f2)
 
     def stem_arrays(self, z) -> tuple[tuple, tuple]:
         """Stems of den^{-1} * num as parts: complex 1/d(z) times the num stems."""
@@ -547,13 +546,13 @@ class PoleRecord:
     def to_dict(self) -> dict:
         d = {
             "kind": self.kind,
-            "representative": list(self.representative.components()),
+            "representative": list(self.representative),
             "sphere": [self.alpha, self.beta],
             "order": self.order,
             "spherical_order": self.spherical_order,
         }
         if self.kind == "spherical_nonuniform":
-            d["exceptional_point"] = list(self.exceptional_point.components())
+            d["exceptional_point"] = list(self.exceptional_point)
             d["exceptional_order"] = self.exceptional_order
             d["isolated_multiplicity"] = self.isolated_multiplicity
         return d
@@ -626,8 +625,9 @@ class FunctionAnalysis:
 
     @property
     def shadows(self) -> list[complex]:
-        """alpha + i beta of every zero and pole sphere."""
-        return [complex(z.alpha, z.beta) for z in self.zeros] + [complex(a, b) for a, b, _ in self.pole_spheres]
+        """alpha + i beta of every zero and pole sphere, once: a zero that a
+        pole claimed lies on the pole's sphere and adds no shadow of its own."""
+        return [complex(z.alpha, z.beta) for z in self.free_zeros] + [complex(a, b) for a, b, _ in self.pole_spheres]
 
     @property
     def boundary_gap(self) -> float:

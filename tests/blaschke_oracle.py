@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from slicereg.errors import ClassificationInconsistencyError, PoleOnBoundaryError, SliceRegError
-from slicereg.quaternions import Quaternion, decompose
+from slicereg.quaternions import Quaternion, split
 from slicereg.slicepoly import SlicePolynomial, slice_product
 from slicereg.zeros_poles import (TOL_DIVIDE, SemiregularFunction, analyze, as_semiregular, divide_by_real, on_boundary,
                                   root_spheres)
@@ -62,7 +62,7 @@ def blaschke_spherical(b: Quaternion, r: float) -> SemiregularFunction:
     nb = b.norm2()
     if not 0.0 < math.sqrt(nb) < r:
         raise InvalidPoleError(f"spherical Blaschke base point needs 0 < |b| < r, got |b|={math.sqrt(nb)}, r={r}")
-    if decompose(b).beta == 0.0:
+    if split(b)[1] == 0.0:
         raise InvalidPoleError("spherical Blaschke base point must be nonreal")
     tb = b.trace()
     den = SlicePolynomial.from_real([r**4 / nb, -r * r * tb / nb, 1.0])

@@ -14,7 +14,7 @@ from slicereg.diffops import (
     fd_laplace4_richardson,
     fd_partial,
 )
-from slicereg.quaternions import I, J, K, ONE, Quaternion, decompose
+from slicereg.quaternions import I, J, K, ONE, Quaternion, split
 from slicereg.slicepoly import (
     LogOfZeroError,
     SlicePolynomial,
@@ -112,9 +112,9 @@ def _scalar_horner(f, x):
 
 
 def _scalar_log_abs(f, x):
-    """log|f(x)| by ``decompose``, the complex Horner and ``math.log``."""
-    p = decompose(x)
-    z = complex(p.alpha, p.beta)
+    """log|f(x)| by ``split``, the complex Horner and ``math.log``."""
+    alpha, beta, _ = split(x)
+    z = complex(alpha, beta)
     v = horner([c.w for c in f.coeffs], z)
     a2 = v.real * v.real + v.imag * v.imag
     if a2 <= (1e-13 * (1.0 + f.stem_scale(abs(z)))) ** 2:
@@ -152,7 +152,7 @@ def test_crf_on_square():
 
 
 def test_crf_constant():
-    assert fd_crf(lambda x: K.components(), Quaternion.real(0.2), 1e-3).abs() <= 1e-12
+    assert fd_crf(lambda x: K, Quaternion.real(0.2), 1e-3).abs() <= 1e-12
 
 
 def test_crf_conj_identity():
@@ -187,7 +187,7 @@ def test_laplace4_examples():
 
     # log|x - a| in R^4 has laplacian 2/|x-a|^2
     a = Quaternion.real(-1.0)
-    u2 = lambda x: 0.5 * np.log(_norm2(tuple(p - q for p, q in zip(x, a.components()))))
+    u2 = lambda x: 0.5 * np.log(_norm2(tuple(p - q for p, q in zip(x, a))))
     val2 = fd_laplace4_richardson(u2, Quaternion.real(0.0), 3e-2)
     assert val2.re() == pytest.approx(2.0, abs=1e-6)
 
@@ -336,7 +336,7 @@ def test_parts_horner_matches_scalar_loop_bitwise():
     polys = [_random_poly(stream, lo, lo + 2) for lo in (0, 3, 6)]
     polys += [SlicePolynomial([]), SlicePolynomial([Quaternion(1, 2, 0, 0), ONE]), normal(polys[-1])]
     points = [_random_point(stream, 0.1, 1.5, beta_min=0.0) for _ in range(12)] + [Quaternion.real(0.7)]
-    parts = tuple(np.array(c) for c in zip(*(x.components() for x in points)))
+    parts = tuple(np.array(c) for c in zip(*points))
     for f in polys:
         batched = f.eval_parts(parts)
         for i, x in enumerate(points):
@@ -353,7 +353,7 @@ def test_batched_log_abs_matches_scalar_and_raises_on_zero_sphere():
     on_sphere = [q, Quaternion(q.w, beta, 0.0, 0.0), Quaternion(q.w, 0.0, 0.0, -beta)]
     off_sphere = [_random_point(Stream(5), 0.2, 1.4, beta_min=0.0) for _ in range(20)]
     off_sphere += [Quaternion.real(0.3), Quaternion(0.3, 1e-20, 0.0, 0.0)]  # real and numerically real
-    off = tuple(np.array(c) for c in zip(*(x.components() for x in off_sphere)))
+    off = tuple(np.array(c) for c in zip(*off_sphere))
     assert log_abs(nf, off).tolist() == [_scalar_log_abs(nf, x) for x in off_sphere]
     assert [log_abs(nf, x) for x in off_sphere] == [_scalar_log_abs(nf, x) for x in off_sphere]
     for x in on_sphere:
@@ -361,7 +361,7 @@ def test_batched_log_abs_matches_scalar_and_raises_on_zero_sphere():
             _scalar_log_abs(nf, x)
         with pytest.raises(LogOfZeroError):
             log_abs(nf, x)
-        mixed = tuple(np.append(c, v) for c, v in zip(off, x.components()))
+        mixed = tuple(np.append(c, v) for c, v in zip(off, x))
         with pytest.raises(LogOfZeroError):
             log_abs(nf, mixed)
 
@@ -399,7 +399,7 @@ def _check_per_centre(batched, scalar, step, seed):
     """batched on all centres at once, per-centre steps, equals scalar at
     each centre on its own, bit for bit."""
     integrands, points = _per_centre_integrands(seed)
-    centres = tuple(np.array(c) for c in zip(*(x.components() for x in points)))
+    centres = tuple(np.array(c) for c in zip(*points))
     h = step * (1.0 + np.array([x.abs() for x in points]))
     for label, u, u_scalar in integrands:
         for steps in (h, 0.5 * h):
@@ -426,7 +426,7 @@ def test_composed_crf_of_laplacian_on_many_centres_matches_scalar_reference_bitw
 def test_one_step_for_all_centres_matches_scalar_reference_bitwise():
     # a float step serves every centre, as in the delta4-at-0 suite
     integrands, points = _per_centre_integrands(7)
-    centres = tuple(np.array(c) for c in zip(*(x.components() for x in points)))
+    centres = tuple(np.array(c) for c in zip(*points))
     for label, u, u_scalar in integrands:
         got = fd_laplace4_richardson(u, centres, 3e-2)
         for j, x in enumerate(points):

@@ -615,3 +615,48 @@ def test_oracle_orders_and_nodes_are_reported():
 @pytest.mark.parametrize("n, orders", [(4, (4, 4)), (13, (5, 4)), (48, (16, 12)), (128, (43, 32))])
 def test_oracle_orders_follow_n(n, orders):
     assert oracle_orders(n) == orders
+
+
+def test_a_zero_on_a_pole_sphere_adds_no_shadow():
+    # the real zero of this case lies on the pole sphere 0.6 S inside the ball;
+    # listed twice, its shadows -3.55e-17 + 0.6i and 0.6i put panels about
+    # 1e-16 wide into both polar rules, each with a full set of nodes
+    f = load_function(CORPUS / "rat_nonuniform_with_real_zero.json")
+    analysis = analyze(f, 1.0)
+    assert len(analysis.free_zeros) < len(analysis.zeros)
+    assert analysis.shadows == [complex(z.alpha, z.beta) for z in analysis.free_zeros] + [0.6j]
+    p, q = oracle_orders(48)
+    for n in (48, p):
+        theta = np.angle(polar_rule(1.0, n, analysis.shadows)[0]).reshape(-1, n)
+        assert np.min(theta[:, -1] - theta[:, 0]) > 1e-12
+    assert jensen_check(f, 1.0, 48, bijectivity_points=1).diagnostics["oracle_nodes"] == 32256
+
+
+def test_sf_roundtrip_fails_a_forward_map_that_leaves_the_sphere(monkeypatch):
+    # S_f^{-1} reads the stems of the sample's sphere, and both of its
+    # conjugations keep Re and |Im|: a forward map that scales |Im| by
+    # 1 + 1e-9 comes back off the sphere by about that much
+    from slicereg import quadrature
+
+    sf_parts = quadrature._sf_parts
+
+    def stretched(x, junit, f1, f2, scale):
+        y = sf_parts(x, junit, f1, f2, scale)
+        return (y[0], *(c * (1.0 + 1e-9) for c in y[1:]))
+
+    f = load_function(CORPUS / "poly_isolated_pair.json")
+    assert jensen_check(f, 1.0).diagnostics["sf_roundtrip_max"] <= 1e-12
+    monkeypatch.setattr(quadrature, "_sf_parts", stretched)
+    assert jensen_check(f, 1.0).diagnostics["sf_roundtrip_max"] > 1e-10
+
+
+def test_report_dict_holds_the_report_fields_as_they_are():
+    import dataclasses
+
+    from slicereg.io import render_json
+
+    report = jensen_check(load_function(CORPUS / "rat_remark_nonuniform.json"), 2.0)
+    d = report.to_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(report)]
+    assert d["diagnostics"] is report.diagnostics and d["zeros"] is report.zeros
+    assert render_json(d) == render_json(dataclasses.asdict(report))

@@ -9,7 +9,7 @@ import pytest
 
 from slicereg.errors import DegeneratePointError, NonFiniteIntegrandError
 from slicereg.io import load_function, parse_function
-from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, decompose, split
+from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, split
 from slicereg.quadrature import (
     _gauss_legendre,
     _homogeneous_units,
@@ -345,13 +345,19 @@ def test_quadrature_convergence_doubling():
 # formulas themselves.  No command runs them.
 
 
+def _split_point(x: Quaternion) -> tuple[float, float, Quaternion]:
+    """``split`` of one point: alpha, beta and the unit J as a Quaternion."""
+    alpha, beta, unit = split(x)
+    return alpha, float(beta), Quaternion(*map(float, unit))
+
+
 def _eval_conjugate(f, x: Quaternion) -> Quaternion:
     """Oracle: f^c(x) from the stems, conj(F1)(z) + J conj(F2)(z)."""
-    p = decompose(x)
-    stem = f.stem_components(p.alpha, p.beta)
-    if p.beta == 0.0:
-        return stem.F1.conj()
-    return stem.F1.conj() + p.unit * stem.F2.conj()
+    alpha, beta, unit = _split_point(x)
+    f1, f2 = f.stem_components(alpha, beta)
+    if beta == 0.0:
+        return f1.conj()
+    return f1.conj() + unit * f2.conj()
 
 
 def T_map(f, x: Quaternion) -> Quaternion:
@@ -370,26 +376,24 @@ def S_map(f, x: Quaternion) -> Quaternion:
     On the closure of the degenerate set (vanishing spherical
     derivative) the map is plain quaternionic conjugation.
     """
-    p = decompose(x)
-    if p.beta == 0.0:
+    alpha, beta, unit = _split_point(x)
+    if beta == 0.0:
         return x.conj()
-    stem = f.stem_components(p.alpha, p.beta)
+    f1, f2 = f.stem_components(alpha, beta)
     scale = f.stem_scale(x.abs())
-    if stem.F2.abs() <= DEGENERATE_REL * (1.0 + scale):
+    if f2.abs() <= DEGENERATE_REL * (1.0 + scale):
         return x.conj()
-    v = stem.F1 + p.unit * stem.F2
+    v = f1 + unit * f2
     if v.abs() <= DEGENERATE_REL * (1.0 + scale):
         raise DegeneratePointError("S_f undefined where f vanishes")
     # f'_s = F2 / beta; the positive scalar 1/beta cancels in the conjugation
-    s = stem.F2
-    return s * (v.inverse() * x.conj() * v) * s.inverse()
+    return f2 * (v.inverse() * x.conj() * v) * f2.inverse()
 
 
 def s_inverse_map(f, y: Quaternion) -> Quaternion:
     """Oracle of the array S_f^{-1}: y -> T_f(conj(f'_s(y)^{-1} y f'_s(y)))."""
-    p = decompose(y)
-    stem = f.stem_components(p.alpha, p.beta)
-    s = stem.F2  # f'_s direction; scalar factor cancels
+    alpha, beta, _ = split(y)
+    _, s = f.stem_components(alpha, beta)  # F2, the f'_s direction; the scalar factor cancels
     scale = f.stem_scale(y.abs())
     if s.abs() <= DEGENERATE_REL * (1.0 + scale):
         raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
@@ -466,11 +470,10 @@ def test_s_map_inverse_roundtrip():
     while count < 50:
         v = rng.normal(size=4)
         x = Quaternion.from_array(v / np.linalg.norm(v))
-        p = decompose(x)
-        if p.beta < 0.1:
+        alpha, beta, _ = split(x)
+        if beta < 0.1:
             continue
-        stem = f.stem_components(p.alpha, p.beta)
-        if stem.F2.abs() < 1e-4 * (1 + scale):
+        if f.stem_components(alpha, beta)[1].abs() < 1e-4 * (1 + scale):
             continue
         y = S_map(f, x)
         back = s_inverse_map(f, y)
@@ -660,8 +663,9 @@ def _array_maps(f, pts, r):
     scale = f.stem_scale(r)
     x = tuple(pts.T)
     alpha, beta, junit = split(x)
-    y = _sf_parts(x, junit, *f.stem_arrays(alpha + 1j * beta), scale)
-    back = _sf_inverse_parts(f, x, scale)
+    stems = f.stem_arrays(alpha + 1j * beta)
+    y = _sf_parts(x, junit, *stems, scale)
+    back = _sf_inverse_parts(x, *stems, scale)
     return np.stack(y, axis=-1), np.stack(back, axis=-1)
 
 
@@ -718,7 +722,7 @@ def test_array_sf_conjugation_branches():
     with pytest.raises(DegeneratePointError):
         s_inverse_map(g, Quaternion.from_array(pts[0]))
     with pytest.raises(DegeneratePointError):
-        _sf_inverse_parts(g, x, g.stem_scale(1.0))
+        _sf_inverse_parts(x, *g.stem_arrays(alpha + 1j * beta), g.stem_scale(1.0))
 
 
 def _scalar_domain_points(f, r, n_points, seed):
@@ -729,14 +733,14 @@ def _scalar_domain_points(f, r, n_points, seed):
     while len(points) < n_points and attempts < 40 * n_points:
         x = Quaternion.from_array(r * s3_points(attempts, 1, seed)[0])
         attempts += 1
-        p = decompose(x)
-        if p.beta < 1e-3 * r:
+        alpha, beta, unit = _split_point(x)
+        if beta < 1e-3 * r:
             continue
-        stem = f.stem_components(p.alpha, p.beta)
+        f1, f2 = f.stem_components(alpha, beta)
         scale = f.stem_scale(r)
-        if stem.F2.abs() <= 1e-4 * (1.0 + scale):
+        if f2.abs() <= 1e-4 * (1.0 + scale):
             continue
-        v = stem.F1 + p.unit * stem.F2
+        v = f1 + unit * f2
         if v.abs() <= 1e-9 * (1.0 + scale):
             continue
         points.append(x)
@@ -862,9 +866,9 @@ def test_s3_points_cover_the_sphere_more_evenly_than_random_draws(seed):
 
 
 def _scalar_log_abs_stems(f, x):
-    p = decompose(x)
-    stem = f.stem_components(p.alpha, p.beta)
-    return math.log((stem.F1 + p.unit * stem.F2).abs())
+    alpha, beta, unit = _split_point(x)
+    f1, f2 = f.stem_components(alpha, beta)
+    return math.log((f1 + unit * f2).abs())
 
 
 # F2 vanishes on the sphere of the polar node theta = pi/2 of an odd order,
@@ -887,7 +891,7 @@ def test_boundary_identity_residual_matches_scalar_nodes(name, f, r, n):
     rule = build_rule(r, n)
     if name.startswith("degenerate_angle"):
         stems = [f.stem_components(z.real, z.imag) for z in rule.polar_z]
-        assert sum(s.F2.abs() <= DEGENERATE_REL * (1.0 + f.stem_scale(r)) for s in stems) == 1
+        assert sum(f2.abs() <= DEGENERATE_REL * (1.0 + f.stem_scale(r)) for _, f2 in stems) == 1
     check = boundary_identity_residual(f, rule)
     mean_f = integrate(rule, lambda x: _scalar_log_abs_stems(f, x)) / rule.measure
     mean_fs = integrate(rule, lambda x: _scalar_log_abs_stems(f, S_map(f, x))) / rule.measure
@@ -1086,7 +1090,7 @@ def test_quadrature_suite_blocked_means_match_unblocked_rule(seed, monkeypatch):
     cases = [product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
     assert [(f.coeffs, c, roots) for f, c, roots in drawn] == [(f.coeffs, c, roots) for f, c, roots in cases]
     rule = build_rule(1.0, 48)
-    u = verify.ROTATION.components()
+    u = verify.ROTATION
     ux = [rule.alpha * a + rule.beta * b for a, b in zip(u, qmul_parts(u, tuple(rule.junits.T)))]
     direct = qmul_parts(u, tuple(rule.nodes.T))  # u x by one product per node: equal to roundoff
     assert max(float(np.max(np.abs(a - b))) for a, b in zip(ux, direct)) <= 1e-15

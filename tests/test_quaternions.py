@@ -15,7 +15,6 @@ from slicereg.quaternions import (
     _qconj_parts,
     _qinv_parts,
     _qnorm2_parts,
-    decompose,
     eps_zero,
     qmul_array,
     qmul_parts,
@@ -31,7 +30,7 @@ nonzero_quats = quats.filter(lambda q: q.abs() > 1e-3)
 
 def slice_embed(alpha: float, beta: float, unit: Quaternion) -> Quaternion:
     """Oracle: Phi_J(alpha + i*beta) = alpha + J*beta, the inverse that
-    ``decompose`` is checked against.  No command needs it."""
+    ``split`` is checked against.  No command needs it."""
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
     u = validate_unit(unit)
@@ -96,25 +95,25 @@ def test_scalar_square_identity(a):
 
 @given(nonzero_quats)
 def test_embed_decompose_roundtrip(q):
-    p = decompose(q)
-    back = slice_embed(p.alpha, p.beta, p.unit)
+    alpha, beta, unit = split(q)
+    back = slice_embed(alpha, float(beta), Quaternion(*map(float, unit)))
     assert (back - q).abs() <= 1e-12 * (1.0 + q.abs())
 
 
 def test_decompose_examples():
-    p = decompose(Quaternion(2, 0, 3, 0))
-    assert p.alpha == pytest.approx(2.0)
-    assert p.beta == pytest.approx(3.0)
-    assert p.unit.isclose(J)
+    alpha, beta, unit = split(Quaternion(2, 0, 3, 0))
+    assert alpha == pytest.approx(2.0)
+    assert beta == pytest.approx(3.0)
+    assert Quaternion(*unit).isclose(J)
 
-    real = decompose(Quaternion.real(5.0))
-    assert real.beta == 0.0  # the unit is then only a placeholder
-    assert real.unit.isclose(I)
+    _, beta, unit = split(Quaternion.real(5.0))
+    assert beta == 0.0  # the unit is then only a placeholder
+    assert Quaternion(*unit).isclose(I)
 
-    p3 = decompose(Quaternion(1, 1, 1, 1))
-    assert p3.alpha == pytest.approx(1.0)
-    assert p3.beta == pytest.approx(math.sqrt(3.0))
-    assert slice_embed(p3.alpha, p3.beta, p3.unit).isclose(Quaternion(1, 1, 1, 1))
+    alpha, beta, unit = split(Quaternion(1, 1, 1, 1))
+    assert alpha == pytest.approx(1.0)
+    assert beta == pytest.approx(math.sqrt(3.0))
+    assert slice_embed(alpha, float(beta), Quaternion(*map(float, unit))).isclose(Quaternion(1, 1, 1, 1))
 
 
 def _scalar_split(x: Quaternion) -> tuple:
@@ -140,10 +139,9 @@ def test_split_matches_the_scalar_split_bit_for_bit():
     alpha, beta, unit = split(tuple(rows.T))
     assert np.array_equal(alpha, [w[0] for w in want]) and np.array_equal(beta, [w[1] for w in want])
     assert unit[0] == 0.0 and all(np.array_equal(unit[k], [w[2][k] for w in want]) for k in (1, 2, 3))
-    for row, (a, b, u) in zip(rows, want):
-        p = decompose(Quaternion.from_array(row))
-        assert (p.alpha, p.beta, p.unit.components()) == (a, b, u)
-        assert type(p.beta) is float and type(p.unit.x1) is float
+    for row, (a, b, u) in zip(rows, want):  # a Quaternion is split as it is
+        alpha, beta, unit = split(Quaternion.from_array(row))
+        assert (alpha, beta, tuple(unit)) == (a, b, u)
 
 
 def test_slice_embed_examples():
@@ -183,3 +181,33 @@ def test_array_ops_match_scalar():
         assert n2[k] == q.norm2()
         assert Quaternion.from_array(conj[k]) == q.conj()
         assert Quaternion.from_array(inv[k]) == q.inverse()
+    # a Quaternion is parts: the kernels take it as it is, alone or beside arrays
+    for k in range(32):
+        q, p = Quaternion.from_array(a[k]), Quaternion.from_array(b[k])
+        assert Quaternion(*qmul_parts(q, p)) == q * p
+        assert _qnorm2_parts(q) == q.norm2()
+        assert Quaternion(*_qconj_parts(q)) == q.conj()
+        assert Quaternion(*_qinv_parts(q)) == q.inverse()
+        row = np.stack(qmul_parts(q, tuple(b.T)), -1)[k]
+        assert Quaternion.from_array(row) == q * p
+
+
+def test_numpy_scalars_call_the_reflected_operators():
+    """``__array_ufunc__ = None``: a NumPy scalar on the left gives way to
+    the Quaternion, instead of making an array of its components."""
+    q = Quaternion(0.5, -1.0, 2.0, 0.25)
+    for got, want in ((np.float64(2.0) * q, q * 2.0), (np.float64(1.0) + q, q + 1.0),
+                      (np.float64(1.0) - q, Quaternion.real(1.0) - q)):
+        assert type(got) is Quaternion and got == want
+
+
+def test_quaternion_keys_hash_and_compare_by_value():
+    """As dict keys, Quaternions hash and compare by their four components,
+    as the frozen dataclass did: the multiplicity suite's ``built`` counts."""
+    q = Quaternion(0.3, 0.7, 0.0, 0.0)
+    built = {q: 1, Quaternion.real(-0.6): 2}
+    built[Quaternion(0.3, 0.7, 0.0, 0.0)] += 1
+    assert built == {q: 2, Quaternion.real(-0.6): 2}
+    assert hash(q) == hash((0.3, 0.7, 0.0, 0.0))
+    assert Quaternion(0, 0.7) == Quaternion(0.0, 0.7, 0.0, 0.0) and hash(Quaternion(-0.0)) == hash(Quaternion())
+    assert q != q.conj() and Quaternion(0.3, 0.0, 0.7, 0.0) not in built
