@@ -68,13 +68,19 @@ def summary(samples: list[float]) -> dict:
             "samples_s": [round(s, 4) for s in samples]}
 
 
-def measure(trees: dict[str, Path], commands: list[str], repeats: int) -> dict:
-    """{command: {label: summary}} over repeats alternated rounds."""
+def alternated(trees: dict[str, Path], repeats: int):
+    """Byte-compile every tree's ``src/``, then yield the (label, tree)
+    order of each of repeats rounds, reversed every other round."""
     for tree in trees.values():
         compileall.compile_dir(tree / "src", quiet=1)
-    samples = {name: {label: [] for label in trees} for name in commands}
     for k in range(repeats):
-        order = list(trees.items()) if k % 2 == 0 else list(trees.items())[::-1]
+        yield list(trees.items()) if k % 2 == 0 else list(trees.items())[::-1]
+
+
+def measure(trees: dict[str, Path], commands: list[str], repeats: int) -> dict:
+    """{command: {label: summary}} over repeats alternated rounds."""
+    samples = {name: {label: [] for label in trees} for name in commands}
+    for order in alternated(trees, repeats):
         for name in commands:
             for label, tree in order:
                 samples[name][label].append(run_once(tree, COMMANDS[name]))

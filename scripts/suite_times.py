@@ -1,26 +1,23 @@
 #!/usr/bin/env python3
-"""Median in-process wall time and peak RSS of each ``verify-ops`` suite.
+"""Median in-process wall time and peak RSS of each ``verify-ops`` suite,
+for one or more source trees.
 
-Each of ``REPEATS`` repeats starts a fresh interpreter, which imports
-slicereg and times ``run_suite(name, SEED)`` for every suite in
-``SUITE_ORDER`` once, in that order, with ``time.perf_counter``, and
-reads the process's peak RSS (``ru_maxrss``) after each; so every
-repeat is one cold ``verify-ops --suite all`` without the CLI and the
-report, and a suite's peak is the process's peak so far.  Prints one
-JSON object: the median seconds of each suite over the repeats, the
-median of the per-repeat totals, to 0.1 ms, and the median peak RSS
-after each suite, in MB to 0.01.
+Each of ``REPEATS`` rounds starts one fresh interpreter per tree, from
+that tree's ``scripts/suite_times.py --once``: it imports slicereg, times
+``run_suite(name, SEED)`` for every suite in ``SUITE_ORDER`` in that
+order with ``time.perf_counter``, and reads the process's peak RSS
+(``ru_maxrss``) after each, so a suite's peak is the process's peak so
+far.  The trees and rounds are those of ``cold_start.py``: every tree's
+``src/`` is byte-compiled first and the tree order is reversed every
+other round, so a drift in the host's load falls on all trees alike.
 
-With ``--against OTHER``, OTHER a second checkout, the repeats alternate
-between the trees, this one first (ABAB...), each interpreter started
-from its own tree's ``suite_times.py --once``, so both follow the host's
-load alike.  Both trees' ``src`` are byte-compiled first, so neither
-compiles its modules in every interpreter.  It prints each tree's
-medians as above and, per suite and for the total, in how many of the
-pairs this tree was faster.
+Prints one JSON object with, per tree, the median seconds of each suite,
+the median of the per-round totals, to 0.1 ms, and the median peak RSS
+after each suite, in MB to 0.01; given two trees or more, also in how
+many rounds each tree was the fastest, per suite and for the total.
 
-Usage: python scripts/suite_times.py > times.json
-       python scripts/suite_times.py --against ../parent > pairs.json
+Usage: python scripts/suite_times.py [[LABEL=]TREE ...] > times.json
+With no TREE it times this checkout, labelled ``checkout``.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from slicereg.verify import SUITE_ORDER, run_suite
 
 SEED = 1
-REPEATS = 9
+REPEATS = 10
 
 
 def suite_costs(names, seed: int = SEED) -> dict[str, dict[str, float]]:
@@ -54,9 +51,9 @@ def suite_costs(names, seed: int = SEED) -> dict[str, dict[str, float]]:
     return out
 
 
-def once(root: Path) -> dict:
-    """``suite_costs`` of every suite in a fresh interpreter of the tree at root."""
-    return json.loads(subprocess.run([sys.executable, str(root / "scripts" / "suite_times.py"), "--once"],
+def once(tree: Path) -> dict:
+    """``suite_costs`` of every suite in a fresh interpreter of the tree."""
+    return json.loads(subprocess.run([sys.executable, str(tree / "scripts" / "suite_times.py"), "--once"],
                                      capture_output=True, text=True, check=True).stdout)
 
 
@@ -70,29 +67,32 @@ def medians(runs: list[dict]) -> dict:
     return {"suites_s": per_suite("s", 4), "total_s": total, "peak_rss_mb": per_suite("peak_rss_mb", 2)}
 
 
+def rounds_fastest(runs: dict[str, list[dict]]) -> dict[str, dict[str, int]]:
+    """Per tree label, per suite and for the total, the rounds in which that tree was the fastest."""
+    costs = {label: [{**run["s"], "total": sum(run["s"].values())} for run in rs] for label, rs in runs.items()}
+    wins = {label: dict.fromkeys([*SUITE_ORDER, "total"], 0) for label in runs}
+    for k in range(REPEATS):
+        for key in (*SUITE_ORDER, "total"):
+            wins[min(costs, key=lambda label: costs[label][k][key])][key] += 1
+    return wins
+
+
 def main() -> None:
-    args = sys.argv[1:]
-    if args == ["--once"]:
+    if sys.argv[1:] == ["--once"]:
         print(json.dumps(suite_costs(SUITE_ORDER)))
         return
-    if not args:
-        print(json.dumps({"seed": SEED, "repeats": REPEATS, **medians([once(ROOT) for _ in range(REPEATS)])},
-                         indent=2))
-        return
-    if len(args) != 2 or args[0] != "--against":
-        sys.exit("usage: suite_times.py [--against OTHER_CHECKOUT]")
-    import compileall  # here, so that the timed ``--once`` interpreters do not load it
+    from cold_start import alternated, parse_trees  # here, so the timed interpreters do not load them
 
-    other = Path(args[1]).resolve()
-    for root in (ROOT, other):
-        compileall.compile_dir(root / "src", quiet=1)
-    pairs = [(once(ROOT), once(other)) for _ in range(REPEATS)]
-    faster = {name: sum(a["s"][name] < b["s"][name] for a, b in pairs) for name in SUITE_ORDER}
-    faster["total"] = sum(sum(a["s"].values()) < sum(b["s"].values()) for a, b in pairs)
-    print(json.dumps({"seed": SEED, "pairs": REPEATS,
-                      "this": {"tree": str(ROOT), **medians([a for a, _ in pairs])},
-                      "other": {"tree": str(other), **medians([b for _, b in pairs])},
-                      "pairs_this_faster": faster}, indent=2))
+    trees = parse_trees(sys.argv[1:])
+    runs = {label: [] for label in trees}
+    for order in alternated(trees, REPEATS):
+        for label, tree in order:
+            runs[label].append(once(tree))
+    result = {"seed": SEED, "repeats": REPEATS,
+              "trees": {label: {"tree": str(tree), **medians(runs[label])} for label, tree in trees.items()}}
+    if len(trees) > 1:
+        result["rounds_fastest"] = rounds_fastest(runs)
+    print(json.dumps(result, indent=2))
 
 
 if __name__ == "__main__":

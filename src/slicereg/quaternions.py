@@ -131,13 +131,9 @@ class Quaternion(NamedTuple):
 
     # -- conversions ----------------------------------------------------
 
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.w, self.x1, self.x2, self.x3)
-
     @staticmethod
     def from_array(a) -> "Quaternion":
-        w, x1, x2, x3 = (float(v) for v in a)
-        return Quaternion(w, x1, x2, x3)
+        return Quaternion(*map(float, a))
 
     @staticmethod
     def real(value: float) -> "Quaternion":

@@ -465,11 +465,11 @@ def test_fd_suites_make_one_stencil_call_per_identity_and_step(monkeypatch, suit
 
 
 def _corpus(stream):
-    """One draw of each kind the suites make, as components."""
+    """One draw of each kind the suites make."""
     f = _random_poly(stream, 2, 8)
     g, c, roots = _product_poly(stream, 0.3, 0.6)
     quaternions = (*f.coeffs, *g.coeffs, c, *roots, _random_point(stream), stream.unit())
-    return [q.components() for q in quaternions] + [stream.integer(2, 5), stream.choice([0.5, -0.6, 2.0])]
+    return [*quaternions, stream.integer(2, 5), stream.choice([0.5, -0.6, 2.0])]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -479,7 +479,7 @@ def test_stream_gives_one_corpus_per_seed(seed):
 
 def test_stream_corpora_differ_between_seeds():
     corpora = [_corpus(Stream(seed)) for seed in range(4)]
-    units = [np.array(Stream(seed).unit().components()) for seed in range(4)]
+    units = [np.array(Stream(seed).unit()) for seed in range(4)]
     for a in range(4):
         for b in range(a):
             assert corpora[a] != corpora[b]
@@ -490,7 +490,7 @@ def test_stream_units_are_unit_and_uniform():
     """Unit to 1e-15, with the first and second moments of the uniform
     measure on S^3, 0 and I/4, within 5 standard deviations over 4000 draws."""
     stream = Stream(3)
-    units = np.array([stream.unit().components() for _ in range(4000)])
+    units = np.array([stream.unit() for _ in range(4000)])
     assert np.max(np.abs(np.linalg.norm(units, axis=1) - 1.0)) <= 1e-15
     assert np.max(np.abs(units.mean(axis=0))) < 5 * 0.5 / math.sqrt(4000)
     assert np.max(np.abs(units.T @ units / len(units) - np.eye(4) / 4)) < 5 * 0.25 / math.sqrt(4000)
@@ -511,7 +511,7 @@ def test_stream_draws_are_the_documented_maps_of_the_random_sequence():
     v = u()
     assert stream.choice("abc") == "abc"[math.floor(3 * v)]
     u1, u2, u3 = u(), u(), u()
-    unit = stream.unit().components()
+    unit = stream.unit()
     assert unit == tuple(float(c) for c in shoemake(u1, u2, u3))
     a, b = math.sqrt(1.0 - u1), math.sqrt(u1)
     written_out = (a * math.sin(2 * math.pi * u2), a * math.cos(2 * math.pi * u2),

@@ -552,7 +552,16 @@ def test_suite_times_times_one_suite():
     assert all(0.0 < t < 60.0 for t in costs["s"].values())
     rss = costs["peak_rss_mb"]
     assert 1.0 < rss["gamma"] <= rss["quadrature"] < 4096.0  # the process's peak so far, in MB
-    assert suite_times.REPEATS == 9 and suite_times.SEED == 1
+    assert suite_times.REPEATS == 10 and suite_times.SEED == 1
+
+
+def test_suite_times_counts_the_fastest_tree_of_each_round():
+    suite_times = _load_script("suite_times")
+    run = lambda t: {"s": dict.fromkeys(suite_times.SUITE_ORDER, t)}
+    fast, slow = run(1.0), run(2.0)
+    wins = suite_times.rounds_fastest({"a": [fast] * 3 + [slow] * 7, "b": [slow] * 3 + [fast] * 7})
+    assert wins == {"a": dict.fromkeys([*suite_times.SUITE_ORDER, "total"], 3),
+                    "b": dict.fromkeys([*suite_times.SUITE_ORDER, "total"], 7)}
 
 
 def test_cold_start_times_one_command_in_a_fresh_process():

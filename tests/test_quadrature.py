@@ -43,6 +43,7 @@ from slicereg.zeros_poles import SemiregularFunction, analyze, as_semiregular
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import near_boundary_functions  # noqa: E402
+from test_quaternions import split_point  # noqa: E402
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -345,15 +346,9 @@ def test_quadrature_convergence_doubling():
 # formulas themselves.  No command runs them.
 
 
-def _split_point(x: Quaternion) -> tuple[float, float, Quaternion]:
-    """``split`` of one point: alpha, beta and the unit J as a Quaternion."""
-    alpha, beta, unit = split(x)
-    return alpha, float(beta), Quaternion(*map(float, unit))
-
-
 def _eval_conjugate(f, x: Quaternion) -> Quaternion:
     """Oracle: f^c(x) from the stems, conj(F1)(z) + J conj(F2)(z)."""
-    alpha, beta, unit = _split_point(x)
+    alpha, beta, unit = split_point(x)
     f1, f2 = f.stem_components(alpha, beta)
     if beta == 0.0:
         return f1.conj()
@@ -376,7 +371,7 @@ def S_map(f, x: Quaternion) -> Quaternion:
     On the closure of the degenerate set (vanishing spherical
     derivative) the map is plain quaternionic conjugation.
     """
-    alpha, beta, unit = _split_point(x)
+    alpha, beta, unit = split_point(x)
     if beta == 0.0:
         return x.conj()
     f1, f2 = f.stem_components(alpha, beta)
@@ -733,7 +728,7 @@ def _scalar_domain_points(f, r, n_points, seed):
     while len(points) < n_points and attempts < 40 * n_points:
         x = Quaternion.from_array(r * s3_points(attempts, 1, seed)[0])
         attempts += 1
-        alpha, beta, unit = _split_point(x)
+        alpha, beta, unit = split_point(x)
         if beta < 1e-3 * r:
             continue
         f1, f2 = f.stem_components(alpha, beta)
@@ -866,7 +861,7 @@ def test_s3_points_cover_the_sphere_more_evenly_than_random_draws(seed):
 
 
 def _scalar_log_abs_stems(f, x):
-    alpha, beta, unit = _split_point(x)
+    alpha, beta, unit = split_point(x)
     f1, f2 = f.stem_components(alpha, beta)
     return math.log((f1 + unit * f2).abs())
 

@@ -22,6 +22,8 @@ from slicereg.slicepoly import (
 )
 from slicereg.zeros_poles import SemiregularFunction
 
+from test_quaternions import split_point
+
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 coeffs = st.lists(st.builds(Quaternion, finite, finite, finite, finite), min_size=1, max_size=5)
 polys = st.builds(SlicePolynomial, coeffs)
@@ -52,9 +54,9 @@ def test_eval_agrees_with_stem_lifting():
     rng = np.random.default_rng(1)
     f = SlicePolynomial([Quaternion.from_array(rng.normal(size=4)) for _ in range(5)])
     for x in nonreal_points(rng):
-        alpha, beta, unit = split(x)
+        alpha, beta, unit = split_point(x)
         f1, f2 = f.stem_components(alpha, beta)
-        lifted = f1 + Quaternion(*map(float, unit)) * f2
+        lifted = f1 + unit * f2
         assert (f.eval(x) - lifted).abs() <= 1e-12 * (1.0 + lifted.abs())
 
 
@@ -131,10 +133,10 @@ def _loop_spherical_value(f, x):
 
 
 def _loop_spherical_derivative(f, x):
-    alpha, beta, _ = split(x)
+    alpha, beta, _ = split_point(x)
     if beta < BETA_SWITCH:
         return f.slice_derivative().eval(Quaternion.real(alpha))
-    return _loop_stems(f, alpha, beta)[1] / float(beta)
+    return _loop_stems(f, alpha, beta)[1] / beta
 
 
 # real points, a negative real part and beta below BETA_SWITCH among them
