@@ -2,7 +2,7 @@
 """Seeded root-finding probes: how often the Jensen check passes, raises
 a named error, or returns a wrong residual without one.
 
-Four families of slice polynomials f = prod (x - a_k), k = 0 .. deg - 1.
+Five families of slice polynomials f = prod (x - a_k), k = 0 .. deg - 1.
 The first two draw every factor from ``numpy.random.default_rng(deg)``
 (one generator per family and degree, ``DRAWS`` draws in a row from it):
 
@@ -23,6 +23,14 @@ eps * unit(), then integer(0, 3) more factors at unit() * uniform(0.2,
 1.6), counted per degree, 2-4.  q and q2 lie within eps of one sphere, where
 the stems that form J* = -F1 F2^-1 are nearly zero.
 
+The fifth, dyadic, has exact multiple roots.  Draw ``seed``, seed = 0 ..
+DYADIC_DRAWS - 1, takes ``random.Random(seed)``: randint(1, 3) distinct
+roots, each real when random() < 0.3 with one component randint(-6, 6) / 8,
+else with four such components, and of multiplicity randint(1, 5).  f is
+the product of the (x - q)^{*m} from left to right.  Such coefficients are
+exact in binary64; a draw whose coefficients differ from the same product
+in ``Fraction`` arithmetic is counted as inexact and still run.
+
 Each draw runs ``jensen_check(f, R, N, diagnostics=False)``.  It passes
 when |residual| <= TOL, counts as a named error when it raises a
 ``SliceRegError``, and as silent-wrong when it returns a larger or
@@ -36,7 +44,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +56,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from slicereg.errors import SliceRegError
 from slicereg.jensen import jensen_check
-from slicereg.quaternions import Quaternion
+from slicereg.quaternions import Quaternion, qmul_parts
 from slicereg.slicepoly import SlicePolynomial
 from slicereg.verify import Stream
 
@@ -54,6 +64,7 @@ R = 1.0
 N = 48
 DRAWS = 10
 NEAR_PAIR_DRAWS = 100
+DYADIC_DRAWS = 400
 TOL = 1e-9
 
 
@@ -84,6 +95,36 @@ def near_pair(seed: int) -> SlicePolynomial:
     for _ in range(s.integer(0, 3)):
         f = f * SlicePolynomial.linear(s.unit() * s.uniform(0.2, 1.6))
     return f
+
+
+def dyadic_roots(seed: int) -> list[tuple[tuple[int, int, int, int], int]]:
+    """The distinct roots of dyadic draw ``seed``: (components in eighths, multiplicity)."""
+    rng = random.Random(seed)
+    roots = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            eighths = (rng.randint(-6, 6), 0, 0, 0)
+        else:
+            eighths = tuple(rng.randint(-6, 6) for _ in range(4))
+        roots.append((eighths, rng.randint(1, 5)))
+    return roots
+
+
+def dyadic_product(roots) -> tuple[SlicePolynomial, bool]:
+    """f = (x - q_1)^{*m_1} (x - q_2)^{*m_2} ... from 1, left to right, for
+    roots given as (components in eighths, multiplicity); and whether every
+    coefficient of f equals the same product in ``Fraction`` arithmetic."""
+    f = SlicePolynomial.from_real([1.0])
+    zero = (Fraction(0),) * 4
+    exact = [(Fraction(1), *zero[1:])]
+    for eighths, m in roots:
+        minus_q = tuple(Fraction(-k, 8) for k in eighths)
+        for _ in range(m):
+            f = f * SlicePolynomial.linear(Quaternion(*(k / 8 for k in eighths)))
+            # c * (x - q) has coefficients c_{n-1} - c_n q
+            exact = [tuple(a + b for a, b in zip(hi, qmul_parts(lo, minus_q)))
+                     for hi, lo in zip([zero, *exact], [*exact, zero])]
+    return f, [tuple(map(Fraction, c)) for c in f.coeffs] == exact
 
 
 FAMILIES = {"real": (real_root, (4, 6, 8, 10, 12, 16)), "quaternionic": (quaternionic_root, (8, 12, 16)),
@@ -129,11 +170,20 @@ def probe_near_pair(count: int = NEAR_PAIR_DRAWS) -> dict[str, dict[str, int]]:
     return dict(sorted(counts.items()))
 
 
+def probe_dyadic(count: int = DYADIC_DRAWS) -> dict[str, int]:
+    counts = {"pass": 0, "named_error": 0, "silent_wrong": 0, "inexact": 0}
+    for seed in range(count):
+        f, exact = dyadic_product(dyadic_roots(seed))
+        counts[outcome(f)] += 1
+        counts["inexact"] += not exact
+    return counts
+
+
 def main() -> None:
     out = {"r": R, "n": N, "draws": DRAWS, "tol": TOL,
            **{family: {str(deg): probe(family, deg) for deg in degrees}
               for family, (_, degrees) in FAMILIES.items()},
-           "near_pair": probe_near_pair()}
+           "near_pair": probe_near_pair(), "dyadic": probe_dyadic()}
     print(json.dumps(out, indent=2))
 
 

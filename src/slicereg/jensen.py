@@ -9,12 +9,11 @@ from the lowest coefficients of N(num) and den instead, so a wrong
 curvature term shows in it.
 
 Right side: the half-sum of the two boundary means of log|f| and
-log|f o S_f|, minus a correction per zero (real zeros with a radial
-term, nonreal zeros with a sphere term in |a| and t(a)), plus the
-mirrored corrections per pole.  Zeros and poles enter with their total
-multiplicities / orders; nonuniform spherical poles contribute extra
-zero-type terms at their exceptional points, weighted by the isolated
-multiplicity.
+log|f o S_f|, minus a correction per zero, plus the mirrored ones per
+pole.  A correction sees its point only through |y| and t(y), so the
+sums run over spheres alpha + S beta (``sphere_sum``), weighted by total
+multiplicity, order or spherical order; the exceptional point of a
+nonuniform spherical pole weighs its pole sphere's own term.
 
 Real zeros and poles at negative positions use |r_k| inside the
 logarithm (the quartic term only sees r_k^2); such cases are flagged in
@@ -55,8 +54,7 @@ from .zeros_poles import (
 __all__ = [
     "JensenReport",
     "delta4_logNf_at0",
-    "zero_sum",
-    "pole_sum",
+    "sphere_sum",
     "jensen_check",
     "boundary_gap",
 ]
@@ -124,39 +122,12 @@ def point_term(norm2: float, trace: float, r: float) -> float:
     )
 
 
-def _check_inside(radius: float, r: float, what: str) -> None:
-    if radius <= ORIGIN_REL * max(r, 1.0):
-        raise (ZeroAtOriginError if what == "zero" else PoleAtOriginError)(
-            f"{what} at the origin"
-        )
-    if radius >= r or on_boundary(radius, r):
-        raise (ZeroOnBoundaryError if what == "zero" else PoleOnBoundaryError)(
-            f"{what} at radius {radius:.12g} not strictly inside r={r}"
-        )
-
-
-def zero_sum(zeros: list[ZeroRecord], r: float) -> float:
-    """Total zero correction (the quantity subtracted on the right side),
-    each point weighted by its total multiplicity."""
+def sphere_sum(spheres, r: float) -> float:
+    """Sum of m * point_term over (alpha, beta, m) spheres; every point of
+    alpha + S beta has n = alpha^2 + beta^2 and t = 2 alpha."""
     total = 0.0
-    for rec in zeros:
-        _check_inside(rec.point_radius, r, "zero")
-        a = rec.representative
-        total += rec.multiplicity * point_term(a.norm2(), a.trace(), r)
-    return total
-
-
-def pole_sum(poles: list[PoleRecord], r: float) -> float:
-    """Total pole correction (added on the right side): real poles
-    weighted by their order, pole spheres by their spherical order.  A
-    real pole's representative is alpha itself, so its norm and trace
-    are alpha^2 and 2 alpha."""
-    total = 0.0
-    for rec in poles:
-        _check_inside(rec.point_radius, r, "pole")
-        weight = rec.order if rec.kind == "real" else rec.spherical_order
-        rep = rec.representative
-        total += weight * point_term(rep.norm2(), rep.trace(), r)
+    for alpha, beta, m in spheres:
+        total += m * point_term(alpha * alpha + beta * beta, 2.0 * alpha, r)
     return total
 
 
@@ -182,14 +153,20 @@ class JensenReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _boundary_hypotheses(analysis: FunctionAnalysis, r: float) -> None:
-    for rec in analysis.zeros:
-        if on_boundary(rec.point_radius, r):
-            raise ZeroOnBoundaryError(f"zero sphere at radius {rec.point_radius:.12g} on the boundary r={r}")
-    for alpha, beta, _ in analysis.pole_spheres:
-        rad = math.hypot(alpha, beta)
-        if on_boundary(rad, r):
-            raise PoleOnBoundaryError(f"pole sphere at radius {rad:.12g} on the boundary r={r}")
+def _hypotheses(analysis: FunctionAnalysis, r: float) -> None:
+    """The sphere hypotheses: no zero or pole sphere on the boundary band,
+    then none within ``ORIGIN_REL * max(r, 1)`` of the origin (a smaller
+    band than the boundary's, so such a sphere is inside the ball)."""
+    checks = (("zero", [z.point_radius for z in analysis.zeros], ZeroOnBoundaryError, ZeroAtOriginError),
+              ("pole", [math.hypot(a, b) for a, b, _ in analysis.pole_spheres], PoleOnBoundaryError,
+               PoleAtOriginError))
+    for what, radii, boundary_error, _ in checks:
+        for radius in radii:
+            if on_boundary(radius, r):
+                raise boundary_error(f"{what} sphere at radius {radius:.12g} on the boundary r={r}")
+    for what, radii, _, origin_error in checks:
+        if any(radius <= ORIGIN_REL * max(r, 1.0) for radius in radii):
+            raise origin_error(f"{what} at the origin")
 
 
 def _representative_spread(records: list[ZeroRecord | PoleRecord], r: float, seed: int) -> float:
@@ -215,15 +192,13 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
     of the polar rule (the oracle's orders follow from n by
     ``oracle_orders``); report the residual.
 
-    Every zero record inside the ball enters the zero sum once, with its
-    total multiplicity; that includes the exceptional points of the
-    nonuniform pole spheres, whose isolated multiplicities are the
-    multiplicities of those records.
+    The zero and pole sums run over the spheres inside the ball; the zero
+    spheres include the exceptional points of nonuniform pole spheres.
     """
     fs = as_semiregular(f)
     (t0, t1, t2), d4 = _origin_terms(fs, r)  # origin hypotheses, before any root finding
     analysis = analyze(fs, r)
-    _boundary_hypotheses(analysis, r)
+    _hypotheses(analysis, r)
 
     poles = analysis.poles
     # zeros outside the ball drop out (on-boundary already rejected)
@@ -233,10 +208,10 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
     for p in poles:
         if p.kind != "spherical_nonuniform":
             continue
-        zj = p.exceptional_point
-        unit = point_term(p.representative.norm2(), p.representative.trace(), r)
+        # the exceptional point lies on the pole sphere: one unit term for both
+        unit = sphere_sum([(p.alpha, p.beta, 1)], r)
         b_term = p.spherical_order * unit
-        a_term = p.isolated_multiplicity * point_term(zj.norm2(), zj.trace(), r)
+        a_term = p.isolated_multiplicity * unit
         nonuniform_detail.append(
             {
                 "sphere": [p.alpha, p.beta],
@@ -248,8 +223,8 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
             }
         )
 
-    zsum = zero_sum(zrecords, r)
-    psum = pole_sum(poles, r)
+    zsum = sphere_sum([(z.alpha, z.beta, z.multiplicity) for z in zrecords], r)
+    psum = sphere_sum([s for s in analysis.pole_spheres if math.hypot(s[0], s[1]) < r], r)
 
     means = boundary_means(fs, r, n, analysis.shadows)
     lhs = t0 + t1 + t2

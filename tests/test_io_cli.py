@@ -595,6 +595,10 @@ def test_root_probe_sorts_each_draw_into_one_outcome():
     (f,) = root_probe.draws("real", 6, count=1)
     assert f.degree == 6 and f.is_slice_preserving(0.0)
     assert root_probe.outcome(SlicePolynomial.from_real([0.0, 1.0])) == "named_error"  # zero at the origin
+    # dyadic draw 0: (x - q)^{*4} (x - p)^{*5}, components in eighths, exact in binary64
+    assert root_probe.dyadic_roots(0) == [((0, -6, -2, 2), 4), ((6, -2, 1, -1), 5)]
+    assert root_probe.probe_dyadic(count=1) == {"pass": 1, "named_error": 0, "silent_wrong": 0, "inexact": 0}
+    assert not root_probe.dyadic_product([((2**60 + 1, 0, 0, 0), 1)])[1]  # 2^57 + 1/8 rounds
 
 
 def test_cli_zeros(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -17,8 +18,7 @@ from slicereg.jensen import (
     delta4_logNf_at0,
     jensen_check,
     point_term,
-    pole_sum,
-    zero_sum,
+    sphere_sum,
 )
 from slicereg.io import load_function
 from slicereg.quaternions import I, ONE, Quaternion
@@ -33,9 +33,7 @@ from slicereg.quadrature import (
 from slicereg.slicepoly import SlicePolynomial, log_abs, normal, slice_product
 from slicereg.zeros_poles import (
     BOUNDARY_BAND,
-    PoleRecord,
     SemiregularFunction,
-    ZeroRecord,
     analyze,
     as_semiregular,
     characteristic_poly,
@@ -128,20 +126,15 @@ def test_lhs_cross_check_sees_a_wrong_square_term(monkeypatch):
 # -- zero and pole sums --------------------------------------------------------
 
 
-def zrec(kind, rep, alpha, beta, mult):
-    return ZeroRecord(kind, rep, alpha, beta, mult)
+# The sums read (alpha, beta, m) spheres; the hypotheses are jensen_check's.
 
 
 def test_zero_sum_real_example():
-    rec = zrec("real", Quaternion.real(0.5), 0.5, 0.0, 1)
-    assert zero_sum([rec], 1.0) == pytest.approx(math.log(2.0) - 15.0 / 16.0)
+    assert sphere_sum([(0.5, 0.0, 1)], 1.0) == pytest.approx(math.log(2.0) - 15.0 / 16.0)
 
 
 def test_zero_sum_boundary_limit():
-    vals = []
-    for rk in (0.9, 0.99, 0.999):
-        rec = zrec("real", Quaternion.real(rk), rk, 0.0, 1)
-        vals.append(abs(zero_sum([rec], 1.0)))
+    vals = [abs(sphere_sum([(rk, 0.0, 1)], 1.0)) for rk in (0.9, 0.99, 0.999)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 2e-6
 
@@ -149,33 +142,76 @@ def test_zero_sum_boundary_limit():
 def test_zero_sum_spherical_term():
     # one unit of total multiplicity at a = i, r = 2 contributes
     # log 2 + 15/16; the multiplicity-2 spherical zero of x^2+1 doubles it
-    rec = zrec("spherical", I, 0.0, 1.0, 2)
-    assert zero_sum([rec], 2.0) == pytest.approx(2.0 * (math.log(2.0) + 15.0 / 16.0))
+    assert sphere_sum([(0.0, 1.0, 2)], 2.0) == pytest.approx(2.0 * (math.log(2.0) + 15.0 / 16.0))
     assert point_term(1.0, 0.0, 2.0) == pytest.approx(math.log(2.0) + 15.0 / 16.0)
+    report = jensen_check(real_poly(1.0, 0.0, 1.0), 2.0, diagnostics=False)
+    assert report.breakdown["zero_sum"] == sphere_sum([(0.0, 1.0, 2)], 2.0)
 
 
 def test_zero_sum_errors():
     with pytest.raises(ZeroOnBoundaryError):
-        zero_sum([zrec("real", Quaternion.real(1.0), 1.0, 0.0, 1)], 1.0)
+        jensen_check(real_poly(-1.0, 1.0), 1.0, 8)
+    # f(0) = -1e-11 passes the coefficient rule; the sphere at 1e-11 meets
+    # the radius rule ORIGIN_REL * max(r, 1) = 1e-11 at r = 10
     with pytest.raises(ZeroAtOriginError):
-        zero_sum([zrec("real", Quaternion.real(0.0), 0.0, 0.0, 1)], 1.0)
+        jensen_check(real_poly(-1e-11, 1.0), 10.0, 8)
 
 
 def test_pole_sum_examples():
-    real_rec = PoleRecord("real", Quaternion.real(0.5), 0.5, 0.0, order=1)
-    assert pole_sum([real_rec], 1.0) == pytest.approx(math.log(2.0) - 15.0 / 16.0)
-    sph = PoleRecord("spherical_uniform", I, 0.0, 1.0, order=1, spherical_order=2)
-    assert pole_sum([sph], 2.0) == pytest.approx(2.0 * math.log(2.0) + 15.0 / 8.0)
-    assert pole_sum([], 1.0) == 0.0
+    assert sphere_sum([(0.5, 0.0, 1)], 1.0) == pytest.approx(math.log(2.0) - 15.0 / 16.0)
+    assert sphere_sum([(0.0, 1.0, 2)], 2.0) == pytest.approx(2.0 * math.log(2.0) + 15.0 / 8.0)
+    empty = sphere_sum([], 1.0)
+    assert empty == 0.0 and type(empty) is float
+    # the pole sum takes the pole spheres inside the ball with their
+    # spherical order: (x^2 + 1)(x - 3) at r = 2 leaves the sphere at i
+    f = SemiregularFunction(real_poly(1.0, 0.0, 1.0) * real_poly(-3.0, 1.0), real_poly(5.0, 1.0))
+    report = jensen_check(f, 2.0, diagnostics=False)
+    assert report.breakdown["pole_sum"] == sphere_sum([(0.0, 1.0, 2)], 2.0)
+    assert report.breakdown["zero_sum"] == 0.0
 
 
 def test_pole_sum_errors():
-    rec = PoleRecord("real", Quaternion.real(1.0), 1.0, 0.0, order=1)
     with pytest.raises(PoleOnBoundaryError):
-        pole_sum([rec], 1.0)
-    at0 = PoleRecord("real", Quaternion.real(0.0), 0.0, 0.0, order=1)
+        jensen_check(SemiregularFunction(real_poly(-1.0, 1.0), real_poly(3.0, 1.0)), 1.0, 8)
     with pytest.raises(PoleAtOriginError):
-        pole_sum([at0], 1.0)
+        jensen_check(SemiregularFunction(real_poly(-1e-11, 1.0), real_poly(20.0, 1.0)), 10.0, 8)
+
+
+def test_every_boundary_check_comes_before_the_origin_rule():
+    # a pole on the boundary is named before a zero at the origin; without
+    # it the zero at 5e-11 <= 1e-12 * 100 is named
+    num = real_poly(-5e-11, 1.0)
+    f = SemiregularFunction(real_poly(-100.0, 1.0) * real_poly(-0.001, 1.0), num)
+    with pytest.raises(PoleOnBoundaryError):
+        jensen_check(f, 100.0, 8)
+    with pytest.raises(ZeroAtOriginError):
+        jensen_check(SemiregularFunction(real_poly(-0.001, 1.0), num), 100.0, 8)
+
+
+def _off_sphere(q):
+    return None if q is None else Quaternion(q.w + 0.125, 2.0 * q.x1, 2.0 * q.x2, 2.0 * q.x3)
+
+
+@pytest.mark.parametrize("name", ["deg8_all_kinds", "isolated_pair", "remark_nonuniform", "nonuniform_with_real_zero"])
+def test_sums_read_spheres_not_representatives(name, monkeypatch):
+    # every representative and exceptional point moved off its sphere leaves
+    # the sums, the residual and the nonuniform detail bit for bit
+    _, f, r = next(case for case in CORPUS_CASES if case[0] == name)
+    own = jensen_check(f, r, diagnostics=False)
+
+    def moved(g, radius):
+        analysis = analyze(g, radius)
+        poles = tuple(dataclasses.replace(p, representative=_off_sphere(p.representative),
+                                          exceptional_point=_off_sphere(p.exceptional_point))
+                      for p in analysis.poles)
+        zeros = tuple(dataclasses.replace(z, representative=_off_sphere(z.representative)) for z in analysis.zeros)
+        return dataclasses.replace(analysis, zeros=zeros, poles=poles)
+
+    monkeypatch.setattr(jensen, "analyze", moved)
+    report = jensen_check(f, r, diagnostics=False)
+    assert report.zeros != own.zeros
+    assert (report.breakdown, report.residual) == (own.breakdown, own.residual)
+    assert report.diagnostics.get("nonuniform_poles") == own.diagnostics.get("nonuniform_poles")
 
 
 # One boundary band, |rho - r| <= BOUNDARY_BAND max(r, 1), for every check.
@@ -185,8 +221,6 @@ def test_zero_sum_rejects_a_zero_in_the_boundary_band(r):
     f = real_poly(-(r - 0.75 * BOUNDARY_BAND * max(r, 1.0)), 1.0)
     with pytest.raises(ZeroOnBoundaryError):
         jensen_check(f, r, 8)
-    with pytest.raises(ZeroOnBoundaryError):
-        zero_sum(list(analyze(f, r).zeros), r)
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
@@ -197,8 +231,6 @@ def test_analyze_keeps_a_pole_in_the_boundary_band(r):
         jensen_check(f, r, 8)
     (pole,) = analyze(f, r).poles
     assert (pole.kind, pole.alpha) == ("real", pytest.approx(rho, rel=1e-15))
-    with pytest.raises(PoleOnBoundaryError):
-        pole_sum([pole], r)
 
 
 # -- full checks -----------------------------------------------------------------

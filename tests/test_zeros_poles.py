@@ -515,6 +515,55 @@ def test_simple_root_next_to_a_multiple_one(roots):
     _passes_or_raises_a_named_error(roots)
 
 
+# -- exact multiple roots: the dyadic family of scripts/root_probe.py ------------
+
+# (components in eighths, multiplicity) of each distinct root, in factor order
+MERGED_SPHERES = [
+    # two isolated spheres come back as one isolated 7-fold sphere; residual -2.98e-3
+    [((3, 4, -2, 3), 3), ((3, -5, 1, -1), 4)],
+    # the next four come back as one real 8-, 10- or 15-fold zero; residuals -8.98, -1.21, -7.18, -513.5
+    [((3, 4, 4, 1), 5), ((3, 2, 3, 4), 3)],
+    [((5, 0, 0, 0), 5), ((5, 2, -3, -2), 5)],
+    [((4, 0, -3, 5), 5), ((3, 3, 4, 2), 5)],
+    [((-2, 0, -5, 4), 5), ((2, 1, 3, 0), 5), ((-2, -3, 4, -2), 5)],
+]
+# right records, but its 5-fold sphere lies at 0.992 r; residual -2.40e-8 at n = 48, 1.0e-7 at n = 96
+NEAR_BOUNDARY_FIVEFOLD = [((-3, 0, 0, 0), 1), ((5, -3, 5, 2), 5), ((2, -5, -3, 0), 4)]
+
+
+def _dyadic_product(roots):
+    from test_io_cli import _load_script
+
+    return _load_script("root_probe").dyadic_product(roots)
+
+
+def _passes_at_1e9_or_raises_a_named_error(f):
+    try:
+        residual = jensen_check(f, 1.0, 48, diagnostics=False).residual
+    except SliceRegError:
+        return
+    assert abs(residual) <= 1e-9
+
+
+def test_dyadic_products_are_exact_in_binary64():
+    for roots in MERGED_SPHERES + [NEAR_BOUNDARY_FIVEFOLD]:
+        assert _dyadic_product(roots)[1], roots
+
+
+@pytest.mark.xfail(strict=True, reason="Pellet certifies a count of roots, not one root: distinct exact multiple "
+                                       "spheres come back as one record, with no named error")
+@pytest.mark.parametrize("roots", MERGED_SPHERES)
+def test_exact_multiple_spheres_are_not_merged(roots):
+    _passes_at_1e9_or_raises_a_named_error(_dyadic_product(roots)[0])
+
+
+@pytest.mark.xfail(strict=True, reason="the records are right (zero sum within 2e-11), but the boundary means next "
+                                       "to a 5-fold sphere at 0.992 r leave the residual at -2.40e-8, with no "
+                                       "named error")
+def test_exact_fivefold_sphere_near_the_boundary():
+    _passes_at_1e9_or_raises_a_named_error(_dyadic_product(NEAR_BOUNDARY_FIVEFOLD)[0])
+
+
 # -- the high-degree annuli family of scripts/root_probe.py ---------------------
 
 
