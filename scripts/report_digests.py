@@ -7,7 +7,9 @@ one ``<sha256>  <name>`` line per report:
 - ``jensen --corpus`` on both manifests at ``--seed 0`` and ``3``, as
   json and csv, and the polynomial manifest as text;
 - ``zeros --format json`` on every corpus function file;
-- ``verify-ops --suite all --format json --rows`` at seeds 1 and 7.
+- ``verify-ops --suite all --format json --rows`` at seeds 1 and 7, and
+  ``verify-ops --suite all --seed 1`` as text (the report the benchmark
+  parses) and as csv.
 
 After them it prints one line per failing call, a digest of
 ``f"{exit_code}\n{stderr}"``: bad jensen options, a zero on the
@@ -75,6 +77,8 @@ def reports() -> list[tuple[str, list[str]]]:
     for seed in (1, 7):
         runs.append((f"verify-ops-seed{seed}.json",
                      ["verify-ops", "--suite", "all", "--format", "json", "--rows", "--seed", str(seed)]))
+    for fmt in ("text", "csv"):
+        runs.append((f"verify-ops-seed1.{fmt}", ["verify-ops", "--suite", "all", "--format", fmt, "--seed", "1"]))
     return runs
 
 

@@ -30,6 +30,9 @@ else with four such components, and of multiplicity randint(1, 5).  f is
 the product of the (x - q)^{*m} from left to right.  Such coefficients are
 exact in binary64; a draw whose coefficients differ from the same product
 in ``Fraction`` arithmetic is counted as inexact and still run.
+``dyadic_records`` gives each draw's exact zero records, and a draw whose
+``classify_zeros`` records differ from them with no named error counts
+as wrong_records.
 
 Each draw runs ``jensen_check(f, R, N, diagnostics=False)``.  It passes
 when |residual| <= TOL, counts as a named error when it raises a
@@ -59,6 +62,7 @@ from slicereg.jensen import jensen_check
 from slicereg.quaternions import Quaternion, qmul_parts
 from slicereg.slicepoly import SlicePolynomial
 from slicereg.verify import Stream
+from slicereg.zeros_poles import classify_zeros
 
 R = 1.0
 N = 48
@@ -66,6 +70,7 @@ DRAWS = 10
 NEAR_PAIR_DRAWS = 100
 DYADIC_DRAWS = 400
 TOL = 1e-9
+SPHERE_TOL = 1e-6
 
 
 ANNULI = ((0.2, 0.8), (1.3, 2.0))
@@ -110,21 +115,83 @@ def dyadic_roots(seed: int) -> list[tuple[tuple[int, int, int, int], int]]:
     return roots
 
 
+def _fraction_product(roots) -> list[tuple[Fraction, ...]]:
+    """The coefficients of (x - q_1)^{*m_1} (x - q_2)^{*m_2} ... as ``Fraction``s,
+    ascending, each as its four components; the product runs on integers in
+    units of 8^-degree, which is exact and faster than ``Fraction`` steps."""
+    zero = (0,) * 4
+    exact, degree = [(1, 0, 0, 0)], 0
+    for eighths, m in roots:
+        minus_q = tuple(-k for k in eighths)  # -8 q
+        for _ in range(m):
+            # 8 c * (x - q) has coefficients 8 c_{n-1} - c_n (8 q)
+            exact = [tuple(8 * a + b for a, b in zip(hi, qmul_parts(lo, minus_q)))
+                     for hi, lo in zip([zero, *exact], [*exact, zero])]
+            degree += 1
+    return [tuple(Fraction(a, 8**degree) for a in c) for c in exact]
+
+
 def dyadic_product(roots) -> tuple[SlicePolynomial, bool]:
     """f = (x - q_1)^{*m_1} (x - q_2)^{*m_2} ... from 1, left to right, for
     roots given as (components in eighths, multiplicity); and whether every
     coefficient of f equals the same product in ``Fraction`` arithmetic."""
     f = SlicePolynomial.from_real([1.0])
-    zero = (Fraction(0),) * 4
-    exact = [(Fraction(1), *zero[1:])]
     for eighths, m in roots:
-        minus_q = tuple(Fraction(-k, 8) for k in eighths)
         for _ in range(m):
             f = f * SlicePolynomial.linear(Quaternion(*(k / 8 for k in eighths)))
-            # c * (x - q) has coefficients c_{n-1} - c_n q
-            exact = [tuple(a + b for a, b in zip(hi, qmul_parts(lo, minus_q)))
-                     for hi, lo in zip([zero, *exact], [*exact, zero])]
-    return f, [tuple(map(Fraction, c)) for c in f.coeffs] == exact
+    return f, [tuple(map(Fraction, c)) for c in f.coeffs] == _fraction_product(roots)
+
+
+def _divides(alpha: Fraction, beta2: Fraction, coeffs) -> bool:
+    """Whether Delta = x^2 - 2 alpha x + alpha^2 + beta2 divides the
+    polynomial of ascending quaternionic coefficients, by exact long
+    division: Delta is real, so it divides each component on its own."""
+    rem = [list(c) for c in coeffs]
+    for n in range(len(rem) - 1, 1, -1):  # cancel x^n with rem[n] x^{n-2} Delta
+        lead = rem[n]
+        rem[n - 1] = [a + 2 * alpha * b for a, b in zip(rem[n - 1], lead)]
+        rem[n - 2] = [a - (alpha * alpha + beta2) * b for a, b in zip(rem[n - 2], lead)]
+    return not any(map(any, rem[:2]))
+
+
+def dyadic_records(roots) -> list[tuple[str, float, float, int]]:
+    """The exact zero records of ``dyadic_product(roots)``: (kind, alpha,
+    beta, multiplicity), one per sphere, sorted.
+
+    N is multiplicative, so N(f) is the product of the Delta_q^m, and a
+    sphere's multiplicity is the sum of the m of its roots; a real root
+    counts its m once.  A nonreal sphere is spherical when its Delta
+    divides f, else isolated."""
+    spheres: dict[tuple[Fraction, Fraction], int] = {}
+    for (k0, *im), m in roots:
+        sphere = (Fraction(k0, 8), Fraction(sum(k * k for k in im), 64))  # Re q and |Im q|^2
+        spheres[sphere] = spheres.get(sphere, 0) + m
+    coeffs = _fraction_product(roots)
+    return sorted(("real" if not beta2 else "spherical" if _divides(alpha, beta2, coeffs) else "isolated",
+                   float(alpha), math.sqrt(beta2), m) for (alpha, beta2), m in spheres.items())
+
+
+def records_match(records, exact) -> bool:
+    """Whether ``classify_zeros`` records and the exact records pair one to
+    one: sphere within SPHERE_TOL in alpha and beta, kind and multiplicity
+    equal.  Distinct spheres of the family lie more than 1e-3 apart."""
+    left = list(records)
+    for kind, alpha, beta, m in exact:
+        near = [r for r in left if abs(r.alpha - alpha) <= SPHERE_TOL and abs(r.beta - beta) <= SPHERE_TOL]
+        if len(near) != 1 or (near[0].kind, near[0].multiplicity) != (kind, m):
+            return False
+        left.remove(near[0])
+    return not left
+
+
+def records_outcome(roots) -> str:
+    """"match" when ``classify_zeros`` of ``dyadic_product(roots)`` pairs with
+    ``dyadic_records(roots)``, "named" when it raises a named error, else "wrong"."""
+    try:
+        records = classify_zeros(dyadic_product(roots)[0])
+    except SliceRegError:
+        return "named"
+    return "match" if records_match(records, dyadic_records(roots)) else "wrong"
 
 
 FAMILIES = {"real": (real_root, (4, 6, 8, 10, 12, 16)), "quaternionic": (quaternionic_root, (8, 12, 16)),
@@ -171,11 +238,13 @@ def probe_near_pair(count: int = NEAR_PAIR_DRAWS) -> dict[str, dict[str, int]]:
 
 
 def probe_dyadic(count: int = DYADIC_DRAWS) -> dict[str, int]:
-    counts = {"pass": 0, "named_error": 0, "silent_wrong": 0, "inexact": 0}
+    counts = {"pass": 0, "named_error": 0, "silent_wrong": 0, "inexact": 0, "wrong_records": 0}
     for seed in range(count):
-        f, exact = dyadic_product(dyadic_roots(seed))
+        roots = dyadic_roots(seed)
+        f, exact = dyadic_product(roots)
         counts[outcome(f)] += 1
         counts["inexact"] += not exact
+        counts["wrong_records"] += records_outcome(roots) == "wrong"
     return counts
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .quaternions import I, J, K, Quaternion, qmul_parts
 
 __all__ = ["fd_partial", "fd_crf", "fd_crf_conj", "fd_gamma", "fd_laplace4", "fd_laplace4_richardson",
-           "fd_bilaplace4", "fd_bilaplace4_richardson"]
+           "fd_bilaplace4", "fd_bilaplace4_richardson", "richardson"]
 
 PartsFunc = Callable[[tuple], "tuple | np.ndarray"]
 
@@ -132,9 +132,14 @@ def fd_laplace4(u: PartsFunc, x, h: float):
     return _like(x, reduce(operator.add, v[1:], v[0] * (-8.0)) / (h * h))
 
 
+def richardson(coarse, fine) -> np.ndarray:
+    """One Richardson halving (4 fine - coarse) / 3 of the values of an
+    O(h^2) operator at h and h/2, given as parts or (4, m) arrays."""
+    return (np.asarray(fine) * 4.0 - np.asarray(coarse)) / 3.0
+
+
 def _richardson(op, u: PartsFunc, x, h: float):
-    coarse, fine = (np.array(op(u, _centres(x), s)) for s in (h, 0.5 * h))
-    return _like(x, (fine * 4.0 - coarse) / 3.0)
+    return _like(x, richardson(*(op(u, _centres(x), s) for s in (h, 0.5 * h))))
 
 
 def fd_laplace4_richardson(u: PartsFunc, x, h: float):

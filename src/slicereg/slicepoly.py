@@ -182,13 +182,6 @@ class SlicePolynomial(_Loops):
         n = max(len(self.coeffs), len(other.coeffs))
         return SlicePolynomial([self.coefficient(m) + other.coefficient(m) for m in range(n)])
 
-    def __sub__(self, other: "SlicePolynomial") -> "SlicePolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SlicePolynomial([self.coefficient(m) - other.coefficient(m) for m in range(n)])
-
-    def __neg__(self) -> "SlicePolynomial":
-        return SlicePolynomial([-c for c in self.coeffs])
-
     def __mul__(self, other: "SlicePolynomial") -> "SlicePolynomial":
         return slice_product(self, other)
 

@@ -11,7 +11,9 @@ operators are meant to be used.  The stencils are the batched ones of
 ``diffops``, and each suite makes one stencil call per identity and
 step: its cases are the centres, with a step each, and a ``SliceStack``
 gives each centre its own polynomial.  The exact sides take the same
-stack and centres, and read f' from its one ``slice_derivative``.
+stack and centres, and read f' from its one ``slice_derivative``.  Every
+suite takes its residuals as arrays over its cases and folds them with
+numpy, so a NaN residual fails its suite.
 
 The corpora come from ``Stream`` (standard-library Mersenne Twister draws,
 so no suite imports ``numpy.random``), shaped so the identities are
@@ -33,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, fd_laplace4_richardson
+from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, fd_laplace4_richardson, richardson
 from .jensen import delta4_logNf_at0
 from .quadrature import ORACLE_BLOCK, build_rule, s2_means, shoemake
 from .quaternions import Quaternion, qmul_parts, split
@@ -199,15 +201,28 @@ def _pair_result(name: str, rows, res_h, res_h2, worst: float, tail: dict) -> Su
     return SuiteResult(name, passed, summary, rows)
 
 
-def _centres(cases) -> tuple[tuple, np.ndarray]:
-    """The points of the cases as parts, one centre per case, and 1 + |x| of each."""
+def _centres(cases, h: float) -> tuple[list, tuple, tuple]:
+    """The points of the cases, the same as parts, one centre per case, and
+    the steps h (1 + |x|) and half of it, one per case."""
     points = [x for _, x in cases]
-    return tuple(np.array(c) for c in zip(*points)), 1.0 + np.array([x.abs() for x in points])
+    step = h * (1.0 + np.array([x.abs() for x in points]))
+    return points, tuple(np.array(c) for c in zip(*points)), (step, 0.5 * step)
 
 
-def _case(v: tuple, idx: int) -> Quaternion:
-    """Centre idx of parts v."""
-    return Quaternion(*(float(p[idx]) for p in v))
+def _gap(a, b=(0.0,) * 4) -> np.ndarray:
+    """|a - b| of parts, centre by centre, with the float operations of
+    ``Quaternion.abs``; b defaults to 0, and x - 0.0 is bitwise x."""
+    d0, d1, d2, d3 = (p - q for p, q in zip(a, b))
+    return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
+
+
+def _rows(points, columns) -> list[ResidualRow]:
+    """The rows case by case, one per (identity, steps, residuals, order)
+    column in column order; steps and residuals hold a value per case, or
+    steps one value for all of them."""
+    columns = [(ident, np.broadcast_to(steps, len(points)), res, order) for ident, steps, res, order in columns]
+    return [ResidualRow(ident, idx, list(x), float(steps[idx]), float(res[idx]), order)
+            for idx, x in enumerate(points) for ident, steps, res, order in columns]
 
 
 def _fd_pair_suite(name: str, cases, identities) -> SuiteResult:
@@ -215,18 +230,14 @@ def _fd_pair_suite(name: str, cases, identities) -> SuiteResult:
     sides of an identity take the ``SliceStack`` of the cases and their
     centres, one per case, and return parts; the FD side also takes the steps."""
     stack = SliceStack(f for f, _ in cases)
-    centres, scale = _centres(cases)
-    steps = (1e-3 * scale, 0.5 * (1e-3 * scale))
-    sides = [([fd(stack, centres, step) for step in steps], exact(stack, centres)) for _, fd, exact in identities]
-    rows: list[ResidualRow] = []
-    res_h: list[float] = []
-    res_h2: list[float] = []
-    for idx, (_, x) in enumerate(cases):
-        for (ident, _, _), (values, exact) in zip(identities, sides):
-            for step, v, sink in zip(steps, values, (res_h, res_h2)):
-                r = (_case(v, idx) - _case(exact, idx)).abs()
-                sink.append(r)
-                rows.append(ResidualRow(ident, idx, list(x), float(step[idx]), r, 2))
+    points, centres, steps = _centres(cases, 1e-3)
+    columns = []
+    for ident, fd, exact in identities:
+        want = exact(stack, centres)
+        columns += [(ident, step, _gap(fd(stack, centres, step), want), 2) for step in steps]
+    rows = _rows(points, columns)
+    # the residuals at h and at h/2 in row order, case by case
+    res_h, res_h2 = (np.column_stack([res for _, _, res, _ in columns[k::2]]).ravel() for k in (0, 1))
     worst = float(np.max(res_h))
     tail = {"max_residual_at_h": worst, "max_residual_at_h_half": float(np.max(res_h2)), "tolerance": TOL_FIRST_ORDER}
     return _pair_result(name, rows, res_h, res_h2, worst, tail)
@@ -295,26 +306,13 @@ def suite_harmonic(seed: int, n_cases: int = 20) -> SuiteResult:
 
 def _bilaplacian_suite(name: str, cases, u) -> SuiteResult:
     """u is the integrand of all cases at once, case idx at centre idx."""
-    rows: list[ResidualRow] = []
-    res_h: list[float] = []
-    res_h2: list[float] = []
-    res_term: list[float] = []
-    centres, scale = _centres(cases)
-    steps = (3e-2 * scale, 0.5 * (3e-2 * scale))
-    coarse_all, fine_all = (fd_bilaplace4(u, centres, step) for step in steps)
-    for idx, (_, x) in enumerate(cases):
-        h, h2 = (float(step[idx]) for step in steps)
-        coarse, fine = _case(coarse_all, idx), _case(fine_all, idx)
-        raw_h, raw_h2 = coarse.abs(), fine.abs()
-        rich = ((fine * 4.0 - coarse) / 3.0).abs()  # fd_bilaplace4_richardson, without recomputing
-        res_h.append(raw_h)
-        res_h2.append(raw_h2)
-        res_term.append(rich)
-        pt = list(x)
-        rows.append(ResidualRow(name + " raw", idx, pt, h, raw_h, 2))
-        rows.append(ResidualRow(name + " raw", idx, pt, h2, raw_h2, 2))
-        rows.append(ResidualRow(name + " richardson", idx, pt, h, rich, 4))
-    worst = float(np.max(res_term))
+    points, centres, steps = _centres(cases, 3e-2)
+    coarse, fine = (fd_bilaplace4(u, centres, step) for step in steps)
+    res_h, res_h2 = _gap(coarse), _gap(fine)
+    rich = _gap(richardson(coarse, fine))  # fd_bilaplace4_richardson, without recomputing
+    rows = _rows(points, [(name + " raw", steps[0], res_h, 2), (name + " raw", steps[1], res_h2, 2),
+                          (name + " richardson", steps[0], rich, 4)])
+    worst = float(np.max(rich))
     tail = {"max_richardson_residual": worst, "tolerance": TOL_BILAPLACIAN}
     return _pair_result(name, rows, res_h, res_h2, worst, tail)
 
@@ -329,22 +327,14 @@ def suite_biharmonic(seed: int, n_cases: int = 20) -> SuiteResult:
 
     # dbar_crf of the FD laplacian, composed at matching steps; one
     # Richardson halving for the terminal value, as for the bilaplacian
-    rows = []
-    res = []
-    centres, scale = _centres(cases)
-    steps = (3e-2 * scale, 0.5 * (3e-2 * scale))
+    points, centres, steps = _centres(cases, 3e-2)
     raw = [fd_crf(lambda y, s=s: fd_laplace4(stack.eval_parts, y, s), centres, s) for s in steps]
-    for idx, (_, x) in enumerate(cases):
-        h = float(steps[0][idx])
-        raw_h, raw_h2 = (_case(v, idx) for v in raw)
-        rich = ((raw_h2 * 4.0 - raw_h) / 3.0).abs()
-        res.append(rich)
-        pt = list(x)
-        rows.append(ResidualRow("dbar_crf(laplace4 f) raw", idx, pt, h, raw_h.abs(), 2))
-        rows.append(ResidualRow("dbar_crf(laplace4 f) richardson", idx, pt, h, rich, 4))
-    result.rows.extend(rows)
-    result.summary["max_dbar_laplace_residual"] = float(np.max(res))
-    result.passed = result.passed and float(np.max(res)) <= TOL_BILAPLACIAN
+    rich = _gap(richardson(*raw))
+    result.rows += _rows(points, [("dbar_crf(laplace4 f) raw", steps[0], _gap(raw[0]), 2),
+                                  ("dbar_crf(laplace4 f) richardson", steps[0], rich, 4)])
+    worst = float(np.max(rich))
+    result.summary["max_dbar_laplace_residual"] = worst
+    result.passed = result.passed and worst <= TOL_BILAPLACIAN
     return result
 
 
@@ -361,23 +351,16 @@ def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
     """Closed-form Laplacian of log|N(f)| at 0 against Richardson FD,
     plus the analytic anchor at f = x + 1 (exact value 4)."""
     stream = Stream(seed)
-    rows: list[ResidualRow] = []
-    worst = 0.0
     polys = [_product_poly(stream, 0.8, 1.8)[0] for _ in range(n_cases)]
     origin = (np.zeros(n_cases),) * 4  # one centre per case
     fd = fd_laplace4_richardson(partial(log_abs, SliceStack(normal(f) for f in polys)), origin, 3e-2)[0]
-    for idx, f in enumerate(polys):
-        err = abs(delta4_logNf_at0(f) - float(fd[idx]))
-        worst = max(worst, err)
-        rows.append(ResidualRow("delta4 log|N| at 0: closed vs FD", idx, [0.0, 0.0, 0.0, 0.0], 3e-2, err, 4))
+    err = np.abs(np.array([delta4_logNf_at0(f) for f in polys]) - fd)
+    rows = _rows([[0.0, 0.0, 0.0, 0.0]] * n_cases, [("delta4 log|N| at 0: closed vs FD", 3e-2, err, 4)])
+    worst = float(np.max(err))
     anchor = abs(delta4_logNf_at0(SlicePolynomial.from_real([1.0, 1.0])) - 4.0)
     rows.append(ResidualRow("anchor x+1 -> 4", n_cases, [0.0, 0.0, 0.0, 0.0], 0.0, anchor, 0))
     passed = worst <= TOL_DELTA4_AT_0 and anchor <= 1e-12
-    summary = {
-        "max_closed_vs_fd": worst,
-        "tolerance": TOL_DELTA4_AT_0,
-        "anchor_error": anchor,
-    }
+    summary = {"max_closed_vs_fd": worst, "tolerance": TOL_DELTA4_AT_0, "anchor_error": anchor}
     return SuiteResult("delta4-at-0", passed, summary, rows)
 
 
@@ -389,16 +372,14 @@ def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
 def suite_quadrature(seed: int) -> SuiteResult:
     stream = Stream(seed)
     rows: list[ResidualRow] = []
-    worst_measure = 0.0
     for r in (0.8, 1.0, 1.5, 2.0):
         for n in (12, 24, 48):
             rule = build_rule(r, n)  # weights |bd B_r| w_k s_j, so sum each factor
             rel = abs(float(np.sum(rule.polar_weights)) * float(np.sum(rule.s2_weights)) - 1.0)
-            worst_measure = max(worst_measure, rel)
             rows.append(ResidualRow("sum(w) vs 2 pi^2 r^3", n, [r, 0.0, 0.0, 0.0], 0.0, rel, 0))
+    worst_measure = float(np.max([row.residual for row in rows]))
     # mean log|N(f)| at n = 48 against its closed form: by the polar rule, and by the 3-D rule, walked by
     # blocks, on x -> log|N(f)(u x)|, which has the same mean; u (alpha_k + J beta_k) = alpha_k u + beta_k (u J)
-    worst_cross = 0.0
     r, n = 1.0, 48
     rule = build_rule(r, n)
     cases = [_product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
@@ -410,22 +391,18 @@ def suite_quadrature(seed: int) -> SuiteResult:
         ux = [alpha * a + beta * b for a, b in zip(u, uj)]
         z_rotated = ux[0] + 1j * np.sqrt(ux[1] * ux[1] + ux[2] * ux[2] + ux[3] * ux[3])
         sphere_means[:, blk] = [s2_means(rule, np.log(np.abs(horner(nf, z_rotated))), blk.start) for nf in normals]
-    for idx, ((f, c, roots), nf, means) in enumerate(zip(cases, normals, sphere_means)):
-        # N(f) = |c|^2 N(x - q_1) ... N(x - q_k), with roots Re q +- i |Im q|
-        shadows = [complex(q.re(), q.abs_im()) for q in roots]
-        exact = exact_mean_log_abs(c.norm2(), shadows + [s.conjugate() for s in shadows], r)
-        polar = float(np.dot(rule.polar_weights, np.log(np.abs(horner(nf, rule.polar_z)))))
-        full = float(np.dot(rule.polar_weights, means))
-        for identity, mean in (("polar rule vs exact (mean log|N|)", polar), ("3D rule vs exact (mean log|N(u x)|)", full)):
-            rows.append(ResidualRow(identity, idx, [r, 0, 0, 0], 0.0, abs(mean - exact), 0))
-            worst_cross = max(worst_cross, rows[-1].residual)
+    # N(f) = |c|^2 N(x - q_1) ... N(x - q_k): the roots Re q + i |Im q| of every q, then their conjugates
+    shadows = [[complex(q.re(), b * q.abs_im()) for b in (1, -1) for q in roots] for _, _, roots in cases]
+    exact = np.array([exact_mean_log_abs(c.norm2(), s, r) for (_, c, _), s in zip(cases, shadows)])
+    polar = np.array([np.dot(rule.polar_weights, np.log(np.abs(horner(nf, rule.polar_z)))) for nf in normals])
+    full = np.array([np.dot(rule.polar_weights, means) for means in sphere_means])
+    cross = (np.abs(polar - exact), np.abs(full - exact))
+    rows += _rows([[r, 0, 0, 0]] * len(cases), [("polar rule vs exact (mean log|N|)", 0.0, cross[0], 0),
+                                                 ("3D rule vs exact (mean log|N(u x)|)", 0.0, cross[1], 0)])
+    worst_cross = float(np.max(cross))
     passed = worst_measure <= TOL_MEASURE_REL and worst_cross <= TOL_CROSS_METHOD
-    summary = {
-        "max_measure_rel_error": worst_measure,
-        "measure_tolerance": TOL_MEASURE_REL,
-        "max_cross_method_error": worst_cross,
-        "cross_method_tolerance": TOL_CROSS_METHOD,
-    }
+    summary = {"max_measure_rel_error": worst_measure, "measure_tolerance": TOL_MEASURE_REL,
+               "max_cross_method_error": worst_cross, "cross_method_tolerance": TOL_CROSS_METHOD}
     return SuiteResult("quadrature", passed, summary, rows)
 
 

@@ -125,8 +125,6 @@ def _newton_on_derivative(c: np.ndarray, z0: complex, mult: int, real_root: bool
     d = c
     for _ in range(mult - 1):
         d = _poly_deriv(d)
-    if len(d) <= 1:
-        return z0, False
     dp = _poly_deriv(d)
     z = complex(z0.real, 0.0) if real_root else z0
     pz = horner(d, z)  # p(z) at the current z: the residual, then the next numerator
@@ -471,10 +469,6 @@ class SemiregularFunction:
 
     def eval(self, x: Quaternion) -> Quaternion:
         return self.den.eval(x).inverse() * self.num.eval(x)
-
-    def stem_components(self, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
-        f1, f2 = self.stem_arrays(complex(alpha, beta))
-        return Quaternion(*f1), Quaternion(*f2)
 
     def stem_arrays(self, z) -> tuple[tuple, tuple]:
         """Stems of den^{-1} * num as parts: complex 1/d(z) times the num stems."""

@@ -459,6 +459,32 @@ def test_fd_suites_make_one_stencil_call_per_identity_and_step(monkeypatch, suit
         assert all(size % n_cases == 0 for size in seen)  # every call takes all the cases
 
 
+def test_suite_residuals_are_the_quaternion_arithmetic_they_replaced():
+    """Reference: the per-case Quaternion loop the suites ran before they took
+    residuals as arrays.  ``_gap`` is Quaternion.abs of the difference and
+    ``richardson`` the Quaternion step, bit for bit, and ``_rows`` runs case
+    by case, columns in order."""
+    from slicereg.diffops import richardson
+    from slicereg.verify import _gap, _rows
+
+    rng = np.random.default_rng(3)
+    coarse, fine = (tuple(rng.normal(size=(4, 9)) * 10.0 ** rng.integers(-8, 3, size=(4, 9))) for _ in range(2))
+
+    def at(v, k):
+        return Quaternion(*(float(p[k]) for p in v))
+
+    gap, size, rich = _gap(coarse, fine), _gap(coarse), _gap(richardson(coarse, fine))
+    for k in range(9):
+        assert gap[k] == (at(coarse, k) - at(fine, k)).abs()
+        assert size[k] == at(coarse, k).abs()
+        assert rich[k] == ((at(fine, k) * 4.0 - at(coarse, k)) / 3.0).abs()
+    rows = _rows([ONE, I], [("a", np.array([0.1, 0.2]), gap, 2), ("b", 0.5, rich, 4)])
+    assert [(r.identity, r.case, r.point, r.h, r.residual, r.expected_order) for r in rows] == [
+        ("a", 0, [1.0, 0.0, 0.0, 0.0], 0.1, gap[0], 2), ("b", 0, [1.0, 0.0, 0.0, 0.0], 0.5, rich[0], 4),
+        ("a", 1, [0.0, 1.0, 0.0, 0.0], 0.2, gap[1], 2), ("b", 1, [0.0, 1.0, 0.0, 0.0], 0.5, rich[1], 4)]
+    assert all(type(v) is float for r in rows for v in (r.h, r.residual))
+
+
 # ---------------------------------------------------------------------------
 # the seeded stream the suites draw their corpora from
 # ---------------------------------------------------------------------------
@@ -571,3 +597,17 @@ def test_multiplicity_suite_forms_each_normal_once(monkeypatch):
     assert formed == quaternionic  # by identity: each such num once, in case order
     monkeypatch.setattr(verify, "classify_zeros", lambda fs: zeros_poles.classify_zeros(fs.num))
     assert verify.suite_multiplicity(1).rows == own.rows
+
+
+def test_delta4_suite_fails_on_a_nan_residual(monkeypatch):
+    """A NaN closed form in one case fails the suite: the residuals are
+    folded with numpy, which keeps the NaN, where a Python max dropped it."""
+    import slicereg.verify as verify
+
+    assert verify.suite_delta4_at_0(1).passed
+    closed, calls = verify.delta4_logNf_at0, []
+    monkeypatch.setattr(verify, "delta4_logNf_at0",
+                        lambda f: calls.append(f) or (math.nan if len(calls) == 4 else closed(f)))
+    result = verify.suite_delta4_at_0(1)
+    assert math.isnan(result.rows[3].residual)
+    assert not result.passed

@@ -529,7 +529,7 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 9 + len(functions) + 2 + 31 and len(set(names)) == len(names)
+    assert len(names) == 9 + len(functions) + 4 + 31 and len(set(names)) == len(names)
     assert [n for n in names if n.startswith("error-")] == names[-31:]  # failing calls come last
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
@@ -597,7 +597,8 @@ def test_root_probe_sorts_each_draw_into_one_outcome():
     assert root_probe.outcome(SlicePolynomial.from_real([0.0, 1.0])) == "named_error"  # zero at the origin
     # dyadic draw 0: (x - q)^{*4} (x - p)^{*5}, components in eighths, exact in binary64
     assert root_probe.dyadic_roots(0) == [((0, -6, -2, 2), 4), ((6, -2, 1, -1), 5)]
-    assert root_probe.probe_dyadic(count=1) == {"pass": 1, "named_error": 0, "silent_wrong": 0, "inexact": 0}
+    assert root_probe.probe_dyadic(count=1) == {"pass": 1, "named_error": 0, "silent_wrong": 0, "inexact": 0,
+                                                "wrong_records": 0}
     assert not root_probe.dyadic_product([((2**60 + 1, 0, 0, 0), 1)])[1]  # 2^57 + 1/8 rounds
 
 

@@ -342,14 +342,21 @@ def test_quadrature_convergence_doubling():
 # The scalar T_map, S_map and s_inverse_map below are the pointwise oracle
 # of the array S_f (``quadrature._sf_parts`` and ``_sf_inverse_parts``):
 # they evaluate one point at a time with Quaternion arithmetic and
-# ``stem_components``, sharing no code with the array path except the
-# formulas themselves.  No command runs them.
+# ``_stems``, sharing no code with the array path except the formulas
+# themselves and the stem kernel at one point.  No command runs them.
+
+
+def _stems(f, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
+    """(F1, F2) of a polynomial or a semiregular function at alpha + i beta,
+    as Quaternions: ``stem_arrays`` at one complex point."""
+    f1, f2 = f.stem_arrays(complex(alpha, beta))
+    return Quaternion(*f1), Quaternion(*f2)
 
 
 def _eval_conjugate(f, x: Quaternion) -> Quaternion:
     """Oracle: f^c(x) from the stems, conj(F1)(z) + J conj(F2)(z)."""
     alpha, beta, unit = split_point(x)
-    f1, f2 = f.stem_components(alpha, beta)
+    f1, f2 = _stems(f, alpha, beta)
     if beta == 0.0:
         return f1.conj()
     return f1.conj() + unit * f2.conj()
@@ -374,7 +381,7 @@ def S_map(f, x: Quaternion) -> Quaternion:
     alpha, beta, unit = split_point(x)
     if beta == 0.0:
         return x.conj()
-    f1, f2 = f.stem_components(alpha, beta)
+    f1, f2 = _stems(f, alpha, beta)
     scale = f.stem_scale(x.abs())
     if f2.abs() <= DEGENERATE_REL * (1.0 + scale):
         return x.conj()
@@ -388,7 +395,7 @@ def S_map(f, x: Quaternion) -> Quaternion:
 def s_inverse_map(f, y: Quaternion) -> Quaternion:
     """Oracle of the array S_f^{-1}: y -> T_f(conj(f'_s(y)^{-1} y f'_s(y)))."""
     alpha, beta, _ = split(y)
-    _, s = f.stem_components(alpha, beta)  # F2, the f'_s direction; the scalar factor cancels
+    _, s = _stems(f, alpha, beta)  # F2, the f'_s direction; the scalar factor cancels
     scale = f.stem_scale(y.abs())
     if s.abs() <= DEGENERATE_REL * (1.0 + scale):
         raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
@@ -468,7 +475,7 @@ def test_s_map_inverse_roundtrip():
         alpha, beta, _ = split(x)
         if beta < 0.1:
             continue
-        if f.stem_components(alpha, beta)[1].abs() < 1e-4 * (1 + scale):
+        if _stems(f, alpha, beta)[1].abs() < 1e-4 * (1 + scale):
             continue
         y = S_map(f, x)
         back = s_inverse_map(f, y)
@@ -731,7 +738,7 @@ def _scalar_domain_points(f, r, n_points, seed):
         alpha, beta, unit = split_point(x)
         if beta < 1e-3 * r:
             continue
-        f1, f2 = f.stem_components(alpha, beta)
+        f1, f2 = _stems(f, alpha, beta)
         scale = f.stem_scale(r)
         if f2.abs() <= 1e-4 * (1.0 + scale):
             continue
@@ -862,7 +869,7 @@ def test_s3_points_cover_the_sphere_more_evenly_than_random_draws(seed):
 
 def _scalar_log_abs_stems(f, x):
     alpha, beta, unit = split_point(x)
-    f1, f2 = f.stem_components(alpha, beta)
+    f1, f2 = _stems(f, alpha, beta)
     return math.log((f1 + unit * f2).abs())
 
 
@@ -882,10 +889,10 @@ ORACLE_CASES = [(name, f, r, 8) for name, f, r in SF_CASES] + DEGENERATE_ANGLE
 @pytest.mark.parametrize("name, f, r, n", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_boundary_identity_residual_matches_scalar_nodes(name, f, r, n):
     """The product-rule oracle against every node of the order-n rule
-    evaluated on its own with integrate, S_map and stem_components."""
+    evaluated on its own with integrate, S_map and _stems."""
     rule = build_rule(r, n)
     if name.startswith("degenerate_angle"):
-        stems = [f.stem_components(z.real, z.imag) for z in rule.polar_z]
+        stems = [_stems(f, z.real, z.imag) for z in rule.polar_z]
         assert sum(f2.abs() <= DEGENERATE_REL * (1.0 + f.stem_scale(r)) for _, f2 in stems) == 1
     check = boundary_identity_residual(f, rule)
     mean_f = integrate(rule, lambda x: _scalar_log_abs_stems(f, x)) / rule.measure
@@ -1110,3 +1117,17 @@ def test_quadrature_suite_rows_do_not_depend_on_the_block(monkeypatch):
     for max_nodes in (1, len(build_rule(1.0, 48))):
         monkeypatch.setattr(verify, "ORACLE_BLOCK", max_nodes)
         assert verify.suite_quadrature(1).rows == own.rows, max_nodes
+
+
+def test_quadrature_suite_fails_on_a_nan_residual(monkeypatch):
+    """A NaN exact mean in one case fails the suite: the residuals are
+    folded with numpy, which keeps the NaN, where a Python max dropped it."""
+    import slicereg.verify as verify
+
+    assert verify.suite_quadrature(1).passed
+    exact, calls = verify.exact_mean_log_abs, []
+    monkeypatch.setattr(verify, "exact_mean_log_abs",
+                        lambda *args: calls.append(args) or (math.nan if len(calls) == 3 else exact(*args)))
+    result = verify.suite_quadrature(1)
+    assert len(calls) == 5 and math.isnan(result.rows[-5].residual)
+    assert not result.passed

@@ -255,7 +255,7 @@ def test_semiregular_stems_are_the_one_point_case_of_its_arrays():
         inv = 1.0 / horner([c.w for c in fs.den.coeffs], complex(zk))
         n1, n2 = _loop_stems(fs.num, zk.real, zk.imag)
         want = (n1 * inv.real - n2 * inv.imag, n1 * inv.imag + n2 * inv.real)
-        assert fs.stem_components(zk.real, zk.imag) == want
+        assert tuple(Quaternion(*p) for p in fs.stem_arrays(complex(zk))) == want
         got = (_at(f1, k), _at(f2, k))
         assert all((g - w).abs() <= 1e-15 * (1.0 + w.abs()) for g, w in zip(got, want))
 
