@@ -16,6 +16,7 @@ seed): rerunning the same command yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -206,6 +207,7 @@ def cmd_verify_ops(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_TOLERANCE
 
 
+@functools.cache  # one parser a process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicereg",
@@ -218,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--corpus", help="corpus manifest json")
     pj.add_argument("--r", type=float, default=1.0, help="ball radius (default 1)")
     pj.add_argument("--n", type=int, default=DEFAULT_N,
-                    help="nodes per panel of the polar rule; the oracle takes ceil(n/3) per "
-                         "panel and an S^2 order of ceil(n/4), at least 4 each")
+                    help="nodes per panel of the polar rule; the oracle's orders are (ceil(n/3), "
+                         "ceil(n/4)) per panel and on S^2, at least 4 each and at most (16, 12)")
     pj.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
     pj.add_argument("--seed", type=int, default=0, help="seed of the diagnostics' sample points on S^3")
     pj.add_argument("--bijectivity-points", type=int, default=1000)

@@ -231,12 +231,12 @@ def build_rule(r: float, n: int, shadows=(), s2_order: int | None = None) -> Sph
 
 
 def oracle_orders(n: int) -> tuple[int, int]:
-    """Polar nodes per panel and S^2 order of the product-rule oracle
-    beside means of order n: ceil(n/3) and ceil(n/4), at least MIN_ORDER.
-    On the graded panels the corpus and the near-boundary spheres reach
-    roundoff at (16, 12), the orders at n = 48, where no polar node of the
-    oracle is one of the means'."""
-    return max(MIN_ORDER, -(-n // 3)), max(MIN_ORDER, -(-n // 4))
+    """Polar nodes per panel and S^2 order of the product-rule oracle beside
+    means of order n: ceil(n/3) and ceil(n/4), at least MIN_ORDER and at most
+    (16, 12), the orders at n = 48, where no polar node of the oracle is one
+    of the means'.  On the graded panels the corpus and the near-boundary
+    spheres reach roundoff there; more nodes (n^3 of them) gain nothing."""
+    return max(MIN_ORDER, -(-min(n, 48) // 3)), max(MIN_ORDER, -(-min(n, 48) // 4))
 
 
 def s2_means(rule: SphereQuadratureRule, values: np.ndarray, first: int = 0) -> np.ndarray:

@@ -40,7 +40,7 @@ from .jensen import delta4_logNf_at0
 from .quadrature import ORACLE_BLOCK, build_rule, s2_means, shoemake
 from .quaternions import Quaternion, qmul_parts, split
 from .slicepoly import SlicePolynomial, SliceStack, horner, log_abs, normal, spherical_derivative, spherical_value
-from .zeros_poles import as_semiregular, characteristic_poly, classify_zeros, total_multiplicity
+from .zeros_poles import _division_multiplicity, as_semiregular, characteristic_poly, classify_zeros
 
 __all__ = ["SuiteResult", "ResidualRow", "run_suite", "SUITES", "SUITE_ORDER"]
 
@@ -434,10 +434,11 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
         found = dict.fromkeys(built, 0)
         for rec in classify_zeros(fs):
             found[min(built, key=lambda q: math.hypot(rec.alpha - q.w, rec.beta - q.abs_im()))] += rec.multiplicity
-        nf = as_semiregular(SlicePolynomial.from_real(fs.num_normal))  # held: every q reads its zero polynomial
         gaps = []
         for q, m in built.items():
-            gaps.append(abs(found[q] - m) + abs(total_multiplicity(nf, q) - 2 * m))
+            alpha, beta, _ = split(q)  # N(f)'s count at q: its divisions by q's real factor, twice for a Delta_q
+            m_normal = _division_multiplicity(fs.num_normal, alpha, beta) * (1 if beta == 0.0 else 2)
+            gaps.append(abs(found[q] - m) + abs(m_normal - 2 * m))
             rows.append(ResidualRow(f"m_N = 2 m_f = {2 * m} at ({q.w:.3g},{q.abs_im():.3g})", idx,
                                     list(q), 0.0, gaps[-1], 0))
         failures += any(gaps)

@@ -12,10 +12,10 @@ sphere once Pellet's test certifies that a disc about its centroid,
 holding no other eigenvalue, holds exactly as many roots as the group
 has members; that count is the multiplicity, and Newton iteration on a
 derivative of matching order, which must converge inside the disc,
-places the sphere.  One long division ``_divide`` does all division by
-real factors, x - r or Delta_y(x) = x^2 - t(y) x + n(y); a division
-counts when its largest remainder norm is at most TOL_DIVIDE times the
-dividend's.
+places the sphere.  One loop ``_quotients`` divides by real factors,
+x - r or Delta_y(x) = x^2 - t(y) x + n(y), for as long as each largest
+remainder norm is at most TOL_DIVIDE times its dividend's; counts and
+cancellations read its quotients.
 
 Rational (semiregular) functions are pairs f = den^{-1} * num with a
 slice-preserving denominator.  Poles sit on the spheres of den; on each
@@ -168,22 +168,23 @@ def _divide(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r[:qlen][::-1], r[qlen:][::-1]
 
 
-def _division_multiplicity(c: np.ndarray, alpha: float, beta: float) -> int:
-    """Largest s such that the real factor of (alpha, beta) divides c^s times.
-
-    c holds ascending real coefficients (m+1,) or quaternion coefficient
-    rows (m+1, 4); the remainder test is relative, on coefficient norms.
-    """
-    d = _real_factor(alpha, beta)
-    cur = _poly_trim(c)
-    s = 0
+def _quotients(c: np.ndarray, alpha: float, beta: float):
+    """The one division loop: c's successive quotients by the real factor of
+    (alpha, beta) while each remainder's largest norm is at most TOL_DIVIDE
+    times its dividend's.  c holds ascending real coefficients (m+1,) or
+    quaternion coefficient rows (m+1, 4)."""
+    d, cur = _real_factor(alpha, beta), _poly_trim(c)
     while len(cur) >= len(d):
         q, rem = _divide(cur, d)
         if _norms(rem).max(initial=0.0) > TOL_DIVIDE * max(_norms(cur).max(), 1e-300):
-            break
-        s += 1
+            return
+        yield q
         cur = q
-    return s
+
+
+def _division_multiplicity(c: np.ndarray, alpha: float, beta: float) -> int:
+    """Largest s such that the real factor of (alpha, beta) divides c s times."""
+    return sum(1 for _ in _quotients(c, alpha, beta))
 
 
 def _all_distinct(spheres: list[Sphere]) -> bool:
@@ -316,13 +317,8 @@ def divide_by_real(p: SlicePolynomial, divisor: Sequence[float]) -> tuple[SliceP
     d = np.asarray(divisor, dtype=float)
     if abs(d[-1] - 1.0) > 1e-12:
         raise ValueError("divisor must be monic")
-    q, rem = _divide(_rows(p), d)
+    q, rem = _divide(np.reshape(p.coeffs, (-1, 4)), d)  # quaternion rows (deg + 1, 4)
     return SlicePolynomial(map(Quaternion.from_array, q)), SlicePolynomial(map(Quaternion.from_array, rem))
-
-
-def _rows(p: SlicePolynomial) -> np.ndarray:
-    """The coefficients of p as quaternion rows (deg + 1, 4)."""
-    return np.array(p.coeffs, dtype=float).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +433,7 @@ class SemiregularFunction:
         den = SlicePolynomial([c / lead for c in den.coeffs])
         num = SlicePolynomial([c / lead for c in num.coeffs])
         spheres = root_spheres(den.real_coeffs()) if den.degree > 0 else []
-        if not num.is_zero:
+        if spheres and not num.is_zero:
             den, num, spheres = _reduce_pair(den, num, spheres)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
@@ -499,19 +495,18 @@ class SemiregularFunction:
 
 
 def _reduce_pair(den: SlicePolynomial, num: SlicePolynomial, spheres: list[Sphere]) -> tuple:
-    """Divide every real factor of the monic den that also divides num out
-    of both; den stays monic, and its root spheres lose what is divided out."""
-    kept = []
+    """Divide every real factor of the monic den that also divides num out of
+    both: at most as many of num's quotients as den holds, den alongside.
+    den stays monic, and its root spheres lose what is divided out."""
+    rows, kept = np.reshape(num.coeffs, (-1, 4)), []
     for alpha, beta, mult in spheres:
         per = 1 if beta == 0.0 else 2
-        k = min(mult // per, _division_multiplicity(_rows(num), alpha, beta))
-        factor = _real_factor(alpha, beta)
-        for _ in range(k):
-            den, _ = divide_by_real(den, factor)
-            num, _ = divide_by_real(num, factor)
+        k = 0  # zip asks range first, so no division past the k-th is made
+        for k, rows in zip(range(1, mult // per + 1), _quotients(rows, alpha, beta)):
+            den, _ = divide_by_real(den, _real_factor(alpha, beta))
         if mult > per * k:
             kept.append((alpha, beta, mult - per * k))
-    return den, num, kept
+    return den, SlicePolynomial(map(Quaternion.from_array, rows)), kept
 
 
 # ---------------------------------------------------------------------------

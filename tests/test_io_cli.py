@@ -104,6 +104,28 @@ def test_cli_jensen_single_file(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_main_reuses_one_parser_and_its_reports_do_not_drift(tmp_path, monkeypatch):
+    """Two ``main`` calls in one process parse with one parser, and a call
+    in between (other subcommand, other options) leaves no state in it:
+    the repeated jensen call writes the same bytes, one case, not two."""
+    import argparse
+
+    from slicereg import cli
+
+    parsers = []
+    parse = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args, **kw: parsers.append(self) or parse(self, *args, **kw))
+    argv = ["jensen", "--fn", str(CORPUS / "poly_deg8_all_kinds.json"), "--format", "json", "--out"]
+    assert main([*argv, str(tmp_path / "first.json")]) == 0
+    assert main(["zeros", "--fn", SIMPLE, "--r", "2", "--out", str(tmp_path / "zeros.json")]) == 0
+    assert main([*argv, str(tmp_path / "second.json")]) == 0
+    assert len(parsers) == 3 and all(p is cli.build_parser() for p in parsers)
+    first = (tmp_path / "first.json").read_bytes()
+    assert first == (tmp_path / "second.json").read_bytes()
+    assert len(json.loads(first)["cases"]) == 1
+
+
 def test_cli_jensen_corpus_json(tmp_path):
     out = tmp_path / "report.json"
     code = main(

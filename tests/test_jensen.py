@@ -568,9 +568,10 @@ def test_high_multiplicity_zero_is_not_a_node_hit():
 
 def test_escalated_diagnostic_run_memory_is_bounded():
     """jensen_check at n = 128 with diagnostics, on a zero sphere at
-    0.99 r: the product-rule oracle's 1.8M nodes (orders (43, 32) on the
-    graded panels) are evaluated at most ORACLE_BLOCK nodes at a time; the
-    run peaks at ~1.4 MB, where a flat node grid would take ~0.5 GB."""
+    0.99 r: the product-rule oracle's 92 160 nodes (orders capped at
+    (16, 12) on the graded panels) are evaluated at most ORACLE_BLOCK
+    nodes at a time, in 10 blocks; the run peaks at ~1.3 MB, where one
+    block of every node takes ~10 MB."""
     import tracemalloc
 
     rng = np.random.default_rng(3)
@@ -584,7 +585,7 @@ def test_escalated_diagnostic_run_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert report.diagnostics["boundary_identity_max"] <= 1e-9
-    assert peak < 200 * 2**20
+    assert peak < 4 * 2**20
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -637,14 +638,18 @@ def test_oracle_orders_and_nodes_are_reported():
     shadows = analyze(f, r).shadows
     rule = build_rule(r, p, shadows, q)
     assert d["oracle_nodes"] == len(rule) == len(rule.polar_z) * 2 * q * q
-    # the same panels, but no polar angle of the oracle is one of the means'
+    # the same panels, but no polar angle of the oracle is one of the means',
+    # also where n is above the cap and the oracle keeps its n = 48 orders
     z, _ = polar_rule(r, 48, shadows)
     assert len(rule.polar_z) * 3 == len(z)
-    assert not set(z.tolist()) & set(rule.polar_z.tolist())
+    for n in (48, 128, 256):
+        assert oracle_orders(n) == (p, q)
+        assert not set(polar_rule(r, n, shadows)[0].tolist()) & set(rule.polar_z.tolist())
     assert not {"oracle_orders", "oracle_nodes"} & set(jensen_check(f, r, 48, diagnostics=False).diagnostics)
 
 
-@pytest.mark.parametrize("n, orders", [(4, (4, 4)), (13, (5, 4)), (48, (16, 12)), (128, (43, 32))])
+@pytest.mark.parametrize("n, orders", [(4, (4, 4)), (13, (5, 4)), (48, (16, 12)), (128, (16, 12)),
+                                       (256, (16, 12))])
 def test_oracle_orders_follow_n(n, orders):
     assert oracle_orders(n) == orders
 

@@ -20,8 +20,12 @@ from slicereg.slicepoly import SlicePolynomial, horner, normal, slice_product
 from slicereg.verify import Stream
 from slicereg.zeros_poles import (
     SemiregularFunction,
+    TOL_DIVIDE,
     ZeroRecord,
     _division_multiplicity,
+    _quotients,
+    _real_factor,
+    _reduce_pair,
     analyze,
     as_semiregular,
     characteristic_poly,
@@ -271,14 +275,16 @@ def test_divide_by_real():
 def test_division_multiplicity_remainder_test_is_relative():
     # the remainder 5e-9 x of x^2 + 5e-9 x + 1 by x^2 + 1 is below an
     # absolute 1e-8 but far above TOL_DIVIDE relative to the dividend
-    assert _division_multiplicity(np.array([1.0, 5e-9, 1.0]), 0.0, 1.0) == 0
+    c = np.array([1.0, 5e-9, 1.0])
+    assert _division_multiplicity(c, 0.0, 1.0) == len(list(_quotients(c, 0.0, 1.0))) == 0
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.4, 0.0), (-0.3, 0.5)], ids=["real-factor", "quadratic-factor"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_division_multiplicity_real_and_quaternion_rows_agree(alpha, beta, k):
     factor = P.polypow([-alpha, 1.0] if beta == 0.0 else [alpha * alpha + beta * beta, -2.0 * alpha, 1.0], k)
-    c = P.polymul(factor, [0.7, -0.2, 1.0])
+    base = np.array([0.7, -0.2, 1.0])
+    c = P.polymul(factor, base)
 
     def as_rows(real):
         return np.column_stack([real, np.zeros((len(real), 3))])
@@ -286,11 +292,75 @@ def test_division_multiplicity_real_and_quaternion_rows_agree(alpha, beta, k):
     # the factor is real, hence central: factor^k * g is a componentwise product
     g = np.array([[0.3, -0.2, 0.5, 0.1], [-0.4, 0.7, 0.0, 0.2], [0.1, 0.2, -0.3, 0.9]])
     quat = np.column_stack([P.polymul(factor, g[:, i]) for i in range(4)])
-    for poly in (c, as_rows(c), quat):
-        assert _division_multiplicity(poly, alpha, beta) == k
+    for poly, cofactor in ((c, base), (as_rows(c), as_rows(base)), (quat, g)):
+        quotients = list(_quotients(poly, alpha, beta))
+        assert _division_multiplicity(poly, alpha, beta) == len(quotients) == k
+        assert np.allclose(quotients[-1], cofactor, rtol=0.0, atol=1e-12)  # the k-th quotient is the cofactor
     off = c.copy()
     off[0] += 1e-3  # a nonzero remainder
-    assert _division_multiplicity(off, alpha, beta) == _division_multiplicity(as_rows(off), alpha, beta) == 0
+    for poly in (off, as_rows(off)):
+        assert _division_multiplicity(poly, alpha, beta) == len(list(_quotients(poly, alpha, beta))) == 0
+
+
+def _reduce_pair_by_count_then_divide(den, num, spheres):
+    """The cancellation as it was specified first: count how often each
+    sphere's real factor divides num by repeated ``divide_by_real`` and the
+    relative remainder test, take k = min(den's count, num's), then divide
+    both k times."""
+    kept = []
+    for alpha, beta, mult in spheres:
+        per = 1 if beta == 0.0 else 2
+        factor = _real_factor(alpha, beta)
+        count, cur = 0, num
+        while cur.degree >= len(factor) - 1:
+            quotient, rem = divide_by_real(cur, factor)
+            if rem.coefficient_scale() > TOL_DIVIDE * max(cur.coefficient_scale(), 1e-300):
+                break
+            count, cur = count + 1, quotient
+        k = min(mult // per, count)
+        for _ in range(k):
+            den, _ = divide_by_real(den, factor)
+            num, _ = divide_by_real(num, factor)
+        if mult > per * k:
+            kept.append((alpha, beta, mult - per * k))
+    return den, num, kept
+
+
+def _power(f, k):
+    out = real_poly(1.0)
+    for _ in range(k):
+        out = slice_product(out, f)
+    return out
+
+
+_REAL, _SPHERE, _OTHER = real_poly(-0.4, 1.0), characteristic_poly(Quaternion(-0.3, 0.5, 0.0, 0.0)), \
+    characteristic_poly(Quaternion(0.1, 0.0, 0.7, 0.0))
+_COFACTOR = SlicePolynomial([Quaternion(0.3, -0.2, 0.5, 0.1), Quaternion(-0.4, 0.7, 0.0, 0.2), ONE])
+# (name, den's factors, num's factors besides the quaternionic cofactor), as (factor, power) pairs
+_REDUCE_CASES = (
+    [(f"real-{m}", [(_REAL, m), (real_poly(-2.0, 1.0), 1)], [(_REAL, m)]) for m in range(1, 5)]
+    + [(f"spherical-{m}", [(_SPHERE, m), (real_poly(-2.0, 1.0), 1)], [(_SPHERE, m)]) for m in range(1, 5)]
+    + [("num-fewer-than-den", [(_REAL, 3), (_SPHERE, 2)], [(_REAL, 1), (_SPHERE, 1)]),
+       ("num-more-than-den", [(_REAL, 1), (_SPHERE, 1)], [(_REAL, 3), (_SPHERE, 2)]),
+       ("not-in-num", [(_OTHER, 1), (_REAL, 2)], [(_REAL, 2)])]
+)
+
+
+@pytest.mark.parametrize("den_factors, num_factors", [c[1:] for c in _REDUCE_CASES], ids=[c[0] for c in _REDUCE_CASES])
+def test_reduce_pair_matches_count_then_divide_bit_for_bit(den_factors, num_factors):
+    den, num = real_poly(1.0), _COFACTOR
+    for factor, k in den_factors:
+        den = slice_product(den, _power(factor, k))
+    for factor, k in num_factors:
+        num = slice_product(num, _power(factor, k))
+    spheres = root_spheres(den.real_coeffs())
+    got, want = _reduce_pair(den, num, spheres), _reduce_pair_by_count_then_divide(den, num, spheres)
+    for a, b in zip(got[:2], want[:2]):
+        assert np.array(a.coeffs).tobytes() == np.array(b.coeffs).tobytes()
+    assert got[2] == want[2]
+    # both lose the same factors, and den keeps the kept spheres' roots
+    assert 0 < den.degree - got[0].degree == num.degree - got[1].degree
+    assert got[0].degree == sum(m for *_, m in got[2])
 
 
 # -- zero spheres and classification ----------------------------------------
