@@ -7,6 +7,10 @@ one ``<sha256>  <name>`` line per report:
 - ``jensen --corpus`` on both manifests at ``--seed 0`` and ``3``, as
   json and csv, and the polynomial manifest as text;
 - ``zeros --format json`` on every corpus function file;
+- ``jensen --format json`` and ``zeros --format json`` on each of
+  ``shared_factor_functions()``, two rationals whose num and den share
+  real factors, written to a temporary directory that the reports name
+  as ``<tmp>``;
 - ``verify-ops --suite all --format json --rows`` at seeds 1 and 7, and
   ``verify-ops --suite all --seed 1`` as text (the report the benchmark
   parses) and as csv.
@@ -44,6 +48,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from slicereg.cli import main as cli_main
+from slicereg.io import polynomial_to_dict
+from slicereg.quaternions import Quaternion
+from slicereg.slicepoly import SlicePolynomial
+from slicereg.zeros_poles import characteristic_poly
 
 MANIFESTS = ("polynomials", "rationals")
 SIMPLE = "corpus/poly_real_simple.json"  # its one zero lies at 0.5
@@ -59,11 +67,37 @@ BAD_FUNCTIONS = {
     "zero-coeff": {"coeffs": [0]},
     "no-coeffs": {"coeffs": []},
     "zero-numerator": {"num": {"coeffs": [0.0]}, "den": {"coeffs": [0.25, 1.0]}},
+    "quaternionic-den": {"num": {"coeffs": [1.0]}, "den": {"coeffs": [[0.25, 0.5, 0.0, 0.0], 1.0]}},
 }
 
 
-def reports() -> list[tuple[str, list[str]]]:
-    """(name, CLI arguments) of every report, in print order."""
+def shared_factor_functions() -> dict[str, dict]:
+    """Two rationals whose num and den share real factors, as written, so
+    that loading one divides them out of both; q = (0.2, 0.3, -0.1, 0.4)
+    and Delta(alpha, beta) = x^2 - 2 alpha x + alpha^2 + beta^2:
+    (x - 0.5) Delta(0.1, 0.6) (x - q) over (x - 0.5)^2 Delta(0.1, 0.6) (x + 2),
+    and Delta(-0.3, 0.4)^2 (x - q) over 3 Delta(-0.3, 0.4) (x - 0.6)."""
+    x_q = SlicePolynomial.linear(Quaternion(0.2, 0.3, -0.1, 0.4))
+
+    def x_minus(a: float) -> SlicePolynomial:
+        return SlicePolynomial.from_real([-a, 1.0])
+
+    def delta(alpha: float, beta: float) -> SlicePolynomial:
+        return characteristic_poly(Quaternion(alpha, beta, 0.0, 0.0))
+
+    pairs = {
+        "shared-real-and-delta": (x_minus(0.5) * delta(0.1, 0.6) * x_q,
+                                  x_minus(0.5) ** 2 * delta(0.1, 0.6) * x_minus(-2.0)),
+        "shared-delta-scaled-den": (delta(-0.3, 0.4) ** 2 * x_q,
+                                    SlicePolynomial.from_real([3.0]) * delta(-0.3, 0.4) * x_minus(0.6)),
+    }
+    return {name: {"num": polynomial_to_dict(num), "den": polynomial_to_dict(den)}
+            for name, (num, den) in pairs.items()}
+
+
+def reports(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of every report, in print order; writes
+    ``shared_factor_functions()`` into the directory tmp."""
     runs = []
     for manifest in MANIFESTS:
         for seed in (0, 3):
@@ -74,6 +108,11 @@ def reports() -> list[tuple[str, list[str]]]:
     manifests = {f"{m}.json" for m in MANIFESTS}
     for path in sorted(p for p in (ROOT / "corpus").glob("*.json") if p.name not in manifests):
         runs.append((f"zeros-{path.stem}.json", ["zeros", "--fn", f"corpus/{path.name}", "--format", "json"]))
+    for stem, record in shared_factor_functions().items():
+        path = tmp / f"{stem}.json"
+        path.write_text(json.dumps(record))
+        runs += [(f"{stem}-{command}.json", [command, "--fn", str(path), "--format", "json"])
+                 for command in ("jensen", "zeros")]
     for seed in (1, 7):
         runs.append((f"verify-ops-seed{seed}.json",
                      ["verify-ops", "--suite", "all", "--format", "json", "--rows", "--seed", str(seed)]))
@@ -113,12 +152,12 @@ def _digest(text: str) -> str:
 
 def main() -> None:
     os.chdir(ROOT)
-    for name, argv in reports():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            cli_main(argv)
-        print(f"{_digest(buf.getvalue())}  {name}")
     with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in reports(Path(tmp)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                cli_main(argv)
+            print(f"{_digest(buf.getvalue().replace(tmp, '<tmp>'))}  {name}")
         for name, argv in failures(Path(tmp)):
             out, err = io.StringIO(), io.StringIO()
             try:

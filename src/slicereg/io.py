@@ -113,7 +113,7 @@ def polynomial_to_dict(p: SlicePolynomial) -> dict:
 
 def function_to_dict(f: SlicePolynomial | SemiregularFunction) -> dict:
     if isinstance(f, SemiregularFunction):
-        return {"num": polynomial_to_dict(f.num), "den": polynomial_to_dict(f.den)}
+        return {"num": polynomial_to_dict(f.num), "den": {"coeffs": f.den.tolist()}}
     return polynomial_to_dict(f)
 
 

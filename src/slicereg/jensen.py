@@ -68,8 +68,7 @@ def _origin_terms(f, r: float) -> tuple[tuple[float, float, float], float]:
     evaluation of f(0), f'(0), f''(0); raises on a pole or a zero at the
     origin."""
     fs = as_semiregular(f)
-    d0 = fs.den.coefficient(0).w
-    if abs(d0) <= ORIGIN_REL * (1.0 + fs.den.coefficient_scale()):
+    if abs(fs.den[0]) <= ORIGIN_REL * (1.0 + np.abs(fs.den).max()):
         raise PoleAtOriginError("denominator vanishes at the origin")
     f0, f1, f2 = fs.derivatives_at_origin()
     if f0.abs() <= ORIGIN_REL * (1.0 + fs.num.coefficient_scale()):
@@ -87,7 +86,7 @@ def _delta4_logNf_from_coefficients(fs) -> float:
     arithmetic with ``_origin_terms``."""
     a0, a1, a2 = (fs.num.coefficient(m) for m in range(3))
     n_num = (a0.norm2(), 2.0 * (a0 * a1.conj()).re(), a1.norm2() + 2.0 * (a0 * a2.conj()).re())
-    d = [2.0 * (c1 / c0) ** 2 - 4.0 * c2 / c0 for c0, c1, c2 in (n_num, [fs.den.coefficient(m).w for m in range(3)])]
+    d = [2.0 * (c1 / c0) ** 2 - 4.0 * c2 / c0 for c0, c1, c2 in (n_num, (fs.den[:3].tolist() + [0.0, 0.0])[:3])]
     return d[0] - 2.0 * d[1]
 
 

@@ -431,7 +431,7 @@ def log_normal_values(f, z: np.ndarray) -> np.ndarray:
 def _log_normal(fs, z: np.ndarray, num_abs: np.ndarray) -> np.ndarray:
     """log|N(num)| - 2 log|den| at z from num_abs = |N(num)(z)|; a constant den is 1 (den is monic)."""
     log_n = np.log(num_abs)
-    return log_n - 2.0 * np.log(np.abs(horner(fs.den.real_coeffs(), z))) if fs.den.degree else log_n
+    return log_n - 2.0 * np.log(np.abs(horner(fs.den, z))) if len(fs.den) > 1 else log_n
 
 
 @dataclass(frozen=True)

@@ -304,24 +304,6 @@ def root_spheres(coeffs: Sequence[float]) -> list[Sphere]:
 
 
 # ---------------------------------------------------------------------------
-# quaternion-coefficient division by real (central) factors
-# ---------------------------------------------------------------------------
-
-
-def divide_by_real(p: SlicePolynomial, divisor: Sequence[float]) -> tuple[SlicePolynomial, SlicePolynomial]:
-    """Divide p by a monic real-coefficient polynomial; exact long division.
-
-    A real-coefficient divisor is central for the slice product, so the
-    division runs componentwise on the quaternion coefficients.
-    """
-    d = np.asarray(divisor, dtype=float)
-    if abs(d[-1] - 1.0) > 1e-12:
-        raise ValueError("divisor must be monic")
-    q, rem = _divide(np.reshape(p.coeffs, (-1, 4)), d)  # quaternion rows (deg + 1, 4)
-    return SlicePolynomial(map(Quaternion.from_array, q)), SlicePolynomial(map(Quaternion.from_array, rem))
-
-
-# ---------------------------------------------------------------------------
 # zeros of slice polynomials
 # ---------------------------------------------------------------------------
 
@@ -412,13 +394,15 @@ def classify_zeros(f) -> list[ZeroRecord]:
 class SemiregularFunction:
     """f = den^{-1} * num with a slice-preserving denominator.
 
-    Construction normalizes den to be monic and cancels shared factors:
-    real-linear factors present in both, and full characteristic
-    quadratics Delta_b dividing both.  Partial vanishing of num on a
-    pole sphere (a single point) is deliberately kept: it is pole
-    structure, not a common factor.  ``den_spheres`` are the reduced den's
-    root spheres.  ``zero_polynomial`` and ``num_normal`` are formed once,
-    where first read; the zero pass and the boundary means read them here.
+    ``den`` is its monic real coefficients, formed once from the given
+    ``SlicePolynomial``: a read-only float64 array, ascending, whose last
+    entry is exactly 1.0.  Construction cancels shared factors: real-linear
+    factors present in both, and full characteristic quadratics Delta_b
+    dividing both.  Partial vanishing of num on a pole sphere (a single
+    point) is deliberately kept: it is pole structure, not a common factor.
+    ``den_spheres`` are the reduced den's root spheres.  ``zero_polynomial``
+    and ``num_normal`` are formed once, where first read; the zero pass and
+    the boundary means read them here.
     """
 
     __slots__ = ("den", "num", "den_spheres", "_normal")
@@ -430,11 +414,12 @@ class SemiregularFunction:
             raise ValueError("denominator must have real coefficients")
         # divide, not scale by 1/lead: lead / lead is exactly 1.0
         lead = den.coeffs[-1].w
-        den = SlicePolynomial([c / lead for c in den.coeffs])
+        den = np.array([c.w for c in den.coeffs]) / lead
         num = SlicePolynomial([c / lead for c in num.coeffs])
-        spheres = root_spheres(den.real_coeffs()) if den.degree > 0 else []
+        spheres = root_spheres(den) if len(den) > 1 else []
         if spheres and not num.is_zero:
             den, num, spheres = _reduce_pair(den, num, spheres)
+        den.setflags(write=False)  # immutable, as the function is
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den_spheres", tuple(spheres))
@@ -464,46 +449,47 @@ class SemiregularFunction:
         return self._normals()[1]
 
     def eval(self, x: Quaternion) -> Quaternion:
-        return self.den.eval(x).inverse() * self.num.eval(x)
+        """den(x)^{-1} num(x); den is real, so den(alpha + J beta) = Re d + J Im d, d = den(alpha + i beta)."""
+        alpha, beta, unit = split(x)
+        d = horner(self.den, complex(alpha, beta))
+        return Quaternion(d.real, *(float(u) * d.imag for u in unit[1:])).inverse() * self.num.eval(x)
 
     def stem_arrays(self, z) -> tuple[tuple, tuple]:
         """Stems of den^{-1} * num as parts: complex 1/d(z) times the num stems."""
         f1, f2 = self.num.stem_arrays(z)
-        inv = 1.0 / horner(self.den.real_coeffs(), z)
+        inv = 1.0 / horner(self.den, z)
         u, v = inv.real, inv.imag
         return tuple(a * u - b * v for a, b in zip(f1, f2)), tuple(a * v + b * u for a, b in zip(f1, f2))
 
     def stem_scale(self, radius: float) -> float:
         """num's scale over den's: the stems are num's divided by den(z)."""
-        return self.num.stem_scale(radius) / self.den.stem_scale(radius)
+        return self.num.stem_scale(radius) / horner(np.abs(self.den), radius).real
 
     def derivatives_at_origin(self) -> tuple[Quaternion, Quaternion, Quaternion]:
         """(f(0), f'(0), f''(0)) by the quotient rule; den is scalar on R."""
         n0 = self.num.coefficient(0)
         n1 = self.num.coefficient(1)
         n2 = self.num.coefficient(2) * 2.0
-        d0 = self.den.coefficient(0).w
-        d1 = self.den.coefficient(1).w
-        d2 = self.den.coefficient(2).w * 2.0
+        d0, d1, d2 = (self.den[:3].tolist() + [0.0, 0.0])[:3]
         f0 = n0 / d0
         f1 = n1 / d0 - n0 * (d1 / (d0 * d0))
-        f2 = n2 / d0 - n1 * (2.0 * d1 / (d0 * d0)) + n0 * (2.0 * d1 * d1 / d0**3 - d2 / (d0 * d0))
+        f2 = n2 / d0 - n1 * (2.0 * d1 / (d0 * d0)) + n0 * (2.0 * d1 * d1 / d0**3 - d2 * 2.0 / (d0 * d0))
         return f0, f1, f2
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SemiregularFunction(den={self.den!r}, num={self.num!r})"
 
 
-def _reduce_pair(den: SlicePolynomial, num: SlicePolynomial, spheres: list[Sphere]) -> tuple:
+def _reduce_pair(den: np.ndarray, num: SlicePolynomial, spheres: list[Sphere]) -> tuple:
     """Divide every real factor of the monic den that also divides num out of
-    both: at most as many of num's quotients as den holds, den alongside.
-    den stays monic, and its root spheres lose what is divided out."""
+    both: at most as many of num's quotients as den holds, den alongside by
+    ``_divide`` too.  den stays monic, and its root spheres lose what is divided out."""
     rows, kept = np.reshape(num.coeffs, (-1, 4)), []
     for alpha, beta, mult in spheres:
         per = 1 if beta == 0.0 else 2
         k = 0  # zip asks range first, so no division past the k-th is made
         for k, rows in zip(range(1, mult // per + 1), _quotients(rows, alpha, beta)):
-            den, _ = divide_by_real(den, _real_factor(alpha, beta))
+            den, _ = _divide(den, _real_factor(alpha, beta))
         if mult > per * k:
             kept.append((alpha, beta, mult - per * k))
     return den, SlicePolynomial(map(Quaternion.from_array, rows)), kept

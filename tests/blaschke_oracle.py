@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from slicereg.errors import ClassificationInconsistencyError, PoleOnBoundaryError, SliceRegError
 from slicereg.quaternions import Quaternion, split
 from slicereg.slicepoly import SlicePolynomial, slice_product
-from slicereg.zeros_poles import (TOL_DIVIDE, SemiregularFunction, analyze, as_semiregular, divide_by_real, on_boundary,
+from slicereg.zeros_poles import (TOL_DIVIDE, SemiregularFunction, _divide, analyze, as_semiregular, on_boundary,
                                   root_spheres)
 
 
@@ -30,15 +32,21 @@ class PoleOutsideRegionError(SliceRegError):
     """Regularization requires every pole inside the ball."""
 
 
-def unreduced(den: SlicePolynomial, num: SlicePolynomial) -> SemiregularFunction:
-    """den^{-1} num as given, for a monic real den coprime to num by
-    construction, with den's root spheres.  The constructor's reduction
+def divide_rows(p: SlicePolynomial, d) -> tuple[SlicePolynomial, SlicePolynomial]:
+    """``_divide`` of p's quaternion rows by the monic real d; quotient and remainder as polynomials."""
+    q, rem = _divide(np.reshape(p.coeffs, (-1, 4)), np.asarray(d, dtype=float))
+    return SlicePolynomial(map(Quaternion.from_array, q)), SlicePolynomial(map(Quaternion.from_array, rem))
+
+
+def unreduced(den: np.ndarray, num: SlicePolynomial) -> SemiregularFunction:
+    """den^{-1} num as given, for monic real coefficients den coprime to num
+    by construction, with den's root spheres.  The constructor's reduction
     tests coprimality at TOL_DIVIDE, which at small r cancels a Blaschke
     factor whose base point is near the boundary but outside its band."""
     f = object.__new__(SemiregularFunction)
     object.__setattr__(f, "den", den)
     object.__setattr__(f, "num", num)
-    object.__setattr__(f, "den_spheres", tuple(root_spheres(den.real_coeffs())))
+    object.__setattr__(f, "den_spheres", tuple(root_spheres(den)))
     object.__setattr__(f, "_normal", None)  # N(num), formed on first use
     return f
 
@@ -51,7 +59,7 @@ def blaschke_real(p: float, r: float) -> SemiregularFunction:
     """
     if not 0.0 < abs(p) < r:
         raise InvalidPoleError(f"real Blaschke base point needs 0 < |p| < r, got p={p}, r={r}")
-    den = SlicePolynomial.from_real([-r * r / p, 1.0])
+    den = np.array([-r * r / p, 1.0])
     num = SlicePolynomial.from_real([r, -r / p])
     return unreduced(den, num)
 
@@ -65,7 +73,7 @@ def blaschke_spherical(b: Quaternion, r: float) -> SemiregularFunction:
     if split(b)[1] == 0.0:
         raise InvalidPoleError("spherical Blaschke base point must be nonreal")
     tb = b.trace()
-    den = SlicePolynomial.from_real([r**4 / nb, -r * r * tb / nb, 1.0])
+    den = np.array([r**4 / nb, -r * r * tb / nb, 1.0])
     num = SlicePolynomial.from_real([r * r, -tb * r * r / nb, r * r / nb])
     return unreduced(den, num)
 
@@ -78,7 +86,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
     on the boundary raise PoleOnBoundaryError; poles outside the ball
     raise PoleOutsideRegionError instead of being silently ignored.
     """
-    if f.den.degree == 0:
+    if len(f.den) == 1:
         one = as_semiregular(SlicePolynomial.from_real([1.0]))
         return one, f
     poles = analyze(f, math.inf).poles
@@ -90,7 +98,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
             raise PoleOutsideRegionError(
                 f"pole sphere at radius {rad:.12g} lies outside the ball r={r}; shrink r"
             )
-    g_den = SlicePolynomial.from_real([1.0])
+    g_den = np.array([1.0])
     g_num = SlicePolynomial.from_real([1.0])
     for rec in poles:
         if rec.kind == "real":
@@ -100,13 +108,13 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
             fac = blaschke_spherical(rec.representative, r)
             power = rec.spherical_order // 2
         for _ in range(power):
-            g_den = slice_product(g_den, fac.den)
+            g_den = np.convolve(g_den, fac.den)
             g_num = slice_product(g_num, fac.num)
     g = unreduced(g_den, g_num)
     # h = (g_den f_den)^{-1} (g_num f_num); f_den divides g_num f_num by
     # construction, so divide it out explicitly rather than re-detecting.
     h_num_full = slice_product(g_num, f.num)
-    h_num, rem = divide_by_real(h_num_full, f.den.real_coeffs())
+    h_num, rem = divide_rows(h_num_full, f.den)
     if rem.coefficient_scale() > TOL_DIVIDE * max(h_num_full.coefficient_scale(), 1e-300):
         raise ClassificationInconsistencyError(
             "Blaschke numerator failed to cancel the denominator poles"

@@ -4,6 +4,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slicereg
@@ -49,7 +50,7 @@ def test_parse_rational():
         {"num": {"coeffs": [[0, 1, 0, 0], 1.0]}, "den": {"coeffs": [1.0, 0.0, 1.0]}}
     )
     assert isinstance(f, SemiregularFunction)
-    assert f.den.degree == 2
+    assert f.den.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_parse_errors():
@@ -70,6 +71,26 @@ def test_roundtrip_through_dict():
     rat = SemiregularFunction(SlicePolynomial.from_real([1, 0, 1]), f)
     back2 = parse_function(function_to_dict(rat))
     assert isinstance(back2, SemiregularFunction)
+
+
+def _rational_cases() -> list[tuple[str, dict]]:
+    """(name, record) of every corpus rational and of both near-boundary workload functions at seed 1."""
+    sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+    from workloads import near_boundary_functions
+
+    cases = [(e["file"], json.loads((CORPUS / e["file"]).read_text()))
+             for e in json.loads((CORPUS / "rationals.json").read_text())["cases"]]
+    return cases + list(near_boundary_functions(1).items())
+
+
+def test_den_and_num_survive_a_roundtrip_through_dict():
+    cases = _rational_cases()
+    assert len(cases) == 9 and sum("den" in record for _, record in cases) == 8
+    for name, record in cases:
+        f = parse_function(record)
+        a, b = as_semiregular(f), as_semiregular(parse_function(function_to_dict(f)))
+        assert a.den.tobytes() == b.den.tobytes(), name
+        assert np.array(a.num.coeffs).tobytes() == np.array(b.num.coeffs).tobytes(), name
 
 
 def test_load_function_errors(tmp_path):
@@ -551,8 +572,8 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 9 + len(functions) + 4 + 31 and len(set(names)) == len(names)
-    assert [n for n in names if n.startswith("error-")] == names[-31:]  # failing calls come last
+    assert len(names) == 9 + len(functions) + 4 + 4 + 33 and len(set(names)) == len(names)
+    assert [n for n in names if n.startswith("error-")] == names[-33:]  # failing calls come last
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
 
@@ -690,7 +711,7 @@ def test_one_root_finding_per_polynomial(name, monkeypatch, capsys):
     path, r = CORPUS / name, CASE_RADIUS[name]
     f = load_function(path)
     fs = as_semiregular(f)
-    positive = sum(p.degree > 0 for p in (fs.num, fs.den))
+    positive = (fs.num.degree > 0) + (len(fs.den) > 1)
     calls = _count_root_spheres(monkeypatch)
     jensen_check(f, r, bijectivity_points=50)
     assert len(calls) == (fs.num.degree > 0)  # den's spheres come with f, from its load

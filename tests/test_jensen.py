@@ -511,7 +511,7 @@ def test_random_semiregular_jensen():
     for seed in range(40):
         rng = np.random.default_rng(1000 + seed)
         f = _random_semiregular(rng)
-        if abs(f.den.coefficient(0).w) < 1e-6 or f.num.coefficient(0).abs() < 1e-6:
+        if abs(f.den[0]) < 1e-6 or f.num.coefficient(0).abs() < 1e-6:
             continue
         rep = jensen_check(f, 1.0, 48, diagnostics=False)
         assert abs(rep.residual) <= 1e-6, (seed, rep.residual)

@@ -573,7 +573,7 @@ def _mp_boundary_means(f, r: float, edges: list[float]) -> tuple[float, float]:
     the stems, |den|^2, the S^2 closed form and log|N(f)|, from the stem
     |F1|^2 - |F2|^2 + 2i F1.F2 of N(num), all in mpmath."""
     num = [[mpmath.mpf(x) for x in (c.w, c.x1, c.x2, c.x3)] for c in f.num.coeffs]
-    den = [mpmath.mpf(c) for c in f.den.real_coeffs()]
+    den = [mpmath.mpf(c) for c in f.den.tolist()]
     values = {}
 
     def at(t):
@@ -898,7 +898,7 @@ def test_boundary_identity_residual_matches_scalar_nodes(name, f, r, n):
     mean_f = integrate(rule, lambda x: _scalar_log_abs_stems(f, x)) / rule.measure
     mean_fs = integrate(rule, lambda x: _scalar_log_abs_stems(f, S_map(f, x))) / rule.measure
     if isinstance(f, SemiregularFunction):
-        num, den = normal(f.num), f.den
+        num, den = normal(f.num), SlicePolynomial.from_real(f.den)
         log_n = lambda x: log_abs(num, x) - 2.0 * log_abs(den, x)  # noqa: E731
     else:
         log_n = lambda x: log_abs(normal(f), x)  # noqa: E731

@@ -252,7 +252,7 @@ def test_semiregular_stems_are_the_one_point_case_of_its_arrays():
     f1, f2 = fs.stem_arrays(z)
     for k, zk in enumerate(z):
         # the former scalar stems: CPython complex 1/d(z) times the num stems
-        inv = 1.0 / horner([c.w for c in fs.den.coeffs], complex(zk))
+        inv = 1.0 / horner(fs.den.tolist(), complex(zk))
         n1, n2 = _loop_stems(fs.num, zk.real, zk.imag)
         want = (n1 * inv.real - n2 * inv.imag, n1 * inv.imag + n2 * inv.real)
         assert tuple(Quaternion(*p) for p in fs.stem_arrays(complex(zk))) == want

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -22,6 +23,7 @@ from slicereg.zeros_poles import (
     SemiregularFunction,
     TOL_DIVIDE,
     ZeroRecord,
+    _divide,
     _division_multiplicity,
     _quotients,
     _real_factor,
@@ -30,7 +32,6 @@ from slicereg.zeros_poles import (
     as_semiregular,
     characteristic_poly,
     classify_zeros,
-    divide_by_real,
     pole_structure,
     root_spheres,
     total_multiplicity,
@@ -41,6 +42,7 @@ from blaschke_oracle import (
     PoleOutsideRegionError,
     blaschke_real,
     blaschke_spherical,
+    divide_rows,
     regularize,
     unreduced,
 )
@@ -211,7 +213,6 @@ def _corpus_zero_polynomials():
     """The real polynomials root finding runs on for the corpus: each
     numerator's zero polynomial and each nonconstant denominator."""
     import json
-    from pathlib import Path
 
     from slicereg.io import load_function
 
@@ -221,8 +222,8 @@ def _corpus_zero_polynomials():
         for entry in json.loads((corpus / f"{manifest}.json").read_text())["cases"]:
             f = zeros_poles.as_semiregular(load_function(corpus / entry["file"]))
             polys.append(f.zero_polynomial[0])
-            if f.den.degree > 0:
-                polys.append(f.den.real_coeffs())
+            if len(f.den) > 1:
+                polys.append(f.den)
     return polys
 
 
@@ -256,16 +257,16 @@ def test_pellet_radius_certifies_the_count_and_rejects_rounding():
     assert zeros_poles._pellet_radius(c, s, 1, zeros_poles.EPS, 1e-8) is None
 
 
-def test_divide_by_real():
+def test_divide_on_quaternion_rows():
     f = slice_product(lin(0, 1, 0, 0), characteristic_poly(Quaternion(0.2, 0.5, 0, 0)))
-    q, rem = divide_by_real(f, [0.29, -0.4, 1.0])
+    q, rem = divide_rows(f, [0.29, -0.4, 1.0])
     assert rem.coefficient_scale() <= 1e-12
     assert q.degree == 1
     # quaternionic coefficients and a nonzero remainder: q * d + rem = g
     g = SlicePolynomial([Quaternion(0.3, -0.2, 0.5, 0.1), Quaternion(-0.4, 0.7, 0.0, 0.2),
                          Quaternion(0.1, 0.2, -0.3, 0.9), Quaternion(1.0, -0.5, 0.25, 0.0)])
     d = real_poly(0.29, -0.4, 1.0)
-    q, rem = divide_by_real(g, [c.w for c in d.coeffs])
+    q, rem = divide_rows(g, [c.w for c in d.coeffs])
     assert (q.degree, rem.degree) == (1, 1) and rem.coefficient_scale() > 0.1
     back = slice_product(q, d) + rem
     assert back.degree == g.degree
@@ -304,23 +305,23 @@ def test_division_multiplicity_real_and_quaternion_rows_agree(alpha, beta, k):
 
 def _reduce_pair_by_count_then_divide(den, num, spheres):
     """The cancellation as it was specified first: count how often each
-    sphere's real factor divides num by repeated ``divide_by_real`` and the
-    relative remainder test, take k = min(den's count, num's), then divide
-    both k times."""
+    sphere's real factor divides num by repeated ``_divide`` of its quaternion
+    rows and the relative remainder test, take k = min(den's count, num's),
+    then divide both k times, den as its real coefficients."""
     kept = []
     for alpha, beta, mult in spheres:
         per = 1 if beta == 0.0 else 2
         factor = _real_factor(alpha, beta)
         count, cur = 0, num
         while cur.degree >= len(factor) - 1:
-            quotient, rem = divide_by_real(cur, factor)
+            quotient, rem = divide_rows(cur, factor)
             if rem.coefficient_scale() > TOL_DIVIDE * max(cur.coefficient_scale(), 1e-300):
                 break
             count, cur = count + 1, quotient
         k = min(mult // per, count)
         for _ in range(k):
-            den, _ = divide_by_real(den, factor)
-            num, _ = divide_by_real(num, factor)
+            den, _ = _divide(den, factor)
+            num, _ = divide_rows(num, factor)
         if mult > per * k:
             kept.append((alpha, beta, mult - per * k))
     return den, num, kept
@@ -353,14 +354,16 @@ def test_reduce_pair_matches_count_then_divide_bit_for_bit(den_factors, num_fact
         den = slice_product(den, _power(factor, k))
     for factor, k in num_factors:
         num = slice_product(num, _power(factor, k))
-    spheres = root_spheres(den.real_coeffs())
+    den = den.real_coeffs()
+    spheres = root_spheres(den)
     got, want = _reduce_pair(den, num, spheres), _reduce_pair_by_count_then_divide(den, num, spheres)
-    for a, b in zip(got[:2], want[:2]):
-        assert np.array(a.coeffs).tobytes() == np.array(b.coeffs).tobytes()
+    assert got[0].dtype == want[0].dtype == np.float64 and got[0][-1] == 1.0
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array(got[1].coeffs).tobytes() == np.array(want[1].coeffs).tobytes()
     assert got[2] == want[2]
     # both lose the same factors, and den keeps the kept spheres' roots
-    assert 0 < den.degree - got[0].degree == num.degree - got[1].degree
-    assert got[0].degree == sum(m for *_, m in got[2])
+    assert 0 < len(den) - len(got[0]) == num.degree - got[1].degree
+    assert len(got[0]) - 1 == sum(m for *_, m in got[2])
 
 
 # -- zero spheres and classification ----------------------------------------
@@ -469,7 +472,7 @@ def test_total_multiplicity_division_oracle():
         count = 0
         delta = characteristic_poly(I)
         while True:
-            q, rem = divide_by_real(cur, [c.w for c in delta.coeffs])
+            q, rem = divide_rows(cur, [c.w for c in delta.coeffs])
             if rem.coefficient_scale() > 1e-9 * max(cur.coefficient_scale(), 1e-300):
                 break
             count += 1
@@ -503,7 +506,6 @@ def test_multiplicity_sum_matches_degree():
 
 def test_multiplicity_sum_over_corpus():
     import json
-    from pathlib import Path
 
     from slicereg.io import load_function
 
@@ -775,8 +777,8 @@ def test_semiregular_reduction_real_factor():
     den = real_poly(-0.5, 1.0) * real_poly(0.3, 1.0)
     num = real_poly(-0.5, 1.0) * real_poly(1.0, 0.0, 1.0)
     f = SemiregularFunction(den, num)
-    assert f.den.degree == 1  # (x - 0.5) cancelled
-    assert f.den.eval(Quaternion.real(-0.3)).abs() <= 1e-12
+    assert len(f.den) - 1 == 1  # (x - 0.5) cancelled
+    assert abs(horner(f.den, -0.3)) <= 1e-12
 
 
 def test_semiregular_reduction_full_sphere_factor():
@@ -784,7 +786,7 @@ def test_semiregular_reduction_full_sphere_factor():
     den = delta * real_poly(-0.4, 1.0)
     num = delta * lin(0.1, 0.2, 0, 0)
     f = SemiregularFunction(den, num)
-    assert f.den.degree == 1
+    assert len(f.den) - 1 == 1
 
 
 def test_semiregular_keeps_partial_vanishing():
@@ -793,19 +795,45 @@ def test_semiregular_keeps_partial_vanishing():
     den = real_poly(1.0, 0.0, 1.0)
     num = SlicePolynomial([I, ONE])  # x + i, vanishes only at -i
     f = SemiregularFunction(den, num)
-    assert f.den.degree == 2
+    assert len(f.den) - 1 == 2
 
 
 def test_den_spheres_lose_the_cancelled_multiplicity():
     delta = characteristic_poly(Quaternion(0, 0.7, 0, 0))
     den = real_poly(-0.5, 1.0) ** 2 * real_poly(0.3, 1.0) * delta ** 2
     f = SemiregularFunction(den, real_poly(-0.5, 1.0) * delta * lin(0.1, 0.2, 0, 0))
-    assert f.den.degree == 4
+    assert len(f.den) - 1 == 4
     assert [(round(a, 9), round(b, 9), m) for a, b, m in f.den_spheres] == [(-0.3, 0.0, 1), (0.0, 0.7, 2), (0.5, 0.0, 1)]
-    assert np.array(f.den_spheres) == pytest.approx(np.array(root_spheres(f.den.real_coeffs())), abs=1e-9)
+    assert np.array(f.den_spheres) == pytest.approx(np.array(root_spheres(f.den)), abs=1e-9)
     # a zero numerator cancels nothing; den's spheres are still found
     assert len(SemiregularFunction(den, SlicePolynomial([])).den_spheres) == 3
     assert as_semiregular(lin(0.1, 0.2, 0, 0)).den_spheres == ()
+
+
+def _assert_monic_real_array(den):
+    assert isinstance(den, np.ndarray) and den.dtype == np.float64 and den.ndim == 1 and not den.flags.writeable
+    assert den[-1] == 1.0  # exactly: the constructor divides by the leading coefficient
+
+
+def test_den_is_its_monic_real_coefficients():
+    from slicereg.io import load_function
+
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    entries = json.loads((corpus / "rationals.json").read_text())["cases"]
+    for entry in entries:
+        f = load_function(corpus / entry["file"])
+        _assert_monic_real_array(f.den)
+        assert len(f.den) - 1 == sum(m for *_, m in f.den_spheres)
+    polynomial = as_semiregular(lin(0.1, 0.2, 0, 0))
+    _assert_monic_real_array(polynomial.den)
+    assert polynomial.den.tolist() == [1.0]
+    # 3 (x - 0.5)^2 (x + 2) over (x - 0.5) q: one x - 0.5 cancels, and the
+    # leading 3 is divided out of both
+    f = SemiregularFunction(real_poly(-0.5, 1.0) ** 2 * real_poly(2.0, 1.0) * real_poly(3.0),
+                            real_poly(-0.5, 1.0) * lin(0.2, 0.3, -0.1, 0.4))
+    _assert_monic_real_array(f.den)
+    assert f.den == pytest.approx([-1.0, 1.5, 1.0], abs=1e-15)
+    assert f.num.degree == 1 and f.num.coefficient(1).isclose(ONE * (1.0 / 3.0))
 
 
 def test_semiregular_eval_order():
@@ -926,7 +954,7 @@ def test_numerator_vanishing_on_a_whole_pole_sphere_is_inconsistent():
     # The constructor cancels delta, so keep the pair unreduced: a numerator
     # vanishing on a whole pole sphere is the state the pole_structure raise
     # exists to detect.
-    f = unreduced(delta, slice_product(delta, lin(0.3, 0.2, 0, -0.1)))
+    f = unreduced(delta.real_coeffs(), slice_product(delta, lin(0.3, 0.2, 0, -0.1)))
     with pytest.raises(ClassificationInconsistencyError, match="whole pole sphere"):
         analyze(f, 1.0)
 
@@ -1004,7 +1032,7 @@ def test_blaschke_real_invalid():
 
 def test_blaschke_spherical_instance():
     g = blaschke_spherical(I, 2.0)
-    assert [c.w for c in g.den.coeffs] == pytest.approx([16.0, 0.0, 1.0])
+    assert g.den.tolist() == pytest.approx([16.0, 0.0, 1.0])
     assert [c.w for c in g.num.coeffs] == pytest.approx([4.0, 0.0, 4.0])
     assert g.eval(I).abs() <= 1e-14
     assert g.eval(Quaternion(0, 0, 2, 0)).abs() == pytest.approx(1.0)
@@ -1034,7 +1062,7 @@ def test_blaschke_spherical_invalid():
 def test_regularize_remark_function():
     f = SemiregularFunction(real_poly(1, 0, 1), SlicePolynomial([I, ONE]))
     g, h = regularize(f, 2.0)
-    assert [c.w for c in h.den.coeffs] == pytest.approx([16.0, 0.0, 1.0])
+    assert h.den.tolist() == pytest.approx([16.0, 0.0, 1.0])
     assert h.num.coefficient(0).isclose(I * 4.0)
     assert h.num.coefficient(1).isclose(ONE * 4.0)
     # |g| = 1 on the boundary
@@ -1047,7 +1075,7 @@ def test_regularize_remark_function():
 def test_regularize_polynomial_passthrough():
     p = as_semiregular(real_poly(-0.5, 1.0))
     g, h = regularize(p, 1.0)
-    assert g.num.degree == 0 and g.den.degree == 0
+    assert g.num.degree == 0 and len(g.den) == 1
     assert h.num.degree == 1
 
 
@@ -1095,11 +1123,11 @@ def test_blaschke_spherical_near_boundary_at_small_r_keeps_its_zero():
     r = 1e-3
     b = J * (r - 1e-7)
     g = blaschke_spherical(b, r)
-    assert (g.den.degree, g.num.degree) == (2, 2)
+    assert (len(g.den) - 1, g.num.degree) == (2, 2)
     assert g.eval(b).abs() <= 1e-9
     f = SemiregularFunction(characteristic_poly(b), real_poly(1.0))
     g, h = regularize(f, r)
-    assert (g.den.degree, g.num.degree) == (2, 2)
+    assert (len(g.den) - 1, g.num.degree) == (2, 2)
     for x in (Quaternion.real(0.5 * r), Quaternion(0.1 * r, 0.3 * r, 0.0, -0.2 * r)):
         gf = g.eval(x) * f.eval(x)
         assert (h.eval(x) - gf).abs() <= 1e-9 * gf.abs()
