@@ -8,9 +8,9 @@ one ``<sha256>  <name>`` line per report:
   json and csv, and the polynomial manifest as text;
 - ``zeros --format json`` on every corpus function file;
 - ``jensen --format json`` and ``zeros --format json`` on each of
-  ``shared_factor_functions()``, two rationals whose num and den share
-  real factors, written to a temporary directory that the reports name
-  as ``<tmp>``;
+  ``shared_factor_functions()`` of ``tests/hard_cases.py``, two rationals
+  whose num and den share real factors, written to a temporary directory
+  that the reports name as ``<tmp>``;
 - ``verify-ops --suite all --format json --rows`` at seeds 1 and 7, and
   ``verify-ops --suite all --seed 1`` as text (the report the benchmark
   parses) and as csv.
@@ -25,6 +25,11 @@ come three unreadable or unwritable paths: a directory as ``--fn``, a
 function file that is not UTF-8, and an ``--out`` under a missing
 directory.  An exception that escapes ``cli.main`` is digested as
 ``uncaught <Type>: <message>``.
+
+Last, ``jensen --fn`` and ``zeros --fn`` as json on each exact (dyadic)
+input of ``tests/hard_cases.py``'s ledger, a digest of
+``f"{exit_code}\n{stdout}{stderr}"`` each, so that a change to the root
+finder shows per case.
 
 Paths are given relative to the checkout, so two checkouts print the
 same digest for the same report bytes, and ``diff`` of two outputs
@@ -46,12 +51,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from slicereg.cli import main as cli_main
-from slicereg.io import polynomial_to_dict
-from slicereg.quaternions import Quaternion
-from slicereg.slicepoly import SlicePolynomial
-from slicereg.zeros_poles import characteristic_poly
+from slicereg.io import function_to_dict
+
+from hard_cases import LEDGER, dyadic_function, shared_factor_functions
 
 MANIFESTS = ("polynomials", "rationals")
 SIMPLE = "corpus/poly_real_simple.json"  # its one zero lies at 0.5
@@ -71,28 +76,12 @@ BAD_FUNCTIONS = {
 }
 
 
-def shared_factor_functions() -> dict[str, dict]:
-    """Two rationals whose num and den share real factors, as written, so
-    that loading one divides them out of both; q = (0.2, 0.3, -0.1, 0.4)
-    and Delta(alpha, beta) = x^2 - 2 alpha x + alpha^2 + beta^2:
-    (x - 0.5) Delta(0.1, 0.6) (x - q) over (x - 0.5)^2 Delta(0.1, 0.6) (x + 2),
-    and Delta(-0.3, 0.4)^2 (x - q) over 3 Delta(-0.3, 0.4) (x - 0.6)."""
-    x_q = SlicePolynomial.linear(Quaternion(0.2, 0.3, -0.1, 0.4))
-
-    def x_minus(a: float) -> SlicePolynomial:
-        return SlicePolynomial.from_real([-a, 1.0])
-
-    def delta(alpha: float, beta: float) -> SlicePolynomial:
-        return characteristic_poly(Quaternion(alpha, beta, 0.0, 0.0))
-
-    pairs = {
-        "shared-real-and-delta": (x_minus(0.5) * delta(0.1, 0.6) * x_q,
-                                  x_minus(0.5) ** 2 * delta(0.1, 0.6) * x_minus(-2.0)),
-        "shared-delta-scaled-den": (delta(-0.3, 0.4) ** 2 * x_q,
-                                    SlicePolynomial.from_real([3.0]) * delta(-0.3, 0.4) * x_minus(0.6)),
-    }
-    return {name: {"num": polynomial_to_dict(num), "den": polynomial_to_dict(den)}
-            for name, (num, den) in pairs.items()}
+def function_runs(tmp: Path, records: dict[str, dict]) -> list[tuple[str, list[str]]]:
+    """``jensen`` and ``zeros --format json`` on each function record, written into the directory tmp."""
+    for stem, record in records.items():
+        (tmp / f"{stem}.json").write_text(json.dumps(record))
+    return [(f"{stem}-{command}.json", [command, "--fn", str(tmp / f"{stem}.json"), "--format", "json"])
+            for stem in records for command in ("jensen", "zeros")]
 
 
 def reports(tmp: Path) -> list[tuple[str, list[str]]]:
@@ -108,11 +97,7 @@ def reports(tmp: Path) -> list[tuple[str, list[str]]]:
     manifests = {f"{m}.json" for m in MANIFESTS}
     for path in sorted(p for p in (ROOT / "corpus").glob("*.json") if p.name not in manifests):
         runs.append((f"zeros-{path.stem}.json", ["zeros", "--fn", f"corpus/{path.name}", "--format", "json"]))
-    for stem, record in shared_factor_functions().items():
-        path = tmp / f"{stem}.json"
-        path.write_text(json.dumps(record))
-        runs += [(f"{stem}-{command}.json", [command, "--fn", str(path), "--format", "json"])
-                 for command in ("jensen", "zeros")]
+    runs += function_runs(tmp, shared_factor_functions())
     for seed in (1, 7):
         runs.append((f"verify-ops-seed{seed}.json",
                      ["verify-ops", "--suite", "all", "--format", "json", "--rows", "--seed", str(seed)]))
@@ -146,26 +131,39 @@ def failures(tmp: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
+def hard_cases(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of every call on the ledger's dyadic entries, in print order."""
+    return function_runs(tmp, {f"hard-{case.name}": function_to_dict(case.make(*case.args))
+                               for case in LEDGER if case.make is dyadic_function})
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _call(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def main() -> None:
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in reports(Path(tmp)):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                cli_main(argv)
-            print(f"{_digest(buf.getvalue().replace(tmp, '<tmp>'))}  {name}")
+            print(f"{_digest(_call(argv)[1].replace(tmp, '<tmp>'))}  {name}")
         for name, argv in failures(Path(tmp)):
-            out, err = io.StringIO(), io.StringIO()
             try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli_main(argv)
-                outcome = f"{code}\n{err.getvalue()}".replace(tmp, "<tmp>")
+                code, _, err = _call(argv)
+                outcome = f"{code}\n{err}".replace(tmp, "<tmp>")
             except Exception as exc:
                 outcome = f"uncaught {type(exc).__name__}: {exc}"
+            print(f"{_digest(outcome)}  {name}")
+        for name, argv in hard_cases(Path(tmp)):
+            code, out, err = _call(argv)
+            outcome = f"{code}\n{out}{err}".replace(tmp, "<tmp>")
             print(f"{_digest(outcome)}  {name}")
 
 

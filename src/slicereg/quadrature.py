@@ -544,11 +544,11 @@ def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int
             & (np.sqrt(_qnorm2_parts(f2)) > 1e-4 * (1.0 + scale))
             & (np.sqrt(_qnorm2_parts(_slice_value(f1, f2, junit))) > 1e-9 * (1.0 + scale))
         )
-        kept.append([np.broadcast_to(c, keep.shape)[keep] for c in (*x, *junit, *f1, *f2)])
-        accepted += len(kept[-1][0])
+        kept.append(np.array(np.broadcast_arrays(*x, *junit, *f1, *f2))[:, keep])
+        accepted += kept[-1].shape[1]
         if accepted >= n_points:
             break
-    cols = [np.concatenate(c)[:n_points] for c in zip(*kept)]
+    cols = np.concatenate(kept, axis=1)[:, :n_points]
     return tuple(cols[:4]), tuple(cols[4:8]), tuple(cols[8:12]), tuple(cols[12:])
 
 

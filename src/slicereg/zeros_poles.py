@@ -448,12 +448,6 @@ class SemiregularFunction:
         """N(num)'s real coefficients; for a slice-preserving num, num^2 past the degree cap."""
         return self._normals()[1]
 
-    def eval(self, x: Quaternion) -> Quaternion:
-        """den(x)^{-1} num(x); den is real, so den(alpha + J beta) = Re d + J Im d, d = den(alpha + i beta)."""
-        alpha, beta, unit = split(x)
-        d = horner(self.den, complex(alpha, beta))
-        return Quaternion(d.real, *(float(u) * d.imag for u in unit[1:])).inverse() * self.num.eval(x)
-
     def stem_arrays(self, z) -> tuple[tuple, tuple]:
         """Stems of den^{-1} * num as parts: complex 1/d(z) times the num stems."""
         f1, f2 = self.num.stem_arrays(z)

@@ -19,7 +19,7 @@ import numpy as np
 
 from slicereg.errors import ClassificationInconsistencyError, PoleOnBoundaryError, SliceRegError
 from slicereg.quaternions import Quaternion, split
-from slicereg.slicepoly import SlicePolynomial, slice_product
+from slicereg.slicepoly import SlicePolynomial, horner, slice_product
 from slicereg.zeros_poles import (TOL_DIVIDE, SemiregularFunction, _divide, analyze, as_semiregular, on_boundary,
                                   root_spheres)
 
@@ -36,6 +36,13 @@ def divide_rows(p: SlicePolynomial, d) -> tuple[SlicePolynomial, SlicePolynomial
     """``_divide`` of p's quaternion rows by the monic real d; quotient and remainder as polynomials."""
     q, rem = _divide(np.reshape(p.coeffs, (-1, 4)), np.asarray(d, dtype=float))
     return SlicePolynomial(map(Quaternion.from_array, q)), SlicePolynomial(map(Quaternion.from_array, rem))
+
+
+def evaluate(f: SemiregularFunction, x: Quaternion) -> Quaternion:
+    """Oracle: den(x)^{-1} num(x); den is real, so den(alpha + J beta) = Re d + J Im d, d = den(alpha + i beta)."""
+    alpha, beta, unit = split(x)
+    d = horner(f.den, complex(alpha, beta))
+    return Quaternion(d.real, *(float(u) * d.imag for u in unit[1:])).inverse() * f.num.eval(x)
 
 
 def unreduced(den: np.ndarray, num: SlicePolynomial) -> SemiregularFunction:

@@ -572,8 +572,9 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 9 + len(functions) + 4 + 4 + 33 and len(set(names)) == len(names)
-    assert [n for n in names if n.startswith("error-")] == names[-33:]  # failing calls come last
+    assert len(names) == 9 + len(functions) + 4 + 4 + 33 + 22 and len(set(names)) == len(names)
+    assert [n for n in names if n.startswith("error-")] == names[-55:-22]  # then the failing calls
+    assert [n for n in names if n.startswith("hard-")] == names[-22:]  # the ledger's exact inputs come last
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
 
@@ -629,20 +630,23 @@ def test_gauss_legendre_probe_times_and_checks_both_rules():
 
 
 def test_root_probe_sorts_each_draw_into_one_outcome():
+    import hard_cases
+    from slicereg.errors import ZeroAtOriginError
+
     root_probe = _load_script("root_probe")
     assert (root_probe.R, root_probe.N, root_probe.DRAWS, root_probe.TOL) == (1.0, 48, 10, 1e-9)
     assert root_probe.probe("real", 4, count=2) == {"pass": 2, "named_error": 0, "silent_wrong": 0}
     assert root_probe.probe("quaternionic", 8, count=1) == {"pass": 1, "named_error": 0, "silent_wrong": 0}
     assert root_probe.probe("annuli", 12, count=1) == {"pass": 1, "named_error": 0, "silent_wrong": 0}
-    assert root_probe.FAMILIES["annuli"][1] == (12, 16, 20, 24, 32)
-    (f,) = root_probe.draws("real", 6, count=1)
+    assert hard_cases.FAMILIES["annuli"][1] == (12, 16, 20, 24, 32)
+    f = hard_cases.product(hard_cases.family_roots("real", 6, 1)[0])
     assert f.degree == 6 and f.is_slice_preserving(0.0)
-    assert root_probe.outcome(SlicePolynomial.from_real([0.0, 1.0])) == "named_error"  # zero at the origin
+    assert hard_cases.judge(SlicePolynomial.from_real([0.0, 1.0])) == ("named", ZeroAtOriginError)  # f(0) = 0
     # dyadic draw 0: (x - q)^{*4} (x - p)^{*5}, components in eighths, exact in binary64
-    assert root_probe.dyadic_roots(0) == [((0, -6, -2, 2), 4), ((6, -2, 1, -1), 5)]
+    assert hard_cases.dyadic_roots(0) == [((0, -6, -2, 2), 4), ((6, -2, 1, -1), 5)]
     assert root_probe.probe_dyadic(count=1) == {"pass": 1, "named_error": 0, "silent_wrong": 0, "inexact": 0,
                                                 "wrong_records": 0}
-    assert not root_probe.dyadic_product([((2**60 + 1, 0, 0, 0), 1)])[1]  # 2^57 + 1/8 rounds
+    assert not hard_cases.dyadic_product([((2**60 + 1, 0, 0, 0), 1)])[1]  # 2^57 + 1/8 rounds
 
 
 def test_cli_zeros(capsys):

@@ -41,6 +41,7 @@ from slicereg.zeros_poles import (
 from slicereg.diffops import fd_laplace4_richardson
 
 from blaschke_oracle import regularize
+from hard_cases import INNER, near_boundary_functions, sphere_at
 from test_quadrature import integrate_values
 
 
@@ -534,20 +535,13 @@ def test_random_generic_polynomial_jensen():
         assert abs(rep.residual) <= 1e-12, (seed, rep.residual)
 
 
-def _sphere_at(radius: float) -> SlicePolynomial:
-    """Delta of the sphere of radius ``radius`` at polar angle 3 pi / 8."""
-    u = np.array([0.3, -0.5, 0.8])
-    u *= radius * math.sin(3 * math.pi / 8) / np.linalg.norm(u)
-    return characteristic_poly(Quaternion(radius * math.cos(3 * math.pi / 8), *u))
-
-
 @pytest.mark.parametrize("kind", ["zero", "pole"])
 @pytest.mark.parametrize("radius", [0.99, 0.999, 0.9999, 1.0001, 1.001, 1.01])
 def test_sphere_near_the_boundary(kind, radius):
     # the polar rule grades its panels toward the sphere's shadow, so the
     # default order resolves the log singularity at any distance
-    inner = lin(0.2, 0.3, -0.1, 0.25) * lin(-0.4, 0.1, 0.2, -0.05)
-    f = _sphere_at(radius) * inner if kind == "zero" else SemiregularFunction(_sphere_at(radius), inner)
+    # (the ledger holds this zero sphere's Delta^m for m = 1-6 and 8)
+    f = sphere_at(radius) * INNER if kind == "zero" else SemiregularFunction(sphere_at(radius), INNER)
     rep = jensen_check(f, 1.0, 48, diagnostics=False)
     assert abs(rep.residual) <= 1e-12
     assert rep.warnings == []
@@ -574,10 +568,7 @@ def test_escalated_diagnostic_run_memory_is_bounded():
     block of every node takes ~10 MB."""
     import tracemalloc
 
-    rng = np.random.default_rng(3)
-    u = rng.normal(size=3)
-    u *= 0.99 * math.sin(3 * math.pi / 8) / np.linalg.norm(u)
-    f = characteristic_poly(Quaternion(0.99 * math.cos(3 * math.pi / 8), *u)) * lin(0.2, 0.3, -0.1, 0.25)
+    f = sphere_at(0.99, np.random.default_rng(3).normal(size=3)) * lin(0.2, 0.3, -0.1, 0.25)
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
         report = jensen_check(f, 1.0, 128)
@@ -596,28 +587,8 @@ CORPUS_CASES = [
 ]
 
 
-def _near_boundary_functions(seed: int) -> dict:
-    """A zero sphere and a pole sphere at 0.99 r, polar angle 3 pi / 8,
-    each times two seeded linear factors with roots at radius 0.3-0.6,
-    drawn in the order of the benchmark's near-boundary workload."""
-    rng = np.random.default_rng(seed)
-
-    def inner_factor():
-        d = rng.normal(size=4)
-        return SlicePolynomial.linear(Quaternion.from_array(d * (rng.uniform(0.3, 0.6) / np.linalg.norm(d))))
-
-    def sphere():
-        u = rng.normal(size=3)
-        u *= math.sin(3 * math.pi / 8) * 0.99 / np.linalg.norm(u)
-        return characteristic_poly(Quaternion(0.99 * math.cos(3 * math.pi / 8), *u))
-
-    zero_sphere = sphere() * inner_factor() * inner_factor()
-    pole_sphere = SemiregularFunction(sphere(), inner_factor() * inner_factor())
-    return {"zero_sphere": zero_sphere, "pole_sphere": pole_sphere}
-
-
 ORACLE_CASES = CORPUS_CASES + [
-    (f"nb{seed}_{name}", f, 1.0) for seed in (1, 2, 3) for name, f in _near_boundary_functions(seed).items()
+    (f"nb{seed}_{name}", f, 1.0) for seed in (1, 2, 3) for name, f in near_boundary_functions(seed).items()
 ]
 
 
