@@ -5,8 +5,9 @@ Runs ``slicereg.cli.main`` in process for each report below and prints
 one ``<sha256>  <name>`` line per report:
 
 - ``jensen --corpus`` on both manifests at ``--seed 0`` and ``3``, as
-  json and csv, and the polynomial manifest as text;
-- ``zeros --format json`` on every corpus function file;
+  json and csv, and on both manifests as text;
+- ``zeros --format json`` on every corpus function file, and ``zeros
+  --format text`` on ``ZEROS_TEXT``;
 - ``jensen --format json`` and ``zeros --format json`` on each of
   ``shared_factor_functions()`` of ``tests/hard_cases.py``, two rationals
   whose num and den share real factors, written to a temporary directory
@@ -59,6 +60,7 @@ from slicereg.io import function_to_dict
 from hard_cases import LEDGER, dyadic_function, shared_factor_functions
 
 MANIFESTS = ("polynomials", "rationals")
+ZEROS_TEXT = ("rat_remark_nonuniform", "rat_nonuniform_with_real_zero", "poly_isolated_pair")
 SIMPLE = "corpus/poly_real_simple.json"  # its one zero lies at 0.5
 QUATERNIONIC_DEGREE_40 = [[1.0, 0.1, 0.0, 0.0]] + [0.0] * 39 + [0.5]  # N of it has degree 80
 REAL_DEGREE_40 = [1.0] + [0.0] * 39 + [0.5]  # slice-preserving, so N of it (degree 80) is not capped
@@ -93,10 +95,13 @@ def reports(tmp: Path) -> list[tuple[str, list[str]]]:
             for fmt in ("json", "csv"):
                 runs.append((f"jensen-{manifest}-seed{seed}.{fmt}",
                              ["jensen", "--corpus", f"corpus/{manifest}.json", "--seed", str(seed), "--format", fmt]))
-    runs.append(("jensen-polynomials-seed0.txt", ["jensen", "--corpus", "corpus/polynomials.json", "--format", "text"]))
+    for manifest in MANIFESTS:
+        runs.append((f"jensen-{manifest}-seed0.txt", ["jensen", "--corpus", f"corpus/{manifest}.json", "--format", "text"]))
     manifests = {f"{m}.json" for m in MANIFESTS}
     for path in sorted(p for p in (ROOT / "corpus").glob("*.json") if p.name not in manifests):
         runs.append((f"zeros-{path.stem}.json", ["zeros", "--fn", f"corpus/{path.name}", "--format", "json"]))
+    for stem in ZEROS_TEXT:
+        runs.append((f"zeros-{stem}.txt", ["zeros", "--fn", f"corpus/{stem}.json", "--format", "text"]))
     runs += function_runs(tmp, shared_factor_functions())
     for seed in (1, 7):
         runs.append((f"verify-ops-seed{seed}.json",

@@ -7,10 +7,16 @@ Subcommands:
   verify-ops  run the seeded verification suites (differential
               identities, quadrature, multiplicities)
 
-Exit codes, one mapping for every subcommand (set in ``main``): 0
-success, 1 tolerance failure, 2 hypothesis violation, 3 input error or
-any other library error.  Reports are deterministic for a fixed (config,
-seed): rerunning the same command yields byte-identical output.
+Each subcommand validates its options, computes, and returns its exit
+code with its report views: the json payload, the csv rows (jensen and
+verify-ops) and the text lines.  ``main`` is the one output path beside
+the one error policy: it renders the view that ``--format`` names and
+writes it once, to stdout or ``--out``; and it maps every error to
+stderr and an exit code: 0 success, 1 tolerance failure, 2 hypothesis
+violation, 3 input error or any other library error.  A command that
+raises writes no report.
+Reports are deterministic for a fixed (config, seed): rerunning the same
+command yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from .io import (
     InputFormatError,
     load_function,
     render_json,
-    render_report_text,
     render_reports_csv,
+    report_text_lines,
 )
 from .jensen import DEFAULT_N, jensen_check
 from .quadrature import MIN_ORDER
@@ -74,7 +80,7 @@ def _manifest_cases(path: Path, r: float, n: int) -> list[tuple[Path, float, int
     return cases
 
 
-def cmd_jensen(args: argparse.Namespace) -> int:
+def cmd_jensen(args: argparse.Namespace) -> tuple[int, dict]:
     if not (math.isfinite(args.tol) and args.tol > 0.0) or args.seed < 0:
         raise InputFormatError(f"need a finite --tol > 0 and --seed >= 0 (got tol={args.tol}, seed={args.seed})")
     cases: list[tuple[Path, float, int, str]] = []
@@ -125,42 +131,23 @@ def cmd_jensen(args: argparse.Namespace) -> int:
     payloads = outcome[0]
 
     all_passed = all(p["passed"] for p in payloads)
-    result = {
-        "cases": payloads,
-        "summary": {
-            "count": len(payloads),
-            "passed": all_passed,
-            "max_abs_residual": max(abs(p["residual"]) for p in payloads),
-            "tolerance": args.tol,
-        },
-    }
-    if args.format == "json":
-        _emit(render_json(result), args.out)
-    elif args.format == "csv":
-        # render_reports_csv sorts the columns
-        rows = [{k: p[k] for k in ("name", "file", "lhs", "rhs", "residual", "passed")}
-                | {k: p["config"][k] for k in ("r", "n")} for p in payloads]
-        _emit(render_reports_csv(rows), args.out)
-    else:
-        lines = []
-        for p in payloads:
-            status = "PASS" if p["passed"] else "FAIL"
-            lines.append(
-                f"[{status}] {p['name']}: residual={p['residual']:+.3e} "
-                f"(r={p['config']['r']}, n={p['config']['n']})"
-            )
-            for w in p["warnings"]:
-                lines.append(f"    warning: {w}")
-        lines.append(
-            f"{'PASS' if all_passed else 'FAIL'}: {len(payloads)} case(s), "
-            f"max |residual| = {result['summary']['max_abs_residual']:.3e}, "
-            f"tolerance {args.tol:g}"
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all_passed else EXIT_TOLERANCE
+    max_abs = max(abs(p["residual"]) for p in payloads)
+    summary = {"count": len(payloads), "passed": all_passed, "max_abs_residual": max_abs, "tolerance": args.tol}
+    # render_reports_csv sorts the columns
+    rows = ({k: p[k] for k in ("name", "file", "lhs", "rhs", "residual", "passed")}
+            | {k: p["config"][k] for k in ("r", "n")} for p in payloads)
+    lines = []
+    for p in payloads:
+        lines.append(f"[{'PASS' if p['passed'] else 'FAIL'}] {p['name']}: residual={p['residual']:+.3e} "
+                     f"(r={p['config']['r']}, n={p['config']['n']})")
+        lines += (f"    warning: {w}" for w in p["warnings"])
+    lines.append(f"{'PASS' if all_passed else 'FAIL'}: {len(payloads)} case(s), "
+                 f"max |residual| = {max_abs:.3e}, tolerance {args.tol:g}")
+    views = {"json": {"cases": payloads, "summary": summary}, "csv": rows, "text": lines}
+    return EXIT_OK if all_passed else EXIT_TOLERANCE, views
 
 
-def cmd_zeros(args: argparse.Namespace) -> int:
+def cmd_zeros(args: argparse.Namespace) -> tuple[int, dict]:
     if not args.r > 0.0:  # also rejects nan; +inf, the default, searches everywhere
         raise InputFormatError(f"need --r > 0 (got r={args.r})")
     analysis = analyze(load_function(args.fn), args.r)
@@ -169,14 +156,10 @@ def cmd_zeros(args: argparse.Namespace) -> int:
         "zeros": [rec.to_dict() for rec in analysis.free_zeros],
         "poles": [p.to_dict() for p in analysis.poles],
     }
-    if args.format == "json":
-        _emit(render_json(payload), args.out)
-    else:
-        _emit(render_report_text(payload), args.out)
-    return EXIT_OK
+    return EXIT_OK, {"json": payload, "text": report_text_lines(payload)}
 
 
-def cmd_verify_ops(args: argparse.Namespace) -> int:
+def cmd_verify_ops(args: argparse.Namespace) -> tuple[int, dict]:
     if args.seed < 0:
         raise InputFormatError(f"need --seed >= 0 (got seed={args.seed})")
     from .verify import SUITE_ORDER, SUITES, run_suite
@@ -188,23 +171,17 @@ def cmd_verify_ops(args: argparse.Namespace) -> int:
     all_passed = all(r.passed for r in results)
     payload = {
         "seed": args.seed,
-        "suites": [r.to_dict() if args.rows else {**r.to_dict(), "rows": []} for r in results],
+        "suites": [{"suite": r.name, "passed": r.passed, "summary": r.summary,
+                    "rows": [row.to_dict() for row in r.rows] if args.rows else []} for r in results],
         "passed": all_passed,
     }
-    if args.format == "json":
-        _emit(render_json(payload), args.out)
-    elif args.format == "csv":
-        rows = [row.to_dict() | {"suite": r.name} for r in results for row in r.rows]
-        _emit(render_reports_csv(rows), args.out)
-    else:
-        lines = []
-        for r in results:
-            lines.append(f"[{'PASS' if r.passed else 'FAIL'}] suite {r.name}")
-            for k, v in r.summary.items():
-                lines.append(f"    {k}: {v}")
-        lines.append("PASS" if all_passed else "FAIL")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all_passed else EXIT_TOLERANCE
+    rows = (row.to_dict() | {"suite": r.name} for r in results for row in r.rows)
+    lines = []
+    for r in results:
+        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] suite {r.name}")
+        lines += (f"    {k}: {v}" for k, v in r.summary.items())
+    lines.append("PASS" if all_passed else "FAIL")
+    return EXIT_OK if all_passed else EXIT_TOLERANCE, {"json": payload, "csv": rows, "text": lines}
 
 
 @functools.cache  # one parser a process: parsing leaves it as it was
@@ -249,12 +226,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; the only place that maps an error to stderr and an exit code."""
+    """Run one subcommand; the only place that writes a report or maps an error to stderr and an exit code."""
     args = build_parser().parse_args(argv)
     try:
         if args.out:  # a missing --out directory fails before any work
             _emit(None, args.out)
-        return args.func(args)
+        code, views = args.func(args)
+        if args.format == "json":
+            report = render_json(views["json"])
+        elif args.format == "csv":  # rows come as a generator, built only here
+            report = render_reports_csv(list(views["csv"]))
+        else:
+            report = "".join(f"{line}\n" for line in views["text"])
+        _emit(report, args.out)
+        return code
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

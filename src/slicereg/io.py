@@ -16,6 +16,7 @@ import csv
 import io as _io
 import json
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 from .errors import SliceRegError
@@ -32,7 +33,7 @@ __all__ = [
     "function_to_dict",
     "render_json",
     "render_reports_csv",
-    "render_report_text",
+    "report_text_lines",
 ]
 
 
@@ -138,26 +139,21 @@ def render_reports_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def render_report_text(payload: dict) -> str:
-    lines: list[str] = []
-
-    def walk(obj, indent: int = 0) -> None:
-        pad = "  " * indent
-        if isinstance(obj, dict):
-            for k in obj:
-                v = obj[k]
-                if isinstance(v, (dict, list)) and v:
-                    lines.append(f"{pad}{k}:")
-                    walk(v, indent + 1)
-                else:
-                    lines.append(f"{pad}{k}: {v!r}")
-        elif isinstance(obj, list):
-            for item in obj:
-                if isinstance(item, (dict, list)):
-                    lines.append(f"{pad}-")
-                    walk(item, indent + 1)
-                else:
-                    lines.append(f"{pad}- {item!r}")
-
-    walk(payload)
-    return "\n".join(lines) + "\n"
+def report_text_lines(obj, indent: int = 0) -> Iterator[str]:
+    """The text view of a json payload, one line at a time: a key or list
+    item per line, its nested values indented under it."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if isinstance(v, (dict, list)) and v:
+                yield f"{pad}{k}:"
+                yield from report_text_lines(v, indent + 1)
+            else:
+                yield f"{pad}{k}: {v!r}"
+    elif isinstance(obj, list):
+        for item in obj:
+            if isinstance(item, (dict, list)):
+                yield f"{pad}-"
+                yield from report_text_lines(item, indent + 1)
+            else:
+                yield f"{pad}- {item!r}"

@@ -327,6 +327,13 @@ def _sf_parts(x, junit, f1, f2, scale: float):
         return (x[0], *(np.where(degenerate, -c, step * a) for c, a in zip(x[1:], t)))
 
 
+def _sf_inverse_point(y, f1, f2):
+    """w = conj(s^{-1} y s) with s = F2, and f^c at w: the point and the
+    value that S_f^{-1}(y) reads."""
+    w = _qconj_parts(_conjugate_by(y, f2))
+    return w, _slice_value(_qconj_parts(f1), _qconj_parts(f2), split(w)[2])
+
+
 def _sf_inverse_parts(y, f1, f2, scale: float):
     """S_f^{-1}(y) = T_f(w), w = conj(s^{-1} y s) with s = F2, and
     T_f(w) = fc^{-1} w fc with fc = conj(F1) + J conj(F2), J the unit of w.
@@ -334,9 +341,7 @@ def _sf_inverse_parts(y, f1, f2, scale: float):
     itself, so F1, F2 are the stems of y's sphere, as ``_sf_parts`` takes them."""
     if np.any(_degenerate(f2, scale)):
         raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
-    w = _qconj_parts(_conjugate_by(y, f2))
-    _, _, junit = split(w)
-    fc = _slice_value(_qconj_parts(f1), _qconj_parts(f2), junit)
+    w, fc = _sf_inverse_point(y, f1, f2)
     if np.any(_degenerate(fc, scale)):
         raise DegeneratePointError("f^c vanishes at the requested point")
     return _conjugate_by(w, fc)
@@ -528,10 +533,12 @@ def s3_points(start: int, count: int, seed: int) -> np.ndarray:
 def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int], np.ndarray]):
     """The first n_points boundary points x = r c, for the unit rows c of
     candidates(start, n_points) at start = 0, n_points, 2 n_points, ...,
-    that pass the guards below, as parts, with their units J and stems
-    F1, F2; at most 40 n_points candidates are tried, so fewer points, or
-    none, come back where the guards reject most of the sphere."""
+    that pass the guards below, as parts, with their units J, stems F1,
+    F2 and images S_f(x); at most 40 n_points candidates are tried, so
+    fewer points, or none, come back where the guards reject most of the
+    sphere."""
     scale = f.stem_scale(r)
+    floor = 1e-9 * (1.0 + scale)
     kept, accepted = [], 0
     for start in range(0, 40 * n_points, n_points):
         x = tuple(r * candidates(start, n_points).T)
@@ -542,14 +549,23 @@ def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int
         keep = (
             (beta >= 1e-3 * r)
             & (np.sqrt(_qnorm2_parts(f2)) > 1e-4 * (1.0 + scale))
-            & (np.sqrt(_qnorm2_parts(_slice_value(f1, f2, junit))) > 1e-9 * (1.0 + scale))
+            & (np.sqrt(_qnorm2_parts(_slice_value(f1, f2, junit))) > floor)
         )
-        kept.append(np.array(np.broadcast_arrays(*x, *junit, *f1, *f2))[:, keep])
+        stack = np.array(np.broadcast_arrays(*x, *junit, *f1, *f2))[:, keep]
+        x, junit, f1, f2 = _stacked_parts(stack)
+        y = _sf_parts(x, junit, f1, f2, scale)
+        # f^c passes the same guard where the inverse reads it, which f(x) does not imply
+        _, fc = _sf_inverse_point(y, f1, f2)
+        kept.append(np.vstack([stack, y])[:, np.sqrt(_qnorm2_parts(fc)) > floor])
         accepted += kept[-1].shape[1]
         if accepted >= n_points:
             break
-    cols = np.concatenate(kept, axis=1)[:, :n_points]
-    return tuple(cols[:4]), tuple(cols[4:8]), tuple(cols[8:12]), tuple(cols[12:])
+    return _stacked_parts(np.concatenate(kept, axis=1)[:, :n_points])
+
+
+def _stacked_parts(cols: np.ndarray) -> tuple:
+    """The quaternion parts of each four rows of a stack, as (x, J, F1, F2[, S_f(x)])."""
+    return tuple(tuple(cols[i:i + 4]) for i in range(0, len(cols), 4))
 
 
 def sf_roundtrip_errors(f, r: float, n_points: int, seed: int) -> np.ndarray:
@@ -560,6 +576,6 @@ def sf_roundtrip_errors(f, r: float, n_points: int, seed: int) -> np.ndarray:
     if n_points < 1:
         raise ValueError("need at least one sample point")
     scale = f.stem_scale(r)
-    x, junit, f1, f2 = _sf_domain_points(f, r, n_points, lambda start, count: s3_points(start, count, seed))
-    back = _sf_inverse_parts(_sf_parts(x, junit, f1, f2, scale), f1, f2, scale)
+    x, _, f1, f2, y = _sf_domain_points(f, r, n_points, lambda start, count: s3_points(start, count, seed))
+    back = _sf_inverse_parts(y, f1, f2, scale)
     return np.sqrt(_qnorm2_parts(tuple(b - c for b, c in zip(back, x))))

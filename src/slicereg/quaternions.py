@@ -117,9 +117,6 @@ class Quaternion(NamedTuple):
     def re(self) -> float:
         return self.w
 
-    def im(self) -> "Quaternion":
-        return Quaternion(0.0, self.x1, self.x2, self.x3)
-
     def abs_im(self) -> float:
         return math.sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
 

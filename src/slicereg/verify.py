@@ -75,14 +75,6 @@ class SuiteResult:
     summary: dict
     rows: list[ResidualRow] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.name,
-            "passed": self.passed,
-            "summary": self.summary,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
 
 # ---------------------------------------------------------------------------
 # random corpora

@@ -17,8 +17,8 @@ from slicereg.io import (
     parse_function,
     parse_polynomial,
     render_json,
-    render_report_text,
     render_reports_csv,
+    report_text_lines,
 )
 from slicereg.jensen import jensen_check
 from slicereg.quaternions import I, ONE, InvalidUnitError, Quaternion
@@ -107,7 +107,7 @@ def test_renderers():
     payload = {"b": 1.0, "a": [1, 2], "nested": {"x": "y"}}
     js = render_json(payload)
     assert js.startswith("{") and json.loads(js) == payload
-    txt = render_report_text(payload)
+    txt = "\n".join(report_text_lines(payload))
     assert "nested:" in txt
     csv_text = render_reports_csv([{"a": 1, "b": {"c": 2}}])
     assert csv_text.splitlines()[0] == "a,b"
@@ -572,11 +572,12 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 9 + len(functions) + 4 + 4 + 33 + 22 and len(set(names)) == len(names)
+    assert len(names) == 10 + len(functions) + 3 + 4 + 4 + 33 + 22 and len(set(names)) == len(names)
     assert [n for n in names if n.startswith("error-")] == names[-55:-22]  # then the failing calls
     assert [n for n in names if n.startswith("hard-")] == names[-22:]  # the ledger's exact inputs come last
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
-    assert sorted(n for n in names if n.startswith("zeros-")) == sorted(f"zeros-{p.stem}.json" for p in functions)
+    assert sorted(n for n in names if n.startswith("zeros-") and n.endswith(".json")) == sorted(
+        f"zeros-{p.stem}.json" for p in functions)
 
 
 def _load_script(name):
@@ -783,6 +784,46 @@ def test_cli_verify_ops_maps_a_library_error_inside_a_suite(monkeypatch, tmp_pat
     assert main(["verify-ops", "--suite", "gamma", "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error: inconsistent inside a suite\n"
     assert not out.exists()
+
+
+# one quick call per (command, format) pair, and where to make its computation raise
+OUTPUT_PAIRS = [(["jensen", "--fn", SIMPLE, "--fn", str(CORPUS / "poly_real_negative.json"), "--no-diagnostics"],
+                 fmt, "slicereg.cli.jensen_check") for fmt in ("json", "csv", "text")] + [
+    (["zeros", "--fn", SIMPLE], fmt, "slicereg.cli.analyze") for fmt in ("json", "text")] + [
+    (["verify-ops", "--suite", "gamma"], fmt, None) for fmt in ("json", "csv", "text")]
+
+
+@pytest.mark.parametrize("argv, fmt, compute", OUTPUT_PAIRS, ids=[f"{a[0]}-{fmt}" for a, fmt, _ in OUTPUT_PAIRS])
+def test_main_writes_the_report_once_and_nothing_when_a_command_raises(argv, fmt, compute, monkeypatch, tmp_path):
+    import slicereg.verify as verify
+    from slicereg.errors import ClassificationInconsistencyError
+
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(("stdout", text))
+            return len(text)
+
+    write_text = Path.write_text
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    monkeypatch.setattr(Path, "write_text", lambda path, text: writes.append((path, text)) or write_text(path, text))
+    out = tmp_path / "report"
+    assert main([*argv, "--format", fmt]) == 0
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    assert len(writes) == 2 and writes[0][1]  # one write a call: stdout, then the --out file
+    assert writes == [("stdout", writes[0][1]), (out, writes[0][1])]
+
+    def broken(*args, **kwargs):
+        raise ClassificationInconsistencyError("inconsistent inside the command")
+
+    out.unlink()
+    if compute is None:
+        monkeypatch.setitem(verify.SUITES, "gamma", broken)
+    else:
+        monkeypatch.setattr(compute, broken)
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 3
+    assert len(writes) == 2 and not out.exists()
 
 
 def test_cli_verify_ops_row_outputs(capsys):

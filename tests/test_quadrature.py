@@ -745,6 +745,9 @@ def _scalar_domain_points(f, r, n_points, seed):
         v = f1 + unit * f2
         if v.abs() <= 1e-9 * (1.0 + scale):
             continue
+        w = (f2.inverse() * S_map(f, x) * f2).conj()  # the point that s_inverse_map reads f^c at
+        if _eval_conjugate(f, w).abs() <= 1e-9 * (1.0 + scale):
+            continue
         points.append(x)
     return points
 
@@ -759,14 +762,15 @@ def test_sf_roundtrip_samples_like_scalar_loop():
     guarded = SlicePolynomial([ONE, Quaternion(0.0, 0.6, 0.0, 0.8) * 2.3e-4])
     for f, r in [(f, r) for _, f, r in SF_CASES] + [(guarded, 1.0)]:
         want = _scalar_domain_points(f, r, 300, 24)
-        x, junit, f1, f2 = _sf_domain_points(f, r, 300, _seeded(24))
+        x, junit, f1, f2, y = _sf_domain_points(f, r, 300, _seeded(24))
         assert len(want) == len(x[0]) == 300
         for q, row in zip(want, np.stack(x, axis=-1)):
             assert (q - Quaternion.from_array(row)).abs() <= 1e-15
-        # the units and stems that come back are those of the points
+        # the units, stems and images that come back are those of the points
         alpha, beta, units = split(x)
         for got, recomputed in zip((*junit[1:], *f1, *f2), (*units[1:], *sum(f.stem_arrays(alpha + 1j * beta), ()))):
             assert np.array_equal(got, recomputed)
+        assert all(np.array_equal(a, b) for a, b in zip(y, _sf_parts(x, junit, f1, f2, f.stem_scale(r))))
         # the distances are roundoff on these points, as with the scalar maps
         errs = sf_roundtrip_errors(f, r, 300, 24)
         assert len(errs) == 300 and np.max(errs) <= 1e-12
@@ -775,11 +779,26 @@ def test_sf_roundtrip_samples_like_scalar_loop():
 def test_sf_roundtrip_guard_rejects_everything():
     f = SlicePolynomial([ONE, Quaternion.real(1e-6)])  # |F2| <= 1e-6 everywhere on the unit sphere
     # no point is in the domain: no distances, for the report to say so
-    x, junit, f1, f2 = _sf_domain_points(f, 1.0, 50, _seeded(25))
-    assert all(c.shape == (0,) for c in (*x, *junit, *f1, *f2))
+    x, junit, f1, f2, y = _sf_domain_points(f, 1.0, 50, _seeded(25))
+    assert all(c.shape == (0,) for c in (*x, *junit, *f1, *f2, *y))
     assert sf_roundtrip_errors(f, 1.0, 50, 25).shape == (0,)
     with pytest.raises(ValueError):
         sf_roundtrip_errors(f, 1.0, 0, 25)
+
+
+def test_sf_domain_points_skip_points_where_the_inverse_reads_a_vanishing_fc():
+    # next to the ledger's 5-fold sphere at 0.992 r, three of the first 1000
+    # samples at seed 0 have |f(x)| = 21-44 but |f^c| ~ 2e-12 at the point
+    # S_f^{-1} reads it; skipped, the roundtrip is roundoff on 1000 points
+    from hard_cases import LEDGER
+
+    f = next(c.make(*c.args) for c in LEDGER if c.name == "fivefold-near-boundary")
+    want = _scalar_domain_points(f, 1.0, 1000, 0)
+    got = np.stack(_sf_domain_points(f, 1.0, 1000, _seeded(0))[0], axis=-1)
+    assert len(want) == len(got) == 1000
+    assert all((q - Quaternion.from_array(row)).abs() <= 1e-15 for q, row in zip(want, got))
+    errs = sf_roundtrip_errors(f, 1.0, 1000, 0)
+    assert len(errs) == 1000 and np.max(errs) <= 1e-7
 
 
 class Chunks:
