@@ -16,6 +16,12 @@ one ``<sha256>  <name>`` line per report:
   ``verify-ops --suite all --seed 1`` as text (the report the benchmark
   parses) and as csv.
 
+Then come the runs of ``SMALL_COEFFICIENTS``, functions with coefficients
+far below their largest, a digest of ``f"{exit_code}\n{stdout}{stderr}"``
+each: ``zeros`` and ``jensen --r 8`` on the degree-20 Taylor polynomial of
+e^x, ``jensen --r 100`` on 1 + 1e-14 x^10, and ``jensen`` on a
+coefficient that no double can square.
+
 After them it prints one line per failing call, a digest of
 ``f"{exit_code}\n{stderr}"``: bad jensen options, a zero on the
 sphere, a missing function file, a function file read as a manifest,
@@ -45,6 +51,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import sys
@@ -75,6 +82,13 @@ BAD_FUNCTIONS = {
     "no-coeffs": {"coeffs": []},
     "zero-numerator": {"num": {"coeffs": [0.0]}, "den": {"coeffs": [0.25, 1.0]}},
     "quaternionic-den": {"num": {"coeffs": [1.0]}, "den": {"coeffs": [[0.25, 0.5, 0.0, 0.0], 1.0]}},
+}
+
+# (record, options of each run): each coefficient is kept, or the file rejected
+SMALL_COEFFICIENTS = {
+    "exp-degree-20": ({"coeffs": [1.0 / math.factorial(k) for k in range(21)]}, [["zeros"], ["jensen", "--r", "8"]]),
+    "one-plus-1e-14-x10": ({"coeffs": [1.0] + [0.0] * 9 + [1e-14]}, [["jensen", "--r", "100"]]),
+    "unsquarable-coeff": ({"coeffs": [1e150, 1.0, 1e-160]}, [["jensen"]]),
 }
 
 
@@ -108,6 +122,18 @@ def reports(tmp: Path) -> list[tuple[str, list[str]]]:
                      ["verify-ops", "--suite", "all", "--format", "json", "--rows", "--seed", str(seed)]))
     for fmt in ("text", "csv"):
         runs.append((f"verify-ops-seed1.{fmt}", ["verify-ops", "--suite", "all", "--format", fmt, "--seed", "1"]))
+    return runs
+
+
+def small_coefficient_runs(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of every run on ``SMALL_COEFFICIENTS``, in print order."""
+    runs = []
+    for stem, (record, options) in SMALL_COEFFICIENTS.items():
+        path = tmp / f"coeffs-{stem}.json"
+        path.write_text(json.dumps(record))
+        for command, *flags in options:
+            name = "-".join([f"coeffs-{stem}", command, *(flag.lstrip("-") for flag in flags)])
+            runs.append((f"{name}.json", [command, "--fn", str(path), *flags, "--format", "json"]))
     return runs
 
 
@@ -154,22 +180,24 @@ def _call(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _outcome(argv: list[str], with_stdout: bool) -> str:
+    """``f"{exit_code}\n{stdout}{stderr}"`` of one call, stdout only if
+    with_stdout, or ``uncaught <Type>: <message>``."""
+    try:
+        code, out, err = _call(argv)
+    except Exception as exc:
+        return f"uncaught {type(exc).__name__}: {exc}"
+    return f"{code}\n{out if with_stdout else ''}{err}"
+
+
 def main() -> None:
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in reports(Path(tmp)):
             print(f"{_digest(_call(argv)[1].replace(tmp, '<tmp>'))}  {name}")
-        for name, argv in failures(Path(tmp)):
-            try:
-                code, _, err = _call(argv)
-                outcome = f"{code}\n{err}".replace(tmp, "<tmp>")
-            except Exception as exc:
-                outcome = f"uncaught {type(exc).__name__}: {exc}"
-            print(f"{_digest(outcome)}  {name}")
-        for name, argv in hard_cases(Path(tmp)):
-            code, out, err = _call(argv)
-            outcome = f"{code}\n{out}{err}".replace(tmp, "<tmp>")
-            print(f"{_digest(outcome)}  {name}")
+        for runs, with_stdout in ((small_coefficient_runs, True), (failures, False), (hard_cases, True)):
+            for name, argv in runs(Path(tmp)):
+                print(f"{_digest(_outcome(argv, with_stdout).replace(tmp, '<tmp>'))}  {name}")
 
 
 if __name__ == "__main__":

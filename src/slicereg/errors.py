@@ -2,8 +2,9 @@
 
 Hypothesis violations (zeros/poles sitting where the Jensen formula's
 hypotheses forbid them) form their own hierarchy so the CLI can map
-them to a dedicated exit code.  ``InvalidUnitError``, ``LogOfZeroError``
-and ``NormalNotRealError``, defined where they are raised, derive from
+them to a dedicated exit code.  Every class here is raised in the
+package.  ``InvalidUnitError``, ``LogOfZeroError``, ``NormalNotRealError``
+and ``InputFormatError``, defined where they are raised, derive from
 ``SliceRegError`` too: the CLI maps every named failure to one exit code.
 """
 
@@ -24,10 +25,6 @@ class ClassificationInconsistencyError(SliceRegError):
 
 class ZeroDenominatorError(SliceRegError):
     """Semiregular function with identically-zero denominator."""
-
-
-class DegeneratePointError(SliceRegError):
-    """Conjugation map evaluated where its defining factor vanishes."""
 
 
 class NonFiniteIntegrandError(SliceRegError):

@@ -3,7 +3,9 @@
 Function files are JSON: a polynomial is {"coeffs": [c0, c1, ...]}
 where each entry is either a 4-element array [w, x1, x2, x3] of JSON
 numbers or a bare number (slice-preserving shorthand); true and false are
-not numbers.  A rational function is
+not numbers.  Only zero coefficients are dropped from the end; a nonzero
+one whose squared norm is below the least normal double, or overflows, is
+an input error.  A rational function is
 {"num": <polynomial>, "den": <polynomial with real coefficients>}.
 
 Reports render as json (sorted keys, so byte-identical for identical
@@ -16,6 +18,7 @@ import csv
 import io as _io
 import json
 import math
+import sys
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -54,6 +57,9 @@ def _parse_coefficient(entry, index: int) -> Quaternion:
         raise InputFormatError(f"coefficient {index}: {exc}") from exc
     if not all(map(math.isfinite, q)):
         raise InputFormatError(f"coefficient {index} must be finite, got {entry!r}")
+    if any(q) and not sys.float_info.min <= q.norm2() < math.inf:  # N(f) squares each nonzero coefficient
+        raise InputFormatError(f"coefficient {index} is out of range: its squared norm must be a normal double,"
+                               f" got {entry!r}")
     return q
 
 

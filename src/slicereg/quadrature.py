@@ -38,9 +38,10 @@ the S^2 grid cancels from it; each mean alone carries the S^2 error
 
 One array S_f: ``_sf_map``, the map of J per shadow, which the oracle
 applies per angle and ``_sf_parts`` point by point for the bijectivity
-roundtrip ``sf_roundtrip_errors``; its inverse ``_sf_inverse_parts``
-conjugates by f'_s and then by f^c = conj(F1) + J conj(F2) (the map
-T_f), on the stems of the point's sphere, which every step keeps.
+roundtrip ``sf_roundtrip_errors``.  Its inverse conjugates by f'_s to w
+and then by f^c = conj(F1) + J conj(F2) at w (the map T_f), on the
+stems of the point's sphere, which every step keeps; the roundtrip's
+sampler forms w and f^c once; its guards keep the inverse defined.
 Their pointwise oracle, the scalar S_f, T_f and S_f^{-1} on one
 quaternion at a time, lives in ``tests/test_quadrature.py``.
 
@@ -57,7 +58,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DegeneratePointError, NonFiniteIntegrandError
+from .errors import NonFiniteIntegrandError
 from .quaternions import Quaternion, _qconj_parts, _qinv_parts, _qnorm2_parts, qmul_parts, split
 from .slicepoly import horner
 from .zeros_poles import as_semiregular
@@ -328,23 +329,12 @@ def _sf_parts(x, junit, f1, f2, scale: float):
 
 
 def _sf_inverse_point(y, f1, f2):
-    """w = conj(s^{-1} y s) with s = F2, and f^c at w: the point and the
-    value that S_f^{-1}(y) reads."""
+    """w = conj(s^{-1} y s) with s = F2, and f^c = conj(F1) + J conj(F2) at
+    w, J the unit of w: S_f^{-1}(y) = T_f(w) = fc^{-1} w fc.  S_f, both
+    conjugations and T_f map each sphere alpha + S beta onto itself, so
+    F1, F2 are the stems of y's sphere, as ``_sf_parts`` takes them."""
     w = _qconj_parts(_conjugate_by(y, f2))
     return w, _slice_value(_qconj_parts(f1), _qconj_parts(f2), split(w)[2])
-
-
-def _sf_inverse_parts(y, f1, f2, scale: float):
-    """S_f^{-1}(y) = T_f(w), w = conj(s^{-1} y s) with s = F2, and
-    T_f(w) = fc^{-1} w fc with fc = conj(F1) + J conj(F2), J the unit of w.
-    S_f, both conjugations and T_f map each sphere alpha + S beta onto
-    itself, so F1, F2 are the stems of y's sphere, as ``_sf_parts`` takes them."""
-    if np.any(_degenerate(f2, scale)):
-        raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
-    w, fc = _sf_inverse_point(y, f1, f2)
-    if np.any(_degenerate(fc, scale)):
-        raise DegeneratePointError("f^c vanishes at the requested point")
-    return _conjugate_by(w, fc)
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +524,9 @@ def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int
     """The first n_points boundary points x = r c, for the unit rows c of
     candidates(start, n_points) at start = 0, n_points, 2 n_points, ...,
     that pass the guards below, as parts, with their units J, stems F1,
-    F2 and images S_f(x); at most 40 n_points candidates are tried, so
-    fewer points, or none, come back where the guards reject most of the
-    sphere."""
+    F2, images S_f(x), and the w and f^c of ``_sf_inverse_point`` at
+    S_f(x); at most 40 n_points candidates are tried, so fewer points, or
+    none, come back where the guards reject most of the sphere."""
     scale = f.stem_scale(r)
     floor = 1e-9 * (1.0 + scale)
     kept, accepted = [], 0
@@ -555,8 +545,8 @@ def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int
         x, junit, f1, f2 = _stacked_parts(stack)
         y = _sf_parts(x, junit, f1, f2, scale)
         # f^c passes the same guard where the inverse reads it, which f(x) does not imply
-        _, fc = _sf_inverse_point(y, f1, f2)
-        kept.append(np.vstack([stack, y])[:, np.sqrt(_qnorm2_parts(fc)) > floor])
+        w, fc = _sf_inverse_point(y, f1, f2)
+        kept.append(np.vstack([stack, y, w, fc])[:, np.sqrt(_qnorm2_parts(fc)) > floor])
         accepted += kept[-1].shape[1]
         if accepted >= n_points:
             break
@@ -564,7 +554,7 @@ def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int
 
 
 def _stacked_parts(cols: np.ndarray) -> tuple:
-    """The quaternion parts of each four rows of a stack, as (x, J, F1, F2[, S_f(x)])."""
+    """The quaternion parts of each four rows of a stack, as (x, J, F1, F2[, S_f(x), w, f^c])."""
     return tuple(tuple(cols[i:i + 4]) for i in range(0, len(cols), 4))
 
 
@@ -575,7 +565,6 @@ def sf_roundtrip_errors(f, r: float, n_points: int, seed: int) -> np.ndarray:
     most n_points of them, and none where no sampled point is in that domain."""
     if n_points < 1:
         raise ValueError("need at least one sample point")
-    scale = f.stem_scale(r)
-    x, _, f1, f2, y = _sf_domain_points(f, r, n_points, lambda start, count: s3_points(start, count, seed))
-    back = _sf_inverse_parts(y, f1, f2, scale)
+    x, *_, w, fc = _sf_domain_points(f, r, n_points, lambda start, count: s3_points(start, count, seed))
+    back = _conjugate_by(w, fc)
     return np.sqrt(_qnorm2_parts(tuple(b - c for b, c in zip(back, x))))

@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 DEGREE_CAP = 64
-TRIM_REL = 1e-13
 # largest |Im a_m| / max |a_m| of a slice-preserving polynomial
 SLICE_PRESERVING_REL = 1e-10
 # below this |Im x| the spherical derivative switches to the slice derivative
@@ -128,9 +127,7 @@ class SlicePolynomial(_Loops):
 
     def __init__(self, coeffs: Iterable[Quaternion | float]):
         cs = [c if isinstance(c, Quaternion) else Quaternion.real(c) for c in coeffs]
-        scale = max((c.abs() for c in cs), default=0.0)
-        tol = TRIM_REL * scale
-        while cs and cs[-1].abs() <= tol:
+        while cs and not any(cs[-1]):  # only zero coefficients are dropped
             cs.pop()
         if len(cs) - 1 > DEGREE_CAP:
             raise ValueError(f"degree {len(cs) - 1} exceeds cap {DEGREE_CAP}")

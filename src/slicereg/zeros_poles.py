@@ -50,7 +50,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .quaternions import InvalidUnitError, Quaternion, split, validate_unit
-from .slicepoly import TRIM_REL, SlicePolynomial, horner, normal
+from .slicepoly import SlicePolynomial, horner, normal
 
 __all__ = [
     "FunctionAnalysis",
@@ -102,9 +102,9 @@ def _norms(c: np.ndarray) -> np.ndarray:
 
 
 def _poly_trim(c: np.ndarray) -> np.ndarray:
+    """c without its trailing zero coefficients."""
     c = np.asarray(c, dtype=float)
-    norms = _norms(c)
-    keep = np.nonzero(norms > TRIM_REL * norms.max(initial=0.0))[0]
+    keep = np.flatnonzero(c.reshape(len(c), -1).any(axis=1))
     return c[: keep[-1] + 1] if keep.size else c[:0]
 
 

@@ -333,6 +333,37 @@ def test_parse_coefficient_rejects_integer_beyond_float_range():
         parse_polynomial({"coeffs": [10**400, 1]})
 
 
+@pytest.mark.parametrize("record, index", [({"coeffs": [1e150, 1, 1e-160]}, 2),
+                                           ({"coeffs": [[1e-200, 1e-200, 0, 0], 1]}, 0),
+                                           ({"coeffs": [1e200, 1]}, 0)],
+                         ids=["squares-below-the-least-normal", "quaternion-below", "squares-to-inf"])
+def test_cli_rejects_coefficients_whose_squared_norm_is_out_of_range(tmp_path, capsys, record, index):
+    # every nonzero coefficient is kept, so its squared norm must be a normal double
+    for argv in _function_file_commands(tmp_path, json.dumps(record)):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and f"coefficient {index} is out of range" in err, argv
+
+
+def _zero_spheres(tmp_path, capsys, coeffs):
+    """(|alpha + i beta|, total multiplicity) of each zero record ``zeros`` prints for coeffs."""
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"coeffs": coeffs}))
+    assert main(["zeros", "--fn", str(fn), "--format", "json"]) == 0
+    return [(abs(complex(*z["sphere"])), z["total_multiplicity"]) for z in json.loads(capsys.readouterr().out)["zeros"]]
+
+
+def test_cli_keeps_coefficients_far_below_the_largest(tmp_path, capsys):
+    # e^x to degree 20: its coefficients 1/k! for k = 16-20 lie below 1e-13 of the first
+    spheres = _zero_spheres(tmp_path, capsys, [1.0 / math.factorial(k) for k in range(21)])
+    assert sum(m for _, m in spheres) == 20 and 6.4 < min(s for s, _ in spheres) < 6.5
+    assert main(["jensen", "--fn", str(tmp_path / "f.json"), "--r", "8", "--tol", "1e-9"]) == 0
+    capsys.readouterr()
+    # 1 + 1e-14 x^10: ten roots at radius 10^1.4 = 25.1, on five spheres
+    spheres = _zero_spheres(tmp_path, capsys, [1.0] + [0.0] * 9 + [1e-14])
+    assert [m for _, m in spheres] == [2] * 5 and all(abs(s - 10**1.4) <= 1e-9 for s, _ in spheres)
+
+
 @pytest.mark.parametrize("text", ['{"coeffs": [true, -1]}', '{"coeffs": [[1, false, 0, 0], 1]}',
                                   '{"coeffs": [["0.5", "0", "0", "0"], 1]}'])
 def test_cli_rejects_coefficients_that_are_not_numbers(tmp_path, capsys, text):
@@ -572,9 +603,10 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 10 + len(functions) + 3 + 4 + 4 + 33 + 22 and len(set(names)) == len(names)
+    assert len(names) == 10 + len(functions) + 3 + 4 + 4 + 4 + 33 + 22 and len(set(names)) == len(names)
     assert [n for n in names if n.startswith("error-")] == names[-55:-22]  # then the failing calls
     assert [n for n in names if n.startswith("hard-")] == names[-22:]  # the ledger's exact inputs come last
+    assert [n for n in names if n.startswith("coeffs-")] == names[-59:-55]  # the small coefficients before the errors
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-") and n.endswith(".json")) == sorted(
         f"zeros-{p.stem}.json" for p in functions)

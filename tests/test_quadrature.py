@@ -7,17 +7,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from slicereg.errors import DegeneratePointError, NonFiniteIntegrandError
+from slicereg.errors import NonFiniteIntegrandError
 from slicereg.io import load_function, parse_function
 from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, split
 from slicereg.quadrature import (
+    _conjugate_by,
     _gauss_legendre,
     _homogeneous_units,
     _identity_map,
     _log_abs_f_and_f_sf,
     _polar_angles,
     _sf_domain_points,
-    _sf_inverse_parts,
+    _sf_inverse_point,
     _sf_parts,
     _slice_value,
     DEGENERATE_REL,
@@ -340,10 +341,15 @@ def test_quadrature_convergence_doubling():
 # -- conjugation maps ---------------------------------------------------------
 #
 # The scalar T_map, S_map and s_inverse_map below are the pointwise oracle
-# of the array S_f (``quadrature._sf_parts`` and ``_sf_inverse_parts``):
-# they evaluate one point at a time with Quaternion arithmetic and
-# ``_stems``, sharing no code with the array path except the formulas
-# themselves and the stem kernel at one point.  No command runs them.
+# of the array S_f (``quadrature._sf_parts``, and ``_conjugate_by`` of
+# ``_sf_inverse_point`` for its inverse): they evaluate one point at a time
+# with Quaternion arithmetic and ``_stems``, sharing no code with the array
+# path except the formulas themselves and the stem kernel at one point, and
+# raise ``DegeneratePoint`` where a map is undefined.  No command runs them.
+
+
+class DegeneratePoint(Exception):
+    """A scalar conjugation map evaluated where its defining factor vanishes."""
 
 
 def _stems(f, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
@@ -367,7 +373,7 @@ def T_map(f, x: Quaternion) -> Quaternion:
     fc = _eval_conjugate(f, x)
     scale = f.stem_scale(x.abs())
     if fc.abs() <= DEGENERATE_REL * (1.0 + scale):
-        raise DegeneratePointError("f^c vanishes at the requested point")
+        raise DegeneratePoint("f^c vanishes at the requested point")
     return fc.inverse() * x * fc
 
 
@@ -387,7 +393,7 @@ def S_map(f, x: Quaternion) -> Quaternion:
         return x.conj()
     v = f1 + unit * f2
     if v.abs() <= DEGENERATE_REL * (1.0 + scale):
-        raise DegeneratePointError("S_f undefined where f vanishes")
+        raise DegeneratePoint("S_f undefined where f vanishes")
     # f'_s = F2 / beta; the positive scalar 1/beta cancels in the conjugation
     return f2 * (v.inverse() * x.conj() * v) * f2.inverse()
 
@@ -398,7 +404,7 @@ def s_inverse_map(f, y: Quaternion) -> Quaternion:
     _, s = _stems(f, alpha, beta)  # F2, the f'_s direction; the scalar factor cancels
     scale = f.stem_scale(y.abs())
     if s.abs() <= DEGENERATE_REL * (1.0 + scale):
-        raise DegeneratePointError("inverse of S_f undefined on the degenerate set")
+        raise DegeneratePoint("inverse of S_f undefined on the degenerate set")
     w = (s.inverse() * y * s).conj()
     return T_map(f, w)
 
@@ -446,9 +452,9 @@ def test_s_map_example():
 
 def test_conjugation_maps_degenerate_points():
     f = SlicePolynomial.linear(I)  # f^c = x + i vanishes at -i
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePoint):
         T_map(f, -I)
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePoint):
         S_map(f, I)  # f itself vanishes at i
 
 
@@ -667,7 +673,7 @@ def _array_maps(f, pts, r):
     alpha, beta, junit = split(x)
     stems = f.stem_arrays(alpha + 1j * beta)
     y = _sf_parts(x, junit, *stems, scale)
-    back = _sf_inverse_parts(x, *stems, scale)
+    back = _conjugate_by(*_sf_inverse_point(x, *stems))
     return np.stack(y, axis=-1), np.stack(back, axis=-1)
 
 
@@ -712,7 +718,7 @@ def test_array_sf_conjugation_branches():
         assert (Quaternion.from_array(y_row) - S_map(f, x)).abs() <= 1e-13
         assert (Quaternion.from_array(back_row) - s_inverse_map(f, x)).abs() <= 1e-13
     # degenerate set: F2 = Im(z^2) c = 0 on Re x = 0, where S_f falls back
-    # to conjugation and its inverse is undefined
+    # to conjugation and the scalar inverse raises
     g = SlicePolynomial([Quaternion(2.0, 0.5, 0.0, 0.0), ZERO, J])
     pts[:, 0] = 0.0
     x = tuple(pts.T)
@@ -721,10 +727,8 @@ def test_array_sf_conjugation_branches():
     for row, y_row in zip(pts, np.stack(y, axis=-1)):
         q = Quaternion.from_array(row)
         assert Quaternion.from_array(y_row) == q.conj() == S_map(g, q)
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePoint):
         s_inverse_map(g, Quaternion.from_array(pts[0]))
-    with pytest.raises(DegeneratePointError):
-        _sf_inverse_parts(x, *g.stem_arrays(alpha + 1j * beta), g.stem_scale(1.0))
 
 
 def _scalar_domain_points(f, r, n_points, seed):
@@ -762,25 +766,42 @@ def test_sf_roundtrip_samples_like_scalar_loop():
     guarded = SlicePolynomial([ONE, Quaternion(0.0, 0.6, 0.0, 0.8) * 2.3e-4])
     for f, r in [(f, r) for _, f, r in SF_CASES] + [(guarded, 1.0)]:
         want = _scalar_domain_points(f, r, 300, 24)
-        x, junit, f1, f2, y = _sf_domain_points(f, r, 300, _seeded(24))
+        x, junit, f1, f2, y, w, fc = _sf_domain_points(f, r, 300, _seeded(24))
         assert len(want) == len(x[0]) == 300
         for q, row in zip(want, np.stack(x, axis=-1)):
             assert (q - Quaternion.from_array(row)).abs() <= 1e-15
-        # the units, stems and images that come back are those of the points
+        # the units, stems, images, and the w and f^c the inverse reads, that
+        # come back are those of the points, bit for bit
         alpha, beta, units = split(x)
         for got, recomputed in zip((*junit[1:], *f1, *f2), (*units[1:], *sum(f.stem_arrays(alpha + 1j * beta), ()))):
             assert np.array_equal(got, recomputed)
         assert all(np.array_equal(a, b) for a, b in zip(y, _sf_parts(x, junit, f1, f2, f.stem_scale(r))))
+        assert all(np.array_equal(a, b) for a, b in zip((*w, *fc), sum(_sf_inverse_point(y, f1, f2), ())))
         # the distances are roundoff on these points, as with the scalar maps
         errs = sf_roundtrip_errors(f, r, 300, 24)
         assert len(errs) == 300 and np.max(errs) <= 1e-12
 
 
+def test_sf_domain_points_clear_the_guards_that_define_the_inverse():
+    # |F2| and |f^c| at w stay above 1e-4 and 1e-9 of 1 + scale, far above
+    # DEGENERATE_REL, on every point the roundtrip inverts, next to the
+    # ledger's 5-fold sphere too, so S_f^{-1} needs no test of its own
+    from hard_cases import LEDGER
+
+    fivefold = next(c.make(*c.args) for c in LEDGER if c.name == "fivefold-near-boundary")
+    for f, r, n_points, seed in [(f, r, 300, 24) for _, f, r in SF_CASES] + [(fivefold, 1.0, 1000, 0)]:
+        scale = f.stem_scale(r)
+        _, _, _, f2, _, _, fc = _sf_domain_points(f, r, n_points, _seeded(seed))
+        assert len(f2[0]) == n_points
+        assert np.min(np.sqrt(sum(c * c for c in f2))) > 1e-4 * (1.0 + scale)
+        assert np.min(np.sqrt(sum(c * c for c in fc))) > 1e-9 * (1.0 + scale)
+
+
 def test_sf_roundtrip_guard_rejects_everything():
     f = SlicePolynomial([ONE, Quaternion.real(1e-6)])  # |F2| <= 1e-6 everywhere on the unit sphere
     # no point is in the domain: no distances, for the report to say so
-    x, junit, f1, f2, y = _sf_domain_points(f, 1.0, 50, _seeded(25))
-    assert all(c.shape == (0,) for c in (*x, *junit, *f1, *f2, *y))
+    x, junit, f1, f2, y, w, fc = _sf_domain_points(f, 1.0, 50, _seeded(25))
+    assert all(c.shape == (0,) for c in (*x, *junit, *f1, *f2, *y, *w, *fc))
     assert sf_roundtrip_errors(f, 1.0, 50, 25).shape == (0,)
     with pytest.raises(ValueError):
         sf_roundtrip_errors(f, 1.0, 0, 25)
