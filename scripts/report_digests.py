@@ -27,6 +27,7 @@ After them it prints one line per failing call, a digest of
 sphere, a missing function file, a function file read as a manifest,
 a bad zeros ``--r``, an unknown suite and a negative verify-ops seed.
 Then ``jensen --fn`` and ``zeros --fn`` run on each of ``BAD_FUNCTIONS``,
+and ``jensen --fn --r 2`` and ``zeros --fn`` on each of ``OVERFLOWING``,
 written to a temporary directory that stderr names as ``<tmp>``.  Last
 come three unreadable or unwritable paths: a directory as ``--fn``, a
 function file that is not UTF-8, and an ``--out`` under a missing
@@ -34,9 +35,9 @@ directory.  An exception that escapes ``cli.main`` is digested as
 ``uncaught <Type>: <message>``.
 
 Last, ``jensen --fn`` and ``zeros --fn`` as json on each exact (dyadic)
-input of ``tests/hard_cases.py``'s ledger, a digest of
-``f"{exit_code}\n{stdout}{stderr}"`` each, so that a change to the root
-finder shows per case.
+input of ``tests/hard_cases.py``'s ledger, and ``jensen --fn`` as json on
+its ``SP_BOUNDARY`` entries, a digest of ``f"{exit_code}\n{stdout}{stderr}"``
+each, so that a change to the root finder or the boundary means shows per case.
 
 Paths are given relative to the checkout, so two checkouts print the
 same digest for the same report bytes, and ``diff`` of two outputs
@@ -83,6 +84,13 @@ BAD_FUNCTIONS = {
     "zero-numerator": {"num": {"coeffs": [0.0]}, "den": {"coeffs": [0.25, 1.0]}},
     "quaternionic-den": {"num": {"coeffs": [1.0]}, "den": {"coeffs": [[0.25, 0.5, 0.0, 0.0], 1.0]}},
 }
+# each coefficient's squared norm is a double, but not the square of their sum, which N(num) reaches
+OVERFLOWING = {
+    "real-sum-overflows": {"coeffs": [1.3e154, 1.3e154]},
+    "quaternionic-sum-overflows": {"coeffs": [[1e154, 0, 0, 0], [0, 1e154, 0, 0]]},
+}
+# slice-preserving multiple spheres next to the boundary, whose means read f's own coefficients
+SP_BOUNDARY = ("sp-boundary-sphere-m2-1.001", "sp-boundary-sphere-m3-0.99")
 
 # (record, options of each run): each coefficient is kept, or the file rejected
 SMALL_COEFFICIENTS = {
@@ -153,6 +161,11 @@ def failures(tmp: Path) -> list[tuple[str, list[str]]]:
         path = tmp / f"{stem}.json"
         path.write_text(json.dumps(record))
         runs += [(f"error-{command}-{stem}", [command, "--fn", str(path)]) for command in ("jensen", "zeros")]
+    for stem, record in OVERFLOWING.items():
+        path = tmp / f"{stem}.json"
+        path.write_text(json.dumps(record))
+        runs += [(f"error-jensen-{stem}", ["jensen", "--fn", str(path), "--r", "2"]),
+                 (f"error-zeros-{stem}", ["zeros", "--fn", str(path)])]
     not_utf8 = tmp / "not-utf8.json"
     not_utf8.write_bytes(b'\xff{"coeffs": [1.0]}')
     return runs + [
@@ -163,9 +176,14 @@ def failures(tmp: Path) -> list[tuple[str, list[str]]]:
 
 
 def hard_cases(tmp: Path) -> list[tuple[str, list[str]]]:
-    """(name, CLI arguments) of every call on the ledger's dyadic entries, in print order."""
-    return function_runs(tmp, {f"hard-{case.name}": function_to_dict(case.make(*case.args))
+    """(name, CLI arguments) of every call on the ledger's dyadic and ``SP_BOUNDARY`` entries, in print order."""
+    runs = function_runs(tmp, {f"hard-{case.name}": function_to_dict(case.make(*case.args))
                                for case in LEDGER if case.make is dyadic_function})
+    for case in (case for case in LEDGER if case.name in SP_BOUNDARY):
+        path = tmp / f"hard-{case.name}.json"
+        path.write_text(json.dumps(function_to_dict(case.make(*case.args))))
+        runs.append((f"hard-{case.name}-jensen.json", ["jensen", "--fn", str(path), "--format", "json"]))
+    return runs
 
 
 def _digest(text: str) -> str:

@@ -5,7 +5,8 @@ where each entry is either a 4-element array [w, x1, x2, x3] of JSON
 numbers or a bare number (slice-preserving shorthand); true and false are
 not numbers.  Only zero coefficients are dropped from the end; a nonzero
 one whose squared norm is below the least normal double, or overflows, is
-an input error.  A rational function is
+an input error, and so is a numerator whose coefficient norms sum to a
+number whose square overflows.  A rational function is
 {"num": <polynomial>, "den": <polynomial with real coefficients>}.
 
 Reports render as json (sorted keys, so byte-identical for identical
@@ -77,7 +78,8 @@ def parse_polynomial(record: dict) -> SlicePolynomial:
 
 def parse_function(record: dict) -> SlicePolynomial | SemiregularFunction:
     """The function of a record; a numerator that is not slice-preserving
-    may have at most half the degree cap, which N(num) must keep."""
+    may have at most half the degree cap, which N(num) must keep, and the
+    square of the sum of the numerator's coefficient norms must be finite."""
     if isinstance(record, dict) and ("num" in record or "den" in record):
         if not ("num" in record and "den" in record):
             raise InputFormatError('rational record needs both "num" and "den"')
@@ -91,6 +93,9 @@ def parse_function(record: dict) -> SlicePolynomial | SemiregularFunction:
     if num.degree > DEGREE_CAP // 2 and not num.is_slice_preserving():
         raise InputFormatError(f"numerator is not slice-preserving and its degree {num.degree} exceeds"
                                f" {DEGREE_CAP // 2}, so N(num) would exceed the cap {DEGREE_CAP}")
+    total = sum(q.abs() for q in num.coeffs)  # N(num) and the stems' |F1|^2 + |F2|^2 reach total^2
+    if not math.isfinite(total * total):  # not total ** 2, which raises on overflow
+        raise InputFormatError(f"numerator is out of range: its coefficient norms sum to {total:.3g}, squaring to inf")
     return f
 
 

@@ -360,7 +360,8 @@ class BoundaryMeans:
 # -sum_m u^{2m} / (m (2m + 1)), truncated after u^6, is off by < 3e-26
 SERIES_U = 1e-3
 # |N(num)(z)| below this fraction of its Horner scale sum |c_k| r^k is
-# rounding noise: num vanishes on that sphere as far as doubles can tell
+# rounding noise: num vanishes on that sphere as far as doubles can tell;
+# for a zero polynomial c = num, |c(z)| <= NODE_HIT_REL^(1/2) sum |c_k| r^k
 NODE_HIT_REL = 1e-14
 
 
@@ -386,7 +387,7 @@ def sphere_mean_log_abs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarr
 def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     """The two normalized boundary means of the Jensen right-hand side,
     by ``polar_rule(r, n, shadows)`` with exact S^2 averaging; N(num) is
-    the function's ``num_normal``, evaluated once.
+    c^(2 / divisor) for the ``zero_polynomial`` (c, divisor), c evaluated once.
 
     N(f) has the stem (F1 + i F2)(conj F1 + i conj F2) = |F1|^2 - |F2|^2
     + 2i Re(F1 conj F2); with |Im(F1 conj F2)|^2 = |F1|^2 |F2|^2 - Re(F1 conj F2)^2
@@ -403,10 +404,11 @@ def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     a = _qnorm2_parts(f1) + _qnorm2_parts(f2)
     _, b1, b2, b3 = qmul_parts(f1, _qconj_parts(f2))
     b = 2.0 * np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    num_abs = np.abs(horner(fs.num_normal, z))
-    log_n = _log_normal(fs, z, num_abs)
+    c, divisor = fs.zero_polynomial
+    zero_abs = np.abs(horner(c, z))
+    log_n = _log_normal(fs, z, zero_abs)
     log_f = sphere_mean_log_abs(a, b, np.exp(2.0 * log_n) / (a + b))
-    hit = num_abs <= NODE_HIT_REL * horner(np.abs(fs.num_normal), r).real
+    hit = zero_abs <= NODE_HIT_REL ** (divisor / 2) * horner(np.abs(c), r).real
     bad = ~np.isfinite(log_f + log_n) | hit
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -420,12 +422,12 @@ def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
 def log_normal_values(f, z: np.ndarray) -> np.ndarray:
     """log|N(f)| at shadows z; N(f) is circular so only z matters."""
     fs = as_semiregular(f)
-    return _log_normal(fs, z, np.abs(horner(fs.num_normal, z)))
+    return _log_normal(fs, z, np.abs(horner(fs.zero_polynomial[0], z)))
 
 
-def _log_normal(fs, z: np.ndarray, num_abs: np.ndarray) -> np.ndarray:
-    """log|N(num)| - 2 log|den| at z from num_abs = |N(num)(z)|; a constant den is 1 (den is monic)."""
-    log_n = np.log(num_abs)
+def _log_normal(fs, z: np.ndarray, zero_abs: np.ndarray) -> np.ndarray:
+    """log|N(num)| - 2 log|den| at z from zero_abs = |c(z)|, N(num) = c^(2 / divisor); den is monic."""
+    log_n = (2 / fs.zero_polynomial[1]) * np.log(zero_abs)
     return log_n - 2.0 * np.log(np.abs(horner(fs.den, z))) if len(fs.den) > 1 else log_n
 
 
@@ -471,8 +473,8 @@ def _log_abs_f_and_f_sf(maps: np.ndarray, units: np.ndarray) -> tuple[np.ndarray
 def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleCheck:
     """Evaluate f and f o S_f at every node of the product rule.
 
-    The stems and log|N(f)|, from the function's ``num_normal`` like the
-    means', are evaluated once per polar angle, and so is
+    The stems and log|N(f)|, from the function's ``zero_polynomial`` like
+    the means', are evaluated once per polar angle, and so is
     ``_identity_map``, which makes f(x) and f(S_f x) on the angle's sphere
     ratios of affine maps of its unit J.  Blocks of whole angles, about
     ``ORACLE_BLOCK`` nodes each, apply the map to the 2q^2 units by one

@@ -375,7 +375,7 @@ def suite_quadrature(seed: int) -> SuiteResult:
     r, n = 1.0, 48
     rule = build_rule(r, n)
     cases = [_product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
-    normals = [as_semiregular(f).num_normal for f, _, _ in cases]  # f is a polynomial: log|N(f)| = log|horner(N(f))|
+    normals = [normal(f).real_coeffs() for f, _, _ in cases]  # f is a polynomial: log|N(f)| = log|horner(N(f))|
     u, uj = ROTATION, qmul_parts(ROTATION, tuple(rule.s2_units.T))
     sphere_means = np.empty((len(cases), len(rule.polar_z)))
     for blk in rule.blocks(ORACLE_BLOCK):
@@ -423,13 +423,15 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
             f = f * factor
             built[q] = built.get(q, 0) + factor.degree
         fs = as_semiregular(f)
+        c, divisor = fs.zero_polynomial
+        normal_c = np.convolve(c, c) if divisor == 1 else c  # N(f) = f^2 for a slice-preserving f
         found = dict.fromkeys(built, 0)
         for rec in classify_zeros(fs):
             found[min(built, key=lambda q: math.hypot(rec.alpha - q.w, rec.beta - q.abs_im()))] += rec.multiplicity
         gaps = []
         for q, m in built.items():
             alpha, beta, _ = split(q)  # N(f)'s count at q: its divisions by q's real factor, twice for a Delta_q
-            m_normal = _division_multiplicity(fs.num_normal, alpha, beta) * (1 if beta == 0.0 else 2)
+            m_normal = _division_multiplicity(normal_c, alpha, beta) * (1 if beta == 0.0 else 2)
             gaps.append(abs(found[q] - m) + abs(m_normal - 2 * m))
             rows.append(ResidualRow(f"m_N = 2 m_f = {2 * m} at ({q.w:.3g},{q.abs_im():.3g})", idx,
                                     list(q), 0.0, gaps[-1], 0))

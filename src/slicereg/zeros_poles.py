@@ -5,7 +5,7 @@ where the real-coefficient normal function N(f) vanishes.  One real
 polynomial carries them, f itself when f is slice-preserving (N(f) = f^2
 doubles every root), else N(f), whose multiplicities are halved: the
 ``zero_polynomial`` that a ``SemiregularFunction`` forms for its numerator
-once, with N(num) beside it.  ``classify_zeros`` root-finds it, and
+once, and the boundary means read too.  ``classify_zeros`` root-finds it, and
 ``total_multiplicity`` counts divisions of it by the real factor of one
 point's sphere.  Roots come from the companion matrix.  Each group of nearby eigenvalues becomes one
 sphere once Pellet's test certifies that a disc about its centroid,
@@ -401,11 +401,11 @@ class SemiregularFunction:
     dividing both.  Partial vanishing of num on a pole sphere (a single
     point) is deliberately kept: it is pole structure, not a common factor.
     ``den_spheres`` are the reduced den's root spheres.  ``zero_polynomial``
-    and ``num_normal`` are formed once, where first read; the zero pass and
-    the boundary means read them here.
+    is formed once, where first read; the zero pass, the boundary means and
+    the oracle read it here, and nothing squares a slice-preserving num.
     """
 
-    __slots__ = ("den", "num", "den_spheres", "_normal")
+    __slots__ = ("den", "num", "den_spheres", "_zero_polynomial")
 
     def __init__(self, den: SlicePolynomial, num: SlicePolynomial):
         if den.is_zero:
@@ -423,30 +423,22 @@ class SemiregularFunction:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den_spheres", tuple(spheres))
-        object.__setattr__(self, "_normal", None)
+        object.__setattr__(self, "_zero_polynomial", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SemiregularFunction is immutable")
 
-    def _normals(self) -> tuple[tuple[np.ndarray, int], np.ndarray]:
-        if self._normal is None:
+    @property
+    def zero_polynomial(self) -> tuple[np.ndarray, int]:
+        """The real coefficients c carrying num's zeros and the divisor of their multiplicities:
+        num and 1 when slice-preserving, else N(num) and 2, so N(num) = c^(2 / divisor)."""
+        if self._zero_polynomial is None:
             num = self.num
             if num.is_zero:
                 raise ZeroPolynomialError("zero set of the zero polynomial is everything")
-            c, per_unit = (num.real_coeffs(), 1) if num.is_slice_preserving() else (normal(num).real_coeffs(), 2)
-            object.__setattr__(self, "_normal", ((c, per_unit), np.convolve(c, c) if per_unit == 1 else c))
-        return self._normal
-
-    @property
-    def zero_polynomial(self) -> tuple[np.ndarray, int]:
-        """The real coefficients whose roots carry num's zeros and the divisor
-        of their multiplicities: num and 1 when slice-preserving, else N(num) and 2."""
-        return self._normals()[0]
-
-    @property
-    def num_normal(self) -> np.ndarray:
-        """N(num)'s real coefficients; for a slice-preserving num, num^2 past the degree cap."""
-        return self._normals()[1]
+            pair = (num.real_coeffs(), 1) if num.is_slice_preserving() else (normal(num).real_coeffs(), 2)
+            object.__setattr__(self, "_zero_polynomial", pair)
+        return self._zero_polynomial
 
     def stem_arrays(self, z) -> tuple[tuple, tuple]:
         """Stems of den^{-1} * num as parts: complex 1/d(z) times the num stems."""

@@ -54,7 +54,7 @@ def unreduced(den: np.ndarray, num: SlicePolynomial) -> SemiregularFunction:
     object.__setattr__(f, "den", den)
     object.__setattr__(f, "num", num)
     object.__setattr__(f, "den_spheres", tuple(root_spheres(den)))
-    object.__setattr__(f, "_normal", None)  # N(num), formed on first use
+    object.__setattr__(f, "_zero_polynomial", None)  # formed on first use
     return f
 
 

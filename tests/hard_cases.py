@@ -228,6 +228,12 @@ def boundary_sphere(m: int, radius: float) -> SlicePolynomial:
     return sphere_at(radius) ** m * INNER
 
 
+def sp_boundary_sphere(m: int, radius: float) -> SlicePolynomial:
+    """Delta^m of ``sphere_at(radius)`` times (x - 0.3)(x + 0.5): slice-preserving,
+    so its zero polynomial is f itself and N(f) = f^2 is never formed."""
+    return sphere_at(radius) ** m * real_rooted([0.3, -0.5])
+
+
 def near_boundary_functions(seed: int) -> dict:
     """A zero sphere and a pole sphere at 0.99 r, polar angle NEAR_ANGLE,
     each times two seeded linear factors with roots at radius 0.3-0.6,
@@ -305,7 +311,8 @@ ONE_RECORD = ("Pellet's group of every eigenvalue is accepted on Cauchy's bound 
 NEXT_TO_MULTIPLE = ("a simple root ~1e-2 from a multiple one is located only to ~2e-10 in double-precision "
                     "Horner; residual 1.0e-10 to 3.6e-9")
 NEXT_TO_MULTIPLE_TOL = 1e-10  # the bound of the real-rooted property test these were found by
-STEMS = "Horner on N(f)'s expanded coefficients falls under its rounding floor next to a multiple sphere"
+STEMS = ("Horner on the zero polynomial's expanded coefficients (N(f), or f when slice-preserving) falls under "
+         "its rounding floor next to a multiple sphere")
 NFIE, CIE = NonFiniteIntegrandError, ClassificationInconsistencyError
 
 
@@ -315,6 +322,11 @@ def next_to_multiple(name, roots) -> Case:
 
 def at_boundary(m, radius, outcome, error=None, item=None, why="") -> Case:
     return Case(f"boundary-sphere-m{m}-{radius}", boundary_sphere, (m, radius), outcome, error, item, why)
+
+
+def sp_at_boundary(m, radius, outcome, error=None) -> Case:
+    return Case(f"sp-boundary-sphere-m{m}-{radius}", sp_boundary_sphere, (m, radius), outcome, error, 5,
+                STEMS if error else "")
 
 
 LEDGER = (
@@ -370,6 +382,15 @@ LEDGER = (
     at_boundary(4, 1.01, "named", NFIE, item=5, why=STEMS),
     *(at_boundary(m, radius, "named", CIE, item=2, why="no cluster of a 10-fold or more sphere passes Pellet's test")
       for m in (5, 6, 8) for radius in (0.99, 0.999, 1.001, 1.01)),
+    # ``sp_boundary_sphere``, ROADMAP item 5's slice-preserving table: the
+    # means read log|f| off f's own coefficients; each entry that raises
+    # pins the node-hit gate
+    *(sp_at_boundary(2, radius, "pass") for radius in (0.99, 0.999, 1.001, 1.01)),
+    sp_at_boundary(3, 0.99, "pass"),
+    sp_at_boundary(3, 0.999, "named", NFIE),
+    sp_at_boundary(3, 1.001, "named", NFIE),
+    sp_at_boundary(3, 1.01, "pass"),
+    *(sp_at_boundary(4, radius, "named", NFIE) for radius in (0.99, 0.999, 1.001, 1.01)),
 )
 
 

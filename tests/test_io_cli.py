@@ -345,6 +345,18 @@ def test_cli_rejects_coefficients_whose_squared_norm_is_out_of_range(tmp_path, c
         assert err.startswith("input error: ") and f"coefficient {index} is out of range" in err, argv
 
 
+@pytest.mark.parametrize("record", [{"coeffs": [1.3e154, 1.3e154]}, {"coeffs": [[1e154, 0, 0, 0], [0, 1e154, 0, 0]]}],
+                         ids=["real", "quaternionic"])
+def test_cli_rejects_a_numerator_whose_norm_sum_squares_to_inf(tmp_path, capsys, record):
+    # each coefficient's squared norm is a double, but N(num) and the stems' A
+    # square sums of them; the real one's only zero is at -1, far inside r = 2
+    jensen, zeros, _ = _function_file_commands(tmp_path, json.dumps(record))
+    for argv in ([*jensen, "--r", "2"], zeros):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "numerator is out of range" in err, argv
+
+
 def _zero_spheres(tmp_path, capsys, coeffs):
     """(|alpha + i beta|, total multiplicity) of each zero record ``zeros`` prints for coeffs."""
     fn = tmp_path / "f.json"
@@ -357,7 +369,8 @@ def test_cli_keeps_coefficients_far_below_the_largest(tmp_path, capsys):
     # e^x to degree 20: its coefficients 1/k! for k = 16-20 lie below 1e-13 of the first
     spheres = _zero_spheres(tmp_path, capsys, [1.0 / math.factorial(k) for k in range(21)])
     assert sum(m for _, m in spheres) == 20 and 6.4 < min(s for s, _ in spheres) < 6.5
-    assert main(["jensen", "--fn", str(tmp_path / "f.json"), "--r", "8", "--tol", "1e-9"]) == 0
+    # the means read log|f| off f's own coefficients, not off their square
+    assert main(["jensen", "--fn", str(tmp_path / "f.json"), "--r", "8", "--tol", "1e-12"]) == 0
     capsys.readouterr()
     # 1 + 1e-14 x^10: ten roots at radius 10^1.4 = 25.1, on five spheres
     spheres = _zero_spheres(tmp_path, capsys, [1.0] + [0.0] * 9 + [1e-14])
@@ -603,10 +616,10 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 10 + len(functions) + 3 + 4 + 4 + 4 + 33 + 22 and len(set(names)) == len(names)
-    assert [n for n in names if n.startswith("error-")] == names[-55:-22]  # then the failing calls
-    assert [n for n in names if n.startswith("hard-")] == names[-22:]  # the ledger's exact inputs come last
-    assert [n for n in names if n.startswith("coeffs-")] == names[-59:-55]  # the small coefficients before the errors
+    assert len(names) == 10 + len(functions) + 3 + 4 + 4 + 4 + 37 + 24 and len(set(names)) == len(names)
+    assert [n for n in names if n.startswith("error-")] == names[-61:-24]  # then the failing calls
+    assert [n for n in names if n.startswith("hard-")] == names[-24:]  # the ledger's exact inputs come last
+    assert [n for n in names if n.startswith("coeffs-")] == names[-65:-61]  # the small coefficients before the errors
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-") and n.endswith(".json")) == sorted(
         f"zeros-{p.stem}.json" for p in functions)

@@ -1118,7 +1118,6 @@ def test_quadrature_suite_blocked_means_match_unblocked_rule(seed, monkeypatch):
     means give its residuals."""
     import slicereg.verify as verify
     from slicereg.quaternions import qmul_parts
-    from slicereg.zeros_poles import as_semiregular
 
     product_poly, drawn = verify._product_poly, []
 
@@ -1142,7 +1141,7 @@ def test_quadrature_suite_blocked_means_match_unblocked_rule(seed, monkeypatch):
         shadows = [complex(q.re(), q.abs_im()) for q in roots]
         exact = exact_mean_log_abs(c.norm2(), shadows + [s.conjugate() for s in shadows], 1.0)
         values = log_normal_values(f, z_rotated)
-        assert np.array_equal(values, np.log(np.abs(horner(as_semiregular(f).num_normal, z_rotated))))  # the suite's N(f)
+        assert np.array_equal(values, np.log(np.abs(horner(normal(f).real_coeffs(), z_rotated))))  # the suite's N(f)
         full = float(np.dot(rule.polar_weights, s2_means(rule, values)))  # the unblocked mean
         assert row.residual == abs(full - exact), row.case
 

@@ -787,17 +787,24 @@ def test_only_a_zero_whose_factor_divides_den_is_an_exceptional_point(eps, kind,
     assert len(analysis.free_zeros) == free
 
 
-def test_normal_coeffs_match_normal_and_pass_the_cap():
+def test_zero_polynomial_is_normal_or_num_itself_and_never_squared(monkeypatch):
+    from slicereg import quadrature
+
     quaternionic = slice_product(lin(0.2, 0.1, 0.0, 0.3), lin(0.5, 0.0, -0.4, 0.1))
-    assert np.array_equal(as_semiregular(quaternionic).num_normal, normal(quaternionic).real_coeffs())
+    c, divisor = as_semiregular(quaternionic).zero_polynomial
+    assert divisor == 2 and np.array_equal(c, normal(quaternionic).real_coeffs())
     real = real_poly(-0.3, 0.2, 1.5, -0.7)
-    assert np.allclose(as_semiregular(real).num_normal, normal(real).real_coeffs(), rtol=0.0, atol=1e-15)
-    # a slice-preserving f of degree 40: N(f) = f^2 has degree 80
+    c, divisor = as_semiregular(real).zero_polynomial
+    assert divisor == 1 and np.array_equal(c, [-0.3, 0.2, 1.5, -0.7])
+    # a slice-preserving f of degree 40: the means read f itself, not its degree-80 square
     c = np.zeros(41)
     c[[0, 40]] = 1.0, 0.5
-    want = np.zeros(81)
-    want[[0, 40, 80]] = 1.0, 1.0, 0.25
-    assert np.array_equal(as_semiregular(SlicePolynomial.from_real(c)).num_normal, want)
+    f = as_semiregular(SlicePolynomial.from_real(c))
+    assert f.zero_polynomial[0].shape == (41,) and f.zero_polynomial[1] == 1
+    lengths = []
+    monkeypatch.setattr(quadrature, "horner", lambda p, z: lengths.append(len(p)) or horner(p, z))
+    means = quadrature.boundary_means(f, 0.5, 8)
+    assert max(lengths) == 41 and math.isfinite(means.mean_log_normal)
 
 
 @pytest.mark.parametrize("eps, kind", [(0.0, "spherical_nonuniform"), (1e-7, "spherical_uniform")])
