@@ -36,8 +36,13 @@ boundary identity and of the sum of the two means, which is circular, so
 the S^2 grid cancels from it; each mean alone carries the S^2 error
 (2.5e-4 on the degree-8 corpus case at n = 48).
 
+Quaternion arithmetic here runs on pairs a + b j (``quaternions``): the
+stems, the means' A and B, the oracle's map and S_f.  A and B read the
+pairs' components in the order of the parts formulas, so the means are
+theirs bit for bit; the diagnostics move by roundoff only.
+
 One array S_f: ``_sf_map``, the map of J per shadow, which the oracle
-applies per angle and ``_sf_parts`` point by point for the bijectivity
+applies per angle and ``_sf_points`` point by point for the bijectivity
 roundtrip ``sf_roundtrip_errors``.  Its inverse conjugates by f'_s to w
 and then by f^c = conj(F1) + J conj(F2) at w (the map T_f), on the
 stems of the point's sphere, which every step keeps; the roundtrip's
@@ -46,12 +51,15 @@ Their pointwise oracle, the scalar S_f, T_f and S_f^{-1} on one
 quaternion at a time, lives in ``tests/test_quadrature.py``.
 
 Sampled diagnostics draw from ``s3_points``, a seeded low-discrepancy
-sequence on S^3 mapped by ``shoemake``, so no command imports ``numpy.random``.
+sequence on S^3 mapped by ``shoemake``, so no command imports
+``numpy.random``; its rows are cached, so every function of a corpus run
+reads the same candidates.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator
@@ -59,7 +67,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NonFiniteIntegrandError
-from .quaternions import Quaternion, _qconj_parts, _qinv_parts, _qnorm2_parts, qmul_parts, split
+from .quaternions import Quaternion, pconj, pinv, pmul, pnorm2, to_parts
 from .slicepoly import horner
 from .zeros_poles import as_semiregular
 
@@ -267,54 +275,64 @@ def circular_reduction(r: float, m: int, u: Callable[[Quaternion], float]) -> fl
 
 
 # ---------------------------------------------------------------------------
-# sphere conjugation map S_f on quaternion parts
+# sphere conjugation map S_f on quaternion pairs
 # ---------------------------------------------------------------------------
 
 
 def _conjugate_by(x, q):
     """q^{-1} x q."""
-    return qmul_parts(_qinv_parts(q), qmul_parts(x, q))
+    return pmul(pinv(q), pmul(x, q))
 
 
 def _degenerate(q, scale: float) -> np.ndarray:
-    return _qnorm2_parts(q) <= (DEGENERATE_REL * (1.0 + scale)) ** 2
+    return pnorm2(q) <= (DEGENERATE_REL * (1.0 + scale)) ** 2
 
 
 def _slice_value(f1, f2, junit):
     """F1 + J F2: the value at alpha + J beta of the function whose
     stems at alpha + i beta are F1, F2."""
-    return tuple(a + b for a, b in zip(f1, qmul_parts(junit, f2)))
+    return tuple(a + b for a, b in zip(f1, pmul(junit, f2)))
+
+
+def _split_pairs(x):
+    """alpha = Re x, beta = |Im x| and the unit J = Im x / beta, a pair,
+    of pairs x; J is not finite where beta = 0, which its callers reject."""
+    a, b = x
+    beta = np.sqrt(a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / beta
+        return a.real, beta, (1j * (a.imag * inv), b * inv)
 
 
 # S_f on one sphere, whose stems F1, F2 are constants: with g = F1 F2^{-1}
 # and u = g + J, conj(u) J u = conj(g) J g + J + 2 Im g, so
 # S_f(alpha + J beta) = u^{-1} conj(x) u = alpha - beta t(J) / d(J) with
 # t(J) = conj(g) J g + J + 2 Im g and d(J) = |g + J|^2, both affine in J.
-# An affine map of J is held as quaternion parts whose entries carry a
+# An affine map of J is held as quaternion pairs whose entries carry a
 # last axis of 4 coefficients, one per coordinate of (1, J1, J2, J3); the
-# unit J is then the parts (0, e1, e2, e3) and the constant 1 is e0.
+# unit J is then the pair (i e1, e2 + i e3) and the constant 1 is e0.
 _ONE, _E1, _E2, _E3 = np.eye(4)
-_J = (0.0, _E1, _E2, _E3)
+_J = (1j * _E1, _E2 + 1j * _E3)
 
 
 def _sf_ratio(f1, f2, degenerate):
     """g = F1 F2^{-1}, and 0 where F2 is degenerate: there u = J and S_f is
     conjugation."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return tuple(np.where(degenerate, 0.0, c) for c in qmul_parts(f1, _qinv_parts(f2)))
+        return tuple(np.where(degenerate, 0.0, c) for c in pmul(f1, pinv(f2)))
 
 
 def _sf_map(g, junit, one):
-    """The three imaginary parts of t(J), and d(J), at units junit with
-    one = 1.0; at junit = _J and one = _ONE, their coefficients over
-    (1, J1, J2, J3)."""
-    _, *t = qmul_parts(_qconj_parts(g), qmul_parts(junit, g))
-    t = [a + j + 2.0 * b * one for a, j, b in zip(t, junit[1:], g[1:])]
-    d = (1.0 + _qnorm2_parts(g)) * one + 2.0 * (g[1] * junit[1] + g[2] * junit[2] + g[3] * junit[3])
+    """t(J), an imaginary pair, and d(J), at units junit with one = 1.0;
+    at junit = _J and one = _ONE, their coefficients over (1, J1, J2, J3)."""
+    (ga, gb), (ja, jb) = g, junit
+    ta, tb = pmul(pconj(g), pmul(junit, g))
+    t = (1j * (ta.imag + ja.imag + 2.0 * ga.imag * one), tb + jb + 2.0 * gb * one)
+    d = (1.0 + pnorm2(g)) * one + 2.0 * (ga.imag * ja.imag + gb.real * jb.real + gb.imag * jb.imag)
     return t, d
 
 
-def _sf_parts(x, junit, f1, f2, scale: float):
+def _sf_points(x, junit, f1, f2, scale: float):
     """S_f(x) = alpha - beta t(J) / d(J) at x = alpha + J beta with stems
     F1, F2 at alpha + i beta, by ``_sf_map`` point by point: the
     conjugation s (u^{-1} conj(x) u) s^{-1} with u = F1 + J F2 and s = F2,
@@ -322,19 +340,19 @@ def _sf_parts(x, junit, f1, f2, scale: float):
     f vanishes."""
     degenerate = _degenerate(f2, scale)
     t, d = _sf_map(_sf_ratio(f1, f2, degenerate), junit, 1.0)
-    beta = np.sqrt(x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
+    (a, b), beta = x, _split_pairs(x)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         step = -beta / d
-        return (x[0], *(np.where(degenerate, -c, step * a) for c, a in zip(x[1:], t)))
+        return np.where(degenerate, np.conj(a), a.real + step * t[0]), np.where(degenerate, -b, step * t[1])
 
 
 def _sf_inverse_point(y, f1, f2):
     """w = conj(s^{-1} y s) with s = F2, and f^c = conj(F1) + J conj(F2) at
     w, J the unit of w: S_f^{-1}(y) = T_f(w) = fc^{-1} w fc.  S_f, both
     conjugations and T_f map each sphere alpha + S beta onto itself, so
-    F1, F2 are the stems of y's sphere, as ``_sf_parts`` takes them."""
-    w = _qconj_parts(_conjugate_by(y, f2))
-    return w, _slice_value(_qconj_parts(f1), _qconj_parts(f2), split(w)[2])
+    F1, F2 are the stems of y's sphere, as ``_sf_points`` takes them."""
+    w = pconj(_conjugate_by(y, f2))
+    return w, _slice_value(pconj(f1), pconj(f2), _split_pairs(w)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -400,23 +418,35 @@ def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     """
     fs = as_semiregular(f)
     z, w = polar_rule(r, n, shadows)
-    f1, f2 = f.stem_arrays(z)
-    a = _qnorm2_parts(f1) + _qnorm2_parts(f2)
-    _, b1, b2, b3 = qmul_parts(f1, _qconj_parts(f2))
-    b = 2.0 * np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
     c, divisor = fs.zero_polynomial
-    zero_abs = np.abs(horner(c, z))
-    log_n = _log_normal(fs, z, zero_abs)
-    log_f = sphere_mean_log_abs(a, b, np.exp(2.0 * log_n) / (a + b))
+    with np.errstate(all="ignore"):  # a value that is not finite raises below, naming its node
+        f1, f2 = f.stem_arrays(z)
+        a = pnorm2(f1) + pnorm2(f2)
+        b = 2.0 * _im_product_abs(f1, f2)
+        zero_abs = np.abs(horner(c, z))
+        log_n = _log_normal(fs, z, zero_abs)
+        log_f = sphere_mean_log_abs(a, b, np.exp(2.0 * log_n) / (a + b))
     hit = zero_abs <= NODE_HIT_REL ** (divisor / 2) * horner(np.abs(c), r).real
     bad = ~np.isfinite(log_f + log_n) | hit
     if np.any(bad):
         k = int(np.argmax(bad))
-        node = Quaternion(z[k].real, z[k].imag, 0.0, 0.0)
+        node = Quaternion(float(z[k].real), float(z[k].imag), 0.0, 0.0)
         raise NonFiniteIntegrandError(f"integrand not finite on the sphere through polar node {k} = {node}; "
                                       "a zero or pole sits on or near the integration sphere", node=node)
     mean_log_f = float(np.dot(w, log_f))
     return BoundaryMeans(mean_log_f, float(np.dot(w, log_n)) - mean_log_f)
+
+
+def _im_product_abs(f1, f2) -> np.ndarray:
+    """|Im(F1 conj(F2))| of pairs F1, F2, from their components in the
+    order of the parts product, so that the means are the parts formulas'
+    bit for bit; a complex product may fuse its multiply and add."""
+    a0, a1, a2, a3 = to_parts(f1)
+    c0, c1, c2, c3 = to_parts(f2)
+    b1 = a1 * c0 - a0 * c1 - a2 * c3 + a3 * c2
+    b2 = a1 * c3 - a0 * c2 + a2 * c0 - a3 * c1
+    b3 = -(a0 * c3) - a1 * c2 + a2 * c1 + a3 * c0
+    return np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
 
 
 def log_normal_values(f, z: np.ndarray) -> np.ndarray:
@@ -442,16 +472,16 @@ class ProductRuleCheck:
 
 
 def _identity_map(f1, f2, scale: float) -> np.ndarray:
-    """Per polar angle with stems F1, F2, the C-contiguous (9, K, 4) map
-    of (1, J) whose rows are f(x) = F1 + J F2 (0-3), the numerator
-    F1 d - t F2 of f(S_f x) = F1 - t F2 / d (4-7) and d (8), with t
-    and d from ``_sf_map``."""
+    """Per polar angle with stems F1, F2 (pairs), the C-contiguous
+    (9, K, 4) map of (1, J) whose rows are the parts of f(x) = F1 + J F2
+    (0-3) and of the numerator F1 d - t F2 of f(S_f x) = F1 - t F2 / d
+    (4-7), and d (8), with t and d from ``_sf_map``."""
     g = _sf_ratio(f1, f2, _degenerate(f2, scale))
     t, d = _sf_map([c[..., None] for c in g], _J, _ONE)
     f1, f2 = ([c[..., None] for c in q] for q in (f1, f2))
     fx = _slice_value([a * _ONE for a in f1], f2, _J)
-    fy = tuple(a * d - b for a, b in zip(f1, qmul_parts((0.0, *t), f2)))
-    return np.stack(np.broadcast_arrays(*fx, *fy, d))
+    fy = [a * d - b for a, b in zip(f1, pmul(t, f2))]
+    return np.stack(np.broadcast_arrays(*to_parts(fx), *to_parts(fy), d))
 
 
 def _homogeneous_units(rule: SphereQuadratureRule) -> np.ndarray:
@@ -512,52 +542,63 @@ def shoemake(u1, u2, u3) -> tuple:
     return a * np.sin(t2), a * np.cos(t2), b * np.sin(t3), b * np.cos(t3)
 
 
+@lru_cache(maxsize=64)
 def s3_points(start: int, count: int, seed: int) -> np.ndarray:
     """Rows k = start, ..., start + count - 1 of one seeded sequence of unit
     quaternions: u_k = frac(1/2 + k KRONECKER_STEPS + shift(seed)) through
     ``shoemake``.  A shifted Kronecker sequence is one again, so every seed
-    covers S^3 as evenly."""
+    covers S^3 as evenly.  Cached and read-only, in an anonymous mapping
+    of their own: a lasting array in the malloc heap keeps the freed
+    blocks below it resident, which raised corpus-diag's peak RSS by
+    0.13 MB."""
     shift = np.array([seed * c % 2**64 / 2**64 for c in _SEED_STEPS])
     u = (0.5 + np.arange(start, start + count, dtype=float)[:, None] * KRONECKER_STEPS + shift) % 1.0
-    return np.stack(shoemake(*u.T), axis=-1)
+    rows = np.frombuffer(mmap.mmap(-1, max(32 * count, 1)), dtype=float, count=4 * count).reshape(count, 4)
+    np.stack(shoemake(*u.T), axis=-1, out=rows)
+    rows.flags.writeable = False
+    return rows
 
 
 def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int], np.ndarray]):
     """The first n_points boundary points x = r c, for the unit rows c of
     candidates(start, n_points) at start = 0, n_points, 2 n_points, ...,
-    that pass the guards below, as parts, with their units J, stems F1,
+    that pass the guards below, as pairs, with their units J, stems F1,
     F2, images S_f(x), and the w and f^c of ``_sf_inverse_point`` at
     S_f(x); at most 40 n_points candidates are tried, so fewer points, or
-    none, come back where the guards reject most of the sphere."""
+    none, come back where the guards reject most of the sphere.  A row
+    (w, x1, x2, x3) read as two complex numbers is the pair of its point."""
     scale = f.stem_scale(r)
     floor = 1e-9 * (1.0 + scale)
     kept, accepted = [], 0
     for start in range(0, 40 * n_points, n_points):
-        x = tuple(r * candidates(start, n_points).T)
-        alpha, beta, junit = split(x)
+        x = tuple((r * candidates(start, n_points)).view(complex).T)
+        alpha, beta, junit = _split_pairs(x)
         f1, f2 = f.stem_arrays(alpha + 1j * beta)
         # conditioning guard: conjugating by a tiny spherical derivative
         # amplifies its own rounding error
         keep = (
             (beta >= 1e-3 * r)
-            & (np.sqrt(_qnorm2_parts(f2)) > 1e-4 * (1.0 + scale))
-            & (np.sqrt(_qnorm2_parts(_slice_value(f1, f2, junit))) > floor)
+            & (np.sqrt(pnorm2(f2)) > 1e-4 * (1.0 + scale))
+            & (np.sqrt(pnorm2(_slice_value(f1, f2, junit))) > floor)
         )
-        stack = np.array(np.broadcast_arrays(*x, *junit, *f1, *f2))[:, keep]
-        x, junit, f1, f2 = _stacked_parts(stack)
-        y = _sf_parts(x, junit, f1, f2, scale)
+        rows = [c[keep] for c in (*x, *junit, *f1, *f2)]
+        x, junit, f1, f2 = _paired(rows)
+        y = _sf_points(x, junit, f1, f2, scale)
         # f^c passes the same guard where the inverse reads it, which f(x) does not imply
         w, fc = _sf_inverse_point(y, f1, f2)
-        kept.append(np.vstack([stack, y, w, fc])[:, np.sqrt(_qnorm2_parts(fc)) > floor])
-        accepted += kept[-1].shape[1]
+        keep = np.sqrt(pnorm2(fc)) > floor
+        kept.append([c[keep] for c in (*rows, *y, *w, *fc)])
+        accepted += len(kept[-1][0])
         if accepted >= n_points:
             break
-    return _stacked_parts(np.concatenate(kept, axis=1)[:, :n_points])
+    rows = kept[0] if len(kept) == 1 else [np.concatenate(c) for c in zip(*kept)]
+    return _paired([c[:n_points] for c in rows])
 
 
-def _stacked_parts(cols: np.ndarray) -> tuple:
-    """The quaternion parts of each four rows of a stack, as (x, J, F1, F2[, S_f(x), w, f^c])."""
-    return tuple(tuple(cols[i:i + 4]) for i in range(0, len(cols), 4))
+def _paired(rows: list) -> tuple:
+    """The quaternion pairs of each two rows, as (x, J, F1, F2[, S_f(x), w, f^c]);
+    the rows stay apart: masking one stack of them took 3 times as long."""
+    return tuple(tuple(rows[i:i + 2]) for i in range(0, len(rows), 2))
 
 
 def sf_roundtrip_errors(f, r: float, n_points: int, seed: int) -> np.ndarray:
@@ -569,4 +610,4 @@ def sf_roundtrip_errors(f, r: float, n_points: int, seed: int) -> np.ndarray:
         raise ValueError("need at least one sample point")
     x, *_, w, fc = _sf_domain_points(f, r, n_points, lambda start, count: s3_points(start, count, seed))
     back = _conjugate_by(w, fc)
-    return np.sqrt(_qnorm2_parts(tuple(b - c for b, c in zip(back, x))))
+    return np.sqrt(pnorm2([b - c for b, c in zip(back, x)]))

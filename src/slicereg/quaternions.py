@@ -1,19 +1,25 @@
 """Quaternion arithmetic and the slice decomposition of H.
 
-One point format for the whole package: "parts", the four components
-(w, x1, x2, x3) of q = w + x1*i + x2*j + x3*k, each a float or a
-broadcastable array.  ``Quaternion`` is the named tuple of one point's
-float components, so it is parts as it is: every parts kernel
-(``qmul_parts`` and the conjugate, norm and inverse beside it, ``split``,
-and the polynomial and stencil loops) takes it without conversion.
-Array code keeps each component contiguous, so quadrature-scale
-workloads stay vectorized.
+Two array formats.  "Parts", the four components (w, x1, x2, x3) of
+q = w + x1*i + x2*j + x3*k, each a float or a broadcastable array, is
+the point format: ``Quaternion`` is the named tuple of one point's float
+components, so it is parts as it is, and ``split``, the polynomial
+loops and the finite-difference stencils take points as parts.
+"Pairs", q = a + b j with a = w + i x1 and b = x2 + i x3 in C_i, two
+complex scalars or arrays, is the product format (the splitting lemma of
+Gentili, Stoppato & Struppa, *Regular Functions of a Quaternionic
+Variable*, 2013): since j z = conj(z) j, one product is four complex
+products and two sums, (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)), eight
+numpy calls where parts take 28.  The stems, S_f, the oracle's map and
+the boundary means run on pairs; ``to_parts`` gives a pair's parts as
+views.
 
 The Quaternion methods (Hamilton product, conjugation, norm, trace,
-inverse) are the scalar reference: the tests check the parts kernels
-against them bit for bit.  ``split`` is the one split x = alpha + J*beta
-of a point into alpha + i*beta in the closed upper half-plane and a unit
-J of its slice C_J.
+inverse) are the scalar reference: the tests check the parts product
+against them bit for bit, and the pair kernels to a few ulps (numpy may
+fuse a complex product's multiply and add).  ``split`` is the one split
+x = alpha + J*beta of a point into alpha + i*beta in the closed upper
+half-plane and a unit J of its slice C_J.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ __all__ = [
     "split",
     "qmul_array",
     "qmul_parts",
+    "to_parts",
+    "pmul",
+    "pconj",
+    "pnorm2",
+    "pinv",
 ]
 
 # Renormalize near-unit imaginary parts instead of rejecting them;
@@ -211,21 +222,44 @@ def qmul_parts(a, b):
     )
 
 
-def _qconj_parts(a):
-    return (a[0], -a[1], -a[2], -a[3])
-
-
-def _qnorm2_parts(a):
-    return a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
-
-
-def _qinv_parts(a):
-    n = _qnorm2_parts(a)
-    return (a[0] / n, -a[1] / n, -a[2] / n, -a[3] / n)
-
-
 def qmul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product row by row for (n, 4) arrays (broadcastable).
     Nothing in the package calls it; the benchmark's
     ``perfbench/tracer.py`` patches it by name."""
     return np.stack(qmul_parts(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)), axis=-1)
+
+
+# -- pairs: q = a + b j, a and b complex scalars or broadcastable arrays
+
+
+def to_parts(p):
+    """The parts of a pair: real and imaginary views of its two components."""
+    a, b = p
+    return a.real, a.imag, b.real, b.imag
+
+
+def pmul(p, q):
+    """Hamilton product of pairs: (a1 + b1 j)(a2 + b2 j) = (a1 a2 - b1 conj(b2)) + (a1 b2 + b1 conj(a2)) j."""
+    a1, b1 = p
+    a2, b2 = q
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def pconj(p):
+    """conj(a + b j) = conj(a) - b j."""
+    return np.conj(p[0]), -p[1]
+
+
+def pnorm2(p):
+    """|a|^2 + |b|^2, summed component by component in the order of parts
+    (w^2 + x1^2 + x2^2 + x3^2), so it is the parts norm bit for bit."""
+    a, b = p
+    return a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+
+
+def pinv(p):
+    """q^{-1} = conj(q) / |q|^2, as conj(q) times 1 / |q|^2: a complex
+    times a real takes half the time of a complex over a real.  Not finite
+    where q = 0."""
+    inv = 1.0 / pnorm2(p)
+    return np.conj(p[0]) * inv, p[1] * -inv

@@ -9,12 +9,14 @@ coefficients.  Spherical value/derivative come from the stem as F1 and
 F2/beta; the spherical derivative extends to the real axis with the
 slice derivative (hard switch below BETA_SWITCH).
 
-``stem_arrays`` is the one stem kernel: F1 and F2 as parts at a complex
-scalar or array z; ``stem_components`` is the pair of Quaternions at one
-point, bit for bit.  ``eval`` is ``eval_parts`` on one point; the
-spherical value and derivative and ``log_abs`` take a Quaternion or
-parts.  ``horner`` is the one evaluator of real coefficients at complex
-scalars or arrays.
+``stem_arrays`` is the one stem kernel: F1 and F2 as pairs (see
+``quaternions``) at a complex scalar or array z, summed over complex
+coefficient arrays g, h of a_m = g_m + h_m j that each polynomial forms
+once; their parts are the parts loop's stems bit for bit, and
+``stem_components`` is the pair of Quaternions at one point.  ``eval`` is
+``eval_parts`` on one point; the spherical value and derivative and
+``log_abs`` take a Quaternion or parts.  ``horner`` is the one evaluator
+of real coefficients at complex scalars or arrays.
 
 A ``SliceStack`` holds m polynomials side by side, one per centre of a
 batched stencil: its coefficients are (m,) arrays, and it runs the same
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SliceRegError
-from .quaternions import ONE, ZERO, Quaternion, eps_zero, qmul_parts, split
+from .quaternions import ONE, ZERO, Quaternion, eps_zero, qmul_parts, split, to_parts
 
 __all__ = [
     "SlicePolynomial",
@@ -80,12 +82,20 @@ def horner(c, z):
 
 
 class _Loops:
-    """The Horner, stem and scale loops, over ``coeffs`` and ``_moduli()``:
-    the ascending coefficients as parts and their moduli, Quaternions and
-    floats for a ``SlicePolynomial``, and (4, m) and (m,) arrays, one entry
+    """The Horner, stem and scale loops, over ``coeffs``, ``_pairs()`` and
+    ``_moduli()``: the ascending coefficients as parts, as complex g_m, h_m
+    of a_m = g_m + h_m j, and their moduli; Quaternions, complex and floats
+    for a ``SlicePolynomial``, and (4, m), (m,) and (m,) arrays, one entry
     per centre, for a ``SliceStack``."""
 
     __slots__ = ()
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """g_m = w + i x1 and h_m = x2 + i x3 of every a_m, formed on first use."""
+        if self._pair_coeffs is None:
+            cs = np.array(self.coeffs, dtype=float).reshape(len(self.coeffs), 4, *np.shape(self.coeffs)[2:])
+            object.__setattr__(self, "_pair_coeffs", (cs[:, 0] + 1j * cs[:, 1], cs[:, 2] + 1j * cs[:, 3]))
+        return self._pair_coeffs
 
     def eval_parts(self, x: tuple) -> tuple:
         """Horner from the left at points given as parts (component arrays,
@@ -97,18 +107,22 @@ class _Loops:
         return acc
 
     def stem_arrays(self, z) -> tuple[tuple, tuple]:
-        """Stems (F1, F2) as parts at a complex scalar or array z.  z^m is
-        formed in real arithmetic, zr, zi = zr*x - zi*y, zr*y + zi*x, as
-        CPython multiplies complex numbers."""
+        """Stems F1 = sum_m a_m Re z^m and F2 = sum_m a_m Im z^m as pairs at
+        a complex scalar or array z: F1 = (sum g_m Re z^m, sum h_m Re z^m),
+        and F2 likewise.  A complex times a real rounds each component as
+        the real product does, so the parts of these sums are the parts
+        loop's bit for bit.  z^m is formed in real arithmetic, zr, zi =
+        zr*x - zi*y, zr*y + zi*x, as CPython multiplies complex numbers.
+
+        Not (G(z) +- G(conj z))/2 with G = sum z^m g_m: that difference
+        loses F2's relative accuracy as beta -> 0."""
         x, y = np.real(z), np.imag(z)
-        zero = np.zeros(np.shape(z)) if isinstance(z, np.ndarray) else 0.0
-        f1 = f2 = (zero,) * 4
+        a1 = b1 = a2 = b2 = np.zeros(np.shape(z), complex) if isinstance(z, np.ndarray) else 0j
         zr, zi = 1.0, 0.0
-        for c in self.coeffs:
-            f1 = tuple(s + a * zr for s, a in zip(f1, c))
-            f2 = tuple(s + a * zi for s, a in zip(f2, c))
+        for g, h in zip(*self._pairs()):
+            a1, b1, a2, b2 = a1 + g * zr, b1 + h * zr, a2 + g * zi, b2 + h * zi
             zr, zi = zr * x - zi * y, zr * y + zi * x
-        return f1, f2
+        return (a1, b1), (a2, b2)
 
     def stem_scale(self, radius):
         """sum |a_m| * radius^m, the natural evaluation scale at |z| = radius."""
@@ -123,7 +137,7 @@ class _Loops:
 class SlicePolynomial(_Loops):
     """f(x) = sum_m x^m a_m, coefficients on the right."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_pair_coeffs")
 
     def __init__(self, coeffs: Iterable[Quaternion | float]):
         cs = [c if isinstance(c, Quaternion) else Quaternion.real(c) for c in coeffs]
@@ -132,6 +146,7 @@ class SlicePolynomial(_Loops):
         if len(cs) - 1 > DEGREE_CAP:
             raise ValueError(f"degree {len(cs) - 1} exceeds cap {DEGREE_CAP}")
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_pair_coeffs", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("SlicePolynomial is immutable")
@@ -206,7 +221,7 @@ class SlicePolynomial(_Loops):
     def stem_components(self, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
         """(F1, F2) with F1 = sum Re(z^m) a_m and F2 = sum Im(z^m) a_m at z = alpha+i*beta."""
         f1, f2 = self.stem_arrays(complex(alpha, beta))
-        return Quaternion(*f1), Quaternion(*f2)
+        return Quaternion(*map(float, to_parts(f1))), Quaternion(*map(float, to_parts(f2)))
 
     # -- calculus ----------------------------------------------------------
 
@@ -226,7 +241,7 @@ class SliceStack(_Loops):
     padded with zero leading coefficients, which leave every loop's values
     as they are.  Points are parts whose last axis has length m."""
 
-    __slots__ = ("polys", "coeffs", "_derivative")
+    __slots__ = ("polys", "coeffs", "_pair_coeffs", "_derivative")
 
     def __init__(self, polys: Iterable[SlicePolynomial]):
         self.polys = tuple(polys)
@@ -234,6 +249,7 @@ class SliceStack(_Loops):
         n = max(len(f.coeffs) for f in self.polys)
         rows = [[f.coefficient(k) for f in self.polys] for k in range(n)]
         self.coeffs = np.array(rows, dtype=float).reshape(n, len(self.polys), 4).transpose(0, 2, 1).copy()
+        self._pair_coeffs = None
 
     def _moduli(self) -> list[np.ndarray]:
         """|a_m| of each polynomial, by ``Quaternion.abs``."""
@@ -277,7 +293,7 @@ def spherical_value(f: "SlicePolynomial | SliceStack", x):
     """v_s f(x) = (f(x) + f(conj x))/2 = F1(z); constant on each sphere.
     x is a Quaternion or parts, and so is the value."""
     alpha, beta, _ = split(x)
-    return _like(x, f.stem_arrays(alpha + 1j * beta)[0])
+    return _like(x, to_parts(f.stem_arrays(alpha + 1j * beta)[0]))
 
 
 def spherical_derivative(f: "SlicePolynomial | SliceStack", x):
@@ -288,7 +304,7 @@ def spherical_derivative(f: "SlicePolynomial | SliceStack", x):
     """
     alpha, beta, _ = split(x)
     d = f.slice_derivative().eval_parts((alpha, 0.0, 0.0, 0.0))
-    f2 = f.stem_arrays(alpha + 1j * beta)[1]
+    f2 = to_parts(f.stem_arrays(alpha + 1j * beta)[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         return _like(x, tuple(np.where(beta < BETA_SWITCH, a, b / beta) for a, b in zip(d, f2)))
 

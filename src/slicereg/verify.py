@@ -38,7 +38,7 @@ import numpy as np
 from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, fd_laplace4_richardson, richardson
 from .jensen import delta4_logNf_at0
 from .quadrature import ORACLE_BLOCK, build_rule, s2_means, shoemake
-from .quaternions import Quaternion, qmul_parts, split
+from .quaternions import Quaternion, qmul_parts, split, to_parts
 from .slicepoly import SlicePolynomial, SliceStack, horner, log_abs, normal, spherical_derivative, spherical_value
 from .zeros_poles import _division_multiplicity, as_semiregular, characteristic_poly, classify_zeros
 
@@ -164,8 +164,8 @@ def _exact_two_dx_sd(fs: SliceStack, xs: tuple) -> tuple:
     F2/beta^2 in beta."""
     alpha, beta, unit = split(xs)
     z = alpha + 1j * beta
-    g1, g2 = fs.slice_derivative().stem_arrays(z)
-    db = tuple(a / beta - b / (beta * beta) for a, b in zip(g1, fs.stem_arrays(z)[1]))
+    g1, g2 = map(to_parts, fs.slice_derivative().stem_arrays(z))
+    db = tuple(a / beta - b / (beta * beta) for a, b in zip(g1, to_parts(fs.stem_arrays(z)[1])))
     return tuple(a / beta - b for a, b in zip(g2, qmul_parts(unit, db)))
 
 
@@ -173,7 +173,7 @@ def _exact_two_dxc_vs(fs: SliceStack, xs: tuple) -> tuple:
     """2 d/dx^c (v_s f) at the centres xs from the stems G of f': the
     circular stem F1 of v_s f has partials G1 in alpha and -G2 in beta."""
     alpha, beta, unit = split(xs)
-    g1, g2 = fs.slice_derivative().stem_arrays(alpha + 1j * beta)
+    g1, g2 = map(to_parts, fs.slice_derivative().stem_arrays(alpha + 1j * beta))
     return tuple(a + b for a, b in zip(g1, qmul_parts(unit, tuple(-c for c in g2))))
 
 

@@ -441,7 +441,8 @@ class SemiregularFunction:
         return self._zero_polynomial
 
     def stem_arrays(self, z) -> tuple[tuple, tuple]:
-        """Stems of den^{-1} * num as parts: complex 1/d(z) times the num stems."""
+        """Stems of den^{-1} * num as pairs: complex 1/d(z) = u + i v times
+        the num stems, F1 u - F2 v and F1 v + F2 u, component by component."""
         f1, f2 = self.num.stem_arrays(z)
         inv = 1.0 / horner(self.den, z)
         u, v = inv.real, inv.imag

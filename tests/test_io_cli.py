@@ -357,6 +357,37 @@ def test_cli_rejects_a_numerator_whose_norm_sum_squares_to_inf(tmp_path, capsys,
         assert err.startswith("input error: ") and "numerator is out of range" in err, argv
 
 
+@pytest.mark.parametrize("diagnostics", [[], ["--no-diagnostics"]], ids=["diagnostics", "no-diagnostics"])
+def test_cli_corpus_reruns_in_one_process_write_the_same_bytes(tmp_path, diagnostics):
+    # the second run of each manifest reads the sample rows, Gauss-Legendre
+    # angles and S^2 grids that the first one cached
+    for manifest in ("polynomials", "rationals"):
+        outs = [tmp_path / f"{manifest}-{k}.json" for k in range(2)]
+        for out in outs:
+            argv = ["jensen", "--corpus", str(CORPUS / f"{manifest}.json"), "--seed", "3", *diagnostics]
+            assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes(), manifest
+
+
+def test_cli_means_that_overflow_name_their_node_in_one_line(tmp_path):
+    # at r = 1e5 the stems of 1e150 (1 + x) reach 1e155, so A = |F1|^2 + |F2|^2
+    # and exp(2 log|N(f)|) overflow: the means raise their named error, and
+    # stderr holds its one line, with the node as plain floats and no numpy
+    # warning before it
+    import os
+    import subprocess
+
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"coeffs": [1e150, 1e150]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(slicereg.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-m", "slicereg", "jensen", "--fn", str(fn), "--r", "1e5"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 3 and out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1, out.stderr
+    assert out.stderr.startswith("error: integrand not finite on the sphere through polar node 0 = Quaternion(99999.97")
+    assert "np.float64" not in out.stderr and "RuntimeWarning" not in out.stderr
+
+
 def _zero_spheres(tmp_path, capsys, coeffs):
     """(|alpha + i beta|, total multiplicity) of each zero record ``zeros`` prints for coeffs."""
     fn = tmp_path / "f.json"

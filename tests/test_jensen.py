@@ -646,15 +646,15 @@ def test_sf_roundtrip_fails_a_forward_map_that_leaves_the_sphere(monkeypatch):
     # 1 + 1e-9 comes back off the sphere by about that much
     from slicereg import quadrature
 
-    sf_parts = quadrature._sf_parts
+    sf_points = quadrature._sf_points
 
     def stretched(x, junit, f1, f2, scale):
-        y = sf_parts(x, junit, f1, f2, scale)
-        return (y[0], *(c * (1.0 + 1e-9) for c in y[1:]))
+        a, b = sf_points(x, junit, f1, f2, scale)  # the pair a + b j, Im y = i Im a + b j
+        return a.real + 1j * (a.imag * (1.0 + 1e-9)), b * (1.0 + 1e-9)
 
     f = load_function(CORPUS / "poly_isolated_pair.json")
     assert jensen_check(f, 1.0).diagnostics["sf_roundtrip_max"] <= 1e-12
-    monkeypatch.setattr(quadrature, "_sf_parts", stretched)
+    monkeypatch.setattr(quadrature, "_sf_points", stretched)
     assert jensen_check(f, 1.0).diagnostics["sf_roundtrip_max"] > 1e-10
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from slicereg.errors import NonFiniteIntegrandError
 from slicereg.io import load_function, parse_function
-from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, split
+from slicereg.quaternions import I, J, ONE, ZERO, Quaternion, split, to_parts
 from slicereg.quadrature import (
     _conjugate_by,
     _gauss_legendre,
@@ -19,8 +19,9 @@ from slicereg.quadrature import (
     _polar_angles,
     _sf_domain_points,
     _sf_inverse_point,
-    _sf_parts,
+    _sf_points,
     _slice_value,
+    _split_pairs,
     DEGENERATE_REL,
     SPHERE_MEASURE,
     KRONECKER_STEPS,
@@ -44,7 +45,7 @@ from slicereg.zeros_poles import SemiregularFunction, analyze, as_semiregular
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import near_boundary_functions  # noqa: E402
-from test_quaternions import split_point  # noqa: E402
+from test_quaternions import split_point, to_pair  # noqa: E402
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -341,7 +342,7 @@ def test_quadrature_convergence_doubling():
 # -- conjugation maps ---------------------------------------------------------
 #
 # The scalar T_map, S_map and s_inverse_map below are the pointwise oracle
-# of the array S_f (``quadrature._sf_parts``, and ``_conjugate_by`` of
+# of the array S_f (``quadrature._sf_points``, and ``_conjugate_by`` of
 # ``_sf_inverse_point`` for its inverse): they evaluate one point at a time
 # with Quaternion arithmetic and ``_stems``, sharing no code with the array
 # path except the formulas themselves and the stem kernel at one point, and
@@ -356,7 +357,7 @@ def _stems(f, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
     """(F1, F2) of a polynomial or a semiregular function at alpha + i beta,
     as Quaternions: ``stem_arrays`` at one complex point."""
     f1, f2 = f.stem_arrays(complex(alpha, beta))
-    return Quaternion(*f1), Quaternion(*f2)
+    return Quaternion(*map(float, to_parts(f1))), Quaternion(*map(float, to_parts(f2)))
 
 
 def _eval_conjugate(f, x: Quaternion) -> Quaternion:
@@ -669,12 +670,12 @@ def test_sf_roundtrip_errors_small():
 def _array_maps(f, pts, r):
     """S_f and S_f^{-1} of the rows pts by the array path, as rows."""
     scale = f.stem_scale(r)
-    x = tuple(pts.T)
-    alpha, beta, junit = split(x)
+    x = to_pair(tuple(pts.T))
+    alpha, beta, junit = _split_pairs(x)
     stems = f.stem_arrays(alpha + 1j * beta)
-    y = _sf_parts(x, junit, *stems, scale)
+    y = _sf_points(x, junit, *stems, scale)
     back = _conjugate_by(*_sf_inverse_point(x, *stems))
-    return np.stack(y, axis=-1), np.stack(back, axis=-1)
+    return np.stack(to_parts(y), axis=-1), np.stack(to_parts(back), axis=-1)
 
 
 def _sphere_points(rng, r, k):
@@ -721,10 +722,10 @@ def test_array_sf_conjugation_branches():
     # to conjugation and the scalar inverse raises
     g = SlicePolynomial([Quaternion(2.0, 0.5, 0.0, 0.0), ZERO, J])
     pts[:, 0] = 0.0
-    x = tuple(pts.T)
-    alpha, beta, junit = split(x)
-    y = _sf_parts(x, junit, *g.stem_arrays(alpha + 1j * beta), g.stem_scale(1.0))
-    for row, y_row in zip(pts, np.stack(y, axis=-1)):
+    x = to_pair(tuple(pts.T))
+    alpha, beta, junit = _split_pairs(x)
+    y = _sf_points(x, junit, *g.stem_arrays(alpha + 1j * beta), g.stem_scale(1.0))
+    for row, y_row in zip(pts, np.stack(to_parts(y), axis=-1)):
         q = Quaternion.from_array(row)
         assert Quaternion.from_array(y_row) == q.conj() == S_map(g, q)
     with pytest.raises(DegeneratePoint):
@@ -768,14 +769,14 @@ def test_sf_roundtrip_samples_like_scalar_loop():
         want = _scalar_domain_points(f, r, 300, 24)
         x, junit, f1, f2, y, w, fc = _sf_domain_points(f, r, 300, _seeded(24))
         assert len(want) == len(x[0]) == 300
-        for q, row in zip(want, np.stack(x, axis=-1)):
+        for q, row in zip(want, np.stack(to_parts(x), axis=-1)):
             assert (q - Quaternion.from_array(row)).abs() <= 1e-15
         # the units, stems, images, and the w and f^c the inverse reads, that
         # come back are those of the points, bit for bit
-        alpha, beta, units = split(x)
-        for got, recomputed in zip((*junit[1:], *f1, *f2), (*units[1:], *sum(f.stem_arrays(alpha + 1j * beta), ()))):
+        alpha, beta, units = _split_pairs(x)
+        for got, recomputed in zip((*junit, *f1, *f2), (*units, *sum(f.stem_arrays(alpha + 1j * beta), ()))):
             assert np.array_equal(got, recomputed)
-        assert all(np.array_equal(a, b) for a, b in zip(y, _sf_parts(x, junit, f1, f2, f.stem_scale(r))))
+        assert all(np.array_equal(a, b) for a, b in zip(y, _sf_points(x, junit, f1, f2, f.stem_scale(r))))
         assert all(np.array_equal(a, b) for a, b in zip((*w, *fc), sum(_sf_inverse_point(y, f1, f2), ())))
         # the distances are roundoff on these points, as with the scalar maps
         errs = sf_roundtrip_errors(f, r, 300, 24)
@@ -793,8 +794,8 @@ def test_sf_domain_points_clear_the_guards_that_define_the_inverse():
         scale = f.stem_scale(r)
         _, _, _, f2, _, _, fc = _sf_domain_points(f, r, n_points, _seeded(seed))
         assert len(f2[0]) == n_points
-        assert np.min(np.sqrt(sum(c * c for c in f2))) > 1e-4 * (1.0 + scale)
-        assert np.min(np.sqrt(sum(c * c for c in fc))) > 1e-9 * (1.0 + scale)
+        assert np.min(np.sqrt(sum(c * c for c in to_parts(f2)))) > 1e-4 * (1.0 + scale)
+        assert np.min(np.sqrt(sum(c * c for c in to_parts(fc)))) > 1e-9 * (1.0 + scale)
 
 
 def test_sf_roundtrip_guard_rejects_everything():
@@ -815,7 +816,7 @@ def test_sf_domain_points_skip_points_where_the_inverse_reads_a_vanishing_fc():
 
     f = next(c.make(*c.args) for c in LEDGER if c.name == "fivefold-near-boundary")
     want = _scalar_domain_points(f, 1.0, 1000, 0)
-    got = np.stack(_sf_domain_points(f, 1.0, 1000, _seeded(0))[0], axis=-1)
+    got = np.stack(to_parts(_sf_domain_points(f, 1.0, 1000, _seeded(0))[0]), axis=-1)
     assert len(want) == len(got) == 1000
     assert all((q - Quaternion.from_array(row)).abs() <= 1e-15 for q, row in zip(want, got))
     errs = sf_roundtrip_errors(f, 1.0, 1000, 0)
@@ -844,14 +845,14 @@ def test_sf_domain_points_skip_rows_near_the_real_axis():
     spread = np.array([[0.3, 1.0, 0.0, 0.0], [0.5, 0.2, 0.7, 0.1], [1.0, 0.0, 2e-3, 0.0], [-0.2, -0.4, 0.3, 0.9]])
     f = SlicePolynomial([ZERO] * 10 + [ONE])
     scale = f.stem_scale(1.0)
-    alpha, beta, junit = split(tuple(near.T / np.linalg.norm(near, axis=1)))
+    alpha, beta, junit = _split_pairs(to_pair(tuple(near.T / np.linalg.norm(near, axis=1))))
     f1, f2 = f.stem_arrays(alpha + 1j * beta)
     assert np.all(beta < 1e-4)
-    assert np.all(np.sqrt(sum(c * c for c in f2)) > 1e-4 * (1.0 + scale))
-    assert np.all(np.sqrt(sum(c * c for c in _slice_value(f1, f2, junit))) > 1e-9 * (1.0 + scale))
+    assert np.all(np.sqrt(sum(c * c for c in to_parts(f2))) > 1e-4 * (1.0 + scale))
+    assert np.all(np.sqrt(sum(c * c for c in to_parts(_slice_value(f1, f2, junit)))) > 1e-9 * (1.0 + scale))
 
     candidates = Chunks(near, spread)
-    got = np.stack(_sf_domain_points(f, 1.0, 4, candidates)[0], axis=-1)
+    got = np.stack(to_parts(_sf_domain_points(f, 1.0, 4, candidates)[0]), axis=-1)
     assert candidates.starts == [0, 4]
     assert np.allclose(got, spread / np.linalg.norm(spread, axis=1)[:, None], rtol=0.0, atol=1e-15)
 
@@ -862,7 +863,7 @@ def test_sf_domain_points_return_what_they_accepted():
     near = np.array([[1.0, 5e-5, 0.0, 0.0], [-1.0, 0.0, 5e-5, 0.0], [1.0, 3e-5, 3e-5, 3e-5], [-1.0, 0.0, 0.0, 8e-5]])
     first = np.vstack([[0.3, 1.0, 0.0, 0.0], near[:2], [0.5, 0.2, 0.7, 0.1]])
     candidates = Chunks(first, *[near] * 39)
-    got = np.stack(_sf_domain_points(SlicePolynomial([ZERO] * 10 + [ONE]), 1.0, 4, candidates)[0], axis=-1)
+    got = np.stack(to_parts(_sf_domain_points(SlicePolynomial([ZERO] * 10 + [ONE]), 1.0, 4, candidates)[0]), axis=-1)
     assert candidates.chunks == [] and candidates.starts == list(range(0, 160, 4))
     assert np.array_equal(got, first[[0, 3]] / np.linalg.norm(first[[0, 3]], axis=1)[:, None])
 
@@ -884,6 +885,16 @@ def test_s3_points_are_unit_and_reproducible(seed):
     # a chunk of a long call is the same rows as a call of its own
     for start, count in ((0, 1), (7, 13), (1000, 1000), (3999, 1), (1234, 2049)):
         assert np.array_equal(rows[start:start + count], s3_points(start, count, seed))
+
+
+def test_s3_points_are_drawn_once_and_read_only():
+    # every function of a corpus run samples the same candidates, so the rows
+    # are cached; nothing may write to rows that every later call shares
+    rows = s3_points(0, 1000, 3)
+    assert s3_points(0, 1000, 3) is rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.5
+    assert not rows.flags.writeable
 
 
 def test_s3_points_differ_between_seeds():

@@ -12,13 +12,15 @@ from slicereg.quaternions import (
     ONE,
     InvalidUnitError,
     Quaternion,
-    _qconj_parts,
-    _qinv_parts,
-    _qnorm2_parts,
     eps_zero,
+    pconj,
+    pinv,
+    pmul,
+    pnorm2,
     qmul_array,
     qmul_parts,
     split,
+    to_parts,
     unit_from_vector,
     validate_unit,
 )
@@ -35,6 +37,13 @@ def slice_embed(alpha: float, beta: float, unit: Quaternion) -> Quaternion:
         raise ValueError("beta must be >= 0")
     u = validate_unit(unit)
     return Quaternion(alpha, u.x1 * beta, u.x2 * beta, u.x3 * beta)
+
+
+def to_pair(q):
+    """The pair (w + i x1, x2 + i x3) of parts q: how the tests hand
+    points to the pair kernels."""
+    w, x1, x2, x3 = q
+    return w + 1j * x1, x2 + 1j * x3
 
 
 def split_point(x: Quaternion) -> tuple[float, float, Quaternion]:
@@ -177,25 +186,61 @@ def test_array_ops_match_scalar():
     for k in range(32):
         expect = Quaternion.from_array(a[k]) * Quaternion.from_array(b[k])
         assert np.allclose(prod[k], expect, atol=1e-12)
-    # the parts routines, bit for bit against the scalar methods
-    parts = tuple(a.T)
-    prod, n2 = np.stack(qmul_parts(parts, tuple(b.T)), -1), _qnorm2_parts(parts)
-    conj, inv = np.stack(_qconj_parts(parts), -1), np.stack(_qinv_parts(parts), -1)
+    # the parts product, bit for bit against the scalar method
+    prod = np.stack(qmul_parts(tuple(a.T), tuple(b.T)), -1)
     for k in range(32):
-        q = Quaternion.from_array(a[k])
-        assert Quaternion.from_array(prod[k]) == q * Quaternion.from_array(b[k])
-        assert n2[k] == q.norm2()
-        assert Quaternion.from_array(conj[k]) == q.conj()
-        assert Quaternion.from_array(inv[k]) == q.inverse()
-    # a Quaternion is parts: the kernels take it as it is, alone or beside arrays
+        assert Quaternion.from_array(prod[k]) == Quaternion.from_array(a[k]) * Quaternion.from_array(b[k])
+    # a Quaternion is parts: the kernel takes it as it is, alone or beside arrays
     for k in range(32):
         q, p = Quaternion.from_array(a[k]), Quaternion.from_array(b[k])
         assert Quaternion(*qmul_parts(q, p)) == q * p
-        assert _qnorm2_parts(q) == q.norm2()
-        assert Quaternion(*_qconj_parts(q)) == q.conj()
-        assert Quaternion(*_qinv_parts(q)) == q.inverse()
         row = np.stack(qmul_parts(q, tuple(b.T)), -1)[k]
         assert Quaternion.from_array(row) == q * p
+
+
+def _scaled_quaternions(rng, n):
+    """n random quaternions whose moduli run over 2^-500 ... 2^500: the
+    normal draws times 2^e, e uniform in -500 ... 500, the ends included."""
+    e = np.concatenate([[-500, 500, -500, 500], rng.integers(-500, 501, n - 4)])
+    return np.ldexp(rng.normal(size=(n, 4)), e[:, None])
+
+
+def _within_ulps(got, want, scale, ulps=2):
+    """|got - want| <= ulps units in the last place of scale, component by component."""
+    return all(abs(g - w) <= ulps * np.spacing(scale) for g, w in zip(got, want))
+
+
+def test_pair_kernels_match_the_quaternion_methods():
+    """The pair kernels against their oracle, the Quaternion methods, at
+    moduli 2^-500 ... 2^500: the product within 2 ulp of |p||q| and the
+    inverse within 2 ulp of 1/|q|, as a complex product may fuse a
+    multiply and an add where the parts product rounds each; the
+    conjugate, and the norm, summed component by component as
+    ``Quaternion.norm2`` sums, bit for bit."""
+    rng = np.random.default_rng(41)
+    a, b = _scaled_quaternions(rng, 2000), _scaled_quaternions(rng, 2000)
+    prod, conj = to_parts(pmul(to_pair(tuple(a.T)), to_pair(tuple(b.T)))), to_parts(pconj(to_pair(tuple(a.T))))
+    n2, inv = pnorm2(to_pair(tuple(a.T))), to_parts(pinv(to_pair(tuple(a.T))))
+    for k in range(len(a)):
+        q, p = Quaternion.from_array(a[k]), Quaternion.from_array(b[k])
+        assert _within_ulps([c[k] for c in prod], q * p, q.abs() * p.abs()), (q, p)
+        assert Quaternion(*(float(c[k]) for c in conj)) == q.conj()
+        assert n2[k] == q.norm2()
+        # Quaternion.inverse refuses a modulus below 1e-13; conj(q) / |q|^2 is its formula
+        assert _within_ulps([c[k] for c in inv], q.conj() / q.norm2(), 1.0 / q.abs()), q
+        if q.abs() > 1e-12:
+            assert _within_ulps([c[k] for c in inv], q.inverse(), 1.0 / q.abs()), q
+
+
+def test_pairs_are_parts_read_as_two_complex_numbers():
+    rng = np.random.default_rng(42)
+    rows = rng.normal(size=(50, 4))
+    pair = to_pair(tuple(rows.T))
+    assert all(np.array_equal(c, want) for c, want in zip(to_parts(pair), rows.T))
+    assert all(np.array_equal(c, want) for c, want in zip(pair, rows.view(complex).T))
+    q = Quaternion(0.5, -1.0, 2.0, 0.25)
+    assert to_pair(q) == (0.5 - 1.0j, 2.0 + 0.25j)
+    assert Quaternion(*map(float, to_parts(pmul(to_pair(q), to_pair(q.conj()))))) == Quaternion.real(q.norm2())
 
 
 def test_numpy_scalars_call_the_reflected_operators():
