@@ -67,7 +67,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NonFiniteIntegrandError
-from .quaternions import Quaternion, pconj, pinv, pmul, pnorm2, to_parts
+from .quaternions import Quaternion, pconj, pinv, pmul, pnorm2, split, to_parts
 from .slicepoly import horner
 from .zeros_poles import as_semiregular
 
@@ -294,16 +294,6 @@ def _slice_value(f1, f2, junit):
     return tuple(a + b for a, b in zip(f1, pmul(junit, f2)))
 
 
-def _split_pairs(x):
-    """alpha = Re x, beta = |Im x| and the unit J = Im x / beta, a pair,
-    of pairs x; J is not finite where beta = 0, which its callers reject."""
-    a, b = x
-    beta = np.sqrt(a.imag * a.imag + b.real * b.real + b.imag * b.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / beta
-        return a.real, beta, (1j * (a.imag * inv), b * inv)
-
-
 # S_f on one sphere, whose stems F1, F2 are constants: with g = F1 F2^{-1}
 # and u = g + J, conj(u) J u = conj(g) J g + J + 2 Im g, so
 # S_f(alpha + J beta) = u^{-1} conj(x) u = alpha - beta t(J) / d(J) with
@@ -332,7 +322,7 @@ def _sf_map(g, junit, one):
     return t, d
 
 
-def _sf_points(x, junit, f1, f2, scale: float):
+def _sf_points(x, beta, junit, f1, f2, scale: float):
     """S_f(x) = alpha - beta t(J) / d(J) at x = alpha + J beta with stems
     F1, F2 at alpha + i beta, by ``_sf_map`` point by point: the
     conjugation s (u^{-1} conj(x) u) s^{-1} with u = F1 + J F2 and s = F2,
@@ -340,7 +330,7 @@ def _sf_points(x, junit, f1, f2, scale: float):
     f vanishes."""
     degenerate = _degenerate(f2, scale)
     t, d = _sf_map(_sf_ratio(f1, f2, degenerate), junit, 1.0)
-    (a, b), beta = x, _split_pairs(x)[1]
+    a, b = x
     with np.errstate(divide="ignore", invalid="ignore"):
         step = -beta / d
         return np.where(degenerate, np.conj(a), a.real + step * t[0]), np.where(degenerate, -b, step * t[1])
@@ -352,7 +342,7 @@ def _sf_inverse_point(y, f1, f2):
     conjugations and T_f map each sphere alpha + S beta onto itself, so
     F1, F2 are the stems of y's sphere, as ``_sf_points`` takes them."""
     w = pconj(_conjugate_by(y, f2))
-    return w, _slice_value(pconj(f1), pconj(f2), _split_pairs(w)[2])
+    return w, _slice_value(pconj(f1), pconj(f2), split(w)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +562,7 @@ def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int
     kept, accepted = [], 0
     for start in range(0, 40 * n_points, n_points):
         x = tuple((r * candidates(start, n_points)).view(complex).T)
-        alpha, beta, junit = _split_pairs(x)
+        alpha, beta, junit = split(x)
         f1, f2 = f.stem_arrays(alpha + 1j * beta)
         # conditioning guard: conjugating by a tiny spherical derivative
         # amplifies its own rounding error
@@ -583,7 +573,7 @@ def _sf_domain_points(f, r: float, n_points: int, candidates: Callable[[int, int
         )
         rows = [c[keep] for c in (*x, *junit, *f1, *f2)]
         x, junit, f1, f2 = _paired(rows)
-        y = _sf_points(x, junit, f1, f2, scale)
+        y = _sf_points(x, beta[keep], junit, f1, f2, scale)
         # f^c passes the same guard where the inverse reads it, which f(x) does not imply
         w, fc = _sf_inverse_point(y, f1, f2)
         keep = np.sqrt(pnorm2(fc)) > floor

@@ -1,25 +1,26 @@
 """Quaternion arithmetic and the slice decomposition of H.
 
-Two array formats.  "Parts", the four components (w, x1, x2, x3) of
-q = w + x1*i + x2*j + x3*k, each a float or a broadcastable array, is
-the point format: ``Quaternion`` is the named tuple of one point's float
-components, so it is parts as it is, and ``split``, the polynomial
-loops and the finite-difference stencils take points as parts.
-"Pairs", q = a + b j with a = w + i x1 and b = x2 + i x3 in C_i, two
-complex scalars or arrays, is the product format (the splitting lemma of
-Gentili, Stoppato & Struppa, *Regular Functions of a Quaternionic
-Variable*, 2013): since j z = conj(z) j, one product is four complex
-products and two sums, (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)), eight
-numpy calls where parts take 28.  The stems, S_f, the oracle's map and
-the boundary means run on pairs; ``to_parts`` gives a pair's parts as
-views.
+One array format, pairs: q = a + b j with a = w + i x1 and b = x2 + i x3
+in C_i, two complex scalars or broadcastable arrays (the splitting lemma
+of Gentili, Stoppato & Struppa, *Regular Functions of a Quaternionic
+Variable*, 2013).  Since j z = conj(z) j, one product is four complex
+products and two sums, (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)).
+Points, stems, polynomial values, stencils, S_f and the boundary means
+all run on pairs; ``to_parts`` gives a pair's four real components
+(w, x1, x2, x3) as views, for the kernels that need real arrays.
+``Quaternion`` is the scalar type, the named tuple of one point's float
+components, for input, output and records; ``Quaternion.pair`` is its
+pair, and ``as_pair`` makes it a pair of arrays of shape (1,), so that
+one point runs the array kernels as any point does: numpy may fuse the
+multiply and add of an array complex product (it does where the CPU has
+FMA), and never of a scalar one.
 
 The Quaternion methods (Hamilton product, conjugation, norm, trace,
-inverse) are the scalar reference: the tests check the parts product
-against them bit for bit, and the pair kernels to a few ulps (numpy may
-fuse a complex product's multiply and add).  ``split`` is the one split
-x = alpha + J*beta of a point into alpha + i*beta in the closed upper
-half-plane and a unit J of its slice C_J.
+inverse) are the scalar reference: the tests hold the pair kernels to
+them within a few ulps.  ``split`` is the one split x = alpha + J*beta of
+a point into alpha + i*beta in the closed upper half-plane and a unit J
+of its slice C_J.  ``over`` divides a complex by a real part by part, as
+the floats divide; numpy's complex over real multiplies by 1 / d.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ __all__ = [
     "validate_unit",
     "split",
     "qmul_array",
-    "qmul_parts",
     "to_parts",
+    "as_pair",
+    "pair_like",
+    "over",
     "pmul",
     "pconj",
     "pnorm2",
@@ -147,6 +150,10 @@ class Quaternion(NamedTuple):
     def real(value: float) -> "Quaternion":
         return Quaternion(float(value), 0.0, 0.0, 0.0)
 
+    def pair(self) -> tuple[complex, complex]:
+        """(w + i x1, x2 + i x3) as complex numbers."""
+        return complex(self.w, self.x1), complex(self.x2, self.x3)
+
     def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return (self - other).abs() <= tol * (1.0 + self.abs() + other.abs())
 
@@ -193,40 +200,29 @@ def unit_from_vector(x1: float, x2: float, x3: float) -> Quaternion:
 
 
 def split(x):
-    """alpha = Re x, beta = |Im x| >= 0 and the unit J of x = alpha + J beta
-    at parts, one Quaternion or component arrays; J comes back as parts.
+    """alpha = Re x, beta = |Im x| >= 0 and the unit J = Im x * (1 / beta)
+    of x = alpha + J beta, at a pair x of complex scalars or arrays; J comes
+    back as a pair.
 
     beta is 0 where |Im x| <= ``eps_zero(|x|)``, and J is there the
     placeholder i.
     """
-    w, x1, x2, x3 = x
-    beta = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    off = beta > eps_zero(np.sqrt(w * w + x1 * x1 + x2 * x2 + x3 * x3))
-    d = np.where(off, beta, 1.0)
-    return w, beta * off, (0.0, np.where(off, x1 / d, 1.0), np.where(off, x2 / d, 0.0), np.where(off, x3 / d, 0.0))
-
-
-# -- vectorized counterparts on "parts", 4-tuples of broadcastable
-# component arrays, which keep each component contiguous
-
-
-def qmul_parts(a, b):
-    """Hamilton product of quaternions given as parts."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    )
+    a, b = x
+    s1, s2, s3 = a.imag * a.imag, b.real * b.real, b.imag * b.imag
+    beta = np.sqrt(s1 + s2 + s3)
+    off = beta > eps_zero(np.sqrt(a.real * a.real + s1 + s2 + s3))  # |x| as ``pnorm2`` sums it
+    if np.all(off):  # no point on the real axis, no placeholder
+        inv = 1.0 / beta
+        return a.real, beta, (1j * (a.imag * inv), b * inv)
+    inv = 1.0 / np.where(off, beta, 1.0)
+    return a.real, beta * off, (np.where(off, 1j * (a.imag * inv), 1j), np.where(off, b * inv, 0j))
 
 
 def qmul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product row by row for (n, 4) arrays (broadcastable).
-    Nothing in the package calls it; the benchmark's
-    ``perfbench/tracer.py`` patches it by name."""
-    return np.stack(qmul_parts(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)), axis=-1)
+    """Hamilton product row by row for (n, 4) arrays (broadcastable), by ``pmul``.
+    Nothing in the package calls it; the benchmark's ``perfbench/tracer.py`` patches it by name."""
+    a, b = (np.ascontiguousarray(q, dtype=float).view(complex) for q in (a, b))
+    return np.stack(pmul((a[..., 0], a[..., 1]), (b[..., 0], b[..., 1])), axis=-1).view(float)
 
 
 # -- pairs: q = a + b j, a and b complex scalars or broadcastable arrays
@@ -236,6 +232,22 @@ def to_parts(p):
     """The parts of a pair: real and imaginary views of its two components."""
     a, b = p
     return a.real, a.imag, b.real, b.imag
+
+
+def as_pair(x):
+    """A Quaternion x as a pair of arrays of shape (1,); a pair as it is."""
+    return tuple(np.array([c]) for c in x.pair()) if isinstance(x, Quaternion) else x
+
+
+def pair_like(x, p):
+    """The first point of the pair p as a Quaternion when x is one, else p as a tuple."""
+    return Quaternion(*(float(np.ravel(c)[0]) for c in to_parts(p))) if isinstance(x, Quaternion) else tuple(p)
+
+
+def over(c, d):
+    """c / d for a complex c and a real d, the real and imaginary parts
+    divided as floats (on a float view of c with a last axis of 2)."""
+    return (np.asarray(c, complex)[..., None].view(float) / np.expand_dims(d, -1)).view(complex)[..., 0]
 
 
 def pmul(p, q):

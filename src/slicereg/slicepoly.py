@@ -12,17 +12,19 @@ slice derivative (hard switch below BETA_SWITCH).
 ``stem_arrays`` is the one stem kernel: F1 and F2 as pairs (see
 ``quaternions``) at a complex scalar or array z, summed over complex
 coefficient arrays g, h of a_m = g_m + h_m j that each polynomial forms
-once; their parts are the parts loop's stems bit for bit, and
+once; their parts are the scalar Quaternion loop's stems bit for bit, and
 ``stem_components`` is the pair of Quaternions at one point.  ``eval`` is
-``eval_parts`` on one point; the spherical value and derivative and
-``log_abs`` take a Quaternion or parts.  ``horner`` is the one evaluator
-of real coefficients at complex scalars or arrays.
+the one point evaluator, a Horner on ``pmul`` with x^m on the left; it,
+the spherical value and derivative and ``log_abs`` take a Quaternion
+(giving a Quaternion or a float) or a pair.  ``horner`` is the one
+evaluator of real coefficients at complex scalars or arrays.
 
 A ``SliceStack`` holds m polynomials side by side, one per centre of a
-batched stencil: its coefficients are (m,) arrays, and it runs the same
+batched stencil: its g, h are (d+1, m) arrays, and it runs the same
 Horner, stem and scale loops as ``SlicePolynomial`` on points whose last
-axis has length m, so centre j takes polynomial j.  The spherical value
-and derivative and ``log_abs`` accept it.
+axis has length m, so centre j takes polynomial j, bit for bit as that
+polynomial alone.  The spherical value and derivative and ``log_abs``
+accept it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SliceRegError
-from .quaternions import ONE, ZERO, Quaternion, eps_zero, qmul_parts, split, to_parts
+from .quaternions import ONE, ZERO, Quaternion, as_pair, eps_zero, over, pair_like, pmul, split, to_parts
 
 __all__ = [
     "SlicePolynomial",
@@ -82,29 +84,24 @@ def horner(c, z):
 
 
 class _Loops:
-    """The Horner, stem and scale loops, over ``coeffs``, ``_pairs()`` and
-    ``_moduli()``: the ascending coefficients as parts, as complex g_m, h_m
-    of a_m = g_m + h_m j, and their moduli; Quaternions, complex and floats
-    for a ``SlicePolynomial``, and (4, m), (m,) and (m,) arrays, one entry
-    per centre, for a ``SliceStack``."""
+    """The Horner, stem and scale loops, over ``_pairs()``, the complex
+    g_m, h_m of the ascending coefficients a_m = g_m + h_m j, and
+    ``_moduli()``, their moduli: (d+1,) arrays and floats for a
+    ``SlicePolynomial``, and (d+1, m) arrays and (m,) arrays, one entry per
+    centre, for a ``SliceStack``."""
 
     __slots__ = ()
 
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """g_m = w + i x1 and h_m = x2 + i x3 of every a_m, formed on first use."""
-        if self._pair_coeffs is None:
-            cs = np.array(self.coeffs, dtype=float).reshape(len(self.coeffs), 4, *np.shape(self.coeffs)[2:])
-            object.__setattr__(self, "_pair_coeffs", (cs[:, 0] + 1j * cs[:, 1], cs[:, 2] + 1j * cs[:, 3]))
-        return self._pair_coeffs
-
-    def eval_parts(self, x: tuple) -> tuple:
-        """Horner from the left at points given as parts (component arrays,
-        or the floats of one point): powers of x sit left of the coefficients."""
-        cs = self.coeffs
-        acc = tuple(cs[-1]) if len(cs) else (0.0, 0.0, 0.0, 0.0)
-        for c in cs[-2::-1]:
-            acc = tuple(p + q for p, q in zip(qmul_parts(x, acc), c))
-        return acc
+    def eval(self, x):
+        """Horner from the left, acc = x acc + a_m, on ``pmul``: powers of x
+        sit left of the coefficients.  x is a Quaternion, and so is the
+        value, or a pair, whose last axis runs over the centres of a stack."""
+        p, (g, h) = as_pair(x), self._pairs()
+        acc = (g[-1], h[-1]) if len(g) else (0j, 0j)
+        for gm, hm in zip(g[-2::-1], h[-2::-1]):
+            a, b = pmul(p, acc)
+            acc = a + gm, b + hm
+        return pair_like(x, acc)
 
     def stem_arrays(self, z) -> tuple[tuple, tuple]:
         """Stems F1 = sum_m a_m Re z^m and F2 = sum_m a_m Im z^m as pairs at
@@ -212,8 +209,12 @@ class SlicePolynomial(_Loops):
 
     # -- evaluation -------------------------------------------------------
 
-    def eval(self, x: Quaternion) -> Quaternion:
-        return Quaternion(*self.eval_parts(x))
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """g_m = w + i x1 and h_m = x2 + i x3 of every a_m, formed on first use."""
+        if self._pair_coeffs is None:
+            cs = np.array(self.coeffs, dtype=float).reshape(len(self.coeffs), 4)
+            object.__setattr__(self, "_pair_coeffs", (cs[:, 0] + 1j * cs[:, 1], cs[:, 2] + 1j * cs[:, 3]))
+        return self._pair_coeffs
 
     def _moduli(self) -> list[float]:
         return [c.abs() for c in self.coeffs]
@@ -237,23 +238,26 @@ class SlicePolynomial(_Loops):
 
 class SliceStack(_Loops):
     """m slice polynomials side by side, polynomial j at centre j of a
-    batched stencil: ``coeffs`` has shape (deg+1, 4, m), the lower degrees
-    padded with zero leading coefficients, which leave every loop's values
-    as they are.  Points are parts whose last axis has length m."""
+    batched stencil: g and h, the g_m and h_m of every polynomial, have
+    shape (deg+1, m), the lower degrees padded with zero leading
+    coefficients, which leave every loop's values as they are.  Points are
+    pairs whose last axis has length m."""
 
-    __slots__ = ("polys", "coeffs", "_pair_coeffs", "_derivative")
+    __slots__ = ("polys", "g", "h", "_derivative")
 
     def __init__(self, polys: Iterable[SlicePolynomial]):
         self.polys = tuple(polys)
         self._derivative = None
         n = max(len(f.coeffs) for f in self.polys)
-        rows = [[f.coefficient(k) for f in self.polys] for k in range(n)]
-        self.coeffs = np.array(rows, dtype=float).reshape(n, len(self.polys), 4).transpose(0, 2, 1).copy()
-        self._pair_coeffs = None
+        cs = np.array([[f.coefficient(k) for f in self.polys] for k in range(n)], dtype=float)
+        self.g, self.h = cs[..., 0] + 1j * cs[..., 1], cs[..., 2] + 1j * cs[..., 3]
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.g, self.h
 
     def _moduli(self) -> list[np.ndarray]:
         """|a_m| of each polynomial, by ``Quaternion.abs``."""
-        return [np.array([f.coefficient(k).abs() for f in self.polys]) for k in range(len(self.coeffs))]
+        return [np.array([f.coefficient(k).abs() for f in self.polys]) for k in range(len(self.g))]
 
     def slice_derivative(self) -> "SliceStack":
         """The stack of the slice derivatives, built once."""
@@ -284,44 +288,40 @@ def normal(f: SlicePolynomial) -> SlicePolynomial:
     return SlicePolynomial([Quaternion.real(c.w) for c in nf.coeffs])
 
 
-def _like(x, v: tuple):
-    """The parts v as a Quaternion when x is one, else as they are."""
-    return Quaternion(*map(float, v)) if isinstance(x, Quaternion) else v
-
-
 def spherical_value(f: "SlicePolynomial | SliceStack", x):
     """v_s f(x) = (f(x) + f(conj x))/2 = F1(z); constant on each sphere.
-    x is a Quaternion or parts, and so is the value."""
-    alpha, beta, _ = split(x)
-    return _like(x, to_parts(f.stem_arrays(alpha + 1j * beta)[0]))
+    x is a Quaternion or a pair, and so is the value."""
+    alpha, beta, _ = split(as_pair(x))
+    return pair_like(x, f.stem_arrays(alpha + 1j * beta)[0])
 
 
 def spherical_derivative(f: "SlicePolynomial | SliceStack", x):
     """f'_s(x) = Im(x)^{-1} (f(x) - f(conj x))/2 = F2(z)/beta at a
-    Quaternion or parts x.
+    Quaternion or a pair x.
 
     Below BETA_SWITCH the slice-derivative extension takes over.
     """
-    alpha, beta, _ = split(x)
-    d = f.slice_derivative().eval_parts((alpha, 0.0, 0.0, 0.0))
-    f2 = to_parts(f.stem_arrays(alpha + 1j * beta)[1])
+    alpha, beta, _ = split(as_pair(x))
+    d = f.slice_derivative().eval((alpha + 0j, 0j))
+    f2 = f.stem_arrays(alpha + 1j * beta)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _like(x, tuple(np.where(beta < BETA_SWITCH, a, b / beta) for a, b in zip(d, f2)))
+        return pair_like(x, tuple(np.where(beta < BETA_SWITCH, a, over(b, beta)) for a, b in zip(d, f2)))
 
 
-def log_abs(f: "SlicePolynomial | SliceStack", x: "Quaternion | tuple") -> "float | np.ndarray":
+def log_abs(f: "SlicePolynomial | SliceStack", x) -> "float | np.ndarray":
     """log|f(x)| for slice-preserving f (a circular function of x) at one
-    Quaternion (a float) or at parts (an array).  The complex Horner runs
+    Quaternion (a float) or at a pair (an array).  The complex Horner runs
     in real arithmetic, product for product as CPython multiplies complex
     numbers: at one Quaternion it is bitwise the scalar ``horner`` at the
-    shadow of x, on parts it matches array ``horner`` only to rounding.
+    shadow of x, on arrays it matches array ``horner`` only to rounding.
     |f(x)| <= ``eps_zero(stem_scale(|x|))`` raises LogOfZeroError."""
     if not f.is_slice_preserving():
         raise ValueError("log_abs requires a slice-preserving polynomial")
-    w, beta, _ = split(x)
+    w, beta, _ = split(as_pair(x))
+    w = np.ascontiguousarray(w)  # not a strided view of the complex points
     re = im = 0.0
-    for c in f.coeffs[::-1]:
-        re, im = re * w - im * beta + c[0], re * beta + im * w
+    for c in np.ascontiguousarray(f._pairs()[0][::-1].real):
+        re, im = re * w - im * beta + c, re * beta + im * w
     a2 = re * re + im * im
     zero = a2 <= eps_zero(f.stem_scale(np.hypot(w, beta))) ** 2
     if np.asarray(zero).any():

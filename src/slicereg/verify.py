@@ -11,9 +11,10 @@ operators are meant to be used.  The stencils are the batched ones of
 ``diffops``, and each suite makes one stencil call per identity and
 step: its cases are the centres, with a step each, and a ``SliceStack``
 gives each centre its own polynomial.  The exact sides take the same
-stack and centres, and read f' from its one ``slice_derivative``.  Every
-suite takes its residuals as arrays over its cases and folds them with
-numpy, so a NaN residual fails its suite.
+stack and centres, and read f' from its one ``slice_derivative``.  Points,
+values and exact sides are pairs (see ``quaternions``).  Every suite takes
+its residuals as arrays over its cases and folds them with numpy, so a
+NaN residual fails its suite.
 
 The corpora come from ``Stream`` (standard-library Mersenne Twister draws,
 so no suite imports ``numpy.random``), shaped so the identities are
@@ -38,7 +39,7 @@ import numpy as np
 from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, fd_laplace4_richardson, richardson
 from .jensen import delta4_logNf_at0
 from .quadrature import ORACLE_BLOCK, build_rule, s2_means, shoemake
-from .quaternions import Quaternion, qmul_parts, split, to_parts
+from .quaternions import Quaternion, over, pmul, pnorm2, split, to_parts
 from .slicepoly import SlicePolynomial, SliceStack, horner, log_abs, normal, spherical_derivative, spherical_value
 from .zeros_poles import _division_multiplicity, as_semiregular, characteristic_poly, classify_zeros
 
@@ -164,17 +165,17 @@ def _exact_two_dx_sd(fs: SliceStack, xs: tuple) -> tuple:
     F2/beta^2 in beta."""
     alpha, beta, unit = split(xs)
     z = alpha + 1j * beta
-    g1, g2 = map(to_parts, fs.slice_derivative().stem_arrays(z))
-    db = tuple(a / beta - b / (beta * beta) for a, b in zip(g1, to_parts(fs.stem_arrays(z)[1])))
-    return tuple(a / beta - b for a, b in zip(g2, qmul_parts(unit, db)))
+    g1, g2 = fs.slice_derivative().stem_arrays(z)
+    db = tuple(over(a, beta) - over(b, beta * beta) for a, b in zip(g1, fs.stem_arrays(z)[1]))
+    return tuple(over(a, beta) - b for a, b in zip(g2, pmul(unit, db)))
 
 
 def _exact_two_dxc_vs(fs: SliceStack, xs: tuple) -> tuple:
     """2 d/dx^c (v_s f) at the centres xs from the stems G of f': the
     circular stem F1 of v_s f has partials G1 in alpha and -G2 in beta."""
     alpha, beta, unit = split(xs)
-    g1, g2 = map(to_parts, fs.slice_derivative().stem_arrays(alpha + 1j * beta))
-    return tuple(a + b for a, b in zip(g1, qmul_parts(unit, tuple(-c for c in g2))))
+    g1, g2 = fs.slice_derivative().stem_arrays(alpha + 1j * beta)
+    return tuple(a + b for a, b in zip(g1, pmul(unit, tuple(-c for c in g2))))
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +195,17 @@ def _pair_result(name: str, rows, res_h, res_h2, worst: float, tail: dict) -> Su
 
 
 def _centres(cases, h: float) -> tuple[list, tuple, tuple]:
-    """The points of the cases, the same as parts, one centre per case, and
+    """The points of the cases, the same as a pair, one centre per case, and
     the steps h (1 + |x|) and half of it, one per case."""
     points = [x for _, x in cases]
     step = h * (1.0 + np.array([x.abs() for x in points]))
-    return points, tuple(np.array(c) for c in zip(*points)), (step, 0.5 * step)
+    return points, tuple(np.array([x.pair() for x in points]).T), (step, 0.5 * step)
 
 
-def _gap(a, b=(0.0,) * 4) -> np.ndarray:
-    """|a - b| of parts, centre by centre, with the float operations of
+def _gap(a, b=(0.0, 0.0)) -> np.ndarray:
+    """|a - b| of pairs, centre by centre, with the float operations of
     ``Quaternion.abs``; b defaults to 0, and x - 0.0 is bitwise x."""
-    d0, d1, d2, d3 = (p - q for p, q in zip(a, b))
-    return np.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
+    return np.sqrt(pnorm2([p - q for p, q in zip(a, b)]))
 
 
 def _rows(points, columns) -> list[ResidualRow]:
@@ -220,7 +220,7 @@ def _rows(points, columns) -> list[ResidualRow]:
 def _fd_pair_suite(name: str, cases, identities) -> SuiteResult:
     """Generic first-order suite: run each identity at h and h/2.  Both
     sides of an identity take the ``SliceStack`` of the cases and their
-    centres, one per case, and return parts; the FD side also takes the steps."""
+    centres, one per case, and return pairs; the FD side also takes the steps."""
     stack = SliceStack(f for f, _ in cases)
     points, centres, steps = _centres(cases, 1e-3)
     columns = []
@@ -245,13 +245,13 @@ def suite_crf(seed: int, n_cases: int = 20) -> SuiteResult:
     identities = [
         (
             "dbar_crf(f) = -2 f'_s",
-            lambda fs, xs, h: fd_crf(fs.eval_parts, xs, h),
+            lambda fs, xs, h: fd_crf(fs.eval, xs, h),
             lambda fs, xs: tuple(v * (-2.0) for v in spherical_derivative(fs, xs)),
         ),
         (
             "d_crf(f) - 2 df/dx = 2 f'_s",
-            lambda fs, xs, h: tuple(a - b * 2.0 for a, b in zip(fd_crf_conj(fs.eval_parts, xs, h),
-                                                                fs.slice_derivative().eval_parts(xs))),
+            lambda fs, xs, h: tuple(a - b * 2.0 for a, b in zip(fd_crf_conj(fs.eval, xs, h),
+                                                                fs.slice_derivative().eval(xs))),
             lambda fs, xs: tuple(v * 2.0 for v in spherical_derivative(fs, xs)),
         ),
         (
@@ -274,8 +274,8 @@ def suite_gamma(seed: int, n_cases: int = 20) -> SuiteResult:
     identities = [
         (
             "gamma(f) = 2 Im(x) f'_s",
-            lambda fs, xs, h: fd_gamma(fs.eval_parts, xs, h),
-            lambda fs, xs: tuple(v * 2.0 for v in qmul_parts((0.0, *xs[1:]), spherical_derivative(fs, xs))),
+            lambda fs, xs, h: fd_gamma(fs.eval, xs, h),
+            lambda fs, xs: tuple(v * 2.0 for v in pmul((xs[0] - xs[0].real, xs[1]), spherical_derivative(fs, xs))),
         ),
     ]
     return _fd_pair_suite("gamma", cases, identities)
@@ -290,7 +290,7 @@ def suite_harmonic(seed: int, n_cases: int = 20) -> SuiteResult:
         (
             "laplace4(f'_s) = 0",
             lambda fs, xs, h: fd_laplace4(partial(spherical_derivative, fs), xs, h),
-            lambda fs, xs: (np.zeros_like(xs[0]),) * 4,
+            lambda fs, xs: (np.zeros_like(xs[0]),) * 2,
         ),
     ]
     return _fd_pair_suite("harmonic", cases, identities)
@@ -315,12 +315,12 @@ def suite_biharmonic(seed: int, n_cases: int = 20) -> SuiteResult:
     stream = Stream(seed)
     cases = [(_random_poly(stream, 6, 8, decay=0.45), _random_point(stream, 0.3, 0.8)) for _ in range(n_cases)]
     stack = SliceStack(f for f, _ in cases)
-    result = _bilaplacian_suite("bilaplace4(f)", cases, stack.eval_parts)
+    result = _bilaplacian_suite("bilaplace4(f)", cases, stack.eval)
 
     # dbar_crf of the FD laplacian, composed at matching steps; one
     # Richardson halving for the terminal value, as for the bilaplacian
     points, centres, steps = _centres(cases, 3e-2)
-    raw = [fd_crf(lambda y, s=s: fd_laplace4(stack.eval_parts, y, s), centres, s) for s in steps]
+    raw = [fd_crf(lambda y, s=s: fd_laplace4(stack.eval, y, s), centres, s) for s in steps]
     rich = _gap(richardson(*raw))
     result.rows += _rows(points, [("dbar_crf(laplace4 f) raw", steps[0], _gap(raw[0]), 2),
                                   ("dbar_crf(laplace4 f) richardson", steps[0], rich, 4)])
@@ -344,8 +344,8 @@ def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
     plus the analytic anchor at f = x + 1 (exact value 4)."""
     stream = Stream(seed)
     polys = [_product_poly(stream, 0.8, 1.8)[0] for _ in range(n_cases)]
-    origin = (np.zeros(n_cases),) * 4  # one centre per case
-    fd = fd_laplace4_richardson(partial(log_abs, SliceStack(normal(f) for f in polys)), origin, 3e-2)[0]
+    origin = (np.zeros(n_cases, complex),) * 2  # one centre per case
+    fd = fd_laplace4_richardson(partial(log_abs, SliceStack(normal(f) for f in polys)), origin, 3e-2)[0].real
     err = np.abs(np.array([delta4_logNf_at0(f) for f in polys]) - fd)
     rows = _rows([[0.0, 0.0, 0.0, 0.0]] * n_cases, [("delta4 log|N| at 0: closed vs FD", 3e-2, err, 4)])
     worst = float(np.max(err))
@@ -376,11 +376,11 @@ def suite_quadrature(seed: int) -> SuiteResult:
     rule = build_rule(r, n)
     cases = [_product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
     normals = [normal(f).real_coeffs() for f, _, _ in cases]  # f is a polynomial: log|N(f)| = log|horner(N(f))|
-    u, uj = ROTATION, qmul_parts(ROTATION, tuple(rule.s2_units.T))
+    uj = [c.copy() for c in to_parts(pmul(ROTATION.pair(), tuple(rule.s2_units.view(complex).T)))]
     sphere_means = np.empty((len(cases), len(rule.polar_z)))
     for blk in rule.blocks(ORACLE_BLOCK):
         alpha, beta = rule.polar_z[blk].real[:, None], rule.polar_z[blk].imag[:, None]
-        ux = [alpha * a + beta * b for a, b in zip(u, uj)]
+        ux = [alpha * a + beta * b for a, b in zip(ROTATION, uj)]  # the parts of u x, real
         z_rotated = ux[0] + 1j * np.sqrt(ux[1] * ux[1] + ux[2] * ux[2] + ux[3] * ux[3])
         sphere_means[:, blk] = [s2_means(rule, np.log(np.abs(horner(nf, z_rotated))), blk.start) for nf in normals]
     # N(f) = |c|^2 N(x - q_1) ... N(x - q_k): the roots Re q + i |Im q| of every q, then their conjugates
@@ -430,7 +430,7 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
             found[min(built, key=lambda q: math.hypot(rec.alpha - q.w, rec.beta - q.abs_im()))] += rec.multiplicity
         gaps = []
         for q, m in built.items():
-            alpha, beta, _ = split(q)  # N(f)'s count at q: its divisions by q's real factor, twice for a Delta_q
+            alpha, beta, _ = split(q.pair())  # N(f)'s count at q: its divisions by q's real factor, twice for a Delta_q
             m_normal = _division_multiplicity(normal_c, alpha, beta) * (1 if beta == 0.0 else 2)
             gaps.append(abs(found[q] - m) + abs(m_normal - 2 * m))
             rows.append(ResidualRow(f"m_N = 2 m_f = {2 * m} at ({q.w:.3g},{q.abs_im():.3g})", idx,

@@ -341,7 +341,7 @@ def total_multiplicity(f, y: Quaternion) -> int:
     Counted by division of the function's ``zero_polynomial`` by the real
     factor of y's sphere, x - y for a real y, else Delta_y."""
     c, per_unit = as_semiregular(f).zero_polynomial
-    alpha, beta, _ = split(y)
+    alpha, beta, _ = split(y.pair())
     s = _division_multiplicity(c, alpha, beta)
     return (s if beta == 0.0 else 2 * s) // per_unit
 

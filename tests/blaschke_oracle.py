@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from slicereg.errors import ClassificationInconsistencyError, PoleOnBoundaryError, SliceRegError
-from slicereg.quaternions import Quaternion, split
+from slicereg.quaternions import Quaternion, split, to_parts
 from slicereg.slicepoly import SlicePolynomial, horner, slice_product
 from slicereg.zeros_poles import (TOL_DIVIDE, SemiregularFunction, _divide, analyze, as_semiregular, on_boundary,
                                   root_spheres)
@@ -40,9 +40,9 @@ def divide_rows(p: SlicePolynomial, d) -> tuple[SlicePolynomial, SlicePolynomial
 
 def evaluate(f: SemiregularFunction, x: Quaternion) -> Quaternion:
     """Oracle: den(x)^{-1} num(x); den is real, so den(alpha + J beta) = Re d + J Im d, d = den(alpha + i beta)."""
-    alpha, beta, unit = split(x)
+    alpha, beta, unit = split(x.pair())
     d = horner(f.den, complex(alpha, beta))
-    return Quaternion(d.real, *(float(u) * d.imag for u in unit[1:])).inverse() * f.num.eval(x)
+    return Quaternion(d.real, *(float(u) * d.imag for u in to_parts(unit)[1:])).inverse() * f.num.eval(x)
 
 
 def unreduced(den: np.ndarray, num: SlicePolynomial) -> SemiregularFunction:
@@ -77,7 +77,7 @@ def blaschke_spherical(b: Quaternion, r: float) -> SemiregularFunction:
     nb = b.norm2()
     if not 0.0 < math.sqrt(nb) < r:
         raise InvalidPoleError(f"spherical Blaschke base point needs 0 < |b| < r, got |b|={math.sqrt(nb)}, r={r}")
-    if split(b)[1] == 0.0:
+    if split(b.pair())[1] == 0.0:
         raise InvalidPoleError("spherical Blaschke base point must be nonreal")
     tb = b.trace()
     den = np.array([r**4 / nb, -r * r * tb / nb, 1.0])

@@ -39,7 +39,7 @@ import numpy as np
 from slicereg.errors import ClassificationInconsistencyError, NonFiniteIntegrandError, SliceRegError
 from slicereg.io import polynomial_to_dict
 from slicereg.jensen import jensen_check
-from slicereg.quaternions import Quaternion, qmul_parts
+from slicereg.quaternions import Quaternion
 from slicereg.slicepoly import SlicePolynomial
 from slicereg.verify import Stream
 from slicereg.zeros_poles import SemiregularFunction, characteristic_poly, classify_zeros
@@ -133,7 +133,7 @@ def _fraction_product(roots) -> list[tuple[Fraction, ...]]:
         minus_q = tuple(-k for k in eighths)  # -8 q
         for _ in range(m):
             # 8 c * (x - q) has coefficients 8 c_{n-1} - c_n (8 q)
-            exact = [tuple(8 * a + b for a, b in zip(hi, qmul_parts(lo, minus_q)))
+            exact = [tuple(8 * a + b for a, b in zip(hi, Quaternion(*lo) * Quaternion(*minus_q)))
                      for hi, lo in zip([zero, *exact], [*exact, zero])]
             degree += 1
     return [tuple(Fraction(a, 8**degree) for a in c) for c in exact]

@@ -14,7 +14,7 @@ from slicereg.diffops import (
     fd_laplace4_richardson,
     fd_partial,
 )
-from slicereg.quaternions import I, J, K, ONE, Quaternion, split
+from slicereg.quaternions import I, J, K, ONE, Quaternion, pnorm2, split, to_parts
 from slicereg.slicepoly import (
     LogOfZeroError,
     SlicePolynomial,
@@ -27,9 +27,7 @@ from slicereg.slicepoly import (
 )
 from slicereg.verify import Stream, _product_poly, _random_point, _random_poly
 
-
-def _norm2(x):
-    return x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
+from test_quaternions import to_pair
 
 
 # ---------------------------------------------------------------------------
@@ -101,19 +99,9 @@ class ScalarReference:
         return (cls.bilaplace4(u, x, 0.5 * h) * 4.0 - cls.bilaplace4(u, x, h)) / 3.0
 
 
-def _scalar_horner(f, x):
-    """Left Horner on Quaternions, as ``SlicePolynomial.eval`` was written."""
-    if not f.coeffs:
-        return Quaternion()
-    acc = f.coeffs[-1]
-    for m in range(len(f.coeffs) - 2, -1, -1):
-        acc = x * acc + f.coeffs[m]
-    return acc
-
-
 def _scalar_log_abs(f, x):
     """log|f(x)| by ``split``, the complex Horner and ``math.log``."""
-    alpha, beta, _ = split(x)
+    alpha, beta, _ = split(x.pair())
     z = complex(alpha, beta)
     v = horner([c.w for c in f.coeffs], z)
     a2 = v.real * v.real + v.imag * v.imag
@@ -123,14 +111,14 @@ def _scalar_log_abs(f, x):
 
 
 def test_fd_partial_examples():
-    u = lambda x: x[0] ** 2
+    u = lambda x: x[0].real ** 2  # w^2 of the pair x = (w + i x1, x2 + i x3)
     d = fd_partial(u, 0, Quaternion.real(1.0), 1e-3)
     assert d.re() == pytest.approx(2.0, abs=1e-9)
 
     const = lambda x: 3.7
     assert fd_partial(const, 2, Quaternion.real(0.3), 1e-3).abs() <= 1e-12
 
-    bil = lambda x: x[0] * x[1]
+    bil = lambda x: x[0].real * x[0].imag  # w x1
     d1 = fd_partial(bil, 1, Quaternion(2, 3, 0, 0), 1e-3)
     assert d1.re() == pytest.approx(2.0, abs=1e-9)
 
@@ -147,12 +135,12 @@ def test_crf_on_square():
     # dbar_CRF x^2 = -4 x0 = -2 f'_s with f'_s = 2 alpha
     sq = SlicePolynomial.from_real([0, 0, 1])
     x = Quaternion(0.7, 0.1, 0.3, -0.2)
-    val = fd_crf(sq.eval_parts, x, 1e-4)
+    val = fd_crf(sq.eval, x, 1e-4)
     assert (val - Quaternion.real(-4.0 * x.re())).abs() <= 1e-7
 
 
 def test_crf_constant():
-    assert fd_crf(lambda x: K, Quaternion.real(0.2), 1e-3).abs() <= 1e-12
+    assert fd_crf(lambda x: K.pair(), Quaternion.real(0.2), 1e-3).abs() <= 1e-12
 
 
 def test_crf_conj_identity():
@@ -169,35 +157,35 @@ def test_gamma_identity_map():
 
 
 def test_gamma_annihilates_real_part_functions():
-    val = fd_gamma(lambda y: 2.0 * y[0], Quaternion(0.5, 0.3, 0.2, 0.7), 1e-4)
+    val = fd_gamma(lambda y: 2.0 * y[0].real, Quaternion(0.5, 0.3, 0.2, 0.7), 1e-4)
     assert val.abs() <= 1e-10
 
 
 def test_gamma_on_square_at_i():
     sq = SlicePolynomial.from_real([0, 0, 1])
-    val = fd_gamma(sq.eval_parts, I, 1e-4)
+    val = fd_gamma(sq.eval, I, 1e-4)
     # 2 Im(x) f'_s = 2i * (2*0) = 0
     assert val.abs() <= 1e-9
 
 
 def test_laplace4_examples():
-    u = _norm2
+    u = pnorm2
     val = fd_laplace4(u, Quaternion(0.3, -0.1, 0.2, 0.5), 1e-3)
     assert val.re() == pytest.approx(8.0, abs=1e-7)
 
     # log|x - a| in R^4 has laplacian 2/|x-a|^2
     a = Quaternion.real(-1.0)
-    u2 = lambda x: 0.5 * np.log(_norm2(tuple(p - q for p, q in zip(x, a))))
+    u2 = lambda x: 0.5 * np.log(pnorm2(tuple(p - q for p, q in zip(x, a.pair()))))
     val2 = fd_laplace4_richardson(u2, Quaternion.real(0.0), 3e-2)
     assert val2.re() == pytest.approx(2.0, abs=1e-6)
 
-    harmonic = lambda x: x[0] ** 2 - x[1] ** 2
+    harmonic = lambda x: x[0].real ** 2 - x[0].imag ** 2
     val3 = fd_laplace4(harmonic, Quaternion(0.2, 0.4, 0.1, 0.3), 1e-3)
     assert val3.abs() <= 1e-9
 
 
 def test_bilaplace_kills_low_degree():
-    u = _norm2  # quadratic: only roundoff survives
+    u = pnorm2  # quadratic: only roundoff survives
     val = fd_bilaplace4(u, Quaternion(0.1, 0.2, 0.3, 0.4), 3e-2)
     assert val.abs() <= 1e-7
 
@@ -205,7 +193,7 @@ def test_bilaplace_kills_low_degree():
 def test_bilaplace_richardson_on_smooth_function():
     # u = |x|^4 has Delta^2 u = constant: Delta |x|^4 = (4n+8)|x|^2 hmm
     # compute directly: Delta |x|^4 = 24 |x|^2 in R^4, Delta^2 = 24 * 8
-    u = lambda x: _norm2(x) ** 2
+    u = lambda x: pnorm2(x) ** 2
     val = fd_bilaplace4_richardson(u, Quaternion(0.3, 0.1, -0.2, 0.4), 2e-2)
     assert val.re() == pytest.approx(192.0, rel=1e-6)
 
@@ -232,10 +220,10 @@ def test_spherical_derivative_harmonic():
 def test_stencil_direction_flip_negates_odd_derivatives():
     # central differences: reversing an axis negates odd-order estimates exactly
     f = SlicePolynomial([Quaternion(0.2, -0.1, 0.4, 0.3), I, ONE])
-    flipped = lambda x: f.eval_parts((x[0], -x[1], x[2], x[3]))  # noqa: E731
+    flipped = lambda x: f.eval((np.conj(x[0]), x[1]))  # x1 -> -x1  # noqa: E731
     x = Quaternion(0.3, 0.5, -0.2, 0.1)
     x_flip = Quaternion(0.3, -0.5, -0.2, 0.1)
-    d = fd_partial(f.eval_parts, 1, x, 1e-3)
+    d = fd_partial(f.eval, 1, x, 1e-3)
     d_flip = fd_partial(flipped, 1, x_flip, 1e-3)
     assert (d + d_flip).abs() <= 1e-12 * (1.0 + d.abs())
 
@@ -244,8 +232,8 @@ def test_convergence_order_two():
     sq = SlicePolynomial([Quaternion.from_array([0.3, -0.2, 0.5, 0.1]) * 0.3**m for m in range(5)])
     x = Quaternion(0.6, 0.3, 0.2, -0.4)
     exact = spherical_derivative(sq, x) * (-2.0)
-    r1 = (fd_crf(sq.eval_parts, x, 2e-3) - exact).abs()
-    r2 = (fd_crf(sq.eval_parts, x, 1e-3) - exact).abs()
+    r1 = (fd_crf(sq.eval, x, 2e-3) - exact).abs()
+    r2 = (fd_crf(sq.eval, x, 1e-3) - exact).abs()
     assert 3.5 <= r1 / r2 <= 4.5
 
 
@@ -257,16 +245,18 @@ def test_convergence_order_two():
 def _integrands(seed):
     """(name, batched integrand, scalar integrand, point) triples: a
     quaternion-coefficient polynomial of degree 6..8, log|N(f)| with the
-    zeros of f well away from the point, and the spherical derivative,
-    which takes parts and Quaternions alike (its Quaternion case is held
-    to the former scalar code in tests/test_slicepoly.py)."""
+    zeros of f well away from the point, and the spherical derivative.
+    ``eval`` and the spherical derivative take pairs and Quaternions alike,
+    a Quaternion as a pair of one point (their Quaternion cases are held to
+    the Quaternion Horner and the former scalar code in
+    tests/test_slicepoly.py)."""
     stream = Stream(seed)
     f = _random_poly(stream, 6, 8, decay=0.45)
     g, _, _ = _product_poly(stream, 2.2, 3.0, max_factors=3)
     ng = normal(g)
     sd = partial(spherical_derivative, f)
     return [
-        ("f", f.eval_parts, partial(_scalar_horner, f), _random_point(stream, 0.3, 0.8)),
+        ("f", f.eval, f.eval, _random_point(stream, 0.3, 0.8)),
         ("log|N(f)|", partial(log_abs, ng), partial(_scalar_log_abs, ng), _random_point(stream, 0.3, 0.6, beta_min=0.15)),
         ("f'_s", sd, sd, _random_point(stream, 0.4, 0.9)),
     ]
@@ -322,27 +312,13 @@ def test_composed_stencils_make_one_integrand_call():
 
     def u(x):
         sizes.append(np.size(x[0]))
-        return f.eval_parts(x)
+        return f.eval(x)
 
     x = Quaternion(0.3, 0.4, -0.2, 0.1)
     fd_bilaplace4(u, x, 3e-2)
     fd_crf(lambda y: fd_laplace4(u, y, 3e-2), x, 3e-2)
     fd_gamma(u, x, 1e-3)
     assert sizes == [81, 72, 6]
-
-
-def test_parts_horner_matches_scalar_loop_bitwise():
-    stream = Stream(11)
-    polys = [_random_poly(stream, lo, lo + 2) for lo in (0, 3, 6)]
-    polys += [SlicePolynomial([]), SlicePolynomial([Quaternion(1, 2, 0, 0), ONE]), normal(polys[-1])]
-    points = [_random_point(stream, 0.1, 1.5, beta_min=0.0) for _ in range(12)] + [Quaternion.real(0.7)]
-    parts = tuple(np.array(c) for c in zip(*points))
-    for f in polys:
-        batched = f.eval_parts(parts)
-        for i, x in enumerate(points):
-            want = _scalar_horner(f, x)
-            assert f.eval(x) == want
-            assert Quaternion(*(float(np.broadcast_to(c, (len(points),))[i]) for c in batched)) == want
 
 
 def test_batched_log_abs_matches_scalar_and_raises_on_zero_sphere():
@@ -353,7 +329,7 @@ def test_batched_log_abs_matches_scalar_and_raises_on_zero_sphere():
     on_sphere = [q, Quaternion(q.w, beta, 0.0, 0.0), Quaternion(q.w, 0.0, 0.0, -beta)]
     off_sphere = [_random_point(Stream(5), 0.2, 1.4, beta_min=0.0) for _ in range(20)]
     off_sphere += [Quaternion.real(0.3), Quaternion(0.3, 1e-20, 0.0, 0.0)]  # real and numerically real
-    off = tuple(np.array(c) for c in zip(*off_sphere))
+    off = to_pair(tuple(np.array(c) for c in zip(*off_sphere)))
     assert log_abs(nf, off).tolist() == [_scalar_log_abs(nf, x) for x in off_sphere]
     assert [log_abs(nf, x) for x in off_sphere] == [_scalar_log_abs(nf, x) for x in off_sphere]
     for x in on_sphere:
@@ -361,7 +337,7 @@ def test_batched_log_abs_matches_scalar_and_raises_on_zero_sphere():
             _scalar_log_abs(nf, x)
         with pytest.raises(LogOfZeroError):
             log_abs(nf, x)
-        mixed = tuple(np.append(c, v) for c, v in zip(off, x))
+        mixed = tuple(np.append(c, v) for c, v in zip(off, x.pair()))
         with pytest.raises(LogOfZeroError):
             log_abs(nf, mixed)
 
@@ -375,15 +351,16 @@ def _per_centre_integrands(seed, m=6):
     """(name, integrand of all m centres, scalar integrand of each centre)
     and the m points: polynomials of degree 2..8 mixed in one SliceStack,
     log|N| of products whose zeros lie 2.2-3 from the origin, and the
-    spherical derivative and value, which take parts and Quaternions alike."""
+    spherical derivative and value, which take pairs and Quaternions alike."""
     stream = Stream(seed)
     polys = [_random_poly(stream, 2 + j, 3 + j, decay=0.45) for j in range(m)]
     normals = [normal(_product_poly(stream, 2.2, 3.0, max_factors=3)[0]) for _ in range(m)]
     points = [_random_point(stream, 0.3, 0.6, beta_min=0.15) for _ in range(m)]
     stack = SliceStack(polys)
-    assert len({f.degree for f in polys}) > 2 and stack.coeffs.shape == (max(f.degree for f in polys) + 1, 4, m)
+    assert len({f.degree for f in polys}) > 2
+    assert stack.g.shape == stack.h.shape == (max(f.degree for f in polys) + 1, m)
     integrands = [
-        ("f", stack.eval_parts, [partial(_scalar_horner, f) for f in polys]),
+        ("f", stack.eval, [f.eval for f in polys]),
         ("log|N(f)|", partial(log_abs, SliceStack(normals)), [partial(_scalar_log_abs, g) for g in normals]),
         ("f'_s", partial(spherical_derivative, stack), [partial(spherical_derivative, f) for f in polys]),
         ("v_s f", partial(spherical_value, stack), [partial(spherical_value, f) for f in polys]),
@@ -392,14 +369,14 @@ def _per_centre_integrands(seed, m=6):
 
 
 def _centre(v, j):
-    return Quaternion(*(float(p[j]) for p in v))
+    return Quaternion(*(float(p[j]) for p in to_parts(v)))
 
 
 def _check_per_centre(batched, scalar, step, seed):
     """batched on all centres at once, per-centre steps, equals scalar at
     each centre on its own, bit for bit."""
     integrands, points = _per_centre_integrands(seed)
-    centres = tuple(np.array(c) for c in zip(*points))
+    centres = to_pair(tuple(np.array(c) for c in zip(*points)))
     h = step * (1.0 + np.array([x.abs() for x in points]))
     for label, u, u_scalar in integrands:
         for steps in (h, 0.5 * h):
@@ -426,7 +403,7 @@ def test_composed_crf_of_laplacian_on_many_centres_matches_scalar_reference_bitw
 def test_one_step_for_all_centres_matches_scalar_reference_bitwise():
     # a float step serves every centre, as in the delta4-at-0 suite
     integrands, points = _per_centre_integrands(7)
-    centres = tuple(np.array(c) for c in zip(*points))
+    centres = to_pair(tuple(np.array(c) for c in zip(*points)))
     for label, u, u_scalar in integrands:
         got = fd_laplace4_richardson(u, centres, 3e-2)
         for j, x in enumerate(points):
@@ -468,10 +445,11 @@ def test_suite_residuals_are_the_quaternion_arithmetic_they_replaced():
     from slicereg.verify import _gap, _rows
 
     rng = np.random.default_rng(3)
-    coarse, fine = (tuple(rng.normal(size=(4, 9)) * 10.0 ** rng.integers(-8, 3, size=(4, 9))) for _ in range(2))
+    coarse, fine = (to_pair(tuple(rng.normal(size=(4, 9)) * 10.0 ** rng.integers(-8, 3, size=(4, 9))))
+                    for _ in range(2))
 
     def at(v, k):
-        return Quaternion(*(float(p[k]) for p in v))
+        return Quaternion(*(float(p[k]) for p in to_parts(v)))
 
     gap, size, rich = _gap(coarse, fine), _gap(coarse), _gap(richardson(coarse, fine))
     for k in range(9):

@@ -648,8 +648,8 @@ def test_sf_roundtrip_fails_a_forward_map_that_leaves_the_sphere(monkeypatch):
 
     sf_points = quadrature._sf_points
 
-    def stretched(x, junit, f1, f2, scale):
-        a, b = sf_points(x, junit, f1, f2, scale)  # the pair a + b j, Im y = i Im a + b j
+    def stretched(x, beta, junit, f1, f2, scale):
+        a, b = sf_points(x, beta, junit, f1, f2, scale)  # the pair a + b j, Im y = i Im a + b j
         return a.real + 1j * (a.imag * (1.0 + 1e-9)), b * (1.0 + 1e-9)
 
     f = load_function(CORPUS / "poly_isolated_pair.json")

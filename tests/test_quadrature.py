@@ -21,7 +21,6 @@ from slicereg.quadrature import (
     _sf_inverse_point,
     _sf_points,
     _slice_value,
-    _split_pairs,
     DEGENERATE_REL,
     SPHERE_MEASURE,
     KRONECKER_STEPS,
@@ -401,7 +400,7 @@ def S_map(f, x: Quaternion) -> Quaternion:
 
 def s_inverse_map(f, y: Quaternion) -> Quaternion:
     """Oracle of the array S_f^{-1}: y -> T_f(conj(f'_s(y)^{-1} y f'_s(y)))."""
-    alpha, beta, _ = split(y)
+    alpha, beta, _ = split(y.pair())
     _, s = _stems(f, alpha, beta)  # F2, the f'_s direction; the scalar factor cancels
     scale = f.stem_scale(y.abs())
     if s.abs() <= DEGENERATE_REL * (1.0 + scale):
@@ -479,7 +478,7 @@ def test_s_map_inverse_roundtrip():
     while count < 50:
         v = rng.normal(size=4)
         x = Quaternion.from_array(v / np.linalg.norm(v))
-        alpha, beta, _ = split(x)
+        alpha, beta, _ = split(x.pair())
         if beta < 0.1:
             continue
         if _stems(f, alpha, beta)[1].abs() < 1e-4 * (1 + scale):
@@ -671,9 +670,9 @@ def _array_maps(f, pts, r):
     """S_f and S_f^{-1} of the rows pts by the array path, as rows."""
     scale = f.stem_scale(r)
     x = to_pair(tuple(pts.T))
-    alpha, beta, junit = _split_pairs(x)
+    alpha, beta, junit = split(x)
     stems = f.stem_arrays(alpha + 1j * beta)
-    y = _sf_points(x, junit, *stems, scale)
+    y = _sf_points(x, beta, junit, *stems, scale)
     back = _conjugate_by(*_sf_inverse_point(x, *stems))
     return np.stack(to_parts(y), axis=-1), np.stack(to_parts(back), axis=-1)
 
@@ -723,8 +722,8 @@ def test_array_sf_conjugation_branches():
     g = SlicePolynomial([Quaternion(2.0, 0.5, 0.0, 0.0), ZERO, J])
     pts[:, 0] = 0.0
     x = to_pair(tuple(pts.T))
-    alpha, beta, junit = _split_pairs(x)
-    y = _sf_points(x, junit, *g.stem_arrays(alpha + 1j * beta), g.stem_scale(1.0))
+    alpha, beta, junit = split(x)
+    y = _sf_points(x, beta, junit, *g.stem_arrays(alpha + 1j * beta), g.stem_scale(1.0))
     for row, y_row in zip(pts, np.stack(to_parts(y), axis=-1)):
         q = Quaternion.from_array(row)
         assert Quaternion.from_array(y_row) == q.conj() == S_map(g, q)
@@ -773,10 +772,10 @@ def test_sf_roundtrip_samples_like_scalar_loop():
             assert (q - Quaternion.from_array(row)).abs() <= 1e-15
         # the units, stems, images, and the w and f^c the inverse reads, that
         # come back are those of the points, bit for bit
-        alpha, beta, units = _split_pairs(x)
+        alpha, beta, units = split(x)
         for got, recomputed in zip((*junit, *f1, *f2), (*units, *sum(f.stem_arrays(alpha + 1j * beta), ()))):
             assert np.array_equal(got, recomputed)
-        assert all(np.array_equal(a, b) for a, b in zip(y, _sf_points(x, junit, f1, f2, f.stem_scale(r))))
+        assert all(np.array_equal(a, b) for a, b in zip(y, _sf_points(x, beta, junit, f1, f2, f.stem_scale(r))))
         assert all(np.array_equal(a, b) for a, b in zip((*w, *fc), sum(_sf_inverse_point(y, f1, f2), ())))
         # the distances are roundoff on these points, as with the scalar maps
         errs = sf_roundtrip_errors(f, r, 300, 24)
@@ -845,7 +844,7 @@ def test_sf_domain_points_skip_rows_near_the_real_axis():
     spread = np.array([[0.3, 1.0, 0.0, 0.0], [0.5, 0.2, 0.7, 0.1], [1.0, 0.0, 2e-3, 0.0], [-0.2, -0.4, 0.3, 0.9]])
     f = SlicePolynomial([ZERO] * 10 + [ONE])
     scale = f.stem_scale(1.0)
-    alpha, beta, junit = _split_pairs(to_pair(tuple(near.T / np.linalg.norm(near, axis=1))))
+    alpha, beta, junit = split(to_pair(tuple(near.T / np.linalg.norm(near, axis=1))))
     f1, f2 = f.stem_arrays(alpha + 1j * beta)
     assert np.all(beta < 1e-4)
     assert np.all(np.sqrt(sum(c * c for c in to_parts(f2))) > 1e-4 * (1.0 + scale))
@@ -1128,7 +1127,7 @@ def test_quadrature_suite_blocked_means_match_unblocked_rule(seed, monkeypatch):
     alpha u + beta (u J), log|N(f)| by ``log_normal_values`` and einsum S^2
     means give its residuals."""
     import slicereg.verify as verify
-    from slicereg.quaternions import qmul_parts
+    from slicereg.quaternions import pmul
 
     product_poly, drawn = verify._product_poly, []
 
@@ -1142,11 +1141,19 @@ def test_quadrature_suite_blocked_means_match_unblocked_rule(seed, monkeypatch):
     cases = [product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
     assert [(f.coeffs, c, roots) for f, c, roots in drawn] == [(f.coeffs, c, roots) for f, c, roots in cases]
     rule = build_rule(1.0, 48)
-    u = verify.ROTATION
-    ux = [rule.alpha * a + rule.beta * b for a, b in zip(u, qmul_parts(u, tuple(rule.junits.T)))]
-    direct = qmul_parts(u, tuple(rule.nodes.T))  # u x by one product per node: equal to roundoff
-    assert max(float(np.max(np.abs(a - b))) for a, b in zip(ux, direct)) <= 1e-15
-    z_rotated = ux[0] + 1j * np.sqrt(ux[1] * ux[1] + ux[2] * ux[2] + ux[3] * ux[3])
+    u = verify.ROTATION.pair()
+    # u J per S^2 unit, tiled over the polar angles as ``junits`` tiles the units: on 2^14 entries or
+    # more numpy computes b1 * conj(b2) in place, operands swapped, and a fused complex product is not
+    # commutative bit for bit
+    units = to_pair(tuple(rule.s2_units.T))
+    tiled = [np.tile(c, len(rule.polar_z)) for c in units]
+    assert all(np.array_equal(a, b) for a, b in zip(to_pair(tuple(rule.junits.T)), tiled))
+    uj = [np.tile(c, len(rule.polar_z)) for c in pmul(u, units)]
+    ux = [rule.alpha * a + rule.beta * b for a, b in zip(u, uj)]
+    direct = pmul(u, to_pair(tuple(rule.nodes.T)))  # u x by one product per node: equal to roundoff
+    assert max(float(np.max(np.abs(a - b))) for a, b in zip(to_parts(ux), to_parts(direct))) <= 1e-15
+    a, b = ux
+    z_rotated = a.real + 1j * np.sqrt(a.imag * a.imag + b.real * b.real + b.imag * b.imag)
     assert len(rows) == 5
     for row, (f, c, roots) in zip(rows, cases):
         shadows = [complex(q.re(), q.abs_im()) for q in roots]

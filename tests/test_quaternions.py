@@ -12,13 +12,15 @@ from slicereg.quaternions import (
     ONE,
     InvalidUnitError,
     Quaternion,
+    as_pair,
     eps_zero,
+    over,
+    pair_like,
     pconj,
     pinv,
     pmul,
     pnorm2,
     qmul_array,
-    qmul_parts,
     split,
     to_parts,
     unit_from_vector,
@@ -49,8 +51,8 @@ def to_pair(q):
 def split_point(x: Quaternion) -> tuple[float, float, Quaternion]:
     """``split`` of one point: alpha, beta as a float and the unit J as a
     Quaternion, as the scalar oracles of the tests take them."""
-    alpha, beta, unit = split(x)
-    return alpha, float(beta), Quaternion.from_array(unit)
+    alpha, beta, unit = split(x.pair())
+    return alpha, float(beta), Quaternion(*map(float, to_parts(unit)))
 
 
 def test_basis_relations():
@@ -116,14 +118,14 @@ def test_embed_decompose_roundtrip(q):
 
 
 def test_decompose_examples():
-    alpha, beta, unit = split(Quaternion(2, 0, 3, 0))
+    alpha, beta, unit = split_point(Quaternion(2, 0, 3, 0))
     assert alpha == pytest.approx(2.0)
     assert beta == pytest.approx(3.0)
-    assert Quaternion(*unit).isclose(J)
+    assert unit.isclose(J)
 
-    _, beta, unit = split(Quaternion.real(5.0))
+    _, beta, unit = split_point(Quaternion.real(5.0))
     assert beta == 0.0  # the unit is then only a placeholder
-    assert Quaternion(*unit).isclose(I)
+    assert unit.isclose(I)
 
     alpha, beta, unit = split_point(Quaternion(1, 1, 1, 1))
     assert alpha == pytest.approx(1.0)
@@ -133,11 +135,13 @@ def test_decompose_examples():
 
 def _scalar_split(x: Quaternion) -> tuple:
     """Oracle: x = alpha + J beta in Python floats, one quaternion at a time,
-    with beta = 0 and J = i within ``eps_zero(|x|)`` of the real axis."""
+    with J = Im x * (1 / beta), and beta = 0 and J = i within
+    ``eps_zero(|x|)`` of the real axis."""
     beta = x.abs_im()
     if beta <= eps_zero(x.abs()):
         return x.w, 0.0, (0.0, 1.0, 0.0, 0.0)
-    return x.w, beta, (0.0, x.x1 / beta, x.x2 / beta, x.x3 / beta)
+    inv = 1.0 / beta
+    return x.w, beta, (0.0, x.x1 * inv, x.x2 * inv, x.x3 * inv)
 
 
 def test_split_matches_the_scalar_split_bit_for_bit():
@@ -151,12 +155,13 @@ def test_split_matches_the_scalar_split_bit_for_bit():
     rows = np.vstack([rows, near])
     want = [_scalar_split(Quaternion.from_array(row)) for row in rows]
     assert sum(w[1] == 0.0 for w in want) >= 6  # the real-axis rule is taken
-    alpha, beta, unit = split(tuple(rows.T))
+    alpha, beta, unit = split(to_pair(tuple(rows.T)))
+    unit = to_parts(unit)
     assert np.array_equal(alpha, [w[0] for w in want]) and np.array_equal(beta, [w[1] for w in want])
-    assert unit[0] == 0.0 and all(np.array_equal(unit[k], [w[2][k] for w in want]) for k in (1, 2, 3))
-    for row, (a, b, u) in zip(rows, want):  # a Quaternion is split as it is
-        alpha, beta, unit = split(Quaternion.from_array(row))
-        assert (alpha, beta, tuple(unit)) == (a, b, u)
+    assert not unit[0].any() and all(np.array_equal(unit[k], [w[2][k] for w in want]) for k in (1, 2, 3))
+    for row, (a, b, u) in zip(rows, want):  # a Quaternion is split as its complex pair
+        alpha, beta, unit = split(Quaternion.from_array(row).pair())
+        assert (alpha, beta, tuple(map(float, to_parts(unit)))) == (a, b, u)
 
 
 def test_slice_embed_examples():
@@ -186,16 +191,11 @@ def test_array_ops_match_scalar():
     for k in range(32):
         expect = Quaternion.from_array(a[k]) * Quaternion.from_array(b[k])
         assert np.allclose(prod[k], expect, atol=1e-12)
-    # the parts product, bit for bit against the scalar method
-    prod = np.stack(qmul_parts(tuple(a.T), tuple(b.T)), -1)
+    # the (n, 4) wrapper is ``pmul`` on the rows read as pairs, bit for bit,
+    # and broadcasts one row against many
+    assert np.array_equal(prod, np.stack(to_parts(pmul(to_pair(tuple(a.T)), to_pair(tuple(b.T)))), -1))
     for k in range(32):
-        assert Quaternion.from_array(prod[k]) == Quaternion.from_array(a[k]) * Quaternion.from_array(b[k])
-    # a Quaternion is parts: the kernel takes it as it is, alone or beside arrays
-    for k in range(32):
-        q, p = Quaternion.from_array(a[k]), Quaternion.from_array(b[k])
-        assert Quaternion(*qmul_parts(q, p)) == q * p
-        row = np.stack(qmul_parts(q, tuple(b.T)), -1)[k]
-        assert Quaternion.from_array(row) == q * p
+        assert np.array_equal(qmul_array(a[k], b)[k], prod[k])
 
 
 def _scaled_quaternions(rng, n):
@@ -241,6 +241,28 @@ def test_pairs_are_parts_read_as_two_complex_numbers():
     q = Quaternion(0.5, -1.0, 2.0, 0.25)
     assert to_pair(q) == (0.5 - 1.0j, 2.0 + 0.25j)
     assert Quaternion(*map(float, to_parts(pmul(to_pair(q), to_pair(q.conj()))))) == Quaternion.real(q.norm2())
+
+
+def test_one_point_runs_as_a_pair_of_arrays():
+    """A Quaternion goes to the array kernels as a pair of arrays of shape
+    (1,), and its value comes back as a Quaternion; a pair passes as it is."""
+    q = Quaternion(0.5, -1.0, 2.0, 0.25)
+    a, b = as_pair(q)
+    assert a.shape == b.shape == (1,) and (a[0], b[0]) == q.pair() == (0.5 - 1.0j, 2.0 + 0.25j)
+    assert pair_like(q, (a, b)) == q and pair_like(q, (a * 2.0, b)) == Quaternion(1.0, -2.0, 2.0, 0.25)
+    pair = to_pair(tuple(np.random.default_rng(45).normal(size=(4, 3))))
+    assert as_pair(pair) is pair and pair_like(pair, list(pair)) == pair
+
+
+def test_over_divides_the_parts_as_floats():
+    """c / d part by part, broadcasting; numpy's complex over real is c * (1 / d)."""
+    rng = np.random.default_rng(44)
+    c = rng.normal(size=(3, 200)) + 1j * rng.normal(size=(3, 200))
+    d = rng.uniform(0.1, 3.0, 200)
+    got = over(c, d)
+    assert got.shape == c.shape and np.array_equal(got.real, c.real / d) and np.array_equal(got.imag, c.imag / d)
+    zeros = over(np.array([complex(-0.0, 0.0), complex(0.0, -0.0)]), 2.0)
+    assert np.signbit(zeros.real).tolist() == [True, False] and np.signbit(zeros.imag).tolist() == [False, True]
 
 
 def test_numpy_scalars_call_the_reflected_operators():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from slicereg.slicepoly import (
 )
 from slicereg.zeros_poles import SemiregularFunction
 
-from test_quaternions import split_point
+from test_quaternions import split_point, to_pair
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 coeffs = st.lists(st.builds(Quaternion, finite, finite, finite, finite), min_size=1, max_size=5)
 polys = st.builds(SlicePolynomial, coeffs)
@@ -128,7 +130,7 @@ def _loop_partials(f, alpha, beta):
 
 
 def _loop_spherical_value(f, x):
-    alpha, beta, _ = split(x)
+    alpha, beta, _ = split(x.pair())
     return _loop_stems(f, alpha, beta)[0]
 
 
@@ -149,7 +151,7 @@ def _at(parts, *index):
 
 
 def _stem_parts(stems):
-    """The stems (F1, F2) of ``stem_arrays``, pairs, as parts."""
+    """Two pairs, such as the stems (F1, F2) of ``stem_arrays``, as parts."""
     return tuple(to_parts(s) for s in stems)
 
 
@@ -231,9 +233,9 @@ def test_spherical_operators_on_parts_match_quaternion_points():
         Quaternion.real(0.6), Quaternion.real(-1.1), Quaternion(0.3, 1e-20, 0.0, 0.0),  # (numerically) real
         Quaternion(0.6, 1e-9, 0.0, 0.0), Quaternion(-0.2, 0.0, -3e-9, 4e-9),  # beta < BETA_SWITCH
     ]
-    parts = tuple(np.array(c) for c in zip(*points))
+    pair = to_pair(tuple(np.array(c) for c in zip(*points)))
     for op, loop in ((spherical_value, _loop_spherical_value), (spherical_derivative, _loop_spherical_derivative)):
-        batched = op(f, parts)
+        batched = to_parts(op(f, pair))
         for k, x in enumerate(points):
             assert _at(batched, k) == op(f, x) == loop(f, x), (op.__name__, x)
 
@@ -245,15 +247,15 @@ def test_slice_stack_runs_each_polynomial_at_its_centre_bitwise():
     polys = [SlicePolynomial([Quaternion.from_array(rng.normal(size=4) * 0.6**k) for k in range(d + 1)])
              for d in (3, 0, 5, 1)] + [SlicePolynomial([])]
     stack = SliceStack(polys)
-    assert stack.coeffs.shape == (6, 4, 5) and not stack.coeffs[4:, :, 0].any()
+    assert stack.g.shape == stack.h.shape == (6, 5) and not (stack.g[4:, 0].any() or stack.h[4:, 0].any())
     grid = [nonreal_points(rng, 3) + [Quaternion.real(0.4), Quaternion(0.6, 1e-9, 0.0, 0.0)] for _ in polys]
-    parts = tuple(np.array([[x[c] for x in col] for col in grid]).T for c in range(4))
+    pair = to_pair(tuple(np.array([[x[c] for x in col] for col in grid]).T for c in range(4)))
     z = np.array([[complex(x.w, x.abs_im()) for x in col] for col in grid]).T
     f1, f2 = _stem_parts(stack.stem_arrays(z))
-    values, derivative = stack.eval_parts(parts), stack.slice_derivative().eval_parts(parts)
+    values, derivative = _stem_parts((stack.eval(pair), stack.slice_derivative().eval(pair)))
     radius = np.abs(z)
     scale = stack.stem_scale(radius)
-    sv, sd = spherical_value(stack, parts), spherical_derivative(stack, parts)
+    sv, sd = _stem_parts((spherical_value(stack, pair), spherical_derivative(stack, pair)))
     for j, (f, col) in enumerate(zip(polys, grid)):
         for i, x in enumerate(col):
             assert _at(values, i, j) == f.eval(x)
@@ -263,11 +265,67 @@ def test_slice_stack_runs_each_polynomial_at_its_centre_bitwise():
             assert _at(sv, i, j) == spherical_value(f, x)
             assert _at(sd, i, j) == spherical_derivative(f, x)
     normals = SliceStack(normal(f) for f in polys[:4])
-    logs = log_abs(normals, tuple(c[:, :4] for c in parts))
+    logs = log_abs(normals, tuple(c[:, :4] for c in pair))
     assert [[logs[i, j] for i in range(5)] for j in range(4)] == [[log_abs(g, x) for x in col]
                                                                   for g, col in zip(normals.polys, grid)]
     with pytest.raises(ValueError):
-        log_abs(stack, parts)  # not slice-preserving
+        log_abs(stack, pair)  # not slice-preserving
+
+
+def quaternion_horner(f, x: Quaternion) -> Quaternion:
+    """Oracle of ``eval``: the left Horner acc = x acc + a_m on Quaternions,
+    one point at a time."""
+    acc = ZERO
+    for c in reversed(f.coeffs):
+        acc = x * acc + c
+    return acc
+
+
+def _corpus_polynomials():
+    """The polynomials of the corpus: each polynomial case, and the
+    numerator and the denominator of each rational one."""
+    from slicereg.io import load_function
+
+    out = []
+    for path in sorted(CORPUS.glob("*.json")):
+        if path.name in ("polynomials.json", "rationals.json"):
+            continue
+        f = load_function(path)
+        out += [f] if isinstance(f, SlicePolynomial) else [f.num, SlicePolynomial.from_real(f.den)]
+    return out
+
+
+def test_pair_horner_matches_the_quaternion_horner():
+    """``eval``, the Horner on ``pmul``, against its oracle at seeded points
+    on every corpus polynomial: within 4 ulps of sum |a_m| |x|^m, part by
+    part (numpy fuses a complex product's multiply and add, and sums the
+    pair product's parts in another order); and a ``SliceStack`` of the
+    polynomials gives each centre its own polynomial's values, bit for bit."""
+    from slicereg.verify import Stream, _random_poly
+
+    rng, stream = np.random.default_rng(43), Stream(11)
+    polys = _corpus_polynomials()
+    assert len(polys) >= 22 and not all(f.is_slice_preserving() for f in polys)
+    polys += [_random_poly(stream, lo, lo + 2) for lo in (0, 3, 6)]
+    polys += [SlicePolynomial([]), SlicePolynomial([Quaternion(1, 2, 0, 0), ONE]), normal(polys[-1])]
+    points = [Quaternion.from_array(rng.normal(size=4) * r) for r in rng.uniform(0.05, 2.0, 40)]
+    points += [Quaternion.real(0.7), Quaternion(-0.4, 1e-9, 0.0, 0.0), Quaternion(0.2, 0.0, -1.3, 0.4)]
+    pair = to_pair(tuple(np.array(points).T))
+    worst = 0.0
+    for f in polys:
+        values = [np.broadcast_to(c, (len(points),)) for c in to_parts(f.eval(pair))]  # a constant is a scalar
+        for k, x in enumerate(points):
+            want, got = quaternion_horner(f, x), _at(values, k)
+            assert got == f.eval(x)  # one point runs the array kernel
+            ulp = np.spacing(f.stem_scale(x.abs()))
+            worst = max(worst, max(abs(g - w) for g, w in zip(got, want)) / ulp)
+    assert worst <= 4.0, worst
+    stack = SliceStack(polys)
+    grid = to_pair(tuple(np.repeat(np.array(points).T[:, :, None], len(polys), axis=2)))
+    columns = to_parts(stack.eval(grid))
+    for j, f in enumerate(polys):
+        alone = to_parts(f.eval(pair))
+        assert all(np.array_equal(c[:, j], np.broadcast_to(a, (len(points),))) for c, a in zip(columns, alone)), j
 
 
 def test_semiregular_stems_are_the_one_point_case_of_its_arrays():
