@@ -9,11 +9,11 @@ identity map equals -2" pins that convention.
 
 Stencils are batched: an integrand maps a pair (see ``quaternions``) to
 a pair or to one real array, and each operator calls it once on all of
-its points; ``eval``, ``log_abs`` and the spherical value and derivative
-are such integrands.  The centres are one Quaternion or a pair of shape
-s, and the points x + e h of k offsets, e one of 1, i, j, k, come as a
-pair of shape (k, *s), so a composed operator passes its points to the
-inner one as centres (``fd_bilaplace4``: one call on 9 x 9 points a
+its points; ``eval``, the spherical value and derivative, and the verify
+suites' log|N(f)| are such integrands.  The centres are one Quaternion or a
+pair of shape s, and the points x + e h of k offsets, e one of 1, i, j, k,
+come as a pair of shape (k, *s), so a composed operator passes its points
+to the inner one as centres (``fd_bilaplace4``: one call on 9 x 9 points a
 centre).  The last axis runs over the centres at every depth: a step h
 is a float or an array with one step per centre, and a ``SliceStack``
 integrand gives each centre a polynomial of its own, so one call serves

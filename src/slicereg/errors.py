@@ -3,8 +3,8 @@
 Hypothesis violations (zeros/poles sitting where the Jensen formula's
 hypotheses forbid them) form their own hierarchy so the CLI can map
 them to a dedicated exit code.  Every class here is raised in the
-package.  ``InvalidUnitError``, ``LogOfZeroError``, ``NormalNotRealError``
-and ``InputFormatError``, defined where they are raised, derive from
+package.  ``InvalidUnitError``, ``NormalNotRealError`` and
+``InputFormatError``, defined where they are raised, derive from
 ``SliceRegError`` too: the CLI maps every named failure to one exit code.
 """
 

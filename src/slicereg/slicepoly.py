@@ -14,39 +14,35 @@ slice derivative (hard switch below BETA_SWITCH).
 coefficient arrays g, h of a_m = g_m + h_m j that each polynomial forms
 once; their parts are the scalar Quaternion loop's stems bit for bit, and
 ``stem_components`` is the pair of Quaternions at one point.  ``eval`` is
-the one point evaluator, a Horner on ``pmul`` with x^m on the left; it,
-the spherical value and derivative and ``log_abs`` take a Quaternion
-(giving a Quaternion or a float) or a pair.  ``horner`` is the one
-evaluator of real coefficients at complex scalars or arrays.
+the one point evaluator, a Horner on ``pmul`` with x^m on the left; it and
+the spherical value and derivative take a Quaternion (giving a Quaternion)
+or a pair.  ``horner`` is the one evaluator of real coefficients at complex
+scalars or arrays, one polynomial or (d+1, m) columns of them.
 
 A ``SliceStack`` holds m polynomials side by side, one per centre of a
 batched stencil: its g, h are (d+1, m) arrays, and it runs the same
-Horner, stem and scale loops as ``SlicePolynomial`` on points whose last
-axis has length m, so centre j takes polynomial j, bit for bit as that
-polynomial alone.  The spherical value and derivative and ``log_abs``
-accept it.
+Horner and stem loops as ``SlicePolynomial`` on points whose last axis
+has length m, so centre j takes polynomial j, bit for bit as that
+polynomial alone.  The spherical value and derivative accept it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import SliceRegError
-from .quaternions import ONE, ZERO, Quaternion, as_pair, eps_zero, over, pair_like, pmul, split, to_parts
+from .quaternions import ONE, ZERO, Quaternion, as_pair, over, pair_like, pmul, split, to_parts
 
 __all__ = [
     "SlicePolynomial",
     "SliceStack",
     "NormalNotRealError",
-    "LogOfZeroError",
     "slice_product",
     "normal",
     "spherical_value",
     "spherical_derivative",
-    "log_abs",
     "horner",
 ]
 
@@ -61,12 +57,10 @@ class NormalNotRealError(SliceRegError, RuntimeError):
     """N(f) came out with non-real coefficients: arithmetic bug upstream."""
 
 
-class LogOfZeroError(SliceRegError, ZeroDivisionError):
-    """log|f(x)| requested at a (near-)zero of f."""
-
-
 def horner(c, z):
     """sum_m c[m] z^m for ascending real coefficients c at a complex scalar or array z.
+    Columns c of shape (d+1, m) are m polynomials, zero-padded to one degree,
+    and column j runs at z[..., j] with the float operations of c[:, j] alone.
 
     An array z updates one accumulator in place, acc *= z; acc += coef: the
     two rounded operations of acc = acc * z + coef, in the dtype that
@@ -84,11 +78,10 @@ def horner(c, z):
 
 
 class _Loops:
-    """The Horner, stem and scale loops, over ``_pairs()``, the complex
-    g_m, h_m of the ascending coefficients a_m = g_m + h_m j, and
-    ``_moduli()``, their moduli: (d+1,) arrays and floats for a
-    ``SlicePolynomial``, and (d+1, m) arrays and (m,) arrays, one entry per
-    centre, for a ``SliceStack``."""
+    """The Horner and stem loops, over ``_pairs()``, the complex g_m, h_m of
+    the ascending coefficients a_m = g_m + h_m j: (d+1,) arrays for a
+    ``SlicePolynomial``, and (d+1, m) arrays, one column per centre, for a
+    ``SliceStack``."""
 
     __slots__ = ()
 
@@ -120,15 +113,6 @@ class _Loops:
             a1, b1, a2, b2 = a1 + g * zr, b1 + h * zr, a2 + g * zi, b2 + h * zi
             zr, zi = zr * x - zi * y, zr * y + zi * x
         return (a1, b1), (a2, b2)
-
-    def stem_scale(self, radius):
-        """sum |a_m| * radius^m, the natural evaluation scale at |z| = radius."""
-        s = 0.0
-        rm = 1.0
-        for c in self._moduli():
-            s = s + c * rm
-            rm = rm * radius
-        return s
 
 
 class SlicePolynomial(_Loops):
@@ -216,8 +200,14 @@ class SlicePolynomial(_Loops):
             object.__setattr__(self, "_pair_coeffs", (cs[:, 0] + 1j * cs[:, 1], cs[:, 2] + 1j * cs[:, 3]))
         return self._pair_coeffs
 
-    def _moduli(self) -> list[float]:
-        return [c.abs() for c in self.coeffs]
+    def stem_scale(self, radius):
+        """sum |a_m| * radius^m, the natural evaluation scale at |z| = radius."""
+        s = 0.0
+        rm = 1.0
+        for c in self.coeffs:
+            s = s + c.abs() * rm
+            rm = rm * radius
+        return s
 
     def stem_components(self, alpha: float, beta: float) -> tuple[Quaternion, Quaternion]:
         """(F1, F2) with F1 = sum Re(z^m) a_m and F2 = sum Im(z^m) a_m at z = alpha+i*beta."""
@@ -255,18 +245,11 @@ class SliceStack(_Loops):
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return self.g, self.h
 
-    def _moduli(self) -> list[np.ndarray]:
-        """|a_m| of each polynomial, by ``Quaternion.abs``."""
-        return [np.array([f.coefficient(k).abs() for f in self.polys]) for k in range(len(self.g))]
-
     def slice_derivative(self) -> "SliceStack":
         """The stack of the slice derivatives, built once."""
         if self._derivative is None:
             self._derivative = SliceStack(f.slice_derivative() for f in self.polys)
         return self._derivative
-
-    def is_slice_preserving(self) -> bool:
-        return all(f.is_slice_preserving() for f in self.polys)
 
 
 def slice_product(f: SlicePolynomial, g: SlicePolynomial) -> SlicePolynomial:
@@ -307,25 +290,3 @@ def spherical_derivative(f: "SlicePolynomial | SliceStack", x):
     with np.errstate(divide="ignore", invalid="ignore"):
         return pair_like(x, tuple(np.where(beta < BETA_SWITCH, a, over(b, beta)) for a, b in zip(d, f2)))
 
-
-def log_abs(f: "SlicePolynomial | SliceStack", x) -> "float | np.ndarray":
-    """log|f(x)| for slice-preserving f (a circular function of x) at one
-    Quaternion (a float) or at a pair (an array).  The complex Horner runs
-    in real arithmetic, product for product as CPython multiplies complex
-    numbers: at one Quaternion it is bitwise the scalar ``horner`` at the
-    shadow of x, on arrays it matches array ``horner`` only to rounding.
-    |f(x)| <= ``eps_zero(stem_scale(|x|))`` raises LogOfZeroError."""
-    if not f.is_slice_preserving():
-        raise ValueError("log_abs requires a slice-preserving polynomial")
-    w, beta, _ = split(as_pair(x))
-    w = np.ascontiguousarray(w)  # not a strided view of the complex points
-    re = im = 0.0
-    for c in np.ascontiguousarray(f._pairs()[0][::-1].real):
-        re, im = re * w - im * beta + c, re * beta + im * w
-    a2 = re * re + im * im
-    zero = a2 <= eps_zero(f.stem_scale(np.hypot(w, beta))) ** 2
-    if np.asarray(zero).any():
-        w_k, beta_k, a2_k = (float(np.ravel(v)[np.argmax(zero)]) for v in (w, beta, a2))
-        raise LogOfZeroError(f"|f(x)| ~ {math.sqrt(a2_k):.3e} at x with z = {complex(w_k, beta_k)}")
-    logs = [0.5 * math.log(v) for v in np.ravel(a2).tolist()]
-    return logs[0] if isinstance(x, Quaternion) else np.reshape(logs, np.shape(a2))

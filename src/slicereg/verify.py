@@ -22,9 +22,12 @@ exercised away from degenerate configurations: points keep |Im x| >= 0.25
 (the angular operators lose meaning on the real axis), bilaplacian
 polynomials have degree >= 6 (lower degrees are annihilated exactly by the
 stencils and leave nothing to converge), and log|N(f)| is probed at points
-well separated from the zero set.  The quadrature suite reads N(f) off
-each function and walks the product rule in blocks of ``ORACLE_BLOCK``
-nodes.
+well separated from the zero set.  The suites read N(f) only through the
+function's ``zero_polynomial`` (c, divisor), N(f) = c^(2 / divisor), as
+the boundary means do: the two log|N(f)| stencil suites run the cases' c
+as columns of one ``horner``, and the quadrature suite takes the means of
+log|c| case by case, walking the product rule in blocks of
+``ORACLE_BLOCK`` nodes.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .diffops import fd_bilaplace4, fd_crf, fd_crf_conj, fd_gamma, fd_laplace4, 
 from .jensen import delta4_logNf_at0
 from .quadrature import ORACLE_BLOCK, build_rule, s2_means, shoemake
 from .quaternions import Quaternion, over, pmul, pnorm2, split, to_parts
-from .slicepoly import SlicePolynomial, SliceStack, horner, log_abs, normal, spherical_derivative, spherical_value
+from .slicepoly import SlicePolynomial, SliceStack, horner, spherical_derivative, spherical_value
 from .zeros_poles import _division_multiplicity, as_semiregular, characteristic_poly, classify_zeros
 
 __all__ = ["SuiteResult", "ResidualRow", "run_suite", "SUITES", "SUITE_ORDER"]
@@ -330,13 +333,32 @@ def suite_biharmonic(seed: int, n_cases: int = 20) -> SuiteResult:
     return result
 
 
+def _log_normal_stack(polys):
+    """log|N(f)| as a stencil integrand, polynomial j at centre j: at the
+    shadows z of pair points whose last axis runs over polys, column j is
+    (2 / divisor) log|c(z)| for the ``zero_polynomial`` (c, divisor) of
+    polys[j], as ``log_normal_values`` takes it, and one ``horner`` runs
+    every c as a column of one (d+1, m) array."""
+    zeros = [as_semiregular(f).zero_polynomial for f in polys]
+    columns = np.zeros((max(len(c) for c, _ in zeros), len(zeros)))
+    for column, (c, _) in zip(columns.T, zeros):
+        column[:len(c)] = c
+    power = np.array([2 / divisor for _, divisor in zeros])
+
+    def u(x) -> np.ndarray:
+        alpha, beta, _ = split(x)
+        return power * np.log(np.abs(horner(columns, alpha + 1j * beta)))
+
+    return u
+
+
 def suite_bilaplacian_logn(seed: int, n_cases: int = 20) -> SuiteResult:
     """log|N(f)| is biharmonic away from the zero set; zeros are placed
     outside an annulus around the evaluation points."""
     stream = Stream(seed)
     cases = [(_product_poly(stream, 2.2, 3.0, max_factors=3)[0], _random_point(stream, 0.3, 0.6, beta_min=0.15))
              for _ in range(n_cases)]
-    return _bilaplacian_suite("bilaplace4(log|N(f)|)", cases, partial(log_abs, SliceStack(normal(f) for f, _ in cases)))
+    return _bilaplacian_suite("bilaplace4(log|N(f)|)", cases, _log_normal_stack([f for f, _ in cases]))
 
 
 def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
@@ -345,7 +367,7 @@ def suite_delta4_at_0(seed: int, n_cases: int = 20) -> SuiteResult:
     stream = Stream(seed)
     polys = [_product_poly(stream, 0.8, 1.8)[0] for _ in range(n_cases)]
     origin = (np.zeros(n_cases, complex),) * 2  # one centre per case
-    fd = fd_laplace4_richardson(partial(log_abs, SliceStack(normal(f) for f in polys)), origin, 3e-2)[0].real
+    fd = fd_laplace4_richardson(_log_normal_stack(polys), origin, 3e-2)[0].real
     err = np.abs(np.array([delta4_logNf_at0(f) for f in polys]) - fd)
     rows = _rows([[0.0, 0.0, 0.0, 0.0]] * n_cases, [("delta4 log|N| at 0: closed vs FD", 3e-2, err, 4)])
     worst = float(np.max(err))
@@ -375,19 +397,21 @@ def suite_quadrature(seed: int) -> SuiteResult:
     r, n = 1.0, 48
     rule = build_rule(r, n)
     cases = [_product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
-    normals = [normal(f).real_coeffs() for f, _, _ in cases]  # f is a polynomial: log|N(f)| = log|horner(N(f))|
+    zeros = [as_semiregular(f).zero_polynomial for f, _, _ in cases]
     uj = [c.copy() for c in to_parts(pmul(ROTATION.pair(), tuple(rule.s2_units.view(complex).T)))]
     sphere_means = np.empty((len(cases), len(rule.polar_z)))
     for blk in rule.blocks(ORACLE_BLOCK):
         alpha, beta = rule.polar_z[blk].real[:, None], rule.polar_z[blk].imag[:, None]
         ux = [alpha * a + beta * b for a, b in zip(ROTATION, uj)]  # the parts of u x, real
         z_rotated = ux[0] + 1j * np.sqrt(ux[1] * ux[1] + ux[2] * ux[2] + ux[3] * ux[3])
-        sphere_means[:, blk] = [s2_means(rule, np.log(np.abs(horner(nf, z_rotated))), blk.start) for nf in normals]
+        sphere_means[:, blk] = [s2_means(rule, np.log(np.abs(horner(c, z_rotated))), blk.start) for c, _ in zeros]
     # N(f) = |c|^2 N(x - q_1) ... N(x - q_k): the roots Re q + i |Im q| of every q, then their conjugates
     shadows = [[complex(q.re(), b * q.abs_im()) for b in (1, -1) for q in roots] for _, _, roots in cases]
     exact = np.array([exact_mean_log_abs(c.norm2(), s, r) for (_, c, _), s in zip(cases, shadows)])
-    polar = np.array([np.dot(rule.polar_weights, np.log(np.abs(horner(nf, rule.polar_z)))) for nf in normals])
-    full = np.array([np.dot(rule.polar_weights, means) for means in sphere_means])
+    # N(f) = c^(2 / divisor) for the zero polynomial (c, divisor), and the means are linear in log|c|
+    power = np.array([2 / divisor for _, divisor in zeros])
+    polar = power * np.array([np.dot(rule.polar_weights, np.log(np.abs(horner(c, rule.polar_z)))) for c, _ in zeros])
+    full = power * np.array([np.dot(rule.polar_weights, means) for means in sphere_means])
     cross = (np.abs(polar - exact), np.abs(full - exact))
     rows += _rows([[r, 0, 0, 0]] * len(cases), [("polar rule vs exact (mean log|N|)", 0.0, cross[0], 0),
                                                  ("3D rule vs exact (mean log|N(u x)|)", 0.0, cross[1], 0)])

@@ -15,17 +15,9 @@ from slicereg.diffops import (
     fd_partial,
 )
 from slicereg.quaternions import I, J, K, ONE, Quaternion, pnorm2, split, to_parts
-from slicereg.slicepoly import (
-    LogOfZeroError,
-    SlicePolynomial,
-    SliceStack,
-    horner,
-    log_abs,
-    normal,
-    spherical_derivative,
-    spherical_value,
-)
-from slicereg.verify import Stream, _product_poly, _random_point, _random_poly
+from slicereg.slicepoly import SlicePolynomial, SliceStack, horner, normal, spherical_derivative, spherical_value
+from slicereg.verify import Stream, _log_normal_stack, _product_poly, _random_point, _random_poly
+from slicereg.zeros_poles import as_semiregular
 
 from test_quaternions import to_pair
 
@@ -99,15 +91,20 @@ class ScalarReference:
         return (cls.bilaplace4(u, x, 0.5 * h) * 4.0 - cls.bilaplace4(u, x, h)) / 3.0
 
 
-def _scalar_log_abs(f, x):
-    """log|f(x)| by ``split``, the complex Horner and ``math.log``."""
-    alpha, beta, _ = split(x.pair())
-    z = complex(alpha, beta)
-    v = horner([c.w for c in f.coeffs], z)
-    a2 = v.real * v.real + v.imag * v.imag
-    if a2 <= (1e-13 * (1.0 + f.stem_scale(abs(z)))) ** 2:
-        raise LogOfZeroError(f"|f(x)| ~ {math.sqrt(a2):.3e} at x with z = {z}")
-    return 0.5 * math.log(a2)
+def _log_normal_at(f):
+    """log|N(f)| at one Quaternion x, the pointwise oracle of the suites'
+    integrand: (2 / divisor) log|c(z)| for the ``zero_polynomial`` (c,
+    divisor) at the shadow z = Re x + i |Im x|, by the array ``horner`` at
+    two copies of z.  numpy multiplies a one-element complex array in place
+    as CPython does, and longer arrays, such as the stencils' points, with
+    a fused multiply-add."""
+    c, divisor = as_semiregular(f).zero_polynomial
+
+    def u(x):
+        z = np.full(2, complex(x.re(), x.abs_im()))
+        return float((2 / divisor) * np.log(np.abs(horner(c, z)))[0])
+
+    return u
 
 
 def test_fd_partial_examples():
@@ -202,8 +199,7 @@ def test_bilaplace_log_normal_of_regular_poly():
     # zero at distance > 2 from the evaluation point: the composed
     # stencil needs clearance since its error grows like d^-8
     f = SlicePolynomial([Quaternion(2.0, 0.3, 0, 0.2), ONE])
-    nf = normal(f)
-    u = partial(log_abs, nf)
+    u = _log_normal_stack([f])
     x = Quaternion(0.3, 0.2, 0.3, 0.1)
     val = fd_bilaplace4_richardson(u, x, 3e-2 * (1 + x.abs()))
     assert val.abs() <= 1e-3
@@ -253,11 +249,10 @@ def _integrands(seed):
     stream = Stream(seed)
     f = _random_poly(stream, 6, 8, decay=0.45)
     g, _, _ = _product_poly(stream, 2.2, 3.0, max_factors=3)
-    ng = normal(g)
     sd = partial(spherical_derivative, f)
     return [
         ("f", f.eval, f.eval, _random_point(stream, 0.3, 0.8)),
-        ("log|N(f)|", partial(log_abs, ng), partial(_scalar_log_abs, ng), _random_point(stream, 0.3, 0.6, beta_min=0.15)),
+        ("log|N(f)|", _log_normal_stack([g]), _log_normal_at(g), _random_point(stream, 0.3, 0.6, beta_min=0.15)),
         ("f'_s", sd, sd, _random_point(stream, 0.4, 0.9)),
     ]
 
@@ -321,27 +316,6 @@ def test_composed_stencils_make_one_integrand_call():
     assert sizes == [81, 72, 6]
 
 
-def test_batched_log_abs_matches_scalar_and_raises_on_zero_sphere():
-    # N(x - q) vanishes on the whole sphere Re q + S |Im q|
-    q = Quaternion(0.2, 0.3, -0.4, 0.5)
-    nf = normal(SlicePolynomial.linear(q) * SlicePolynomial.from_real([0.5, 1.0]))
-    beta = q.abs_im()
-    on_sphere = [q, Quaternion(q.w, beta, 0.0, 0.0), Quaternion(q.w, 0.0, 0.0, -beta)]
-    off_sphere = [_random_point(Stream(5), 0.2, 1.4, beta_min=0.0) for _ in range(20)]
-    off_sphere += [Quaternion.real(0.3), Quaternion(0.3, 1e-20, 0.0, 0.0)]  # real and numerically real
-    off = to_pair(tuple(np.array(c) for c in zip(*off_sphere)))
-    assert log_abs(nf, off).tolist() == [_scalar_log_abs(nf, x) for x in off_sphere]
-    assert [log_abs(nf, x) for x in off_sphere] == [_scalar_log_abs(nf, x) for x in off_sphere]
-    for x in on_sphere:
-        with pytest.raises(LogOfZeroError):
-            _scalar_log_abs(nf, x)
-        with pytest.raises(LogOfZeroError):
-            log_abs(nf, x)
-        mixed = tuple(np.append(c, v) for c, v in zip(off, x.pair()))
-        with pytest.raises(LogOfZeroError):
-            log_abs(nf, mixed)
-
-
 # ---------------------------------------------------------------------------
 # many centres in one call: per-centre steps and per-centre polynomials
 # ---------------------------------------------------------------------------
@@ -354,14 +328,14 @@ def _per_centre_integrands(seed, m=6):
     spherical derivative and value, which take pairs and Quaternions alike."""
     stream = Stream(seed)
     polys = [_random_poly(stream, 2 + j, 3 + j, decay=0.45) for j in range(m)]
-    normals = [normal(_product_poly(stream, 2.2, 3.0, max_factors=3)[0]) for _ in range(m)]
+    products = [_product_poly(stream, 2.2, 3.0, max_factors=3)[0] for _ in range(m)]
     points = [_random_point(stream, 0.3, 0.6, beta_min=0.15) for _ in range(m)]
     stack = SliceStack(polys)
     assert len({f.degree for f in polys}) > 2
     assert stack.g.shape == stack.h.shape == (max(f.degree for f in polys) + 1, m)
     integrands = [
         ("f", stack.eval, [f.eval for f in polys]),
-        ("log|N(f)|", partial(log_abs, SliceStack(normals)), [partial(_scalar_log_abs, g) for g in normals]),
+        ("log|N(f)|", _log_normal_stack(products), [_log_normal_at(g) for g in products]),
         ("f'_s", partial(spherical_derivative, stack), [partial(spherical_derivative, f) for f in polys]),
         ("v_s f", partial(spherical_value, stack), [partial(spherical_value, f) for f in polys]),
     ]
@@ -408,6 +382,76 @@ def test_one_step_for_all_centres_matches_scalar_reference_bitwise():
         got = fd_laplace4_richardson(u, centres, 3e-2)
         for j, x in enumerate(points):
             assert _centre(got, j) == ScalarReference.laplace4_richardson(u_scalar[j], x, 3e-2), (label, j)
+
+
+# ---------------------------------------------------------------------------
+# the suites' log|N(f)| integrand: the check's own path
+# ---------------------------------------------------------------------------
+
+
+def _log_normal_cases():
+    """Slice-preserving polynomials (divisor 1: N(f) = f^2) and quaternionic
+    products (divisor 2) of degrees 1 to 3 side by side, none vanishing at 0."""
+    stream = Stream(11)
+    real = [SlicePolynomial.from_real([1.0, 1.0]), SlicePolynomial.from_real([2.0, -0.5, 1.0]),
+            SlicePolynomial.from_real([2.0, 0.0, 0.0, 1.0])]
+    quaternionic = [_product_poly(stream, 0.8, 1.8)[0] for _ in range(3)]
+    return [f for pair in zip(real, quaternionic) for f in pair]
+
+
+def test_log_normal_stack_is_log_normal_values_of_each_case_at_its_shadows(monkeypatch):
+    """Column j of the suites' integrand is ``log_normal_values`` of case j at
+    the shadows of its points, bit for bit (each column holds two points or
+    more; see ``_log_normal_at``), for the suites' cases and for a stack that
+    mixes divisors 1 and 2."""
+    import slicereg.verify as verify
+    from slicereg.quadrature import log_normal_values
+
+    polys = _log_normal_cases()
+    assert sorted(as_semiregular(f).zero_polynomial[1] for f in polys) == [1, 1, 1, 2, 2, 2]
+    stream = Stream(12)
+    points = [_random_point(stream, 0.0, 0.7, beta_min=0.0) for _ in range(9 * len(polys))]
+    x = to_pair(tuple(np.array(c).reshape(9, len(polys)) for c in zip(*points)))
+    z = np.array([complex(p.re(), p.abs_im()) for p in points]).reshape(9, len(polys))
+    got = _log_normal_stack(polys)(x)
+    for j, f in enumerate(polys):
+        assert got[:, j].tolist() == log_normal_values(f, z[:, j].copy()).tolist(), j
+
+    # the two suites, on their own cases and at every point their stencils ask for
+    calls = []
+
+    def recorded(cases):
+        u = _log_normal_stack(cases)
+
+        def call(y):
+            calls.append((cases, y, u(y)))
+            return calls[-1][2]
+
+        return call
+
+    monkeypatch.setattr(verify, "_log_normal_stack", recorded)
+    assert verify.suite_bilaplacian_logn(1).passed and verify.suite_delta4_at_0(1).passed
+    assert len(calls) == 4 and [len(cases) for cases, _, _ in calls] == [20] * 4
+    for cases, y, values in calls:
+        alpha, beta, _ = split(y)
+        shadows = (alpha + 1j * beta).reshape(-1, len(cases))
+        for j, f in enumerate(cases):
+            assert values.reshape(-1, len(cases))[:, j].tolist() == log_normal_values(f, shadows[:, j].copy()).tolist()
+
+
+def test_log_normal_stack_has_the_closed_form_laplacian_at_0():
+    """delta4-at-0's check on the mixed stack: Richardson FD of the suites'
+    integrand at 0 against ``delta4_logNf_at0``, within the suite's
+    tolerance, for N(f) = f^2 and N(f) = f f^c alike."""
+    from slicereg.jensen import delta4_logNf_at0
+    from slicereg.verify import TOL_DELTA4_AT_0
+
+    polys = _log_normal_cases()
+    origin = (np.zeros(len(polys), complex),) * 2
+    fd = fd_laplace4_richardson(_log_normal_stack(polys), origin, 3e-2)[0].real
+    closed = np.array([delta4_logNf_at0(f) for f in polys])
+    assert closed[0] == pytest.approx(4.0)  # the suite's anchor x + 1
+    assert np.max(np.abs(closed - fd)) <= TOL_DELTA4_AT_0
 
 
 @pytest.mark.parametrize("suite, calls", [
@@ -566,7 +610,6 @@ def test_multiplicity_suite_forms_each_normal_once(monkeypatch):
         formed.append(f)
         return normal(f)
 
-    monkeypatch.setattr(verify, "normal", counted)
     monkeypatch.setattr(zeros_poles, "normal", counted)
     monkeypatch.setattr(verify, "classify_zeros", lambda fs: functions.append(fs) or zeros_poles.classify_zeros(fs))
     assert verify.suite_multiplicity(1).rows == own.rows

@@ -1,4 +1,3 @@
-import math
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +9,10 @@ from slicereg.io import InputFormatError, parse_function, parse_polynomial
 from slicereg.quaternions import I, J, K, ONE, ZERO, Quaternion, split, to_parts
 from slicereg.slicepoly import (
     BETA_SWITCH,
-    LogOfZeroError,
     NormalNotRealError,
     SlicePolynomial,
     SliceStack,
     horner,
-    log_abs,
     normal,
     slice_product,
     spherical_derivative,
@@ -253,23 +250,14 @@ def test_slice_stack_runs_each_polynomial_at_its_centre_bitwise():
     z = np.array([[complex(x.w, x.abs_im()) for x in col] for col in grid]).T
     f1, f2 = _stem_parts(stack.stem_arrays(z))
     values, derivative = _stem_parts((stack.eval(pair), stack.slice_derivative().eval(pair)))
-    radius = np.abs(z)
-    scale = stack.stem_scale(radius)
     sv, sd = _stem_parts((spherical_value(stack, pair), spherical_derivative(stack, pair)))
     for j, (f, col) in enumerate(zip(polys, grid)):
         for i, x in enumerate(col):
             assert _at(values, i, j) == f.eval(x)
             assert _at(derivative, i, j) == f.slice_derivative().eval(x)
             assert (_at(f1, i, j), _at(f2, i, j)) == f.stem_components(z[i, j].real, z[i, j].imag)
-            assert scale[i, j] == f.stem_scale(float(radius[i, j]))
             assert _at(sv, i, j) == spherical_value(f, x)
             assert _at(sd, i, j) == spherical_derivative(f, x)
-    normals = SliceStack(normal(f) for f in polys[:4])
-    logs = log_abs(normals, tuple(c[:, :4] for c in pair))
-    assert [[logs[i, j] for i in range(5)] for j in range(4)] == [[log_abs(g, x) for x in col]
-                                                                  for g, col in zip(normals.polys, grid)]
-    with pytest.raises(ValueError):
-        log_abs(stack, pair)  # not slice-preserving
 
 
 def quaternion_horner(f, x: Quaternion) -> Quaternion:
@@ -373,6 +361,23 @@ def test_array_horner_in_place_matches_the_loop_with_temporaries(kind):
             assert np.array_equal(got, scalar.real)
     square = z.reshape(8, 8)  # any shape: the column layout of the oracle and beyond
     assert horner([1.0, -2.0, 0.5], square).tobytes() == _horner_with_temporaries([1.0, -2.0, 0.5], square).tobytes()
+
+
+def test_horner_runs_each_column_as_its_own_polynomial_bitwise():
+    # degrees 0..6 zero-padded to (7, 6) columns; column j at z[..., j] is the
+    # 1-D horner of its own coefficients there, bit for bit, at two points or
+    # more (numpy multiplies a one-element complex array in place unfused)
+    rng = np.random.default_rng(11)
+    columns = [rng.normal(size=d + 1) * 10.0 ** rng.integers(-3, 4, d + 1) for d in (3, 0, 6, 1, 5, 2)]
+    c = np.zeros((7, len(columns)))
+    for column, cj in zip(c.T, columns):
+        column[:len(cj)] = cj
+    for shape in ((2, 6), (9, 6), (3, 4, 6)):
+        z = rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
+        got = horner(c, z)
+        assert got.shape == shape
+        for j, cj in enumerate(columns):
+            assert got[..., j].tobytes() == horner(cj, z[..., j].copy()).tobytes(), (shape, j)
 
 
 # -- slice product -------------------------------------------------------
@@ -580,34 +585,6 @@ def test_slice_preserving_conjugation_symmetry():
         assert (g.eval(x.conj()) - g.eval(x).conj()).abs() <= 1e-12 * (
             1.0 + g.stem_scale(x.abs())
         )
-
-
-# -- log_abs ----------------------------------------------------------------
-
-
-def test_log_abs_examples():
-    g = SlicePolynomial.from_real([1.0, 0.0, 1.0])
-    assert log_abs(g, Quaternion.real(2.0)) == pytest.approx(math.log(5.0))
-    assert log_abs(g, Quaternion(0, 0, 2, 0)) == pytest.approx(math.log(3.0))
-
-
-def test_log_abs_circularity():
-    rng = np.random.default_rng(12)
-    nf = normal(slice_product(SlicePolynomial.linear(I), SlicePolynomial.linear(J)))
-    base = log_abs(nf, Quaternion(1, 1, 0, 0))
-    for _ in range(10):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        x = Quaternion(1.0, *v)
-        assert log_abs(nf, x) == pytest.approx(base, abs=1e-12)
-
-
-def test_log_abs_errors():
-    g = SlicePolynomial.from_real([1.0, 0.0, 1.0])
-    with pytest.raises(LogOfZeroError):
-        log_abs(g, I)
-    with pytest.raises(ValueError):
-        log_abs(SlicePolynomial.linear(I), ONE)
 
 
 # -- housekeeping -------------------------------------------------------------
