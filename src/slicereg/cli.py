@@ -22,6 +22,8 @@ command yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
 import json
 import math
@@ -49,6 +51,19 @@ EXIT_INPUT = 3
 # ``verify`` and ``diffops``
 VERIFY_SUITES = ("crf", "gamma", "harmonic", "biharmonic", "bilaplacian-logN", "delta4-at-0", "quadrature",
                  "multiplicity")
+
+
+def _stop_idle_blas_threads() -> None:
+    """Join the worker threads of the OpenBLAS that numpy loaded, found among
+    the process's mappings (Linux only).  Each spins on a core for about 0.1 s
+    after the load, and no command gives them work; a later threaded BLAS
+    call starts them again, as after a fork."""
+    with contextlib.suppress(OSError, AttributeError), open("/proc/self/maps") as maps:
+        for path in sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}):
+            ctypes.CDLL(path).blas_thread_shutdown_()
+
+
+_stop_idle_blas_threads()  # once a process, before any command runs
 
 
 def _emit(text: str | None, out: str | None) -> None:

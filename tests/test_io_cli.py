@@ -597,6 +597,25 @@ def test_the_package_root_loads_no_submodule():
     assert out.stdout.splitlines() == [slicereg.__version__, "[]"]
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are counted in /proc")
+def test_importing_the_cli_joins_the_idle_blas_threads():
+    # numpy's OpenBLAS starts worker threads that spin before they sleep;
+    # importing the CLI leaves the process one thread, and a threaded
+    # product afterwards still runs and is right
+    import os
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = ("import os, numpy\n"
+            "import slicereg.cli\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+            "a = numpy.ones((400, 400))\n"
+            "print((a @ a == 400.0).all())\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["1", "True"]
+
+
 def test_jensen_and_the_parser_never_import_the_verification_suites():
     # only verify-ops needs slicereg.verify and the finite-difference stencils
     import os
