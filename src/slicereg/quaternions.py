@@ -15,12 +15,12 @@ one point runs the array kernels as any point does: numpy may fuse the
 multiply and add of an array complex product (it does where the CPU has
 FMA), and never of a scalar one.
 
-The Quaternion methods (Hamilton product, conjugation, norm, trace,
-inverse) are the scalar reference: the tests hold the pair kernels to
-them within a few ulps.  ``split`` is the one split x = alpha + J*beta of
-a point into alpha + i*beta in the closed upper half-plane and a unit J
-of its slice C_J.  ``over`` divides a complex by a real part by part, as
-the floats divide; numpy's complex over real multiplies by 1 / d.
+The Quaternion methods (Hamilton product, conjugation, norm, trace, inverse)
+are the scalar reference on Python floats; the tests hold the pair kernels to
+them within a few ulps.  ``split`` is the one split x = alpha + J*beta of a
+point (one complex pair runs on floats) into alpha + i*beta in the closed upper
+half-plane and a unit J of its slice C_J.  ``over`` divides a complex by a real
+part by part, as floats divide; numpy's complex over real multiplies by 1 / d.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class Quaternion(NamedTuple):
 
     def __add__(self, other: "Quaternion | float") -> "Quaternion":
         o = _coerce(other)
-        return Quaternion(self.w + o.w, self.x1 + o.x1, self.x2 + o.x2, self.x3 + o.x3)
+        return tuple.__new__(Quaternion, (self.w + o.w, self.x1 + o.x1, self.x2 + o.x2, self.x3 + o.x3))
 
     __radd__ = __add__
 
@@ -98,14 +98,14 @@ class Quaternion(NamedTuple):
     def __mul__(self, other: "Quaternion | float") -> "Quaternion":
         if isinstance(other, (int, float)):
             return Quaternion(self.w * other, self.x1 * other, self.x2 * other, self.x3 * other)
-        a0, a1, a2, a3 = self.w, self.x1, self.x2, self.x3
-        b0, b1, b2, b3 = other.w, other.x1, other.x2, other.x3
-        return Quaternion(
+        a0, a1, a2, a3 = self
+        b0, b1, b2, b3 = other
+        return tuple.__new__(Quaternion, (
             a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
             a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
             a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
+        ))
 
     __rmul__ = __mul__  # real scalar * q; a real scalar commutes with q
 
@@ -209,11 +209,14 @@ def split(x):
     """
     a, b = x
     s1, s2, s3 = a.imag * a.imag, b.real * b.real, b.imag * b.imag
-    beta = np.sqrt(s1 + s2 + s3)
-    off = beta > eps_zero(np.sqrt(a.real * a.real + s1 + s2 + s3))  # |x| as ``pnorm2`` sums it
-    if np.all(off):  # no point on the real axis, no placeholder
+    sqrt = math.sqrt if isinstance(a, complex) else np.sqrt  # one point runs on Python floats
+    beta = sqrt(s1 + s2 + s3)
+    off = beta > eps_zero(sqrt(a.real * a.real + s1 + s2 + s3))  # |x| as ``pnorm2`` sums it
+    if off is True or np.all(off):  # no point on the real axis, no placeholder
         inv = 1.0 / beta
         return a.real, beta, (1j * (a.imag * inv), b * inv)
+    if off is False:  # one point on the real axis
+        return a.real, beta * off, (1j, 0j)
     inv = 1.0 / np.where(off, beta, 1.0)
     return a.real, beta * off, (np.where(off, 1j * (a.imag * inv), 1j), np.where(off, b * inv, 0j))
 

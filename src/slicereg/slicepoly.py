@@ -11,13 +11,14 @@ slice derivative (hard switch below BETA_SWITCH).
 
 ``stem_arrays`` is the one stem kernel: F1 and F2 as pairs (see
 ``quaternions``) at a complex scalar or array z, summed over complex
-coefficient arrays g, h of a_m = g_m + h_m j that each polynomial forms
-once; their parts are the scalar Quaternion loop's stems bit for bit, and
-``stem_components`` is the pair of Quaternions at one point.  ``eval`` is
-the one point evaluator, a Horner on ``pmul`` with x^m on the left; it and
-the spherical value and derivative take a Quaternion (giving a Quaternion)
-or a pair.  ``horner`` is the one evaluator of real coefficients at complex
-scalars or arrays, one polynomial or (d+1, m) columns of them.
+coefficient arrays g, h of a_m = g_m + h_m j that each polynomial forms once;
+their parts are the Quaternion loop's stems bit for bit, and
+``stem_components`` is the pair of Quaternions at one point.  ``eval`` is the
+one point evaluator, a Horner on ``pmul`` with x^m on the left; it and the
+spherical value and derivative take and give a Quaternion or a pair.
+``horner`` evaluates real coefficients at complex scalars or arrays, one
+polynomial or (d+1, m) columns.  Scalar loops (the slice product, ``horner`` at
+a scalar) run on Python floats.
 
 A ``SliceStack`` holds m polynomials side by side, one per centre of a
 batched stencil: its g, h are (d+1, m) arrays, and it runs the same
@@ -62,16 +63,16 @@ def horner(c, z):
     Columns c of shape (d+1, m) are m polynomials, zero-padded to one degree,
     and column j runs at z[..., j] with the float operations of c[:, j] alone.
 
-    An array z updates one accumulator in place, acc *= z; acc += coef: the
-    two rounded operations of acc = acc * z + coef, in the dtype that
-    expression promotes to, without two temporaries the size of z."""
+    An array z updates one accumulator in place, acc *= z; acc += coef: the two rounded
+    operations of acc = acc * z + coef, in the dtype that expression promotes to, with no
+    temporary the size of z, from the leading coefficient (0 * z + c[-1] at finite z)."""
     if not isinstance(z, np.ndarray):
         acc = 0.0 + 0.0j
         for coef in reversed(c):
             acc = acc * z + coef
         return acc
-    acc = np.zeros_like(z, dtype=np.result_type(z, *c))
-    for coef in reversed(c):
+    acc = np.full(z.shape, c[-1] if len(c) else 0, np.result_type(z, *c))
+    for coef in reversed(c[:-1]):
         acc *= z
         acc += coef
     return acc
@@ -106,7 +107,7 @@ class _Loops:
 
         Not (G(z) +- G(conj z))/2 with G = sum z^m g_m: that difference
         loses F2's relative accuracy as beta -> 0."""
-        x, y = np.real(z), np.imag(z)
+        x, y = z.real, z.imag
         a1 = b1 = a2 = b2 = np.zeros(np.shape(z), complex) if isinstance(z, np.ndarray) else 0j
         zr, zi = 1.0, 0.0
         for g, h in zip(*self._pairs()):
@@ -253,14 +254,18 @@ class SliceStack(_Loops):
 
 
 def slice_product(f: SlicePolynomial, g: SlicePolynomial) -> SlicePolynomial:
-    """Coefficient convolution c_n = sum_m a_m b_{n-m} (a left of b)."""
+    """Coefficient convolution c_n = sum_m a_m b_{n-m} (a left of b) on float
+    components: each term is ``Quaternion``'s product, added part by part."""
     if f.is_zero or g.is_zero:
         return SlicePolynomial([])
-    out = [ZERO] * (f.degree + g.degree + 1)
-    for m, a in enumerate(f.coeffs):
-        for n, b in enumerate(g.coeffs):
-            out[m + n] = out[m + n] + a * b
-    return SlicePolynomial(out)
+    w, x1, x2, x3 = ([0.0] * (f.degree + g.degree + 1) for _ in range(4))
+    for m, (a0, a1, a2, a3) in enumerate(f.coeffs):
+        for k, (b0, b1, b2, b3) in enumerate(g.coeffs, m):
+            w[k] += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+            x1[k] += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+            x2[k] += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+            x3[k] += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    return SlicePolynomial(map(Quaternion, w, x1, x2, x3))
 
 
 def normal(f: SlicePolynomial) -> SlicePolynomial:

@@ -7,15 +7,15 @@ doubles every root), else N(f), whose multiplicities are halved: the
 ``zero_polynomial`` that a ``SemiregularFunction`` forms for its numerator
 once, and the boundary means read too.  ``classify_zeros`` root-finds it, and
 ``total_multiplicity`` counts divisions of it by the real factor of one
-point's sphere.  Roots come from the companion matrix.  Each group of nearby eigenvalues becomes one
-sphere once Pellet's test certifies that a disc about its centroid,
-holding no other eigenvalue, holds exactly as many roots as the group
-has members; that count is the multiplicity, and Newton iteration on a
-derivative of matching order, which must converge inside the disc,
-places the sphere.  One loop ``_quotients`` divides by real factors,
-x - r or Delta_y(x) = x^2 - t(y) x + n(y), for as long as each largest
-remainder norm is at most TOL_DIVIDE times its dividend's; counts and
-cancellations read its quotients.
+point's sphere.  Roots come from the companion matrix.  Each group of nearby
+eigenvalues becomes one sphere once Pellet's test certifies that a disc about
+its centroid, holding no other eigenvalue, holds exactly as many roots as the
+group has members; that count is the multiplicity, and Newton iteration on a
+derivative of matching order, which must converge inside the disc, places the
+sphere.  One loop ``_quotients`` divides by real factors, x - r or Delta_y(x)
+= x^2 - t(y) x + n(y), for as long as each largest remainder norm is at most
+TOL_DIVIDE times its dividend's; counts and cancellations read its quotients.
+The certificate, Newton and the division loop run on Python floats.
 
 Rational (semiregular) functions are pairs f = den^{-1} * num with a
 slice-preserving denominator.  Poles sit on the spheres of den; on each
@@ -49,7 +49,7 @@ from .errors import (
     ZeroDenominatorError,
     ZeroPolynomialError,
 )
-from .quaternions import InvalidUnitError, Quaternion, split, validate_unit
+from .quaternions import InvalidUnitError, Quaternion, pnorm2, split, validate_unit
 from .slicepoly import SlicePolynomial, horner, normal
 
 __all__ = [
@@ -72,6 +72,8 @@ EPS = float(np.finfo(float).eps)
 # radii per Pellet test, geometric from a cluster's spread to its nearest
 # outside eigenvalue
 PELLET_GRID = 31
+# relative widening of ``_pellet_radius``'s window, far above its rounding
+PELLET_SLACK = 1e-9
 # Division centers are Newton-polished to ~1e-12 relative, so genuine
 # factors leave remainders far below this.  The tolerance must stay well
 # under beta^(2m) for pole/zero spheres, or the vertex of an even factor
@@ -96,25 +98,9 @@ def on_boundary(radius: float, r: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _norms(c: np.ndarray) -> np.ndarray:
-    """Coefficient sizes: |c_m| for a real array, the quaternion norm for rows (m+1, 4)."""
-    return np.abs(c) if c.ndim == 1 else np.linalg.norm(c, axis=1)
-
-
-def _poly_trim(c: np.ndarray) -> np.ndarray:
-    """c without its trailing zero coefficients."""
-    c = np.asarray(c, dtype=float)
-    keep = np.flatnonzero(c.reshape(len(c), -1).any(axis=1))
-    return c[: keep[-1] + 1] if keep.size else c[:0]
-
-
-def _poly_deriv(c: np.ndarray) -> np.ndarray:
-    return c[1:] * np.arange(1, len(c))
-
-
-def _newton_on_derivative(c: np.ndarray, z0: complex, mult: int, real_root: bool) -> tuple[complex, bool]:
+def _newton_on_derivative(c: list[float], z0: complex, mult: int, real_root: bool) -> tuple[complex, bool]:
     """Polish a root of multiplicity `mult` by Newton on the (mult-1)-th
-    derivative, where the root should be simple.
+    derivative, where the root should be simple; c holds Python floats.
 
     Also reports whether the step size reached 1e-12 relative within the
     60-step budget.  Each step reuses the residual p(z) of the last.  When
@@ -122,10 +108,9 @@ def _newton_on_derivative(c: np.ndarray, z0: complex, mult: int, real_root: bool
     only linearly and usually runs out of steps; ``_certified_cluster``
     hands it the multiplicity Pellet's test certified.
     """
-    d = c
+    d, dp = c, [a * k for k, a in enumerate(c[1:], 1)]
     for _ in range(mult - 1):
-        d = _poly_deriv(d)
-    dp = _poly_deriv(d)
+        d, dp = dp, [a * k for k, a in enumerate(dp[1:], 1)]
     z = complex(z0.real, 0.0) if real_root else z0
     pz = horner(d, z)  # p(z) at the current z: the residual, then the next numerator
     best, best_res = z, abs(pz)
@@ -148,43 +133,56 @@ def _newton_on_derivative(c: np.ndarray, z0: complex, mult: int, real_root: bool
     return best, converged
 
 
-def _real_factor(alpha: float, beta: float) -> np.ndarray:
+def _real_factor(alpha: float, beta: float) -> list[float]:
     """Ascending coefficients of the monic real factor of the sphere (alpha, beta):
     x - alpha for beta == 0, else x^2 - 2 alpha x + (alpha^2 + beta^2)."""
     if beta == 0.0:
-        return np.array([-alpha, 1.0])
-    return np.array([alpha * alpha + beta * beta, -2.0 * alpha, 1.0])
+        return [-alpha, 1.0]
+    return [alpha * alpha + beta * beta, -2.0 * alpha, 1.0]
 
 
-def _divide(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Long division of ascending coefficients c, real (m+1,) or quaternion
-    rows (m+1, 4), by an ascending monic real d; returns (quotient, remainder)."""
-    r = np.array(c[::-1], dtype=float)  # descending working copy
-    dd = d[::-1]
-    qlen = max(len(r) - len(dd) + 1, 0)
-    for k in range(qlen):
-        for j in range(1, len(dd)):
-            r[k + j] -= dd[j] * r[k]
-    return r[:qlen][::-1], r[qlen:][::-1]
+def _columns(c) -> list[list[float]]:
+    """The ascending coefficients c, real (m+1,) or quaternion (m+1, 4), as descending
+    columns of Python floats, one per component, without leading zero rows."""
+    a = np.asarray(c, dtype=float).reshape(len(c), -1)
+    return a[: len(np.trim_zeros(a.any(axis=1), "b"))][::-1].T.tolist()
 
 
-def _quotients(c: np.ndarray, alpha: float, beta: float):
-    """The one division loop: c's successive quotients by the real factor of
-    (alpha, beta) while each remainder's largest norm is at most TOL_DIVIDE
-    times its dividend's.  c holds ascending real coefficients (m+1,) or
-    quaternion coefficient rows (m+1, 4)."""
-    d, cur = _real_factor(alpha, beta), _poly_trim(c)
-    while len(cur) >= len(d):
+def _largest_norm(cols: list[list[float]]) -> float:
+    """The largest |c_k| of a real column, or of quaternion columns (numpy's row norm, bit for bit)."""
+    if len(cols) == 1:
+        return max(map(abs, cols[0]), default=0.0)
+    return math.sqrt(max((w * w + x * x + y * y + z * z for w, x, y, z in zip(*cols)), default=0.0))
+
+
+def _divide(cols: list[list[float]], d: list[float]) -> tuple[list, list]:
+    """Long division of descending columns by a descending monic real d, column by
+    column, as each component divides alone; returns (quotient, remainder) columns."""
+    qlen = max(len(cols[0]) - len(d) + 1, 0)
+    cols = [col[:] for col in cols]
+    for col in cols:
+        for k in range(qlen):
+            for j in range(1, len(d)):
+                col[k + j] -= d[j] * col[k]
+    return [col[:qlen] for col in cols], [col[qlen:] for col in cols]
+
+
+def _quotients(cols: list[list[float]], alpha: float, beta: float):
+    """The one division loop: the successive quotients of descending columns
+    (see ``_columns``) by the real factor of (alpha, beta) while each
+    remainder's largest norm is at most TOL_DIVIDE times its dividend's."""
+    d, cur = _real_factor(alpha, beta)[::-1], cols
+    while len(cur[0]) >= len(d):
         q, rem = _divide(cur, d)
-        if _norms(rem).max(initial=0.0) > TOL_DIVIDE * max(_norms(cur).max(), 1e-300):
+        if _largest_norm(rem) > TOL_DIVIDE * max(_largest_norm(cur), 1e-300):
             return
         yield q
         cur = q
 
 
-def _division_multiplicity(c: np.ndarray, alpha: float, beta: float) -> int:
-    """Largest s such that the real factor of (alpha, beta) divides c s times."""
-    return sum(1 for _ in _quotients(c, alpha, beta))
+def _division_multiplicity(c, alpha: float, beta: float) -> int:
+    """Largest s such that the real factor of (alpha, beta) divides the ascending c s times."""
+    return sum(1 for _ in _quotients(_columns(c), alpha, beta))
 
 
 def _all_distinct(spheres: list[Sphere]) -> bool:
@@ -221,7 +219,10 @@ def _pellet_radius(c: list[float], s: complex, m: int, lo: float, hi: float) -> 
     """The least radius rho of PELLET_GRID geometric steps from lo towards
     hi at which Pellet's test |T_m| rho^m > sum_{k != m} |T_k| rho^k holds
     with every |T_k| widened, and |T_m| narrowed, by its rounding bound:
-    the closed disc of radius rho about s then holds exactly m roots of p."""
+    the closed disc of radius rho about s then holds exactly m roots of p.
+    Each term alone confines rho to a window, rho > (|T_k| / |T_m|)^(1/(m-k))
+    for k < m and rho < (|T_m| / |T_k|)^(1/(k-m)) for k > m: the scan runs
+    over that window, widened by PELLET_SLACK, as no radius outside passes."""
     if not lo < hi:
         return None
     t, bound = _taylor(c, s)
@@ -230,14 +231,21 @@ def _pellet_radius(c: list[float], s: complex, m: int, lo: float, hi: float) -> 
         return None
     rest = [abs(tk) + ek for tk, ek in zip(t, bound)]
     rest[m] = 0.0
-    for j in range(PELLET_GRID):
+    floor = max((e ** (1.0 / (m - k)) / head ** (1.0 / (m - k)) for k, e in enumerate(rest[:m])), default=0.0)
+    ceil = min((head ** (1.0 / (k - m)) / e ** (1.0 / (k - m)) for k, e in enumerate(rest) if k > m and e > 0.0),
+               default=math.inf)
+    floor, ceil = floor * (1.0 - PELLET_SLACK), ceil * (1.0 + PELLET_SLACK)
+    first = PELLET_GRID * math.log(floor / lo) / math.log(hi / lo) if floor > lo else 0.0
+    for j in range(math.floor(min(PELLET_GRID, first)), PELLET_GRID):
         rho = lo * (hi / lo) ** (j / PELLET_GRID)
+        if rho >= ceil:
+            return None
         if head * rho**m > horner(rest, rho).real:
             return rho
     return None
 
 
-def _certified_cluster(c: np.ndarray, pts: list[complex], free: list[int]) -> tuple[Sphere, list[int]]:
+def _certified_cluster(coef: list[float], pts: list[complex], free: list[int]) -> tuple[Sphere, list[int]]:
     """The sphere of the first unassigned eigenvalue, pts[free[0]], and the
     indices of the eigenvalues it accounts for.
 
@@ -247,7 +255,6 @@ def _certified_cluster(c: np.ndarray, pts: list[complex], free: list[int]) -> tu
     ``_pellet_radius``.  Newton on the (m-1)-th derivative from s must
     converge inside that disc; the result is a real m-fold root, or an
     m-fold nonreal one whose sphere also takes the mirror group."""
-    coef = c.tolist()  # Python floats: the Taylor shifts run on scalars
     seed = pts[free[0]]
     near = sorted(free, key=lambda i: abs(pts[i] - seed))
     for m in range(1, len(near) + 1):
@@ -268,7 +275,7 @@ def _certified_cluster(c: np.ndarray, pts: list[complex], free: list[int]) -> tu
             rho = _pellet_radius(coef, s, m, lo, hi)
             if rho is None:
                 continue
-        w, converged = _newton_on_derivative(c, s, m, real_root=closed)
+        w, converged = _newton_on_derivative(coef, s, m, real_root=closed)
         if not converged or abs(w - s) > rho:
             raise ClassificationInconsistencyError(f"Newton from the certified {m}-root cluster at {s:.6g} "
                                                    f"does not converge inside radius {rho:.3g}")
@@ -287,15 +294,16 @@ def root_spheres(coeffs: Sequence[float]) -> list[Sphere]:
     leaves its disc, or two spheres that are not ``_all_distinct`` raise
     ``ClassificationInconsistencyError``.
     """
-    c = _poly_trim(np.asarray(coeffs, dtype=float))
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if c.size == 0:
         raise ZeroPolynomialError("root finding on the zero polynomial")
     deg = len(c) - 1
     pts = [complex(z) for z in np.roots(c[::-1])]
     free = list(range(deg))
     spheres: list[Sphere] = []
+    coef = c.tolist()  # Python floats: the Taylor shifts and Newton run on scalars
     while free:
-        sphere, taken = _certified_cluster(c, pts, free)
+        sphere, taken = _certified_cluster(coef, pts, free)
         spheres.append(sphere)
         free = [i for i in free if i not in taken]
     if not _all_distinct(spheres):
@@ -354,35 +362,38 @@ def classify_zeros(f) -> list[ZeroRecord]:
     Spherical zeros use the representative alpha + i*beta; isolated
     nonreal zeros are located from the stem by J* = -F1(z) F2(z)^{-1}, and
     a J* that cannot be formed or is no unit raises ``ClassificationInconsistencyError``.
-    """
+    One ``eval`` takes every isolated candidate, each of which must annihilate f."""
     fs = as_semiregular(f)
     (c, per_unit), num = fs.zero_polynomial, fs.num
-    records: list[ZeroRecord] = []
-    for alpha, beta, roots in root_spheres(c):
-        mult = roots // per_unit
-        if beta == 0.0:
-            records.append(ZeroRecord("real", Quaternion.real(alpha), alpha, 0.0, mult))
-            continue
-        f1, f2 = num.stem_components(alpha, beta)
-        scale = num.stem_scale(math.hypot(alpha, beta))
-        if f1.abs() <= EPS_CLASS * scale and f2.abs() <= EPS_CLASS * scale:
-            rep = Quaternion(alpha, beta, 0.0, 0.0)  # alpha + i*beta
-            records.append(ZeroRecord("spherical", rep, alpha, beta, mult))
-            continue
-        if f2.abs() <= EPS_CLASS * scale:
-            raise ClassificationInconsistencyError(
-                f"sphere ({alpha:.6g}, {beta:.6g}) carries a root but F2 ~ 0 != F1"
-            )
-        try:
-            jstar = validate_unit(-(f1 * f2.inverse()))
-        except (ZeroDivisionError, InvalidUnitError) as exc:
-            raise ClassificationInconsistencyError(f"sphere ({alpha:.6g}, {beta:.6g}) has no unit J*: {exc}") from exc
-        rep = Quaternion(alpha, 0.0, 0.0, 0.0) + jstar * beta
-        if num.eval(rep).abs() > EPS_CLASS * scale:
-            raise ClassificationInconsistencyError(
-                f"candidate isolated zero at sphere ({alpha:.6g}, {beta:.6g}) does not annihilate f"
-            )
-        records.append(ZeroRecord("isolated", rep, alpha, beta, mult))
+    records, isolated = [], []  # every record; each isolated candidate with its EPS_CLASS * scale
+    try:
+        for alpha, beta, roots in root_spheres(c):
+            mult = roots // per_unit
+            if beta == 0.0:
+                records.append(ZeroRecord("real", Quaternion.real(alpha), alpha, 0.0, mult))
+                continue
+            f1, f2 = num.stem_components(alpha, beta)
+            scale = num.stem_scale(math.hypot(alpha, beta))
+            if f1.abs() <= EPS_CLASS * scale and f2.abs() <= EPS_CLASS * scale:
+                rep = Quaternion(alpha, beta, 0.0, 0.0)  # alpha + i*beta
+                records.append(ZeroRecord("spherical", rep, alpha, beta, mult))
+                continue
+            if f2.abs() <= EPS_CLASS * scale:
+                raise ClassificationInconsistencyError(f"sphere ({alpha:.6g}, {beta:.6g}) carries a root "
+                                                       "but F2 ~ 0 != F1")
+            try:
+                jstar = validate_unit(-(f1 * f2.inverse()))
+            except (ZeroDivisionError, InvalidUnitError) as e:
+                raise ClassificationInconsistencyError(f"sphere ({alpha:.6g}, {beta:.6g}) has no unit J*: {e}") from e
+            records.append(ZeroRecord("isolated", Quaternion(alpha, 0.0, 0.0, 0.0) + jstar * beta, alpha, beta, mult))
+            isolated.append((records[-1], EPS_CLASS * scale))
+    finally:  # a failing candidate is the first error, also when a later sphere raised
+        if isolated:
+            values = num.eval(tuple(map(np.array, zip(*(rec.representative.pair() for rec, _ in isolated)))))
+            for (rec, tol), value in zip(isolated, np.sqrt(pnorm2(values)).tolist()):
+                if value > tol:
+                    raise ClassificationInconsistencyError(f"candidate isolated zero at sphere ({rec.alpha:.6g}, "
+                                                           f"{rec.beta:.6g}) does not annihilate f")
     return records
 
 
@@ -412,10 +423,11 @@ class SemiregularFunction:
             raise ZeroDenominatorError("denominator is identically zero")
         if not den.is_slice_preserving():
             raise ValueError("denominator must have real coefficients")
-        # divide, not scale by 1/lead: lead / lead is exactly 1.0
+        # divide, not scale by 1/lead: lead / lead is exactly 1.0; x / 1.0 is x
         lead = den.coeffs[-1].w
-        den = np.array([c.w for c in den.coeffs]) / lead
-        num = SlicePolynomial([c / lead for c in num.coeffs])
+        den = np.array([c.w for c in den.coeffs])
+        if lead != 1.0:
+            den, num = den / lead, SlicePolynomial([c / lead for c in num.coeffs])
         spheres = root_spheres(den) if len(den) > 1 else []
         if spheres and not num.is_zero:
             den, num, spheres = _reduce_pair(den, num, spheres)
@@ -471,15 +483,15 @@ def _reduce_pair(den: np.ndarray, num: SlicePolynomial, spheres: list[Sphere]) -
     """Divide every real factor of the monic den that also divides num out of
     both: at most as many of num's quotients as den holds, den alongside by
     ``_divide`` too.  den stays monic, and its root spheres lose what is divided out."""
-    rows, kept = np.reshape(num.coeffs, (-1, 4)), []
+    den, cols, kept = _columns(den), _columns(num.coeffs), []
     for alpha, beta, mult in spheres:
         per = 1 if beta == 0.0 else 2
         k = 0  # zip asks range first, so no division past the k-th is made
-        for k, rows in zip(range(1, mult // per + 1), _quotients(rows, alpha, beta)):
-            den, _ = _divide(den, _real_factor(alpha, beta))
+        for k, cols in zip(range(1, mult // per + 1), _quotients(cols, alpha, beta)):
+            den, _ = _divide(den, _real_factor(alpha, beta)[::-1])
         if mult > per * k:
             kept.append((alpha, beta, mult - per * k))
-    return den, SlicePolynomial(map(Quaternion.from_array, rows)), kept
+    return np.array(den[0][::-1]), SlicePolynomial(map(Quaternion, *(col[::-1] for col in cols))), kept
 
 
 # ---------------------------------------------------------------------------

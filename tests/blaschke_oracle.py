@@ -20,8 +20,9 @@ import numpy as np
 from slicereg.errors import ClassificationInconsistencyError, PoleOnBoundaryError, SliceRegError
 from slicereg.quaternions import Quaternion, split, to_parts
 from slicereg.slicepoly import SlicePolynomial, horner, slice_product
-from slicereg.zeros_poles import (TOL_DIVIDE, SemiregularFunction, _divide, analyze, as_semiregular, on_boundary,
-                                  root_spheres)
+from slicereg.zeros_poles import TOL_DIVIDE, SemiregularFunction, analyze, as_semiregular, on_boundary, root_spheres
+
+from kernel_oracles import numpy_divide
 
 
 class InvalidPoleError(SliceRegError):
@@ -33,8 +34,8 @@ class PoleOutsideRegionError(SliceRegError):
 
 
 def divide_rows(p: SlicePolynomial, d) -> tuple[SlicePolynomial, SlicePolynomial]:
-    """``_divide`` of p's quaternion rows by the monic real d; quotient and remainder as polynomials."""
-    q, rem = _divide(np.reshape(p.coeffs, (-1, 4)), np.asarray(d, dtype=float))
+    """``numpy_divide`` of p's quaternion rows by the monic real d; quotient and remainder as polynomials."""
+    q, rem = numpy_divide(np.reshape(p.coeffs, (-1, 4)), d)
     return SlicePolynomial(map(Quaternion.from_array, q)), SlicePolynomial(map(Quaternion.from_array, rem))
 
 

@@ -164,6 +164,33 @@ def test_split_matches_the_scalar_split_bit_for_bit():
         assert (alpha, beta, tuple(map(float, to_parts(unit)))) == (a, b, u)
 
 
+def test_split_of_one_complex_pair_is_the_array_split_bitwise():
+    # the Python-float path of one point against the same point as a pair
+    # of shape-(1,) arrays: off the axis, on it, at the eps_zero threshold
+    # and with signed zeros
+    rng = np.random.default_rng(17)
+    rows = rng.normal(size=(60, 4)) * 10.0 ** rng.integers(-6, 7, (60, 1))
+    rows[:10, 1:] = 0.0
+    rows[10:20, 1:] = -0.0
+    rows[20:30, 1:] *= eps_zero(np.abs(rows[20:30, :1])) * rng.uniform(0.0, 2.0, (10, 1)) / np.abs(rows[20:30, 1:]).max()
+    rows[30:35, 0] = -0.0
+    for row in rows:
+        a, b = complex(row[0], row[1]), complex(row[2], row[3])
+        got = split((a, b))
+        want = split((np.array([a]), np.array([b])))
+        assert isinstance(got[1], float)
+        assert np.float64(got[0]).tobytes() == want[0].tobytes() and np.float64(got[1]).tobytes() == want[1].tobytes()
+        assert all(np.complex128(g).tobytes() == w.tobytes() for g, w in zip(got[2], want[2]))
+    assert sum(split(Quaternion.from_array(row).pair())[1] == 0.0 for row in rows) >= 20
+
+
+def test_products_and_sums_are_quaternions():
+    p, q = Quaternion(1.5, -2.0, 0.25, 3.0), Quaternion(-0.5, 1.0, 2.0, -4.0)
+    for value in (p * q, p + q, p + 2.0, 2.0 + p):
+        assert type(value) is Quaternion
+    assert I * J == K and (p + q).x3 == -1.0
+
+
 def test_slice_embed_examples():
     assert slice_embed(0.0, 1.0, I).isclose(I)
     assert slice_embed(2.0, 3.0, J).isclose(Quaternion(2, 0, 3, 0))

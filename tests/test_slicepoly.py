@@ -20,6 +20,7 @@ from slicereg.slicepoly import (
 )
 from slicereg.zeros_poles import SemiregularFunction
 
+from kernel_oracles import quaternion_slice_product, zero_start_horner
 from test_quaternions import split_point, to_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -380,6 +381,23 @@ def test_horner_runs_each_column_as_its_own_polynomial_bitwise():
             assert got[..., j].tobytes() == horner(cj, z[..., j].copy()).tobytes(), (shape, j)
 
 
+def test_horner_from_the_leading_coefficient_matches_a_zero_start_bitwise():
+    # finite z, real and complex, one polynomial or zero-padded columns;
+    # 0 * z + c[-1] is c[-1] there
+    rng = np.random.default_rng(13)
+    for d in range(9):
+        c = rng.normal(size=d + 1) * 10.0 ** rng.integers(-3, 4, d + 1)
+        columns = np.zeros((d + 1, 5))
+        for column in columns.T:
+            n = rng.integers(1, d + 2)
+            column[:n] = rng.normal(size=n)
+        for z in (rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40), rng.uniform(-2, 2, 40),
+                  np.array([-1.5 - 0.0j, 0.0 - 0.0j, -0.0 + 1j]), rng.uniform(-2, 2, (8, 5)) + 0j):
+            for coeffs in (c, list(c), columns) if z.shape[-1] == 5 else (c, list(c)):
+                got, want = horner(coeffs, z), zero_start_horner(coeffs, z)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (d, z.shape)
+
+
 # -- slice product -------------------------------------------------------
 
 
@@ -388,6 +406,27 @@ def test_slice_product_convolution_example():
     assert prod.coefficient(0).isclose(K)
     assert prod.coefficient(1).isclose(-(I + J))
     assert prod.coefficient(2).isclose(ONE)
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 3, 5, 8, 13, 21, 32])
+def test_slice_product_matches_the_quaternion_loop_bitwise(deg):
+    # quaternionic coefficients over scales 1e-4..1e4, signed zeros and a
+    # real factor; each degree against every other of the list
+    rng = np.random.default_rng(deg)
+
+    def poly(d):
+        cs = rng.normal(size=(d + 1, 4)) * 10.0 ** rng.integers(-4, 5, (d + 1, 1))
+        cs[rng.random(cs.shape) < 0.1] = -0.0
+        cs[-1, 0] = 1.0
+        return SlicePolynomial(map(Quaternion.from_array, cs))
+
+    f = poly(deg)
+    for g in [poly(d) for d in (0, 1, 2, 3, 5, 8, 13, 21, 32)] + [SlicePolynomial.from_real([0.5, -0.0, 2.0])]:
+        for a, b in ((f, g), (g, f)):
+            got, want = slice_product(a, b), quaternion_slice_product(a, b)
+            assert all(type(q) is Quaternion for q in got.coeffs)
+            assert np.array(got.coeffs).tobytes() == np.array(want.coeffs).tobytes()
+    assert slice_product(f, SlicePolynomial([])).is_zero
 
 
 def test_slice_product_identity():

@@ -15,9 +15,10 @@ from slicereg.errors import (
 )
 from slicereg import zeros_poles
 from slicereg.jensen import jensen_check
-from slicereg.quaternions import I, J, ONE, Quaternion
+from slicereg.quaternions import I, J, ONE, InvalidUnitError, Quaternion, pnorm2
 from slicereg.slicepoly import SlicePolynomial, horner, normal, slice_product
 from slicereg.zeros_poles import (
+    PELLET_GRID,
     SemiregularFunction,
     TOL_DIVIDE,
     ZeroRecord,
@@ -25,6 +26,7 @@ from slicereg.zeros_poles import (
     _division_multiplicity,
     _quotients,
     _real_factor,
+    _columns,
     _reduce_pair,
     analyze,
     as_semiregular,
@@ -45,6 +47,7 @@ from blaschke_oracle import (
     regularize,
     unreduced,
 )
+from kernel_oracles import numpy_divide, numpy_quotients, pellet_scan
 from hard_cases import (DYADIC_DRAWS, DYADIC_MATCHES, LEDGER, NEAR_PAIR_DRAWS, NEAR_PAIR_OUTCOMES,
                         NEXT_TO_MULTIPLE_TOL, dyadic_function, dyadic_product, dyadic_records, dyadic_roots,
                         family_roots, judge, near_pair, product, real_rooted, records_match)
@@ -116,10 +119,10 @@ def _newton_three_evaluations(c, z0, mult, real_root):
     """The Newton polish that evaluates p(z) for the step and again for the
     residual.  Returns (z, converged, evaluations), where evaluations counts
     p and p' once per point they are taken at: one more than twice the steps."""
-    d = c
+    d = np.asarray(c, dtype=float)
     for _ in range(mult - 1):
-        d = zeros_poles._poly_deriv(d)
-    dp = zeros_poles._poly_deriv(d)
+        d = d[1:] * np.arange(1, len(d))
+    dp = d[1:] * np.arange(1, len(d))
     z = complex(z0.real, 0.0) if real_root else z0
     best, best_res = z, abs(horner(d, z))
     converged, evaluations = False, 1
@@ -198,7 +201,7 @@ def test_newton_reuses_the_residual_bit_for_bit(monkeypatch):
     for c, z0, mult, real_root in calls:
         want_z, want_converged, want_evaluations = _newton_three_evaluations(c, z0, mult, real_root)
         counted.clear()
-        z, converged = zeros_poles._newton_on_derivative(c, z0, mult, real_root)
+        z, converged = zeros_poles._newton_on_derivative(c.tolist(), z0, mult, real_root)
         assert converged == want_converged
         assert np.array(z).tobytes() == np.array(want_z).tobytes()
         assert len(counted) == want_evaluations  # p once per z, p' once per step
@@ -254,6 +257,86 @@ def test_pellet_radius_certifies_the_count_and_rejects_rounding():
     assert zeros_poles._pellet_radius(c, s, 1, zeros_poles.EPS, 1e-8) is None
 
 
+def _pellet_inputs(monkeypatch):
+    """Every (c, s, m, lo, hi) that root finding hands ``_pellet_radius`` on
+    the corpus zero polynomials, (x^2+1)^4 (x-0.5)^3 and the real
+    polynomials of three seeds of the multiplicity suite."""
+    polys = _corpus_zero_polynomials() + [_high_multiplicity_coeffs()]
+    for seed in (1, 2, 3):
+        polys += _multiplicity_suite_coeffs(monkeypatch, seed)
+    calls, window = [], zeros_poles._pellet_radius
+    monkeypatch.setattr(zeros_poles, "_pellet_radius", lambda *args: calls.append(args) or window(*args))
+    for c in polys:
+        root_spheres(c)
+    monkeypatch.undo()
+    return calls
+
+
+def test_pellet_window_matches_the_full_scan_on_root_finding(monkeypatch):
+    calls = _pellet_inputs(monkeypatch)
+    got = [zeros_poles._pellet_radius(*args) for args in calls]
+    assert got == [pellet_scan(*args) for args in calls]
+    assert len(calls) > 250 and sum(rho is None for rho in got) > 100 and sum(rho is not None for rho in got) > 100
+
+
+def test_pellet_window_matches_the_full_scan_on_random_clusters():
+    # the centroid of the m nearest roots of a random polynomial with
+    # clustered roots, the disc from their spread to the next root, and
+    # random radii about it; every m from 1 to d - 1
+    rng = np.random.default_rng(31)
+    results = []
+    for _ in range(150):
+        centres = rng.normal(size=rng.integers(1, 4)) + 1j * rng.normal(size=1) * rng.integers(0, 2)
+        roots = [z + 10.0 ** rng.uniform(-9, -1) * (rng.normal() + 1j * rng.normal())
+                 for z in rng.choice(centres, rng.integers(3, 10))]
+        c = np.real(P.polyfromroots(roots + [np.conj(z) for z in roots])).tolist()
+        near = sorted(roots, key=lambda z: abs(z - roots[0]))
+        for m in range(1, len(c) - 1):
+            s = complex(np.mean(near[:m]))
+            spread = max([abs(z - s) for z in near[:m]] + [1e-16])
+            for lo, hi in ((spread, abs(near[m] - s) if m < len(near) else 2.0),
+                           tuple(sorted(10.0 ** rng.uniform(-12, 1, 2)))):
+                results.append(zeros_poles._pellet_radius(c, s, m, lo, hi))
+                assert results[-1] == pellet_scan(c, s, m, lo, hi), (c, s, m, lo, hi)
+    assert sum(rho is not None for rho in results) > 100 and sum(rho is None for rho in results) > 100
+
+
+@pytest.mark.parametrize("rel", [1e-15, 1e-14, 1e-13, 1e-12, 1e-10, 1e-8])
+def test_pellet_window_keeps_radii_at_its_edges(rel):
+    # At s = 0 the Taylor data are c: the window of |T_m| rho^m > |T_k| rho^k
+    # is known in floats, and grid radii rel inside or outside either edge
+    # meet the full scan.  A larger term on the other side keeps the least
+    # passing radius on the edge under test; from rel = 1e-12 the first
+    # radius lies inside the window and passes.
+    cases = []
+    for m, k, d in ((1, 0, 2), (3, 0, 5), (2, 1, 6)):
+        for edge in ("floor", "ceil"):
+            c = [0.0] * (d + 1)
+            c[m] = 1.0
+            if edge == "floor":
+                c[k], c[d] = 0.75, 1e-30  # rest_d rho^d is negligible next to the edge
+            else:
+                c[d] = 0.5  # every rest_k, k < m, is 0 at s = 0
+            t, bound = zeros_poles._taylor(c, 0j)
+            head = abs(t[m]) - bound[m]
+            rest = [abs(tk) + ek for tk, ek in zip(t, bound)]
+            if edge == "floor":
+                rho = rest[k] ** (1.0 / (m - k)) / head ** (1.0 / (m - k))
+            else:
+                rho = head ** (1.0 / (d - m)) / rest[d] ** (1.0 / (d - m))
+            inside = 1.0 + rel if edge == "floor" else 1.0 - rel
+            for lo, hi in ((rho * inside, 4.0 * rho), (rho / inside, rho / inside * (1.0 + 2 * rel) ** PELLET_GRID),
+                           (rho * inside / 4.0, rho * inside)):
+                if edge == "ceil" and hi > rho * inside:
+                    lo, hi = rho * inside, rho * inside * 1.5
+                cases.append((c, m, lo, hi, rel >= 1e-12 and lo == rho * inside))
+    for c, m, lo, hi, first_passes in cases:
+        want = pellet_scan(c, 0j, m, lo, hi)
+        assert zeros_poles._pellet_radius(c, 0j, m, lo, hi) == want, (c, m, lo, hi)
+        if first_passes:
+            assert want == lo
+
+
 def test_divide_on_quaternion_rows():
     f = slice_product(lin(0, 1, 0, 0), characteristic_poly(Quaternion(0.2, 0.5, 0, 0)))
     q, rem = divide_rows(f, [0.29, -0.4, 1.0])
@@ -274,7 +357,12 @@ def test_division_multiplicity_remainder_test_is_relative():
     # the remainder 5e-9 x of x^2 + 5e-9 x + 1 by x^2 + 1 is below an
     # absolute 1e-8 but far above TOL_DIVIDE relative to the dividend
     c = np.array([1.0, 5e-9, 1.0])
-    assert _division_multiplicity(c, 0.0, 1.0) == len(list(_quotients(c, 0.0, 1.0))) == 0
+    assert _division_multiplicity(c, 0.0, 1.0) == len(list(_quotients(_columns(c), 0.0, 1.0))) == 0
+
+
+def _ascending(cols, shape):
+    """Descending columns, one per component, as an ascending array of the given shape."""
+    return np.reshape(np.array(cols, dtype=float)[:, ::-1].T, shape)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.4, 0.0), (-0.3, 0.5)], ids=["real-factor", "quadratic-factor"])
@@ -291,20 +379,63 @@ def test_division_multiplicity_real_and_quaternion_rows_agree(alpha, beta, k):
     g = np.array([[0.3, -0.2, 0.5, 0.1], [-0.4, 0.7, 0.0, 0.2], [0.1, 0.2, -0.3, 0.9]])
     quat = np.column_stack([P.polymul(factor, g[:, i]) for i in range(4)])
     for poly, cofactor in ((c, base), (as_rows(c), as_rows(base)), (quat, g)):
-        quotients = list(_quotients(poly, alpha, beta))
+        quotients = list(_quotients(_columns(poly), alpha, beta))
         assert _division_multiplicity(poly, alpha, beta) == len(quotients) == k
-        assert np.allclose(quotients[-1], cofactor, rtol=0.0, atol=1e-12)  # the k-th quotient is the cofactor
+        last = _ascending(quotients[-1], np.shape(cofactor))  # the k-th quotient is the cofactor
+        assert np.allclose(last, cofactor, rtol=0.0, atol=1e-12)
     off = c.copy()
     off[0] += 1e-3  # a nonzero remainder
     for poly in (off, as_rows(off)):
-        assert _division_multiplicity(poly, alpha, beta) == len(list(_quotients(poly, alpha, beta))) == 0
+        assert _division_multiplicity(poly, alpha, beta) == len(list(_quotients(_columns(poly), alpha, beta))) == 0
+
+
+@pytest.mark.parametrize("width", [1, 4], ids=["real", "quaternion"])
+def test_division_loop_matches_the_numpy_rows_bitwise(width):
+    # (real factor)^k times a random cofactor, k = 0..4, at scales 1e-3..1e3,
+    # a third of them with a perturbed remainder: one division and the loop
+    # of quotients against the numpy rows, bit for bit
+    rng = np.random.default_rng(23 + width)
+    counts = []
+    for _ in range(200):
+        alpha, beta = rng.uniform(-1.5, 1.5), 0.0 if rng.random() < 0.4 else rng.uniform(0.1, 1.5)
+        factor = np.array(_real_factor(alpha, beta))
+        cofactor = rng.normal(size=(rng.integers(1, 6), width)) * 10.0 ** rng.integers(-3, 4)
+        power = P.polypow(factor, rng.integers(0, 5))
+        c = np.column_stack([P.polymul(power, col) for col in cofactor.T])
+        if rng.random() < 0.3:
+            c[0] += rng.normal(size=width) * 10.0 ** -rng.integers(4, 12)
+        c = c[:, 0] if width == 1 else c
+        q, rem = _divide(_columns(c), factor[::-1].tolist())
+        want_q, want_rem = numpy_divide(c, factor)
+        assert _ascending(q, want_q.shape).tobytes() == want_q.tobytes()
+        assert _ascending(rem, want_rem.shape).tobytes() == want_rem.tobytes()
+        got = [_ascending(q, np.shape(w)) for q, w in zip(_quotients(_columns(c), alpha, beta),
+                                                           numpy_quotients(c, alpha, beta))]
+        want = list(numpy_quotients(c, alpha, beta))
+        assert len(got) == len(want) == _division_multiplicity(c, alpha, beta)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        counts.append(len(want))
+    assert set(counts) >= {0, 1, 2, 3, 4}
+
+
+def test_division_counts_match_the_numpy_rows_on_root_finding(monkeypatch):
+    # the counts behind the multiplicity suite and the certified spheres
+    polys = _corpus_zero_polynomials() + [_high_multiplicity_coeffs()]
+    for seed in (1, 2):
+        polys += _multiplicity_suite_coeffs(monkeypatch, seed)
+    for c in polys:
+        for alpha, beta, _ in root_spheres(c):
+            want = list(numpy_quotients(c, alpha, beta))
+            got = list(_quotients(_columns(c), alpha, beta))
+            assert len(got) == len(want)
+            assert all(_ascending(g, w.shape).tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def _reduce_pair_by_count_then_divide(den, num, spheres):
     """The cancellation as it was specified first: count how often each
-    sphere's real factor divides num by repeated ``_divide`` of its quaternion
-    rows and the relative remainder test, take k = min(den's count, num's),
-    then divide both k times, den as its real coefficients."""
+    sphere's real factor divides num by repeated ``numpy_divide`` of its
+    quaternion rows and the relative remainder test, take k = min(den's
+    count, num's), then divide both k times, den as its real coefficients."""
     kept = []
     for alpha, beta, mult in spheres:
         per = 1 if beta == 0.0 else 2
@@ -317,7 +448,7 @@ def _reduce_pair_by_count_then_divide(den, num, spheres):
             count, cur = count + 1, quotient
         k = min(mult // per, count)
         for _ in range(k):
-            den, _ = _divide(den, factor)
+            den, _ = numpy_divide(den, factor)
             num, _ = divide_rows(num, factor)
         if mult > per * k:
             kept.append((alpha, beta, mult - per * k))
@@ -596,6 +727,65 @@ def test_high_degree_annuli_draws_find_every_sphere(seed):
     assert abs(jensen_check(f, 1.0, 48, diagnostics=False).residual) <= 1e-11
 
 
+def _isolated_products(n):
+    """n products of 2-4 linear factors x - q, q random quaternions: their zeros are isolated."""
+    rng = np.random.default_rng(41)
+    out = []
+    for _ in range(n):
+        f = real_poly(1.0)
+        for _ in range(rng.integers(2, 5)):
+            f = f * lin(*rng.uniform(-0.9, 0.9, 4))
+        out.append(f)
+    return out
+
+
+def test_classify_zeros_evaluates_every_isolated_candidate_in_one_call(monkeypatch):
+    # one eval per function, of a pair of all its candidates, and each
+    # candidate's |f| as its own one-point evaluation gives it, bit for bit
+    calls, eval_pair = [], SlicePolynomial.eval
+
+    def record(self, x):
+        value = eval_pair(self, x)
+        calls.append((self, x, value))
+        return value
+
+    monkeypatch.setattr(SlicePolynomial, "eval", record)
+    isolated = 0
+    for f in _isolated_products(40):
+        calls.clear()
+        records = [r for r in classify_zeros(f) if r.kind == "isolated"]
+        isolated += len(records)
+        assert len(calls) == (1 if records else 0)
+        if records:
+            num, x, value = calls[0]
+            assert x[0].shape == (len(records),)
+            for k, rec in enumerate(records):
+                alone = eval_pair(num, rec.representative)
+                assert np.sqrt(pnorm2(value))[k].tobytes() == np.float64(alone.abs()).tobytes()
+    assert isolated > 60
+
+
+def test_classify_zeros_raises_a_failing_candidate_ahead_of_a_later_sphere(monkeypatch):
+    f = _isolated_products(1)[0]
+    first = next(r for r in classify_zeros(f) if r.kind == "isolated")
+    units, validate = [], zeros_poles.validate_unit
+
+    def second_is_no_unit(j):
+        units.append(j)
+        if len(units) == 2:
+            raise InvalidUnitError("not a unit")
+        return validate(j)
+
+    monkeypatch.setattr(zeros_poles, "validate_unit", second_is_no_unit)
+    with pytest.raises(ClassificationInconsistencyError, match=r"has no unit J\*"):
+        classify_zeros(f)
+    units.clear()
+    monkeypatch.setattr(SlicePolynomial, "eval", lambda self, x: tuple(np.ones_like(c) for c in x))
+    with pytest.raises(ClassificationInconsistencyError,
+                       match=rf"candidate isolated zero at sphere \({first.alpha:.6g}, {first.beta:.6g}\) does not"):
+        classify_zeros(f)
+
+
 def test_near_pair_draws_pass_or_raise_a_named_error():
     # 13 of these draws let InvalidUnitError, no SliceRegError, escape
     # classify_zeros: J* = -F1 F2^-1 is no unit on the pair's sphere
@@ -633,6 +823,14 @@ def test_scaling_keeps_a_quaternionic_polynomial_quaternionic(scale):
 
 
 # -- semiregular construction --------------------------------------------------
+
+
+def test_a_monic_denominator_leaves_the_numerator_undivided():
+    # x / 1.0 is x: a monic den keeps num as given; any other lead divides both
+    num = lin(0.2, 0.5, 0.3, 0.1)
+    assert SemiregularFunction(real_poly(1.0), num).num is as_semiregular(num).num is num
+    halved = SemiregularFunction(real_poly(2.0), num)
+    assert halved.num.coeffs == tuple(c / 2.0 for c in num.coeffs) and halved.den.tolist() == [1.0]
 
 
 def test_semiregular_reduction_real_factor():
