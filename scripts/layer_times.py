@@ -24,7 +24,10 @@ per package with ``time.perf_counter``, after a ``gc.collect``, the
 packages in turn and their order reversed every other round, so a drift
 in the host's load falls on all of them alike.  The inputs of a stage
 (functions, analyses, shadows) come from the package that is timed, and
-are built outside the timed pass.
+are built outside the timed pass.  In a tree whose polynomials are no
+functions of their own (they have no ``num``), each is wrapped there once
+over den = 1, as that tree's ``jensen_check`` wraps it, so that it too
+forms N(num) once per function rather than once per pass (``wrap``).
 
 Writes one JSON object: per stage and package the median and quartiles
 of the pass in seconds, the ratio of the change's median to the base's,
@@ -76,12 +79,17 @@ def corpus_cases() -> list[tuple[Path, float]]:
             for case in json.loads((CORPUS / manifest).read_text())["cases"]]
 
 
+def wrap(zp, f):
+    """f as the package zp's stages take it: a polynomial without ``num`` as a quotient over den = 1."""
+    return f if hasattr(f, "num") else zp.SemiregularFunction(zp.SlicePolynomial.from_real([1.0]), f)
+
+
 def stages(pkg: dict, cases: list[tuple[Path, float]]) -> dict:
     """Stage name -> a function of no arguments that runs one pass of it in the package pkg."""
     io, zp, quad, jensen, verify = (pkg[m] for m in ("io", "zeros_poles", "quadrature", "jensen", "verify"))
     n = jensen.DEFAULT_N
     p, q = quad.oracle_orders(n)
-    loaded = [(zp.as_semiregular(io.load_function(path)), r) for path, r in cases]
+    loaded = [(wrap(zp, io.load_function(path)), r) for path, r in cases]
     analysed = [(fs, r, zp.analyze(fs, r).shadows) for fs, r in loaded]
     out = {
         "load_function": lambda: [io.load_function(path) for path, _ in cases],

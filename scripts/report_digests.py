@@ -34,10 +34,11 @@ function file that is not UTF-8, and an ``--out`` under a missing
 directory.  An exception that escapes ``cli.main`` is digested as
 ``uncaught <Type>: <message>``.
 
-Last, ``jensen --fn`` and ``zeros --fn`` as json on each exact (dyadic)
-input of ``tests/hard_cases.py``'s ledger, and ``jensen --fn`` as json on
-its ``SP_BOUNDARY`` entries, a digest of ``f"{exit_code}\n{stdout}{stderr}"``
-each, so that a change to the root finder or the boundary means shows per case.
+Last, on every entry of ``tests/hard_cases.py``'s ``LEDGER``, ``jensen
+--fn`` as json with and without ``--no-diagnostics`` and ``zeros --fn`` as
+json, a digest of ``f"{exit_code}\n{stdout}{stderr}"`` each, so that a
+change to the root finder, the stems or the boundary means shows per case,
+named errors and pinned wrong residuals included.
 
 Paths are given relative to the checkout, so two checkouts print the
 same digest for the same report bytes, and ``diff`` of two outputs
@@ -65,7 +66,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from slicereg.cli import main as cli_main
 from slicereg.io import function_to_dict
 
-from hard_cases import LEDGER, dyadic_function, shared_factor_functions
+from hard_cases import LEDGER, shared_factor_functions
 
 MANIFESTS = ("polynomials", "rationals")
 ZEROS_TEXT = ("rat_remark_nonuniform", "rat_nonuniform_with_real_zero", "poly_isolated_pair")
@@ -89,8 +90,6 @@ OVERFLOWING = {
     "real-sum-overflows": {"coeffs": [1.3e154, 1.3e154]},
     "quaternionic-sum-overflows": {"coeffs": [[1e154, 0, 0, 0], [0, 1e154, 0, 0]]},
 }
-# slice-preserving multiple spheres next to the boundary, whose means read f's own coefficients
-SP_BOUNDARY = ("sp-boundary-sphere-m2-1.001", "sp-boundary-sphere-m3-0.99")
 
 # (record, options of each run): each coefficient is kept, or the file rejected
 SMALL_COEFFICIENTS = {
@@ -176,13 +175,16 @@ def failures(tmp: Path) -> list[tuple[str, list[str]]]:
 
 
 def hard_cases(tmp: Path) -> list[tuple[str, list[str]]]:
-    """(name, CLI arguments) of every call on the ledger's dyadic and ``SP_BOUNDARY`` entries, in print order."""
-    runs = function_runs(tmp, {f"hard-{case.name}": function_to_dict(case.make(*case.args))
-                               for case in LEDGER if case.make is dyadic_function})
-    for case in (case for case in LEDGER if case.name in SP_BOUNDARY):
+    """(name, CLI arguments) of every call on the ledger's entries, in print order:
+    ``jensen``, ``jensen --no-diagnostics`` and ``zeros`` per entry."""
+    runs = []
+    for case in LEDGER:
         path = tmp / f"hard-{case.name}.json"
         path.write_text(json.dumps(function_to_dict(case.make(*case.args))))
-        runs.append((f"hard-{case.name}-jensen.json", ["jensen", "--fn", str(path), "--format", "json"]))
+        jensen = ["jensen", "--fn", str(path), "--format", "json"]
+        runs += [(f"hard-{case.name}-jensen.json", jensen),
+                 (f"hard-{case.name}-jensen-no-diagnostics.json", jensen + ["--no-diagnostics"]),
+                 (f"hard-{case.name}-zeros.json", ["zeros", "--fn", str(path), "--format", "json"])]
     return runs
 
 

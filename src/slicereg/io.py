@@ -87,9 +87,9 @@ def parse_function(record: dict) -> SlicePolynomial | SemiregularFunction:
         if not den.is_slice_preserving():
             raise InputFormatError("denominator coefficients must be real")
         f = SemiregularFunction(den, parse_polynomial(record["num"]))
-        num = f.num
     else:
-        f = num = parse_polynomial(record)
+        f = parse_polynomial(record)
+    num = f.num
     if num.degree > DEGREE_CAP // 2 and not num.is_slice_preserving():
         raise InputFormatError(f"numerator is not slice-preserving and its degree {num.degree} exceeds"
                                f" {DEGREE_CAP // 2}, so N(num) would exceed the cap {DEGREE_CAP}")

@@ -47,7 +47,6 @@ from .zeros_poles import (
     PoleRecord,
     ZeroRecord,
     analyze,
-    as_semiregular,
     on_boundary,
 )
 
@@ -63,15 +62,24 @@ ORIGIN_REL = 1e-12
 DEFAULT_N = 48  # nodes per panel of the polar rule
 
 
+def derivatives_at_origin(f) -> tuple[Quaternion, Quaternion, Quaternion]:
+    """(f(0), f'(0), f''(0)) of f = den^{-1} * num by the quotient rule; den is scalar on R."""
+    n0, n1, n2 = f.num.coefficient(0), f.num.coefficient(1), f.num.coefficient(2) * 2.0
+    d0, d1, d2 = (f.den[:3].tolist() + [0.0, 0.0])[:3]
+    f0 = n0 / d0
+    f1 = n1 / d0 - n0 * (d1 / (d0 * d0))
+    f2 = n2 / d0 - n1 * (2.0 * d1 / (d0 * d0)) + n0 * (2.0 * d1 * d1 / d0**3 - d2 * 2.0 / (d0 * d0))
+    return f0, f1, f2
+
+
 def _origin_terms(f, r: float) -> tuple[tuple[float, float, float], float]:
     """The three lhs terms at radius r and Delta_4 log|N(f)|(0), from one
     evaluation of f(0), f'(0), f''(0); raises on a pole or a zero at the
     origin."""
-    fs = as_semiregular(f)
-    if abs(fs.den[0]) <= ORIGIN_REL * (1.0 + np.abs(fs.den).max()):
+    if abs(f.den[0]) <= ORIGIN_REL * (1.0 + np.abs(f.den).max()):
         raise PoleAtOriginError("denominator vanishes at the origin")
-    f0, f1, f2 = fs.derivatives_at_origin()
-    if f0.abs() <= ORIGIN_REL * (1.0 + fs.num.coefficient_scale()):
+    f0, f1, f2 = derivatives_at_origin(f)
+    if f0.abs() <= ORIGIN_REL * (1.0 + f.num.coefficient_scale()):
         raise ZeroAtOriginError("f(0) = 0; the formula needs log|f(0)|")
     inv = f0.inverse()
     a = f1 * inv
@@ -80,13 +88,13 @@ def _origin_terms(f, r: float) -> tuple[tuple[float, float, float], float]:
     return (math.log(f0.abs()), quarter * square, -quarter * second), -4.0 * second + 4.0 * square
 
 
-def _delta4_logNf_from_coefficients(fs) -> float:
+def _delta4_logNf_from_coefficients(f) -> float:
     """Delta_4 log|N(f)|(0) = D(N(num)) - 2 D(den), where D(p) = 2 (c1/c0)^2
     - 4 c2/c0 for the lowest coefficients c of a real p; shares no
     arithmetic with ``_origin_terms``."""
-    a0, a1, a2 = (fs.num.coefficient(m) for m in range(3))
+    a0, a1, a2 = (f.num.coefficient(m) for m in range(3))
     n_num = (a0.norm2(), 2.0 * (a0 * a1.conj()).re(), a1.norm2() + 2.0 * (a0 * a2.conj()).re())
-    d = [2.0 * (c1 / c0) ** 2 - 4.0 * c2 / c0 for c0, c1, c2 in (n_num, (fs.den[:3].tolist() + [0.0, 0.0])[:3])]
+    d = [2.0 * (c1 / c0) ** 2 - 4.0 * c2 / c0 for c0, c1, c2 in (n_num, (f.den[:3].tolist() + [0.0, 0.0])[:3])]
     return d[0] - 2.0 * d[1]
 
 
@@ -194,9 +202,8 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
     The zero and pole sums run over the spheres inside the ball; the zero
     spheres include the exceptional points of nonuniform pole spheres.
     """
-    fs = as_semiregular(f)
-    (t0, t1, t2), d4 = _origin_terms(fs, r)  # origin hypotheses, before any root finding
-    analysis = analyze(fs, r)
+    (t0, t1, t2), d4 = _origin_terms(f, r)  # origin hypotheses, before any root finding
+    analysis = analyze(f, r)
     _hypotheses(analysis, r)
 
     poles = analysis.poles
@@ -225,7 +232,7 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
     zsum = sphere_sum([(z.alpha, z.beta, z.multiplicity) for z in zrecords], r)
     psum = sphere_sum([s for s in analysis.pole_spheres if math.hypot(s[0], s[1]) < r], r)
 
-    means = boundary_means(fs, r, n, analysis.shadows)
+    means = boundary_means(f, r, n, analysis.shadows)
     lhs = t0 + t1 + t2
     rhs = 0.5 * (means.mean_log_f + means.mean_log_f_sf) - zsum + psum
     residual = lhs - rhs
@@ -238,7 +245,7 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
 
     diag: dict = {
         "delta4_logNf_at0": d4,
-        "lhs_cross_check": abs(lhs - (t0 + (r * r / 16.0) * _delta4_logNf_from_coefficients(fs))),
+        "lhs_cross_check": abs(lhs - (t0 + (r * r / 16.0) * _delta4_logNf_from_coefficients(f))),
         "boundary_gap": gap if math.isfinite(gap) else None,
     }
     if diagnostics:
@@ -246,14 +253,14 @@ def jensen_check(f, r: float, n: int = DEFAULT_N, *, seed: int = 0, bijectivity_
         # the same panels at orders of its own
         p, q = oracle_orders(n)
         rule = build_rule(r, p, analysis.shadows, q)
-        oracle = boundary_identity_residual(fs, rule)
+        oracle = boundary_identity_residual(f, rule)
         diag["oracle_orders"] = [p, q]
         diag["oracle_nodes"] = len(rule)
         diag["boundary_identity_max"] = oracle.identity_max
         diag["mean_sum_check"] = abs(oracle.means.mean_log_normal - means.mean_log_normal)
         diag["representative_spread"] = _representative_spread(zrecords + [p for p in poles if p.beta > 0.0], r, seed)
-        if fs.num.degree > 0:
-            errs = sf_roundtrip_errors(fs, r, bijectivity_points, seed)
+        if f.num.degree > 0:
+            errs = sf_roundtrip_errors(f, r, bijectivity_points, seed)
             diag["sf_roundtrip_max"] = float(np.max(errs)) if len(errs) else None
             diag["sf_roundtrip_points"] = len(errs)
             if len(errs) < bijectivity_points:

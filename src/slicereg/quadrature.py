@@ -69,7 +69,6 @@ import numpy as np
 from .errors import NonFiniteIntegrandError
 from .quaternions import Quaternion, pconj, pinv, pmul, pnorm2, split, to_parts
 from .slicepoly import horner
-from .zeros_poles import as_semiregular
 
 __all__ = [
     "SphereQuadratureRule",
@@ -394,8 +393,9 @@ def sphere_mean_log_abs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarr
 
 def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     """The two normalized boundary means of the Jensen right-hand side,
-    by ``polar_rule(r, n, shadows)`` with exact S^2 averaging; N(num) is
-    c^(2 / divisor) for the ``zero_polynomial`` (c, divisor), c evaluated once.
+    by ``polar_rule(r, n, shadows)`` with exact S^2 averaging, for a
+    polynomial or a quotient f alike; N(num) is c^(2 / divisor) for num's
+    ``zero_polynomial`` (c, divisor), c evaluated once.
 
     N(f) has the stem (F1 + i F2)(conj F1 + i conj F2) = |F1|^2 - |F2|^2
     + 2i Re(F1 conj F2); with |Im(F1 conj F2)|^2 = |F1|^2 |F2|^2 - Re(F1 conj F2)^2
@@ -406,15 +406,14 @@ def boundary_means(f, r: float, n: int, shadows=()) -> BoundaryMeans:
     sphere of a polar node (|N(num)(z)| within roundoff of its Horner
     sum), or a non-finite stem, raises NonFiniteIntegrandError.
     """
-    fs = as_semiregular(f)
     z, w = polar_rule(r, n, shadows)
-    c, divisor = fs.zero_polynomial
+    c, divisor = f.num.zero_polynomial
     with np.errstate(all="ignore"):  # a value that is not finite raises below, naming its node
         f1, f2 = f.stem_arrays(z)
         a = pnorm2(f1) + pnorm2(f2)
         b = 2.0 * _im_product_abs(f1, f2)
         zero_abs = np.abs(horner(c, z))
-        log_n = _log_normal(fs, z, zero_abs)
+        log_n = _log_normal(f, z, zero_abs)
         log_f = sphere_mean_log_abs(a, b, np.exp(2.0 * log_n) / (a + b))
     hit = zero_abs <= NODE_HIT_REL ** (divisor / 2) * horner(np.abs(c), r).real
     bad = ~np.isfinite(log_f + log_n) | hit
@@ -441,14 +440,13 @@ def _im_product_abs(f1, f2) -> np.ndarray:
 
 def log_normal_values(f, z: np.ndarray) -> np.ndarray:
     """log|N(f)| at shadows z; N(f) is circular so only z matters."""
-    fs = as_semiregular(f)
-    return _log_normal(fs, z, np.abs(horner(fs.zero_polynomial[0], z)))
+    return _log_normal(f, z, np.abs(horner(f.num.zero_polynomial[0], z)))
 
 
-def _log_normal(fs, z: np.ndarray, zero_abs: np.ndarray) -> np.ndarray:
+def _log_normal(f, z: np.ndarray, zero_abs: np.ndarray) -> np.ndarray:
     """log|N(num)| - 2 log|den| at z from zero_abs = |c(z)|, N(num) = c^(2 / divisor); den is monic."""
-    log_n = (2 / fs.zero_polynomial[1]) * np.log(zero_abs)
-    return log_n - 2.0 * np.log(np.abs(horner(fs.den, z))) if len(fs.den) > 1 else log_n
+    log_n = (2 / f.num.zero_polynomial[1]) * np.log(zero_abs)
+    return log_n - 2.0 * np.log(np.abs(horner(f.den, z))) if len(f.den) > 1 else log_n
 
 
 @dataclass(frozen=True)
@@ -493,7 +491,7 @@ def _log_abs_f_and_f_sf(maps: np.ndarray, units: np.ndarray) -> tuple[np.ndarray
 def boundary_identity_residual(f, rule: SphereQuadratureRule) -> ProductRuleCheck:
     """Evaluate f and f o S_f at every node of the product rule.
 
-    The stems and log|N(f)|, from the function's ``zero_polynomial`` like
+    The stems and log|N(f)|, from num's ``zero_polynomial`` like
     the means', are evaluated once per polar angle, and so is
     ``_identity_map``, which makes f(x) and f(S_f x) on the angle's sphere
     ratios of affine maps of its unit J.  Blocks of whole angles, about

@@ -25,6 +25,10 @@ batched stencil: its g, h are (d+1, m) arrays, and it runs the same
 Horner and stem loops as ``SlicePolynomial`` on points whose last axis
 has length m, so centre j takes polynomial j, bit for bit as that
 polynomial alone.  The spherical value and derivative accept it.
+
+A polynomial is the semiregular function num / 1: ``num`` is itself, ``den``
+one shared read-only [1.0] and ``den_spheres`` empty, and it forms its
+``zero_polynomial`` once, which a quotient reads off its numerator.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SliceRegError
+from .errors import SliceRegError, ZeroPolynomialError
 from .quaternions import ONE, ZERO, Quaternion, as_pair, over, pair_like, pmul, split, to_parts
 
 __all__ = [
@@ -117,9 +121,13 @@ class _Loops:
 
 
 class SlicePolynomial(_Loops):
-    """f(x) = sum_m x^m a_m, coefficients on the right."""
+    """f(x) = sum_m x^m a_m, coefficients on the right; as a function, num / 1."""
 
-    __slots__ = ("coeffs", "_pair_coeffs")
+    __slots__ = ("coeffs", "_pair_coeffs", "_zero_polynomial")
+    den = np.ones(1)  # shared by every polynomial, so read-only
+    den.setflags(write=False)
+    den_spheres = ()
+    num = property(lambda self: self)
 
     def __init__(self, coeffs: Iterable[Quaternion | float]):
         cs = [c if isinstance(c, Quaternion) else Quaternion.real(c) for c in coeffs]
@@ -129,6 +137,7 @@ class SlicePolynomial(_Loops):
             raise ValueError(f"degree {len(cs) - 1} exceeds cap {DEGREE_CAP}")
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_pair_coeffs", None)
+        object.__setattr__(self, "_zero_polynomial", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("SlicePolynomial is immutable")
@@ -169,6 +178,17 @@ class SlicePolynomial(_Loops):
         if not self.is_slice_preserving():
             raise ValueError("polynomial is not slice-preserving")
         return np.array([c.w for c in self.coeffs], dtype=float)
+
+    @property
+    def zero_polynomial(self) -> tuple[np.ndarray, int]:
+        """The real coefficients c carrying f's zeros and the divisor of their multiplicities, formed
+        once: f and 1 when slice-preserving (never squared), else N(f) and 2, so N(f) = c^(2 / divisor)."""
+        if self._zero_polynomial is None:
+            if self.is_zero:
+                raise ZeroPolynomialError("zero set of the zero polynomial is everything")
+            pair = (self.real_coeffs(), 1) if self.is_slice_preserving() else (normal(self).real_coeffs(), 2)
+            object.__setattr__(self, "_zero_polynomial", pair)
+        return self._zero_polynomial
 
     # -- ring operations -------------------------------------------------
 

@@ -23,7 +23,7 @@ exercised away from degenerate configurations: points keep |Im x| >= 0.25
 polynomials have degree >= 6 (lower degrees are annihilated exactly by the
 stencils and leave nothing to converge), and log|N(f)| is probed at points
 well separated from the zero set.  The suites read N(f) only through the
-function's ``zero_polynomial`` (c, divisor), N(f) = c^(2 / divisor), as
+polynomial's ``zero_polynomial`` (c, divisor), N(f) = c^(2 / divisor), as
 the boundary means do: the two log|N(f)| stencil suites run the cases' c
 as columns of one ``horner``, and the quadrature suite takes the means of
 log|c| case by case, walking the product rule in blocks of
@@ -44,7 +44,7 @@ from .jensen import delta4_logNf_at0
 from .quadrature import ORACLE_BLOCK, build_rule, s2_means, shoemake
 from .quaternions import Quaternion, over, pmul, pnorm2, split, to_parts
 from .slicepoly import SlicePolynomial, SliceStack, horner, spherical_derivative, spherical_value
-from .zeros_poles import _division_multiplicity, as_semiregular, characteristic_poly, classify_zeros
+from .zeros_poles import _division_multiplicity, characteristic_poly, classify_zeros
 
 __all__ = ["SuiteResult", "ResidualRow", "run_suite", "SUITES", "SUITE_ORDER"]
 
@@ -339,7 +339,7 @@ def _log_normal_stack(polys):
     (2 / divisor) log|c(z)| for the ``zero_polynomial`` (c, divisor) of
     polys[j], as ``log_normal_values`` takes it, and one ``horner`` runs
     every c as a column of one (d+1, m) array."""
-    zeros = [as_semiregular(f).zero_polynomial for f in polys]
+    zeros = [f.zero_polynomial for f in polys]
     columns = np.zeros((max(len(c) for c, _ in zeros), len(zeros)))
     for column, (c, _) in zip(columns.T, zeros):
         column[:len(c)] = c
@@ -397,7 +397,7 @@ def suite_quadrature(seed: int) -> SuiteResult:
     r, n = 1.0, 48
     rule = build_rule(r, n)
     cases = [_product_poly(stream, 0.3, 0.6, max_factors=3) for _ in range(5)]
-    zeros = [as_semiregular(f).zero_polynomial for f, _, _ in cases]
+    zeros = [f.zero_polynomial for f, _, _ in cases]
     uj = [c.copy() for c in to_parts(pmul(ROTATION.pair(), tuple(rule.s2_units.view(complex).T)))]
     sphere_means = np.empty((len(cases), len(rule.polar_z)))
     for blk in rule.blocks(ORACLE_BLOCK):
@@ -446,11 +446,10 @@ def suite_multiplicity(seed: int, n_cases: int = 50) -> SuiteResult:
             factor = characteristic_poly(q) if kind == 2 else SlicePolynomial.linear(q)
             f = f * factor
             built[q] = built.get(q, 0) + factor.degree
-        fs = as_semiregular(f)
-        c, divisor = fs.zero_polynomial
+        c, divisor = f.zero_polynomial
         normal_c = np.convolve(c, c) if divisor == 1 else c  # N(f) = f^2 for a slice-preserving f
         found = dict.fromkeys(built, 0)
-        for rec in classify_zeros(fs):
+        for rec in classify_zeros(f):
             found[min(built, key=lambda q: math.hypot(rec.alpha - q.w, rec.beta - q.abs_im()))] += rec.multiplicity
         gaps = []
         for q, m in built.items():

@@ -4,8 +4,8 @@ Zeros of a slice polynomial f live on the spheres S_x = alpha + beta*S
 where the real-coefficient normal function N(f) vanishes.  One real
 polynomial carries them, f itself when f is slice-preserving (N(f) = f^2
 doubles every root), else N(f), whose multiplicities are halved: the
-``zero_polynomial`` that a ``SemiregularFunction`` forms for its numerator
-once, and the boundary means read too.  ``classify_zeros`` root-finds it, and
+numerator polynomial's ``zero_polynomial``, formed once per polynomial,
+which the boundary means read too.  ``classify_zeros`` root-finds it, and
 ``total_multiplicity`` counts divisions of it by the real factor of one
 point's sphere.  Roots come from the companion matrix.  Each group of nearby
 eigenvalues becomes one sphere once Pellet's test certifies that a disc about
@@ -18,10 +18,11 @@ TOL_DIVIDE times its dividend's; counts and cancellations read its quotients.
 The certificate, Newton and the division loop run on Python floats.
 
 Rational (semiregular) functions are pairs f = den^{-1} * num with a
-slice-preserving denominator.  Poles sit on the spheres of den; on each
-pole sphere the point orders are constant except possibly at one point
-where the numerator vanishes, which carries an isolated multiplicity
-equal to its total multiplicity as a zero of the numerator.
+slice-preserving denominator, a polynomial being num / 1.  Poles sit on
+the spheres of den; on each pole sphere the point orders are constant
+except possibly at one point where the numerator vanishes, which carries
+an isolated multiplicity equal to its total multiplicity as a zero of the
+numerator.
 
 ``analyze(f, r)`` is the one zero and pole pass that the Jensen check and
 the ``zeros`` command share.  It runs ``classify_zeros`` on the function,
@@ -50,7 +51,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .quaternions import InvalidUnitError, Quaternion, pnorm2, split, validate_unit
-from .slicepoly import SlicePolynomial, horner, normal
+from .slicepoly import SlicePolynomial, horner
 
 __all__ = [
     "FunctionAnalysis",
@@ -63,7 +64,6 @@ __all__ = [
     "pole_structure",
     "root_spheres",
     "analyze",
-    "as_semiregular",
     "on_boundary",
 ]
 
@@ -346,9 +346,9 @@ def characteristic_poly(y: Quaternion) -> SlicePolynomial:
 
 def total_multiplicity(f, y: Quaternion) -> int:
     """Largest s with Delta_y^s dividing N(num); 0 when y is not a zero.
-    Counted by division of the function's ``zero_polynomial`` by the real
+    Counted by division of num's ``zero_polynomial`` by the real
     factor of y's sphere, x - y for a real y, else Delta_y."""
-    c, per_unit = as_semiregular(f).zero_polynomial
+    c, per_unit = f.num.zero_polynomial
     alpha, beta, _ = split(y.pair())
     s = _division_multiplicity(c, alpha, beta)
     return (s if beta == 0.0 else 2 * s) // per_unit
@@ -356,15 +356,14 @@ def total_multiplicity(f, y: Quaternion) -> int:
 
 def classify_zeros(f) -> list[ZeroRecord]:
     """Classified zero records of the numerator of f, a polynomial or a
-    ``SemiregularFunction``: one per root sphere of the function's
-    ``zero_polynomial``.
+    ``SemiregularFunction``: one per root sphere of num's ``zero_polynomial``.
 
     Spherical zeros use the representative alpha + i*beta; isolated
     nonreal zeros are located from the stem by J* = -F1(z) F2(z)^{-1}, and
     a J* that cannot be formed or is no unit raises ``ClassificationInconsistencyError``.
     One ``eval`` takes every isolated candidate, each of which must annihilate f."""
-    fs = as_semiregular(f)
-    (c, per_unit), num = fs.zero_polynomial, fs.num
+    num = f.num
+    c, per_unit = num.zero_polynomial
     records, isolated = [], []  # every record; each isolated candidate with its EPS_CLASS * scale
     try:
         for alpha, beta, roots in root_spheres(c):
@@ -411,12 +410,12 @@ class SemiregularFunction:
     factors present in both, and full characteristic quadratics Delta_b
     dividing both.  Partial vanishing of num on a pole sphere (a single
     point) is deliberately kept: it is pole structure, not a common factor.
-    ``den_spheres`` are the reduced den's root spheres.  ``zero_polynomial``
-    is formed once, where first read; the zero pass, the boundary means and
-    the oracle read it here, and nothing squares a slice-preserving num.
+    ``den_spheres`` are the reduced den's root spheres.  The zero pass, the
+    boundary means and the oracle read num's ``zero_polynomial``, which num
+    forms once, whatever wraps it.
     """
 
-    __slots__ = ("den", "num", "den_spheres", "_zero_polynomial")
+    __slots__ = ("den", "num", "den_spheres")
 
     def __init__(self, den: SlicePolynomial, num: SlicePolynomial):
         if den.is_zero:
@@ -435,22 +434,9 @@ class SemiregularFunction:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den_spheres", tuple(spheres))
-        object.__setattr__(self, "_zero_polynomial", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SemiregularFunction is immutable")
-
-    @property
-    def zero_polynomial(self) -> tuple[np.ndarray, int]:
-        """The real coefficients c carrying num's zeros and the divisor of their multiplicities:
-        num and 1 when slice-preserving, else N(num) and 2, so N(num) = c^(2 / divisor)."""
-        if self._zero_polynomial is None:
-            num = self.num
-            if num.is_zero:
-                raise ZeroPolynomialError("zero set of the zero polynomial is everything")
-            pair = (num.real_coeffs(), 1) if num.is_slice_preserving() else (normal(num).real_coeffs(), 2)
-            object.__setattr__(self, "_zero_polynomial", pair)
-        return self._zero_polynomial
 
     def stem_arrays(self, z) -> tuple[tuple, tuple]:
         """Stems of den^{-1} * num as pairs: complex 1/d(z) = u + i v times
@@ -463,17 +449,6 @@ class SemiregularFunction:
     def stem_scale(self, radius: float) -> float:
         """num's scale over den's: the stems are num's divided by den(z)."""
         return self.num.stem_scale(radius) / horner(np.abs(self.den), radius).real
-
-    def derivatives_at_origin(self) -> tuple[Quaternion, Quaternion, Quaternion]:
-        """(f(0), f'(0), f''(0)) by the quotient rule; den is scalar on R."""
-        n0 = self.num.coefficient(0)
-        n1 = self.num.coefficient(1)
-        n2 = self.num.coefficient(2) * 2.0
-        d0, d1, d2 = (self.den[:3].tolist() + [0.0, 0.0])[:3]
-        f0 = n0 / d0
-        f1 = n1 / d0 - n0 * (d1 / (d0 * d0))
-        f2 = n2 / d0 - n1 * (2.0 * d1 / (d0 * d0)) + n0 * (2.0 * d1 * d1 / d0**3 - d2 * 2.0 / (d0 * d0))
-        return f0, f1, f2
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SemiregularFunction(den={self.den!r}, num={self.num!r})"
@@ -609,15 +584,6 @@ class FunctionAnalysis:
         return min((abs(abs(s) - self.radius) / self.radius for s in self.shadows), default=math.inf)
 
 
-def as_semiregular(f) -> SemiregularFunction:
-    """f as den^{-1} * num: a polynomial gets den = 1."""
-    if isinstance(f, SemiregularFunction):
-        return f
-    if isinstance(f, SlicePolynomial):
-        return SemiregularFunction(SlicePolynomial.from_real([1.0]), f)
-    raise TypeError(f"expected SlicePolynomial or SemiregularFunction, got {type(f)!r}")
-
-
 def analyze(f, r: float) -> FunctionAnalysis:
     """Zero and pole records of f at radius r from one ``classify_zeros``
     of the function and the ``den_spheres`` found at construction.
@@ -626,6 +592,5 @@ def analyze(f, r: float) -> FunctionAnalysis:
     (``pole_structure``) can be its exceptional point: a zero merely near a
     pole sphere stays a free zero, and the pole stays uniform.
     """
-    fs = as_semiregular(f)
-    zeros = classify_zeros(fs)
-    return FunctionAnalysis(r, tuple(zeros), fs.den_spheres, tuple(pole_structure(fs.den_spheres, zeros, r)))
+    zeros = classify_zeros(f)
+    return FunctionAnalysis(r, tuple(zeros), f.den_spheres, tuple(pole_structure(f.den_spheres, zeros, r)))

@@ -20,7 +20,7 @@ import numpy as np
 from slicereg.errors import ClassificationInconsistencyError, PoleOnBoundaryError, SliceRegError
 from slicereg.quaternions import Quaternion, split, to_parts
 from slicereg.slicepoly import SlicePolynomial, horner, slice_product
-from slicereg.zeros_poles import TOL_DIVIDE, SemiregularFunction, analyze, as_semiregular, on_boundary, root_spheres
+from slicereg.zeros_poles import TOL_DIVIDE, SemiregularFunction, analyze, on_boundary, root_spheres
 
 from kernel_oracles import numpy_divide
 
@@ -55,7 +55,6 @@ def unreduced(den: np.ndarray, num: SlicePolynomial) -> SemiregularFunction:
     object.__setattr__(f, "den", den)
     object.__setattr__(f, "num", num)
     object.__setattr__(f, "den_spheres", tuple(root_spheres(den)))
-    object.__setattr__(f, "_zero_polynomial", None)  # formed on first use
     return f
 
 
@@ -95,8 +94,7 @@ def regularize(f: SemiregularFunction, r: float) -> tuple[SemiregularFunction, S
     raise PoleOutsideRegionError instead of being silently ignored.
     """
     if len(f.den) == 1:
-        one = as_semiregular(SlicePolynomial.from_real([1.0]))
-        return one, f
+        return SlicePolynomial.from_real([1.0]), f
     poles = analyze(f, math.inf).poles
     for rec in poles:
         rad = rec.point_radius

@@ -17,7 +17,6 @@ from slicereg.diffops import (
 from slicereg.quaternions import I, J, K, ONE, Quaternion, pnorm2, split, to_parts
 from slicereg.slicepoly import SlicePolynomial, SliceStack, horner, normal, spherical_derivative, spherical_value
 from slicereg.verify import Stream, _log_normal_stack, _product_poly, _random_point, _random_poly
-from slicereg.zeros_poles import as_semiregular
 
 from test_quaternions import to_pair
 
@@ -98,7 +97,7 @@ def _log_normal_at(f):
     two copies of z.  numpy multiplies a one-element complex array in place
     as CPython does, and longer arrays, such as the stencils' points, with
     a fused multiply-add."""
-    c, divisor = as_semiregular(f).zero_polynomial
+    c, divisor = f.zero_polynomial
 
     def u(x):
         z = np.full(2, complex(x.re(), x.abs_im()))
@@ -408,7 +407,7 @@ def test_log_normal_stack_is_log_normal_values_of_each_case_at_its_shadows(monke
     from slicereg.quadrature import log_normal_values
 
     polys = _log_normal_cases()
-    assert sorted(as_semiregular(f).zero_polynomial[1] for f in polys) == [1, 1, 1, 2, 2, 2]
+    assert sorted(f.zero_polynomial[1] for f in polys) == [1, 1, 1, 2, 2, 2]
     stream = Stream(12)
     points = [_random_point(stream, 0.0, 0.7, beta_min=0.0) for _ in range(9 * len(polys))]
     x = to_pair(tuple(np.array(c).reshape(9, len(polys)) for c in zip(*points)))
@@ -596,10 +595,11 @@ def test_multiplicity_suite_checks_the_factors_it_multiplies(monkeypatch, seed):
 
 
 def test_multiplicity_suite_forms_each_normal_once(monkeypatch):
-    """classify_zeros and the N(f) count read the zero polynomial of one
-    ``SemiregularFunction`` per case, so N(f) is formed at most once per
-    case, and only for an f that is not slice-preserving; the rows are
-    those of classify_zeros on a function of its own, forming it again."""
+    """classify_zeros and the N(f) count read the zero polynomial of the
+    case's one polynomial, so N(f) is formed at most once per case, and
+    only for an f that is not slice-preserving; the rows are those of
+    classify_zeros on a copy of f, forming it again."""
+    import slicereg.slicepoly as slicepoly
     import slicereg.verify as verify
     import slicereg.zeros_poles as zeros_poles
 
@@ -610,13 +610,13 @@ def test_multiplicity_suite_forms_each_normal_once(monkeypatch):
         formed.append(f)
         return normal(f)
 
-    monkeypatch.setattr(zeros_poles, "normal", counted)
+    monkeypatch.setattr(slicepoly, "normal", counted)
     monkeypatch.setattr(verify, "classify_zeros", lambda fs: functions.append(fs) or zeros_poles.classify_zeros(fs))
     assert verify.suite_multiplicity(1).rows == own.rows
     quaternionic = [fs.num for fs in functions if not fs.num.is_slice_preserving()]
     assert len(functions) == 50 and 0 < len(quaternionic) < 50
     assert formed == quaternionic  # by identity: each such num once, in case order
-    monkeypatch.setattr(verify, "classify_zeros", lambda fs: zeros_poles.classify_zeros(fs.num))
+    monkeypatch.setattr(verify, "classify_zeros", lambda fs: zeros_poles.classify_zeros(SlicePolynomial(fs.coeffs)))
     assert verify.suite_multiplicity(1).rows == own.rows
 
 

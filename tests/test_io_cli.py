@@ -23,7 +23,9 @@ from slicereg.io import (
 from slicereg.jensen import jensen_check
 from slicereg.quaternions import I, ONE, InvalidUnitError, Quaternion
 from slicereg.slicepoly import NormalNotRealError, SlicePolynomial
-from slicereg.zeros_poles import SemiregularFunction, analyze, as_semiregular
+from slicereg.zeros_poles import SemiregularFunction, analyze
+
+from hard_cases import LEDGER
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CASE_RADIUS = {
@@ -88,7 +90,7 @@ def test_den_and_num_survive_a_roundtrip_through_dict():
     assert len(cases) == 9 and sum("den" in record for _, record in cases) == 8
     for name, record in cases:
         f = parse_function(record)
-        a, b = as_semiregular(f), as_semiregular(parse_function(function_to_dict(f)))
+        a, b = f, parse_function(function_to_dict(f))
         assert a.den.tobytes() == b.den.tobytes(), name
         assert np.array(a.num.coeffs).tobytes() == np.array(b.num.coeffs).tobytes(), name
 
@@ -666,10 +668,13 @@ def test_report_digests_prints_a_digest_per_reference_report():
                          capture_output=True, text=True, check=True).stdout
     rows = [row.split("  ") for row in out.splitlines()]
     names = [name for _, name in rows]
-    assert len(names) == 10 + len(functions) + 3 + 4 + 4 + 4 + 37 + 24 and len(set(names)) == len(names)
-    assert [n for n in names if n.startswith("error-")] == names[-61:-24]  # then the failing calls
-    assert [n for n in names if n.startswith("hard-")] == names[-24:]  # the ledger's exact inputs come last
-    assert [n for n in names if n.startswith("coeffs-")] == names[-65:-61]  # the small coefficients before the errors
+    hard = 3 * len(LEDGER)  # jensen with and without diagnostics, and zeros, on every ledger entry
+    assert len(names) == 10 + len(functions) + 3 + 4 + 4 + 4 + 37 + hard and len(set(names)) == len(names)
+    assert [n for n in names if n.startswith("error-")] == names[-37 - hard:-hard]  # then the failing calls
+    assert [n for n in names if n.startswith("hard-")] == names[-hard:]  # the ledger's entries come last
+    assert [n for n in names if n.startswith("coeffs-")] == names[-41 - hard:-37 - hard]  # before the errors
+    assert names[-hard:] == [f"hard-{case.name}-{run}.json" for case in LEDGER
+                             for run in ("jensen", "jensen-no-diagnostics", "zeros")]
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest, _ in rows)
     assert sorted(n for n in names if n.startswith("zeros-") and n.endswith(".json")) == sorted(
         f"zeros-{p.stem}.json" for p in functions)
@@ -810,11 +815,10 @@ def _count_root_spheres(monkeypatch) -> list:
 def test_one_root_finding_per_polynomial(name, monkeypatch, capsys):
     path, r = CORPUS / name, CASE_RADIUS[name]
     f = load_function(path)
-    fs = as_semiregular(f)
-    positive = (fs.num.degree > 0) + (len(fs.den) > 1)
+    positive = (f.num.degree > 0) + (len(f.den) > 1)
     calls = _count_root_spheres(monkeypatch)
     jensen_check(f, r, bijectivity_points=50)
-    assert len(calls) == (fs.num.degree > 0)  # den's spheres come with f, from its load
+    assert len(calls) == (f.num.degree > 0)  # den's spheres come with f, from its load
     calls.clear()
     assert main(["jensen", "--fn", str(path), "--r", repr(r), "--bijectivity-points", "50"]) == 0
     assert len(calls) == positive  # load included

@@ -36,7 +36,6 @@ from slicereg.zeros_poles import (
     BOUNDARY_BAND,
     SemiregularFunction,
     analyze,
-    as_semiregular,
     characteristic_poly,
 )
 from slicereg.diffops import fd_laplace4_richardson
@@ -114,7 +113,7 @@ def test_lhs_cross_check_sees_a_wrong_square_term(monkeypatch):
 
     def wrong_square(g, r):
         (t0, t1, t2), d4 = right(g, r)
-        f0, f1, _ = as_semiregular(g).derivatives_at_origin()
+        f0, f1, _ = jensen.derivatives_at_origin(g)
         a = f1 * f0.inverse()
         err = a.norm2() - (a * a).re()
         return (t0, t1 + r * r / 4.0 * err, t2), d4 + 4.0 * err
@@ -329,24 +328,24 @@ def test_origin_hypotheses_come_before_root_finding(monkeypatch):
 @pytest.mark.parametrize("name, r, normals", [("poly_real_triple.json", 0.8, 0), ("poly_isolated_pair.json", 1.0, 1),
                                                ("rat_remark_nonuniform.json", 2.0, 1)])
 def test_one_normal_per_case(name, r, normals, monkeypatch, capsys):
-    # a function forms N(num) once, for a non-slice-preserving num only, and
-    # every pass reads it there: the Jensen check, the zeros command, and
-    # analyze, the means and the oracle on one held function
-    from slicereg import zeros_poles
+    # a numerator polynomial forms N(num) once, for a non-slice-preserving num
+    # only, and every pass reads it there: the Jensen check, the zeros
+    # command, and analyze, the means and the oracle on one held function
+    from slicereg import slicepoly
     from slicereg.cli import main
 
     f = load_function(CORPUS / name)
     calls = []
-    monkeypatch.setattr(zeros_poles, "normal", lambda g: calls.append(g) or normal(g))
+    monkeypatch.setattr(slicepoly, "normal", lambda g: calls.append(g) or normal(g))
     report = jensen_check(f, r)
-    assert len(calls) == normals == (not as_semiregular(f).num.is_slice_preserving())
+    assert len(calls) == normals == (not f.num.is_slice_preserving())
     assert abs(report.residual) <= 1e-12
     calls.clear()
     assert main(["zeros", "--fn", str(CORPUS / name), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["zeros"] + payload["poles"] and len(calls) == normals
     calls.clear()
-    fs = as_semiregular(load_function(CORPUS / name))
+    fs = load_function(CORPUS / name)
     analysis = analyze(fs, r)
     boundary_means(fs, r, 16, analysis.shadows)
     boundary_identity_residual(fs, build_rule(r, 8, analysis.shadows, 6))
@@ -357,11 +356,11 @@ def test_lhs_cross_check_forms_its_own_normal(monkeypatch):
     # the lhs oracle takes N(num)'s lowest coefficients from num itself, not
     # from the function: an N(num) scaled by 1.5 before its first use moves
     # the residual by -log(1.5)/2 and leaves the cross-check at roundoff
-    from slicereg import zeros_poles
+    from slicereg import slicepoly
 
     path = CORPUS / "poly_isolated_pair.json"
     own = jensen_check(load_function(path), 1.0)
-    monkeypatch.setattr(zeros_poles, "normal", lambda g: SlicePolynomial.from_real(1.5 * normal(g).real_coeffs()))
+    monkeypatch.setattr(slicepoly, "normal", lambda g: SlicePolynomial.from_real(1.5 * normal(g).real_coeffs()))
     moved = jensen_check(load_function(path), 1.0)
     assert moved.lhs == own.lhs
     assert moved.residual - own.residual == pytest.approx(-0.5 * math.log(1.5), abs=1e-9)
@@ -378,7 +377,7 @@ def test_rational_stem_scale_divides_by_the_denominator():
         assert report.diagnostics["sf_roundtrip_points"] == 1000 and not report.warnings
         assert report.diagnostics["sf_roundtrip_max"] <= 1e-12
     assert f.stem_scale(1.0) == num.stem_scale(1.0) / 10001.0
-    assert as_semiregular(num).stem_scale(1.0) == num.stem_scale(1.0)  # den = 1: unchanged bit for bit
+    assert SemiregularFunction(real_poly(1.0), num).stem_scale(1.0) == num.stem_scale(1.0)  # den = 1: bit for bit
 
 
 # -- semiregular consistency with the regularized product -----------------------
@@ -393,9 +392,9 @@ def test_semiregular_consistency_uniform_poles():
     g, h = regularize(f, r)
 
     # item 1: |h(0)| = |f(0)| |g(0)| = |f(0)| prod |p_k|/r prod |b_i|^2/r^2
-    f0 = f.derivatives_at_origin()[0]
-    g0 = g.derivatives_at_origin()[0]
-    h0 = h.derivatives_at_origin()[0]
+    f0 = jensen.derivatives_at_origin(f)[0]
+    g0 = jensen.derivatives_at_origin(g)[0]
+    h0 = jensen.derivatives_at_origin(h)[0]
     assert h0.abs() == pytest.approx(f0.abs() * g0.abs(), rel=1e-10)
     assert g0.abs() == pytest.approx(0.5 * 0.25, rel=1e-10)
 
@@ -585,6 +584,21 @@ CORPUS_CASES = [
     for manifest in ("polynomials.json", "rationals.json")
     for entry in json.loads((CORPUS / manifest).read_text())["cases"]
 ]
+
+
+POLYNOMIAL_CASES = [c for c in CORPUS_CASES if isinstance(c[1], SlicePolynomial)]
+
+
+@pytest.mark.parametrize("name, f, r", POLYNOMIAL_CASES, ids=[c[0] for c in POLYNOMIAL_CASES])
+def test_a_polynomial_is_its_quotient_over_one(name, f, r):
+    # a polynomial is num / 1 itself: its report, diagnostics included, and
+    # its records are those of the quotient over den = 1, whose stems divide
+    # by den(z) = 1, to the last bit of every number
+    quotient = SemiregularFunction(SlicePolynomial.from_real([1.0]), f)
+    assert quotient.num is f and quotient.den.tolist() == f.den.tolist() == [1.0] and f.den_spheres == ()
+    own, over_one = jensen_check(f, r).to_dict(), jensen_check(quotient, r).to_dict()
+    assert own == over_one and json.dumps(own) == json.dumps(over_one)
+    assert analyze(f, r) == analyze(quotient, r)
 
 
 ORACLE_CASES = CORPUS_CASES + [

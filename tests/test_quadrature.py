@@ -40,7 +40,7 @@ from slicereg.quadrature import (
 )
 from slicereg.slicepoly import SlicePolynomial, horner, normal, slice_product
 from slicereg.verify import exact_mean_log_abs
-from slicereg.zeros_poles import SemiregularFunction, analyze, as_semiregular
+from slicereg.zeros_poles import SemiregularFunction, analyze
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import near_boundary_functions  # noqa: E402
@@ -617,7 +617,7 @@ def _mp_boundary_means(f, r: float, edges: list[float]) -> tuple[float, float]:
 @pytest.mark.parametrize("name, record", NEAR_BOUNDARY_CASES, ids=[c[0] for c in NEAR_BOUNDARY_CASES])
 def test_graded_means_against_mpmath(name, record):
     # the panel edges of polar_rule, recomputed from the shadows
-    f = as_semiregular(parse_function(record))
+    f = parse_function(record)
     shadows = analyze(f, 1.0).shadows
     edges = {0.0, math.pi}
     for s in shadows:
@@ -999,7 +999,7 @@ def _block_edge_cases(kind):
     own shadows' 7 panels of 16 angles with the same grid."""
     for entry in CORPUS_CASES:
         if kind == "plain" or entry["name"] == "near_boundary_sphere":
-            f, r = as_semiregular(load_function(CORPUS / entry["file"])), entry["r"]
+            f, r = load_function(CORPUS / entry["file"]), entry["r"]
             rule = build_rule(r, 40, (), 20) if kind == "plain" else build_rule(r, 16, analyze(f, r).shadows, 20)
             yield entry["name"], f, rule
 
@@ -1060,7 +1060,7 @@ def test_rule_blocks_walk_whole_angles_in_order():
 def _oracle_rule(name):
     """f of the corpus case name and the rule of its oracle at n = 48."""
     entry = next(e for e in CORPUS_CASES if e["name"] == name)
-    f, r = as_semiregular(load_function(CORPUS / entry["file"])), entry["r"]
+    f, r = load_function(CORPUS / entry["file"]), entry["r"]
     p, q = oracle_orders(48)
     return f, build_rule(r, p, analyze(f, r).shadows, q)
 

@@ -29,7 +29,6 @@ from slicereg.zeros_poles import (
     _columns,
     _reduce_pair,
     analyze,
-    as_semiregular,
     characteristic_poly,
     classify_zeros,
     pole_structure,
@@ -220,8 +219,8 @@ def _corpus_zero_polynomials():
     polys = []
     for manifest in ("polynomials", "rationals"):
         for entry in json.loads((corpus / f"{manifest}.json").read_text())["cases"]:
-            f = zeros_poles.as_semiregular(load_function(corpus / entry["file"]))
-            polys.append(f.zero_polynomial[0])
+            f = load_function(corpus / entry["file"])
+            polys.append(f.num.zero_polynomial[0])
             if len(f.den) > 1:
                 polys.append(f.den)
     return polys
@@ -828,9 +827,31 @@ def test_scaling_keeps_a_quaternionic_polynomial_quaternionic(scale):
 def test_a_monic_denominator_leaves_the_numerator_undivided():
     # x / 1.0 is x: a monic den keeps num as given; any other lead divides both
     num = lin(0.2, 0.5, 0.3, 0.1)
-    assert SemiregularFunction(real_poly(1.0), num).num is as_semiregular(num).num is num
+    assert SemiregularFunction(real_poly(1.0), num).num is num.num is num
     halved = SemiregularFunction(real_poly(2.0), num)
     assert halved.num.coeffs == tuple(c / 2.0 for c in num.coeffs) and halved.den.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("den", [None, (4.0, 0.0, 1.0)])
+def test_a_quotient_reads_its_numerators_zero_polynomial(den, monkeypatch):
+    # a monic den that leaves num as given, den = 1 through the constructor
+    # or x^2 + 4 kept unreduced: every pass on the quotient and on num alone
+    # reads num's one zero polynomial, so N(num) is formed once, and the
+    # quotient holds none of its own
+    from slicereg import quadrature, slicepoly
+
+    formed = []
+    monkeypatch.setattr(slicepoly, "normal", lambda g: formed.append(g) or normal(g))
+    num = slice_product(lin(0.2, 0.1, 0.0, 0.3), lin(0.5, 0.0, -0.4, 0.1))
+    f = SemiregularFunction(real_poly(1.0), num) if den is None else unreduced(np.array(den), num)
+    assert f.num is num and not hasattr(f, "zero_polynomial")
+    analysis = analyze(f, 1.0)
+    assert [z.to_dict() for z in analysis.zeros] == [z.to_dict() for z in classify_zeros(num)]
+    assert total_multiplicity(f, analysis.zeros[0].representative) == analysis.zeros[0].multiplicity
+    quadrature.boundary_means(f, 1.0, 8, analysis.shadows)
+    for g in (f, num):
+        jensen_check(g, 1.0, bijectivity_points=10)
+    assert formed == [num] and formed[0] is num
 
 
 def test_semiregular_reduction_real_factor():
@@ -867,7 +888,7 @@ def test_den_spheres_lose_the_cancelled_multiplicity():
     assert np.array(f.den_spheres) == pytest.approx(np.array(root_spheres(f.den)), abs=1e-9)
     # a zero numerator cancels nothing; den's spheres are still found
     assert len(SemiregularFunction(den, SlicePolynomial([])).den_spheres) == 3
-    assert as_semiregular(lin(0.1, 0.2, 0, 0)).den_spheres == ()
+    assert lin(0.1, 0.2, 0, 0).den_spheres == ()
 
 
 def _assert_monic_real_array(den):
@@ -884,7 +905,7 @@ def test_den_is_its_monic_real_coefficients():
         f = load_function(corpus / entry["file"])
         _assert_monic_real_array(f.den)
         assert len(f.den) - 1 == sum(m for *_, m in f.den_spheres)
-    polynomial = as_semiregular(lin(0.1, 0.2, 0, 0))
+    polynomial = lin(0.1, 0.2, 0, 0)
     _assert_monic_real_array(polynomial.den)
     assert polynomial.den.tolist() == [1.0]
     # 3 (x - 0.5)^2 (x + 2) over (x - 0.5) q: one x - 0.5 cancels, and the
@@ -989,15 +1010,15 @@ def test_zero_polynomial_is_normal_or_num_itself_and_never_squared(monkeypatch):
     from slicereg import quadrature
 
     quaternionic = slice_product(lin(0.2, 0.1, 0.0, 0.3), lin(0.5, 0.0, -0.4, 0.1))
-    c, divisor = as_semiregular(quaternionic).zero_polynomial
+    c, divisor = quaternionic.zero_polynomial
     assert divisor == 2 and np.array_equal(c, normal(quaternionic).real_coeffs())
     real = real_poly(-0.3, 0.2, 1.5, -0.7)
-    c, divisor = as_semiregular(real).zero_polynomial
+    c, divisor = real.zero_polynomial
     assert divisor == 1 and np.array_equal(c, [-0.3, 0.2, 1.5, -0.7])
     # a slice-preserving f of degree 40: the means read f itself, not its degree-80 square
     c = np.zeros(41)
     c[[0, 40]] = 1.0, 0.5
-    f = as_semiregular(SlicePolynomial.from_real(c))
+    f = SlicePolynomial.from_real(c)
     assert f.zero_polynomial[0].shape == (41,) and f.zero_polynomial[1] == 1
     lengths = []
     monkeypatch.setattr(quadrature, "horner", lambda p, z: lengths.append(len(p)) or horner(p, z))
@@ -1140,7 +1161,7 @@ def test_regularize_remark_function():
 
 
 def test_regularize_polynomial_passthrough():
-    p = as_semiregular(real_poly(-0.5, 1.0))
+    p = real_poly(-0.5, 1.0)
     g, h = regularize(p, 1.0)
     assert g.num.degree == 0 and len(g.den) == 1
     assert h.num.degree == 1
